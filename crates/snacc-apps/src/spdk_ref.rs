@@ -223,12 +223,15 @@ impl Inner {
         let _ = imgs;
         let rc2 = rc.clone();
         en.schedule_at(t_cpu, move |en| {
-            // H2D: downscaled batch to the GPU (host-initiated write).
+            // H2D: downscaled batch to the GPU (host-initiated write). The
+            // batch contents are not modelled, so a lazy zero window
+            // carries its length.
             let fabric = rc2.borrow().fabric.clone();
-            let zeros = vec![0u8; h2d.max(1) as usize];
+            let batch = snacc_sim::Payload::fill(0, h2d.max(1) as usize);
+            let now = en.now();
             let t_h2d = fabric
                 .borrow_mut()
-                .write(en, snacc_pcie::HOST_NODE, gpu_bar, &zeros)
+                .write_payload_at(en, now, snacc_pcie::HOST_NODE, gpu_bar, batch)
                 .expect("gpu BAR mapped");
             let rc3 = rc2.clone();
             en.schedule_at(t_h2d.max(en.now()) + kernel, move |en| {
@@ -262,19 +265,17 @@ impl Inner {
                 }
             };
             let (buf, ssd_addr, stage_off, len) = item;
-            let data = {
+            let submit = {
                 let i = rc.borrow();
                 let base = i.buffers[buf].pinned.phys_addr(stage_off);
-                let out = i
+                // The staged extent, as a view of the windows the DMA left
+                // in host memory.
+                let data = i
                     .hostmem
                     .borrow_mut()
                     .store_mut()
-                    .read_vec(base, len as usize);
-                out
-            };
-            let submit = {
-                let i = rc.borrow();
-                i.spdk.submit_write(en, ssd_addr, &data)
+                    .read_payload(base, len as usize);
+                i.spdk.submit_write_payload(en, ssd_addr, data)
             };
             match submit {
                 Ok(_) => {
@@ -371,11 +372,13 @@ impl CaseSink for SpdkSink {
             (idx, stage_off, i.fabric.clone(), i.fpga, chunks)
         };
         let _ = stage_off;
-        // FPGA → host staging DMA (timed + functional).
+        // FPGA → host staging DMA (timed + functional); host memory
+        // retains the pushed windows.
         for (phys, off, n) in phys_chunks {
+            let now = en.now();
             fabric
                 .borrow_mut()
-                .write(en, fpga, phys, &data[off..off + n])
+                .write_payload_at(en, now, fpga, phys, data.slice(off..off + n))
                 .expect("staging reachable");
         }
         let mut i = self.inner.borrow_mut();

@@ -14,7 +14,7 @@ use snacc_mem::{AddrRange, HostMemory};
 use snacc_nvme::{NvmeDeviceHandle, NvmeProfile};
 use snacc_pcie::target::HostMemTarget;
 use snacc_pcie::{PcieFabric, HOST_NODE};
-use snacc_sim::Engine;
+use snacc_sim::{Engine, Payload};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -47,7 +47,8 @@ fn aggregate_write_bw(n_ssds: usize) -> f64 {
     // Stream 1 GiB of striped writes, paced by responses.
     let total: u64 = 1 << 30;
     let stripe_batch: u64 = (n_ssds as u64) << 20;
-    let data: Vec<u8> = (0..stripe_batch).map(|i| i as u8).collect();
+    // One shared batch: every striped write slices windows out of it.
+    let data = Payload::from_vec((0..stripe_batch).map(|i| i as u8).collect());
     let t0 = en.now();
     let mut off = 0u64;
     while off < total {

@@ -1,5 +1,5 @@
 //! Fig 6 — case-study bandwidth: image classification on a 100 G stream,
-//! five configurations. Default 2048 frames (≈ 19 GB; steady state well
+//! five configurations. Default 512 frames (≈ 4.8 GB; steady state well
 //! before that); SNACC_FULL=1 streams the paper's 16384 frames.
 
 use snacc_apps::gpu::{run_gpu_case_study, GpuModel};

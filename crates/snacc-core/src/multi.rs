@@ -10,7 +10,7 @@
 
 use crate::streamer::{encode_read_cmd, StreamerHandle};
 use snacc_fpga::axis::{self, StreamBeat};
-use snacc_sim::Engine;
+use snacc_sim::{Engine, Payload};
 
 /// A stripe-set over multiple streamers (one per SSD).
 pub struct MultiSsd {
@@ -67,19 +67,16 @@ impl MultiSsd {
     /// Fan a write of `data` at logical address `addr` across the members
     /// (one write transfer per stripe piece), respecting each member's
     /// stream backpressure by stepping the engine while a channel is full.
-    pub fn write_striped(&self, en: &mut Engine, addr: u64, data: &[u8]) {
-        let mut logical_off = 0u64;
+    /// Stripe pieces and their beats are zero-copy windows into `data`.
+    pub fn write_striped(&self, en: &mut Engine, addr: u64, data: &Payload) {
+        let mut logical_off = 0usize;
         for (member, member_addr, take_len) in self.stripe_extent(addr, data.len() as u64) {
             let ports = self.streamers[member].ports();
             let header = StreamBeat::mid(member_addr.to_le_bytes().to_vec());
             while !axis::push(&ports.wr_in, en, header.clone()) {
                 assert!(en.step(), "multi-SSD writer stalled on header");
             }
-            // Share the stripe piece once; per-chunk beats are zero-copy
-            // windows into it.
-            let payload = snacc_sim::Payload::from(
-                &data[logical_off as usize..(logical_off + take_len) as usize],
-            );
+            let payload = data.slice(logical_off..logical_off + take_len as usize);
             let plen = payload.len();
             let mut coff = 0usize;
             while coff < plen {
@@ -97,7 +94,7 @@ impl MultiSsd {
                     }
                 }
             }
-            logical_off += take_len;
+            logical_off += take_len as usize;
         }
     }
 

@@ -16,7 +16,9 @@
 //! * **Copy-on-write coalescing** bounds fragmentation: when more than
 //!   [`COALESCE_SEGS`] segments accumulate inside one 1 MiB window, the
 //!   window is materialised into a single owned segment. This is the only
-//!   copying path in the store.
+//!   copying path in the store. The bound equals the pages per window, so
+//!   page-granular traffic (NVMe pages, streamer ring slots) never copies;
+//!   only sub-page fragmentation does.
 //!
 //! The byte-oriented API (`write`/`read`/`read_vec`/scalar helpers) matches
 //! `SparseMemory` so ring buffers, descriptor pages and tests work
@@ -31,8 +33,10 @@ use crate::sparse::PAGE_SIZE;
 pub const COALESCE_WINDOW: u64 = 1 << 20;
 
 /// Maximum segments tolerated inside one window before the window is
-/// materialised into a single owned segment.
-pub const COALESCE_SEGS: usize = 64;
+/// materialised into a single owned segment: one per 4 KiB page, so a
+/// window fully tiled by independent page writes (random 4 KiB I/O, ring
+/// slots) stays zero-copy and only sub-page fragments trigger a copy.
+pub const COALESCE_SEGS: usize = (COALESCE_WINDOW / PAGE_SIZE as u64) as usize;
 
 /// Chunk size for [`SegmentMemory::fill`] backings: bounds how much one
 /// lazy fill segment materialises if a byte of it is ever inspected.
@@ -463,6 +467,35 @@ mod tests {
         for i in 0..(2 * COALESCE_SEGS as u64) {
             assert_eq!(m.read_vec(i * 128, 64), vec![i as u8; 64]);
             assert_eq!(m.read_vec(i * 128 + 64, 64), vec![0u8; 64]);
+        }
+    }
+
+    #[test]
+    fn page_granular_ring_writes_never_coalesce() {
+        // A 2 MiB ring rewritten page by page in shuffled order, each page
+        // its own lazy pattern: every window holds exactly its 256 pages,
+        // so nothing may be materialised.
+        const RING: u64 = 2 << 20;
+        let pages = RING / PAGE_SIZE as u64;
+        let mut m = SegmentMemory::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for pass in 0..4u64 {
+            let mut order: Vec<u64> = (0..pages).collect();
+            for i in (1..order.len()).rev() {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                order.swap(i, (x % (i as u64 + 1)) as usize);
+            }
+            for &pg in &order {
+                let seed = pass * pages + pg;
+                m.write_payload(pg * PAGE_SIZE as u64, Payload::pattern(seed, PAGE_SIZE));
+            }
+        }
+        assert_eq!(m.segment_count(), 512, "a window was materialised");
+        for pg in 0..pages {
+            let want = Payload::pattern(3 * pages + pg, PAGE_SIZE);
+            assert_eq!(m.read_payload(pg * PAGE_SIZE as u64, PAGE_SIZE), want);
         }
     }
 

@@ -6,6 +6,7 @@
 //! monotone while no `clear` happens (coverage only ever grows).
 
 use proptest::prelude::*;
+use snacc_mem::segment::COALESCE_SEGS;
 use snacc_mem::{SegmentMemory, SparseMemory};
 use snacc_sim::bytes::Payload;
 
@@ -99,10 +100,11 @@ proptest! {
     }
 
     /// Interleaved tiny writes trip CoW coalescing without changing any
-    /// byte; fragmentation stays bounded per window.
+    /// byte; fragmentation stays bounded per window. Two to four times the
+    /// bound in writes, so every case crosses it at least once.
     #[test]
     fn coalescing_preserves_bytes(
-        writes in proptest::collection::vec(any::<[u64; 2]>(), 80..200),
+        writes in proptest::collection::vec(any::<[u64; 2]>(), 2 * COALESCE_SEGS..4 * COALESCE_SEGS),
     ) {
         let mut seg = SegmentMemory::new();
         let mut sparse = SparseMemory::new();
@@ -114,7 +116,7 @@ proptest! {
             sparse.write(addr, &data);
         }
         prop_assert!(
-            seg.segment_count() <= snacc_mem::segment::COALESCE_SEGS + 2,
+            seg.segment_count() <= COALESCE_SEGS + 2,
             "window fragmentation unbounded: {} segments", seg.segment_count()
         );
         let want = sparse.read_vec(0, 1 << 20);

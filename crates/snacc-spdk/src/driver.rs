@@ -391,15 +391,6 @@ impl SpdkNvme {
         self.submit(en, IoKind::Read, addr, len, None)
     }
 
-    /// Submit a write of a byte slice at byte address `addr` — the
-    /// ingestion point for caller-owned bytes: they are copied once into
-    /// a shared backing here, then flow zero-copy. Prefer
-    /// [`submit_write_payload`](Self::submit_write_payload) when the
-    /// caller already holds a [`Payload`].
-    pub fn submit_write(&self, en: &mut Engine, addr: u64, bytes: &[u8]) -> Result<u16, SpdkError> {
-        self.submit_write_payload(en, addr, Payload::from_vec(bytes.to_vec()))
-    }
-
     /// Submit a write of a payload window at byte address `addr`. The slab
     /// staging retains the window zero-copy — lazy pattern/fill payloads
     /// stay lazy all the way into the functional media.

@@ -4,7 +4,7 @@ use snacc_mem::{AddrRange, HostMemory};
 use snacc_nvme::{NvmeDeviceHandle, NvmeProfile};
 use snacc_pcie::target::HostMemTarget;
 use snacc_pcie::{PcieFabric, HOST_NODE};
-use snacc_sim::{Engine, SimRng, SimTime};
+use snacc_sim::{Engine, Payload, SimRng, SimTime};
 use snacc_spdk::{SpdkConfig, SpdkNvme};
 use std::cell::RefCell;
 use std::collections::HashSet;
@@ -52,7 +52,9 @@ fn write_read_roundtrip() {
     r.spdk
         .set_completion_hook(move |_, info| d2.borrow_mut().push(info));
 
-    r.spdk.submit_write(&mut r.en, 4096, &data).unwrap();
+    r.spdk
+        .submit_write_payload(&mut r.en, 4096, Payload::from(&data[..]))
+        .unwrap();
     r.en.run();
     assert_eq!(done.borrow().len(), 1);
     assert!(done.borrow()[0].ok);
@@ -96,8 +98,9 @@ fn out_of_order_slot_recycling() {
     // streamer's in-order retirement.
     let mut r = rig(SpdkConfig::with_queue_depth(2));
     // Warm up one extent (NAND page 1 → die 1).
-    let data = vec![9u8; 4096];
-    r.spdk.submit_write(&mut r.en, 16384, &data).unwrap();
+    r.spdk
+        .submit_write_payload(&mut r.en, 16384, Payload::fill(9, 4096))
+        .unwrap();
     r.en.run();
 
     let order = Rc::new(RefCell::new(Vec::new()));
@@ -125,8 +128,9 @@ fn write_latency_under_9us() {
     r.spdk.set_completion_hook(move |_, info| {
         *l2.borrow_mut() = Some(info.completed.since(info.submitted));
     });
-    let data = vec![1u8; 4096];
-    r.spdk.submit_write(&mut r.en, 0, &data).unwrap();
+    r.spdk
+        .submit_write_payload(&mut r.en, 0, Payload::fill(1, 4096))
+        .unwrap();
     r.en.run();
     let us = lat.borrow().unwrap().as_us_f64();
     assert!(us < 9.0, "SPDK 4 KiB write took {us} µs");
@@ -153,9 +157,11 @@ fn closed_loop_random_reads_sustain_depth() {
     // submits a replacement; conservation and depth hold throughout.
     let mut r = rig(SpdkConfig::with_queue_depth(16));
     // Warm 64 MB so reads are pSLC-resident.
-    let chunk = vec![0xabu8; 1 << 20];
+    let chunk = Payload::fill(0xab, 1 << 20);
     for i in 0..64u64 {
-        r.spdk.submit_write(&mut r.en, i << 20, &chunk).unwrap();
+        r.spdk
+            .submit_write_payload(&mut r.en, i << 20, chunk.clone())
+            .unwrap();
         r.en.run();
     }
     let total = 500u64;
@@ -194,10 +200,12 @@ fn closed_loop_random_reads_sustain_depth() {
 #[test]
 fn cpu_core_pegged_while_running() {
     let mut r = rig(SpdkConfig::default());
-    let data = vec![0u8; 1 << 20];
+    let data = Payload::fill(0, 1 << 20);
     let start = SimTime::ZERO;
     for i in 0..8u64 {
-        r.spdk.submit_write(&mut r.en, i << 20, &data).unwrap();
+        r.spdk
+            .submit_write_payload(&mut r.en, i << 20, data.clone())
+            .unwrap();
         r.en.run();
     }
     let now = r.en.now();
@@ -215,8 +223,9 @@ fn prp_lists_are_stored_in_host_memory() {
     // Contrast with the streamer: a 1 MB command leaves a real PRP list
     // in host memory.
     let mut r = rig(SpdkConfig::default());
-    let data = vec![3u8; 1 << 20];
-    r.spdk.submit_write(&mut r.en, 0, &data).unwrap();
+    r.spdk
+        .submit_write_payload(&mut r.en, 0, Payload::fill(3, 1 << 20))
+        .unwrap();
     r.en.run();
     // Find any nonzero stored list: scan pinned region pages (the list
     // pool was allocated after the slabs — just assert media correctness
