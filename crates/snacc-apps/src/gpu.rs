@@ -12,13 +12,13 @@
 //! → GPU (H2D of 224×224 batches) → host (D2H records) → SSD (fetches
 //! from host, 1×) — the most PCIe traffic of all configurations (Fig 7).
 
-use crate::pipeline::{run_case_study_front, CaseStudyConfig, CaseStudyReport};
-use crate::spdk_ref::{finalize, GpuStage, SpdkSink};
-use crate::system::{layout, HostSystem};
+use crate::pipeline::{CaseStudyConfig, CaseStudyReport};
+use crate::spdk_ref::{run_host_case_study, GpuStage};
+use crate::system::HostSystem;
 use snacc_mem::AddrRange;
 use snacc_pcie::target::ScratchTarget;
-use snacc_pcie::{PcieGen, PcieLinkConfig};
-use snacc_sim::{Engine, SimDuration, SimTime};
+use snacc_pcie::{NodeId, PcieFabric, PcieGen, PcieLinkConfig};
+use snacc_sim::SimDuration;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -44,89 +44,41 @@ impl Default for GpuModel {
     }
 }
 
+impl GpuModel {
+    /// The host-side GPU stage of the staging sink, for the A100 at
+    /// `gpu_node`.
+    pub fn stage(&self, gpu_node: NodeId) -> GpuStage {
+        GpuStage {
+            gpu_node,
+            gpu_bar: GPU_BAR,
+            downscale_cost: self.downscale_cost,
+            kernel_per_image: self.kernel_per_image,
+            batch_overhead: self.batch_overhead,
+            h2d_bytes_per_image: crate::images::ImageFormat::classify().bytes() as u64,
+            d2h_bytes_per_image: 16,
+            cpu: snacc_spdk::CpuCore::new("gpu-pipeline"),
+        }
+    }
+}
+
 /// GPU BAR window base on the fabric.
 const GPU_BAR: u64 = 0xA_0000_0000;
+
+/// Put the NIC-FPGA and the A100 (Gen4 ×16, with its BAR window) on the
+/// fabric; returns their nodes.
+pub(crate) fn attach_gpu(fab: &mut PcieFabric) -> (NodeId, NodeId) {
+    let nic = fab.add_device("alveo-nic", PcieLinkConfig::alveo_u280());
+    let gpu = fab.add_device("a100", PcieLinkConfig::new(PcieGen::Gen4, 16));
+    let bar = Rc::new(RefCell::new(ScratchTarget::new(
+        "a100-hbm-window",
+        SimDuration::from_ns(250),
+    )));
+    fab.map_region(gpu, AddrRange::new(GPU_BAR, 256 << 20), bar);
+    (nic, gpu)
+}
 
 /// Run the GPU configuration of the case study.
 pub fn run_gpu_case_study(cfg: CaseStudyConfig, model: GpuModel, seed: u64) -> CaseStudyReport {
     let mut host = HostSystem::bring_up(snacc_nvme::NvmeProfile::samsung_990pro(), seed);
-    // The FPGA acts purely as a NIC; the A100 hangs off a Gen4 ×16 link.
-    let (nic, gpu_node) = {
-        let mut fab = host.fabric.borrow_mut();
-        let nic = fab.add_device("alveo-nic", PcieLinkConfig::alveo_u280());
-        let gpu = fab.add_device("a100", PcieLinkConfig::new(PcieGen::Gen4, 16));
-        let bar = Rc::new(RefCell::new(ScratchTarget::new(
-            "a100-hbm-window",
-            SimDuration::from_ns(250),
-        )));
-        fab.map_region(gpu, AddrRange::new(GPU_BAR, 256 << 20), bar);
-        (nic, gpu)
-    };
-    let spdk = snacc_spdk::SpdkNvme::new(
-        host.fabric.clone(),
-        host.hostmem.clone(),
-        host.nvme.clone(),
-        snacc_spdk::SpdkConfig::default(),
-    );
-    spdk.init(&mut host.en, layout::SPDK_CQ).expect("spdk init");
-    host.en.run();
-    host.fabric.borrow_mut().reset_meters();
-    let start = host.en.now();
-
-    let stage = GpuStage {
-        gpu_node,
-        gpu_bar: GPU_BAR,
-        downscale_cost: model.downscale_cost,
-        kernel_per_image: model.kernel_per_image,
-        batch_overhead: model.batch_overhead,
-        h2d_bytes_per_image: crate::images::ImageFormat::classify().bytes() as u64,
-        d2h_bytes_per_image: 16,
-        cpu: snacc_spdk::CpuCore::new("gpu-pipeline"),
-    };
-    let sink = SpdkSink::with_gpu(
-        &mut host.en,
-        host.fabric.clone(),
-        host.hostmem.clone(),
-        nic,
-        spdk.clone(),
-        stage,
-    );
-    let sink_handle = sink.clone();
-    // In this configuration the FPGA does not classify — the record
-    // stream is produced host-side after D2H. Functionally the records
-    // are identical (same classifier); the FPGA-front classifier stage is
-    // configured as a zero-cost pass-through.
-    let mut front_cfg = cfg.clone();
-    front_cfg.classifier_fps = 1e12;
-    front_cfg.classifier_fifo = usize::MAX / 2;
-    let (ctl, _sender) = run_case_study_front(&mut host.en, front_cfg, sink);
-    host.en.run();
-    finalize(&sink_handle, &mut host.en);
-
-    let end = host.en.now();
-    let c = ctl.borrow();
-    assert_eq!(c.images_stored, cfg.images);
-    assert_eq!(c.sink_completed(), c.transfers_begun());
-    let image_bytes = cfg.images * crate::images::ImageFormat::capture().bytes() as u64;
-    let elapsed = end.since(start);
-    let correct = c.records.iter().filter(|r| r.class == r.truth).count() as u64;
-    let occupancy = spdk.cpu_occupancy(SimTime::ZERO, end);
-    assert!(occupancy > 0.99, "GPU config also pegs a host core");
-    let pcie_bytes = host.fabric.borrow().total_payload_bytes();
-    // Release functional stores (Rc cycles outlive `host`).
-    host.nvme.with(|d| d.nand_mut().media_mut().clear());
-    host.hostmem.borrow_mut().store_mut().clear();
-    let _ = &mut host.en as &mut Engine;
-    CaseStudyReport {
-        images: c.images_stored,
-        image_bytes,
-        elapsed,
-        bandwidth_gbps: image_bytes as f64 / 1e9 / elapsed.as_secs_f64(),
-        fps: c.images_stored as f64 / elapsed.as_secs_f64(),
-        correct,
-        classified: c.records.len() as u64,
-        pcie_bytes,
-        resyncs: c.resyncs(),
-        bytes_skipped: c.bytes_skipped(),
-    }
+    run_host_case_study(&mut host, cfg, Some(&model))
 }

@@ -24,7 +24,7 @@ use snacc_sim::{Engine, Payload, PayloadQueue, SimDuration, SimTime};
 use snacc_trace as trace;
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 /// Case-study parameters.
 #[derive(Clone, Debug)]
@@ -123,15 +123,17 @@ pub struct StreamerSink {
 
 impl StreamerSink {
     /// Wrap the streamer's write interfaces.
-    pub fn new(en: &mut Engine, ports: UserPorts) -> Self {
+    pub fn new(_en: &mut Engine, ports: UserPorts) -> Self {
         let responses = Rc::new(RefCell::new(0u64));
         let r2 = responses.clone();
-        let resp_ch = ports.wr_resp.clone();
+        let resp_ch = Rc::downgrade(&ports.wr_resp);
         // Popping responses can re-arm the streamer's retirement (its
         // space hook), which may push more responses — defer through the
         // event queue so the hook never re-enters itself.
         ports.wr_resp.borrow_mut().set_data_hook(move |en| {
-            let ch = resp_ch.clone();
+            let ch = resp_ch
+                .upgrade()
+                .expect("wr_resp hook -> wr_resp: the channel was dropped");
             let r = r2.clone();
             en.schedule_now(move |en| {
                 while axis::pop(&ch, en).is_some() {
@@ -139,8 +141,17 @@ impl StreamerSink {
                 }
             });
         });
-        let _ = en;
         StreamerSink { ports, responses }
+    }
+}
+
+impl Drop for StreamerSink {
+    /// The streamer outlives the sink: take the sink's hooks off its
+    /// ports so later users of the ports see neither the dead controller's
+    /// wake nor responses swallowed by the sink's counter.
+    fn drop(&mut self) {
+        self.ports.wr_in.borrow_mut().set_space_hook(|_| {});
+        self.ports.wr_resp.borrow_mut().set_data_hook(|_| {});
     }
 }
 
@@ -243,16 +254,19 @@ impl<S: CaseSink + 'static> DbController<S> {
         // fire while the controller is mid-step (its own pops/pushes
         // trigger them), so they defer through the event queue instead of
         // re-entering synchronously.
-        let c1 = ctl.clone();
-        rx.borrow_mut().set_data_hook(move |en| {
-            let c = c1.clone();
-            en.schedule_now(move |en| Self::pump(&c, en));
-        });
-        let c2 = ctl.clone();
-        let wake: WakeHook = Rc::new(RefCell::new(move |en: &mut Engine| {
-            let c = c2.clone();
-            en.schedule_now(move |en| Self::pump(&c, en));
-        }));
+        // The controller owns `rx` and the sink, so both hooks reach it
+        // through a `Weak`.
+        let repump = |edge: &'static str| {
+            let me = Rc::downgrade(&ctl);
+            move |en: &mut Engine| {
+                let c = me
+                    .upgrade()
+                    .unwrap_or_else(|| panic!("{edge} -> controller: the controller was dropped"));
+                en.schedule_now(move |en| Self::pump(&c, en));
+            }
+        };
+        rx.borrow_mut().set_data_hook(repump("rx data hook"));
+        let wake: WakeHook = Rc::new(RefCell::new(repump("sink wake hook")));
         ctl.borrow_mut().sink.set_wake(wake);
         ctl
     }
@@ -527,7 +541,8 @@ fn content_key(segs: &[Payload], total: usize) -> u64 {
 /// The Ethernet image source: a second FPGA streaming frames at line rate
 /// (paper Sec 6.1: "sent by another FPGA as transmitter in our setup").
 pub struct ImageSender {
-    mac: Rc<RefCell<EthMac>>,
+    /// The MAC it is installed on, which owns it through its hook.
+    mac: Weak<RefCell<EthMac>>,
     dst: MacAddr,
     cfg: CaseStudyConfig,
     next_id: u64,
@@ -549,7 +564,7 @@ impl ImageSender {
         cfg: CaseStudyConfig,
     ) -> Rc<RefCell<ImageSender>> {
         let s = Rc::new(RefCell::new(ImageSender {
-            mac: mac_rc.clone(),
+            mac: Rc::downgrade(&mac_rc),
             dst,
             cfg,
             next_id: 0,
@@ -563,6 +578,12 @@ impl ImageSender {
             .set_tx_space_hook(move |en| ImageSender::kick(&s2, en));
         ImageSender::kick(&s, en);
         s
+    }
+
+    fn mac(&self) -> Rc<RefCell<EthMac>> {
+        self.mac
+            .upgrade()
+            .expect("image sender -> MAC: the MAC was dropped")
     }
 
     fn wire_image(&mut self, id: u64) -> (Payload, Payload) {
@@ -614,7 +635,7 @@ impl ImageSender {
                 } else {
                     Payload::concat(&[hdr.slice(pos..hb), body.slice(0..pos + n - hb)])
                 };
-                let src = s.mac.borrow().addr();
+                let src = s.mac().borrow().addr();
                 let f = EthFrame::data(s.dst, src, payload);
                 // Advance tentatively.
                 if pos + n == total {
@@ -625,7 +646,7 @@ impl ImageSender {
                 (f, hdr, body, pos)
             };
             let (f, hdr, body, pos) = frame;
-            let mac_rc = rc.borrow().mac.clone();
+            let mac_rc = rc.borrow().mac();
             if !mac::send(&mac_rc, en, f) {
                 // Refused: roll back.
                 let mut s = rc.borrow_mut();
@@ -643,22 +664,28 @@ pub struct RxBridge;
 
 impl RxBridge {
     /// Install the bridge between `mac` and `out`.
-    pub fn install(en: &mut Engine, mac_rc: Rc<RefCell<EthMac>>, out: Rc<RefCell<AxisChannel>>) {
-        let m2 = mac_rc.clone();
-        let o2 = out.clone();
-        let pump = Rc::new(RefCell::new(move |en: &mut Engine| loop {
-            let len = match m2.borrow().rx_peek_bytes() {
-                Some(l) => l as usize,
-                None => return,
-            };
-            if !o2.borrow().has_space(len) {
-                return;
+    pub fn install(_en: &mut Engine, mac_rc: Rc<RefCell<EthMac>>, out: Rc<RefCell<AxisChannel>>) {
+        // The MAC and the channel own the bridge through their hooks.
+        let (m, o) = (Rc::downgrade(&mac_rc), Rc::downgrade(&out));
+        let pump = Rc::new(RefCell::new(move |en: &mut Engine| {
+            let m = m.upgrade().expect("rx bridge -> MAC: the MAC was dropped");
+            let o = o
+                .upgrade()
+                .expect("rx bridge -> channel: the channel was dropped");
+            loop {
+                let len = match m.borrow().rx_peek_bytes() {
+                    Some(l) => l as usize,
+                    None => return,
+                };
+                if !o.borrow().has_space(len) {
+                    return;
+                }
+                let Some(frame) = mac::pop_frame(&m, en) else {
+                    return;
+                };
+                let ok = axis::push(&o, en, StreamBeat::mid(frame.payload));
+                debug_assert!(ok);
             }
-            let Some(frame) = mac::pop_frame(&m2, en) else {
-                return;
-            };
-            let ok = axis::push(&o2, en, StreamBeat::mid(frame.payload));
-            debug_assert!(ok);
         }));
         let p1 = pump.clone();
         mac_rc
@@ -667,7 +694,6 @@ impl RxBridge {
         let p2 = pump.clone();
         out.borrow_mut()
             .set_space_hook(move |en| (p2.borrow_mut())(en));
-        let _ = en;
     }
 }
 
@@ -697,14 +723,20 @@ pub struct CaseStudyReport {
     pub bytes_skipped: u64,
 }
 
+/// The two MACs of the capture link (sender side, receiver side). The
+/// image sender and the RX bridge hang off their hooks, so the front
+/// lives as long as the caller holds these.
+pub type CaptureLink = [Rc<RefCell<EthMac>>; 2];
+
 /// Wire the common pipeline front (100 G link, RX bridge, database
 /// controller + classification path, image sender) over an arbitrary
-/// storage sink. The caller runs the engine and builds the report.
+/// storage sink. The caller keeps the returned link alive, runs the
+/// engine and builds the report.
 pub fn run_case_study_front<S: CaseSink + 'static>(
     en: &mut Engine,
     cfg: CaseStudyConfig,
     sink: S,
-) -> (Rc<RefCell<DbController<S>>>, Rc<RefCell<ImageSender>>) {
+) -> (Rc<RefCell<DbController<S>>>, CaptureLink) {
     run_case_study_front_with(en, cfg, sink, None)
 }
 
@@ -716,7 +748,7 @@ pub fn run_case_study_front_with<S: CaseSink + 'static>(
     cfg: CaseStudyConfig,
     sink: S,
     plan: Option<&FaultPlan>,
-) -> (Rc<RefCell<DbController<S>>>, Rc<RefCell<ImageSender>>) {
+) -> (Rc<RefCell<DbController<S>>>, CaptureLink) {
     let tx = EthMac::new(
         "tx-fpga",
         MacAddr::from_index(1),
@@ -736,8 +768,8 @@ pub fn run_case_study_front_with<S: CaseSink + 'static>(
     let rx_ch = AxisChannel::new("rx-stream", 256 << 10);
     RxBridge::install(en, rx.clone(), rx_ch.clone());
     let ctl = DbController::start(en, cfg.clone(), rx_ch, sink);
-    let sender = ImageSender::start(en, tx, MacAddr::from_index(2), cfg);
-    (ctl, sender)
+    ImageSender::start(en, tx.clone(), MacAddr::from_index(2), cfg);
+    (ctl, [tx, rx])
 }
 
 /// Run the SNAcc (FPGA) configuration of the case study on a brought-up
@@ -766,7 +798,7 @@ pub fn run_snacc_case_study_with(
     }
 
     let sink = StreamerSink::new(&mut sys.en, sys.streamer.ports());
-    let (ctl, _sender) = run_case_study_front_with(&mut sys.en, cfg.clone(), sink, plan);
+    let (ctl, _link) = run_case_study_front_with(&mut sys.en, cfg.clone(), sink, plan);
     sys.en.run();
 
     let end = sys.en.now();

@@ -13,15 +13,17 @@
 //! host reactor flushes it to the SSD through the SPDK driver while the
 //! other buffer fills.
 
+use crate::gpu::GpuModel;
 use crate::pipeline::{run_case_study_front, CaseSink, CaseStudyConfig, CaseStudyReport, WakeHook};
 use crate::system::{layout, HostSystem};
 use snacc_mem::hostmem::PinnedBuffer;
 use snacc_mem::HostMemory;
 use snacc_pcie::{NodeId, PcieFabric, PcieLinkConfig};
 use snacc_sim::{Engine, SimTime};
+use snacc_spdk::{SpdkConfig, SpdkNvme};
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 /// Staging buffer size (≈ 3.5 batches of 9 MB images).
 const STAGE_BYTES: u64 = 32 << 20;
@@ -62,7 +64,8 @@ pub struct GpuStage {
 }
 
 struct Inner {
-    fabric: Rc<RefCell<PcieFabric>>,
+    /// Back-edge to the fabric the staging DMA crosses.
+    fabric: Weak<RefCell<PcieFabric>>,
     hostmem: Rc<RefCell<HostMemory>>,
     fpga: NodeId,
     spdk: snacc_spdk::SpdkNvme,
@@ -96,7 +99,7 @@ impl SpdkSink {
     /// Build the sink on a host system; `fpga` is the accelerator's
     /// fabric node (source of the staging DMA writes).
     pub fn new(
-        en: &mut Engine,
+        _en: &mut Engine,
         fabric: Rc<RefCell<PcieFabric>>,
         hostmem: Rc<RefCell<HostMemory>>,
         fpga: NodeId,
@@ -115,7 +118,7 @@ impl SpdkSink {
             [mk_buf(), mk_buf()]
         };
         let inner = Rc::new(RefCell::new(Inner {
-            fabric,
+            fabric: Rc::downgrade(&fabric),
             hostmem,
             fpga,
             spdk: spdk.clone(),
@@ -130,11 +133,15 @@ impl SpdkSink {
             pending_transfer_counts: [0, 0],
             wake: None,
         }));
-        let i2 = inner.clone();
+        // The sink owns the driver, so the driver's hook reaches back
+        // through a `Weak`.
+        let me = Rc::downgrade(&inner);
         spdk.set_completion_hook(move |en, _info| {
-            Inner::on_spdk_complete(&i2, en);
+            let me = me
+                .upgrade()
+                .expect("spdk completion hook -> sink: the sink was dropped");
+            Inner::on_spdk_complete(&me, en);
         });
-        let _ = en;
         SpdkSink { inner }
     }
 
@@ -158,6 +165,12 @@ impl SpdkSink {
 }
 
 impl Inner {
+    fn fabric(&self) -> Rc<RefCell<PcieFabric>> {
+        self.fabric
+            .upgrade()
+            .expect("staging sink -> fabric: the fabric was dropped")
+    }
+
     /// Seal the filling buffer and start flushing it.
     fn seal_and_flush(rc: &Rc<RefCell<Inner>>, en: &mut Engine) {
         {
@@ -199,7 +212,7 @@ impl Inner {
     /// The GPU batch pipeline for buffer `idx`: CPU downscale → H2D →
     /// kernel → D2H → sync overhead, then the SPDK flush may proceed.
     fn run_gpu_stage(rc: &Rc<RefCell<Inner>>, en: &mut Engine, idx: usize) {
-        let (t_cpu, gpu_node, gpu_bar, h2d, d2h, kernel, overhead, imgs) = {
+        let (t_cpu, gpu_bar, h2d, d2h, kernel, overhead) = {
             let mut i = rc.borrow_mut();
             let imgs = i.buffers[idx]
                 .staged
@@ -211,22 +224,19 @@ impl Inner {
             let t_cpu = g.cpu.book(now, g.downscale_cost * imgs.max(1));
             (
                 t_cpu,
-                g.gpu_node,
                 g.gpu_bar,
                 g.h2d_bytes_per_image * imgs,
                 g.d2h_bytes_per_image * imgs,
                 g.kernel_per_image * imgs,
                 g.batch_overhead,
-                imgs,
             )
         };
-        let _ = imgs;
         let rc2 = rc.clone();
         en.schedule_at(t_cpu, move |en| {
             // H2D: downscaled batch to the GPU (host-initiated write). The
             // batch contents are not modelled, so a lazy zero window
             // carries its length.
-            let fabric = rc2.borrow().fabric.clone();
+            let fabric = rc2.borrow().fabric();
             let batch = snacc_sim::Payload::fill(0, h2d.max(1) as usize);
             let now = en.now();
             let t_h2d = fabric
@@ -236,13 +246,12 @@ impl Inner {
             let rc3 = rc2.clone();
             en.schedule_at(t_h2d.max(en.now()) + kernel, move |en| {
                 // D2H: classifications back, then the sync overhead.
-                let fabric = rc3.borrow().fabric.clone();
+                let fabric = rc3.borrow().fabric();
                 let mut back = vec![0u8; d2h.max(1) as usize];
                 let t_d2h = fabric
                     .borrow_mut()
                     .read(en, snacc_pcie::HOST_NODE, gpu_bar, &mut back)
                     .expect("gpu BAR mapped");
-                let _ = gpu_node;
                 let rc4 = rc3.clone();
                 en.schedule_at(t_d2h.max(en.now()) + overhead, move |en| {
                     rc4.borrow_mut().gpu_ready[idx] = true;
@@ -335,46 +344,30 @@ impl CaseSink for SpdkSink {
             }
         }
         let idx = i.filling;
-        let off = i.buffers[idx].fill;
+        let stage_off = i.buffers[idx].fill;
         i.buffers[idx].staged.push(StagedTransfer {
             ssd_addr: addr,
-            stage_off: off,
+            stage_off,
             len,
         });
         i.current = Some((addr, idx, 0));
-        let _ = off;
         true
     }
 
     fn push(&mut self, en: &mut Engine, data: snacc_sim::Payload, last: bool) -> bool {
-        let (idx, stage_off, fabric, fpga, phys_chunks) = {
+        let (idx, fabric, fpga, pieces) = {
             let i = self.inner.borrow();
             let (_, idx, written) = i.current.expect("begin first");
             let t = i.buffers[idx].staged.last().expect("staged");
-            let stage_off = t.stage_off + written;
-            // Resolve physical pieces for the DMA (may cross segments).
-            let mut chunks = Vec::new();
-            let mut off = 0u64;
-            while off < data.len() as u64 {
-                let logical = stage_off + off;
-                let phys = i.buffers[idx].pinned.phys_addr(logical);
-                let seg_end = i.buffers[idx]
-                    .pinned
-                    .segments()
-                    .iter()
-                    .find(|s| s.contains(phys))
-                    .expect("in segment")
-                    .end();
-                let n = (seg_end - phys).min(data.len() as u64 - off);
-                chunks.push((phys, off as usize, n as usize));
-                off += n;
-            }
-            (idx, stage_off, i.fabric.clone(), i.fpga, chunks)
+            // Physical pieces for the DMA (may cross segments).
+            let pieces = i.buffers[idx]
+                .pinned
+                .pieces(t.stage_off + written, data.len());
+            (idx, i.fabric(), i.fpga, pieces)
         };
-        let _ = stage_off;
         // FPGA → host staging DMA (timed + functional); host memory
         // retains the pushed windows.
-        for (phys, off, n) in phys_chunks {
+        for (phys, off, n) in pieces {
             let now = en.now();
             fabric
                 .borrow_mut()
@@ -422,37 +415,72 @@ pub fn finalize(sink_inner: &SpdkSink, en: &mut Engine) {
     en.run();
 }
 
-/// Run the SPDK configuration of the case study.
-pub fn run_spdk_case_study(cfg: CaseStudyConfig, seed: u64) -> CaseStudyReport {
-    let mut host = HostSystem::bring_up(snacc_nvme::NvmeProfile::samsung_990pro(), seed);
-    // The accelerator FPGA is on the fabric as a NIC/compute card.
-    let fpga = host
-        .fabric
-        .borrow_mut()
-        .add_device("alveo-u280", PcieLinkConfig::alveo_u280());
-    let spdk = snacc_spdk::SpdkNvme::new(
+/// Wire a host-staging backend onto a brought-up host system: the
+/// accelerator FPGA on the fabric (with `gpu`, the NIC-FPGA and an A100
+/// instead), an initialised SPDK driver, and the staging sink. Returns the
+/// driver, the sink and the configuration for the pipeline front: with the
+/// GPU the FPGA does not classify, so its classifier stage becomes a
+/// zero-cost pass-through (the records are the same, produced host-side
+/// after D2H).
+pub fn attach_host_staging(
+    host: &mut HostSystem,
+    cfg: &CaseStudyConfig,
+    gpu: Option<&GpuModel>,
+) -> (SpdkNvme, SpdkSink, CaseStudyConfig) {
+    let (fpga, stage) = {
+        let mut fab = host.fabric.borrow_mut();
+        match gpu {
+            None => (
+                fab.add_device("alveo-u280", PcieLinkConfig::alveo_u280()),
+                None,
+            ),
+            Some(model) => {
+                let (nic, gpu_node) = crate::gpu::attach_gpu(&mut fab);
+                (nic, Some(model.stage(gpu_node)))
+            }
+        }
+    };
+    let spdk = SpdkNvme::new(
         host.fabric.clone(),
         host.hostmem.clone(),
         host.nvme.clone(),
-        snacc_spdk::SpdkConfig::default(),
+        SpdkConfig::default(),
     );
     spdk.init(&mut host.en, layout::SPDK_CQ).expect("spdk init");
     host.en.run();
+    let (fabric, hostmem) = (host.fabric.clone(), host.hostmem.clone());
+    let mut front = cfg.clone();
+    let sink = match stage {
+        Some(stage) => {
+            front.classifier_fps = 1e12;
+            front.classifier_fifo = usize::MAX / 2;
+            SpdkSink::with_gpu(&mut host.en, fabric, hostmem, fpga, spdk.clone(), stage)
+        }
+        None => SpdkSink::new(&mut host.en, fabric, hostmem, fpga, spdk.clone()),
+    };
+    (spdk, sink, front)
+}
+
+/// Run the SPDK configuration of the case study.
+pub fn run_spdk_case_study(cfg: CaseStudyConfig, seed: u64) -> CaseStudyReport {
+    let mut host = HostSystem::bring_up(snacc_nvme::NvmeProfile::samsung_990pro(), seed);
+    run_host_case_study(&mut host, cfg, None)
+}
+
+/// The host-staging case study on a brought-up host system: the SPDK
+/// reference, or with `gpu` the GPU reference ([`crate::gpu`]).
+pub fn run_host_case_study(
+    host: &mut HostSystem,
+    cfg: CaseStudyConfig,
+    gpu: Option<&GpuModel>,
+) -> CaseStudyReport {
+    let (spdk, sink, front) = attach_host_staging(host, &cfg, gpu);
     host.fabric.borrow_mut().reset_meters();
     let start = host.en.now();
-
-    let sink = SpdkSink::new(
-        &mut host.en,
-        host.fabric.clone(),
-        host.hostmem.clone(),
-        fpga,
-        spdk.clone(),
-    );
-    let sink_handle = sink.clone();
-    let (ctl, _sender) = run_case_study_front(&mut host.en, cfg.clone(), sink);
+    let (ctl, _link) = run_case_study_front(&mut host.en, front, sink.clone());
     host.en.run();
     // Drive remaining staged data to the SSD.
-    finalize(&sink_handle, &mut host.en);
+    finalize(&sink, &mut host.en);
     let end = host.en.now();
     let c = ctl.borrow();
     assert_eq!(c.images_stored, cfg.images);
@@ -461,11 +489,10 @@ pub fn run_spdk_case_study(cfg: CaseStudyConfig, seed: u64) -> CaseStudyReport {
     let elapsed = end.since(start);
     let correct = c.records.iter().filter(|r| r.class == r.truth).count() as u64;
     let occupancy = spdk.cpu_occupancy(SimTime::ZERO, end);
-    assert!(occupancy > 0.99, "SPDK core must be pegged: {occupancy}");
-    let pcie_bytes = host.fabric.borrow().total_payload_bytes();
-    // Release functional stores (Rc cycles outlive `host`).
-    host.nvme.with(|d| d.nand_mut().media_mut().clear());
-    host.hostmem.borrow_mut().store_mut().clear();
+    assert!(
+        occupancy > 0.99,
+        "the host core must be pegged: {occupancy}"
+    );
     CaseStudyReport {
         images: c.images_stored,
         image_bytes,
@@ -474,7 +501,7 @@ pub fn run_spdk_case_study(cfg: CaseStudyConfig, seed: u64) -> CaseStudyReport {
         fps: c.images_stored as f64 / elapsed.as_secs_f64(),
         correct,
         classified: c.records.len() as u64,
-        pcie_bytes,
+        pcie_bytes: host.fabric.borrow().total_payload_bytes(),
         resyncs: c.resyncs(),
         bytes_skipped: c.bytes_skipped(),
     }

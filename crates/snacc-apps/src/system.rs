@@ -80,40 +80,50 @@ pub struct SnaccSystem {
     pub streamer: StreamerHandle,
     /// The SSD.
     pub nvme: NvmeDeviceHandle,
+    /// What every SSD added by [`SnaccSystem::attach_ssd`] is built from.
+    cfg: SystemConfig,
+}
+
+/// The host side every system shares: a fabric (enforcing IOMMU or
+/// passthrough) with host DRAM mapped over [`layout::HOST_SPAN`].
+fn host_node(enforce_iommu: bool) -> (Rc<RefCell<PcieFabric>>, Rc<RefCell<HostMemory>>) {
+    let mut fabric = PcieFabric::new();
+    if enforce_iommu {
+        fabric.set_iommu(Iommu::new());
+    }
+    let hostmem = Rc::new(RefCell::new(HostMemory::default()));
+    let t = Rc::new(RefCell::new(HostMemTarget::new(hostmem.clone(), 0)));
+    fabric.map_region(HOST_NODE, AddrRange::new(0, layout::HOST_SPAN), t);
+    (Rc::new(RefCell::new(fabric)), hostmem)
+}
+
+/// SSD `i` of a SNAcc system with its own streamer instance on the
+/// shell, brought up by the host driver.
+fn add_ssd(
+    en: &mut Engine,
+    fabric: &Rc<RefCell<PcieFabric>>,
+    hostmem: &Rc<RefCell<HostMemory>>,
+    shell: &mut TapascoShell,
+    cfg: &SystemConfig,
+    i: u64,
+) -> (StreamerHandle, NvmeDeviceHandle) {
+    let mut plugin = NvmeSubsystem::new(cfg.streamer.clone());
+    shell.apply_plugin(en, &mut plugin);
+    let streamer = plugin.streamer();
+    let bar = layout::NVME_BAR + (i << 28);
+    let nvme = NvmeDeviceHandle::attach(fabric.clone(), bar, cfg.nvme.clone(), cfg.seed + i);
+    let mut driver = SnaccHostDriver::new(fabric.clone(), hostmem.clone(), nvme.clone());
+    driver.bring_up(en, &streamer, 1).expect("SNAcc bring-up");
+    (streamer, nvme)
 }
 
 impl SnaccSystem {
     /// Build and bring up the complete system.
     pub fn bring_up(cfg: SystemConfig) -> SnaccSystem {
         let mut en = Engine::new();
-        let mut fabric = PcieFabric::new();
-        if cfg.enforce_iommu {
-            fabric.set_iommu(Iommu::new());
-        }
-        let hostmem = Rc::new(RefCell::new(HostMemory::default()));
-        let t = Rc::new(RefCell::new(HostMemTarget::new(hostmem.clone(), 0)));
-        fabric.map_region(HOST_NODE, AddrRange::new(0, layout::HOST_SPAN), t);
-        let fabric = Rc::new(RefCell::new(fabric));
-
+        let (fabric, hostmem) = host_node(cfg.enforce_iommu);
         let mut shell = TapascoShell::new(fabric.clone(), layout::SHELL_BAR);
-        let mut plugin = NvmeSubsystem::new(cfg.streamer.clone());
-        shell.apply_plugin(&mut en, &mut plugin);
-        let streamer = plugin.streamer();
-
-        let nvme = NvmeDeviceHandle::attach(fabric.clone(), layout::NVME_BAR, cfg.nvme, cfg.seed);
-
-        if cfg.enforce_iommu {
-            // Admin structures live at the start of the pinned pool.
-            fabric
-                .borrow_mut()
-                .iommu_mut()
-                .grant(nvme.node(), AddrRange::new(0x1_0000_0000, 1 << 20));
-        }
-        let mut driver = SnaccHostDriver::new(fabric.clone(), hostmem.clone(), nvme.clone());
-        driver
-            .bring_up(&mut en, &streamer, 1)
-            .expect("SNAcc bring-up");
-
+        let (streamer, nvme) = add_ssd(&mut en, &fabric, &hostmem, &mut shell, &cfg, 0);
         SnaccSystem {
             en,
             fabric,
@@ -121,7 +131,36 @@ impl SnaccSystem {
             shell,
             streamer,
             nvme,
+            cfg,
         }
+    }
+
+    /// Put one more SSD, with its own streamer instance, on this system's
+    /// shell (the multi-SSD extension, Sec 7), configured as SSD 0 was.
+    /// The brought-up SSD is SSD 0; SSD `i` sits at `NVME_BAR + (i << 28)`
+    /// with seed `cfg.seed + i`. The caller owns the returned handles.
+    ///
+    /// # Panics
+    ///
+    /// On an on-board DRAM system: the shell has one DRAM controller and
+    /// one second BAR, which SSD 0's streamer already holds (Sec 5.2).
+    pub fn attach_ssd(&mut self) -> (StreamerHandle, NvmeDeviceHandle) {
+        assert_ne!(
+            self.cfg.streamer.variant,
+            StreamerVariant::OnboardDram,
+            "one on-board DRAM streamer per shell: attach_ssd needs URAM or host DRAM"
+        );
+        // One SNAcc plugin per SSD so far.
+        let plugins = self.shell.plugins().iter();
+        let i = plugins.filter(|&&p| p == "snacc-nvme").count() as u64;
+        add_ssd(
+            &mut self.en,
+            &self.fabric,
+            &self.hostmem,
+            &mut self.shell,
+            &self.cfg,
+            i,
+        )
     }
 
     /// Payload bytes transferred over PCIe so far (Fig 7 metric: one
@@ -162,15 +201,10 @@ pub struct HostSystem {
 impl HostSystem {
     /// Build the host + SSD node.
     pub fn bring_up(nvme_profile: NvmeProfile, seed: u64) -> HostSystem {
-        let en = Engine::new();
-        let mut fabric = PcieFabric::new();
-        let hostmem = Rc::new(RefCell::new(HostMemory::default()));
-        let t = Rc::new(RefCell::new(HostMemTarget::new(hostmem.clone(), 0)));
-        fabric.map_region(HOST_NODE, AddrRange::new(0, layout::HOST_SPAN), t);
-        let fabric = Rc::new(RefCell::new(fabric));
+        let (fabric, hostmem) = host_node(false);
         let nvme = NvmeDeviceHandle::attach(fabric.clone(), layout::NVME_BAR, nvme_profile, seed);
         HostSystem {
-            en,
+            en: Engine::new(),
             fabric,
             hostmem,
             nvme,

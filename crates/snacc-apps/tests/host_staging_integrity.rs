@@ -3,82 +3,31 @@
 //! DMA, the flush read and the SPDK submit all carry payload windows; what
 //! lands on NAND must be exactly the generated images and the record page.
 
+use snacc_apps::gpu::GpuModel;
 use snacc_apps::images::{generate_image, ImageFormat};
 use snacc_apps::pipeline::{
     image_slot_bytes, run_case_study_front, CaseSink, CaseStudyConfig, ClassRecord,
 };
-use snacc_apps::spdk_ref::{finalize, GpuStage, SpdkSink};
-use snacc_apps::system::{layout, HostSystem};
-use snacc_mem::AddrRange;
+use snacc_apps::spdk_ref::{attach_host_staging, finalize};
+use snacc_apps::system::HostSystem;
 use snacc_nvme::NvmeProfile;
-use snacc_pcie::target::ScratchTarget;
-use snacc_pcie::{PcieGen, PcieLinkConfig};
-use snacc_sim::{Payload, SimDuration};
-use std::cell::RefCell;
-use std::rc::Rc;
+use snacc_sim::Payload;
 
 const IMAGES: u64 = 4;
-const GPU_BAR: u64 = 0xA_0000_0000;
 
-/// Wire the sink as `run_spdk_case_study` (or, with `gpu`,
+/// Wire the backend as `run_spdk_case_study` (or, with `gpu`,
 /// `run_gpu_case_study`) does, stream [`IMAGES`] images, then check the
-/// NAND contents before anything is scrubbed.
+/// NAND contents.
 fn check_host_staging(gpu: bool) {
     let mut host = HostSystem::bring_up(NvmeProfile::samsung_990pro(), 1);
-    let (fpga, gpu_node) = {
-        let mut fab = host.fabric.borrow_mut();
-        if gpu {
-            let nic = fab.add_device("alveo-nic", PcieLinkConfig::alveo_u280());
-            let g = fab.add_device("a100", PcieLinkConfig::new(PcieGen::Gen4, 16));
-            let bar = Rc::new(RefCell::new(ScratchTarget::new(
-                "a100-hbm-window",
-                SimDuration::from_ns(250),
-            )));
-            fab.map_region(g, AddrRange::new(GPU_BAR, 256 << 20), bar);
-            (nic, Some(g))
-        } else {
-            (
-                fab.add_device("alveo-u280", PcieLinkConfig::alveo_u280()),
-                None,
-            )
-        }
-    };
-    let spdk = snacc_spdk::SpdkNvme::new(
-        host.fabric.clone(),
-        host.hostmem.clone(),
-        host.nvme.clone(),
-        snacc_spdk::SpdkConfig::default(),
-    );
-    spdk.init(&mut host.en, layout::SPDK_CQ).expect("spdk init");
-    host.en.run();
-
     let cfg = CaseStudyConfig {
         images: IMAGES,
         ..Default::default()
     };
-    let mut front_cfg = cfg.clone();
-    let (fabric, hostmem) = (host.fabric.clone(), host.hostmem.clone());
-    let sink = match gpu_node {
-        None => SpdkSink::new(&mut host.en, fabric, hostmem, fpga, spdk),
-        Some(gpu_node) => {
-            let model = snacc_apps::gpu::GpuModel::default();
-            let stage = GpuStage {
-                gpu_node,
-                gpu_bar: GPU_BAR,
-                downscale_cost: model.downscale_cost,
-                kernel_per_image: model.kernel_per_image,
-                batch_overhead: model.batch_overhead,
-                h2d_bytes_per_image: ImageFormat::classify().bytes() as u64,
-                d2h_bytes_per_image: 16,
-                cpu: snacc_spdk::CpuCore::new("gpu-pipeline"),
-            };
-            front_cfg.classifier_fps = 1e12;
-            front_cfg.classifier_fifo = usize::MAX / 2;
-            SpdkSink::with_gpu(&mut host.en, fabric, hostmem, fpga, spdk, stage)
-        }
-    };
-    let mut handle = sink.clone();
-    let (ctl, _sender) = run_case_study_front(&mut host.en, front_cfg, sink);
+    let model = GpuModel::default();
+    let (_spdk, mut handle, front_cfg) =
+        attach_host_staging(&mut host, &cfg, gpu.then_some(&model));
+    let (ctl, _link) = run_case_study_front(&mut host.en, front_cfg, handle.clone());
     host.en.run();
 
     // The controller flushes a record page every 256 records, so this

@@ -70,9 +70,6 @@ fn datapath_benches(c: &mut Criterion) {
                     ..Default::default()
                 },
             );
-            // Release the sparse functional stores (Rc-cycle web).
-            sys.nvme.with(|d| d.nand_mut().media_mut().clear());
-            sys.hostmem.borrow_mut().store_mut().clear();
             black_box(report.bandwidth_gbps)
         })
     });

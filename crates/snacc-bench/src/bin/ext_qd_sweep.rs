@@ -1,7 +1,7 @@
 //! Sec 5.2 note — "SPDK can achieve even higher bandwidth when the
 //! submission queue size is increased": random-read QD sweep.
 
-use rayon::prelude::*;
+use snacc_bench::sweep;
 use snacc_bench::workloads::{spdk_bandwidth, Dir};
 use snacc_bench::{print_table, BenchRecord, Telemetry};
 
@@ -13,16 +13,16 @@ fn main() {
         512 << 20
     };
     let qds = [8u16, 16, 32, 64, 128, 256];
-    let run = |&qd: &u16| {
-        let bw = spdk_bandwidth(Dir::Read, true, total, qd, 31);
-        BenchRecord::new("ext_qd_sweep", &format!("QD {qd}"), bw, None, "GB/s")
-    };
-    // The tracer is thread-local: record sequentially when tracing.
-    let records: Vec<BenchRecord> = if telemetry.tracing() {
-        qds.iter().map(run).collect()
-    } else {
-        qds.par_iter().map(run).collect()
-    };
+    let work: Vec<sweep::Job<'_, BenchRecord>> = qds
+        .into_iter()
+        .map(|qd| {
+            Box::new(move |_: &mut sweep::JobOutput| {
+                let bw = spdk_bandwidth(Dir::Read, true, total, qd, 31);
+                BenchRecord::new("ext_qd_sweep", &format!("QD {qd}"), bw, None, "GB/s")
+            }) as sweep::Job<'_, BenchRecord>
+        })
+        .collect();
+    let records = sweep::run_jobs(telemetry.jobs(), work);
     print_table("SPDK random 4 KiB read vs submission queue depth", &records);
     snacc_bench::report::save_json(&records);
     telemetry.finish();

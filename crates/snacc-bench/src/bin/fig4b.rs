@@ -1,7 +1,7 @@
 //! Fig 4b — random 4 KiB bandwidth (1 GB total, SQ depth 64): in-order
 //! SNAcc retirement vs SPDK's out-of-order reaping.
 
-use rayon::prelude::*;
+use snacc_bench::sweep;
 use snacc_bench::workloads::{snacc_rand_bandwidth, spdk_bandwidth, Dir};
 use snacc_bench::{print_table, BenchRecord, Telemetry};
 use snacc_core::config::StreamerVariant;
@@ -53,20 +53,19 @@ fn main() {
         ),
         ("SPDK rand-w".into(), Dir::Write, None, Some(5.25)),
     ];
-    let run =
-        |(label, dir, variant, paper): (String, Dir, Option<StreamerVariant>, Option<f64>)| {
-            let gbps = match variant {
-                Some(v) => snacc_rand_bandwidth(v, dir, total, 0xF1B4),
-                None => spdk_bandwidth(dir, true, total, 64, 0xF1B4),
-            };
-            BenchRecord::new("fig4b", &label, gbps, paper, "GB/s")
-        };
-    // The tracer is thread-local: record sequentially when tracing.
-    let records: Vec<BenchRecord> = if telemetry.tracing() {
-        jobs.into_iter().map(run).collect()
-    } else {
-        jobs.into_par_iter().map(run).collect()
-    };
+    let work: Vec<sweep::Job<'_, BenchRecord>> = jobs
+        .into_iter()
+        .map(|(label, dir, variant, paper)| {
+            Box::new(move |_: &mut sweep::JobOutput| {
+                let gbps = match variant {
+                    Some(v) => snacc_rand_bandwidth(v, dir, total, 0xF1B4),
+                    None => spdk_bandwidth(dir, true, total, 64, 0xF1B4),
+                };
+                BenchRecord::new("fig4b", &label, gbps, paper, "GB/s")
+            }) as sweep::Job<'_, BenchRecord>
+        })
+        .collect();
+    let records = sweep::run_jobs(telemetry.jobs(), work);
     print_table("Fig 4b — random 4 KiB bandwidth, QD 64 (GB/s)", &records);
     snacc_bench::report::save_json(&records);
     telemetry.finish();

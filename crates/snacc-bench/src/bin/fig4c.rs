@@ -2,7 +2,7 @@
 //! write phase placed in the drive's pSLC region; the SPDK figure matches
 //! a cold TLC read (see snacc-nvme::nand for the mechanism).
 
-use rayon::prelude::*;
+use snacc_bench::sweep;
 use snacc_bench::workloads::{snacc_latency_us, spdk_latency_us, Dir};
 use snacc_bench::{print_table, BenchRecord, Telemetry};
 use snacc_core::config::StreamerVariant;
@@ -50,20 +50,19 @@ fn main() {
         ),
         ("SPDK write".into(), Dir::Write, None, Some(6.0)),
     ];
-    let run =
-        |(label, dir, variant, paper): (String, Dir, Option<StreamerVariant>, Option<f64>)| {
-            let us = match variant {
-                Some(v) => snacc_latency_us(v, dir, trials, 0xC4),
-                None => spdk_latency_us(dir, trials, 0xC4),
-            };
-            BenchRecord::new("fig4c", &label, us, paper, "us")
-        };
-    // The tracer is thread-local: record sequentially when tracing.
-    let records: Vec<BenchRecord> = if telemetry.tracing() {
-        jobs.into_iter().map(run).collect()
-    } else {
-        jobs.into_par_iter().map(run).collect()
-    };
+    let work: Vec<sweep::Job<'_, BenchRecord>> = jobs
+        .into_iter()
+        .map(|(label, dir, variant, paper)| {
+            Box::new(move |_: &mut sweep::JobOutput| {
+                let us = match variant {
+                    Some(v) => snacc_latency_us(v, dir, trials, 0xC4),
+                    None => spdk_latency_us(dir, trials, 0xC4),
+                };
+                BenchRecord::new("fig4c", &label, us, paper, "us")
+            }) as sweep::Job<'_, BenchRecord>
+        })
+        .collect();
+    let records = sweep::run_jobs(telemetry.jobs(), work);
     print_table(
         "Fig 4c — single 4 KiB access latency (µs; write rows: paper reports <9 µs)",
         &records,

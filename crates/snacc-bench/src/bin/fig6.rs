@@ -73,11 +73,6 @@ fn main() {
                                 r.resyncs, r.bytes_skipped
                             ));
                         }
-                        // Release functional media (Rc cycles keep the
-                        // system alive; GiB-scale stores must not
-                        // accumulate).
-                        sys.nvme.with(|d| d.nand_mut().media_mut().clear());
-                        sys.hostmem.borrow_mut().store_mut().clear();
                         (r, paper)
                     }
                     Cfg::Spdk(paper) => (run_spdk_case_study(cfg.clone(), 7), paper),

@@ -53,10 +53,7 @@ fn main() {
             let report = match job {
                 Cfg::Snacc(v) => {
                     let mut sys = SnaccSystem::bring_up(SystemConfig::snacc(v));
-                    let r = run_snacc_case_study(&mut sys, cfg.clone());
-                    sys.nvme.with(|d| d.nand_mut().media_mut().clear());
-                    sys.hostmem.borrow_mut().store_mut().clear();
-                    r
+                    run_snacc_case_study(&mut sys, cfg.clone())
                 }
                 Cfg::Spdk => run_spdk_case_study(cfg.clone(), 7),
                 Cfg::Gpu => run_gpu_case_study(cfg.clone(), GpuModel::default(), 7),

@@ -39,47 +39,60 @@ pub struct Telemetry {
     started: Instant,
 }
 
+#[derive(Default)]
 struct Flags {
     trace_path: Option<PathBuf>,
     metrics_path: Option<PathBuf>,
     perf_path: Option<PathBuf>,
-    faults_path: Option<PathBuf>,
+    faults: Option<(PathBuf, FaultPlan)>,
     jobs: usize,
 }
 
-fn parse(args: impl Iterator<Item = String>) -> Flags {
+/// Parse the telemetry flags (`--flag value` or `--flag=value`); other
+/// arguments are ignored. A flag without a value, a `--jobs` that is not
+/// a positive integer, or a `--faults` plan that cannot be loaded is an
+/// error.
+fn parse(mut args: impl Iterator<Item = String>) -> Result<Flags, String> {
     let mut f = Flags {
-        trace_path: None,
-        metrics_path: None,
-        perf_path: None,
-        faults_path: None,
         jobs: 1,
+        ..Flags::default()
     };
-    let mut args = args;
     while let Some(a) = args.next() {
-        if a == "--trace" {
-            f.trace_path = args.next().map(PathBuf::from);
-        } else if let Some(p) = a.strip_prefix("--trace=") {
-            f.trace_path = Some(PathBuf::from(p));
-        } else if a == "--metrics-json" {
-            f.metrics_path = args.next().map(PathBuf::from);
-        } else if let Some(p) = a.strip_prefix("--metrics-json=") {
-            f.metrics_path = Some(PathBuf::from(p));
-        } else if a == "--perf-json" {
-            f.perf_path = args.next().map(PathBuf::from);
-        } else if let Some(p) = a.strip_prefix("--perf-json=") {
-            f.perf_path = Some(PathBuf::from(p));
-        } else if a == "--faults" {
-            f.faults_path = args.next().map(PathBuf::from);
-        } else if let Some(p) = a.strip_prefix("--faults=") {
-            f.faults_path = Some(PathBuf::from(p));
-        } else if a == "--jobs" {
-            f.jobs = args.next().and_then(|v| v.parse().ok()).unwrap_or(1);
-        } else if let Some(p) = a.strip_prefix("--jobs=") {
-            f.jobs = p.parse().unwrap_or(1);
+        let (flag, inline) = match a.split_once('=') {
+            Some((flag, v)) => (flag.to_string(), Some(v.to_string())),
+            None => (a, None),
+        };
+        let known = [
+            "--trace",
+            "--metrics-json",
+            "--perf-json",
+            "--faults",
+            "--jobs",
+        ];
+        if !known.contains(&flag.as_str()) {
+            continue;
+        }
+        let v = inline
+            .or_else(|| args.next())
+            .ok_or_else(|| format!("{flag} needs a value"))?;
+        match flag.as_str() {
+            "--trace" => f.trace_path = Some(v.into()),
+            "--metrics-json" => f.metrics_path = Some(v.into()),
+            "--perf-json" => f.perf_path = Some(v.into()),
+            "--faults" => {
+                let plan = FaultPlan::load(&v).map_err(|e| format!("--faults {e}"))?;
+                f.faults = Some((v.into(), plan));
+            }
+            _ => {
+                f.jobs = v
+                    .parse()
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or_else(|| format!("--jobs needs a positive integer, got `{v}`"))?;
+            }
         }
     }
-    f
+    Ok(f)
 }
 
 /// Peak resident set size of this process in KiB, from
@@ -137,22 +150,25 @@ fn merge_json_entry(path: &PathBuf, key: &str, record: &str) -> std::io::Result<
 
 impl Telemetry {
     /// Parse `--trace <path>` / `--metrics-json <path>` / `--perf-json
-    /// <path>` (also the `--flag=path` spelling) from the process
-    /// arguments and install the corresponding sinks. Other arguments are
-    /// ignored.
+    /// <path>` / `--faults <plan.toml>` / `--jobs <N>` (also the
+    /// `--flag=value` spelling) from the process arguments and install the
+    /// corresponding sinks. Other arguments are ignored. Bad input prints
+    /// `error: …` and exits with status 2.
     pub fn from_args() -> Telemetry {
-        let f = parse(std::env::args().skip(1));
+        let f = parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        });
         if f.trace_path.is_some() {
             snacc_trace::install(Tracer::new());
         }
         if f.metrics_path.is_some() {
             snacc_trace::install_registry(MetricsRegistry::new());
         }
-        let fault_plan = f.faults_path.as_ref().map(|p| {
-            let plan = FaultPlan::load(p).unwrap_or_else(|e| panic!("--faults {e}"));
+        let fault_plan = f.faults.map(|(path, plan)| {
             eprintln!(
                 "(faults: campaign from {}, seed {})",
-                p.display(),
+                path.display(),
                 plan.seed
             );
             plan
@@ -172,16 +188,6 @@ impl Telemetry {
         self.fault_plan.as_ref()
     }
 
-    /// Must the binary run its simulations sequentially? True when a
-    /// trace is being recorded (the tracer, like the simulation itself,
-    /// is thread-local, and a deterministic trace needs a deterministic
-    /// interleaving) and when wall-clock perf is being recorded (a rayon
-    /// fan-out would make events-executed and RSS incomparable between
-    /// runs).
-    pub fn tracing(&self) -> bool {
-        self.trace_path.is_some() || self.perf_path.is_some()
-    }
-
     /// Worker count for the sweep pool (`--jobs N`, default 1). Degrades
     /// to 1 whenever telemetry is recording: the tracer, the metrics
     /// registry and the engine's lifetime event counter are all
@@ -192,7 +198,7 @@ impl Telemetry {
         if self.trace_path.is_some() || self.metrics_path.is_some() || self.perf_path.is_some() {
             1
         } else {
-            self.jobs.max(1)
+            self.jobs
         }
     }
 
@@ -247,40 +253,86 @@ mod tests {
             .into_iter()
     }
 
+    fn ok(v: &[&str]) -> Flags {
+        match parse(strings(v)) {
+            Ok(f) => f,
+            Err(e) => panic!("{v:?} rejected: {e}"),
+        }
+    }
+
+    fn err(v: &[&str]) -> String {
+        match parse(strings(v)) {
+            Ok(_) => panic!("{v:?} accepted"),
+            Err(e) => e,
+        }
+    }
+
+    const PLAN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../plans/flaky_ssd.toml");
+
     #[test]
     fn parses_both_flag_spellings() {
-        let f = parse(strings(&["--trace", "a.json", "--metrics-json=m.json"]));
+        let f = ok(&["--trace", "a.json", "--metrics-json=m.json"]);
         assert_eq!(f.trace_path, Some(PathBuf::from("a.json")));
         assert_eq!(f.metrics_path, Some(PathBuf::from("m.json")));
-        let f = parse(strings(&["--trace=b.json", "--metrics-json", "n.json"]));
+        let f = ok(&["--trace=b.json", "--metrics-json", "n.json"]);
         assert_eq!(f.trace_path, Some(PathBuf::from("b.json")));
         assert_eq!(f.metrics_path, Some(PathBuf::from("n.json")));
-        let f = parse(strings(&["--perf-json", "p.json"]));
+        let f = ok(&["--perf-json", "p.json"]);
         assert_eq!(f.perf_path, Some(PathBuf::from("p.json")));
-        let f = parse(strings(&["--perf-json=q.json"]));
+        let f = ok(&["--perf-json=q.json"]);
         assert_eq!(f.perf_path, Some(PathBuf::from("q.json")));
-        let f = parse(strings(&["--faults", "plans/flaky_ssd.toml"]));
-        assert_eq!(f.faults_path, Some(PathBuf::from("plans/flaky_ssd.toml")));
-        let f = parse(strings(&["--faults=x.toml"]));
-        assert_eq!(f.faults_path, Some(PathBuf::from("x.toml")));
-        let f = parse(strings(&["--jobs", "8"]));
+        let f = ok(&["--faults", PLAN]);
+        assert_eq!(f.faults.map(|(p, _)| p), Some(PathBuf::from(PLAN)));
+        let f = ok(&[&format!("--faults={PLAN}")]);
+        assert_eq!(f.faults.map(|(p, _)| p), Some(PathBuf::from(PLAN)));
+        let f = ok(&["--jobs", "8"]);
         assert_eq!(f.jobs, 8);
-        let f = parse(strings(&["--jobs=4"]));
+        let f = ok(&["--jobs=4"]);
         assert_eq!(f.jobs, 4);
     }
 
     #[test]
     fn jobs_defaults_to_one() {
-        let f = parse(strings(&[]));
-        assert_eq!(f.jobs, 1);
+        assert_eq!(ok(&[]).jobs, 1);
     }
 
     #[test]
     fn ignores_unrelated_args() {
-        let f = parse(strings(&["--quiet", "positional"]));
+        let f = ok(&["--quiet", "positional"]);
         assert_eq!(f.trace_path, None);
         assert_eq!(f.metrics_path, None);
         assert_eq!(f.perf_path, None);
+    }
+
+    #[test]
+    fn non_numeric_jobs_is_an_error() {
+        assert!(err(&["--jobs", "x"]).contains("`x`"));
+        assert!(err(&["--jobs=x"]).contains("`x`"));
+    }
+
+    #[test]
+    fn zero_jobs_is_an_error() {
+        assert!(err(&["--jobs", "0"]).contains("positive integer"));
+    }
+
+    #[test]
+    fn trailing_flag_without_value_is_an_error() {
+        assert_eq!(err(&["--jobs"]), "--jobs needs a value");
+        assert_eq!(err(&["--trace"]), "--trace needs a value");
+    }
+
+    #[test]
+    fn malformed_fault_plan_is_an_error() {
+        let path = std::env::temp_dir().join(format!("snacc-bad-plan-{}.toml", std::process::id()));
+        std::fs::write(&path, "seed = 1\n[net]\ndrop_rate = lots\n").unwrap();
+        let e = err(&["--faults", path.to_str().unwrap()]);
+        std::fs::remove_file(&path).unwrap();
+        assert!(e.starts_with("--faults "), "{e}");
+    }
+
+    #[test]
+    fn missing_fault_plan_is_an_error() {
+        assert!(err(&["--faults", "no/such/plan.toml"]).contains("no/such/plan.toml"));
     }
 
     #[test]

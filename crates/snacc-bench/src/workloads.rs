@@ -6,23 +6,8 @@ use snacc_core::streamer::encode_read_cmd;
 use snacc_faults::FaultPlan;
 use snacc_fpga::axis::{self, StreamBeat};
 use snacc_nvme::NvmeProfile;
-use snacc_sim::{SimDuration, SimTime};
+use snacc_sim::SimDuration;
 use snacc_spdk::{SpdkConfig, SpdkNvme};
-
-/// Release a system's functional stores. The component graph is an
-/// `Rc`-cycle web (hooks ↔ targets ↔ state), so dropping a system does
-/// not free it; the multi-GiB sparse media would otherwise accumulate
-/// across jobs in one process.
-fn scrub_snacc(sys: &mut SnaccSystem) {
-    sys.nvme.with(|d| d.nand_mut().media_mut().clear());
-    sys.hostmem.borrow_mut().store_mut().clear();
-}
-
-/// Same for a host-only system.
-fn scrub_host(host: &mut HostSystem) {
-    host.nvme.with(|d| d.nand_mut().media_mut().clear());
-    host.hostmem.borrow_mut().store_mut().clear();
-}
 
 /// Arm the periodic telemetry probe: every 100 µs of simulated time,
 /// sample the streamer's byte counters and the user-channel occupancies
@@ -273,7 +258,6 @@ pub fn snacc_seq_bandwidth_with(
         off += n;
     }
     let summary = fault_base.map(|base| FaultSummary::from_system(&sys).since(&base));
-    scrub_snacc(&mut sys);
     (rates, summary)
 }
 
@@ -339,7 +323,6 @@ pub fn snacc_rand_bandwidth(variant: StreamerVariant, dir: Dir, total: u64, seed
     }
     sys.en.run();
     let dt = sys.en.now().since(t0).as_secs_f64();
-    scrub_snacc(&mut sys);
     total as f64 / 1e9 / dt
 }
 
@@ -363,7 +346,6 @@ pub fn snacc_latency_us(variant: StreamerVariant, dir: Dir, trials: u32, seed: u
         sys.en.run();
         sum += sys.en.now().since(t0).as_us_f64();
     }
-    scrub_snacc(&mut sys);
     sum / trials as f64
 }
 
@@ -388,7 +370,7 @@ pub fn spdk_bandwidth(dir: Dir, random: bool, total: u64, qd: u16, seed: u64) ->
     let mut rng = snacc_sim::SimRng::new(seed ^ 0x77);
     // Closed loop: completions trigger replacement submissions.
     let issued = std::rc::Rc::new(std::cell::RefCell::new(0u64));
-    let spdk2 = spdk.clone();
+    let spdk2 = spdk.downgrade();
     let issued2 = issued.clone();
     let mut addrs: Vec<u64> = Vec::with_capacity(count as usize);
     for i in 0..count {
@@ -409,6 +391,7 @@ pub fn spdk_bandwidth(dir: Dir, random: bool, total: u64, qd: u16, seed: u64) ->
         let mut i = issued2.borrow_mut();
         if *i < count {
             let addr = a2[*i as usize];
+            let spdk2 = spdk2.upgrade();
             let r = match dir {
                 Dir::Read => spdk2.submit_read(en, addr, cmd),
                 Dir::Write => spdk2.submit_write_payload(en, addr, pay2.clone()),
@@ -436,7 +419,6 @@ pub fn spdk_bandwidth(dir: Dir, random: bool, total: u64, qd: u16, seed: u64) ->
     let st = spdk.stats();
     assert_eq!(st.completed, count, "all commands must finish");
     let dt = host.en.now().since(t0).as_secs_f64();
-    scrub_host(&mut host);
     total as f64 / 1e9 / dt
 }
 
@@ -464,7 +446,6 @@ pub fn spdk_seq_series(dir: Dir, total: u64, seed: u64) -> Vec<f64> {
         let t0 = host.en.now();
         let mut cur = off;
         // Closed loop within the window at QD 64 via polling steps.
-        let mut inflight = 0u64;
         let done = std::rc::Rc::new(std::cell::RefCell::new(0u64));
         let d2 = done.clone();
         spdk.set_completion_hook(move |_, _| *d2.borrow_mut() += 1);
@@ -479,18 +460,15 @@ pub fn spdk_seq_series(dir: Dir, total: u64, seed: u64) -> Vec<f64> {
                 }
                 .expect("submit");
                 cur += 1 << 20;
-                inflight += 1;
             }
             if !host.en.step() && *done.borrow() < window_cmds {
                 panic!("SPDK window stalled");
             }
         }
-        let _ = inflight;
         let dt = host.en.now().since(t0).as_secs_f64();
         out.push((end - off) as f64 / 1e9 / dt);
         off = end;
     }
-    scrub_host(&mut host);
     out
 }
 
@@ -525,7 +503,5 @@ pub fn spdk_latency_us(dir: Dir, trials: u32, seed: u64) -> f64 {
         host.en.run();
         sum += lat.borrow().as_us_f64();
     }
-    let _ = SimTime::ZERO;
-    scrub_host(&mut host);
     sum / trials as f64
 }

@@ -12,7 +12,8 @@
 //!    FPGA BAR** (the streamer's SQ FIFO and CQ reorder buffer),
 //! 4. program the streamer with the controller's doorbell addresses,
 //! 5. allocate and install pinned host buffers (host-DRAM variant),
-//! 6. grant the IOMMU permissions both directions need.
+//! 6. grant the IOMMU permissions both directions need (the SSD's access
+//!    to the admin structures is granted when the driver allocates them).
 //!
 //! Initialisation drives the engine to quiescence between steps — it is
 //! the only active initiator at bring-up time.
@@ -60,24 +61,27 @@ pub struct SnaccHostDriver {
 
 impl SnaccHostDriver {
     /// Create the driver; allocates admin queue memory from the pinned
-    /// pool. Host memory must already be mapped on the fabric at its
-    /// physical addresses.
+    /// pool and grants the SSD IOMMU access to it. Host memory must
+    /// already be mapped on the fabric at its physical addresses.
     pub fn new(
         fabric: Rc<RefCell<PcieFabric>>,
         hostmem: Rc<RefCell<HostMemory>>,
         nvme: NvmeDeviceHandle,
     ) -> Self {
-        let (asq, acq, ident) = {
+        let admin = {
             let mut hm = hostmem.borrow_mut();
-            let asq = hm.alloc_pinned(ADMIN_QD as u64 * spec::SQE_BYTES);
-            let acq = hm.alloc_pinned(ADMIN_QD as u64 * spec::CQE_BYTES);
-            let ident = hm.alloc_pinned(4096);
-            (
-                asq.segments()[0].base,
-                acq.segments()[0].base,
-                ident.segments()[0].base,
-            )
+            [
+                hm.alloc_pinned(ADMIN_QD as u64 * spec::SQE_BYTES),
+                hm.alloc_pinned(ADMIN_QD as u64 * spec::CQE_BYTES),
+                hm.alloc_pinned(4096),
+            ]
         };
+        // The SSD fetches admin commands and writes completions and
+        // identify data here.
+        for seg in admin.iter().flat_map(|b| b.segments()) {
+            fabric.borrow_mut().iommu_mut().grant(nvme.node(), *seg);
+        }
+        let [asq, acq, ident] = admin.map(|b| b.segments()[0].base);
         SnaccHostDriver {
             fabric,
             hostmem,

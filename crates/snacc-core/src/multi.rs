@@ -8,7 +8,7 @@
 //! a striping layer that fans a single logical write stream out over the
 //! instances, hiding each SSD's latency behind the others.
 
-use crate::streamer::{encode_read_cmd, StreamerHandle};
+use crate::streamer::StreamerHandle;
 use snacc_fpga::axis::{self, StreamBeat};
 use snacc_sim::{Engine, Payload};
 
@@ -95,16 +95,6 @@ impl MultiSsd {
                 }
             }
             logical_off += take_len as usize;
-        }
-    }
-
-    /// Issue a striped read for `(addr, len)`; data arrives on each
-    /// member's `rd_data` port in stripe order per member.
-    pub fn read_striped(&self, en: &mut Engine, addr: u64, len: u64) {
-        for (member, member_addr, take) in self.stripe_extent(addr, len) {
-            let ports = self.streamers[member].ports();
-            let ok = axis::push(&ports.rd_cmd, en, encode_read_cmd(member_addr, take));
-            assert!(ok, "multi-SSD reader assumes headroom");
         }
     }
 }

@@ -66,11 +66,6 @@ impl RingAllocator {
         self.used
     }
 
-    /// Live allocations.
-    pub fn live_regions(&self) -> usize {
-        self.live.len()
-    }
-
     /// Allocate a region of at least `len` bytes (rounded up to 4 KiB).
     /// Returns `None` when the ring cannot currently fit it.
     pub fn alloc(&mut self, len: u64) -> Option<Region> {

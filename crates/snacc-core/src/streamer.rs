@@ -34,7 +34,7 @@ use snacc_sim::{Engine, SimDuration, SimTime};
 use snacc_trace::{self as trace, CounterHandle, HistogramHandle};
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 const PAGE: u64 = 4096;
 const LBA: u64 = 512;
@@ -300,7 +300,8 @@ pub struct WindowMap {
 /// The streamer state. Use through [`StreamerHandle`].
 pub struct NvmeStreamer {
     cfg: StreamerConfig,
-    fabric: Rc<RefCell<PcieFabric>>,
+    /// Back-edge to the fabric that maps the streamer's windows.
+    fabric: Weak<RefCell<PcieFabric>>,
     node: NodeId,
     ports: UserPorts,
     backend: BufferBackend,
@@ -503,21 +504,24 @@ impl StreamerHandle {
             metrics,
             track: scope,
             cfg,
-            fabric,
+            fabric: Rc::downgrade(&fabric),
             node,
             ports: ports.clone(),
             backend,
         }));
 
+        // Every hook below sits on an object the streamer owns (or the
+        // fabric owns), so it reaches back through a `Weak`.
+        let me = Rc::downgrade(&streamer);
         // CQ write hook → completion processing (⑤).
         {
-            let rc = streamer.clone();
+            let me = me.clone();
             cq_mem
                 .borrow_mut()
                 .set_hook(Box::new(move |en, _off, _data, arrival| {
-                    let rc2 = rc.clone();
+                    let rc = upgrade(&me, "CQ window hook");
                     let t = arrival.max(en.now()) + rc.borrow().cfg.completion_latency;
-                    en.schedule_at(t, move |en| process_cq(&rc2, en));
+                    en.schedule_at(t, move |en| process_cq(&rc, en));
                 }));
         }
         // Control window: the host driver programs doorbell addresses and
@@ -527,38 +531,38 @@ impl StreamerHandle {
                 "snacc-ctrl",
                 snacc_sim::SimDuration::from_ns(50),
             )));
-            let rc = streamer.clone();
+            let me = me.clone();
             ctrl.borrow_mut()
                 .set_hook(Box::new(move |en, off, data, _arr| {
                     let mut v = [0u8; 8];
                     let n = data.len().min(8);
                     v[..n].copy_from_slice(&data[..n]);
+                    let rc = upgrade(&me, "control window hook");
                     ctrl_write(&rc, en, off, u64::from_le_bytes(v));
                 }));
             shell.map_target(ctrl_w, ctrl);
         }
         // User-side hooks.
         {
-            let rc = streamer.clone();
+            let m = me.clone();
             ports
                 .rd_cmd
                 .borrow_mut()
-                .set_data_hook(move |en| accept_read_cmds(&rc, en));
-            let rc = streamer.clone();
+                .set_data_hook(move |en| accept_read_cmds(&upgrade(&m, "rd_cmd hook"), en));
+            let m = me.clone();
             ports
                 .wr_in
                 .borrow_mut()
-                .set_data_hook(move |en| pump_write_in(&rc, en));
-            let rc = streamer.clone();
+                .set_data_hook(move |en| pump_write_in(&upgrade(&m, "wr_in hook"), en));
+            let m = me.clone();
             ports
                 .rd_data
                 .borrow_mut()
-                .set_space_hook(move |en| resume_stream_out(&rc, en));
-            let rc = streamer.clone();
+                .set_space_hook(move |en| resume_stream_out(&upgrade(&m, "rd_data hook"), en));
             ports
                 .wr_resp
                 .borrow_mut()
-                .set_space_hook(move |en| try_retire(&rc, en));
+                .set_space_hook(move |en| try_retire(&upgrade(&me, "wr_resp hook"), en));
         }
         StreamerHandle { inner: streamer }
     }
@@ -601,14 +605,6 @@ impl StreamerHandle {
             }
             _ => panic!("install_host_buffers on a non-host variant"),
         }
-    }
-
-    /// Program doorbell addresses directly (tests; the normal path is the
-    /// control window via [`crate::hostinit`]).
-    pub fn set_doorbells(&self, sq: u64, cq: u64) {
-        let mut s = self.inner.borrow_mut();
-        s.ssd_sq_doorbell = sq;
-        s.ssd_cq_doorbell = cq;
     }
 
     /// Enable the IP (tests; normal path is the control window).
@@ -662,16 +658,6 @@ impl StreamerHandle {
             }
         }
     }
-
-    /// True when no work is queued or in flight.
-    pub fn is_idle(&self) -> bool {
-        let s = self.inner.borrow();
-        s.pending.is_empty()
-            && s.rob.is_empty()
-            && s.accum.is_none()
-            && s.active_stream.is_none()
-            && s.xfers.is_empty()
-    }
 }
 
 impl NvmeStreamer {
@@ -681,6 +667,12 @@ impl NvmeStreamer {
     pub const CTRL_SQ_DB: u64 = 0x08;
     /// Control-register offset: SSD CQ-head doorbell address.
     pub const CTRL_CQ_DB: u64 = 0x10;
+
+    fn fabric(&self) -> Rc<RefCell<PcieFabric>> {
+        self.fabric
+            .upgrade()
+            .expect("streamer -> fabric: the fabric was dropped")
+    }
 
     fn page_dev_addr(&self, kind: BufKind, offset: u64) -> u64 {
         match &self.backend {
@@ -787,6 +779,12 @@ impl NvmeStreamer {
     }
 }
 
+/// Follow a hook's back-edge to the streamer; `edge` names the hook.
+fn upgrade(me: &Weak<RefCell<NvmeStreamer>>, edge: &str) -> Rc<RefCell<NvmeStreamer>> {
+    me.upgrade()
+        .unwrap_or_else(|| panic!("streamer {edge} -> streamer: the streamer was dropped"))
+}
+
 /// Handle a control-register write (`value` already extracted from the
 /// write data). Runs inside the fabric borrow — anything that re-enters
 /// the fabric is deferred.
@@ -813,6 +811,41 @@ fn ctrl_write(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine, off: u64, value: 
     }
 }
 
+/// Where a buffer access lands, resolved with the streamer borrow
+/// released.
+enum BufOp {
+    Uram(Rc<RefCell<UramModel>>),
+    Dram(Rc<RefCell<DramController>>, u64),
+    Host(PinnedBuffer, Rc<RefCell<PcieFabric>>, NodeId),
+}
+
+fn buf_op(rc: &Rc<RefCell<NvmeStreamer>>, kind: BufKind) -> BufOp {
+    let s = rc.borrow();
+    match &s.backend {
+        BufferBackend::Uram { mem, .. } => BufOp::Uram(mem.clone()),
+        BufferBackend::Dram {
+            mem,
+            rd_local,
+            wr_local,
+            ..
+        } => {
+            let base = match kind {
+                BufKind::Read => *rd_local,
+                BufKind::Write => *wr_local,
+            };
+            BufOp::Dram(mem.clone(), base)
+        }
+        BufferBackend::Host { rd_buf, wr_buf } => {
+            let b = match kind {
+                BufKind::Read => rd_buf,
+                BufKind::Write => wr_buf,
+            };
+            let pinned = b.as_ref().expect("host buffers installed").clone();
+            BufOp::Host(pinned, s.fabric(), s.node)
+        }
+    }
+}
+
 /// Timed + functional buffer write (local datapath or host DMA). The
 /// backing store retains the payload window zero-copy.
 fn buf_write(
@@ -823,63 +856,16 @@ fn buf_write(
     offset: u64,
     data: Payload,
 ) -> SimTime {
-    enum Op {
-        Uram(Rc<RefCell<UramModel>>),
-        Dram(Rc<RefCell<DramController>>, u64),
-        Host(PinnedBuffer, Rc<RefCell<PcieFabric>>, NodeId),
-    }
-    let op = {
-        let s = rc.borrow();
-        match &s.backend {
-            BufferBackend::Uram { mem, .. } => Op::Uram(mem.clone()),
-            BufferBackend::Dram {
-                mem,
-                rd_local,
-                wr_local,
-                ..
-            } => {
-                let base = match kind {
-                    BufKind::Read => *rd_local,
-                    BufKind::Write => *wr_local,
-                };
-                Op::Dram(mem.clone(), base)
-            }
-            BufferBackend::Host { rd_buf, wr_buf } => {
-                let b = match kind {
-                    BufKind::Read => rd_buf,
-                    BufKind::Write => wr_buf,
-                };
-                Op::Host(
-                    b.as_ref().expect("host buffers installed").clone(),
-                    s.fabric.clone(),
-                    s.node,
-                )
-            }
-        }
-    };
-    match op {
-        Op::Uram(mem) => mem.borrow_mut().write_payload(start, offset, data),
-        Op::Dram(mem, base) => mem.borrow_mut().write_payload(start, base + offset, data),
-        Op::Host(pinned, fabric, node) => {
-            // Cross pinned segments as needed.
+    match buf_op(rc, kind) {
+        BufOp::Uram(mem) => mem.borrow_mut().write_payload(start, offset, data),
+        BufOp::Dram(mem, base) => mem.borrow_mut().write_payload(start, base + offset, data),
+        BufOp::Host(pinned, fabric, node) => {
             let mut t = start;
-            let mut off = 0usize;
-            while off < data.len() {
-                let logical = offset + off as u64;
-                let phys = pinned.phys_addr(logical);
-                let seg_end = pinned
-                    .segments()
-                    .iter()
-                    .find(|s| s.contains(phys))
-                    .expect("phys in a segment")
-                    .end();
-                let n = ((seg_end - phys) as usize).min(data.len() - off);
-                let done = fabric
+            for (phys, off, n) in pinned.pieces(offset, data.len()) {
+                t = fabric
                     .borrow_mut()
                     .write_payload_at(en, t.max(en.now()), node, phys, data.slice(off..off + n))
                     .expect("host buffer reachable");
-                t = done;
-                off += n;
             }
             t
         }
@@ -896,64 +882,19 @@ fn buf_read_payload(
     offset: u64,
     len: usize,
 ) -> (Payload, SimTime) {
-    enum Op {
-        Uram(Rc<RefCell<UramModel>>),
-        Dram(Rc<RefCell<DramController>>, u64),
-        Host(PinnedBuffer, Rc<RefCell<PcieFabric>>, NodeId),
-    }
-    let op = {
-        let s = rc.borrow();
-        match &s.backend {
-            BufferBackend::Uram { mem, .. } => Op::Uram(mem.clone()),
-            BufferBackend::Dram {
-                mem,
-                rd_local,
-                wr_local,
-                ..
-            } => {
-                let base = match kind {
-                    BufKind::Read => *rd_local,
-                    BufKind::Write => *wr_local,
-                };
-                Op::Dram(mem.clone(), base)
-            }
-            BufferBackend::Host { rd_buf, wr_buf } => {
-                let b = match kind {
-                    BufKind::Read => rd_buf,
-                    BufKind::Write => wr_buf,
-                };
-                Op::Host(
-                    b.as_ref().expect("host buffers installed").clone(),
-                    s.fabric.clone(),
-                    s.node,
-                )
-            }
-        }
-    };
-    match op {
-        Op::Uram(mem) => mem.borrow_mut().read_payload(start, offset, len),
-        Op::Dram(mem, base) => mem.borrow_mut().read_payload(start, base + offset, len),
-        Op::Host(pinned, fabric, node) => {
+    match buf_op(rc, kind) {
+        BufOp::Uram(mem) => mem.borrow_mut().read_payload(start, offset, len),
+        BufOp::Dram(mem, base) => mem.borrow_mut().read_payload(start, base + offset, len),
+        BufOp::Host(pinned, fabric, node) => {
             let mut t = start;
-            let mut off = 0usize;
             let mut parts: Vec<Payload> = Vec::new();
-            while off < len {
-                let logical = offset + off as u64;
-                let phys = pinned.phys_addr(logical);
-                let seg_end = pinned
-                    .segments()
-                    .iter()
-                    .find(|s| s.contains(phys))
-                    .expect("phys in a segment")
-                    .end();
-                let n = ((seg_end - phys) as usize).min(len - off);
+            for (phys, _, n) in pinned.pieces(offset, len) {
                 let (chunk, done) = fabric
                     .borrow_mut()
                     .read_payload_at(en, t.max(en.now()), node, phys, n as u64)
                     .expect("host buffer reachable");
                 parts.push(chunk);
                 t = done;
-                off += n;
             }
             (Payload::concat(&parts), t)
         }
@@ -1283,7 +1224,7 @@ fn try_issue(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
         (
             tail,
             s.ssd_sq_doorbell,
-            s.fabric.clone(),
+            s.fabric(),
             s.node,
             s.cfg.cmd_issue_latency,
             cid,
@@ -1365,12 +1306,7 @@ fn process_cq(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
         // Update the SSD's CQ head doorbell (accounting traffic).
         let (fabric, node, db, head) = {
             let s = rc.borrow();
-            (
-                s.fabric.clone(),
-                s.node,
-                s.ssd_cq_doorbell,
-                s.cq_ring.head(),
-            )
+            (s.fabric(), s.node, s.ssd_cq_doorbell, s.cq_ring.head())
         };
         if db != 0 {
             if trace::enabled() {
@@ -1488,7 +1424,7 @@ fn reissue_cmd(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine, cid: u16) {
         (
             tail,
             s.ssd_sq_doorbell,
-            s.fabric.clone(),
+            s.fabric(),
             s.node,
             s.cfg.retry.cmd_timeout,
             attempts,

@@ -2,80 +2,40 @@
 //! driver) and data roundtrips through the user-PE stream interfaces for
 //! all three buffer variants.
 
-use snacc_core::config::{StreamerConfig, StreamerVariant};
+use snacc_apps::system::{HostSystem, SnaccSystem as System, SystemConfig};
+use snacc_core::config::StreamerVariant;
 use snacc_core::hostinit::SnaccHostDriver;
-use snacc_core::plugin::NvmeSubsystem;
-use snacc_core::streamer::{encode_read_cmd, StreamerHandle};
+use snacc_core::streamer::encode_read_cmd;
 use snacc_fpga::axis::{self, StreamBeat};
-use snacc_fpga::tapasco::TapascoShell;
-use snacc_mem::{fnv1a, AddrRange, HostMemory};
-use snacc_nvme::{NvmeDeviceHandle, NvmeProfile};
-use snacc_pcie::target::HostMemTarget;
-use snacc_pcie::{Iommu, PcieFabric, HOST_NODE};
-use snacc_sim::{Engine, SimRng};
-use std::cell::RefCell;
-use std::rc::Rc;
+use snacc_mem::fnv1a;
+use snacc_nvme::NvmeProfile;
+use snacc_sim::SimRng;
 
-const SHELL_BAR: u64 = 0x4_0000_0000;
-const NVME_BAR: u64 = 0x8_0000_0000;
-
-pub struct System {
-    pub en: Engine,
-    pub fabric: Rc<RefCell<PcieFabric>>,
-    pub hostmem: Rc<RefCell<HostMemory>>,
-    pub streamer: StreamerHandle,
-    pub nvme: NvmeDeviceHandle,
+/// The full simulated node: host memory on the fabric, TaPaSCo shell with
+/// the SNAcc plugin, NVMe SSD, enforcing IOMMU, host bring-up.
+fn build_system(variant: StreamerVariant) -> System {
+    let mut cfg = SystemConfig::snacc(variant);
+    cfg.seed = 42;
+    System::bring_up(cfg)
 }
 
-/// Build the full simulated node: host memory on the fabric, TaPaSCo
-/// shell with the SNAcc plugin, NVMe SSD, enforcing IOMMU, host bring-up.
-pub fn build_system(variant: StreamerVariant, enforce_iommu: bool) -> System {
-    let mut en = Engine::new();
-    let mut fabric = PcieFabric::new();
-    if enforce_iommu {
-        fabric.set_iommu(Iommu::new());
-    }
-    let hostmem = Rc::new(RefCell::new(HostMemory::default()));
-    // Map host physical memory, covering the pinned region at 4 GiB.
-    let t = Rc::new(RefCell::new(HostMemTarget::new(hostmem.clone(), 0)));
-    fabric.map_region(HOST_NODE, AddrRange::new(0, 8 << 30), t);
-    let fabric = Rc::new(RefCell::new(fabric));
-
-    let mut shell = TapascoShell::new(fabric.clone(), SHELL_BAR);
-    let mut plugin = NvmeSubsystem::new(StreamerConfig::snacc(variant));
-    shell.apply_plugin(&mut en, &mut plugin);
-    let streamer = plugin.streamer();
-
-    let nvme =
-        NvmeDeviceHandle::attach(fabric.clone(), NVME_BAR, NvmeProfile::samsung_990pro(), 42);
-
-    let mut driver = SnaccHostDriver::new(fabric.clone(), hostmem.clone(), nvme.clone());
-    // Grant the SSD access to the driver's admin structures (the driver
-    // grants data-path permissions during bring-up).
-    if enforce_iommu {
-        let mut fab = fabric.borrow_mut();
-        // Admin SQ/CQ + identify buffer live in the first pinned pages.
-        fab.iommu_mut()
-            .grant(nvme.node(), AddrRange::new(0x1_0000_0000, 1 << 20));
-    }
-    let info = driver
-        .bring_up(&mut en, &streamer, 1)
-        .expect("bring-up succeeds");
+/// The host driver's Identify parsing: capacity and LBA size of the
+/// 990 PRO-class namespace.
+#[test]
+fn identify_reports_namespace_geometry() {
+    let mut host = HostSystem::bring_up(NvmeProfile::samsung_990pro(), 42);
+    let mut driver = SnaccHostDriver::new(host.fabric, host.hostmem, host.nvme);
+    driver
+        .init_controller(&mut host.en)
+        .expect("controller ready");
+    let info = driver.identify(&mut host.en).expect("identify");
     assert_eq!(info.capacity_bytes, 2_000_000_000_000);
     assert_eq!(info.lba_bytes, 512);
-
-    System {
-        en,
-        fabric,
-        hostmem,
-        streamer,
-        nvme,
-    }
 }
 
 /// Feed a write transfer (header + data) through `wr_in`, respecting
 /// backpressure, then run until the response token arrives.
-pub fn do_write(sys: &mut System, addr: u64, data: &[u8]) {
+fn do_write(sys: &mut System, addr: u64, data: &[u8]) {
     let ports = sys.streamer.ports();
     let header = StreamBeat::mid(addr.to_le_bytes().to_vec());
     assert!(axis::push(&ports.wr_in, &mut sys.en, header));
@@ -106,7 +66,7 @@ pub fn do_write(sys: &mut System, addr: u64, data: &[u8]) {
 }
 
 /// Issue a read and collect the full transfer from `rd_data`.
-pub fn do_read(sys: &mut System, addr: u64, len: u64) -> Vec<u8> {
+fn do_read(sys: &mut System, addr: u64, len: u64) -> Vec<u8> {
     let ports = sys.streamer.ports();
     assert!(axis::push(
         &ports.rd_cmd,
@@ -136,7 +96,7 @@ fn patterned(len: usize, seed: u64) -> Vec<u8> {
 }
 
 fn roundtrip(variant: StreamerVariant, len: usize, addr: u64) {
-    let mut sys = build_system(variant, true);
+    let mut sys = build_system(variant);
     let data = patterned(len, 0xABCD ^ len as u64);
     do_write(&mut sys, addr, &data);
     // The data must really be on the SSD's media.
@@ -164,7 +124,7 @@ fn uram_multi_megabyte_roundtrip() {
 #[test]
 fn uram_unaligned_length_roundtrip() {
     // 6000 B pads to 12 LBAs on the wire; readback covers the request.
-    let mut sys = build_system(StreamerVariant::Uram, true);
+    let mut sys = build_system(StreamerVariant::Uram);
     let data = patterned(6144, 99);
     do_write(&mut sys, 8192, &data);
     let back = do_read(&mut sys, 8192, 6144);
@@ -189,7 +149,7 @@ fn host_dram_large_crosses_pinned_segments() {
 
 #[test]
 fn multiple_sequential_writes_reuse_buffers() {
-    let mut sys = build_system(StreamerVariant::Uram, true);
+    let mut sys = build_system(StreamerVariant::Uram);
     // 10 × 1 MB writes cycle the 4 MB URAM buffer multiple times.
     for i in 0..10u64 {
         let data = patterned(1 << 20, i);
@@ -211,7 +171,7 @@ fn multiple_sequential_writes_reuse_buffers() {
 
 #[test]
 fn interleaved_reads_and_writes() {
-    let mut sys = build_system(StreamerVariant::Uram, true);
+    let mut sys = build_system(StreamerVariant::Uram);
     let a = patterned(512 << 10, 1);
     let b = patterned(256 << 10, 2);
     do_write(&mut sys, 0, &a);
@@ -224,7 +184,7 @@ fn interleaved_reads_and_writes() {
 
 #[test]
 fn read_of_unwritten_extent_returns_zeroes() {
-    let mut sys = build_system(StreamerVariant::Uram, true);
+    let mut sys = build_system(StreamerVariant::Uram);
     let back = do_read(&mut sys, 500 << 20, 8192);
     assert_eq!(back, vec![0u8; 8192]);
 }
@@ -232,7 +192,7 @@ fn read_of_unwritten_extent_returns_zeroes() {
 #[test]
 fn write_latency_shape_under_9us() {
     // Fig 4c: a single 4 KiB write completes in < 9 µs end to end.
-    let mut sys = build_system(StreamerVariant::Uram, true);
+    let mut sys = build_system(StreamerVariant::Uram);
     let data = patterned(4096, 3);
     let start = sys.en.now();
     do_write(&mut sys, 0, &data);
@@ -243,7 +203,7 @@ fn write_latency_shape_under_9us() {
 #[test]
 fn read_latency_shape_tens_of_us() {
     // Fig 4c: a single 4 KiB read is tR-bound (tens of µs).
-    let mut sys = build_system(StreamerVariant::Uram, true);
+    let mut sys = build_system(StreamerVariant::Uram);
     let data = patterned(4096, 4);
     do_write(&mut sys, 0, &data);
     let start = sys.en.now();
@@ -257,7 +217,7 @@ fn autonomy_no_host_traffic_during_steady_state() {
     // After bring-up, data movement must not involve the host: for the
     // URAM variant the host-facing byte counters stay flat while 2 MB
     // flows PE → SSD (the paper's headline autonomy property).
-    let mut sys = build_system(StreamerVariant::Uram, true);
+    let mut sys = build_system(StreamerVariant::Uram);
     let before = sys.hostmem.borrow().bytes_transferred();
     let data = patterned(2 << 20, 5);
     do_write(&mut sys, 0, &data);
@@ -269,7 +229,7 @@ fn autonomy_no_host_traffic_during_steady_state() {
 fn sim_time_advances_realistically() {
     // 8 MB sequential write at ~6 GB/s should take ~1.3 ms of simulated
     // time — sanity that timing is wired through (not functional-only).
-    let mut sys = build_system(StreamerVariant::HostDram, true);
+    let mut sys = build_system(StreamerVariant::HostDram);
     let data = patterned(8 << 20, 6);
     let start = sys.en.now();
     do_write(&mut sys, 0, &data);

@@ -1,55 +1,32 @@
 //! Failure injection: IOMMU revocation, bad commands, error completions.
 
-use snacc_core::config::{StreamerConfig, StreamerVariant};
-use snacc_core::hostinit::SnaccHostDriver;
-use snacc_core::plugin::NvmeSubsystem;
+use snacc_apps::system::{layout, HostSystem, SnaccSystem, SystemConfig};
+use snacc_core::config::StreamerVariant;
 use snacc_core::streamer::encode_read_cmd;
 use snacc_fpga::axis::{self, StreamBeat};
-use snacc_fpga::tapasco::TapascoShell;
-use snacc_mem::{AddrRange, HostMemory};
+use snacc_mem::AddrRange;
 use snacc_nvme::spec::{IoOpcode, Sqe, Status};
-use snacc_nvme::{NvmeDeviceHandle, NvmeProfile};
-use snacc_pcie::target::HostMemTarget;
-use snacc_pcie::{Iommu, PcieFabric, HOST_NODE};
+use snacc_nvme::NvmeProfile;
+use snacc_pcie::HOST_NODE;
 use snacc_sim::Engine;
-use std::cell::RefCell;
-use std::rc::Rc;
 
-const SHELL_BAR: u64 = 0x4_0000_0000;
-const NVME_BAR: u64 = 0x8_0000_0000;
+const NVME_BAR: u64 = layout::NVME_BAR;
 
-fn build(
-    variant: StreamerVariant,
-) -> (
-    Engine,
-    Rc<RefCell<PcieFabric>>,
-    snacc_core::streamer::StreamerHandle,
-    NvmeDeviceHandle,
-) {
-    let mut en = Engine::new();
-    let mut fabric = PcieFabric::new();
-    fabric.set_iommu(Iommu::new());
-    let hostmem = Rc::new(RefCell::new(HostMemory::default()));
-    let t = Rc::new(RefCell::new(HostMemTarget::new(hostmem.clone(), 0)));
-    fabric.map_region(HOST_NODE, AddrRange::new(0, 8 << 30), t);
-    let fabric = Rc::new(RefCell::new(fabric));
-    let mut shell = TapascoShell::new(fabric.clone(), SHELL_BAR);
-    let mut plugin = NvmeSubsystem::new(StreamerConfig::snacc(variant));
-    shell.apply_plugin(&mut en, &mut plugin);
-    let streamer = plugin.streamer();
-    let nvme = NvmeDeviceHandle::attach(fabric.clone(), NVME_BAR, NvmeProfile::samsung_990pro(), 3);
-    fabric
-        .borrow_mut()
-        .iommu_mut()
-        .grant(nvme.node(), AddrRange::new(0x1_0000_0000, 1 << 20));
-    let mut driver = SnaccHostDriver::new(fabric.clone(), hostmem, nvme.clone());
-    driver.bring_up(&mut en, &streamer, 1).expect("bring-up");
-    (en, fabric, streamer, nvme)
+fn build(variant: StreamerVariant) -> SnaccSystem {
+    let mut cfg = SystemConfig::snacc(variant);
+    cfg.seed = 3;
+    SnaccSystem::bring_up(cfg)
 }
 
 #[test]
 fn iommu_revocation_produces_error_completions() {
-    let (mut en, fabric, streamer, nvme) = build(StreamerVariant::Uram);
+    let SnaccSystem {
+        mut en,
+        fabric,
+        streamer,
+        nvme,
+        ..
+    } = build(StreamerVariant::Uram);
     // Revoke the SSD's *data-window* grants mid-flight (queues stay
     // reachable, as in a real IOMMU misconfiguration of one mapping):
     // data fetches fault and the device reports Data Transfer Error —
@@ -86,7 +63,13 @@ fn read_after_revocation_still_streams() {
     // Read path: the SSD cannot deliver data (posted writes fault), the
     // CQE carries an error, and the streamer streams buffer contents
     // (zeros) so the PE protocol never wedges.
-    let (mut en, fabric, streamer, nvme) = build(StreamerVariant::Uram);
+    let SnaccSystem {
+        mut en,
+        fabric,
+        streamer,
+        nvme,
+        ..
+    } = build(StreamerVariant::Uram);
     let w = streamer.windows();
     {
         let mut fab = fabric.borrow_mut();
@@ -121,15 +104,12 @@ fn read_after_revocation_still_streams() {
 fn device_rejects_misaligned_prp_list_entries() {
     // Speak to the controller directly with a corrupt PRP2 (unaligned):
     // the command completes with Invalid Field, not a hang.
-    let mut en = Engine::new();
-    let fabric = Rc::new(RefCell::new(PcieFabric::new()));
-    let hostmem = Rc::new(RefCell::new(HostMemory::default()));
-    let t = Rc::new(RefCell::new(HostMemTarget::new(hostmem.clone(), 0)));
-    fabric
-        .borrow_mut()
-        .map_region(HOST_NODE, AddrRange::new(0, 8 << 30), t);
-    let _nvme =
-        NvmeDeviceHandle::attach(fabric.clone(), NVME_BAR, NvmeProfile::samsung_990pro(), 9);
+    let HostSystem {
+        mut en,
+        fabric,
+        hostmem,
+        ..
+    } = HostSystem::bring_up(NvmeProfile::samsung_990pro(), 9);
     // Minimal admin bring-up through raw registers.
     use snacc_nvme::spec::{cc, regs};
     let asq = 0x10_0000u64;
@@ -194,7 +174,13 @@ fn device_rejects_misaligned_prp_list_entries() {
 
 #[test]
 fn out_of_bounds_read_reports_lba_range_error() {
-    let (mut en, _fabric, streamer, nvme) = build(StreamerVariant::Uram);
+    let SnaccSystem {
+        mut en,
+        fabric: _fabric,
+        streamer,
+        nvme,
+        ..
+    } = build(StreamerVariant::Uram);
     let cap = nvme.with(|d| d.nand_mut().capacity_bytes());
     let ports = streamer.ports();
     axis::push(&ports.rd_cmd, &mut en, encode_read_cmd(cap, 4096));

@@ -3,48 +3,18 @@
 //! the accounting never loses a fault
 //! (`injected == retries + gave_up` for command-error campaigns).
 
-use snacc_core::config::{RetryPolicy, StreamerConfig, StreamerVariant};
-use snacc_core::hostinit::SnaccHostDriver;
-use snacc_core::plugin::NvmeSubsystem;
+use snacc_apps::system::{SnaccSystem, SystemConfig};
+use snacc_core::config::{RetryPolicy, StreamerVariant};
 use snacc_core::streamer::{encode_read_cmd, StreamerHandle};
 use snacc_fpga::axis;
-use snacc_fpga::tapasco::TapascoShell;
-use snacc_mem::{AddrRange, HostMemory};
-use snacc_nvme::{IoFaultConfig, NvmeDeviceHandle, NvmeProfile};
-use snacc_pcie::target::HostMemTarget;
-use snacc_pcie::{Iommu, PcieFabric, HOST_NODE};
+use snacc_nvme::IoFaultConfig;
 use snacc_sim::{Engine, SimDuration};
-use std::cell::RefCell;
-use std::rc::Rc;
 
-const SHELL_BAR: u64 = 0x4_0000_0000;
-const NVME_BAR: u64 = 0x8_0000_0000;
-
-fn build(
-    variant: StreamerVariant,
-    retry: RetryPolicy,
-) -> (Engine, StreamerHandle, NvmeDeviceHandle) {
-    let mut en = Engine::new();
-    let mut fabric = PcieFabric::new();
-    fabric.set_iommu(Iommu::new());
-    let hostmem = Rc::new(RefCell::new(HostMemory::default()));
-    let t = Rc::new(RefCell::new(HostMemTarget::new(hostmem.clone(), 0)));
-    fabric.map_region(HOST_NODE, AddrRange::new(0, 8 << 30), t);
-    let fabric = Rc::new(RefCell::new(fabric));
-    let mut shell = TapascoShell::new(fabric.clone(), SHELL_BAR);
-    let mut cfg = StreamerConfig::snacc(variant);
-    cfg.retry = retry;
-    let mut plugin = NvmeSubsystem::new(cfg);
-    shell.apply_plugin(&mut en, &mut plugin);
-    let streamer = plugin.streamer();
-    let nvme = NvmeDeviceHandle::attach(fabric.clone(), NVME_BAR, NvmeProfile::samsung_990pro(), 3);
-    fabric
-        .borrow_mut()
-        .iommu_mut()
-        .grant(nvme.node(), AddrRange::new(0x1_0000_0000, 1 << 20));
-    let mut driver = SnaccHostDriver::new(fabric.clone(), hostmem, nvme.clone());
-    driver.bring_up(&mut en, &streamer, 1).expect("bring-up");
-    (en, streamer, nvme)
+fn build(variant: StreamerVariant, retry: RetryPolicy) -> SnaccSystem {
+    let mut cfg = SystemConfig::snacc(variant);
+    cfg.streamer.retry = retry;
+    cfg.seed = 3;
+    SnaccSystem::bring_up(cfg)
 }
 
 fn policy(max_retries: u32) -> RetryPolicy {
@@ -110,12 +80,13 @@ fn snap(streamer: &StreamerHandle) -> MetricBase {
 
 #[test]
 fn transient_errors_recover_with_exact_data() {
-    let (mut en, streamer, nvme) = build(StreamerVariant::Uram, policy(3));
+    let mut sys = build(StreamerVariant::Uram, policy(3));
+    let (en, streamer, nvme) = (&mut sys.en, &sys.streamer, &sys.nvme);
     let (count, len) = (24u64, 128u64 * 1024);
     nvme.with(|d| d.nand_mut().prewarm(0, count * len, 0xC3));
     nvme.install_faults(IoFaultConfig::error_only(0.2, 77));
-    let base = snap(&streamer);
-    let reads = read_all(&mut en, &streamer, count, len);
+    let base = snap(streamer);
+    let reads = read_all(en, streamer, count, len);
     let m = streamer.metrics();
     let injected = nvme.fault_stats().errors;
     assert!(injected > 0, "campaign must inject at this rate");
@@ -142,12 +113,13 @@ fn transient_errors_recover_with_exact_data() {
 #[test]
 fn fault_accounting_is_conserved() {
     for variant in StreamerVariant::all() {
-        let (mut en, streamer, nvme) = build(variant, policy(2));
+        let mut sys = build(variant, policy(2));
+        let (en, streamer, nvme) = (&mut sys.en, &sys.streamer, &sys.nvme);
         let (count, len) = (16u64, 64u64 * 1024);
         nvme.with(|d| d.nand_mut().prewarm(0, count * len, 0x11));
         nvme.install_faults(IoFaultConfig::error_only(0.25, 5));
-        let base = snap(&streamer);
-        let _ = read_all(&mut en, &streamer, count, len);
+        let base = snap(streamer);
+        let _ = read_all(en, streamer, count, len);
         let m = streamer.metrics();
         let injected = nvme.fault_stats().errors;
         let errors = m.errors.get() - base.errors;
@@ -168,11 +140,12 @@ fn exhausted_budget_gives_up_without_wedging() {
     // Rate 1.0: every attempt fails, so each command burns its full
     // budget (2 retries) and then gives up; reads still deliver a full
     // (zeroed) stream so the PE protocol never stalls.
-    let (mut en, streamer, nvme) = build(StreamerVariant::Uram, policy(2));
+    let mut sys = build(StreamerVariant::Uram, policy(2));
+    let (en, streamer, nvme) = (&mut sys.en, &sys.streamer, &sys.nvme);
     let (count, len) = (4u64, 64u64 * 1024);
     nvme.install_faults(IoFaultConfig::error_only(1.0, 1));
-    let base = snap(&streamer);
-    let reads = read_all(&mut en, &streamer, count, len);
+    let base = snap(streamer);
+    let reads = read_all(en, streamer, count, len);
     let m = streamer.metrics();
     let gave_up = m.gave_up.get() - base.gave_up;
     let retries = m.retries.get() - base.retries;
@@ -189,10 +162,11 @@ fn exhausted_budget_gives_up_without_wedging() {
 fn retries_disabled_fail_fast() {
     // The default policy pre-dates the fault subsystem: transient errors
     // are terminal, counted as gave_up, and cost no retry traffic.
-    let (mut en, streamer, nvme) = build(StreamerVariant::Uram, RetryPolicy::disabled());
+    let mut sys = build(StreamerVariant::Uram, RetryPolicy::disabled());
+    let (en, streamer, nvme) = (&mut sys.en, &sys.streamer, &sys.nvme);
     nvme.install_faults(IoFaultConfig::error_only(0.5, 3));
-    let base = snap(&streamer);
-    let _ = read_all(&mut en, &streamer, 8, 64 * 1024);
+    let base = snap(streamer);
+    let _ = read_all(en, streamer, 8, 64 * 1024);
     let m = streamer.metrics();
     let injected = nvme.fault_stats().errors;
     assert!(injected > 0);
@@ -207,7 +181,8 @@ fn latency_spikes_trigger_timeout_replay() {
     // under its stale cid and must be ignored (no double retirement).
     let mut cfg = policy(3);
     cfg.cmd_timeout = Some(SimDuration::from_us(900));
-    let (mut en, streamer, nvme) = build(StreamerVariant::Uram, cfg);
+    let mut sys = build(StreamerVariant::Uram, cfg);
+    let (en, streamer, nvme) = (&mut sys.en, &sys.streamer, &sys.nvme);
     let (count, len) = (8u64, 64u64 * 1024);
     nvme.with(|d| d.nand_mut().prewarm(0, count * len, 0x3C));
     nvme.install_faults(IoFaultConfig {
@@ -218,8 +193,8 @@ fn latency_spikes_trigger_timeout_replay() {
         window: None,
         seed: 21,
     });
-    let base = snap(&streamer);
-    let reads = read_all(&mut en, &streamer, count, len);
+    let base = snap(streamer);
+    let reads = read_all(en, streamer, count, len);
     let m = streamer.metrics();
     assert!(nvme.fault_stats().spikes > 0, "campaign must spike");
     assert!(m.timeouts.get() - base.timeouts > 0, "spikes must time out");

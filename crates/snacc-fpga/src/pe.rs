@@ -11,7 +11,7 @@ use crate::axis::{self, AxisChannel, StreamBeat};
 use crate::resources::ResourceUsage;
 use snacc_sim::{Bandwidth, Engine};
 use std::cell::RefCell;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 /// A transform applied per input beat; returns the output beats.
 pub type BeatTransform = Box<dyn FnMut(StreamBeat) -> Vec<StreamBeat>>;
@@ -19,8 +19,10 @@ pub type BeatTransform = Box<dyn FnMut(StreamBeat) -> Vec<StreamBeat>>;
 /// A rate-modelled streaming stage.
 pub struct StagePe {
     name: String,
-    input: Rc<RefCell<AxisChannel>>,
-    output: Rc<RefCell<AxisChannel>>,
+    /// The channels it is installed on; they own the stage through their
+    /// hooks.
+    input: Weak<RefCell<AxisChannel>>,
+    output: Weak<RefCell<AxisChannel>>,
     /// Processing throughput with respect to *input* bytes.
     rate: Bandwidth,
     transform: BeatTransform,
@@ -45,8 +47,8 @@ impl StagePe {
     ) -> Rc<RefCell<StagePe>> {
         let pe = Rc::new(RefCell::new(StagePe {
             name: name.into(),
-            input: input.clone(),
-            output: output.clone(),
+            input: Rc::downgrade(&input),
+            output: Rc::downgrade(&output),
             rate,
             transform,
             pending: Vec::new(),
@@ -91,7 +93,7 @@ impl StagePe {
     pub fn pump(rc: &Rc<RefCell<StagePe>>, en: &mut Engine) {
         // Flush pending outputs first (they block the pipeline).
         {
-            let output = rc.borrow().output.clone();
+            let output = channel(&rc.borrow().output);
             loop {
                 let next = {
                     let mut p = rc.borrow_mut();
@@ -108,21 +110,20 @@ impl StagePe {
             }
         }
         // Start processing the next input beat if idle.
-        let (input, beat) = {
+        let beat = {
             let p = rc.borrow();
             if p.busy {
                 return;
             }
-            let input = p.input.clone();
+            let input = channel(&p.input);
             drop(p);
             let beat = match axis::pop(&input, en) {
                 Some(b) => b,
                 None => return,
             };
             rc.borrow_mut().busy = true;
-            (input, beat)
+            beat
         };
-        let _ = input;
         let dt = rc.borrow().rate.time_for(beat.len() as u64);
         let rc2 = rc.clone();
         en.schedule_in(dt, move |en| {
@@ -137,6 +138,11 @@ impl StagePe {
             StagePe::pump(&rc2, en);
         });
     }
+}
+
+fn channel(ch: &Weak<RefCell<AxisChannel>>) -> Rc<RefCell<AxisChannel>> {
+    ch.upgrade()
+        .expect("stage PE -> channel: the channel was dropped")
 }
 
 /// Convenience: drive a channel from a byte buffer, chunked into beats of

@@ -45,7 +45,6 @@ pub enum ShellError {
 
 struct PeInfo {
     name: String,
-    kernel_id: u32,
     ctrl: AddrRange,
     resources: ResourceUsage,
 }
@@ -218,7 +217,6 @@ impl TapascoShell {
         self.map_target(ctrl, target);
         self.pes.push(PeInfo {
             name: name.into(),
-            kernel_id,
             ctrl,
             resources,
         });
@@ -243,11 +241,6 @@ impl TapascoShell {
     /// Name of PE `idx`.
     pub fn pe_name(&self, idx: usize) -> &str {
         &self.pes[idx].name
-    }
-
-    /// Kernel id of PE `idx`.
-    pub fn pe_kernel_id(&self, idx: usize) -> u32 {
-        self.pes[idx].kernel_id
     }
 
     /// Control window of PE `idx`.

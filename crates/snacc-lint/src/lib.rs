@@ -10,7 +10,7 @@
 //! |-------|-----------|
 //! | SL001 | no wall-clock (`Instant`/`SystemTime`) in simulation crates |
 //! | SL002 | no unseeded randomness outside `snacc-sim::rng` |
-//! | SL003 | no threads/locks/atomics in single-threaded DES crates; `rayon` only in `snacc-bench` |
+//! | SL003 | no threads/locks/atomics in single-threaded DES crates |
 //! | SL004 | no panic paths (`unwrap`/`expect`/`panic!`/asserts) in wire-decode modules |
 //! | SL005 | no raw `u64` picosecond arithmetic outside `snacc-sim` (use `SimTime`/`SimDuration`) |
 //! | SL006 | no `RefCell` borrow guard held across an `Engine::schedule` call |

@@ -33,7 +33,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "SL003",
-        summary: "no threads/locks/atomics in single-threaded DES crates; rayon only in snacc-bench",
+        summary: "no threads/locks/atomics in single-threaded DES crates",
         scope: "all simulation crates (everything except snacc-bench and snacc-lint)",
     },
     RuleInfo {
@@ -395,31 +395,21 @@ fn sl003(ctx: &FileCtx, out: &mut Vec<Violation>) {
         "AtomicIsize",
         "AtomicPtr",
     ];
-    let des = is_sim_crate(ctx.krate);
+    if !is_sim_crate(ctx.krate) {
+        return;
+    }
     for (i, line) in ctx.clean_lines.iter().enumerate() {
-        if des {
-            if line.contains("std::thread") || line.contains("thread::spawn") {
-                out.push(ctx.violation(
-                    "SL003",
-                    i,
-                    "OS threads in a single-threaded DES crate".to_string(),
-                ));
-                continue;
-            }
-            if let Some(ident) = SYNC_IDENTS.iter().find(|id| find_ident(line, id)) {
-                out.push(ctx.violation(
-                    "SL003",
-                    i,
-                    format!("`{ident}` in a single-threaded DES crate; use Rc<RefCell<_>>"),
-                ));
-                continue;
-            }
-        }
-        if ctx.krate != "snacc-bench" && find_ident(line, "rayon") {
+        if line.contains("std::thread") || line.contains("thread::spawn") {
             out.push(ctx.violation(
                 "SL003",
                 i,
-                "rayon is only permitted in snacc-bench (the measurement harness)".to_string(),
+                "OS threads in a single-threaded DES crate".to_string(),
+            ));
+        } else if let Some(ident) = SYNC_IDENTS.iter().find(|id| find_ident(line, id)) {
+            out.push(ctx.violation(
+                "SL003",
+                i,
+                format!("`{ident}` in a single-threaded DES crate; use Rc<RefCell<_>>"),
             ));
         }
     }

@@ -60,6 +60,22 @@ impl PinnedBuffer {
         unreachable!("segment table inconsistent with size");
     }
 
+    /// Split `len` bytes at buffer offset `offset` into physically
+    /// contiguous pieces `(phys, offset within the request, len)`.
+    pub fn pieces(&self, offset: u64, len: usize) -> Vec<(u64, usize, usize)> {
+        let mut out = Vec::new();
+        let mut off = 0usize;
+        while off < len {
+            let phys = self.phys_addr(offset + off as u64);
+            let seg = self.segments.iter().find(|s| s.contains(phys));
+            let seg_end = seg.expect("phys in a segment").end();
+            let n = ((seg_end - phys) as usize).min(len - off);
+            out.push((phys, off, n));
+            off += n;
+        }
+        out
+    }
+
     /// Physical address of the n-th 4 KiB page of the buffer (PRP entry n).
     pub fn page_addr(&self, page_index: u64) -> u64 {
         self.phys_addr(page_index * PAGE_4K)

@@ -11,7 +11,7 @@ use snacc_sim::{Bandwidth, Engine, SharedLink, SimDuration, SimRng, SimTime};
 use snacc_trace as trace;
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 /// MAC configuration.
 #[derive(Clone, Debug)]
@@ -105,7 +105,8 @@ pub struct EthMac {
     name: String,
     addr: MacAddr,
     cfg: MacConfig,
-    peer: Option<Rc<RefCell<EthMac>>>,
+    /// The far end of the wire; whoever built the link owns both ends.
+    peer: Option<Weak<RefCell<EthMac>>>,
     /// This MAC's transmit direction of the wire.
     wire: SharedLink,
     tx_queue: VecDeque<EthFrame>,
@@ -173,16 +174,6 @@ impl EthMac {
         self.stats
     }
 
-    /// Bytes currently buffered at RX.
-    pub fn rx_occupancy(&self) -> u64 {
-        self.rx_buffered_bytes
-    }
-
-    /// Frames waiting in the RX buffer.
-    pub fn rx_pending(&self) -> usize {
-        self.rx_queue.len()
-    }
-
     /// Can the TX queue accept a frame of `payload_len` bytes?
     pub fn tx_has_space(&self, payload_len: usize) -> bool {
         self.tx_queued_bytes + payload_len as u64 <= self.cfg.tx_queue_bytes
@@ -227,10 +218,11 @@ impl EthMac {
     }
 }
 
-/// Connect two MAC endpoints back to back (or to switch ports).
+/// Connect two MAC endpoints back to back (or to switch ports). The
+/// links do not own the peers: the caller keeps both ends alive.
 pub fn connect(a: &Rc<RefCell<EthMac>>, b: &Rc<RefCell<EthMac>>) {
-    a.borrow_mut().peer = Some(b.clone());
-    b.borrow_mut().peer = Some(a.clone());
+    a.borrow_mut().peer = Some(Rc::downgrade(b));
+    b.borrow_mut().peer = Some(Rc::downgrade(a));
 }
 
 /// Enqueue a data frame for transmission. Returns `false` (frame refused)
@@ -389,7 +381,11 @@ pub fn pump_tx(rc: &Rc<RefCell<EthMac>>, en: &mut Engine) {
                         &[("wire_bytes", frame.wire_bytes())],
                     );
                 }
-                (arrival, tx_free, m.peer.clone(), m.tx_space_hook.clone())
+                let peer = m.peer.as_ref().map(|p| {
+                    p.upgrade()
+                        .expect("mac peer link -> peer MAC: the peer was dropped")
+                });
+                (arrival, tx_free, peer, m.tx_space_hook.clone())
             };
             // TX side becomes free when the last byte leaves.
             let rc2 = rc.clone();

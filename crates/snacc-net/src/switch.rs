@@ -12,19 +12,29 @@ use crate::mac::{self, EthMac, MacConfig};
 use snacc_sim::Engine;
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 struct SwitchCore {
-    ports: Vec<Rc<RefCell<EthMac>>>,
+    /// The port MACs own the core through their hooks.
+    ports: Vec<Weak<RefCell<EthMac>>>,
     /// MAC learning table: source address → port index.
     table: HashMap<MacAddr, usize>,
     forwarded_frames: u64,
     flooded_frames: u64,
 }
 
+impl SwitchCore {
+    fn port(&self, i: usize) -> Rc<RefCell<EthMac>> {
+        self.ports[i]
+            .upgrade()
+            .expect("switch -> port MAC: the switch was dropped")
+    }
+}
+
 /// An N-port learning switch.
 pub struct EthSwitch {
     core: Rc<RefCell<SwitchCore>>,
+    ports: Vec<Rc<RefCell<EthMac>>>,
 }
 
 impl EthSwitch {
@@ -43,7 +53,7 @@ impl EthSwitch {
             })
             .collect();
         let core = Rc::new(RefCell::new(SwitchCore {
-            ports: ports.clone(),
+            ports: ports.iter().map(Rc::downgrade).collect(),
             table: HashMap::new(),
             forwarded_frames: 0,
             flooded_frames: 0,
@@ -58,17 +68,17 @@ impl EthSwitch {
             p.borrow_mut()
                 .set_tx_space_hook(move |en| forward_all(&c2, en));
         }
-        EthSwitch { core }
+        EthSwitch { core, ports }
     }
 
     /// Access port `i`'s MAC endpoint (to connect a peer).
     pub fn port(&self, i: usize) -> Rc<RefCell<EthMac>> {
-        self.core.borrow().ports[i].clone()
+        self.ports[i].clone()
     }
 
     /// Number of ports.
     pub fn n_ports(&self) -> usize {
-        self.core.borrow().ports.len()
+        self.ports.len()
     }
 
     /// Frames forwarded to a learned port.
@@ -88,7 +98,7 @@ fn forward_port(core: &Rc<RefCell<SwitchCore>>, en: &mut Engine, i: usize) {
         // Decide the egress set while holding only short borrows.
         let (ingress, dst, src) = {
             let c = core.borrow();
-            let p = c.ports[i].clone();
+            let p = c.port(i);
             let (dst, src) = {
                 let pm = p.borrow();
                 match (pm.rx_peek_dst(), pm.rx_peek_src()) {
@@ -121,9 +131,7 @@ fn forward_port(core: &Rc<RefCell<SwitchCore>>, en: &mut Engine, i: usize) {
             .expect("frame still queued") as usize;
         let all_fit = {
             let c = core.borrow();
-            egress
-                .iter()
-                .all(|&p| c.ports[p].borrow().tx_has_space(len))
+            egress.iter().all(|&p| c.port(p).borrow().tx_has_space(len))
         };
         if !all_fit {
             return;
@@ -142,7 +150,7 @@ fn forward_port(core: &Rc<RefCell<SwitchCore>>, en: &mut Engine, i: usize) {
         }
         let egress_ports: Vec<_> = {
             let c = core.borrow();
-            egress.iter().map(|&p| c.ports[p].clone()).collect()
+            egress.iter().map(|&p| c.port(p)).collect()
         };
         for p in egress_ports {
             let ok = mac::send(&p, en, frame.clone());

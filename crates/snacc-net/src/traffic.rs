@@ -9,7 +9,7 @@ use crate::frame::{EthFrame, MacAddr};
 use crate::mac::{self, EthMac};
 use snacc_sim::{Bandwidth, Engine, SimTime};
 use std::cell::RefCell;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 /// The expected payload byte at stream offset `off`.
 #[inline]
@@ -19,7 +19,8 @@ pub fn pattern_byte(off: u64) -> u8 {
 
 /// Streams `total_bytes` of patterned data as fixed-size frames.
 pub struct StreamSender {
-    mac: Rc<RefCell<EthMac>>,
+    /// The MAC it is installed on, which owns it through its hook.
+    mac: Weak<RefCell<EthMac>>,
     dst: MacAddr,
     payload_size: usize,
     total_bytes: u64,
@@ -38,7 +39,7 @@ impl StreamSender {
         total_bytes: u64,
     ) -> Rc<RefCell<StreamSender>> {
         let s = Rc::new(RefCell::new(StreamSender {
-            mac: mac_rc.clone(),
+            mac: Rc::downgrade(&mac_rc),
             dst,
             payload_size,
             total_bytes,
@@ -51,6 +52,12 @@ impl StreamSender {
             .set_tx_space_hook(move |en| StreamSender::kick(&s2, en));
         StreamSender::kick(&s, en);
         s
+    }
+
+    fn mac(&self) -> Rc<RefCell<EthMac>> {
+        self.mac
+            .upgrade()
+            .expect("stream sender -> MAC: the MAC was dropped")
     }
 
     /// Push as many frames as the TX queue accepts right now.
@@ -69,13 +76,13 @@ impl StreamSender {
                 for (i, b) in payload.iter_mut().enumerate() {
                     *b = pattern_byte(s.sent_bytes + i as u64);
                 }
-                let src = s.mac.borrow().addr();
+                let src = s.mac().borrow().addr();
                 let f = EthFrame::data(s.dst, src, payload);
                 // Tentatively account; rolled back if refused.
                 s.sent_bytes += n as u64;
                 f
             };
-            let mac_rc = rc.borrow().mac.clone();
+            let mac_rc = rc.borrow().mac();
             let n = frame.payload.len() as u64;
             if !mac::send(&mac_rc, en, frame) {
                 rc.borrow_mut().sent_bytes -= n;
@@ -97,7 +104,8 @@ impl StreamSender {
 
 /// Consumes frames at a bounded rate and verifies the pattern.
 pub struct RateSink {
-    mac: Rc<RefCell<EthMac>>,
+    /// The MAC it is installed on, which owns it through its hook.
+    mac: Weak<RefCell<EthMac>>,
     /// None = drain at infinite speed.
     rate: Option<Bandwidth>,
     received_bytes: u64,
@@ -110,7 +118,7 @@ impl RateSink {
     /// Attach a sink to `mac`.
     pub fn attach(mac_rc: Rc<RefCell<EthMac>>, rate: Option<Bandwidth>) -> Rc<RefCell<RateSink>> {
         let s = Rc::new(RefCell::new(RateSink {
-            mac: mac_rc.clone(),
+            mac: Rc::downgrade(&mac_rc),
             rate,
             received_bytes: 0,
             mismatches: 0,
@@ -128,7 +136,11 @@ impl RateSink {
         if rc.borrow().busy {
             return;
         }
-        let mac_rc = rc.borrow().mac.clone();
+        let mac_rc = rc
+            .borrow()
+            .mac
+            .upgrade()
+            .expect("rate sink -> MAC: the MAC was dropped");
         let Some(frame) = mac::pop_frame(&mac_rc, en) else {
             return;
         };

@@ -25,7 +25,7 @@ use snacc_sim::{Engine, Payload, SimDuration, SimRng, SimTime};
 use snacc_trace as trace;
 use std::cell::{OnceCell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 /// BAR0 window size (register file + doorbells).
 pub const BAR0_SIZE: u64 = 0x4000;
@@ -166,7 +166,9 @@ impl QueuePair {
 /// The controller state. Use through [`NvmeDeviceHandle`].
 pub struct NvmeDevice {
     node: NodeId,
-    fabric: Rc<RefCell<PcieFabric>>,
+    /// Back-edge to the fabric that owns this device (through its BAR0
+    /// mapping).
+    fabric: Weak<RefCell<PcieFabric>>,
     profile: NvmeProfile,
     nand: NandBackend,
     // Registers.
@@ -193,6 +195,12 @@ pub struct NvmeDevice {
 }
 
 impl NvmeDevice {
+    fn fabric(&self) -> Rc<RefCell<PcieFabric>> {
+        self.fabric
+            .upgrade()
+            .expect("nvme device -> fabric: the fabric was dropped")
+    }
+
     /// Device statistics snapshot.
     pub fn stats(&self) -> NvmeStats {
         self.stats
@@ -405,7 +413,7 @@ impl NvmeDeviceHandle {
         let nand = NandBackend::new(profile.nand.clone(), seed);
         let dev = Rc::new(RefCell::new(NvmeDevice {
             node,
-            fabric: fabric.clone(),
+            fabric: Rc::downgrade(&fabric),
             profile,
             nand,
             cc: 0,
@@ -452,6 +460,12 @@ impl NvmeDeviceHandle {
     /// Fabric address of the CQ head doorbell for `qid`.
     pub fn cq_doorbell_addr(&self, qid: u16) -> u64 {
         self.bar0_base + spec::regs::cq_head_doorbell(qid)
+    }
+
+    /// A non-owning reference to the device state (to check that a
+    /// dropped system released it).
+    pub fn downgrade(&self) -> Weak<RefCell<NvmeDevice>> {
+        Rc::downgrade(&self.inner)
     }
 
     /// Run a closure over the device state.
@@ -533,7 +547,7 @@ fn pump_queue(rc: Rc<RefCell<NvmeDevice>>, en: &mut Engine, qid: u16) {
         entries = q.sq_entries;
         base = q.sq_head;
         q.sq_head = (q.sq_head + count) % q.sq_entries;
-        fabric = d.fabric.clone();
+        fabric = d.fabric();
         node = d.node;
         let _ = (entries, base);
     }
@@ -613,7 +627,7 @@ fn complete_now(rc: &Rc<RefCell<NvmeDevice>>, en: &mut Engine, qid: u16, out: Cq
         if is_err {
             d.stats.errors += 1;
         }
-        fabric = d.fabric.clone();
+        fabric = d.fabric();
         node = d.node;
     }
     let bytes = cqe.encode();
@@ -694,7 +708,7 @@ fn exec_admin(rc: &Rc<RefCell<NvmeDevice>>, en: &mut Engine, sqe: Sqe) {
         if ok {
             let (fabric, node) = {
                 let d = rc.borrow();
-                (d.fabric.clone(), d.node)
+                (d.fabric(), d.node)
             };
             let w = fabric.borrow_mut().write(en, node, sqe.prp1, &data);
             match w {
@@ -768,7 +782,7 @@ fn resolve_prps(
 ) -> Result<(Vec<PrpSeg>, SimTime), Status> {
     let (fabric, node) = {
         let d = rc.borrow();
-        (d.fabric.clone(), d.node)
+        (d.fabric(), d.node)
     };
     let mut t_prp = en.now();
     let walk = walk_prps(sqe.prp1, sqe.prp2, byte_len, |list_addr| {
@@ -942,7 +956,7 @@ fn exec_io_inner(rc: &Rc<RefCell<NvmeDevice>>, en: &mut Engine, qid: u16, sqe: S
 
     let (fabric, node) = {
         let d = rc.borrow();
-        (d.fabric.clone(), d.node)
+        (d.fabric(), d.node)
     };
 
     // PRP list pages were fetched over the fabric (SNAcc's on-the-fly

@@ -69,11 +69,6 @@ impl PcieLinkConfig {
         Self::new(PcieGen::Gen5, 4)
     }
 
-    /// An A100-class GPU link: Gen4 ×16.
-    pub fn gpu_gen4_x16() -> Self {
-        Self::new(PcieGen::Gen4, 16)
-    }
-
     /// Per-direction usable bandwidth.
     pub fn bandwidth(&self) -> Bandwidth {
         Bandwidth::gb_per_s(self.gen.bytes_per_lane() * self.lanes as f64 / 1e9)

@@ -304,11 +304,6 @@ impl PcieFabric {
         NodeId(self.devices.len())
     }
 
-    /// Name of a device node.
-    pub fn device_name(&self, node: NodeId) -> &str {
-        &self.devices[node.0 - 1].name
-    }
-
     /// Map an address range owned by `node` to a target.
     pub fn map_region(
         &mut self,

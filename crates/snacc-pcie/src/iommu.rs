@@ -39,11 +39,6 @@ impl Iommu {
         }
     }
 
-    /// Is the IOMMU in passthrough mode?
-    pub fn is_passthrough(&self) -> bool {
-        self.passthrough
-    }
-
     /// Grant `requester` access to `range`.
     pub fn grant(&mut self, requester: NodeId, range: AddrRange) {
         self.grants.entry(requester).or_default().push(range);

@@ -105,16 +105,6 @@ impl Payload {
         }
     }
 
-    /// Share an existing reference-counted buffer without copying.
-    pub fn from_rc(b: Rc<[u8]>) -> Payload {
-        let len = b.len();
-        Payload {
-            repr: Repr::Bytes(b),
-            off: 0,
-            len,
-        }
-    }
-
     /// A lazily generated synthetic segment of `len` bytes: byte `i` is
     /// [`pattern_byte`]`(seed, i)`. Nothing is allocated until the bytes
     /// are first read; all clones and slices share one materialisation.

@@ -9,7 +9,7 @@
 //! * [`Engine`] — the event queue and scheduler,
 //! * [`link::SharedLink`] — a serialising bandwidth resource used to model
 //!   PCIe links, DRAM ports and NAND channels,
-//! * [`stats`] — counters, byte meters and latency histograms,
+//! * [`stats`] — counters and byte meters,
 //! * [`rng::SimRng`] — a deterministic, seedable PRNG so that every
 //!   simulation run is exactly reproducible.
 //!

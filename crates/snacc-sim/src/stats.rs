@@ -1,10 +1,9 @@
-//! Measurement primitives: counters, byte meters, and latency histograms.
+//! Measurement primitives: counters and byte meters.
 //!
 //! Every number the benchmark harness reports comes out of these types, so
 //! they are deliberately simple and exactly reproducible.
 
-use crate::time::{SimDuration, SimTime};
-use std::fmt;
+use crate::time::SimTime;
 
 /// A monotonically increasing event counter.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -77,154 +76,10 @@ impl ByteMeter {
     }
 }
 
-/// A latency sample set with exact percentile queries.
-///
-/// Keeps all samples (simulations produce at most a few million), sorts
-/// lazily on query.
-#[derive(Clone, Debug, Default)]
-pub struct LatencyStats {
-    samples_ps: Vec<u64>,
-    sorted: bool,
-}
-
-impl LatencyStats {
-    /// Empty sample set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one latency sample.
-    pub fn record(&mut self, d: SimDuration) {
-        self.samples_ps.push(d.as_ps());
-        self.sorted = false;
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> usize {
-        self.samples_ps.len()
-    }
-
-    /// Arithmetic mean; zero duration when empty.
-    pub fn mean(&self) -> SimDuration {
-        if self.samples_ps.is_empty() {
-            return SimDuration::ZERO;
-        }
-        let sum: u128 = self.samples_ps.iter().map(|&x| x as u128).sum();
-        SimDuration::from_ps((sum / self.samples_ps.len() as u128) as u64)
-    }
-
-    /// Minimum sample; zero when empty.
-    pub fn min(&self) -> SimDuration {
-        SimDuration::from_ps(self.samples_ps.iter().copied().min().unwrap_or(0))
-    }
-
-    /// Maximum sample; zero when empty.
-    pub fn max(&self) -> SimDuration {
-        SimDuration::from_ps(self.samples_ps.iter().copied().max().unwrap_or(0))
-    }
-
-    fn sort(&mut self) {
-        if !self.sorted {
-            self.samples_ps.sort_unstable();
-            self.sorted = true;
-        }
-    }
-
-    /// Nearest-rank percentile (`p` in [0, 100]); zero when empty.
-    pub fn percentile(&mut self, p: f64) -> SimDuration {
-        if self.samples_ps.is_empty() {
-            return SimDuration::ZERO;
-        }
-        self.sort();
-        let rank = ((p / 100.0) * (self.samples_ps.len() as f64 - 1.0)).round() as usize;
-        SimDuration::from_ps(self.samples_ps[rank.min(self.samples_ps.len() - 1)])
-    }
-
-    /// Median (p50).
-    pub fn median(&mut self) -> SimDuration {
-        self.percentile(50.0)
-    }
-}
-
-impl fmt::Display for LatencyStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={} min={} max={}",
-            self.count(),
-            self.mean(),
-            self.min(),
-            self.max()
-        )
-    }
-}
-
-/// Min/mean/max over f64 observations (used for alternating-bandwidth
-/// reporting in the Fig 4a reproduction).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RunningStats {
-    n: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        RunningStats {
-            n: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        self.sum += x;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Observation count.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Mean; zero when empty.
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.sum / self.n as f64
-        }
-    }
-
-    /// Minimum; zero when empty.
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Maximum; zero when empty.
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
+    use crate::time::SimDuration;
 
     #[test]
     fn counter_accumulates() {
@@ -249,40 +104,5 @@ mod tests {
     fn byte_meter_zero_window() {
         let m = ByteMeter::new();
         assert_eq!(m.gb_per_s(SimTime::ZERO, SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn latency_percentiles() {
-        let mut l = LatencyStats::new();
-        for us in 1..=100u64 {
-            l.record(SimDuration::from_us(us));
-        }
-        assert_eq!(l.count(), 100);
-        assert_eq!(l.min().as_ns(), 1_000);
-        assert_eq!(l.max().as_ns(), 100_000);
-        let p50 = l.median();
-        assert!(p50 >= SimDuration::from_us(50) && p50 <= SimDuration::from_us(51));
-        let p99 = l.percentile(99.0);
-        assert!(p99 >= SimDuration::from_us(99));
-        assert!((l.mean().as_us_f64() - 50.5).abs() < 0.01);
-    }
-
-    #[test]
-    fn latency_empty() {
-        let mut l = LatencyStats::new();
-        assert_eq!(l.mean(), SimDuration::ZERO);
-        assert_eq!(l.percentile(99.0), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn running_stats() {
-        let mut r = RunningStats::new();
-        for x in [5.9, 6.24, 5.9, 6.24] {
-            r.record(x);
-        }
-        assert_eq!(r.count(), 4);
-        assert!((r.min() - 5.9).abs() < 1e-12);
-        assert!((r.max() - 6.24).abs() < 1e-12);
-        assert!((r.mean() - 6.07).abs() < 1e-9);
     }
 }

@@ -27,7 +27,7 @@ use snacc_sim::bytes::Payload;
 use snacc_sim::{Engine, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 /// I/O direction of a submitted command.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -122,7 +122,8 @@ type CompletionHook = Box<dyn FnMut(&mut Engine, CompletionInfo)>;
 
 struct Inner {
     cfg: SpdkConfig,
-    fabric: Rc<RefCell<PcieFabric>>,
+    /// Back-edge to the fabric that maps the driver's CQ range.
+    fabric: Weak<RefCell<PcieFabric>>,
     hostmem: Rc<RefCell<HostMemory>>,
     nvme: NvmeDeviceHandle,
     cpu: CpuCore,
@@ -147,10 +148,36 @@ struct Inner {
     stats: SpdkStats,
 }
 
+impl Inner {
+    fn fabric(&self) -> Rc<RefCell<PcieFabric>> {
+        self.fabric
+            .upgrade()
+            .expect("spdk driver -> fabric: the fabric was dropped")
+    }
+}
+
 /// The SPDK-style driver handle.
 #[derive(Clone)]
 pub struct SpdkNvme {
     inner: Rc<RefCell<Inner>>,
+}
+
+/// A driver handle that does not keep the driver alive: what a completion
+/// hook that submits follow-up commands captures, since the driver owns
+/// its hook.
+#[derive(Clone)]
+pub struct WeakSpdkNvme(Weak<RefCell<Inner>>);
+
+impl WeakSpdkNvme {
+    /// The driver; panics if it was dropped.
+    pub fn upgrade(&self) -> SpdkNvme {
+        SpdkNvme {
+            inner: self
+                .0
+                .upgrade()
+                .expect("spdk hook -> driver: the driver was dropped"),
+        }
+    }
 }
 
 /// Driver errors.
@@ -214,7 +241,7 @@ impl SpdkNvme {
             stats: SpdkStats::default(),
             cpu: CpuCore::new("spdk-reactor"),
             cfg,
-            fabric,
+            fabric: Rc::downgrade(&fabric),
             hostmem,
             nvme,
         };
@@ -226,7 +253,7 @@ impl SpdkNvme {
     fn reg_write32(&self, en: &mut Engine, off: u64, v: u32) {
         let (fabric, bar) = {
             let i = self.inner.borrow();
-            (i.fabric.clone(), i.nvme.bar0_base())
+            (i.fabric(), i.nvme.bar0_base())
         };
         fabric
             .borrow_mut()
@@ -237,7 +264,7 @@ impl SpdkNvme {
     fn reg_write64(&self, en: &mut Engine, off: u64, v: u64) {
         let (fabric, bar) = {
             let i = self.inner.borrow();
-            (i.fabric.clone(), i.nvme.bar0_base())
+            (i.fabric(), i.nvme.bar0_base())
         };
         fabric
             .borrow_mut()
@@ -246,7 +273,7 @@ impl SpdkNvme {
     }
 
     fn run_admin(&self, en: &mut Engine, mut sqe: Sqe) -> Result<Cqe, SpdkError> {
-        let (addr, tail) = {
+        let tail = {
             let mut i = self.inner.borrow_mut();
             sqe.cid = i.admin_sq.tail();
             let addr = i.admin_sq.tail_addr();
@@ -254,9 +281,8 @@ impl SpdkNvme {
                 .borrow_mut()
                 .store_mut()
                 .write(addr, &sqe.encode());
-            (addr, i.admin_sq.advance_tail())
+            i.admin_sq.advance_tail()
         };
-        let _ = addr;
         self.reg_write32(en, spec::regs::sq_tail_doorbell(0), tail as u32);
         en.run();
         let mut i = self.inner.borrow_mut();
@@ -305,7 +331,7 @@ impl SpdkNvme {
         // Map the CQ as a notifying host range.
         let (entries_io, fabric) = {
             let i = self.inner.borrow();
-            (i.cfg.io_entries, i.fabric.clone())
+            (i.cfg.io_entries, i.fabric())
         };
         let cq_mem = Rc::new(RefCell::new(NotifyTarget::new(
             "spdk-cq",
@@ -317,14 +343,14 @@ impl SpdkNvme {
             cq_mem.clone(),
         );
         {
-            let me = self.clone();
+            let me = self.downgrade();
             cq_mem
                 .borrow_mut()
                 .set_hook(Box::new(move |en, _off, _data, arrival| {
-                    let me2 = me.clone();
+                    let me = me.upgrade();
                     let delay = me.inner.borrow().cfg.host_path_latency;
                     en.schedule_at(arrival.max(en.now()) + delay, move |en| {
-                        me2.reap(en);
+                        me.reap(en);
                     });
                 }));
         }
@@ -351,6 +377,11 @@ impl SpdkNvme {
         s.cdw[1] = 1 | (1 << 16);
         self.run_admin(en, s)?;
         Ok(())
+    }
+
+    /// A non-owning handle to this driver.
+    pub fn downgrade(&self) -> WeakSpdkNvme {
+        WeakSpdkNvme(Rc::downgrade(&self.inner))
     }
 
     /// Install the completion hook.

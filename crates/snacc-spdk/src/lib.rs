@@ -25,4 +25,4 @@ pub mod cpu;
 pub mod driver;
 
 pub use cpu::CpuCore;
-pub use driver::{CompletionInfo, IoKind, SpdkConfig, SpdkNvme};
+pub use driver::{CompletionInfo, IoKind, SpdkConfig, SpdkNvme, WeakSpdkNvme};

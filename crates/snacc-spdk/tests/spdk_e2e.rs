@@ -1,43 +1,31 @@
 //! SPDK-style driver end-to-end tests against the simulated SSD.
 
-use snacc_mem::{AddrRange, HostMemory};
-use snacc_nvme::{NvmeDeviceHandle, NvmeProfile};
-use snacc_pcie::target::HostMemTarget;
-use snacc_pcie::{PcieFabric, HOST_NODE};
-use snacc_sim::{Engine, Payload, SimRng, SimTime};
+use snacc_apps::system::HostSystem;
+use snacc_nvme::NvmeProfile;
+use snacc_sim::{Payload, SimRng, SimTime};
 use snacc_spdk::{SpdkConfig, SpdkNvme};
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::rc::Rc;
 
-const NVME_BAR: u64 = 0x8_0000_0000;
 const CQ_PHYS: u64 = 0x3_0000_0000; // dedicated notifying host range
 
 struct Rig {
-    en: Engine,
+    host: HostSystem,
     spdk: SpdkNvme,
-    nvme: NvmeDeviceHandle,
-    hostmem: Rc<RefCell<HostMemory>>,
 }
 
 fn rig(cfg: SpdkConfig) -> Rig {
-    let mut en = Engine::new();
-    let mut fabric = PcieFabric::new();
-    let hostmem = Rc::new(RefCell::new(HostMemory::default()));
-    let t = Rc::new(RefCell::new(HostMemTarget::new(hostmem.clone(), 0)));
-    fabric.map_region(HOST_NODE, AddrRange::new(0, 8 << 30), t);
-    let fabric = Rc::new(RefCell::new(fabric));
-    let nvme =
-        NvmeDeviceHandle::attach(fabric.clone(), NVME_BAR, NvmeProfile::samsung_990pro(), 77);
-    let spdk = SpdkNvme::new(fabric, hostmem.clone(), nvme.clone(), cfg);
-    spdk.init(&mut en, CQ_PHYS).expect("init");
-    en.run();
-    Rig {
-        en,
-        spdk,
-        nvme,
-        hostmem,
-    }
+    let mut host = HostSystem::bring_up(NvmeProfile::samsung_990pro(), 77);
+    let spdk = SpdkNvme::new(
+        host.fabric.clone(),
+        host.hostmem.clone(),
+        host.nvme.clone(),
+        cfg,
+    );
+    spdk.init(&mut host.en, CQ_PHYS).expect("init");
+    host.en.run();
+    Rig { host, spdk }
 }
 
 #[test]
@@ -53,14 +41,15 @@ fn write_read_roundtrip() {
         .set_completion_hook(move |_, info| d2.borrow_mut().push(info));
 
     r.spdk
-        .submit_write_payload(&mut r.en, 4096, Payload::from(&data[..]))
+        .submit_write_payload(&mut r.host.en, 4096, Payload::from(&data[..]))
         .unwrap();
-    r.en.run();
+    r.host.en.run();
     assert_eq!(done.borrow().len(), 1);
     assert!(done.borrow()[0].ok);
 
     // Media holds it.
     let media = r
+        .host
         .nvme
         .with(|d| d.nand_mut().media_mut().read_vec(4096, data.len()));
     assert_eq!(media, data);
@@ -68,10 +57,10 @@ fn write_read_roundtrip() {
     // Read back through the driver.
     let cid = r
         .spdk
-        .submit_read(&mut r.en, 4096, data.len() as u64)
+        .submit_read(&mut r.host.en, 4096, data.len() as u64)
         .unwrap();
     let slot = r.spdk.slot_of(cid).unwrap();
-    r.en.run();
+    r.host.en.run();
     assert_eq!(done.borrow().len(), 2);
     let back = r.spdk.take_read_data(slot, data.len());
     assert_eq!(back, data);
@@ -81,12 +70,12 @@ fn write_read_roundtrip() {
 fn queue_depth_enforced() {
     let mut r = rig(SpdkConfig::with_queue_depth(4));
     for i in 0..4u64 {
-        r.spdk.submit_read(&mut r.en, i * 4096, 4096).unwrap();
+        r.spdk.submit_read(&mut r.host.en, i * 4096, 4096).unwrap();
     }
     assert!(!r.spdk.can_submit());
-    let e = r.spdk.submit_read(&mut r.en, 0, 4096);
+    let e = r.spdk.submit_read(&mut r.host.en, 0, 4096);
     assert!(e.is_err());
-    r.en.run();
+    r.host.en.run();
     assert!(r.spdk.can_submit());
     assert_eq!(r.spdk.stats().completed, 4);
 }
@@ -99,9 +88,9 @@ fn out_of_order_slot_recycling() {
     let mut r = rig(SpdkConfig::with_queue_depth(2));
     // Warm up one extent (NAND page 1 → die 1).
     r.spdk
-        .submit_write_payload(&mut r.en, 16384, Payload::fill(9, 4096))
+        .submit_write_payload(&mut r.host.en, 16384, Payload::fill(9, 4096))
         .unwrap();
-    r.en.run();
+    r.host.en.run();
 
     let order = Rc::new(RefCell::new(Vec::new()));
     let o2 = order.clone();
@@ -111,9 +100,9 @@ fn out_of_order_slot_recycling() {
     // Cold 4 KiB read (slow, distinct warm-block/die/channel) then warm
     // 4 KiB read (fast): submitted in that order, they must complete in
     // the opposite order.
-    let slow = r.spdk.submit_read(&mut r.en, 10 << 20, 4096).unwrap();
-    let fast = r.spdk.submit_read(&mut r.en, 16384, 4096).unwrap();
-    r.en.run();
+    let slow = r.spdk.submit_read(&mut r.host.en, 10 << 20, 4096).unwrap();
+    let fast = r.spdk.submit_read(&mut r.host.en, 16384, 4096).unwrap();
+    r.host.en.run();
     let order = order.borrow();
     assert_eq!(order.len(), 2);
     assert_eq!(order[0].0, fast, "fast command completes first");
@@ -129,9 +118,9 @@ fn write_latency_under_9us() {
         *l2.borrow_mut() = Some(info.completed.since(info.submitted));
     });
     r.spdk
-        .submit_write_payload(&mut r.en, 0, Payload::fill(1, 4096))
+        .submit_write_payload(&mut r.host.en, 0, Payload::fill(1, 4096))
         .unwrap();
-    r.en.run();
+    r.host.en.run();
     let us = lat.borrow().unwrap().as_us_f64();
     assert!(us < 9.0, "SPDK 4 KiB write took {us} µs");
 }
@@ -145,8 +134,8 @@ fn cold_read_latency_near_57us() {
     r.spdk.set_completion_hook(move |_, info| {
         *l2.borrow_mut() = Some(info.completed.since(info.submitted));
     });
-    r.spdk.submit_read(&mut r.en, 40 << 30, 4096).unwrap();
-    r.en.run();
+    r.spdk.submit_read(&mut r.host.en, 40 << 30, 4096).unwrap();
+    r.host.en.run();
     let us = lat.borrow().unwrap().as_us_f64();
     assert!((50.0..65.0).contains(&us), "SPDK cold 4 KiB read {us} µs");
 }
@@ -160,9 +149,9 @@ fn closed_loop_random_reads_sustain_depth() {
     let chunk = Payload::fill(0xab, 1 << 20);
     for i in 0..64u64 {
         r.spdk
-            .submit_write_payload(&mut r.en, i << 20, chunk.clone())
+            .submit_write_payload(&mut r.host.en, i << 20, chunk.clone())
             .unwrap();
-        r.en.run();
+        r.host.en.run();
     }
     let total = 500u64;
     let issued = Rc::new(RefCell::new(0u64));
@@ -186,11 +175,11 @@ fn closed_loop_random_reads_sustain_depth() {
         let mut i = issued.borrow_mut();
         while *i < 16 {
             let addr = addrs[*i as usize];
-            r.spdk.submit_read(&mut r.en, addr, 4096).unwrap();
+            r.spdk.submit_read(&mut r.host.en, addr, 4096).unwrap();
             *i += 1;
         }
     }
-    r.en.run();
+    r.host.en.run();
     let st = r.spdk.stats();
     assert_eq!(st.completed, st.submitted);
     assert_eq!(st.completed, total + 64); // reads + warming writes
@@ -204,18 +193,17 @@ fn cpu_core_pegged_while_running() {
     let start = SimTime::ZERO;
     for i in 0..8u64 {
         r.spdk
-            .submit_write_payload(&mut r.en, i << 20, data.clone())
+            .submit_write_payload(&mut r.host.en, i << 20, data.clone())
             .unwrap();
-        r.en.run();
+        r.host.en.run();
     }
-    let now = r.en.now();
+    let now = r.host.en.now();
     assert!(
         r.spdk.cpu_occupancy(start, now) > 0.99,
         "polling reactor must claim the core"
     );
     assert!(r.spdk.cpu_busy().as_ns() > 0);
-    r.spdk.shutdown(&mut r.en);
-    let _ = r.hostmem;
+    r.spdk.shutdown(&mut r.host.en);
 }
 
 #[test]
@@ -224,14 +212,15 @@ fn prp_lists_are_stored_in_host_memory() {
     // in host memory.
     let mut r = rig(SpdkConfig::default());
     r.spdk
-        .submit_write_payload(&mut r.en, 0, Payload::fill(3, 1 << 20))
+        .submit_write_payload(&mut r.host.en, 0, Payload::fill(3, 1 << 20))
         .unwrap();
-    r.en.run();
+    r.host.en.run();
     // Find any nonzero stored list: scan pinned region pages (the list
     // pool was allocated after the slabs — just assert media correctness
     // plus completion; the builder unit tests cover the list layout).
     assert_eq!(r.spdk.stats().write_bytes, 1 << 20);
     let media = r
+        .host
         .nvme
         .with(|d| d.nand_mut().media_mut().read_vec(0, 1 << 20));
     let distinct: HashSet<u8> = media.iter().copied().collect();
