@@ -18,6 +18,7 @@ use std::process::Command;
 
 /// Quick-mode peak-RSS budgets, in KiB.
 const RSS_BUDGETS_KIB: &[(&str, u64)] = &[
+    ("fig4a", 512 << 10),
     ("fig4b", 512 << 10),
     ("ext_multi_ssd", 512 << 10),
     ("fig6", 768 << 10),

@@ -1,24 +1,24 @@
-//! TaPaSCo-style platform shell and host runtime.
+//! TaPaSCo-style platform shell.
 //!
 //! TaPaSCo (paper Sec 2.1) generates the platform infrastructure around
-//! user PEs — PCIe endpoint, address map, status core, DMA engine — and
-//! exposes a plugin system through which features like SNAcc's NVMe
-//! subsystem or the 100 G Ethernet stack are added to the design. This
-//! module models that composition layer:
+//! user PEs — PCIe endpoint, address map, status core — and exposes a
+//! plugin system through which features like SNAcc's NVMe subsystem or
+//! the 100 G Ethernet stack are added to the design. This module models
+//! that composition layer:
 //!
 //! * [`TapascoShell`] — the device side: one 64 MB BAR (Sec 4.5), window
 //!   allocation for subsystems, an optional second BAR for large on-board
 //!   DRAM windows, the status core, PE control windows, and on-board DRAM
 //!   attachment.
 //! * [`ShellPlugin`] — the plugin hook SNAcc integrates through.
-//! * [`TapascoRuntime`] — the host side: enumerates the status core over
-//!   real MMIO reads and moves data with the shell DMA engine.
+//!
+//! The host reaches the status core and the DRAM windows with plain
+//! fabric reads and writes.
 
 use crate::resources::ResourceUsage;
 use snacc_mem::{AddrRange, DramConfig, DramController};
-use snacc_pcie::dma::{DmaConfig, DmaEngine};
 use snacc_pcie::target::{DramTarget, ScratchTarget};
-use snacc_pcie::{MmioTarget, NodeId, PcieFabric, PcieLinkConfig, HOST_NODE};
+use snacc_pcie::{MmioTarget, NodeId, PcieFabric, PcieLinkConfig};
 use snacc_sim::{Engine, SimDuration};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -262,55 +262,10 @@ impl TapascoShell {
     }
 }
 
-/// Host-side runtime: talks to the shell over real fabric MMIO.
-pub struct TapascoRuntime {
-    fabric: Rc<RefCell<PcieFabric>>,
-    bar0_base: u64,
-    dma: DmaEngine,
-}
-
-impl TapascoRuntime {
-    /// Connect to a shell's BAR0.
-    pub fn connect(fabric: Rc<RefCell<PcieFabric>>, bar0_base: u64) -> Self {
-        TapascoRuntime {
-            fabric,
-            bar0_base,
-            dma: DmaEngine::new(DmaConfig::tapasco_host()),
-        }
-    }
-
-    /// Verify the status-core magic and return `(version, pe_count)`.
-    pub fn enumerate(&self, en: &mut Engine) -> Option<(u32, u32)> {
-        let mut fab = self.fabric.borrow_mut();
-        let magic = fab.read_u32(en, HOST_NODE, self.bar0_base).ok()?;
-        if magic != STATUS_MAGIC {
-            return None;
-        }
-        let version = fab.read_u32(en, HOST_NODE, self.bar0_base + 4).ok()?;
-        let pes = fab.read_u32(en, HOST_NODE, self.bar0_base + 8).ok()?;
-        Some((version, pes))
-    }
-
-    /// Copy a host buffer into a device window (through the shell DMA).
-    pub fn copy_to_device(&self, en: &mut Engine, dst: u64, data: &[u8]) {
-        let mut fab = self.fabric.borrow_mut();
-        self.dma
-            .write(en, &mut fab, HOST_NODE, dst, data)
-            .expect("DMA write failed");
-    }
-
-    /// Copy a device window into a host buffer.
-    pub fn copy_from_device(&self, en: &mut Engine, src: u64, out: &mut [u8]) {
-        let mut fab = self.fabric.borrow_mut();
-        self.dma
-            .read(en, &mut fab, HOST_NODE, src, out)
-            .expect("DMA read failed");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snacc_pcie::HOST_NODE;
 
     const BAR0: u64 = 0x4_0000_0000;
 
@@ -319,13 +274,19 @@ mod tests {
         (Engine::new(), TapascoShell::new(fabric, BAR0))
     }
 
+    /// The host reads the status core's `(magic, version, pe_count)`
+    /// words over fabric MMIO.
+    fn enumerate(en: &mut Engine, sh: &TapascoShell) -> (u32, u32, u32) {
+        let fabric = sh.fabric();
+        let mut fab = fabric.borrow_mut();
+        let mut word = |off| fab.read_u32(en, HOST_NODE, BAR0 + off).unwrap();
+        (word(0), word(4), word(8))
+    }
+
     #[test]
     fn status_core_enumerates() {
         let (mut en, sh) = shell();
-        let rt = TapascoRuntime::connect(sh.fabric(), BAR0);
-        let (version, pes) = rt.enumerate(&mut en).expect("magic matches");
-        assert_eq!(version, SHELL_VERSION);
-        assert_eq!(pes, 0);
+        assert_eq!(enumerate(&mut en, &sh), (STATUS_MAGIC, SHELL_VERSION, 0));
     }
 
     #[test]
@@ -335,9 +296,7 @@ mod tests {
             .unwrap();
         sh.register_pe("resize", 0x102, ResourceUsage::default())
             .unwrap();
-        let rt = TapascoRuntime::connect(sh.fabric(), BAR0);
-        let (_, pes) = rt.enumerate(&mut en).unwrap();
-        assert_eq!(pes, 2);
+        assert_eq!(enumerate(&mut en, &sh).2, 2);
         assert_eq!(sh.pe_count(), 2);
         assert_eq!(sh.pe_name(1), "resize");
         // Control windows are distinct.
@@ -368,15 +327,16 @@ mod tests {
     }
 
     #[test]
-    fn dram_window_roundtrip_via_dma() {
+    fn dram_window_roundtrip_over_fabric() {
         let (mut en, mut sh) = shell();
         let dram = sh.attach_dram(DramConfig::ddr4_u280());
         let w = sh.map_dram_window(0, 1 << 20).unwrap();
-        let rt = TapascoRuntime::connect(sh.fabric(), BAR0);
         let data: Vec<u8> = (0..65536u32).map(|i| (i % 251) as u8).collect();
-        rt.copy_to_device(&mut en, w.base, &data);
+        let fabric = sh.fabric();
+        let mut fab = fabric.borrow_mut();
+        fab.write(&mut en, HOST_NODE, w.base, &data).unwrap();
         let mut back = vec![0u8; data.len()];
-        rt.copy_from_device(&mut en, w.base, &mut back);
+        fab.read(&mut en, HOST_NODE, w.base, &mut back).unwrap();
         assert_eq!(back, data);
         // Data really lives in the DRAM model.
         assert_eq!(

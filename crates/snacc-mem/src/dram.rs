@@ -10,7 +10,6 @@
 
 use crate::segment::SegmentMemory;
 use snacc_sim::bytes::Payload;
-use snacc_sim::stats::Counter;
 use snacc_sim::{Bandwidth, SharedLink, SimDuration, SimTime};
 
 /// Direction of a memory access.
@@ -58,9 +57,7 @@ pub struct DramController {
     store: SegmentMemory,
     bus: SharedLink,
     last_dir: Option<MemDir>,
-    direction_switches: Counter,
-    reads: Counter,
-    writes: Counter,
+    direction_switches: u64,
 }
 
 impl DramController {
@@ -72,9 +69,7 @@ impl DramController {
             store: SegmentMemory::new(),
             bus,
             last_dir: None,
-            direction_switches: Counter::new(),
-            reads: Counter::new(),
-            writes: Counter::new(),
+            direction_switches: 0,
         }
     }
 
@@ -83,19 +78,9 @@ impl DramController {
         &self.cfg
     }
 
-    /// Number of read accesses served.
-    pub fn reads(&self) -> u64 {
-        self.reads.get()
-    }
-
-    /// Number of write accesses served.
-    pub fn writes(&self) -> u64 {
-        self.writes.get()
-    }
-
     /// Number of bus-direction switches incurred.
     pub fn direction_switches(&self) -> u64 {
-        self.direction_switches.get()
+        self.direction_switches
     }
 
     /// Total bytes moved over the data bus.
@@ -115,15 +100,11 @@ impl DramController {
     /// functional half is done by [`read`](Self::read) /
     /// [`write`](Self::write) which call it.
     pub fn access(&mut self, now: SimTime, dir: MemDir, bytes: u64) -> SimTime {
-        match dir {
-            MemDir::Read => self.reads.inc(),
-            MemDir::Write => self.writes.inc(),
-        }
         let mut penalty = SimDuration::ZERO;
         if let Some(last) = self.last_dir {
             if last != dir {
                 penalty += self.cfg.turnaround;
-                self.direction_switches.inc();
+                self.direction_switches += 1;
             }
         }
         self.last_dir = Some(dir);
@@ -240,13 +221,11 @@ mod tests {
     }
 
     #[test]
-    fn counters_track_ops() {
+    fn bus_counts_bytes_of_every_access() {
         let mut d = DramController::new("dram", quick_cfg());
         d.access(SimTime::ZERO, MemDir::Read, 10);
         d.access(SimTime::ZERO, MemDir::Read, 10);
         d.access(SimTime::ZERO, MemDir::Write, 10);
-        assert_eq!(d.reads(), 2);
-        assert_eq!(d.writes(), 1);
         assert_eq!(d.bytes_transferred(), 30);
     }
 }

@@ -1,10 +1,12 @@
 //! Sparse byte memory.
 //!
-//! All functional storage in the simulation (host DRAM, FPGA DRAM, URAM
-//! contents, SSD NAND media) is a [`SparseMemory`]: a page table of 4 KiB
-//! pages allocated on first write. A "2 TB SSD" therefore costs only as much
-//! host memory as the experiment actually touches, and untouched bytes read
-//! back as zero — matching fresh hardware.
+//! A [`SparseMemory`] is a page table of 4 KiB pages allocated on first
+//! write; untouched bytes read back as zero, matching fresh hardware. It
+//! backs the small MMIO scratch and completion-queue regions
+//! (`ScratchTarget`, `NotifyTarget` in `snacc-pcie`) and is the reference
+//! model in the segment-store equivalence tests. Bulk functional storage
+//! (host DRAM, FPGA DRAM, URAM, NAND media) is a
+//! [`SegmentMemory`](crate::SegmentMemory).
 
 use std::collections::HashMap;
 

@@ -20,7 +20,6 @@ use crate::queue::CqWriter;
 use crate::spec::{self, Cqe, IoOpcode, Sqe, Status, LBA_BYTES, NVME_PAGE, SQE_BYTES};
 use snacc_mem::AddrRange;
 use snacc_pcie::{MmioTarget, NodeId, PcieFabric, HOST_NODE};
-use snacc_sim::stats::Counter;
 use snacc_sim::{Engine, Payload, SimDuration, SimRng, SimTime};
 use snacc_trace as trace;
 use std::cell::{OnceCell, RefCell};
@@ -185,7 +184,6 @@ pub struct NvmeDevice {
     fetch_host: VecDeque<SimTime>,
     fetch_p2p: VecDeque<SimTime>,
     stats: NvmeStats,
-    doorbell_writes: Counter,
     /// Optional fault injector (None = pristine device).
     faults: Option<IoFaultState>,
     /// Cached Identify pages (built once; the contents depend only on the
@@ -351,7 +349,6 @@ impl MmioTarget for NvmeBar0 {
             spec::regs::ASQ => d.asq = v64,
             spec::regs::ACQ => d.acq = v64,
             o if o >= spec::regs::DOORBELL_BASE => {
-                d.doorbell_writes.inc();
                 let idx = (o - spec::regs::DOORBELL_BASE) / spec::regs::DOORBELL_STRIDE;
                 let qid = (idx / 2) as u16;
                 if idx.is_multiple_of(2) {
@@ -426,7 +423,6 @@ impl NvmeDeviceHandle {
             fetch_host: VecDeque::new(),
             fetch_p2p: VecDeque::new(),
             stats: NvmeStats::default(),
-            doorbell_writes: Counter::new(),
             faults: None,
             ident_ctrl: OnceCell::new(),
             ident_ns: OnceCell::new(),

@@ -22,8 +22,7 @@ use crate::tlp::{wire_bytes, READ_REQUEST_BYTES};
 /// not queue behind bulk data windows.
 pub const CTRL_TLP_BYTES: u64 = 512;
 use snacc_mem::{AddrRange, AddressMap};
-use snacc_sim::stats::ByteMeter;
-use snacc_sim::{Engine, SharedLink, SimDuration, SimRng, SimTime};
+use snacc_sim::{Engine, Payload, SharedLink, SimDuration, SimRng, SimTime};
 use snacc_trace as trace;
 use snacc_trace::MeterHandle;
 use std::cell::RefCell;
@@ -184,8 +183,9 @@ pub struct PcieFabric {
     rc_forward: SimDuration,
     /// Payload bytes per *transaction* (counted once, not per link) — the
     /// paper's Fig 7 "data transfers over the PCIe bus" metric.
-    payload: ByteMeter,
-    /// Registry mirror of `payload` (`pcie.payload` in metrics snapshots).
+    payload_bytes: u64,
+    /// Registry mirror of `payload_bytes` (`pcie.payload` in metrics
+    /// snapshots).
     payload_meter: MeterHandle,
     /// Fault injector, absent in normal operation.
     faults: Option<PcieFaultState>,
@@ -206,7 +206,7 @@ impl PcieFabric {
             map: AddressMap::new(),
             iommu: Iommu::passthrough(),
             rc_forward: SimDuration::from_ns(100),
-            payload: ByteMeter::new(),
+            payload_bytes: 0,
             payload_meter: trace::metric_meter("pcie.payload"),
             faults: None,
         }
@@ -325,21 +325,12 @@ impl PcieFabric {
         d.up.bytes_transferred() + d.down.bytes_transferred()
     }
 
-    /// Total bytes moved over all PCIe links (wire-level accounting; each
-    /// peer-to-peer byte appears on two links).
-    pub fn total_bytes(&self) -> u64 {
-        self.devices
-            .iter()
-            .map(|d| d.up.bytes_transferred() + d.down.bytes_transferred())
-            .sum()
-    }
-
     /// Payload bytes transferred over the bus, counted once per
     /// transaction — the paper's Fig 7 metric ("data transfers over the
     /// PCIe bus"): a P2P move is one transfer, staging through host
     /// memory is two.
     pub fn total_payload_bytes(&self) -> u64 {
-        self.payload.bytes()
+        self.payload_bytes
     }
 
     /// Reset all byte meters (e.g. after warm-up).
@@ -348,7 +339,7 @@ impl PcieFabric {
             d.up.reset_meter();
             d.down.reset_meter();
         }
-        self.payload = ByteMeter::new();
+        self.payload_bytes = 0;
         self.payload_meter.reset();
     }
 
@@ -366,21 +357,6 @@ impl PcieFabric {
         }
     }
 
-    fn decode(&self, addr: u64, len: u64) -> Result<DecodedTarget, PcieError> {
-        let (range, entry) = self
-            .map
-            .decode_span(addr, len)
-            .ok_or(PcieError::Unmapped { addr, len })?;
-        Ok((range.offset_of(addr), entry.node, entry.target.clone()))
-    }
-
-    fn check_iommu(&mut self, requester: NodeId, addr: u64, len: u64) -> Result<(), PcieError> {
-        if requester != HOST_NODE && !self.iommu.check(requester, addr, len) {
-            return Err(PcieError::IommuFault { requester, addr });
-        }
-        Ok(())
-    }
-
     /// A non-posted read: `requester` reads `out.len()` bytes at fabric
     /// address `addr`. Returns the time the last completion byte reaches
     /// the requester.
@@ -392,97 +368,11 @@ impl PcieFabric {
         out: &mut [u8],
     ) -> Result<SimTime, PcieError> {
         let now = en.now();
-        self.read_at(en, now, requester, addr, out)
-    }
-
-    /// Like [`read`](Self::read) but the request is issued at `start`
-    /// (≥ now) — used by windowed DMA pumps that book transactions ahead
-    /// of the event clock.
-    pub fn read_at(
-        &mut self,
-        en: &mut Engine,
-        start: SimTime,
-        requester: NodeId,
-        addr: u64,
-        out: &mut [u8],
-    ) -> Result<SimTime, PcieError> {
-        debug_assert!(start >= en.now());
         let len = out.len() as u64;
-        self.check_iommu(requester, addr, len)?;
-        let (offset, target_node, target) = self.decode(addr, len)?;
-        if requester == target_node {
-            return Err(PcieError::LocalAccess);
-        }
-        if self.draw_timeout(en, start, len, addr) {
-            return Err(PcieError::CompletionTimeout { requester, addr });
-        }
-        let p2p = requester != HOST_NODE && target_node != HOST_NODE;
-        let mps = self.mps_for(requester, target_node);
-        self.payload.record(len);
-        self.payload_meter.record(len);
-
-        // Request phase: header-only TLP towards the target (control
-        // traffic: interleaves, never queues behind bulk data).
-        let mut t = start;
-        if requester != HOST_NODE {
-            t = self.devices[requester.0 - 1]
-                .up
-                .transfer_interleaved(t, READ_REQUEST_BYTES);
-        }
-        if p2p {
-            t += self.rc_forward;
-        }
-        if target_node != HOST_NODE {
-            t = self.devices[target_node.0 - 1]
-                .down
-                .transfer_interleaved(t, READ_REQUEST_BYTES);
-        }
-
-        // Service at the target.
-        let service = target.borrow_mut().read(en, t, offset, out);
-        t += service;
-
-        // Completion phase: data flows back to the requester. Small
-        // completions interleave; bulk data queues on the links.
-        let wire = wire_bytes(len, mps);
-        let small = len <= CTRL_TLP_BYTES;
-        if target_node != HOST_NODE {
-            let l = &mut self.devices[target_node.0 - 1].up;
-            t = if small {
-                l.transfer_interleaved(t, wire)
-            } else {
-                l.transfer(t, wire)
-            };
-        }
-        if p2p {
-            t += self.rc_forward;
-        }
-        if requester != HOST_NODE {
-            let l = &mut self.devices[requester.0 - 1].down;
-            t = if small {
-                l.transfer_interleaved(t, wire)
-            } else {
-                l.transfer(t, wire)
-            };
-        }
-        t = self.degrade(start, len, t);
-        // Bulk transfers (control TLPs would swamp the trace) get an
-        // issue→completion span on the requesting device's track.
-        if !small && trace::enabled() {
-            let dev = if requester != HOST_NODE {
-                requester
-            } else {
-                target_node
-            };
-            trace::span_between(
-                &format!("pcie.{}", self.devices[dev.0 - 1].name),
-                "tlp.read",
-                start,
-                t,
-                &[("addr", addr), ("len", len)],
-            );
-        }
-        Ok(t)
+        self.read_txn(en, now, requester, addr, len, |target, en, at, offset| {
+            ((), target.read(en, at, offset, out))
+        })
+        .map(|((), t)| t)
     }
 
     /// A posted write: `requester` writes `data` at fabric address `addr`.
@@ -495,75 +385,16 @@ impl PcieFabric {
         data: &[u8],
     ) -> Result<SimTime, PcieError> {
         let now = en.now();
-        self.write_at(en, now, requester, addr, data)
-    }
-
-    /// Like [`write`](Self::write) but issued at `start` (≥ now).
-    pub fn write_at(
-        &mut self,
-        en: &mut Engine,
-        start: SimTime,
-        requester: NodeId,
-        addr: u64,
-        data: &[u8],
-    ) -> Result<SimTime, PcieError> {
-        debug_assert!(start >= en.now());
         let len = data.len() as u64;
-        self.check_iommu(requester, addr, len)?;
-        let (offset, target_node, target) = self.decode(addr, len)?;
-        if requester == target_node {
-            return Err(PcieError::LocalAccess);
-        }
-        let p2p = requester != HOST_NODE && target_node != HOST_NODE;
-        let mps = self.mps_for(requester, target_node);
-        let wire = wire_bytes(len, mps);
-        let small = len <= CTRL_TLP_BYTES;
-        self.payload.record(len);
-        self.payload_meter.record(len);
-
-        let mut t = start;
-        if requester != HOST_NODE {
-            let l = &mut self.devices[requester.0 - 1].up;
-            t = if small {
-                l.transfer_interleaved(t, wire)
-            } else {
-                l.transfer(t, wire)
-            };
-        }
-        if p2p {
-            t += self.rc_forward;
-        }
-        if target_node != HOST_NODE {
-            let l = &mut self.devices[target_node.0 - 1].down;
-            t = if small {
-                l.transfer_interleaved(t, wire)
-            } else {
-                l.transfer(t, wire)
-            };
-        }
-        let service = target.borrow_mut().write(en, t, offset, data);
-        let done = self.degrade(start, len, t + service);
-        if !small && trace::enabled() {
-            let dev = if requester != HOST_NODE {
-                requester
-            } else {
-                target_node
-            };
-            trace::span_between(
-                &format!("pcie.{}", self.devices[dev.0 - 1].name),
-                "tlp.write",
-                start,
-                done,
-                &[("addr", addr), ("len", len)],
-            );
-        }
-        Ok(done)
+        self.write_txn(en, now, requester, addr, len, |target, en, at, offset| {
+            target.write(en, at, offset, data)
+        })
     }
 
-    /// Zero-copy variant of [`read_at`](Self::read_at): the target returns
-    /// the bytes as a [`snacc_sim::bytes::Payload`] view of its segment
-    /// store instead of filling a caller buffer. Timing, fault injection,
-    /// TLP accounting and tracing are identical to the byte path.
+    /// Zero-copy read issued at `start` (≥ now): the target returns the
+    /// bytes as a [`Payload`] view of its segment store instead of filling
+    /// a caller buffer. Otherwise the same transaction as
+    /// [`read`](Self::read).
     pub fn read_payload_at(
         &mut self,
         en: &mut Engine,
@@ -571,142 +402,96 @@ impl PcieFabric {
         requester: NodeId,
         addr: u64,
         len: u64,
-    ) -> Result<(snacc_sim::bytes::Payload, SimTime), PcieError> {
-        debug_assert!(start >= en.now());
-        self.check_iommu(requester, addr, len)?;
-        let (offset, target_node, target) = self.decode(addr, len)?;
-        if requester == target_node {
-            return Err(PcieError::LocalAccess);
-        }
-        if self.draw_timeout(en, start, len, addr) {
-            return Err(PcieError::CompletionTimeout { requester, addr });
-        }
-        let p2p = requester != HOST_NODE && target_node != HOST_NODE;
-        let mps = self.mps_for(requester, target_node);
-        self.payload.record(len);
-        self.payload_meter.record(len);
-
-        // Request phase: header-only TLP towards the target (control
-        // traffic: interleaves, never queues behind bulk data).
-        let mut t = start;
-        if requester != HOST_NODE {
-            t = self.devices[requester.0 - 1]
-                .up
-                .transfer_interleaved(t, READ_REQUEST_BYTES);
-        }
-        if p2p {
-            t += self.rc_forward;
-        }
-        if target_node != HOST_NODE {
-            t = self.devices[target_node.0 - 1]
-                .down
-                .transfer_interleaved(t, READ_REQUEST_BYTES);
-        }
-
-        // Service at the target.
-        let (data, service) = target
-            .borrow_mut()
-            .read_payload(en, t, offset, len as usize);
-        t += service;
-
-        // Completion phase: data flows back to the requester. Small
-        // completions interleave; bulk data queues on the links.
-        let wire = wire_bytes(len, mps);
-        let small = len <= CTRL_TLP_BYTES;
-        if target_node != HOST_NODE {
-            let l = &mut self.devices[target_node.0 - 1].up;
-            t = if small {
-                l.transfer_interleaved(t, wire)
-            } else {
-                l.transfer(t, wire)
-            };
-        }
-        if p2p {
-            t += self.rc_forward;
-        }
-        if requester != HOST_NODE {
-            let l = &mut self.devices[requester.0 - 1].down;
-            t = if small {
-                l.transfer_interleaved(t, wire)
-            } else {
-                l.transfer(t, wire)
-            };
-        }
-        t = self.degrade(start, len, t);
-        if !small && trace::enabled() {
-            let dev = if requester != HOST_NODE {
-                requester
-            } else {
-                target_node
-            };
-            trace::span_between(
-                &format!("pcie.{}", self.devices[dev.0 - 1].name),
-                "tlp.read",
-                start,
-                t,
-                &[("addr", addr), ("len", len)],
-            );
-        }
-        Ok((data, t))
+    ) -> Result<(Payload, SimTime), PcieError> {
+        self.read_txn(en, start, requester, addr, len, |target, en, at, offset| {
+            target.read_payload(en, at, offset, len as usize)
+        })
     }
 
-    /// Zero-copy variant of [`write_at`](Self::write_at): the target
-    /// retains the [`snacc_sim::bytes::Payload`] window in its segment
-    /// store instead of copying from a caller buffer. Timing, fault
-    /// injection, TLP accounting and tracing are identical to the byte
-    /// path.
+    /// Zero-copy write issued at `start` (≥ now): the target retains the
+    /// [`Payload`] window in its segment store instead of copying from a
+    /// caller buffer. Otherwise the same transaction as
+    /// [`write`](Self::write).
     pub fn write_payload_at(
         &mut self,
         en: &mut Engine,
         start: SimTime,
         requester: NodeId,
         addr: u64,
-        data: snacc_sim::bytes::Payload,
+        data: Payload,
     ) -> Result<SimTime, PcieError> {
-        debug_assert!(start >= en.now());
         let len = data.len() as u64;
-        self.check_iommu(requester, addr, len)?;
-        let (offset, target_node, target) = self.decode(addr, len)?;
-        if requester == target_node {
-            return Err(PcieError::LocalAccess);
+        self.write_txn(en, start, requester, addr, len, |target, en, at, offset| {
+            target.write_payload(en, at, offset, data)
+        })
+    }
+
+    /// The non-posted read transaction behind every read entry point.
+    /// `access` serves the read at the target, given the request's arrival
+    /// time and its offset within the mapped window.
+    fn read_txn<R>(
+        &mut self,
+        en: &mut Engine,
+        start: SimTime,
+        requester: NodeId,
+        addr: u64,
+        len: u64,
+        access: impl FnOnce(&mut dyn MmioTarget, &mut Engine, SimTime, u64) -> (R, SimDuration),
+    ) -> Result<(R, SimTime), PcieError> {
+        debug_assert!(start >= en.now());
+        let (offset, target_node, target) = self.route(requester, addr, len)?;
+        if self.draw_timeout(en, start, len, addr) {
+            return Err(PcieError::CompletionTimeout { requester, addr });
         }
-        let p2p = requester != HOST_NODE && target_node != HOST_NODE;
-        let mps = self.mps_for(requester, target_node);
-        let wire = wire_bytes(len, mps);
+        let wire = wire_bytes(len, self.mps_for(requester, target_node));
         let small = len <= CTRL_TLP_BYTES;
-        self.payload.record(len);
+        self.payload_bytes += len;
         self.payload_meter.record(len);
 
-        let mut t = start;
-        if requester != HOST_NODE {
-            let l = &mut self.devices[requester.0 - 1].up;
-            t = if small {
-                l.transfer_interleaved(t, wire)
-            } else {
-                l.transfer(t, wire)
-            };
+        // Request phase: a header-only TLP towards the target (control
+        // traffic: interleaves, never queues behind bulk data).
+        let t = self.hop(start, requester, target_node, READ_REQUEST_BYTES, true);
+        let (out, service) = access(&mut *target.borrow_mut(), en, t, offset);
+        // Completion phase: the data flows back to the requester.
+        let t = self.hop(t + service, target_node, requester, wire, small);
+        let done = self.degrade(start, len, t);
+        if !small && trace::enabled() {
+            trace::span_between(
+                &self.track(requester, target_node),
+                "tlp.read",
+                start,
+                done,
+                &[("addr", addr), ("len", len)],
+            );
         }
-        if p2p {
-            t += self.rc_forward;
-        }
-        if target_node != HOST_NODE {
-            let l = &mut self.devices[target_node.0 - 1].down;
-            t = if small {
-                l.transfer_interleaved(t, wire)
-            } else {
-                l.transfer(t, wire)
-            };
-        }
-        let service = target.borrow_mut().write_payload(en, t, offset, data);
+        Ok((out, done))
+    }
+
+    /// The posted write transaction behind every write entry point.
+    /// `access` absorbs the data at the target, given its arrival time and
+    /// its offset within the mapped window.
+    fn write_txn(
+        &mut self,
+        en: &mut Engine,
+        start: SimTime,
+        requester: NodeId,
+        addr: u64,
+        len: u64,
+        access: impl FnOnce(&mut dyn MmioTarget, &mut Engine, SimTime, u64) -> SimDuration,
+    ) -> Result<SimTime, PcieError> {
+        debug_assert!(start >= en.now());
+        let (offset, target_node, target) = self.route(requester, addr, len)?;
+        let wire = wire_bytes(len, self.mps_for(requester, target_node));
+        let small = len <= CTRL_TLP_BYTES;
+        self.payload_bytes += len;
+        self.payload_meter.record(len);
+
+        let t = self.hop(start, requester, target_node, wire, small);
+        let service = access(&mut *target.borrow_mut(), en, t, offset);
         let done = self.degrade(start, len, t + service);
         if !small && trace::enabled() {
-            let dev = if requester != HOST_NODE {
-                requester
-            } else {
-                target_node
-            };
             trace::span_between(
-                &format!("pcie.{}", self.devices[dev.0 - 1].name),
+                &self.track(requester, target_node),
                 "tlp.write",
                 start,
                 done,
@@ -714,6 +499,62 @@ impl PcieFabric {
             );
         }
         Ok(done)
+    }
+
+    /// Check the IOMMU, decode the target and refuse local accesses.
+    fn route(
+        &mut self,
+        requester: NodeId,
+        addr: u64,
+        len: u64,
+    ) -> Result<DecodedTarget, PcieError> {
+        if requester != HOST_NODE && !self.iommu.check(requester, addr, len) {
+            return Err(PcieError::IommuFault { requester, addr });
+        }
+        let (range, entry) = self
+            .map
+            .decode_span(addr, len)
+            .ok_or(PcieError::Unmapped { addr, len })?;
+        if requester == entry.node {
+            return Err(PcieError::LocalAccess);
+        }
+        Ok((range.offset_of(addr), entry.node, entry.target.clone()))
+    }
+
+    /// Carry `wire` bytes from `src` to `dst` starting at `t`: the
+    /// source's up-link, the root-complex hop of a peer-to-peer move, and
+    /// the destination's down-link. Small transfers interleave; bulk data
+    /// queues on the links.
+    fn hop(&mut self, mut t: SimTime, src: NodeId, dst: NodeId, wire: u64, small: bool) -> SimTime {
+        let book = |l: &mut SharedLink, t| {
+            if small {
+                l.transfer_interleaved(t, wire)
+            } else {
+                l.transfer(t, wire)
+            }
+        };
+        if src != HOST_NODE {
+            t = book(&mut self.devices[src.0 - 1].up, t);
+        }
+        if src != HOST_NODE && dst != HOST_NODE {
+            t += self.rc_forward;
+        }
+        if dst != HOST_NODE {
+            t = book(&mut self.devices[dst.0 - 1].down, t);
+        }
+        t
+    }
+
+    /// The trace track of a bulk transaction's span (control TLPs would
+    /// swamp the trace): the device taking part, or the requester of a
+    /// peer-to-peer move.
+    fn track(&self, requester: NodeId, target: NodeId) -> String {
+        let dev = if requester != HOST_NODE {
+            requester
+        } else {
+            target
+        };
+        format!("pcie.{}", self.devices[dev.0 - 1].name)
     }
 
     /// Convenience: 32-bit register read (host driver MMIO).
@@ -737,18 +578,6 @@ impl PcieFabric {
         value: u32,
     ) -> Result<SimTime, PcieError> {
         self.write(en, requester, addr, &value.to_le_bytes())
-    }
-
-    /// Convenience: 64-bit read.
-    pub fn read_u64(
-        &mut self,
-        en: &mut Engine,
-        requester: NodeId,
-        addr: u64,
-    ) -> Result<u64, PcieError> {
-        let mut b = [0u8; 8];
-        self.read(en, requester, addr, &mut b)?;
-        Ok(u64::from_le_bytes(b))
     }
 }
 
@@ -912,6 +741,115 @@ mod tests {
         // Control-sized traffic is untouched even inside the window.
         fab.write_u32(&mut en, HOST_NODE, 0x0, 1).unwrap();
         assert_eq!(fab.fault_stats().degraded, 1);
+    }
+
+    /// Window bases of host memory, the FPGA and the SSD.
+    const EQ_BASES: [u64; 3] = [0x1_0000_0000, 0x10_0000_0000, 0x20_0000_0000];
+    const EQ_WINDOW: u64 = 1 << 20;
+
+    /// The same fabric on every call: host memory and two devices, each
+    /// with a scratch window, an enforcing IOMMU (the SSD may not reach the
+    /// FPGA) and seeded timeout and degradation faults.
+    fn equivalence_rig() -> (
+        Engine,
+        PcieFabric,
+        [NodeId; 3],
+        Vec<Rc<RefCell<ScratchTarget>>>,
+    ) {
+        let mut fab = PcieFabric::new();
+        let fpga = fab.add_device("fpga", PcieLinkConfig::alveo_u280());
+        let ssd = fab.add_device("ssd", PcieLinkConfig::nvme_gen4_x4());
+        fab.set_iommu(Iommu::new());
+        let nodes = [HOST_NODE, fpga, ssd];
+        let windows = nodes
+            .iter()
+            .enumerate()
+            .map(|(i, &node)| {
+                let t = scratch("win");
+                fab.map_region(node, AddrRange::new(EQ_BASES[i], EQ_WINDOW), t.clone());
+                t
+            })
+            .collect();
+        let iommu = fab.iommu_mut();
+        iommu.grant(fpga, AddrRange::new(EQ_BASES[0], EQ_WINDOW));
+        iommu.grant(fpga, AddrRange::new(EQ_BASES[2], EQ_WINDOW));
+        iommu.grant(ssd, AddrRange::new(EQ_BASES[0], EQ_WINDOW));
+        fab.install_faults(PcieFaultConfig {
+            timeout_rate: 0.25,
+            window: None,
+            degrade_window: Some((SimTime::from_ns(20_000), SimTime::from_ns(60_000))),
+            degrade_extra: SimDuration::from_us(3),
+            seed: 9,
+        });
+        (Engine::new(), fab, nodes, windows)
+    }
+
+    type Outcome = Result<(SimTime, Vec<u8>), PcieError>;
+
+    /// Host→device, device→host and peer-to-peer writes then reads of 8 B
+    /// and 64 KiB, through the byte or the zero-copy entry points.
+    fn equivalence_traffic(zero_copy: bool) -> (PcieFabric, Vec<Outcome>, Vec<Vec<u8>>) {
+        let (mut en, mut fab, nodes, windows) = equivalence_rig();
+        let mut outcomes = Vec::new();
+        for round in 0..3u64 {
+            for (r, &requester) in nodes.iter().enumerate() {
+                for (t, base) in EQ_BASES.iter().enumerate().filter(|&(t, _)| t != r) {
+                    for len in [8usize, 64 << 10] {
+                        let addr = base + round * 0x4_0000 + if len == 8 { 0x2_0000 } else { 0 };
+                        let seed = round * 9 + r as u64 * 3 + t as u64;
+                        let data: Vec<u8> =
+                            (0..len).map(|i| (i as u64 * 31 + seed) as u8).collect();
+                        let now = en.now();
+                        let write = if zero_copy {
+                            let p = Payload::from_vec(data);
+                            fab.write_payload_at(&mut en, now, requester, addr, p)
+                        } else {
+                            fab.write(&mut en, requester, addr, &data)
+                        };
+                        outcomes.push(write.map(|t| (t, Vec::new())));
+                        let read = if zero_copy {
+                            fab.read_payload_at(&mut en, now, requester, addr, len as u64)
+                                .map(|(p, t)| (t, p.as_slice().to_vec()))
+                        } else {
+                            let mut out = vec![0u8; len];
+                            fab.read(&mut en, requester, addr, &mut out)
+                                .map(|t| (t, out))
+                        };
+                        outcomes.push(read);
+                        en.schedule_in(SimDuration::from_us(2), |_| {});
+                        en.run();
+                    }
+                }
+            }
+        }
+        let contents = windows
+            .iter()
+            .map(|w| w.borrow_mut().mem_mut().read_vec(0, EQ_WINDOW as usize))
+            .collect();
+        (fab, outcomes, contents)
+    }
+
+    #[test]
+    fn byte_and_payload_entry_points_are_one_transaction() {
+        let (bytes, byte_outcomes, byte_contents) = equivalence_traffic(false);
+        let (payload, payload_outcomes, payload_contents) = equivalence_traffic(true);
+        assert_eq!(byte_outcomes.len(), 72);
+        for (i, (b, p)) in byte_outcomes.iter().zip(&payload_outcomes).enumerate() {
+            assert_eq!(b, p, "transaction {i}");
+        }
+        for node in [NodeId(1), NodeId(2)] {
+            assert_eq!(bytes.link_bytes(node), payload.link_bytes(node));
+        }
+        assert_eq!(bytes.total_payload_bytes(), payload.total_payload_bytes());
+        assert_eq!(bytes.fault_stats(), payload.fault_stats());
+        assert!(byte_contents == payload_contents, "window contents differ");
+        // Every path the bodies share was taken.
+        let stats = bytes.fault_stats();
+        assert!(stats.timeouts > 0 && stats.degraded > 0, "{stats:?}");
+        assert!(byte_outcomes
+            .iter()
+            .any(|o| matches!(o, Err(PcieError::IommuFault { .. }))));
+        assert!(byte_outcomes.iter().any(|o| o.is_ok()));
     }
 
     #[test]

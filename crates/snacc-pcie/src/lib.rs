@@ -14,11 +14,12 @@
 //!   BARs) are registered in one global address map; `read`/`write` route a
 //!   transaction over the involved links, book their bandwidth, apply the
 //!   IOMMU, and functionally move the bytes to/from the registered
-//!   [`target::MmioTarget`].
+//!   [`target::MmioTarget`]. Reads and writes each have one transaction
+//!   body; the byte (`read`/`write`) and zero-copy
+//!   (`read_payload_at`/`write_payload_at`) entry points differ only in
+//!   how the target serves the access.
 //! * [`iommu::Iommu`] — permission table for device-initiated accesses
 //!   (the paper notes P2P requires IOMMU grants; Sec 4).
-//! * [`dma::DmaEngine`] — a credit-windowed transfer pump used by host-side
-//!   infrastructure (TaPaSCo's DMA engine) and baselines.
 //!
 //! Reentrancy rule: [`target::MmioTarget`] implementations are *passive*
 //! (memories, register files, PRP responders). Active reactions to MMIO
@@ -27,7 +28,6 @@
 //! exactly this purpose. This keeps `RefCell` borrows non-overlapping.
 
 pub mod config;
-pub mod dma;
 pub mod fabric;
 pub mod iommu;
 pub mod target;

@@ -9,7 +9,6 @@
 //! * [`Engine`] — the event queue and scheduler,
 //! * [`link::SharedLink`] — a serialising bandwidth resource used to model
 //!   PCIe links, DRAM ports and NAND channels,
-//! * [`stats`] — counters and byte meters,
 //! * [`rng::SimRng`] — a deterministic, seedable PRNG so that every
 //!   simulation run is exactly reproducible.
 //!
@@ -42,7 +41,6 @@ pub mod bytes;
 pub mod engine;
 pub mod link;
 pub mod rng;
-pub mod stats;
 pub mod time;
 
 pub use bytes::{Payload, PayloadQueue};

@@ -6,7 +6,6 @@
 //! fixed propagation latency, so contention between concurrent users falls
 //! out naturally from `free_at` bookkeeping instead of explicit queues.
 
-use crate::stats::ByteMeter;
 use crate::time::{SimDuration, SimTime};
 use std::fmt;
 
@@ -92,7 +91,7 @@ pub struct SharedLink {
     bandwidth: Bandwidth,
     latency: SimDuration,
     free_at: SimTime,
-    meter: ByteMeter,
+    bytes: u64,
 }
 
 impl SharedLink {
@@ -103,7 +102,7 @@ impl SharedLink {
             bandwidth,
             latency,
             free_at: SimTime::ZERO,
-            meter: ByteMeter::new(),
+            bytes: 0,
         }
     }
 
@@ -129,12 +128,7 @@ impl SharedLink {
 
     /// Total bytes ever moved across this link.
     pub fn bytes_transferred(&self) -> u64 {
-        self.meter.bytes()
-    }
-
-    /// Total transfer operations.
-    pub fn transfers(&self) -> u64 {
-        self.meter.ops()
+        self.bytes
     }
 
     /// Book a transfer of `bytes` requested at `now`; returns arrival time
@@ -143,7 +137,7 @@ impl SharedLink {
         let start = now.max(self.free_at);
         let occupy = self.bandwidth.time_for(bytes);
         self.free_at = start + occupy;
-        self.meter.record(bytes);
+        self.bytes += bytes;
         self.free_at + self.latency
     }
 
@@ -156,7 +150,7 @@ impl SharedLink {
     /// completion.
     pub fn transfer_interleaved(&mut self, now: SimTime, bytes: u64) -> SimTime {
         let occupy = self.bandwidth.time_for(bytes);
-        self.meter.record(bytes);
+        self.bytes += bytes;
         now + occupy + self.latency
     }
 
@@ -171,24 +165,13 @@ impl SharedLink {
         let start = now.max(self.free_at);
         let occupy = self.bandwidth.time_for(bytes) + overhead;
         self.free_at = start + occupy;
-        self.meter.record(bytes);
+        self.bytes += bytes;
         self.free_at + self.latency
-    }
-
-    /// Observed average throughput between t = 0 and `now`.
-    pub fn observed_bandwidth(&self, now: SimTime) -> Bandwidth {
-        let secs = now.as_secs_f64();
-        if secs <= 0.0 || self.meter.bytes() == 0 {
-            return Bandwidth::gb_per_s(f64::MIN_POSITIVE);
-        }
-        Bandwidth {
-            bytes_per_sec: self.meter.bytes() as f64 / secs,
-        }
     }
 
     /// Reset byte accounting (keeps timing state).
     pub fn reset_meter(&mut self) {
-        self.meter = ByteMeter::new();
+        self.bytes = 0;
     }
 }
 
@@ -228,7 +211,6 @@ mod tests {
         let a2 = l.transfer(t0, 1000);
         assert_eq!(a2.as_ns(), 2100);
         assert_eq!(l.bytes_transferred(), 2000);
-        assert_eq!(l.transfers(), 2);
     }
 
     #[test]
@@ -245,14 +227,5 @@ mod tests {
         let a = l.transfer_with_overhead(SimTime::ZERO, 100, SimDuration::from_ns(20));
         assert_eq!(a.as_ns(), 120);
         assert_eq!(l.free_at().as_ns(), 120);
-    }
-
-    #[test]
-    fn observed_bandwidth_tracks_bytes() {
-        let mut l = SharedLink::new("test", Bandwidth::gb_per_s(2.0), SimDuration::ZERO);
-        l.transfer(SimTime::ZERO, 2_000_000);
-        let end = l.free_at();
-        let bw = l.observed_bandwidth(end);
-        assert!((bw.as_gb_per_s() - 2.0).abs() < 0.01, "{bw:?}");
     }
 }
