@@ -49,9 +49,9 @@ struct Flags {
 }
 
 /// Parse the telemetry flags (`--flag value` or `--flag=value`); other
-/// arguments are ignored. A flag without a value, a `--jobs` that is not
-/// a positive integer, or a `--faults` plan that cannot be loaded is an
-/// error.
+/// arguments are ignored. A flag without a value, an output path whose
+/// directory does not exist, a `--jobs` that is not a positive integer,
+/// or a `--faults` plan that cannot be loaded is an error.
 fn parse(mut args: impl Iterator<Item = String>) -> Result<Flags, String> {
     let mut f = Flags {
         jobs: 1,
@@ -76,9 +76,9 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<Flags, String> {
             .or_else(|| args.next())
             .ok_or_else(|| format!("{flag} needs a value"))?;
         match flag.as_str() {
-            "--trace" => f.trace_path = Some(v.into()),
-            "--metrics-json" => f.metrics_path = Some(v.into()),
-            "--perf-json" => f.perf_path = Some(v.into()),
+            "--trace" => f.trace_path = Some(output_path(&flag, v)?),
+            "--metrics-json" => f.metrics_path = Some(output_path(&flag, v)?),
+            "--perf-json" => f.perf_path = Some(output_path(&flag, v)?),
             "--faults" => {
                 let plan = FaultPlan::load(&v).map_err(|e| format!("--faults {e}"))?;
                 f.faults = Some((v.into(), plan));
@@ -93,6 +93,20 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<Flags, String> {
         }
     }
     Ok(f)
+}
+
+/// The export path given to `flag`, refused up front when its directory
+/// does not exist (the write would only fail after the whole run).
+fn output_path(flag: &str, v: String) -> Result<PathBuf, String> {
+    let path = PathBuf::from(v);
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() && !dir.is_dir() => Err(format!(
+            "{flag} {}: directory {} does not exist",
+            path.display(),
+            dir.display()
+        )),
+        _ => Ok(path),
+    }
 }
 
 /// Peak resident set size of this process in KiB, from
@@ -202,11 +216,22 @@ impl Telemetry {
         }
     }
 
-    /// Write the requested export files and stop recording.
+    /// Write the requested export files and stop recording. A file that
+    /// cannot be written prints `error: …` and exits with status 2.
     pub fn finish(self) {
+        if let Err(e) = self.write_exports() {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+    }
+
+    fn write_exports(self) -> Result<(), String> {
+        let failed =
+            |flag: &str, p: &PathBuf, e: std::io::Error| format!("{flag} {}: {e}", p.display());
         if let Some(p) = &self.trace_path {
             let tracer = snacc_trace::uninstall().expect("tracer was installed");
-            std::fs::write(p, snacc_trace::export_chrome_trace(&tracer)).expect("write trace");
+            std::fs::write(p, snacc_trace::export_chrome_trace(&tracer))
+                .map_err(|e| failed("--trace", p, e))?;
             eprintln!(
                 "(trace: {} events -> {}; open in https://ui.perfetto.dev)",
                 tracer.events_recorded(),
@@ -214,7 +239,8 @@ impl Telemetry {
             );
         }
         if let Some(p) = &self.metrics_path {
-            std::fs::write(p, snacc_trace::registry().snapshot_json()).expect("write metrics");
+            std::fs::write(p, snacc_trace::registry().snapshot_json())
+                .map_err(|e| failed("--metrics-json", p, e))?;
             eprintln!("(metrics -> {})", p.display());
         }
         if let Some(p) = &self.perf_path {
@@ -233,12 +259,13 @@ impl Telemetry {
             let record = format!(
                 "{{\"wall_seconds\": {wall:.3}, \"events_executed\": {events}, \"peak_rss_kb\": {rss}}}"
             );
-            merge_json_entry(p, &bin, &record).expect("write perf json");
+            merge_json_entry(p, &bin, &record).map_err(|e| failed("--perf-json", p, e))?;
             eprintln!(
                 "(perf: {wall:.3} s wall, {events} events, {rss} KiB peak RSS -> {})",
                 p.display()
             );
         }
+        Ok(())
     }
 }
 
@@ -333,6 +360,52 @@ mod tests {
     #[test]
     fn missing_fault_plan_is_an_error() {
         assert!(err(&["--faults", "no/such/plan.toml"]).contains("no/such/plan.toml"));
+    }
+
+    /// `flag` with a path under a missing directory is refused at parse
+    /// time; a path that exists but cannot be written (a directory) fails
+    /// the export with an error naming the flag instead of panicking.
+    fn unwritable_output_is_an_error(flag: &str, set: impl FnOnce(&mut Telemetry, PathBuf)) {
+        let e = err(&[flag, "/no/such/dir/t.json"]);
+        assert!(e.starts_with(flag) && e.contains("/no/such/dir"), "{e}");
+        assert!(err(&[&format!("{flag}=/no/such/dir/t.json")]).starts_with(flag));
+        let mut t = Telemetry {
+            trace_path: None,
+            metrics_path: None,
+            perf_path: None,
+            fault_plan: None,
+            jobs: 1,
+            started: Instant::now(),
+        };
+        let dir = std::env::temp_dir();
+        set(&mut t, dir.clone());
+        let e = t
+            .write_exports()
+            .expect_err("writing to a directory must fail");
+        assert!(e.starts_with(&format!("{flag} {}", dir.display())), "{e}");
+    }
+
+    #[test]
+    fn unwritable_trace_path_is_an_error() {
+        snacc_trace::install(Tracer::new());
+        unwritable_output_is_an_error("--trace", |t, p| t.trace_path = Some(p));
+    }
+
+    #[test]
+    fn unwritable_metrics_path_is_an_error() {
+        unwritable_output_is_an_error("--metrics-json", |t, p| t.metrics_path = Some(p));
+    }
+
+    #[test]
+    fn unwritable_perf_path_is_an_error() {
+        unwritable_output_is_an_error("--perf-json", |t, p| t.perf_path = Some(p));
+    }
+
+    #[test]
+    fn output_in_the_working_directory_is_accepted() {
+        let f = ok(&["--trace", "t.json", "--perf-json", "./p.json"]);
+        assert_eq!(f.trace_path, Some(PathBuf::from("t.json")));
+        assert_eq!(f.perf_path, Some(PathBuf::from("./p.json")));
     }
 
     #[test]

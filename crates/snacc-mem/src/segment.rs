@@ -5,27 +5,36 @@
 //! URAM). Instead of copying every written byte into 4 KiB pages, it keeps
 //! an ordered map of non-overlapping [`Payload`] windows:
 //!
-//! * **Writes retain the payload** — an O(1) metadata insert. Lazy pattern
-//!   or fill segments stay lazy; a 2 GiB synthetic write pass moves
-//!   O(segments) metadata instead of gigabytes of bytes.
+//! * **Writes retain the payload** and copy no bytes. Lazy pattern or fill
+//!   segments stay lazy; a 2 GiB synthetic write pass moves O(segments)
+//!   metadata instead of gigabytes of bytes. A write costs one ordered-map
+//!   descent plus one step per segment it overlaps: a single backward walk
+//!   finds the trimmed head, the covered segments, the split tail and the
+//!   join candidates, and the write lands in place in the predecessor's
+//!   or an overwritten segment's slot where it can. Only keys that appear
+//!   or disappear cost another descent.
 //! * **Reads return zero-copy views** — a read covered by one segment is a
 //!   slice of that segment's backing; gaps come back as lazy zero-fill.
 //!   Only reads spanning multiple backings copy (via [`Payload::concat`]),
 //!   and [`read_payload_parts`](SegmentMemory::read_payload_parts) avoids
 //!   even that for consumers that can handle a part list.
 //! * **Copy-on-write coalescing** bounds fragmentation: when more than
-//!   [`COALESCE_SEGS`] segments accumulate inside one 1 MiB window, the
-//!   window is materialised into a single owned segment. This is the only
-//!   copying path in the store. The bound equals the pages per window, so
+//!   [`COALESCE_SEGS`] segments start inside one 1 MiB window, the window
+//!   is materialised into a single owned segment. This is the only copying
+//!   path in the store. The bound equals the pages per window, so
 //!   page-granular traffic (NVMe pages, streamer ring slots) never copies;
-//!   only sub-page fragmentation does.
+//!   only sub-page fragmentation does. A per-window count of segment
+//!   starts, kept in step with every key insert and removal, makes the
+//!   check after each write O(1); the window is walked only when it is
+//!   about to be materialised.
 //!
 //! The byte-oriented API (`write`/`read`/`read_vec`/scalar helpers) matches
 //! `SparseMemory` so ring buffers, descriptor pages and tests work
 //! unchanged.
 
 use snacc_sim::bytes::Payload;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::sparse::PAGE_SIZE;
 
@@ -42,12 +51,38 @@ pub const COALESCE_SEGS: usize = (COALESCE_WINDOW / PAGE_SIZE as u64) as usize;
 /// lazy fill segment materialises if a byte of it is ever inspected.
 const FILL_CHUNK: u64 = 1 << 20;
 
+/// Hasher for window numbers: one multiply spreads consecutive windows
+/// over the table (the keys are plain integers, never adversarial).
+#[derive(Default)]
+struct WindowHasher(u64);
+
+impl Hasher for WindowHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
 /// A sparse, zero-initialised byte-addressable memory storing zero-copy
 /// payload segments. See the module docs.
 #[derive(Default)]
 pub struct SegmentMemory {
     /// Non-overlapping segments keyed by start byte address.
     segs: BTreeMap<u64, Payload>,
+    /// Segment starts per coalescing window, keyed by
+    /// `start / COALESCE_WINDOW`; windows without a start have no entry.
+    /// Every key insert and removal in `segs` goes through `put`/`take`,
+    /// which keep this in step.
+    window_starts: HashMap<u64, u32, BuildHasherDefault<WindowHasher>>,
     bytes_written: u64,
     bytes_read: u64,
 }
@@ -103,10 +138,10 @@ impl SegmentMemory {
         self.write_payload(addr, Payload::from(data));
     }
 
-    /// Write a payload window starting at `addr` — O(log segments) metadata
-    /// update, no byte copying. Overlapped extents of existing segments are
-    /// trimmed (zero-copy slices); adjacent windows of the same backing
-    /// re-join so a producer slicing one large buffer leaves one segment.
+    /// Write a payload window starting at `addr` — a metadata update, no
+    /// byte copying. Overlapped extents of existing segments are trimmed
+    /// (zero-copy slices); adjacent windows of the same backing re-join so
+    /// a producer slicing one large buffer leaves one segment.
     pub fn write_payload(&mut self, addr: u64, data: Payload) {
         self.bytes_written += data.len() as u64;
         self.insert_segment(addr, data);
@@ -145,9 +180,17 @@ impl SegmentMemory {
     /// back as lazy zero-fill); spans crossing backings copy once.
     pub fn read_payload(&mut self, addr: u64, len: usize) -> Payload {
         self.bytes_read += len as u64;
+        if len == 0 {
+            return Payload::empty();
+        }
+        let end = addr + len as u64;
+        if let Some((&s, seg)) = self.segs.range(..=addr).next_back() {
+            if s + seg.len() as u64 >= end {
+                return seg.slice((addr - s) as usize..(end - s) as usize);
+            }
+        }
         let parts = self.gather_parts(addr, len);
         match parts.len() {
-            0 => Payload::empty(),
             1 => parts.into_iter().next().expect("len checked"),
             _ => Payload::concat(&parts),
         }
@@ -208,6 +251,32 @@ impl SegmentMemory {
     /// Drop all contents.
     pub fn clear(&mut self) {
         self.segs.clear();
+        self.window_starts.clear();
+    }
+
+    /// Insert or replace the segment starting at `start`, counting a new
+    /// start in its window.
+    fn put(&mut self, start: u64, seg: Payload) {
+        if self.segs.insert(start, seg).is_none() {
+            *self
+                .window_starts
+                .entry(start / COALESCE_WINDOW)
+                .or_insert(0) += 1;
+        }
+    }
+
+    /// Remove the segment starting at `start`, uncounting its start.
+    fn take(&mut self, start: u64) {
+        if self.segs.remove(&start).is_none() {
+            return;
+        }
+        let win = start / COALESCE_WINDOW;
+        match self.window_starts.get_mut(&win) {
+            Some(n) if *n > 1 => *n -= 1,
+            _ => {
+                self.window_starts.remove(&win);
+            }
+        }
     }
 
     /// Gather `[addr, addr + len)` as zero-copy parts: segment slices plus
@@ -267,78 +336,115 @@ impl SegmentMemory {
     /// Insert `data` at `addr`, trimming any overlapped extents of existing
     /// segments and re-joining with same-backing neighbours. All slicing is
     /// zero-copy.
+    ///
+    /// One backward walk from the last segment starting at or before `end`
+    /// visits the successor at `end`, the segments overlapping
+    /// `[addr, end)` and the predecessor ending at `addr`. It trims the
+    /// head in place and keeps handles to the predecessor's slot and to
+    /// the slot of a segment starting at `addr`, so the write lands in one
+    /// of them whenever it can. Keys that appear or disappear (a split
+    /// tail, covered segments past `addr`, a successor absorbed by a join,
+    /// a write at a fresh key) cost one more descent each.
     fn insert_segment(&mut self, addr: u64, data: Payload) {
         if data.is_empty() {
             return;
         }
         let end = addr + data.len() as u64;
-        // Trim a segment that starts before `addr` and overlaps it.
-        if let Some((&s, seg)) = self.segs.range_mut(..addr).next_back() {
-            let seg_end = s + seg.len() as u64;
-            if seg_end > addr {
-                let left = seg.slice(0..(addr - s) as usize);
-                let right = if seg_end > end {
-                    Some(seg.slice((end - s) as usize..seg.len()))
-                } else {
-                    None
-                };
-                *seg = left;
-                if let Some(tail) = right {
-                    self.segs.insert(end, tail);
-                }
-            }
-        }
-        // Remove segments starting inside the new window; keep any tail
-        // extending past it.
-        let covered: Vec<u64> = self.segs.range(addr..end).map(|(&s, _)| s).collect();
-        for s in covered {
-            let seg = self.segs.remove(&s).expect("listed");
-            let seg_end = s + seg.len() as u64;
-            if seg_end > end {
-                self.segs
-                    .insert(end, seg.slice((end - s) as usize..seg.len()));
-            }
-        }
-        // Join with the predecessor / successor when they continue the same
-        // backing buffer (zero-copy window merge).
-        let mut start = addr;
         let mut merged = data;
-        if let Some((&s, seg)) = self.segs.range(..addr).next_back() {
-            if s + seg.len() as u64 == addr {
-                if let Some(j) = seg.try_join(&merged) {
-                    self.segs.remove(&s);
-                    start = s;
-                    merged = j;
+        // Overlapped keys to drop, the overlapped extent past `end`
+        // (re-inserted there unless joined), whether the successor at `end`
+        // was absorbed, and `merged` when no existing slot took it.
+        let mut covered: Vec<u64> = Vec::new();
+        let mut tail: Option<Payload> = None;
+        let mut take_succ = false;
+        let mut unplaced = None;
+        {
+            let mut succ: Option<&Payload> = None;
+            let mut at_addr: Option<&mut Payload> = None;
+            let mut pred: Option<&mut Payload> = None;
+            for (&s, seg) in self.segs.range_mut(..=end).rev() {
+                if s == end {
+                    succ = Some(seg);
+                    continue;
+                }
+                let seg_end = s + seg.len() as u64;
+                if seg_end <= addr {
+                    if seg_end == addr {
+                        pred = Some(seg);
+                    }
+                    break;
+                }
+                if seg_end > end {
+                    tail = Some(seg.slice((end - s) as usize..seg.len()));
+                }
+                if s < addr {
+                    *seg = seg.slice(0..(addr - s) as usize);
+                    pred = Some(seg);
+                    break;
+                }
+                if s == addr {
+                    at_addr = Some(seg);
+                } else {
+                    covered.push(s);
                 }
             }
-        }
-        if let Some(succ) = self.segs.get(&end) {
-            if let Some(j) = merged.try_join(succ) {
-                self.segs.remove(&end);
+            // Join with the predecessor, then the successor, when they
+            // continue the same backing buffer (zero-copy window merge).
+            let joined_pred = match pred.as_deref().and_then(|p| p.try_join(&merged)) {
+                Some(j) => {
+                    merged = j;
+                    true
+                }
+                None => false,
+            };
+            if let Some(j) = tail.as_ref().or(succ).and_then(|n| merged.try_join(n)) {
                 merged = j;
+                take_succ = tail.take().is_none();
+            }
+            match (pred, at_addr) {
+                (Some(p), at_addr) if joined_pred => {
+                    *p = merged;
+                    if at_addr.is_some() {
+                        covered.push(addr);
+                    }
+                }
+                (_, Some(slot)) => *slot = merged,
+                _ => unplaced = Some(merged),
             }
         }
-        self.segs.insert(start, merged);
+        for s in covered {
+            self.take(s);
+        }
+        if take_succ {
+            self.take(end);
+        }
+        if let Some(t) = tail {
+            self.put(end, t);
+        }
+        if let Some(m) = unplaced {
+            self.put(addr, m);
+        }
     }
 
     /// If the 1 MiB window containing `addr` holds more than
-    /// [`COALESCE_SEGS`] segments, materialise its covered extent into one
-    /// owned segment (the store's only copying path).
+    /// [`COALESCE_SEGS`] segment starts, materialise the extent covered by
+    /// its first `COALESCE_SEGS + 1` segments into one owned segment (the
+    /// store's only copying path).
     fn maybe_coalesce(&mut self, addr: u64) {
-        let win_start = addr & !(COALESCE_WINDOW - 1);
+        let win = addr / COALESCE_WINDOW;
+        match self.window_starts.get(&win) {
+            Some(&n) if n as usize > COALESCE_SEGS => {}
+            _ => return,
+        }
+        let win_start = win * COALESCE_WINDOW;
         let win_end = win_start + COALESCE_WINDOW;
-        let mut count = 0usize;
         let mut lo = u64::MAX;
         let mut hi = 0u64;
-        for (&s, seg) in self.segs.range(win_start..win_end) {
-            count += 1;
+        for (&s, seg) in self.segs.range(win_start..win_end).take(COALESCE_SEGS + 1) {
             lo = lo.min(s);
             hi = hi.max((s + seg.len() as u64).min(win_end));
-            if count > COALESCE_SEGS {
-                break;
-            }
         }
-        if count <= COALESCE_SEGS || lo >= hi {
+        if lo >= hi {
             return;
         }
         let len = (hi - lo) as usize;
@@ -351,6 +457,179 @@ impl SegmentMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The stored layout: `(start, len)` of every segment, in order.
+    fn layout(m: &SegmentMemory) -> Vec<(u64, usize)> {
+        m.segs.iter().map(|(&s, seg)| (s, seg.len())).collect()
+    }
+
+    /// The window-start index recounted from scratch.
+    fn recount_window_starts(m: &SegmentMemory) -> HashMap<u64, u32> {
+        let mut counts = HashMap::new();
+        for &s in m.segs.keys() {
+            *counts.entry(s / COALESCE_WINDOW).or_insert(0) += 1;
+        }
+        counts
+    }
+
+    fn assert_index_in_step(m: &SegmentMemory, step: usize) {
+        let index: HashMap<u64, u32> = m.window_starts.iter().map(|(&w, &n)| (w, n)).collect();
+        assert_eq!(
+            index,
+            recount_window_starts(m),
+            "window index diverged at op {step}"
+        );
+    }
+
+    /// A 4 KiB shared backing whose adjacent windows re-join.
+    fn backing() -> Payload {
+        Payload::from_vec((0u8..=255).cycle().take(4096).collect())
+    }
+
+    #[test]
+    fn layout_disjoint_write() {
+        let mut m = SegmentMemory::new();
+        m.write(0, &[1u8; 8]);
+        m.write(100, &[2u8; 8]);
+        m.write(50, &[3u8; 8]);
+        assert_eq!(layout(&m), [(0, 8), (50, 8), (100, 8)]);
+    }
+
+    #[test]
+    fn layout_join_with_predecessor() {
+        let mut m = SegmentMemory::new();
+        let b = backing();
+        m.write_payload(0, b.slice(0..512));
+        m.write_payload(512, b.slice(512..1024));
+        assert_eq!(layout(&m), [(0, 1024)]);
+        assert_eq!(m.read_payload(0, 1024), b.slice(0..1024));
+    }
+
+    #[test]
+    fn layout_join_with_successor() {
+        let mut m = SegmentMemory::new();
+        let b = backing();
+        m.write_payload(512, b.slice(512..1024));
+        m.write_payload(0, b.slice(0..512));
+        assert_eq!(layout(&m), [(0, 1024)]);
+        assert_eq!(m.read_payload(0, 1024), b.slice(0..1024));
+    }
+
+    #[test]
+    fn layout_join_with_both_neighbours() {
+        let mut m = SegmentMemory::new();
+        let b = backing();
+        m.write_payload(0, b.slice(0..512));
+        m.write_payload(1024, b.slice(1024..1536));
+        assert_eq!(layout(&m), [(0, 512), (1024, 512)]);
+        m.write_payload(512, b.slice(512..1024));
+        assert_eq!(layout(&m), [(0, 1536)]);
+        assert_eq!(m.read_payload(0, 1536), b.slice(0..1536));
+    }
+
+    #[test]
+    fn layout_exact_overwrite() {
+        let mut m = SegmentMemory::new();
+        m.write(0, &[9u8; 4]);
+        m.write(64, &[1u8; 64]);
+        m.write(64, &[2u8; 64]);
+        assert_eq!(layout(&m), [(0, 4), (64, 64)]);
+        assert_eq!(m.read_vec(64, 64), vec![2u8; 64]);
+    }
+
+    #[test]
+    fn layout_head_overwrite_keeps_tail() {
+        let mut m = SegmentMemory::new();
+        m.write(0, &[1u8; 64]);
+        m.write(0, &[2u8; 16]);
+        assert_eq!(layout(&m), [(0, 16), (16, 48)]);
+        let mut want = vec![2u8; 16];
+        want.extend([1u8; 48]);
+        assert_eq!(m.read_vec(0, 64), want);
+    }
+
+    #[test]
+    fn layout_head_overwrite_rejoins_tail() {
+        // Ring reuse of a joined window: the new head continues the
+        // backing of the segment's remaining tail, so one segment is left.
+        let mut m = SegmentMemory::new();
+        let old = Payload::from_vec(vec![7u8; 1024]);
+        m.write_payload(0, old);
+        let b = backing();
+        m.write_payload(0, b.slice(0..1024));
+        m.write_payload(0, b.slice(0..256));
+        assert_eq!(layout(&m), [(0, 1024)]);
+        // A head from another backing splits it again.
+        m.write(0, &[5u8; 256]);
+        assert_eq!(layout(&m), [(0, 256), (256, 768)]);
+        m.write_payload(0, b.slice(0..256));
+        assert_eq!(layout(&m), [(0, 1024)]);
+        assert_eq!(m.read_payload(0, 1024), b.slice(0..1024));
+    }
+
+    #[test]
+    fn layout_middle_split() {
+        let mut m = SegmentMemory::new();
+        m.write(0, &[1u8; 64]);
+        m.write(16, &[2u8; 16]);
+        assert_eq!(layout(&m), [(0, 16), (16, 16), (32, 32)]);
+        // Writing the cut-out window back re-joins all three pieces.
+        let b = backing();
+        m.write_payload(0, b.slice(0..64));
+        m.write_payload(16, b.slice(16..32));
+        assert_eq!(layout(&m), [(0, 64)]);
+    }
+
+    #[test]
+    fn layout_overwrite_covering_several_segments() {
+        let mut m = SegmentMemory::new();
+        for i in 0..8u64 {
+            m.write(i * 10, &[i as u8; 10]);
+        }
+        m.write(15, &[0xee; 50]);
+        assert_eq!(layout(&m), [(0, 10), (10, 5), (15, 50), (65, 5), (70, 10)]);
+        m.write(10, &[0xdd; 60]);
+        assert_eq!(layout(&m), [(0, 10), (10, 60), (70, 10)]);
+    }
+
+    #[test]
+    fn window_index_matches_recount() {
+        // Small writes packed into three windows (and across their
+        // boundaries) so the copy-on-write coalescer fires, mixed with
+        // every other mutating entry point.
+        let mut m = SegmentMemory::new();
+        let b = Payload::pattern(11, 1 << 16);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut coalesced = 0;
+        for step in 0..20_000 {
+            let addr = (1 + next() % 3) * COALESCE_WINDOW + next() % (16 << 10) - (8 << 10);
+            let len = 1 + next() % 64;
+            let before = m.segment_count();
+            match next() % 100 {
+                _ if step % 5000 == 4999 => m.clear(),
+                0..=46 => m.write(addr, &vec![step as u8; len as usize]),
+                47..=93 => {
+                    let from = (next() % (1 << 15)) as usize;
+                    m.write_payload(addr, b.slice(from..from + len as usize));
+                }
+                94..=95 => m.fill(addr, len * 64, step as u8),
+                _ => m.copy_within(addr, addr ^ (1 << 12), len as usize * 8),
+            }
+            // A write of at most 64 bytes removes at most 64 segments by
+            // overlap; a bigger drop is the coalescer.
+            if m.segment_count() + 64 < before && !m.segs.is_empty() {
+                coalesced += 1;
+            }
+            assert_index_in_step(&m, step);
+        }
+        assert!(coalesced > 0, "the coalescer never fired");
+    }
 
     #[test]
     fn zero_initialised() {
