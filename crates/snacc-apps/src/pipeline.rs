@@ -18,8 +18,10 @@ use crate::images::{
 use snacc_core::streamer::UserPorts;
 use snacc_faults::FaultPlan;
 use snacc_fpga::axis::{self, AxisChannel, StreamBeat};
+use snacc_mem::HostMemory;
 use snacc_net::frame::{EthFrame, MacAddr};
 use snacc_net::mac::{self, EthMac, MacConfig};
+use snacc_nvme::NvmeDeviceHandle;
 use snacc_sim::{Engine, Payload, PayloadQueue, SimDuration, SimTime};
 use snacc_trace as trace;
 use std::cell::RefCell;
@@ -721,6 +723,20 @@ pub struct CaseStudyReport {
     pub resyncs: u64,
     /// Bytes discarded while resynchronising (0 when lossless).
     pub bytes_skipped: u64,
+    /// Bytes the SSD's NAND media holds in materialised buffers when the
+    /// run finishes ([`snacc_mem::SegmentMemory::backing_bytes`]).
+    pub nand_backing_bytes: u64,
+    /// The same gauge for host memory.
+    pub host_backing_bytes: u64,
+}
+
+/// `(NAND media, host memory)` bytes held in materialised buffers, for
+/// [`CaseStudyReport`].
+pub(crate) fn backing_bytes(nvme: &NvmeDeviceHandle, hostmem: &RefCell<HostMemory>) -> (u64, u64) {
+    (
+        nvme.with(|d| d.nand_mut().media_mut().backing_bytes()),
+        hostmem.borrow_mut().store_mut().backing_bytes(),
+    )
 }
 
 /// The two MACs of the capture link (sender side, receiver side). The
@@ -815,6 +831,7 @@ pub fn run_snacc_case_study_with(
     let image_bytes = c.images_stored * ImageFormat::capture().bytes() as u64;
     let elapsed = end.since(start);
     let correct = c.records.iter().filter(|r| r.class == r.truth).count() as u64;
+    let (nand_backing_bytes, host_backing_bytes) = backing_bytes(&sys.nvme, &sys.hostmem);
     CaseStudyReport {
         images: c.images_stored,
         image_bytes,
@@ -826,6 +843,8 @@ pub fn run_snacc_case_study_with(
         pcie_bytes: sys.pcie_bytes(),
         resyncs: c.resyncs(),
         bytes_skipped: c.bytes_skipped(),
+        nand_backing_bytes,
+        host_backing_bytes,
     }
 }
 

@@ -277,14 +277,16 @@ impl Inner {
             let submit = {
                 let i = rc.borrow();
                 let base = i.buffers[buf].pinned.phys_addr(stage_off);
-                // The staged extent, as a view of the windows the DMA left
-                // in host memory.
-                let data = i
+                // The staged extent, as the list of windows the DMA left
+                // in host memory: extents spanning several backings (a
+                // header window next to a cached body) reach the media
+                // without a concatenated copy.
+                let parts = i
                     .hostmem
                     .borrow_mut()
                     .store_mut()
-                    .read_payload(base, len as usize);
-                i.spdk.submit_write_payload(en, ssd_addr, data)
+                    .read_payload_parts(base, len as usize);
+                i.spdk.submit_write_parts(en, ssd_addr, &parts)
             };
             match submit {
                 Ok(_) => {
@@ -488,6 +490,8 @@ pub fn run_host_case_study(
     let image_bytes = cfg.images * crate::images::ImageFormat::capture().bytes() as u64;
     let elapsed = end.since(start);
     let correct = c.records.iter().filter(|r| r.class == r.truth).count() as u64;
+    let (nand_backing_bytes, host_backing_bytes) =
+        crate::pipeline::backing_bytes(&host.nvme, &host.hostmem);
     let occupancy = spdk.cpu_occupancy(SimTime::ZERO, end);
     assert!(
         occupancy > 0.99,
@@ -504,5 +508,7 @@ pub fn run_host_case_study(
         pcie_bytes: host.fabric.borrow().total_payload_bytes(),
         resyncs: c.resyncs(),
         bytes_skipped: c.bytes_skipped(),
+        nand_backing_bytes,
+        host_backing_bytes,
     }
 }

@@ -7,7 +7,7 @@ use snacc_apps::pipeline::{run_snacc_case_study_with, CaseStudyConfig};
 use snacc_apps::spdk_ref::run_spdk_case_study;
 use snacc_apps::system::{SnaccSystem, SystemConfig};
 use snacc_bench::sweep::{self, JobOutput};
-use snacc_bench::workloads::FaultSummary;
+use snacc_bench::workloads::{record_backing_bytes, FaultSummary};
 use snacc_bench::{print_table, BenchRecord, Telemetry};
 use snacc_core::config::StreamerVariant;
 
@@ -85,6 +85,7 @@ fn main() {
                     "{label}: {:.2} GB/s, {:.0} frames/s, accuracy {}/{}",
                     report.bandwidth_gbps, report.fps, report.correct, report.classified
                 ));
+                record_backing_bytes(&label, &report);
                 BenchRecord::new("fig6", &label, report.bandwidth_gbps, Some(paper), "GB/s")
             }) as sweep::Job<'_, BenchRecord>
         })

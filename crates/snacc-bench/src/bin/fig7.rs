@@ -7,6 +7,7 @@ use snacc_apps::gpu::{run_gpu_case_study, GpuModel};
 use snacc_apps::pipeline::{run_snacc_case_study, CaseStudyConfig};
 use snacc_apps::spdk_ref::run_spdk_case_study;
 use snacc_apps::system::{SnaccSystem, SystemConfig};
+use snacc_bench::workloads::record_backing_bytes;
 use snacc_bench::{print_table, BenchRecord, Telemetry};
 use snacc_core::config::StreamerVariant;
 
@@ -58,6 +59,7 @@ fn main() {
                 Cfg::Spdk => run_spdk_case_study(cfg.clone(), 7),
                 Cfg::Gpu => run_gpu_case_study(cfg.clone(), GpuModel::default(), 7),
             };
+            record_backing_bytes(&label, &report);
             let ratio = report.pcie_bytes as f64 / report.image_bytes as f64;
             println!(
                 "{label}: {:.2} PCIe bytes per stored byte ({:.1} GB on the bus)",

@@ -1,5 +1,6 @@
 //! Shared workload drivers for the evaluation binaries.
 
+use snacc_apps::pipeline::CaseStudyReport;
 use snacc_apps::system::{layout, HostSystem, SnaccSystem, SystemConfig};
 use snacc_core::config::StreamerVariant;
 use snacc_core::streamer::encode_read_cmd;
@@ -208,6 +209,26 @@ impl std::fmt::Display for FaultSummary {
             self.recovered,
             self.gave_up,
         )
+    }
+}
+
+/// Put a finished case-study configuration's residency gauges into the
+/// metrics registry, so `--metrics-json` reports them as
+/// `mem.<config>.nand_backing_bytes` and `mem.<config>.host_backing_bytes`.
+/// `<config>` is `label` lower-cased, with every run of other characters
+/// folded to `_` ("FPGA (On-board DRAM)" becomes `fpga_on_board_dram`).
+pub fn record_backing_bytes(label: &str, report: &CaseStudyReport) {
+    let config = label
+        .to_ascii_lowercase()
+        .split(|c: char| !c.is_ascii_alphanumeric())
+        .filter(|w| !w.is_empty())
+        .collect::<Vec<_>>()
+        .join("_");
+    for (store, bytes) in [
+        ("nand", report.nand_backing_bytes),
+        ("host", report.host_backing_bytes),
+    ] {
+        snacc_trace::metric_counter(&format!("mem.{config}.{store}_backing_bytes")).add(bytes);
     }
 }
 

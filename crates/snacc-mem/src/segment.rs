@@ -33,7 +33,7 @@
 //! unchanged.
 
 use snacc_sim::bytes::Payload;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::sparse::PAGE_SIZE;
@@ -111,6 +111,20 @@ impl SegmentMemory {
             }
         }
         pages
+    }
+
+    /// Bytes held in the materialised byte buffers the store references,
+    /// each distinct buffer counted once at its full length (a window keeps
+    /// its whole buffer alive). Lazy pattern and fill segments hold none.
+    /// Computed on demand in one pass over the segments.
+    pub fn backing_bytes(&self) -> u64 {
+        let mut seen = HashSet::new();
+        self.segs
+            .values()
+            .filter_map(Payload::owned_backing)
+            .filter(|&(id, _)| seen.insert(id))
+            .map(|(_, len)| len as u64)
+            .sum()
     }
 
     /// Number of resident segments (fragmentation metric).
@@ -728,6 +742,27 @@ mod tests {
         assert_eq!(m.resident_pages(), 2);
         m.write(2_000_000_000_000 - 4, &[7u8; 8]);
         assert_eq!(m.resident_pages(), 4, "straddles two pages");
+    }
+
+    #[test]
+    fn backing_bytes_counts_each_buffer_once() {
+        let mut m = SegmentMemory::new();
+        let b = backing();
+        // Two non-adjacent windows of one 4 KiB buffer keep all of it.
+        m.write_payload(0, b.slice(0..16));
+        m.write_payload(1 << 30, b.slice(100..200));
+        assert_eq!(m.backing_bytes(), 4096);
+        // Lazy segments hold no bytes, even once read.
+        m.write_payload(8192, Payload::pattern(1, 4096));
+        m.fill(1 << 20, 3 << 20, 0xab);
+        assert_eq!(m.read_vec(8192, 8)[0], snacc_sim::bytes::pattern_byte(1, 0));
+        assert_eq!(m.backing_bytes(), 4096);
+        m.write(64, &[1u8; 10]);
+        assert_eq!(m.backing_bytes(), 4106);
+        // Dropping the last window drops the buffer from the count.
+        m.write_payload(0, Payload::fill(0, 16));
+        m.write_payload(1 << 30, Payload::fill(0, 100));
+        assert_eq!(m.backing_bytes(), 10);
     }
 
     #[test]

@@ -234,6 +234,17 @@ impl Payload {
             None
         }
     }
+
+    /// The materialised byte buffer behind this window, as `(identity,
+    /// buffer length)`: every window of one buffer reports the same
+    /// identity, so callers can count shared buffers once. `None` for
+    /// lazy pattern and fill windows.
+    pub fn owned_backing(&self) -> Option<(usize, usize)> {
+        match &self.repr {
+            Repr::Bytes(b) => Some((Rc::as_ptr(b).cast::<u8>() as usize, b.len())),
+            Repr::Pattern(_) | Repr::Fill(_) => None,
+        }
+    }
 }
 
 /// A FIFO of [`Payload`] segments addressable as one logical byte stream.

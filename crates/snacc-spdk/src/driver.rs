@@ -419,7 +419,7 @@ impl SpdkNvme {
     /// the slot's slab; fetch it with [`take_read_data`](Self::take_read_data)
     /// after completion.
     pub fn submit_read(&self, en: &mut Engine, addr: u64, len: u64) -> Result<u16, SpdkError> {
-        self.submit(en, IoKind::Read, addr, len, None)
+        self.submit(en, IoKind::Read, addr, len, &[])
     }
 
     /// Submit a write of a payload window at byte address `addr`. The slab
@@ -431,8 +431,21 @@ impl SpdkNvme {
         addr: u64,
         data: Payload,
     ) -> Result<u16, SpdkError> {
-        let len = data.len() as u64;
-        self.submit(en, IoKind::Write, addr, len, Some(data))
+        self.submit_write_parts(en, addr, std::slice::from_ref(&data))
+    }
+
+    /// Submit one write whose data is `parts`, back to back from byte
+    /// address `addr`. Each part lands in the slab as its own window, so
+    /// a command gathered from several backings is never concatenated;
+    /// the device's page fetches copy only a page that straddles a seam.
+    pub fn submit_write_parts(
+        &self,
+        en: &mut Engine,
+        addr: u64,
+        parts: &[Payload],
+    ) -> Result<u16, SpdkError> {
+        let len = parts.iter().map(|p| p.len() as u64).sum();
+        self.submit(en, IoKind::Write, addr, len, parts)
     }
 
     fn submit(
@@ -441,7 +454,7 @@ impl SpdkNvme {
         kind: IoKind,
         addr: u64,
         len: u64,
-        data: Option<Payload>,
+        data: &[Payload],
     ) -> Result<u16, SpdkError> {
         assert!(
             addr.is_multiple_of(512) && len.is_multiple_of(512),
@@ -463,11 +476,13 @@ impl SpdkNvme {
             // slab (functionally: copy it there now, costless like a
             // producer writing in place).
             let slab_base = i.slabs[slot].segments()[0].base;
-            if let Some(d) = data {
-                i.hostmem
-                    .borrow_mut()
-                    .store_mut()
-                    .write_payload(slab_base, d);
+            {
+                let mut hm = i.hostmem.borrow_mut();
+                let mut at = slab_base;
+                for part in data {
+                    hm.store_mut().write_payload(at, part.clone());
+                    at += part.len() as u64;
+                }
             }
 
             // Build PRPs with a *stored* list page when needed.
