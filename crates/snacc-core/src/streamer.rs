@@ -27,7 +27,7 @@ use snacc_mem::hostmem::PinnedBuffer;
 use snacc_mem::{AddrRange, DramController, UramConfig, UramModel};
 use snacc_nvme::queue::{CqRing, SqRing};
 use snacc_nvme::spec::{self, Cqe, IoOpcode, Sqe};
-use snacc_pcie::target::{NotifyTarget, ScratchTarget};
+use snacc_pcie::target::ScratchTarget;
 use snacc_pcie::{NodeId, PcieFabric};
 use snacc_sim::bytes::Payload;
 use snacc_sim::{Engine, SimDuration, SimTime};
@@ -310,7 +310,7 @@ pub struct NvmeStreamer {
     rob: CommandRob<CmdInfo>,
     sq: SqRing,
     sq_mem: Rc<RefCell<ScratchTarget>>,
-    cq_mem: Rc<RefCell<NotifyTarget>>,
+    cq_mem: Rc<RefCell<ScratchTarget>>,
     cq_ring: CqRing,
     regfile: Option<Rc<RefCell<PrpRegFile>>>,
     windows: WindowMap,
@@ -453,7 +453,7 @@ impl StreamerHandle {
             snacc_sim::SimDuration::from_ns(60),
         )));
         shell.map_target(sq_w, sq_mem.clone());
-        let cq_mem = Rc::new(RefCell::new(NotifyTarget::new(
+        let cq_mem = Rc::new(RefCell::new(ScratchTarget::new(
             "snacc-cq-rob",
             snacc_sim::SimDuration::from_ns(60),
         )));
@@ -527,7 +527,7 @@ impl StreamerHandle {
         // Control window: the host driver programs doorbell addresses and
         // the enable bit over MMIO (Sec 4.6).
         {
-            let ctrl = Rc::new(RefCell::new(NotifyTarget::new(
+            let ctrl = Rc::new(RefCell::new(ScratchTarget::new(
                 "snacc-ctrl",
                 snacc_sim::SimDuration::from_ns(50),
             )));

@@ -20,7 +20,8 @@
 //! literals, and `#[cfg(test)]` modules are masked before matching): it
 //! has zero dependencies, runs in milliseconds, and its findings are
 //! human-auditable. Triaged exceptions live in a checked-in
-//! `lint-allow.toml`, each with a mandatory justification string.
+//! `lint-allow.toml`, each with a mandatory justification string; an
+//! entry that suppresses nothing is stale and fails the check.
 
 use std::fmt;
 use std::fs;
@@ -90,14 +91,16 @@ pub struct Report {
     pub violations: Vec<Violation>,
     /// Findings suppressed by `lint-allow.toml` entries.
     pub suppressed: Vec<(Violation, String)>,
+    /// Allow entries that suppressed nothing (stale triage).
+    pub unused_allow: Vec<AllowEntry>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
 }
 
 impl Report {
-    /// True when the tree is clean.
+    /// True when the tree is clean and every allow entry is still needed.
     pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
+        self.violations.is_empty() && self.unused_allow.is_empty()
     }
 }
 
@@ -220,6 +223,7 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 /// Run the full check over a workspace tree.
 pub fn run_check(root: &Path, allow: &[AllowEntry]) -> io::Result<Report> {
     let files = collect_rs_files(root)?;
+    let mut used = vec![false; allow.len()];
     let mut report = Report {
         files_scanned: files.len(),
         ..Report::default()
@@ -232,12 +236,21 @@ pub fn run_check(root: &Path, allow: &[AllowEntry]) -> io::Result<Report> {
             .replace('\\', "/");
         let source = fs::read_to_string(file)?;
         for v in scan_source(&rel, &source) {
-            match allow.iter().find(|a| a.matches(&v)) {
-                Some(a) => report.suppressed.push((v, a.justification.clone())),
+            match allow.iter().position(|a| a.matches(&v)) {
+                Some(i) => {
+                    used[i] = true;
+                    report.suppressed.push((v, allow[i].justification.clone()));
+                }
                 None => report.violations.push(v),
             }
         }
     }
+    report.unused_allow = allow
+        .iter()
+        .zip(&used)
+        .filter(|&(_, &u)| !u)
+        .map(|(a, _)| a.clone())
+        .collect();
     report
         .violations
         .sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
@@ -303,6 +316,21 @@ pub fn to_json(report: &Report) -> String {
     if !report.suppressed.is_empty() {
         out.push_str("\n  ");
     }
+    out.push_str("],\n  \"unused_allow\": [");
+    for (i, a) in report.unused_allow.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&format!(
+            "\n    {{\"rule\": \"{}\", \"path\": \"{}\", \"pattern\": \"{}\"}}",
+            json_escape(&a.rule),
+            json_escape(&a.path),
+            json_escape(a.pattern.as_deref().unwrap_or(""))
+        ));
+    }
+    if !report.unused_allow.is_empty() {
+        out.push_str("\n  ");
+    }
     out.push_str("]\n}\n");
     out
 }
@@ -322,11 +350,20 @@ pub fn render_human(report: &Report) -> String {
             out.push_str(&format!("  {} {}:{} -- {}\n", v.rule, v.path, v.line, why));
         }
     }
+    for a in &report.unused_allow {
+        out.push_str(&format!(
+            "\nunused lint-allow.toml entry: {} {} (pattern {:?}) suppresses nothing; delete it\n",
+            a.rule,
+            a.path,
+            a.pattern.as_deref().unwrap_or("")
+        ));
+    }
     out.push_str(&format!(
-        "\nsnacc-lint: {} file(s) scanned, {} violation(s), {} suppressed\n",
+        "\nsnacc-lint: {} file(s) scanned, {} violation(s), {} suppressed, {} unused allow entr(ies)\n",
         report.files_scanned,
         report.violations.len(),
-        report.suppressed.len()
+        report.suppressed.len(),
+        report.unused_allow.len()
     ));
     out
 }

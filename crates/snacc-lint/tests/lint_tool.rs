@@ -7,7 +7,7 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use snacc_lint::{parse_allow_file, run_check, to_json, AllowEntry};
+use snacc_lint::{parse_allow_file, render_human, run_check, to_json, AllowEntry};
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -78,6 +78,32 @@ fn allowlist_suppresses_with_justification() {
         assert_eq!(v.rule, "SL002");
         assert!(!why.trim().is_empty());
     }
+}
+
+#[test]
+fn allow_entry_that_suppresses_nothing_fails_by_name() {
+    let stale = AllowEntry {
+        rule: "SL004".into(),
+        path: "crates/snacc-net/src/gone.rs".into(),
+        pattern: Some("assert!".into()),
+        justification: "triaged code that was since deleted".into(),
+    };
+    let report =
+        run_check(&fixture("clean_tree"), std::slice::from_ref(&stale)).expect("scan succeeds");
+    assert!(report.violations.is_empty());
+    assert!(
+        !report.is_clean(),
+        "a stale allow entry must fail the check"
+    );
+    assert_eq!(report.unused_allow, [stale]);
+    assert!(render_human(&report).contains("SL004 crates/snacc-net/src/gone.rs"));
+    let doc: serde_json::Value = serde_json::from_str(&to_json(&report)).expect("valid JSON");
+    let unused = doc.get("unused_allow").and_then(|v| v.as_array());
+    let path = unused.and_then(|a| a.first()).and_then(|e| e.get("path"));
+    assert_eq!(
+        path.and_then(|p| p.as_str()),
+        Some("crates/snacc-net/src/gone.rs")
+    );
 }
 
 #[test]

@@ -2,14 +2,13 @@
 //!
 //! Functional + timed memory substrates used by every other crate:
 //!
-//! * [`segment::SegmentMemory`] — zero-copy segment store. This is the
-//!   *functional* backing for host DRAM, FPGA DRAM, URAM, and SSD NAND: data
-//!   written through the simulated datapaths lands here as retained
+//! * [`segment::SegmentMemory`] — zero-copy segment store, the one
+//!   *functional* byte store: host DRAM, FPGA DRAM, URAM, SSD NAND and the
+//!   small MMIO scratch/doorbell/completion regions. Data written through
+//!   the simulated datapaths lands here as retained
 //!   [`snacc_sim::bytes::Payload`] windows (O(segments) metadata, lazy
-//!   synthetic data stays lazy) and can be read back and checksummed.
-//! * [`sparse::SparseMemory`] — page-granular sparse byte store, used for
-//!   small MMIO scratch/doorbell regions and as the reference model in the
-//!   segment-store equivalence tests.
+//!   synthetic data stays lazy; small byte writes into a uniquely held
+//!   buffer land in place) and can be read back and checksummed.
 //! * [`addr::AddressMap`] — address decoding used by the PCIe fabric and the
 //!   FPGA platform shell to route accesses to BAR windows.
 //! * [`uram::UramModel`] — on-die UltraRAM: small, low latency, high port
@@ -25,14 +24,12 @@ pub mod addr;
 pub mod dram;
 pub mod hostmem;
 pub mod segment;
-pub mod sparse;
 pub mod uram;
 
 pub use addr::{AddrRange, AddressMap};
 pub use dram::{DramConfig, DramController, MemDir};
 pub use hostmem::{HostMemory, PinnedBuffer};
 pub use segment::SegmentMemory;
-pub use sparse::SparseMemory;
 pub use uram::{UramConfig, UramModel};
 
 /// FNV-1a checksum over a byte slice — used by integrity tests to compare

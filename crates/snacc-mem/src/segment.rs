@@ -1,9 +1,10 @@
 //! Segment-store memory: zero-copy functional media.
 //!
-//! [`SegmentMemory`] replaces the page-materialising [`crate::SparseMemory`]
-//! behind the functional media models (SSD NAND, host DRAM, on-board DRAM,
-//! URAM). Instead of copying every written byte into 4 KiB pages, it keeps
-//! an ordered map of non-overlapping [`Payload`] windows:
+//! [`SegmentMemory`] is the one functional byte store: SSD NAND, host DRAM,
+//! on-board DRAM, URAM and the small MMIO regions (queue FIFOs, completion
+//! queues, register files) all sit on it. Instead of copying every written
+//! byte into pages, it keeps an ordered map of non-overlapping [`Payload`]
+//! windows:
 //!
 //! * **Writes retain the payload** and copy no bytes. Lazy pattern or fill
 //!   segments stay lazy; a 2 GiB synthetic write pass moves O(segments)
@@ -13,6 +14,12 @@
 //!   join candidates, and the write lands in place in the predecessor's
 //!   or an overwritten segment's slot where it can. Only keys that appear
 //!   or disappear cost another descent.
+//! * **Small byte writes land in place** when one segment covers them and
+//!   the store holds that segment's owned buffer alone: the bytes are
+//!   copied into it with no new buffer, no key change and no coalescer
+//!   (MMIO doorbells, CQEs, SQEs). A window a reader still holds keeps the
+//!   buffer shared, so the write then takes the normal path and no alias
+//!   ever sees bytes change.
 //! * **Reads return zero-copy views** — a read covered by one segment is a
 //!   slice of that segment's backing; gaps come back as lazy zero-fill.
 //!   Only reads spanning multiple backings copy (via [`Payload::concat`]),
@@ -28,15 +35,14 @@
 //!   check after each write O(1); the window is walked only when it is
 //!   about to be materialised.
 //!
-//! The byte-oriented API (`write`/`read`/`read_vec`/scalar helpers) matches
-//! `SparseMemory` so ring buffers, descriptor pages and tests work
-//! unchanged.
+//! The byte-oriented API (`write`/`read`/`read_vec`/scalar helpers) serves
+//! ring buffers, descriptor pages, register files and tests.
 
 use snacc_sim::bytes::Payload;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::sparse::PAGE_SIZE;
+use crate::hostmem::PAGE_4K;
 
 /// CoW coalescing window (bytes). Fragmentation is bounded per window.
 pub const COALESCE_WINDOW: u64 = 1 << 20;
@@ -45,7 +51,7 @@ pub const COALESCE_WINDOW: u64 = 1 << 20;
 /// materialised into a single owned segment: one per 4 KiB page, so a
 /// window fully tiled by independent page writes (random 4 KiB I/O, ring
 /// slots) stays zero-copy and only sub-page fragments trigger a copy.
-pub const COALESCE_SEGS: usize = (COALESCE_WINDOW / PAGE_SIZE as u64) as usize;
+pub const COALESCE_SEGS: usize = (COALESCE_WINDOW / PAGE_4K) as usize;
 
 /// Chunk size for [`SegmentMemory::fill`] backings: bounds how much one
 /// lazy fill segment materialises if a byte of it is ever inspected.
@@ -93,14 +99,13 @@ impl SegmentMemory {
         Self::default()
     }
 
-    /// Number of distinct 4 KiB pages covered by resident segments — the
-    /// same footprint measure `SparseMemory::resident_pages` reports.
+    /// Number of distinct 4 KiB pages covered by resident segments.
     pub fn resident_pages(&self) -> usize {
         let mut pages = 0usize;
         let mut last_counted: Option<u64> = None;
         for (&start, seg) in &self.segs {
-            let first = start / PAGE_SIZE as u64;
-            let last = (start + seg.len() as u64 - 1) / PAGE_SIZE as u64;
+            let first = start / PAGE_4K;
+            let last = (start + seg.len() as u64 - 1) / PAGE_4K;
             let first = match last_counted {
                 Some(lc) if first <= lc => lc + 1,
                 _ => first,
@@ -142,12 +147,20 @@ impl SegmentMemory {
         self.bytes_read
     }
 
-    /// Write `data` starting at byte address `addr` (copies `data` once
-    /// into a shared backing; prefer [`write_payload`](Self::write_payload)
-    /// on hot paths).
+    /// Write `data` starting at byte address `addr`, copying it once: in
+    /// place when one segment covers the span and the store holds its
+    /// owned buffer alone, else into a new backing (prefer
+    /// [`write_payload`](Self::write_payload) for large data).
     pub fn write(&mut self, addr: u64, data: &[u8]) {
         if data.is_empty() {
             return;
+        }
+        let end = addr + data.len() as u64;
+        if let Some((&s, seg)) = self.segs.range_mut(..=addr).next_back() {
+            if s + seg.len() as u64 >= end && seg.overwrite_unique((addr - s) as usize, data) {
+                self.bytes_written += data.len() as u64;
+                return;
+            }
         }
         self.write_payload(addr, Payload::from(data));
     }
@@ -197,11 +210,8 @@ impl SegmentMemory {
         if len == 0 {
             return Payload::empty();
         }
-        let end = addr + len as u64;
-        if let Some((&s, seg)) = self.segs.range(..=addr).next_back() {
-            if s + seg.len() as u64 >= end {
-                return seg.slice((addr - s) as usize..(end - s) as usize);
-            }
+        if let Some(p) = self.covering(addr, len) {
+            return p;
         }
         let parts = self.gather_parts(addr, len);
         match parts.len() {
@@ -293,6 +303,14 @@ impl SegmentMemory {
         }
     }
 
+    /// `[addr, addr + len)` as a zero-copy slice of the one segment that
+    /// covers it, if there is one.
+    fn covering(&self, addr: u64, len: usize) -> Option<Payload> {
+        let end = addr + len as u64;
+        let (&s, seg) = self.segs.range(..=addr).next_back()?;
+        (s + seg.len() as u64 >= end).then(|| seg.slice((addr - s) as usize..(end - s) as usize))
+    }
+
     /// Gather `[addr, addr + len)` as zero-copy parts: segment slices plus
     /// lazy zero-fill for gaps. Parts cover the span exactly, in order.
     fn gather_parts(&self, addr: u64, len: usize) -> Vec<Payload> {
@@ -335,10 +353,16 @@ impl SegmentMemory {
     }
 
     /// Copy `[addr, addr + out.len())` into `out` without touching the
-    /// read counter (shared by `read` and the coalescer).
+    /// read counter (shared by `read` and the coalescer). A span inside one
+    /// segment copies straight from it and builds no part list.
     fn read_at(&self, addr: u64, out: &mut [u8]) {
+        let one = self.covering(addr, out.len());
+        let many = match one {
+            Some(_) => Vec::new(),
+            None => self.gather_parts(addr, out.len()),
+        };
         let mut off = 0usize;
-        for p in self.gather_parts(addr, out.len()) {
+        for p in one.iter().chain(&many) {
             let n = p.len();
             // The copy below is the byte-API boundary: callers handed us a
             // borrowed output buffer, so the bytes must land there.
@@ -555,7 +579,7 @@ mod tests {
     fn layout_head_overwrite_keeps_tail() {
         let mut m = SegmentMemory::new();
         m.write(0, &[1u8; 64]);
-        m.write(0, &[2u8; 16]);
+        m.write_payload(0, Payload::from_vec(vec![2u8; 16]));
         assert_eq!(layout(&m), [(0, 16), (16, 48)]);
         let mut want = vec![2u8; 16];
         want.extend([1u8; 48]);
@@ -585,13 +609,61 @@ mod tests {
     fn layout_middle_split() {
         let mut m = SegmentMemory::new();
         m.write(0, &[1u8; 64]);
-        m.write(16, &[2u8; 16]);
+        m.write_payload(16, Payload::from_vec(vec![2u8; 16]));
         assert_eq!(layout(&m), [(0, 16), (16, 16), (32, 32)]);
         // Writing the cut-out window back re-joins all three pieces.
         let b = backing();
         m.write_payload(0, b.slice(0..64));
         m.write_payload(16, b.slice(16..32));
         assert_eq!(layout(&m), [(0, 64)]);
+    }
+
+    #[test]
+    fn byte_overwrite_of_unique_segment_lands_in_place() {
+        let mut m = SegmentMemory::new();
+        m.write(0, &[1u8; 64]);
+        m.write(16, &[2u8; 16]);
+        m.write(0, &[3u8; 4]);
+        assert_eq!(layout(&m), [(0, 64)]);
+        let mut want = vec![1u8; 64];
+        want[..4].fill(3);
+        want[16..32].fill(2);
+        assert_eq!(m.read_vec(0, 64), want);
+        assert_eq!(m.bytes_written(), 84);
+    }
+
+    #[test]
+    fn held_window_keeps_old_bytes_across_overwrite() {
+        let mut m = SegmentMemory::new();
+        m.write(0, &[1u8; 64]);
+        let held = m.read_payload(0, 64);
+        m.write(16, &[2u8; 16]);
+        assert_eq!(held, vec![1u8; 64], "a reader's window saw the write");
+        assert_eq!(layout(&m), [(0, 16), (16, 16), (32, 32)]);
+        assert_eq!(m.read_vec(16, 16), vec![2u8; 16]);
+    }
+
+    #[test]
+    fn lazy_and_shared_segments_take_the_split_path() {
+        let mut m = SegmentMemory::new();
+        let b = backing();
+        m.write_payload(0, Payload::fill(7, 64));
+        m.write_payload(64, Payload::pattern(5, 64));
+        m.write_payload(128, b.slice(0..64));
+        for base in [0, 64, 128] {
+            m.write(base + 16, &[2u8; 16]);
+        }
+        let mut want = vec![(0, 16), (16, 16), (32, 32)];
+        for base in [64, 128] {
+            want.extend([(base, 16), (base + 16, 16), (base + 32, 32)]);
+        }
+        assert_eq!(layout(&m), want);
+        assert_eq!(
+            m.backing_bytes(),
+            4096 + 3 * 16,
+            "no lazy window was materialised"
+        );
+        assert_eq!(b, backing(), "the shared buffer was written through");
     }
 
     #[test]
@@ -790,7 +862,7 @@ mod tests {
         // its own lazy pattern: every window holds exactly its 256 pages,
         // so nothing may be materialised.
         const RING: u64 = 2 << 20;
-        let pages = RING / PAGE_SIZE as u64;
+        let pages = RING / PAGE_4K;
         let mut m = SegmentMemory::new();
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         for pass in 0..4u64 {
@@ -803,13 +875,13 @@ mod tests {
             }
             for &pg in &order {
                 let seed = pass * pages + pg;
-                m.write_payload(pg * PAGE_SIZE as u64, Payload::pattern(seed, PAGE_SIZE));
+                m.write_payload(pg * PAGE_4K, Payload::pattern(seed, PAGE_4K as usize));
             }
         }
         assert_eq!(m.segment_count(), 512, "a window was materialised");
         for pg in 0..pages {
-            let want = Payload::pattern(3 * pages + pg, PAGE_SIZE);
-            assert_eq!(m.read_payload(pg * PAGE_SIZE as u64, PAGE_SIZE), want);
+            let want = Payload::pattern(3 * pages + pg, PAGE_4K as usize);
+            assert_eq!(m.read_payload(pg * PAGE_4K, PAGE_4K as usize), want);
         }
     }
 

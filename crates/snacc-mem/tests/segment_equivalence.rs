@@ -1,35 +1,56 @@
-//! Property tests: [`SegmentMemory`] is byte-equivalent to the
-//! page-materialising [`SparseMemory`] under arbitrary write / read /
-//! overwrite / span / fill / copy sequences — the segment store is a pure
-//! representation change (zero-copy windows + CoW coalescing) and must
-//! never alter what a read returns. Also checks that `resident_pages` is
-//! monotone while no `clear` happens (coverage only ever grows).
+//! Property tests: [`SegmentMemory`] is byte-equivalent to a flat
+//! zero-initialised byte vector under arbitrary write / read / overwrite /
+//! span / fill / copy sequences — the segment store is a pure
+//! representation change (zero-copy windows, in-place small writes and
+//! CoW coalescing) and must never alter what a read returns. Also checks
+//! that `resident_pages` is monotone while no `clear` happens (coverage
+//! only ever grows).
 
 use proptest::prelude::*;
 use snacc_mem::segment::COALESCE_SEGS;
-use snacc_mem::{SegmentMemory, SparseMemory};
+use snacc_mem::SegmentMemory;
 use snacc_sim::bytes::Payload;
 
 /// Keep the models inside a small address space so random ops overlap
 /// and straddle each other often.
 const SPACE: u64 = 1 << 15;
 
-fn apply(seg: &mut SegmentMemory, sparse: &mut SparseMemory, op: [u64; 4]) {
+/// The reference model: flat bytes, zero beyond what was ever written.
+#[derive(Default)]
+struct Flat(Vec<u8>);
+
+impl Flat {
+    fn write(&mut self, addr: u64, data: &[u8]) {
+        let (from, to) = (addr as usize, addr as usize + data.len());
+        if self.0.len() < to {
+            self.0.resize(to, 0);
+        }
+        self.0[from..to].copy_from_slice(data);
+    }
+
+    fn read_vec(&self, addr: u64, len: usize) -> Vec<u8> {
+        (addr as usize..addr as usize + len)
+            .map(|i| self.0.get(i).copied().unwrap_or(0))
+            .collect()
+    }
+}
+
+fn apply(seg: &mut SegmentMemory, flat: &mut Flat, op: [u64; 4]) {
     let [sel, a, l, s] = op;
     let addr = a % SPACE;
     let len = 1 + l % 5000;
-    match sel % 6 {
+    match sel % 7 {
         0 => {
             // Byte write of deterministic junk.
             let data: Vec<u8> = (0..len).map(|i| (s ^ i) as u8).collect();
             seg.write(addr, &data);
-            sparse.write(addr, &data);
+            flat.write(addr, &data);
         }
         1 => {
             // Zero-copy payload write of a lazy pattern window.
             let p = Payload::pattern(s, len as usize);
             seg.write_payload(addr, p.clone());
-            sparse.write(addr, p.as_slice());
+            flat.write(addr, p.as_slice());
         }
         2 => {
             // A slice of a shared backing (windows that may re-join).
@@ -37,25 +58,48 @@ fn apply(seg: &mut SegmentMemory, sparse: &mut SparseMemory, op: [u64; 4]) {
             let from = (a % 4096) as usize;
             let to = from + (len as usize).min(8192 - from);
             seg.write_payload(addr, big.slice(from..to));
-            sparse.write(addr, &big.as_slice()[from..to]);
+            flat.write(addr, &big.as_slice()[from..to]);
         }
         3 => {
             // Lazy fill vs materialised fill.
             let byte = s as u8;
             seg.fill(addr, len, byte);
-            sparse.write(addr, &vec![byte; len as usize]);
+            flat.write(addr, &vec![byte; len as usize]);
         }
         4 => {
             // Zero-copy intra-store copy vs read+write.
             let dst = s % SPACE;
             seg.copy_within(addr, dst, len as usize);
-            let bytes = sparse.read_vec(addr, len as usize);
-            sparse.write(dst, &bytes);
+            let bytes = flat.read_vec(addr, len as usize);
+            flat.write(dst, &bytes);
+        }
+        5 => {
+            // Sub-page byte writes into an owned page: the first lands in
+            // place; the second comes while a reader holds a window of the
+            // page, which must keep the bytes it saw.
+            let page = addr & !0xfff;
+            let fresh: Vec<u8> = (0..4096u64).map(|i| (s ^ i ^ 0xa5) as u8).collect();
+            let off = page + s % 4000;
+            let n = 1 + (l % 96) as usize;
+            for (at, data) in [(page, fresh), (off, vec![s as u8; n])] {
+                seg.write(at, &data);
+                flat.write(at, &data);
+            }
+            let held = seg.read_payload(off, n);
+            let seen = flat.read_vec(off, n);
+            let later = vec![!s as u8; n];
+            seg.write(off, &later);
+            flat.write(off, &later);
+            assert_eq!(
+                held.as_slice(),
+                &seen[..],
+                "a held window saw a later write"
+            );
         }
         _ => {
             // Scalar writes.
             seg.write_u64(addr, s);
-            sparse.write_u64(addr, s);
+            flat.write(addr, &s.to_le_bytes());
         }
     }
 }
@@ -69,10 +113,10 @@ proptest! {
         probes in proptest::collection::vec(any::<[u64; 2]>(), 1..8),
     ) {
         let mut seg = SegmentMemory::new();
-        let mut sparse = SparseMemory::new();
+        let mut flat = Flat::default();
         let mut pages_before = 0usize;
         for op in ops {
-            apply(&mut seg, &mut sparse, op);
+            apply(&mut seg, &mut flat, op);
             let pages = seg.resident_pages();
             prop_assert!(
                 pages >= pages_before,
@@ -83,7 +127,7 @@ proptest! {
         for [a, l] in probes {
             let addr = a % (SPACE + 4096); // probe past the write space too
             let len = (l % 9000) as usize;
-            let want = sparse.read_vec(addr, len);
+            let want = flat.read_vec(addr, len);
             // Byte path.
             prop_assert_eq!(&seg.read_vec(addr, len), &want);
             // Zero-copy single-payload path.
@@ -107,19 +151,19 @@ proptest! {
         writes in proptest::collection::vec(any::<[u64; 2]>(), 2 * COALESCE_SEGS..4 * COALESCE_SEGS),
     ) {
         let mut seg = SegmentMemory::new();
-        let mut sparse = SparseMemory::new();
+        let mut flat = Flat::default();
         for [a, s] in &writes {
             // Dense tiny writes inside one 1 MiB window.
             let addr = a % (1 << 20);
             let data = [(s & 0xff) as u8; 48];
             seg.write(addr, &data);
-            sparse.write(addr, &data);
+            flat.write(addr, &data);
         }
         prop_assert!(
             seg.segment_count() <= COALESCE_SEGS + 2,
             "window fragmentation unbounded: {} segments", seg.segment_count()
         );
-        let want = sparse.read_vec(0, 1 << 20);
+        let want = flat.read_vec(0, 1 << 20);
         prop_assert_eq!(seg.read_vec(0, 1 << 20), want);
     }
 }

@@ -247,9 +247,9 @@ impl PrpListBuilder {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use snacc_mem::SparseMemory;
+    use snacc_mem::SegmentMemory;
 
-    fn mem_reader(mem: &mut SparseMemory) -> impl FnMut(u64) -> Result<[u8; 4096], PrpError> + '_ {
+    fn mem_reader(mem: &mut SegmentMemory) -> impl FnMut(u64) -> Result<[u8; 4096], PrpError> + '_ {
         |addr| {
             let mut p = [0u8; 4096];
             mem.read(addr, &mut p);
@@ -305,7 +305,7 @@ mod tests {
     #[test]
     fn list_for_one_megabyte() {
         // 1 MiB = 256 pages: PRP1 + list with 255 entries.
-        let mut mem = SparseMemory::new();
+        let mut mem = SegmentMemory::new();
         let pages: Vec<u64> = (0..256u64).map(|i| 0x10_0000 + i * 4096).collect();
         let mut b = PrpListBuilder::new(vec![0xA000_0000]);
         let (prp1, prp2) = b.build(&pages, |a, d| mem.write(a, d));
@@ -322,7 +322,7 @@ mod tests {
     #[test]
     fn chained_lists_beyond_512_entries() {
         // 3 MiB = 768 pages → PRP1 + 767 list entries → chained lists.
-        let mut mem = SparseMemory::new();
+        let mut mem = SegmentMemory::new();
         let pages: Vec<u64> = (0..768u64).map(|i| 0x4000_0000 + i * 4096).collect();
         let mut b = PrpListBuilder::new(vec![0xB000_0000, 0xB000_1000]);
         let (prp1, prp2) = b.build(&pages, |a, d| mem.write(a, d));
@@ -358,7 +358,7 @@ mod tests {
         // A chain entry pointing back at itself (start offset 511*8 means
         // the only entry in scope is the chain pointer) must terminate
         // with ChainTooLong, not walk forever.
-        let mut mem = SparseMemory::new();
+        let mut mem = SegmentMemory::new();
         let self_ref: u64 = 0xD000 + 511 * 8;
         mem.write(self_ref, &self_ref.to_le_bytes());
         let r = walk_prps(0x1000, self_ref, 4 * 4096, mem_reader(&mut mem));
@@ -381,7 +381,7 @@ mod tests {
     #[test]
     fn partial_tail_page() {
         // 10000 bytes from an aligned start: 4096 + 4096 + 1808.
-        let mut mem = SparseMemory::new();
+        let mut mem = SegmentMemory::new();
         let pages = vec![0x1000, 0x2000, 0x3000];
         let mut b = PrpListBuilder::new(vec![0xC000_0000]);
         let (prp1, prp2) = b.build(&pages, |a, d| mem.write(a, d));
@@ -399,7 +399,7 @@ mod tests {
             n_pages in 1usize..1400,
             tail in 1u64..=4096,
         ) {
-            let mut mem = SparseMemory::new();
+            let mut mem = SegmentMemory::new();
             let pages: Vec<u64> =
                 (0..n_pages as u64).map(|i| 0x1_0000_0000 + i * 4096).collect();
             let len = (n_pages as u64 - 1) * 4096 + tail;

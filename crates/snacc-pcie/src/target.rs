@@ -7,7 +7,7 @@
 //! (e.g. a doorbell write triggering command fetch) are deferred via the
 //! engine handle.
 
-use snacc_mem::{DramController, HostMemory, SparseMemory, UramModel};
+use snacc_mem::{DramController, HostMemory, SegmentMemory, UramModel};
 use snacc_sim::bytes::Payload;
 use snacc_sim::{Engine, SimDuration, SimTime};
 use std::cell::RefCell;
@@ -265,82 +265,31 @@ impl MmioTarget for DramTarget {
     }
 }
 
-/// A plain register-file / scratch target with fixed service latency.
-/// Useful for config windows and in tests.
-pub struct ScratchTarget {
-    name: String,
-    mem: SparseMemory,
-    latency: SimDuration,
-}
-
-impl ScratchTarget {
-    /// Create with a fixed access latency.
-    pub fn new(name: impl Into<String>, latency: SimDuration) -> Self {
-        ScratchTarget {
-            name: name.into(),
-            mem: SparseMemory::new(),
-            latency,
-        }
-    }
-
-    /// Functional access to the backing store.
-    pub fn mem_mut(&mut self) -> &mut SparseMemory {
-        &mut self.mem
-    }
-}
-
-impl MmioTarget for ScratchTarget {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn read(
-        &mut self,
-        _en: &mut Engine,
-        _arrival: SimTime,
-        offset: u64,
-        out: &mut [u8],
-    ) -> SimDuration {
-        self.mem.read(offset, out);
-        self.latency
-    }
-
-    fn write(
-        &mut self,
-        _en: &mut Engine,
-        _arrival: SimTime,
-        offset: u64,
-        data: &[u8],
-    ) -> SimDuration {
-        self.mem.write(offset, data);
-        self.latency
-    }
-}
-
-/// Callback invoked by a [`NotifyTarget`] after a write lands:
-/// `(engine, region offset, written bytes, arrival time)`. The hook runs
-/// while the target (and typically the fabric) is borrowed — it must not
-/// re-enter either; schedule an event for anything that does.
+/// Callback a [`ScratchTarget`] invokes on each write:
+/// `(engine, region offset, written bytes, arrival + latency)`. The hook
+/// runs while the target (and typically the fabric) is borrowed — it must
+/// not re-enter either; schedule an event for anything that does.
 pub type WriteHook = Box<dyn FnMut(&mut Engine, u64, &[u8], SimTime)>;
 
-/// A memory region that notifies a hook after each write — the simulation
-/// stand-in for "a poller notices new bytes". NVMe completion queues use
-/// this so consumers (the streamer's reorder buffer, the SPDK reactor)
-/// wake without the simulator running dense polling events; consumers add
-/// their own reaction latency to model real polling granularity.
-pub struct NotifyTarget {
+/// A plain memory region with fixed service latency: register files,
+/// queue FIFOs, completion queues and test windows. An optional write
+/// hook makes it the simulation stand-in for "a poller notices new
+/// bytes": NVMe completion queues use it so consumers (the streamer's
+/// reorder buffer, the SPDK reactor) wake without dense polling events;
+/// consumers add their own reaction latency to model polling granularity.
+pub struct ScratchTarget {
     name: String,
-    mem: SparseMemory,
+    mem: SegmentMemory,
     latency: SimDuration,
     hook: Option<WriteHook>,
 }
 
-impl NotifyTarget {
+impl ScratchTarget {
     /// Create with a fixed access latency and no hook.
     pub fn new(name: impl Into<String>, latency: SimDuration) -> Self {
-        NotifyTarget {
+        ScratchTarget {
             name: name.into(),
-            mem: SparseMemory::new(),
+            mem: SegmentMemory::new(),
             latency,
             hook: None,
         }
@@ -352,12 +301,12 @@ impl NotifyTarget {
     }
 
     /// Functional access to the backing store.
-    pub fn mem_mut(&mut self) -> &mut SparseMemory {
+    pub fn mem_mut(&mut self) -> &mut SegmentMemory {
         &mut self.mem
     }
 }
 
-impl MmioTarget for NotifyTarget {
+impl MmioTarget for ScratchTarget {
     fn name(&self) -> &str {
         &self.name
     }
@@ -386,10 +335,34 @@ impl MmioTarget for NotifyTarget {
         }
         self.latency
     }
+
+    fn read_payload(
+        &mut self,
+        _en: &mut Engine,
+        _arrival: SimTime,
+        offset: u64,
+        len: usize,
+    ) -> (Payload, SimDuration) {
+        (self.mem.read_payload(offset, len), self.latency)
+    }
+
+    fn write_payload(
+        &mut self,
+        en: &mut Engine,
+        arrival: SimTime,
+        offset: u64,
+        data: Payload,
+    ) -> SimDuration {
+        // The hook cannot reach this borrowed target, so running it before
+        // the window is stored is indistinguishable from running it after.
+        if let Some(hook) = &mut self.hook {
+            hook(en, offset, &data, arrival + self.latency);
+        }
+        self.mem.write_payload(offset, data);
+        self.latency
+    }
 }
 
-/// Timing model of the URAM read path under dir contention is handled by
-/// the URAM model itself; see `snacc-mem`.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,6 +377,39 @@ mod tests {
         let mut out = [0u8; 4];
         t.read(&mut en, SimTime::ZERO, 0x10, &mut out);
         assert_eq!(&out, b"abcd");
+    }
+
+    #[test]
+    fn scratch_hook_fires_once_per_write_on_both_paths() {
+        let mut en = Engine::new();
+        let mut t = ScratchTarget::new("cq", SimDuration::from_ns(60));
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let log = seen.clone();
+        t.set_hook(Box::new(move |_en, off, data, at| {
+            log.borrow_mut().push((off, data.to_vec(), at));
+        }));
+        let arrival = SimTime::ZERO + SimDuration::from_ns(1000);
+        let done = arrival + SimDuration::from_ns(60);
+        t.write(&mut en, arrival, 0x10, b"cqe0");
+        t.write_payload(&mut en, arrival, 0x20, Payload::from_vec(b"cqe1".to_vec()));
+        assert_eq!(
+            *seen.borrow(),
+            [
+                (0x10, b"cqe0".to_vec(), done),
+                (0x20, b"cqe1".to_vec(), done)
+            ]
+        );
+        assert_eq!(t.mem_mut().read_vec(0x20, 4), b"cqe1");
+    }
+
+    #[test]
+    fn scratch_payload_writes_stay_lazy() {
+        let mut en = Engine::new();
+        let mut t = ScratchTarget::new("bar", SimDuration::from_ns(250));
+        t.write_payload(&mut en, SimTime::ZERO, 0, Payload::fill(0xab, 1 << 20));
+        let (p, _) = t.read_payload(&mut en, SimTime::ZERO, 4096, 8);
+        assert_eq!(p, vec![0xab; 8]);
+        assert_eq!(t.mem_mut().backing_bytes(), 0);
     }
 
     #[test]

@@ -235,6 +235,31 @@ impl Payload {
         }
     }
 
+    /// Copy `data` over the window's bytes starting at `at`, in place, when
+    /// the backing is a materialised buffer that no other handle shares
+    /// (`Rc::get_mut` succeeds). Returns `false` and changes nothing for
+    /// lazy pattern and fill windows and for shared buffers, so no other
+    /// window can ever see its bytes change. Panics if the span exceeds
+    /// the window.
+    pub fn overwrite_unique(&mut self, at: usize, data: &[u8]) -> bool {
+        let end = at + data.len();
+        assert!(
+            end <= self.len,
+            "overwrite {at}..{end} out of bounds for payload of {} bytes",
+            self.len
+        );
+        match &mut self.repr {
+            Repr::Bytes(b) => match Rc::get_mut(b) {
+                Some(buf) => {
+                    buf[self.off + at..self.off + end].copy_from_slice(data);
+                    true
+                }
+                None => false,
+            },
+            Repr::Pattern(_) | Repr::Fill(_) => false,
+        }
+    }
+
     /// The materialised byte buffer behind this window, as `(identity,
     /// buffer length)`: every window of one buffer reports the same
     /// identity, so callers can count shared buffers once. `None` for
@@ -554,6 +579,21 @@ mod tests {
         let (fa, fb) = f.split_at(10);
         assert_eq!(fa.try_join(&fb).expect("same fill backing"), f);
         assert!(fa.try_join(&Payload::fill(0, 8)).is_none());
+    }
+
+    #[test]
+    fn overwrite_unique_only_touches_unshared_bytes() {
+        let mut p = Payload::from_vec(vec![1u8; 16]).slice(4..12);
+        assert!(p.overwrite_unique(2, &[9, 9]));
+        assert_eq!(p, vec![1, 1, 9, 9, 1, 1, 1, 1]);
+        // A second handle on the buffer blocks the write.
+        let held = p.slice(0..8);
+        assert!(!p.overwrite_unique(0, &[7]));
+        assert_eq!(held, p);
+        assert_eq!(p[0], 1);
+        // Lazy windows never materialise to take a write.
+        assert!(!Payload::fill(0, 8).overwrite_unique(0, &[7]));
+        assert!(!Payload::pattern(3, 8).overwrite_unique(0, &[7]));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use snacc_nvme::prp::PrpListBuilder;
 use snacc_nvme::queue::{CqRing, SqRing};
 use snacc_nvme::spec::{self, AdminOpcode, Cqe, IoOpcode, Sqe, Status};
 use snacc_nvme::NvmeDeviceHandle;
-use snacc_pcie::target::NotifyTarget;
+use snacc_pcie::target::ScratchTarget;
 use snacc_pcie::{PcieFabric, HOST_NODE};
 use snacc_sim::bytes::Payload;
 use snacc_sim::{Engine, SimDuration, SimTime};
@@ -134,7 +134,7 @@ struct Inner {
     // I/O queue (qid 1) in host memory.
     io_sq: SqRing,
     io_cq: CqRing,
-    cq_mem: Option<Rc<RefCell<NotifyTarget>>>,
+    cq_mem: Option<Rc<RefCell<ScratchTarget>>>,
     cq_base: u64,
     // Payload slabs: one per queue slot, each physically contiguous.
     slabs: Vec<PinnedBuffer>,
@@ -333,7 +333,7 @@ impl SpdkNvme {
             let i = self.inner.borrow();
             (i.cfg.io_entries, i.fabric())
         };
-        let cq_mem = Rc::new(RefCell::new(NotifyTarget::new(
+        let cq_mem = Rc::new(RefCell::new(ScratchTarget::new(
             "spdk-cq",
             SimDuration::from_ns(90),
         )));
