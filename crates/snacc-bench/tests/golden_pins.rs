@@ -10,6 +10,11 @@
 //! `peak_rss_kb` it records within its [`RSS_BUDGETS_KIB`] entry, which
 //! guards the zero-copy media and the systems freeing themselves on drop.
 //!
+//! The fault campaigns in `campaign_pins!` are pinned the same way, plus
+//! the stderr lines carrying their fault accounting (`faults:`), which is
+//! printed only on stderr: `tests/golden/<bin>_<plan>.faults`. They have
+//! no peak-RSS budget; a lossy fig6 campaign peaks above fig6's.
+//!
 //! A change that moves results on purpose re-pins in the same commit: run
 //! each binary as [`run`] does and check in its stdout and event count.
 
@@ -59,45 +64,93 @@ fn perf_field(perf: &str, field: &str) -> u64 {
         .unwrap_or_else(|| panic!("no {field} in perf record: {perf}"))
 }
 
-/// Run `bin` in quick mode; its stdout and its `--perf-json` record.
-fn run(bin: &str, exe: &str) -> (String, String) {
-    let dir = std::env::temp_dir().join(format!("snacc-golden-{bin}-{}", std::process::id()));
+/// What one quick-mode run printed and recorded.
+struct Output {
+    stdout: String,
+    stderr: String,
+    /// The `--perf-json` record.
+    perf: String,
+}
+
+/// Run `exe` in quick mode in a fresh directory named after `pin`. With a
+/// `plan`, `plans/<plan>.toml` is copied in and passed as `--faults`, so
+/// the campaign line on stderr names a path that is the same everywhere.
+fn run(pin: &str, exe: &str, plan: Option<&str>) -> Output {
+    let dir = std::env::temp_dir().join(format!("snacc-golden-{pin}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let out = Command::new(exe)
-        .args(["--perf-json", "perf.json"])
+    let mut cmd = Command::new(exe);
+    cmd.args(["--perf-json", "perf.json"]);
+    if let Some(plan) = plan {
+        let file = format!("{plan}.toml");
+        let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../plans").join(&file);
+        std::fs::copy(&src, dir.join(&file)).unwrap_or_else(|e| panic!("{}: {e}", src.display()));
+        cmd.args(["--faults", &file]);
+    }
+    let out = cmd
         .env("SNACC_QUICK", "1")
         .env_remove("SNACC_FULL")
         .current_dir(&dir)
         .output()
-        .unwrap_or_else(|e| panic!("run {bin}: {e}"));
-    assert!(
-        out.status.success(),
-        "{bin} failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+        .unwrap_or_else(|e| panic!("run {pin}: {e}"));
+    let stderr = String::from_utf8(out.stderr).expect("utf8 stderr");
+    assert!(out.status.success(), "{pin} failed:\n{stderr}");
     let perf = std::fs::read_to_string(dir.join("perf.json")).expect("perf json written");
     std::fs::remove_dir_all(&dir).expect("remove temp dir");
-    (String::from_utf8(out.stdout).expect("utf8 stdout"), perf)
+    Output {
+        stdout: String::from_utf8(out.stdout).expect("utf8 stdout"),
+        stderr,
+        perf,
+    }
+}
+
+/// The golden file `tests/golden/<name>`.
+fn golden(name: &str) -> String {
+    let path = golden_dir().join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// `out`'s stdout and `events_executed` against the pins of `pin`.
+fn check_pinned(pin: &str, out: &Output) {
+    assert_eq!(
+        out.stdout,
+        golden(&format!("{pin}.stdout")),
+        "{pin} stdout differs from its golden pin"
+    );
+    assert_eq!(
+        Some(perf_field(&out.perf, "events_executed")),
+        pinned_events(pin),
+        "{pin} events_executed differs from its golden pin"
+    );
 }
 
 fn check(bin: &str, exe: &str) {
-    let (stdout, perf) = run(bin, exe);
-    let pin = golden_dir().join(format!("{bin}.stdout"));
-    let want = std::fs::read_to_string(&pin).unwrap_or_else(|e| panic!("{}: {e}", pin.display()));
-    assert_eq!(stdout, want, "{bin} stdout differs from its golden pin");
-    assert_eq!(
-        Some(perf_field(&perf, "events_executed")),
-        pinned_events(bin),
-        "{bin} events_executed differs from its golden pin"
-    );
+    let out = run(bin, exe, None);
+    check_pinned(bin, &out);
     let &(_, budget) = RSS_BUDGETS_KIB
         .iter()
         .find(|(b, _)| *b == bin)
         .unwrap_or_else(|| panic!("{bin} has no peak-RSS budget"));
-    let rss = perf_field(&perf, "peak_rss_kb");
+    let rss = perf_field(&out.perf, "peak_rss_kb");
     assert!(
         rss <= budget,
         "{bin} quick peak RSS {rss} KiB exceeds its budget of {budget} KiB"
+    );
+}
+
+fn check_campaign(bin: &str, plan: &str, exe: &str) {
+    let pin = format!("{bin}_{plan}");
+    let out = run(&pin, exe, Some(plan));
+    check_pinned(&pin, &out);
+    let faults: String = out
+        .stderr
+        .lines()
+        .filter(|l| l.contains("faults:"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(
+        faults,
+        golden(&format!("{pin}.faults")),
+        "{pin} fault accounting on stderr differs from its golden pin"
     );
 }
 
@@ -127,4 +180,30 @@ pins!(
     fig6,
     fig7,
     table1,
+);
+
+/// Pins each `<bin> --faults plans/<plan>.toml` campaign as `<bin>_<plan>`.
+macro_rules! campaign_pins {
+    ($($bin:ident --faults $plan:ident => $pin:ident),* $(,)?) => {$(
+        #[test]
+        #[cfg_attr(
+            debug_assertions,
+            ignore = "runs fault campaigns in quick mode; use --release (CI does)"
+        )]
+        fn $pin() {
+            check_campaign(
+                stringify!($bin),
+                stringify!($plan),
+                env!(concat!("CARGO_BIN_EXE_", stringify!($bin))),
+            );
+        }
+    )*};
+}
+
+// Ethernet faults with loss tolerance; retry policy and PCIe injector
+// through the case-study runner; NVMe injector through the seq workload.
+campaign_pins!(
+    fig6 --faults lossy_link => fig6_lossy_link,
+    fig6 --faults degraded_pcie => fig6_degraded_pcie,
+    ext_faults --faults flaky_ssd => ext_faults_flaky_ssd,
 );
