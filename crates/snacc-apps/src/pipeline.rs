@@ -43,11 +43,6 @@ pub struct CaseStudyConfig {
     pub record_table: u64,
     /// Ethernet frame payload (jumbo frames on the capture link).
     pub frame_payload: usize,
-    /// Tolerate frame loss: instead of panicking on a header desync the
-    /// controller scans forward to the next image magic, counting
-    /// resyncs and skipped bytes (lossy-link fault campaigns). Off by
-    /// default — a lossless link that desyncs is a model bug.
-    pub tolerate_loss: bool,
 }
 
 impl Default for CaseStudyConfig {
@@ -59,7 +54,6 @@ impl Default for CaseStudyConfig {
             image_table: 0,
             record_table: 1 << 40, // 1 TB mark: far from the image table
             frame_payload: 8192,
-            tolerate_loss: false,
         }
     }
 }
@@ -206,6 +200,10 @@ pub struct DbController<S: CaseSink> {
     resyncs: u64,
     /// Bytes discarded while hunting for the next header magic.
     bytes_skipped: u64,
+    /// The capture link loses frames ([`FaultPlan::loses_frames`]): on a
+    /// header desync, scan forward to the next image magic instead of
+    /// panicking, since a lossless link that desyncs is a model bug.
+    lossy_link: bool,
     /// Totals.
     pub images_stored: u64,
     pub records: Vec<ClassRecord>,
@@ -246,6 +244,7 @@ impl<S: CaseSink + 'static> DbController<S> {
             taken_total: 0,
             resyncs: 0,
             bytes_skipped: 0,
+            lossy_link: false,
             images_stored: 0,
             records: Vec::new(),
             transfers_begun: 0,
@@ -281,16 +280,6 @@ impl<S: CaseSink + 'static> DbController<S> {
     /// Transfers handed to the sink.
     pub fn transfers_begun(&self) -> u64 {
         self.transfers_begun
-    }
-
-    /// Header resynchronisations performed (lossy campaigns).
-    pub fn resyncs(&self) -> u64 {
-        self.resyncs
-    }
-
-    /// Bytes discarded while resynchronising.
-    pub fn bytes_skipped(&self) -> u64 {
-        self.bytes_skipped
     }
 
     /// Completed transfers at the sink.
@@ -355,7 +344,7 @@ impl<S: CaseSink + 'static> DbController<S> {
                 // impossible length — means the byte stream lost frames.
                 let valid = decoded.is_some_and(|h| h.len as usize == fmt.bytes());
                 if !valid {
-                    if !c.cfg.tolerate_loss {
+                    if !c.lossy_link {
                         panic!(
                             "header desync after {} images ({} record pages): taken={} expect={} bytes {:02x?}",
                             c.images_stored,
@@ -730,15 +719,6 @@ pub struct CaseStudyReport {
     pub host_backing_bytes: u64,
 }
 
-/// `(NAND media, host memory)` bytes held in materialised buffers, for
-/// [`CaseStudyReport`].
-pub(crate) fn backing_bytes(nvme: &NvmeDeviceHandle, hostmem: &RefCell<HostMemory>) -> (u64, u64) {
-    (
-        nvme.with(|d| d.nand_mut().media_mut().backing_bytes()),
-        hostmem.borrow_mut().store_mut().backing_bytes(),
-    )
-}
-
 /// The two MACs of the capture link (sender side, receiver side). The
 /// image sender and the RX bridge hang off their hooks, so the front
 /// lives as long as the caller holds these.
@@ -746,20 +726,11 @@ pub type CaptureLink = [Rc<RefCell<EthMac>>; 2];
 
 /// Wire the common pipeline front (100 G link, RX bridge, database
 /// controller + classification path, image sender) over an arbitrary
-/// storage sink. The caller keeps the returned link alive, runs the
-/// engine and builds the report.
+/// storage sink. A fault plan's Ethernet faults (loss, corruption, PAUSE
+/// storms) go onto the receive MAC before traffic starts; if the plan
+/// loses frames, the controller resyncs on a desynced stream. The caller
+/// keeps the returned link alive, runs the engine and builds the report.
 pub fn run_case_study_front<S: CaseSink + 'static>(
-    en: &mut Engine,
-    cfg: CaseStudyConfig,
-    sink: S,
-) -> (Rc<RefCell<DbController<S>>>, CaptureLink) {
-    run_case_study_front_with(en, cfg, sink, None)
-}
-
-/// [`run_case_study_front`] with an optional fault plan: the plan's
-/// Ethernet faults (loss, corruption, PAUSE storms) are installed on the
-/// receive MAC of the capture link before traffic starts.
-pub fn run_case_study_front_with<S: CaseSink + 'static>(
     en: &mut Engine,
     cfg: CaseStudyConfig,
     sink: S,
@@ -784,68 +755,68 @@ pub fn run_case_study_front_with<S: CaseSink + 'static>(
     let rx_ch = AxisChannel::new("rx-stream", 256 << 10);
     RxBridge::install(en, rx.clone(), rx_ch.clone());
     let ctl = DbController::start(en, cfg.clone(), rx_ch, sink);
+    ctl.borrow_mut().lossy_link = plan.is_some_and(FaultPlan::loses_frames);
     ImageSender::start(en, tx.clone(), MacAddr::from_index(2), cfg);
     (ctl, [tx, rx])
 }
 
+impl<S: CaseSink + 'static> DbController<S> {
+    /// The report of a finished run: `elapsed` from the first frame to the
+    /// last persisted transfer, the PCIe bytes moved meanwhile, and the
+    /// backing gauges of the SSD's NAND and of host memory. Unless the
+    /// capture link loses frames, every image must have been stored and
+    /// every transfer persisted; under loss the report counts what landed.
+    pub(crate) fn report(
+        &self,
+        elapsed: SimDuration,
+        pcie_bytes: u64,
+        nvme: &NvmeDeviceHandle,
+        hostmem: &RefCell<HostMemory>,
+    ) -> CaseStudyReport {
+        if !self.lossy_link {
+            assert_eq!(self.images_stored, self.cfg.images);
+            assert_eq!(
+                self.sink_completed(),
+                self.transfers_begun,
+                "all transfers must persist"
+            );
+        }
+        let image_bytes = self.images_stored * ImageFormat::capture().bytes() as u64;
+        CaseStudyReport {
+            images: self.images_stored,
+            image_bytes,
+            elapsed,
+            bandwidth_gbps: image_bytes as f64 / 1e9 / elapsed.as_secs_f64(),
+            fps: self.images_stored as f64 / elapsed.as_secs_f64(),
+            correct: self.records.iter().filter(|r| r.class == r.truth).count() as u64,
+            classified: self.records.len() as u64,
+            pcie_bytes,
+            resyncs: self.resyncs,
+            bytes_skipped: self.bytes_skipped,
+            nand_backing_bytes: nvme.with(|d| d.nand_mut().media_mut().backing_bytes()),
+            host_backing_bytes: hostmem.borrow_mut().store_mut().backing_bytes(),
+        }
+    }
+}
+
 /// Run the SNAcc (FPGA) configuration of the case study on a brought-up
-/// system. Returns the report; the SSD contents can be verified by the
-/// caller.
+/// system, under the system's fault campaign if it has one. Returns the
+/// report; the SSD contents can be verified by the caller.
 pub fn run_snacc_case_study(
     sys: &mut crate::system::SnaccSystem,
     cfg: CaseStudyConfig,
 ) -> CaseStudyReport {
-    run_snacc_case_study_with(sys, cfg, None)
-}
-
-/// [`run_snacc_case_study`] under a fault plan. The plan's NVMe and PCIe
-/// injectors go into the brought-up system, its Ethernet faults onto the
-/// capture link. Under loss (`cfg.tolerate_loss`) the lossless-delivery
-/// assertions are relaxed: the report then counts what actually landed.
-pub fn run_snacc_case_study_with(
-    sys: &mut crate::system::SnaccSystem,
-    cfg: CaseStudyConfig,
-    plan: Option<&FaultPlan>,
-) -> CaseStudyReport {
     sys.reset_pcie_meters();
     let start = sys.en.now();
-    if let Some(p) = plan {
-        sys.inject_faults(p);
-    }
-
     let sink = StreamerSink::new(&mut sys.en, sys.streamer.ports());
-    let (ctl, _link) = run_case_study_front_with(&mut sys.en, cfg.clone(), sink, plan);
+    let plan = sys.cfg.faults.as_ref();
+    let (ctl, _link) = run_case_study_front(&mut sys.en, cfg, sink, plan);
     sys.en.run();
-
-    let end = sys.en.now();
-    let c = ctl.borrow();
-    if !cfg.tolerate_loss {
-        let expected_transfers = c.transfers_begun();
-        assert_eq!(
-            c.sink_completed(),
-            expected_transfers,
-            "all transfers must persist"
-        );
-        assert_eq!(c.images_stored, cfg.images);
-    }
-    let image_bytes = c.images_stored * ImageFormat::capture().bytes() as u64;
-    let elapsed = end.since(start);
-    let correct = c.records.iter().filter(|r| r.class == r.truth).count() as u64;
-    let (nand_backing_bytes, host_backing_bytes) = backing_bytes(&sys.nvme, &sys.hostmem);
-    CaseStudyReport {
-        images: c.images_stored,
-        image_bytes,
-        elapsed,
-        bandwidth_gbps: image_bytes as f64 / 1e9 / elapsed.as_secs_f64(),
-        fps: c.images_stored as f64 / elapsed.as_secs_f64(),
-        correct,
-        classified: c.records.len() as u64,
-        pcie_bytes: sys.pcie_bytes(),
-        resyncs: c.resyncs(),
-        bytes_skipped: c.bytes_skipped(),
-        nand_backing_bytes,
-        host_backing_bytes,
-    }
+    let elapsed = sys.en.now().since(start);
+    let report = ctl
+        .borrow()
+        .report(elapsed, sys.pcie_bytes(), &sys.nvme, &sys.hostmem);
+    report
 }
 
 #[cfg(test)]
@@ -870,13 +841,15 @@ mod tests {
         // the image magic instead of panicking, and the report counts
         // what actually landed.
         let plan = FaultPlan::parse("seed = 9\n[net]\ndrop_rate = 0.002").unwrap();
-        let mut sys = SnaccSystem::bring_up(SystemConfig::snacc(StreamerVariant::Uram));
+        let mut sys = SnaccSystem::bring_up(SystemConfig {
+            faults: Some(plan),
+            ..SystemConfig::snacc(StreamerVariant::Uram)
+        });
         let cfg = CaseStudyConfig {
             images: 4,
-            tolerate_loss: true,
             ..Default::default()
         };
-        let report = run_snacc_case_study_with(&mut sys, cfg, Some(&plan));
+        let report = run_snacc_case_study(&mut sys, cfg);
         assert!(
             report.resyncs > 0,
             "seeded plan must drop frames: {report:?}"
@@ -891,14 +864,15 @@ mod tests {
         // 3-attempt retry policy. Every injected error is either retried
         // or given up — and with 5% error over a short run, recovery
         // should be total.
-        let plan = FaultPlan::flaky_ssd();
-        let mut sys =
-            SnaccSystem::bring_up(SystemConfig::snacc_faulted(StreamerVariant::Uram, &plan));
+        let mut sys = SnaccSystem::bring_up(SystemConfig {
+            faults: Some(FaultPlan::flaky_ssd()),
+            ..SystemConfig::snacc(StreamerVariant::Uram)
+        });
         let cfg = CaseStudyConfig {
             images: 4,
             ..Default::default()
         };
-        let report = run_snacc_case_study_with(&mut sys, cfg, Some(&plan));
+        let report = run_snacc_case_study(&mut sys, cfg);
         assert_eq!(report.images, 4);
         let faults = sys.nvme.fault_stats().errors;
         let m = sys.streamer.metrics();

@@ -479,36 +479,19 @@ pub fn run_host_case_study(
     let (spdk, sink, front) = attach_host_staging(host, &cfg, gpu);
     host.fabric.borrow_mut().reset_meters();
     let start = host.en.now();
-    let (ctl, _link) = run_case_study_front(&mut host.en, front, sink.clone());
+    let (ctl, _link) = run_case_study_front(&mut host.en, front, sink.clone(), None);
     host.en.run();
     // Drive remaining staged data to the SSD.
     finalize(&sink, &mut host.en);
     let end = host.en.now();
-    let c = ctl.borrow();
-    assert_eq!(c.images_stored, cfg.images);
-    assert_eq!(c.sink_completed(), c.transfers_begun());
-    let image_bytes = cfg.images * crate::images::ImageFormat::capture().bytes() as u64;
-    let elapsed = end.since(start);
-    let correct = c.records.iter().filter(|r| r.class == r.truth).count() as u64;
-    let (nand_backing_bytes, host_backing_bytes) =
-        crate::pipeline::backing_bytes(&host.nvme, &host.hostmem);
     let occupancy = spdk.cpu_occupancy(SimTime::ZERO, end);
     assert!(
         occupancy > 0.99,
         "the host core must be pegged: {occupancy}"
     );
-    CaseStudyReport {
-        images: c.images_stored,
-        image_bytes,
-        elapsed,
-        bandwidth_gbps: image_bytes as f64 / 1e9 / elapsed.as_secs_f64(),
-        fps: c.images_stored as f64 / elapsed.as_secs_f64(),
-        correct,
-        classified: c.records.len() as u64,
-        pcie_bytes: host.fabric.borrow().total_payload_bytes(),
-        resyncs: c.resyncs(),
-        bytes_skipped: c.bytes_skipped(),
-        nand_backing_bytes,
-        host_backing_bytes,
-    }
+    let pcie_bytes = host.fabric.borrow().total_payload_bytes();
+    let report = ctl
+        .borrow()
+        .report(end.since(start), pcie_bytes, &host.nvme, &host.hostmem);
+    report
 }

@@ -42,6 +42,11 @@ pub struct SystemConfig {
     pub enforce_iommu: bool,
     /// Simulation seed (tR jitter, workload addresses).
     pub seed: u64,
+    /// A fault campaign to run under. Bring-up takes the streamer's retry
+    /// policy from it and, once the host driver is done, installs its
+    /// NVMe and PCIe injectors, so admin commands and queue setup never
+    /// fault; the case study puts its Ethernet faults on the capture link.
+    pub faults: Option<FaultPlan>,
 }
 
 impl SystemConfig {
@@ -52,17 +57,8 @@ impl SystemConfig {
             nvme: NvmeProfile::samsung_990pro(),
             enforce_iommu: true,
             seed: 0x5aacc,
+            faults: None,
         }
-    }
-
-    /// The paper's setup with a fault campaign's retry policy wired into
-    /// the streamer. The policy must be set *before* bring-up (it is
-    /// consumed when the streamer is constructed); the plan's injectors
-    /// are installed afterwards with [`SnaccSystem::inject_faults`].
-    pub fn snacc_faulted(variant: StreamerVariant, plan: &FaultPlan) -> Self {
-        let mut cfg = Self::snacc(variant);
-        cfg.streamer.retry = plan.retry;
-        cfg
     }
 }
 
@@ -80,8 +76,9 @@ pub struct SnaccSystem {
     pub streamer: StreamerHandle,
     /// The SSD.
     pub nvme: NvmeDeviceHandle,
-    /// What every SSD added by [`SnaccSystem::attach_ssd`] is built from.
-    cfg: SystemConfig,
+    /// What every SSD added by [`SnaccSystem::attach_ssd`] is built from,
+    /// and the fault campaign the case study reads.
+    pub(crate) cfg: SystemConfig,
 }
 
 /// The host side every system shares: a fabric (enforcing IOMMU or
@@ -118,12 +115,19 @@ fn add_ssd(
 }
 
 impl SnaccSystem {
-    /// Build and bring up the complete system.
-    pub fn bring_up(cfg: SystemConfig) -> SnaccSystem {
+    /// Build and bring up the complete system, under `cfg.faults` if set.
+    pub fn bring_up(mut cfg: SystemConfig) -> SnaccSystem {
+        if let Some(plan) = &cfg.faults {
+            cfg.streamer.retry = plan.retry;
+        }
         let mut en = Engine::new();
         let (fabric, hostmem) = host_node(cfg.enforce_iommu);
         let mut shell = TapascoShell::new(fabric.clone(), layout::SHELL_BAR);
         let (streamer, nvme) = add_ssd(&mut en, &fabric, &hostmem, &mut shell, &cfg, 0);
+        if let Some(plan) = &cfg.faults {
+            plan.apply_nvme(&nvme);
+            plan.apply_fabric(&mut fabric.borrow_mut());
+        }
         SnaccSystem {
             en,
             fabric,
@@ -136,7 +140,8 @@ impl SnaccSystem {
     }
 
     /// Put one more SSD, with its own streamer instance, on this system's
-    /// shell (the multi-SSD extension, Sec 7), configured as SSD 0 was.
+    /// shell (the multi-SSD extension, Sec 7), configured as SSD 0 was;
+    /// a fault campaign's injectors stay on SSD 0.
     /// The brought-up SSD is SSD 0; SSD `i` sits at `NVME_BAR + (i << 28)`
     /// with seed `cfg.seed + i`. The caller owns the returned handles.
     ///
@@ -173,15 +178,6 @@ impl SnaccSystem {
     /// measured phase).
     pub fn reset_pcie_meters(&mut self) {
         self.fabric.borrow_mut().reset_meters();
-    }
-
-    /// Install a fault plan's NVMe and PCIe injectors. Call after
-    /// bring-up so admin commands and queue setup never see faults;
-    /// Ethernet faults apply to pipeline MACs separately (see
-    /// [`FaultPlan::apply_mac`]).
-    pub fn inject_faults(&mut self, plan: &FaultPlan) {
-        plan.apply_nvme(&self.nvme);
-        plan.apply_fabric(&mut self.fabric.borrow_mut());
     }
 }
 

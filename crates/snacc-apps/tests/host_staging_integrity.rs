@@ -37,7 +37,7 @@ fn check_host_staging(gpu: bool) {
     let model = GpuModel::default();
     let (_spdk, mut handle, front_cfg) =
         attach_host_staging(&mut host, &cfg, gpu.then_some(&model));
-    let (ctl, _link) = run_case_study_front(&mut host.en, front_cfg, handle.clone());
+    let (ctl, _link) = run_case_study_front(&mut host.en, front_cfg, handle.clone(), None);
     host.en.run();
 
     // The controller flushes a record page every 256 records, so this

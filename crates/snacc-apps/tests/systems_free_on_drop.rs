@@ -181,7 +181,7 @@ fn snacc_case_study_leaves_nothing_behind() {
 fn case_study_front_frees_itself() {
     let mut sys = SnaccSystem::bring_up(SystemConfig::snacc(StreamerVariant::Uram));
     let sink = StreamerSink::new(&mut sys.en, sys.streamer.ports());
-    let (ctl, link) = run_case_study_front(&mut sys.en, small_case_study(), sink);
+    let (ctl, link) = run_case_study_front(&mut sys.en, small_case_study(), sink, None);
     sys.en.run();
     assert_eq!(ctl.borrow().images_stored, 2);
     let front = Rc::downgrade(&ctl);

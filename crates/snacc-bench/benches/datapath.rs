@@ -29,7 +29,7 @@ fn datapath_benches(c: &mut Criterion) {
     g.bench_function("seq_write", |b| {
         b.iter(|| {
             black_box(workloads::snacc_seq_bandwidth(
-                StreamerVariant::Uram,
+                SystemConfig::snacc(StreamerVariant::Uram),
                 Dir::Write,
                 seq_total,
             ))
@@ -38,7 +38,7 @@ fn datapath_benches(c: &mut Criterion) {
     g.bench_function("seq_read", |b| {
         b.iter(|| {
             black_box(workloads::snacc_seq_bandwidth(
-                StreamerVariant::Uram,
+                SystemConfig::snacc(StreamerVariant::Uram),
                 Dir::Read,
                 seq_total,
             ))

@@ -18,10 +18,22 @@ fn fig4a_seq_bandwidth(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig4a_seq");
     g.sample_size(10);
     g.bench_function("uram_write_64M", |b| {
-        b.iter(|| snacc_seq_bandwidth(StreamerVariant::Uram, Dir::Write, 64 << 20))
+        b.iter(|| {
+            snacc_seq_bandwidth(
+                SystemConfig::snacc(StreamerVariant::Uram),
+                Dir::Write,
+                64 << 20,
+            )
+        })
     });
     g.bench_function("uram_read_64M", |b| {
-        b.iter(|| snacc_seq_bandwidth(StreamerVariant::Uram, Dir::Read, 64 << 20))
+        b.iter(|| {
+            snacc_seq_bandwidth(
+                SystemConfig::snacc(StreamerVariant::Uram),
+                Dir::Read,
+                64 << 20,
+            )
+        })
     });
     g.bench_function("spdk_write_64M", |b| {
         b.iter(|| spdk_bandwidth(Dir::Write, false, 64 << 20, 64, 1))

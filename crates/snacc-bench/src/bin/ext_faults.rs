@@ -8,8 +8,9 @@
 //! With `--faults <plan.toml>` the sweep is replaced by a single run of
 //! the given campaign (any layers: NVMe, PCIe, retry policy all honoured).
 
+use snacc_apps::system::SystemConfig;
 use snacc_bench::sweep::{self, JobOutput};
-use snacc_bench::workloads::{snacc_seq_bandwidth_with, Dir, FaultSummary};
+use snacc_bench::workloads::{snacc_seq_bandwidth, Dir, FaultSummary};
 use snacc_bench::{print_table, BenchRecord, Telemetry};
 use snacc_core::config::StreamerVariant;
 use snacc_faults::FaultPlan;
@@ -17,13 +18,15 @@ use snacc_faults::FaultPlan;
 fn campaign(
     log: &mut JobOutput,
     label: &str,
-    plan: &FaultPlan,
+    plan: FaultPlan,
     total: u64,
 ) -> (BenchRecord, FaultSummary) {
     log.eprintln(format!("[ext_faults] running {label}..."));
-    let (series, summary) =
-        snacc_seq_bandwidth_with(StreamerVariant::Uram, Dir::Read, total, Some(plan));
-    let s = summary.expect("a plan was installed");
+    let cfg = SystemConfig {
+        faults: Some(plan),
+        ..SystemConfig::snacc(StreamerVariant::Uram)
+    };
+    let (series, s) = snacc_seq_bandwidth(cfg, Dir::Read, total);
     log.eprintln(format!("[ext_faults] {label}: {s}"));
     assert_eq!(
         s.injected_failures(),
@@ -71,7 +74,7 @@ fn main() {
         .into_iter()
         .map(|(label, plan)| {
             Box::new(move |log: &mut JobOutput| {
-                let (r, s) = campaign(log, &label, &plan, total);
+                let (r, s) = campaign(log, &label, plan, total);
                 (r, (label, s))
             }) as sweep::Job<'_, CampaignResult>
         })

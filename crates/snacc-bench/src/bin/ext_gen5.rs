@@ -13,6 +13,7 @@ fn run(profile: NvmeProfile, write: bool) -> f64 {
         nvme: profile,
         enforce_iommu: true,
         seed: 0x6e5,
+        faults: None,
     };
     let mut sys = SnaccSystem::bring_up(cfg);
     let total: u64 = 1 << 30;

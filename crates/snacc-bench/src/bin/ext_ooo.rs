@@ -13,6 +13,7 @@ fn ooo_rand_read(total: u64) -> f64 {
         nvme: NvmeProfile::samsung_990pro(),
         enforce_iommu: true,
         seed: 0x5aacc,
+        faults: None,
     };
     let mut sys = SnaccSystem::bring_up(cfg);
     sys.nvme.with(|d| d.nand_mut().prewarm(0, 1 << 30, 0x3C));

@@ -2,8 +2,9 @@
 //! on-board DRAM / host DRAM vs SPDK, read and write. Write bandwidth is
 //! reported as the paper's alternating lo/hi pair.
 
+use snacc_apps::system::SystemConfig;
 use snacc_bench::sweep::{self, JobOutput};
-use snacc_bench::workloads::{snacc_seq_bandwidth_with, spdk_seq_series, Dir};
+use snacc_bench::workloads::{snacc_seq_bandwidth, spdk_seq_series, Dir};
 use snacc_bench::{print_table, BenchRecord, Telemetry};
 use snacc_core::config::StreamerVariant;
 
@@ -94,9 +95,13 @@ fn main() {
                 log.eprintln(format!("[fig4a] running {label}..."));
                 let mut series = match variant {
                     Some(v) => {
-                        let (series, faults) = snacc_seq_bandwidth_with(v, dir, total, plan);
-                        if let Some(s) = faults {
-                            log.eprintln(format!("[fig4a] {label} faults: {s}"));
+                        let cfg = SystemConfig {
+                            faults: plan.cloned(),
+                            ..SystemConfig::snacc(v)
+                        };
+                        let (series, faults) = snacc_seq_bandwidth(cfg, dir, total);
+                        if plan.is_some() {
+                            log.eprintln(format!("[fig4a] {label} faults: {faults}"));
                         }
                         series
                     }

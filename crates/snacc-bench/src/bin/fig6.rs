@@ -3,7 +3,7 @@
 //! before that); SNACC_FULL=1 streams the paper's 16384 frames.
 
 use snacc_apps::gpu::{run_gpu_case_study, GpuModel};
-use snacc_apps::pipeline::{run_snacc_case_study_with, CaseStudyConfig};
+use snacc_apps::pipeline::{run_snacc_case_study, CaseStudyConfig};
 use snacc_apps::spdk_ref::run_spdk_case_study;
 use snacc_apps::system::{SnaccSystem, SystemConfig};
 use snacc_bench::sweep::{self, JobOutput};
@@ -19,16 +19,8 @@ fn main() {
         512
     };
     let plan = telemetry.fault_plan();
-    // A lossy-link campaign desyncs the capture stream; let the
-    // DbController resync on the image magic instead of panicking.
-    let lossy = plan.is_some_and(|p| {
-        p.net
-            .as_ref()
-            .is_some_and(|n| n.drop_rate > 0.0 || n.corrupt_rate > 0.0)
-    });
     let cfg = CaseStudyConfig {
         images,
-        tolerate_loss: lossy,
         ..Default::default()
     };
     enum Cfg {
@@ -59,13 +51,12 @@ fn main() {
             Box::new(move |log: &mut JobOutput| {
                 let (report, paper) = match job {
                     Cfg::Snacc(v, paper) => {
-                        let syscfg = match plan {
-                            Some(p) => SystemConfig::snacc_faulted(v, p),
-                            None => SystemConfig::snacc(v),
-                        };
-                        let mut sys = SnaccSystem::bring_up(syscfg);
+                        let mut sys = SnaccSystem::bring_up(SystemConfig {
+                            faults: plan.cloned(),
+                            ..SystemConfig::snacc(v)
+                        });
                         let base = plan.map(|_| FaultSummary::from_system(&sys));
-                        let r = run_snacc_case_study_with(&mut sys, cfg.clone(), plan);
+                        let r = run_snacc_case_study(&mut sys, cfg.clone());
                         if let Some(base) = base {
                             let s = FaultSummary::from_system(&sys).since(&base);
                             log.eprintln(format!(

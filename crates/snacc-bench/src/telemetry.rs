@@ -15,17 +15,20 @@
 //!
 //! `--faults <plan.toml>` loads a [`FaultPlan`] (see `snacc-faults` and
 //! the shipped `plans/*.toml`); binaries that support fault campaigns
-//! fetch it with [`Telemetry::fault_plan`] and wire it into their
-//! systems.
+//! take it with [`Telemetry::fault_plan`] and put it into their
+//! systems' configuration. A plan that the binary never takes, like any
+//! argument not listed here, is an error.
 //!
 //! `--jobs <N>` sizes the sweep worker pool ([`Telemetry::jobs`]): sweep
 //! binaries fan their independent simulation jobs across `N` threads with
 //! byte-identical output (see [`crate::sweep`]). Defaults to 1; forced
 //! back to 1 while any telemetry sink is recording.
 
+use serde_json::{Map, Value};
 use snacc_faults::FaultPlan;
 use snacc_trace::{MetricsRegistry, Tracer};
-use std::path::PathBuf;
+use std::cell::Cell;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Parsed telemetry flags; holds the export paths while the thread-local
@@ -34,7 +37,9 @@ pub struct Telemetry {
     trace_path: Option<PathBuf>,
     metrics_path: Option<PathBuf>,
     perf_path: Option<PathBuf>,
-    fault_plan: Option<FaultPlan>,
+    faults: Option<(PathBuf, FaultPlan)>,
+    /// Whether [`Telemetry::fault_plan`] handed the plan out.
+    faults_taken: Cell<bool>,
     jobs: usize,
     started: Instant,
 }
@@ -48,10 +53,10 @@ struct Flags {
     jobs: usize,
 }
 
-/// Parse the telemetry flags (`--flag value` or `--flag=value`); other
-/// arguments are ignored. A flag without a value, an output path whose
-/// directory does not exist, a `--jobs` that is not a positive integer,
-/// or a `--faults` plan that cannot be loaded is an error.
+/// Parse the telemetry flags (`--flag value` or `--flag=value`). Any
+/// other argument, a flag without a value, an output path whose directory
+/// does not exist, a `--jobs` that is not a positive integer, or a
+/// `--faults` plan that cannot be loaded is an error.
 fn parse(mut args: impl Iterator<Item = String>) -> Result<Flags, String> {
     let mut f = Flags {
         jobs: 1,
@@ -70,7 +75,10 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<Flags, String> {
             "--jobs",
         ];
         if !known.contains(&flag.as_str()) {
-            continue;
+            return Err(format!(
+                "unknown argument `{flag}` (expected {})",
+                known.join(", ")
+            ));
         }
         let v = inline
             .or_else(|| args.next())
@@ -127,46 +135,32 @@ fn peak_rss_kb() -> u64 {
     0
 }
 
-/// Merge `{key: record}` into the JSON object file at `path`, preserving
-/// other keys (each figure binary writes its own entry). The existing file
-/// is parsed just enough to splice objects; on any parse trouble the file
-/// is rewritten with only the new entry.
-fn merge_json_entry(path: &PathBuf, key: &str, record: &str) -> std::io::Result<()> {
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let mut entries: Vec<(String, String)> = Vec::new();
-    if let Some(body) = existing
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-    {
-        // Top-level entries are `"key": {...}` — values are one-level
-        // objects, so splitting on `}` boundaries is enough.
-        for part in body.split_inclusive('}') {
-            let part = part.trim().trim_start_matches(',').trim();
-            if let Some((k, v)) = part.split_once(':') {
-                let k = k.trim().trim_matches('"').to_string();
-                if !k.is_empty() && k != key {
-                    entries.push((k, v.trim().to_string()));
-                }
-            }
-        }
-    }
-    entries.push((key.to_string(), record.to_string()));
-    let mut out = String::from("{\n");
-    for (i, (k, v)) in entries.iter().enumerate() {
-        let sep = if i + 1 == entries.len() { "" } else { "," };
-        out.push_str(&format!("  \"{k}\": {v}{sep}\n"));
-    }
-    out.push('}');
-    out.push('\n');
-    std::fs::write(path, out)
+/// Merge `{key: record}` into the JSON object file at `path`, keeping the
+/// other entries and their order (each figure binary writes its own
+/// entry; re-running one replaces it in place). A missing or empty file
+/// starts a new object; a file that is not a JSON object is an error, not
+/// overwritten.
+fn merge_json_entry(path: &Path, key: &str, record: Value) -> Result<(), String> {
+    let mut doc = match std::fs::read_to_string(path) {
+        Ok(text) if text.trim().is_empty() => Map::new(),
+        Ok(text) => match serde_json::from_str(&text) {
+            Ok(Value::Object(doc)) => doc,
+            Ok(_) => return Err("not a JSON object".into()),
+            Err(e) => return Err(e.to_string()),
+        },
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Map::new(),
+        Err(e) => return Err(e.to_string()),
+    };
+    doc.insert(key, record);
+    let text = serde_json::to_string_pretty(&Value::Object(doc)) + "\n";
+    std::fs::write(path, text).map_err(|e| e.to_string())
 }
 
 impl Telemetry {
     /// Parse `--trace <path>` / `--metrics-json <path>` / `--perf-json
     /// <path>` / `--faults <plan.toml>` / `--jobs <N>` (also the
     /// `--flag=value` spelling) from the process arguments and install the
-    /// corresponding sinks. Other arguments are ignored. Bad input prints
+    /// corresponding sinks. Any other argument, or bad input, prints
     /// `error: …` and exits with status 2.
     pub fn from_args() -> Telemetry {
         let f = parse(std::env::args().skip(1)).unwrap_or_else(|e| {
@@ -179,27 +173,30 @@ impl Telemetry {
         if f.metrics_path.is_some() {
             snacc_trace::install_registry(MetricsRegistry::new());
         }
-        let fault_plan = f.faults.map(|(path, plan)| {
-            eprintln!(
-                "(faults: campaign from {}, seed {})",
-                path.display(),
-                plan.seed
-            );
-            plan
-        });
         Telemetry {
             trace_path: f.trace_path,
             metrics_path: f.metrics_path,
             perf_path: f.perf_path,
-            fault_plan,
+            faults: f.faults,
+            faults_taken: Cell::new(false),
             jobs: f.jobs,
             started: Instant::now(),
         }
     }
 
     /// The fault campaign requested with `--faults <plan.toml>`, if any.
+    /// The first call announces the campaign on stderr; a plan that is
+    /// never taken fails [`Telemetry::finish`].
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault_plan.as_ref()
+        let (path, plan) = self.faults.as_ref()?;
+        if !self.faults_taken.replace(true) {
+            eprintln!(
+                "(faults: campaign from {}, seed {})",
+                path.display(),
+                plan.seed
+            );
+        }
+        Some(plan)
     }
 
     /// Worker count for the sweep pool (`--jobs N`, default 1). Degrades
@@ -217,7 +214,8 @@ impl Telemetry {
     }
 
     /// Write the requested export files and stop recording. A file that
-    /// cannot be written prints `error: …` and exits with status 2.
+    /// cannot be written, or a `--faults` plan this binary never took,
+    /// prints `error: …` and exits with status 2.
     pub fn finish(self) {
         if let Err(e) = self.write_exports() {
             eprintln!("error: {e}");
@@ -226,12 +224,19 @@ impl Telemetry {
     }
 
     fn write_exports(self) -> Result<(), String> {
-        let failed =
-            |flag: &str, p: &PathBuf, e: std::io::Error| format!("{flag} {}: {e}", p.display());
+        if let (Some((path, _)), false) = (&self.faults, self.faults_taken.get()) {
+            return Err(format!(
+                "--faults {}: this binary runs no fault campaign",
+                path.display()
+            ));
+        }
+        let failed = |flag: &str, p: &PathBuf, e: &dyn std::fmt::Display| {
+            format!("{flag} {}: {e}", p.display())
+        };
         if let Some(p) = &self.trace_path {
             let tracer = snacc_trace::uninstall().expect("tracer was installed");
             std::fs::write(p, snacc_trace::export_chrome_trace(&tracer))
-                .map_err(|e| failed("--trace", p, e))?;
+                .map_err(|e| failed("--trace", p, &e))?;
             eprintln!(
                 "(trace: {} events -> {}; open in https://ui.perfetto.dev)",
                 tracer.events_recorded(),
@@ -240,7 +245,7 @@ impl Telemetry {
         }
         if let Some(p) = &self.metrics_path {
             std::fs::write(p, snacc_trace::registry().snapshot_json())
-                .map_err(|e| failed("--metrics-json", p, e))?;
+                .map_err(|e| failed("--metrics-json", p, &e))?;
             eprintln!("(metrics -> {})", p.display());
         }
         if let Some(p) = &self.perf_path {
@@ -256,10 +261,12 @@ impl Telemetry {
                         .unwrap_or_else(|| "unknown".into())
                 })
                 .unwrap_or_else(|| "unknown".into());
-            let record = format!(
-                "{{\"wall_seconds\": {wall:.3}, \"events_executed\": {events}, \"peak_rss_kb\": {rss}}}"
-            );
-            merge_json_entry(p, &bin, &record).map_err(|e| failed("--perf-json", p, e))?;
+            let mut record = Map::new();
+            record.insert("wall_seconds", Value::from((wall * 1e3).round() / 1e3));
+            record.insert("events_executed", Value::from(events));
+            record.insert("peak_rss_kb", Value::from(rss));
+            merge_json_entry(p, &bin, Value::Object(record))
+                .map_err(|e| failed("--perf-json", p, &e))?;
             eprintln!(
                 "(perf: {wall:.3} s wall, {events} events, {rss} KiB peak RSS -> {})",
                 p.display()
@@ -324,11 +331,45 @@ mod tests {
     }
 
     #[test]
-    fn ignores_unrelated_args() {
-        let f = ok(&["--quiet", "positional"]);
-        assert_eq!(f.trace_path, None);
-        assert_eq!(f.metrics_path, None);
-        assert_eq!(f.perf_path, None);
+    fn unknown_argument_is_an_error() {
+        // A typo must not run a clean sweep in place of the campaign.
+        let e = err(&["--fault", PLAN]);
+        assert!(e.starts_with("unknown argument `--fault`"), "{e}");
+        assert!(err(&["--fault=x.toml"]).starts_with("unknown argument `--fault`"));
+        assert!(err(&["positional"]).starts_with("unknown argument `positional`"));
+    }
+
+    /// A telemetry with no flags set.
+    fn telemetry() -> Telemetry {
+        Telemetry {
+            trace_path: None,
+            metrics_path: None,
+            perf_path: None,
+            faults: None,
+            faults_taken: Cell::new(false),
+            jobs: 1,
+            started: Instant::now(),
+        }
+    }
+
+    #[test]
+    fn fault_plan_never_taken_is_an_error() {
+        let plan = ok(&["--faults", PLAN]).faults;
+        let t = Telemetry {
+            faults: plan.clone(),
+            ..telemetry()
+        };
+        let e = t.write_exports().expect_err("an unused plan must fail");
+        assert_eq!(
+            e,
+            format!("--faults {PLAN}: this binary runs no fault campaign")
+        );
+        let t = Telemetry {
+            faults: plan,
+            ..telemetry()
+        };
+        assert_eq!(t.fault_plan().map(|p| p.seed), Some(42));
+        assert_eq!(t.write_exports(), Ok(()));
     }
 
     #[test]
@@ -369,14 +410,7 @@ mod tests {
         let e = err(&[flag, "/no/such/dir/t.json"]);
         assert!(e.starts_with(flag) && e.contains("/no/such/dir"), "{e}");
         assert!(err(&[&format!("{flag}=/no/such/dir/t.json")]).starts_with(flag));
-        let mut t = Telemetry {
-            trace_path: None,
-            metrics_path: None,
-            perf_path: None,
-            fault_plan: None,
-            jobs: 1,
-            started: Instant::now(),
-        };
+        let mut t = telemetry();
         let dir = std::env::temp_dir();
         set(&mut t, dir.clone());
         let e = t
@@ -408,19 +442,49 @@ mod tests {
         assert_eq!(f.perf_path, Some(PathBuf::from("./p.json")));
     }
 
+    fn wall(s: f64) -> Value {
+        let mut m = Map::new();
+        m.insert("wall_seconds", Value::from(s));
+        Value::Object(m)
+    }
+
     #[test]
     fn perf_json_merges_by_key() {
         let dir = std::env::temp_dir().join(format!("snacc-perf-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("perf.json");
-        merge_json_entry(&path, "fig4a", "{\"wall_seconds\": 1.5}").unwrap();
-        merge_json_entry(&path, "fig7", "{\"wall_seconds\": 2.0}").unwrap();
+        merge_json_entry(&path, "fig4a", wall(1.5)).unwrap();
+        merge_json_entry(&path, "fig7", wall(2.0)).unwrap();
         // Re-running a binary replaces its entry, keeping the others.
-        merge_json_entry(&path, "fig4a", "{\"wall_seconds\": 1.0}").unwrap();
-        let got = std::fs::read_to_string(&path).unwrap();
-        assert!(got.contains("\"fig7\": {\"wall_seconds\": 2.0}"), "{got}");
-        assert!(got.contains("\"fig4a\": {\"wall_seconds\": 1.0}"), "{got}");
-        assert!(!got.contains("1.5"), "{got}");
+        merge_json_entry(&path, "fig4a", wall(1.0)).unwrap();
+        let got = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let keys: Vec<_> = got.as_object().unwrap().iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, ["fig4a", "fig7"]);
+        assert_eq!(got.get("fig4a"), Some(&wall(1.0)));
+        assert_eq!(got.get("fig7"), Some(&wall(2.0)));
+        // A file that is not a JSON object is refused, not overwritten.
+        std::fs::write(&path, "[1, 2]").unwrap();
+        assert!(merge_json_entry(&path, "fig4a", wall(1.0)).is_err());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "[1, 2]");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn perf_json_merges_into_nested_objects() {
+        // The shape of a `BENCH_*.json`: entries nest objects in objects.
+        let dir = std::env::temp_dir().join(format!("snacc-perf-nested-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH.json");
+        let before =
+            r#"{"bench": {"rand_4k": {"wall_s": 0.85}, "seq": {"wall_s": [1, 2]}}, "note": "x"}"#;
+        std::fs::write(&path, before).unwrap();
+        merge_json_entry(&path, "fig6", wall(7.9)).unwrap();
+        let got = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let Value::Object(mut want) = serde_json::from_str(before).unwrap() else {
+            unreachable!()
+        };
+        want.insert("fig6", wall(7.9));
+        assert_eq!(got, Value::Object(want));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

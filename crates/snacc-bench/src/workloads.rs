@@ -4,7 +4,6 @@ use snacc_apps::pipeline::CaseStudyReport;
 use snacc_apps::system::{layout, HostSystem, SnaccSystem, SystemConfig};
 use snacc_core::config::StreamerVariant;
 use snacc_core::streamer::encode_read_cmd;
-use snacc_faults::FaultPlan;
 use snacc_fpga::axis::{self, StreamBeat};
 use snacc_nvme::NvmeProfile;
 use snacc_sim::SimDuration;
@@ -233,31 +232,12 @@ pub fn record_backing_bytes(label: &str, report: &CaseStudyReport) {
 }
 
 /// Sequential bandwidth through the streamer (Fig 4a): transfers `total`
-/// bytes in 1 GB requests, reporting per-GiB bandwidths (the paper's
-/// alternating write behaviour shows up as distinct per-GiB values).
-pub fn snacc_seq_bandwidth(variant: StreamerVariant, dir: Dir, total: u64) -> Vec<f64> {
-    snacc_seq_bandwidth_with(variant, dir, total, None).0
-}
-
-/// [`snacc_seq_bandwidth`] under an optional fault campaign: the plan's
-/// retry policy is wired into the streamer before bring-up and its NVMe
-/// and PCIe injectors installed afterwards (so bring-up itself never
-/// faults). Returns the per-GiB rates plus the fault accounting.
-pub fn snacc_seq_bandwidth_with(
-    variant: StreamerVariant,
-    dir: Dir,
-    total: u64,
-    plan: Option<&FaultPlan>,
-) -> (Vec<f64>, Option<FaultSummary>) {
-    let cfg = match plan {
-        Some(p) => SystemConfig::snacc_faulted(variant, p),
-        None => SystemConfig::snacc(variant),
-    };
+/// bytes in 1 GB requests on a system brought up from `cfg`, reporting
+/// per-GiB bandwidths (the paper's alternating write behaviour shows up
+/// as distinct per-GiB values) and the fault accounting of the transfers.
+pub fn snacc_seq_bandwidth(cfg: SystemConfig, dir: Dir, total: u64) -> (Vec<f64>, FaultSummary) {
     let mut sys = SnaccSystem::bring_up(cfg);
-    if let Some(p) = plan {
-        sys.inject_faults(p);
-    }
-    let fault_base = plan.map(|_| FaultSummary::from_system(&sys));
+    let fault_base = FaultSummary::from_system(&sys);
     if dir == Dir::Read {
         // Pre-populate media (cold data still hits the channel ceiling).
         sys.nvme.with(|d| d.nand_mut().prewarm(0, total, 0xA5));
@@ -278,8 +258,7 @@ pub fn snacc_seq_bandwidth_with(
         rates.push(n as f64 / 1e9 / dt);
         off += n;
     }
-    let summary = fault_base.map(|base| FaultSummary::from_system(&sys).since(&base));
-    (rates, summary)
+    (rates, FaultSummary::from_system(&sys).since(&fault_base))
 }
 
 /// Random 4 KiB bandwidth through the streamer (Fig 4b): `total` bytes in

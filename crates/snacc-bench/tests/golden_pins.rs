@@ -82,7 +82,9 @@ fn run(pin: &str, exe: &str, plan: Option<&str>) -> Output {
     cmd.args(["--perf-json", "perf.json"]);
     if let Some(plan) = plan {
         let file = format!("{plan}.toml");
-        let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../plans").join(&file);
+        let src = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../plans")
+            .join(&file);
         std::fs::copy(&src, dir.join(&file)).unwrap_or_else(|e| panic!("{}: {e}", src.display()));
         cmd.args(["--faults", &file]);
     }

@@ -11,6 +11,13 @@
 //! wall time — two runs of the same plan over the same workload are
 //! event-for-event identical, down to the exported trace bytes.
 //!
+//! A campaign is one field of the system description,
+//! `snacc_apps::system::SystemConfig::faults`, and callers do not apply
+//! it by hand: `SnaccSystem::bring_up` takes the streamer's retry policy
+//! from the plan and, after the host driver's bring-up, calls
+//! [`FaultPlan::apply_nvme`] then [`FaultPlan::apply_fabric`]; the
+//! case-study front calls [`FaultPlan::apply_mac`] on its capture link.
+//!
 //! The layers:
 //!
 //! * **NVMe** ([`FaultPlan::apply_nvme`]) — I/O commands complete with an

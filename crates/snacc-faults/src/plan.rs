@@ -4,7 +4,8 @@
 //! built from a TOML-subset file (see [`FaultPlan::parse`] and the
 //! `plans/` directory at the repository root), or from one of the named
 //! presets, and then *applied* to the individual layer models — the NVMe
-//! device, the PCIe fabric, an Ethernet MAC. All randomness inside the
+//! device, the PCIe fabric, an Ethernet MAC — by the system bring-up and
+//! the case-study front that carry it. All randomness inside the
 //! injectors derives from [`FaultPlan::seed`] through per-layer salts,
 //! so two runs of the same plan on the same workload are event-for-event
 //! identical.
@@ -218,6 +219,14 @@ impl FaultPlan {
             check_window("pcie degrade", p.degrade_us)?;
         }
         Ok(())
+    }
+
+    /// Whether the plan loses data frames on the Ethernet link (a `[net]`
+    /// drop or corrupt rate above 0), so the receiver must resynchronise
+    /// on a desynced stream instead of treating it as a model bug.
+    pub fn loses_frames(&self) -> bool {
+        self.net
+            .is_some_and(|n| n.drop_rate > 0.0 || n.corrupt_rate > 0.0)
     }
 
     /// Install the NVMe-layer faults on a device (no-op without a

@@ -6,23 +6,21 @@
 //! * [`axis`] — AXI4-Stream channels: bounded ready/valid byte-beat
 //!   queues with TLAST, the lingua franca between user PEs and the SNAcc
 //!   streamer (Sec 4.1).
-//! * [`pe`] — processing elements: a rate-modelled streaming stage
-//!   (`StagePe`) that really transforms the bytes flowing through it, used
-//!   to build the case-study pipeline.
 //! * [`resources`] — FPGA resource accounting (LUT/FF/BRAM/URAM) with
 //!   Alveo U280 device totals; the Table 1 reproduction composes streamer
 //!   variants out of costed sub-blocks.
 //! * [`tapasco`] — the shell: PCIe endpoint, BAR window allocation (one
-//!   64 MB BAR plus an optional second BAR, Sec 4.5), PE registry, a
-//!   plugin mechanism, and the host-side runtime used for initialisation
-//!   (Sec 4.6).
+//!   64 MB BAR plus an optional second BAR, Sec 4.5), PE registry and
+//!   a plugin mechanism. The host reaches it with plain fabric reads and
+//!   writes; the initialisation driver lives in `snacc-core`.
+//!
+//! The case-study PEs (downscaler, classifier) are modelled inside the
+//! database controller of `snacc-apps`, not as separate stages here.
 
 pub mod axis;
-pub mod pe;
 pub mod resources;
 pub mod tapasco;
 
 pub use axis::{AxisChannel, StreamBeat};
-pub use pe::StagePe;
 pub use resources::{DeviceResources, ResourceUsage};
 pub use tapasco::{ShellPlugin, TapascoShell};

@@ -21,53 +21,6 @@ use crate::time::{SimDuration, SimTime};
 use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
-use std::fmt;
-
-/// A non-panicking engine failure, produced by [`Engine::try_step`] /
-/// [`Engine::try_run`]. Carries enough of the pending-queue state for a
-/// diagnosis (observability layers can dump it without re-borrowing the
-/// engine).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EngineError {
-    /// The run executed more events than the configured safety valve
-    /// allows — almost always an accidental infinite self-rescheduling
-    /// loop in a model.
-    EventLimit {
-        /// The configured limit that was exceeded.
-        limit: u64,
-        /// Simulated time at which the limit tripped.
-        now: SimTime,
-        /// Events still pending when the run stopped.
-        pending: usize,
-        /// `(time, seq)` of the next event that would have run, if any.
-        head: Option<(SimTime, u64)>,
-    },
-}
-
-impl fmt::Display for EngineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EngineError::EventLimit {
-                limit,
-                now,
-                pending,
-                head,
-            } => {
-                write!(
-                    f,
-                    "simulation exceeded event limit ({limit}) at {now} — runaway model? \
-                     {pending} events pending"
-                )?;
-                if let Some((t, seq)) = head {
-                    write!(f, ", next at {t} (seq {seq})")?;
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
-impl std::error::Error for EngineError {}
 
 type EventFn = Box<dyn FnOnce(&mut Engine)>;
 
@@ -265,108 +218,73 @@ impl Engine {
         }
     }
 
-    /// Execute the next event, advancing the clock. Returns `Ok(false)`
-    /// when the queue is empty and `Err(EngineError::EventLimit)` — with
-    /// the pending queue left intact for inspection — when the safety
-    /// valve trips.
-    pub fn try_step(&mut self) -> Result<bool, EngineError> {
+    /// Execute the next event, advancing the clock. Returns `false` when
+    /// the queue is empty.
+    ///
+    /// # Panics
+    ///
+    /// When the event limit trips with events still pending (almost
+    /// always an accidental infinite self-rescheduling loop in a model).
+    /// The message names the limit, the clock, the pending count and the
+    /// `(time, seq)` of the next event, which stays queued.
+    pub fn step(&mut self) -> bool {
         if self.executed >= self.event_limit {
-            if let Some(head) = self.peek_next() {
-                return Err(EngineError::EventLimit {
-                    limit: self.event_limit,
-                    now: self.now,
-                    pending: self.pending(),
-                    head: Some(head),
-                });
+            if let Some((t, seq)) = self.peek_next() {
+                panic!(
+                    "simulation exceeded event limit ({}) at {} — runaway model? \
+                     {} events pending, next at {t} (seq {seq})",
+                    self.event_limit,
+                    self.now,
+                    self.pending()
+                );
             }
         }
         let Some((time, f)) = self.pop_next() else {
-            return Ok(false);
+            return false;
         };
         debug_assert!(time >= self.now);
         self.now = time;
         self.executed += 1;
         f(self);
-        Ok(true)
-    }
-
-    /// Execute the next event, advancing the clock. Returns `false` when
-    /// the queue is empty. Panics if the event limit trips; use
-    /// [`Engine::try_step`] for a recoverable diagnosis.
-    pub fn step(&mut self) -> bool {
-        match self.try_step() {
-            Ok(progressed) => progressed,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Run until the event queue drains; returns the final time, or
-    /// `Err(EngineError::EventLimit)` with the pending queue preserved.
-    pub fn try_run(&mut self) -> Result<SimTime, EngineError> {
-        while self.try_step()? {}
-        Ok(self.now)
+        true
     }
 
     /// Run until the event queue drains; returns the final time. Panics
-    /// if the event limit trips; use [`Engine::try_run`] to recover.
+    /// if the event limit trips.
     pub fn run(&mut self) -> SimTime {
         while self.step() {}
         self.now
     }
 
     /// Run until the queue drains or the clock passes `deadline`.
-    /// Events scheduled exactly at `deadline` still execute. Returns
-    /// `Ok(true)` if the queue drained (i.e. the simulation finished on
-    /// its own), `Err(EngineError::EventLimit)` with the queue preserved
-    /// if the safety valve trips first.
-    pub fn try_run_until(&mut self, deadline: SimTime) -> Result<bool, EngineError> {
-        loop {
-            match self.peek_next() {
-                None => return Ok(true),
-                Some((t, _)) if t > deadline => {
-                    self.now = deadline;
-                    return Ok(false);
-                }
-                Some(_) => {
-                    self.try_step()?;
-                }
-            }
-        }
-    }
-
-    /// Run until the queue drains or the clock passes `deadline`.
     /// Events scheduled exactly at `deadline` still execute. Returns `true`
     /// if the queue drained (i.e. the simulation finished on its own).
-    /// Panics if the event limit trips; use [`Engine::try_run_until`] to
-    /// recover.
+    /// Panics if the event limit trips.
     pub fn run_until(&mut self, deadline: SimTime) -> bool {
-        match self.try_run_until(deadline) {
-            Ok(drained) => drained,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Run while `cond()` holds and events remain. Returns `Ok(true)` if
-    /// the queue drained before the condition turned false,
-    /// `Err(EngineError::EventLimit)` with the queue preserved if the
-    /// safety valve trips first.
-    pub fn try_run_while(&mut self, mut cond: impl FnMut() -> bool) -> Result<bool, EngineError> {
-        while cond() {
-            if !self.try_step()? {
-                return Ok(true);
+        loop {
+            match self.peek_next() {
+                None => return true,
+                Some((t, _)) if t > deadline => {
+                    self.now = deadline;
+                    return false;
+                }
+                Some(_) => {
+                    self.step();
+                }
             }
         }
-        Ok(false)
     }
 
     /// Run while `cond()` holds and events remain. Returns `true` if the
     /// queue drained before the condition turned false. Panics if the
-    /// event limit trips; use [`Engine::try_run_while`] to recover.
-    pub fn run_while(&mut self, cond: impl FnMut() -> bool) -> bool {
-        match self.try_run_while(cond) {
-            Ok(drained) => drained,
-            Err(e) => panic!("{e}"),
+    /// event limit trips.
+    pub fn run_while(&mut self, mut cond: impl FnMut() -> bool) -> bool {
+        while cond() {
+            if !self.step() {
+                return true;
+            }
         }
+        false
     }
 }
 
@@ -498,90 +416,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "event limit")]
-    fn event_limit_trips() {
+    fn event_limit_trips_with_a_diagnosis() {
         let mut en = Engine::new();
         en.set_event_limit(100);
         fn forever(en: &mut Engine) {
             en.schedule_in(SimDuration::from_ns(1), forever);
         }
         en.schedule_now(forever);
-        en.run();
-    }
-
-    #[test]
-    fn try_run_reports_event_limit_with_queue_intact() {
-        let mut en = Engine::new();
-        en.set_event_limit(100);
-        fn forever(en: &mut Engine) {
-            en.schedule_in(SimDuration::from_ns(1), forever);
-        }
-        en.schedule_now(forever);
-        let err = en.try_run().unwrap_err();
-        let EngineError::EventLimit {
-            limit,
-            now,
-            pending,
-            head,
-        } = err.clone();
-        assert_eq!(limit, 100);
-        assert_eq!(en.events_executed(), 100);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| en.run()))
+            .expect_err("the limit must trip");
+        let msg = panic.downcast_ref::<String>().expect("formatted message");
+        assert!(
+            msg.contains("exceeded event limit (100)") && msg.contains("1 events pending, next at"),
+            "{msg}"
+        );
         // The event that would have run next is still queued, not consumed.
-        assert_eq!(pending, 1);
+        assert_eq!(en.events_executed(), 100);
         assert_eq!(en.pending(), 1);
-        let (head_t, _seq) = head.expect("head event");
-        assert!(head_t >= now);
-        assert!(err.to_string().contains("event limit"));
-        // try_step keeps failing rather than silently resuming.
-        assert!(en.try_step().is_err());
-    }
-
-    #[test]
-    fn try_run_until_reports_event_limit() {
-        let mut en = Engine::new();
-        en.set_event_limit(10);
-        fn forever(en: &mut Engine) {
-            en.schedule_in(SimDuration::from_ns(1), forever);
-        }
-        en.schedule_now(forever);
-        let err = en.try_run_until(SimTime::from_ns(1000)).unwrap_err();
-        let EngineError::EventLimit { limit, pending, .. } = err;
-        assert_eq!(limit, 10);
-        assert_eq!(pending, 1);
-        // The deadline path still works on a fresh engine.
-        let mut en = Engine::new();
-        let hit = Rc::new(RefCell::new(0u32));
-        let h = hit.clone();
-        en.schedule_at(SimTime::from_ns(5), move |_| *h.borrow_mut() += 1);
-        assert_eq!(en.try_run_until(SimTime::from_ns(3)), Ok(false));
-        assert_eq!(*hit.borrow(), 0);
-        assert_eq!(en.now(), SimTime::from_ns(3));
-        assert_eq!(en.try_run_until(SimTime::from_ns(5)), Ok(true));
-        assert_eq!(*hit.borrow(), 1);
-    }
-
-    #[test]
-    fn try_run_while_reports_event_limit() {
-        let mut en = Engine::new();
-        en.set_event_limit(10);
-        fn forever(en: &mut Engine) {
-            en.schedule_in(SimDuration::from_ns(1), forever);
-        }
-        en.schedule_now(forever);
-        let err = en.try_run_while(|| true).unwrap_err();
-        assert!(matches!(err, EngineError::EventLimit { limit: 10, .. }));
-        // And the recoverable drain/condition results mirror run_while.
-        let mut en = Engine::new();
-        let count = Rc::new(RefCell::new(0u32));
-        for _ in 0..10 {
-            let c = count.clone();
-            en.schedule_in(SimDuration::from_ns(1), move |_| *c.borrow_mut() += 1);
-        }
-        let c = count.clone();
-        assert_eq!(en.try_run_while(move || *c.borrow() < 4), Ok(false));
-        assert_eq!(*count.borrow(), 4);
-        assert_eq!(en.try_run_while(|| true), Ok(true));
-        assert_eq!(*count.borrow(), 10);
     }
 
     #[test]

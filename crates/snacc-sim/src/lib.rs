@@ -44,7 +44,7 @@ pub mod rng;
 pub mod time;
 
 pub use bytes::{Payload, PayloadQueue};
-pub use engine::{Engine, EngineError};
+pub use engine::Engine;
 pub use link::{Bandwidth, SharedLink};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -51,6 +51,6 @@ pub use metrics::{
     meter as metric_meter, registry, CounterHandle, HistogramHandle, MeterHandle, MetricsRegistry,
 };
 pub use tracer::{
-    begin, counter, enabled, end, end_at, install, instant, instant_at, report_engine_error,
-    span_between, uninstall, SpanId, TraceEvent, Tracer,
+    begin, counter, enabled, end, end_at, install, instant, instant_at, span_between, uninstall,
+    SpanId, TraceEvent, Tracer,
 };

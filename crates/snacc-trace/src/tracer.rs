@@ -12,7 +12,6 @@
 //! [`enabled`] — a plain `Cell<bool>` read — before doing any argument
 //! formatting, which keeps the disabled path free of allocation.
 
-use snacc_sim::engine::EngineError;
 use snacc_sim::{Engine, SimTime};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -364,24 +363,6 @@ pub fn counter(en: &Engine, track: &str, name: &'static str, value: f64) {
     });
 }
 
-/// Dump an [`EngineError`] diagnosis into the trace: the pending-queue
-/// head (time, seq) and count land on the `engine` track so a runaway
-/// model's last state is visible in the exported timeline.
-pub fn report_engine_error(err: &EngineError) {
-    let EngineError::EventLimit {
-        limit,
-        now,
-        pending,
-        head,
-    } = err;
-    let mut args: Args = vec![("limit", *limit), ("pending", *pending as u64)];
-    if let Some((t, seq)) = head {
-        args.push(("head_t_ns", t.as_ns()));
-        args.push(("head_seq", *seq));
-    }
-    instant_at(*now, "engine", "engine.event_limit", &args);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,22 +408,5 @@ mod tests {
         uninstall();
         assert_eq!(tracer.events_recorded(), 2);
         assert_eq!(tracer.events_dropped(), 3);
-    }
-
-    #[test]
-    fn engine_error_report_lands_on_engine_track() {
-        let tracer = Tracer::new();
-        install(tracer.clone());
-        let err = EngineError::EventLimit {
-            limit: 100,
-            now: SimTime::from_ns(7),
-            pending: 3,
-            head: Some((SimTime::from_ns(8), 42)),
-        };
-        report_engine_error(&err);
-        uninstall();
-        assert_eq!(tracer.events_recorded(), 1);
-        let inner = tracer.inner.borrow();
-        assert_eq!(inner.tracks, vec!["engine".to_string()]);
     }
 }

@@ -28,6 +28,7 @@ fn main() {
         nvme: NvmeProfile::samsung_990pro(),
         enforce_iommu: true,
         seed: 0x6b76,
+        faults: None,
     };
     let mut sys = SnaccSystem::bring_up(cfg);
     let ports = sys.streamer.ports();

@@ -12,7 +12,7 @@
 //! * [`nvme`] — spec-faithful NVMe queues/PRPs on a calibrated
 //!   990 PRO-class SSD model,
 //! * [`net`] — 100 G Ethernet with IEEE 802.3x PAUSE flow control,
-//! * [`fpga`] — AXI4-Stream, PEs and a TaPaSCo-style platform shell,
+//! * [`fpga`] — AXI4-Stream and a TaPaSCo-style platform shell,
 //! * [`core`] — **the paper's contribution**: the NVMe Streamer with
 //!   on-the-fly PRP synthesis and in-order retirement,
 //! * [`spdk`] — the host-CPU polling baseline,

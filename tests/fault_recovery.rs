@@ -25,10 +25,12 @@ struct CampaignOutcome {
 /// Bring up a faulted system and drive `count` sequential PE reads of
 /// `len` bytes over pre-warmed media, returning the delta accounting.
 fn run_campaign(plan: &FaultPlan, count: u64, len: u64) -> CampaignOutcome {
-    let mut sys = SnaccSystem::bring_up(SystemConfig::snacc_faulted(StreamerVariant::Uram, plan));
+    let mut sys = SnaccSystem::bring_up(SystemConfig {
+        faults: Some(plan.clone()),
+        ..SystemConfig::snacc(StreamerVariant::Uram)
+    });
     sys.nvme
         .with(|d| d.nand_mut().prewarm(0, count * len, FILL));
-    sys.inject_faults(plan);
     let m = sys.streamer.metrics();
     // Metric counters are process-wide; diff against the post-bring-up
     // snapshot.

@@ -72,6 +72,7 @@ fn ooo_extension_roundtrip() {
         nvme: NvmeProfile::samsung_990pro(),
         enforce_iommu: true,
         seed: 5,
+        faults: None,
     };
     let mut sys = SnaccSystem::bring_up(cfg);
     let ports = sys.streamer.ports();
