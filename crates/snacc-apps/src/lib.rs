@@ -6,8 +6,9 @@
 //! operates autonomously on the FPGA without any host interaction."
 //!
 //! * [`system`] — one-stop builders for the full simulated node (fabric,
-//!   host memory, TaPaSCo shell + SNAcc plugin, SSD, bring-up), shared by
-//!   examples, integration tests and the benchmark harness.
+//!   host memory, TaPaSCo shell + SNAcc streamer, SSD, bring-up) and for
+//!   the host-only SPDK node (`HostSystem::spdk`), shared by examples,
+//!   integration tests and the benchmark harness.
 //! * [`images`] — the synthetic 2048×1536 RGB image stream (9 MB/frame —
 //!   16384 frames ≈ 147 GB, matching Sec 6.2), with real pixel data and a
 //!   tiny wire header, sent over the simulated 100 G link.

@@ -15,7 +15,7 @@
 
 use crate::gpu::GpuModel;
 use crate::pipeline::{run_case_study_front, CaseSink, CaseStudyConfig, CaseStudyReport, WakeHook};
-use crate::system::{layout, HostSystem};
+use crate::system::HostSystem;
 use snacc_mem::hostmem::PinnedBuffer;
 use snacc_mem::HostMemory;
 use snacc_pcie::{NodeId, PcieFabric, PcieLinkConfig};
@@ -442,14 +442,7 @@ pub fn attach_host_staging(
             }
         }
     };
-    let spdk = SpdkNvme::new(
-        host.fabric.clone(),
-        host.hostmem.clone(),
-        host.nvme.clone(),
-        SpdkConfig::default(),
-    );
-    spdk.init(&mut host.en, layout::SPDK_CQ).expect("spdk init");
-    host.en.run();
+    let spdk = host.spdk(SpdkConfig::default());
     let (fabric, hostmem) = (host.fabric.clone(), host.hostmem.clone());
     let mut front = cfg.clone();
     let sink = match stage {

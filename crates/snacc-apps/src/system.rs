@@ -2,12 +2,11 @@
 //!
 //! Everything the paper's testbed contains, assembled in one call:
 //! EPYC-class host (memory + IOMMU), Alveo U280 shell with the SNAcc
-//! plugin, a 990 PRO-class SSD, and optionally a second FPGA acting as the
-//! 100 G traffic source plus an A100-class GPU.
+//! streamer, a 990 PRO-class SSD, and optionally a second FPGA acting as
+//! the 100 G traffic source plus an A100-class GPU.
 
 use snacc_core::config::{StreamerConfig, StreamerVariant};
 use snacc_core::hostinit::SnaccHostDriver;
-use snacc_core::plugin::NvmeSubsystem;
 use snacc_core::streamer::StreamerHandle;
 use snacc_faults::FaultPlan;
 use snacc_fpga::tapasco::TapascoShell;
@@ -16,6 +15,7 @@ use snacc_nvme::{NvmeDeviceHandle, NvmeProfile};
 use snacc_pcie::target::HostMemTarget;
 use snacc_pcie::{Iommu, PcieFabric, HOST_NODE};
 use snacc_sim::Engine;
+use snacc_spdk::{SpdkConfig, SpdkNvme};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -79,6 +79,8 @@ pub struct SnaccSystem {
     /// What every SSD added by [`SnaccSystem::attach_ssd`] is built from,
     /// and the fault campaign the case study reads.
     pub(crate) cfg: SystemConfig,
+    /// SSDs on the shell, each with its own streamer instance.
+    ssds: u64,
 }
 
 /// The host side every system shares: a fabric (enforcing IOMMU or
@@ -104,9 +106,7 @@ fn add_ssd(
     cfg: &SystemConfig,
     i: u64,
 ) -> (StreamerHandle, NvmeDeviceHandle) {
-    let mut plugin = NvmeSubsystem::new(cfg.streamer.clone());
-    shell.apply_plugin(en, &mut plugin);
-    let streamer = plugin.streamer();
+    let streamer = StreamerHandle::instantiate(shell, cfg.streamer.clone());
     let bar = layout::NVME_BAR + (i << 28);
     let nvme = NvmeDeviceHandle::attach(fabric.clone(), bar, cfg.nvme.clone(), cfg.seed + i);
     let mut driver = SnaccHostDriver::new(fabric.clone(), hostmem.clone(), nvme.clone());
@@ -136,6 +136,7 @@ impl SnaccSystem {
             streamer,
             nvme,
             cfg,
+            ssds: 1,
         }
     }
 
@@ -155,9 +156,8 @@ impl SnaccSystem {
             StreamerVariant::OnboardDram,
             "one on-board DRAM streamer per shell: attach_ssd needs URAM or host DRAM"
         );
-        // One SNAcc plugin per SSD so far.
-        let plugins = self.shell.plugins().iter();
-        let i = plugins.filter(|&&p| p == "snacc-nvme").count() as u64;
+        let i = self.ssds;
+        self.ssds += 1;
         add_ssd(
             &mut self.en,
             &self.fabric,
@@ -205,6 +205,19 @@ impl HostSystem {
             hostmem,
             nvme,
         }
+    }
+
+    /// An SPDK driver that owns the SSD: created, then initialised with
+    /// its completion queue at [`layout::SPDK_CQ`].
+    pub fn spdk(&mut self, cfg: SpdkConfig) -> SpdkNvme {
+        let spdk = SpdkNvme::new(
+            self.fabric.clone(),
+            self.hostmem.clone(),
+            self.nvme.clone(),
+            cfg,
+        );
+        spdk.init(&mut self.en, layout::SPDK_CQ).expect("SPDK init");
+        spdk
     }
 }
 

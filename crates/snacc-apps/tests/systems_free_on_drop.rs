@@ -18,7 +18,7 @@ use snacc_mem::HostMemory;
 use snacc_nvme::{NvmeDevice, NvmeDeviceHandle, NvmeProfile};
 use snacc_pcie::PcieFabric;
 use snacc_sim::{Engine, Payload};
-use snacc_spdk::{SpdkConfig, SpdkNvme};
+use snacc_spdk::SpdkConfig;
 use std::cell::RefCell;
 use std::rc::{Rc, Weak};
 
@@ -143,13 +143,7 @@ fn multi_ssd_system_frees_itself() {
 #[test]
 fn host_system_and_spdk_free_themselves() {
     let mut host = HostSystem::bring_up(NvmeProfile::samsung_990pro(), 1);
-    let spdk = SpdkNvme::new(
-        host.fabric.clone(),
-        host.hostmem.clone(),
-        host.nvme.clone(),
-        SpdkConfig::default(),
-    );
-    spdk.init(&mut host.en, layout::SPDK_CQ).expect("spdk init");
+    let spdk = host.spdk(SpdkConfig::default());
     let done = Rc::new(RefCell::new(0));
     let d2 = done.clone();
     spdk.set_completion_hook(move |_: &mut Engine, _| *d2.borrow_mut() += 1);

@@ -7,6 +7,7 @@ use snacc_apps::gpu::{run_gpu_case_study, GpuModel};
 use snacc_apps::pipeline::{run_snacc_case_study, CaseStudyConfig};
 use snacc_apps::spdk_ref::run_spdk_case_study;
 use snacc_apps::system::{SnaccSystem, SystemConfig};
+use snacc_bench::sweep::{self, JobOutput};
 use snacc_bench::workloads::record_backing_bytes;
 use snacc_bench::{print_table, BenchRecord, Telemetry};
 use snacc_core::config::StreamerVariant;
@@ -48,27 +49,31 @@ fn main() {
         ("SPDK".to_string(), Cfg::Spdk, 2.0),
         ("GPU".to_string(), Cfg::Gpu, 2.1),
     ];
-    let records: Vec<BenchRecord> = jobs
+    let work: Vec<sweep::Job<'_, BenchRecord>> = jobs
         .into_iter()
         .map(|(label, job, paper_ratio)| {
-            let report = match job {
-                Cfg::Snacc(v) => {
-                    let mut sys = SnaccSystem::bring_up(SystemConfig::snacc(v));
-                    run_snacc_case_study(&mut sys, cfg.clone())
-                }
-                Cfg::Spdk => run_spdk_case_study(cfg.clone(), 7),
-                Cfg::Gpu => run_gpu_case_study(cfg.clone(), GpuModel::default(), 7),
-            };
-            record_backing_bytes(&label, &report);
-            let ratio = report.pcie_bytes as f64 / report.image_bytes as f64;
-            println!(
-                "{label}: {:.2} PCIe bytes per stored byte ({:.1} GB on the bus)",
-                ratio,
-                report.pcie_bytes as f64 / 1e9
-            );
-            BenchRecord::new("fig7", &label, ratio, Some(paper_ratio), "x stored")
+            let cfg = cfg.clone();
+            Box::new(move |log: &mut JobOutput| {
+                let report = match job {
+                    Cfg::Snacc(v) => {
+                        let mut sys = SnaccSystem::bring_up(SystemConfig::snacc(v));
+                        run_snacc_case_study(&mut sys, cfg)
+                    }
+                    Cfg::Spdk => run_spdk_case_study(cfg, 7),
+                    Cfg::Gpu => run_gpu_case_study(cfg, GpuModel::default(), 7),
+                };
+                record_backing_bytes(&label, &report);
+                let ratio = report.pcie_bytes as f64 / report.image_bytes as f64;
+                log.println(format!(
+                    "{label}: {:.2} PCIe bytes per stored byte ({:.1} GB on the bus)",
+                    ratio,
+                    report.pcie_bytes as f64 / 1e9
+                ));
+                BenchRecord::new("fig7", &label, ratio, Some(paper_ratio), "x stored")
+            }) as sweep::Job<'_, BenchRecord>
         })
         .collect();
+    let records = sweep::run_jobs(telemetry.jobs(), work);
     print_table("Fig 7 — PCIe transfer volume per stored byte", &records);
     snacc_bench::report::save_json(&records);
     telemetry.finish();

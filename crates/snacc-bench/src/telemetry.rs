@@ -22,7 +22,8 @@
 //! `--jobs <N>` sizes the sweep worker pool ([`Telemetry::jobs`]): sweep
 //! binaries fan their independent simulation jobs across `N` threads with
 //! byte-identical output (see [`crate::sweep`]). Defaults to 1; forced
-//! back to 1 while any telemetry sink is recording.
+//! back to 1 while any telemetry sink is recording. Like a fault plan,
+//! a `--jobs` that the binary never asks for is an error.
 
 use serde_json::{Map, Value};
 use snacc_faults::FaultPlan;
@@ -40,7 +41,9 @@ pub struct Telemetry {
     faults: Option<(PathBuf, FaultPlan)>,
     /// Whether [`Telemetry::fault_plan`] handed the plan out.
     faults_taken: Cell<bool>,
-    jobs: usize,
+    jobs: Option<usize>,
+    /// Whether [`Telemetry::jobs`] was asked.
+    jobs_taken: Cell<bool>,
     started: Instant,
 }
 
@@ -50,7 +53,7 @@ struct Flags {
     metrics_path: Option<PathBuf>,
     perf_path: Option<PathBuf>,
     faults: Option<(PathBuf, FaultPlan)>,
-    jobs: usize,
+    jobs: Option<usize>,
 }
 
 /// Parse the telemetry flags (`--flag value` or `--flag=value`). Any
@@ -58,10 +61,7 @@ struct Flags {
 /// does not exist, a `--jobs` that is not a positive integer, or a
 /// `--faults` plan that cannot be loaded is an error.
 fn parse(mut args: impl Iterator<Item = String>) -> Result<Flags, String> {
-    let mut f = Flags {
-        jobs: 1,
-        ..Flags::default()
-    };
+    let mut f = Flags::default();
     while let Some(a) = args.next() {
         let (flag, inline) = match a.split_once('=') {
             Some((flag, v)) => (flag.to_string(), Some(v.to_string())),
@@ -92,11 +92,9 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<Flags, String> {
                 f.faults = Some((v.into(), plan));
             }
             _ => {
-                f.jobs = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| format!("--jobs needs a positive integer, got `{v}`"))?;
+                let n = v.parse().ok().filter(|&n| n > 0);
+                let n = n.ok_or_else(|| format!("--jobs needs a positive integer, got `{v}`"))?;
+                f.jobs = Some(n);
             }
         }
     }
@@ -180,6 +178,7 @@ impl Telemetry {
             faults: f.faults,
             faults_taken: Cell::new(false),
             jobs: f.jobs,
+            jobs_taken: Cell::new(false),
             started: Instant::now(),
         }
     }
@@ -204,18 +203,21 @@ impl Telemetry {
     /// registry and the engine's lifetime event counter are all
     /// thread-local, so a fan-out would record nothing (and make
     /// `--perf-json` events/RSS incomparable). The sweep output itself is
-    /// byte-identical at any worker count (see `snacc_bench::sweep`).
+    /// byte-identical at any worker count (see `snacc_bench::sweep`). A
+    /// `--jobs` that is never asked for fails [`Telemetry::finish`].
     pub fn jobs(&self) -> usize {
+        self.jobs_taken.set(true);
         if self.trace_path.is_some() || self.metrics_path.is_some() || self.perf_path.is_some() {
             1
         } else {
-            self.jobs
+            self.jobs.unwrap_or(1)
         }
     }
 
     /// Write the requested export files and stop recording. A file that
-    /// cannot be written, or a `--faults` plan this binary never took,
-    /// prints `error: …` and exits with status 2.
+    /// cannot be written, a `--faults` plan this binary never took, or a
+    /// `--jobs` given to a binary that runs no sweep, prints `error: …`
+    /// and exits with status 2.
     pub fn finish(self) {
         if let Err(e) = self.write_exports() {
             eprintln!("error: {e}");
@@ -229,6 +231,9 @@ impl Telemetry {
                 "--faults {}: this binary runs no fault campaign",
                 path.display()
             ));
+        }
+        if self.jobs.is_some() && !self.jobs_taken.get() {
+            return Err("--jobs: this binary runs no sweep".into());
         }
         let failed = |flag: &str, p: &PathBuf, e: &dyn std::fmt::Display| {
             format!("{flag} {}: {e}", p.display())
@@ -320,14 +325,15 @@ mod tests {
         let f = ok(&[&format!("--faults={PLAN}")]);
         assert_eq!(f.faults.map(|(p, _)| p), Some(PathBuf::from(PLAN)));
         let f = ok(&["--jobs", "8"]);
-        assert_eq!(f.jobs, 8);
+        assert_eq!(f.jobs, Some(8));
         let f = ok(&["--jobs=4"]);
-        assert_eq!(f.jobs, 4);
+        assert_eq!(f.jobs, Some(4));
     }
 
     #[test]
     fn jobs_defaults_to_one() {
-        assert_eq!(ok(&[]).jobs, 1);
+        assert_eq!(ok(&[]).jobs, None);
+        assert_eq!(telemetry().jobs(), 1);
     }
 
     #[test]
@@ -347,7 +353,8 @@ mod tests {
             perf_path: None,
             faults: None,
             faults_taken: Cell::new(false),
-            jobs: 1,
+            jobs: None,
+            jobs_taken: Cell::new(false),
             started: Instant::now(),
         }
     }
@@ -369,6 +376,23 @@ mod tests {
             ..telemetry()
         };
         assert_eq!(t.fault_plan().map(|p| p.seed), Some(42));
+        assert_eq!(t.write_exports(), Ok(()));
+    }
+
+    #[test]
+    fn jobs_never_asked_for_is_an_error() {
+        let jobs = ok(&["--jobs", "2"]).jobs;
+        let t = Telemetry {
+            jobs,
+            ..telemetry()
+        };
+        let e = t.write_exports().expect_err("an unused --jobs must fail");
+        assert_eq!(e, "--jobs: this binary runs no sweep");
+        let t = Telemetry {
+            jobs,
+            ..telemetry()
+        };
+        assert_eq!(t.jobs(), 2);
         assert_eq!(t.write_exports(), Ok(()));
     }
 

@@ -1,13 +1,13 @@
 //! Shared workload drivers for the evaluation binaries.
 
 use snacc_apps::pipeline::CaseStudyReport;
-use snacc_apps::system::{layout, HostSystem, SnaccSystem, SystemConfig};
+use snacc_apps::system::{HostSystem, SnaccSystem, SystemConfig};
 use snacc_core::config::StreamerVariant;
 use snacc_core::streamer::encode_read_cmd;
 use snacc_fpga::axis::{self, StreamBeat};
 use snacc_nvme::NvmeProfile;
 use snacc_sim::SimDuration;
-use snacc_spdk::{SpdkConfig, SpdkNvme};
+use snacc_spdk::SpdkConfig;
 
 /// Arm the periodic telemetry probe: every 100 µs of simulated time,
 /// sample the streamer's byte counters and the user-channel occupancies
@@ -353,14 +353,7 @@ pub fn snacc_latency_us(variant: StreamerVariant, dir: Dir, trials: u32, seed: u
 /// configured queue depth. Returns GB/s.
 pub fn spdk_bandwidth(dir: Dir, random: bool, total: u64, qd: u16, seed: u64) -> f64 {
     let mut host = HostSystem::bring_up(NvmeProfile::samsung_990pro(), seed);
-    let spdk = SpdkNvme::new(
-        host.fabric.clone(),
-        host.hostmem.clone(),
-        host.nvme.clone(),
-        SpdkConfig::with_queue_depth(qd),
-    );
-    spdk.init(&mut host.en, layout::SPDK_CQ).expect("init");
-    host.en.run();
+    let spdk = host.spdk(SpdkConfig::with_queue_depth(qd));
     let span = 1u64 << 30;
     if dir == Dir::Read {
         host.nvme.with(|d| d.nand_mut().prewarm(0, span, 0x11));
@@ -428,14 +421,7 @@ pub fn spdk_seq_series(dir: Dir, total: u64, seed: u64) -> Vec<f64> {
     let mut out = Vec::new();
     // One long-lived system; measure GiB windows back to back.
     let mut host = HostSystem::bring_up(NvmeProfile::samsung_990pro(), seed);
-    let spdk = SpdkNvme::new(
-        host.fabric.clone(),
-        host.hostmem.clone(),
-        host.nvme.clone(),
-        SpdkConfig::default(),
-    );
-    spdk.init(&mut host.en, layout::SPDK_CQ).expect("init");
-    host.en.run();
+    let spdk = host.spdk(SpdkConfig::default());
     if dir == Dir::Read {
         host.nvme.with(|d| d.nand_mut().prewarm(0, total, 0x22));
     }
@@ -476,14 +462,7 @@ pub fn spdk_seq_series(dir: Dir, total: u64, seed: u64) -> Vec<f64> {
 /// see the warm/cold discussion in `snacc-nvme::nand`.
 pub fn spdk_latency_us(dir: Dir, trials: u32, seed: u64) -> f64 {
     let mut host = HostSystem::bring_up(NvmeProfile::samsung_990pro(), seed);
-    let spdk = SpdkNvme::new(
-        host.fabric.clone(),
-        host.hostmem.clone(),
-        host.nvme.clone(),
-        SpdkConfig::default(),
-    );
-    spdk.init(&mut host.en, layout::SPDK_CQ).expect("init");
-    host.en.run();
+    let spdk = host.spdk(SpdkConfig::default());
     let lat = std::rc::Rc::new(std::cell::RefCell::new(SimDuration::ZERO));
     let l2 = lat.clone();
     spdk.set_completion_hook(move |_, info| {

@@ -1,11 +1,12 @@
 //! CI gate: a `--jobs N` sweep must be byte-identical to `--jobs 1`.
 //!
-//! Runs two sweep binaries twice each in quick mode and compares both
+//! Runs three sweep binaries twice each in quick mode and compares both
 //! console streams byte for byte: the `ext_faults` campaign sweep (6
-//! independent faulted simulations) and the `ext_qd_sweep` queue-depth
-//! sweep (6 SPDK runs). The sweep pool buffers each job's output and
-//! flushes in job order (see `snacc_bench::sweep`), so worker count must
-//! not leak into anything observable.
+//! independent faulted simulations), the `ext_qd_sweep` queue-depth
+//! sweep (6 SPDK runs) and `fig7`'s five case-study configurations. The
+//! sweep pool buffers each job's output and flushes in job order (see
+//! `snacc_bench::sweep`), so worker count must not leak into anything
+//! observable. A binary that runs no sweep refuses `--jobs`.
 
 use std::process::Command;
 
@@ -49,4 +50,28 @@ fn parallel_sweep_output_is_byte_identical() {
 )]
 fn parallel_qd_sweep_output_is_byte_identical() {
     check(env!("CARGO_BIN_EXE_ext_qd_sweep"), "QD 256");
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "runs GiB-scale sweeps; use --release (CI does)"
+)]
+fn parallel_case_study_output_is_byte_identical() {
+    check(env!("CARGO_BIN_EXE_fig7"), "Fig 7");
+}
+
+#[test]
+fn jobs_without_a_sweep_is_an_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_ext_gen5"))
+        .args(["--jobs", "2"])
+        .env("SNACC_QUICK", "1")
+        .output()
+        .expect("run ext_gen5");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8(out.stderr).expect("utf8 stderr");
+    assert!(
+        err.contains("error: --jobs: this binary runs no sweep"),
+        "{err}"
+    );
 }

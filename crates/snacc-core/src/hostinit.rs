@@ -15,48 +15,30 @@
 //! 6. grant the IOMMU permissions both directions need (the SSD's access
 //!    to the admin structures is granted when the driver allocates them).
 //!
+//! The admin handshake itself is [`AdminQueue`], which the SPDK driver
+//! shares; this driver adds what is SNAcc-specific.
+//!
 //! Initialisation drives the engine to quiescence between steps — it is
 //! the only active initiator at bring-up time.
 
 use crate::config::StreamerVariant;
 use crate::streamer::{NvmeStreamer, StreamerHandle};
 use snacc_mem::{AddrRange, HostMemory};
+use snacc_nvme::admin::{AdminError, AdminQueue, NamespaceInfo};
 use snacc_nvme::queue::{CqRing, SqRing};
-use snacc_nvme::spec::{self, AdminOpcode, Cqe, Sqe, Status};
+use snacc_nvme::spec::{self, AdminOpcode, Sqe};
 use snacc_nvme::NvmeDeviceHandle;
 use snacc_pcie::{PcieFabric, HOST_NODE};
 use snacc_sim::Engine;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Driver errors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DriverError {
-    /// Controller did not become ready.
-    NotReady,
-    /// An admin command failed.
-    AdminFailed(Status),
-}
-
-/// Identify results the driver extracts.
-#[derive(Debug, Clone, Copy)]
-pub struct NamespaceInfo {
-    /// Capacity in bytes.
-    pub capacity_bytes: u64,
-    /// Logical block size.
-    pub lba_bytes: u64,
-}
-
-const ADMIN_QD: u16 = 32;
-
 /// The SNAcc host driver.
 pub struct SnaccHostDriver {
     fabric: Rc<RefCell<PcieFabric>>,
     hostmem: Rc<RefCell<HostMemory>>,
     nvme: NvmeDeviceHandle,
-    admin_sq: SqRing,
-    admin_cq: CqRing,
-    ident_buf: u64,
+    admin: AdminQueue,
 }
 
 impl SnaccHostDriver {
@@ -68,27 +50,17 @@ impl SnaccHostDriver {
         hostmem: Rc<RefCell<HostMemory>>,
         nvme: NvmeDeviceHandle,
     ) -> Self {
-        let admin = {
-            let mut hm = hostmem.borrow_mut();
-            [
-                hm.alloc_pinned(ADMIN_QD as u64 * spec::SQE_BYTES),
-                hm.alloc_pinned(ADMIN_QD as u64 * spec::CQE_BYTES),
-                hm.alloc_pinned(4096),
-            ]
-        };
+        let admin = AdminQueue::new(&mut hostmem.borrow_mut(), nvme.bar0_base());
         // The SSD fetches admin commands and writes completions and
         // identify data here.
-        for seg in admin.iter().flat_map(|b| b.segments()) {
-            fabric.borrow_mut().iommu_mut().grant(nvme.node(), *seg);
+        for region in admin.regions() {
+            fabric.borrow_mut().iommu_mut().grant(nvme.node(), region);
         }
-        let [asq, acq, ident] = admin.map(|b| b.segments()[0].base);
         SnaccHostDriver {
             fabric,
             hostmem,
             nvme,
-            admin_sq: SqRing::new(asq, ADMIN_QD),
-            admin_cq: CqRing::new(acq, ADMIN_QD),
-            ident_buf: ident,
+            admin,
         }
     }
 
@@ -97,117 +69,25 @@ impl SnaccHostDriver {
         &self.nvme
     }
 
-    fn reg_write32(&self, en: &mut Engine, off: u64, v: u32) {
-        self.fabric
+    /// Step 1: admin queue + controller enable, then CSTS.RDY.
+    pub fn init_controller(&mut self, en: &mut Engine) -> Result<(), AdminError> {
+        self.admin.enable(en, &self.fabric);
+        let csts = self
+            .fabric
             .borrow_mut()
-            .write_u32(en, HOST_NODE, self.nvme.bar0_base() + off, v)
+            .read_u32(en, HOST_NODE, self.nvme.bar0_base() + spec::regs::CSTS)
             .expect("BAR0 reachable");
-    }
-
-    fn reg_write64(&self, en: &mut Engine, off: u64, v: u64) {
-        self.fabric
-            .borrow_mut()
-            .write(en, HOST_NODE, self.nvme.bar0_base() + off, &v.to_le_bytes())
-            .expect("BAR0 reachable");
-    }
-
-    fn reg_read32(&self, en: &mut Engine, off: u64) -> u32 {
-        self.fabric
-            .borrow_mut()
-            .read_u32(en, HOST_NODE, self.nvme.bar0_base() + off)
-            .expect("BAR0 reachable")
-    }
-
-    /// Step 1: admin queue + controller enable.
-    pub fn init_controller(&mut self, en: &mut Engine) -> Result<(), DriverError> {
-        let aqa = ((ADMIN_QD as u32 - 1) << 16) | (ADMIN_QD as u32 - 1);
-        self.reg_write32(en, spec::regs::AQA, aqa);
-        self.reg_write64(en, spec::regs::ASQ, self.admin_sq.base());
-        self.reg_write64(en, spec::regs::ACQ, self.admin_cq.base());
-        self.reg_write32(en, spec::regs::CC, spec::cc::EN);
-        en.run();
-        let csts = self.reg_read32(en, spec::regs::CSTS);
         if csts & spec::csts::RDY == 0 {
-            return Err(DriverError::NotReady);
+            return Err(AdminError::NotReady);
         }
         Ok(())
     }
 
-    /// Submit one admin command and wait for its completion.
-    pub fn run_admin(&mut self, en: &mut Engine, mut sqe: Sqe) -> Result<Cqe, DriverError> {
-        sqe.cid = self.admin_sq.tail();
-        {
-            let mut hm = self.hostmem.borrow_mut();
-            hm.store_mut()
-                .write(self.admin_sq.tail_addr(), &sqe.encode());
-        }
-        let tail = self.admin_sq.advance_tail();
-        self.reg_write32(en, spec::regs::sq_tail_doorbell(0), tail as u32);
-        en.run();
-        let raw = {
-            let mut hm = self.hostmem.borrow_mut();
-            hm.store_mut().read_vec(self.admin_cq.head_addr(), 16)
-        };
-        let Ok(cqe) = Cqe::decode(&raw) else {
-            return Err(DriverError::NotReady);
-        };
-        if cqe.phase != self.admin_cq.expected_phase() {
-            return Err(DriverError::NotReady);
-        }
-        self.admin_cq.consume();
-        self.admin_sq.update_head(cqe.sq_head);
-        if cqe.status != Status::Success {
-            return Err(DriverError::AdminFailed(cqe.status));
-        }
-        Ok(cqe)
-    }
-
-    /// Step 2: Identify namespace (capacity / LBA size).
-    pub fn identify(&mut self, en: &mut Engine) -> Result<NamespaceInfo, DriverError> {
-        // Identify controller (sanity: model string present).
-        let mut s = Sqe::new(AdminOpcode::Identify as u8, 0);
-        s.prp1 = self.ident_buf;
-        s.cdw[0] = 0x01;
-        self.run_admin(en, s)?;
-        // Identify namespace.
-        let mut s = Sqe::new(AdminOpcode::Identify as u8, 0);
-        s.prp1 = self.ident_buf;
-        s.cdw[0] = 0x00;
-        self.run_admin(en, s)?;
-        let data = {
-            let mut hm = self.hostmem.borrow_mut();
-            hm.store_mut().read_vec(self.ident_buf, 256)
-        };
-        let nsze = u64::from_le_bytes(data[0..8].try_into().unwrap());
-        let lbaf0 = u32::from_le_bytes(data[128..132].try_into().unwrap());
-        let lbads = (lbaf0 >> 16) & 0xFF;
-        Ok(NamespaceInfo {
-            capacity_bytes: nsze << lbads,
-            lba_bytes: 1 << lbads,
-        })
-    }
-
-    /// Step 3: create an I/O queue pair at explicit (FPGA BAR) addresses.
-    pub fn create_io_queues(
-        &mut self,
-        en: &mut Engine,
-        qid: u16,
-        sq: AddrRange,
-        sq_entries: u16,
-        cq: AddrRange,
-        cq_entries: u16,
-    ) -> Result<(), DriverError> {
-        let mut c = Sqe::new(AdminOpcode::CreateIoCq as u8, 0);
-        c.prp1 = cq.base;
-        c.cdw[0] = (qid as u32) | (((cq_entries - 1) as u32) << 16);
-        c.cdw[1] = 1; // physically contiguous
-        self.run_admin(en, c)?;
-        let mut s = Sqe::new(AdminOpcode::CreateIoSq as u8, 0);
-        s.prp1 = sq.base;
-        s.cdw[0] = (qid as u32) | (((sq_entries - 1) as u32) << 16);
-        s.cdw[1] = 1 | ((qid as u32) << 16);
-        self.run_admin(en, s)?;
-        Ok(())
+    /// Step 2: Identify controller, then namespace (capacity / LBA size).
+    pub fn identify(&mut self, en: &mut Engine) -> Result<NamespaceInfo, AdminError> {
+        let (fabric, hostmem) = (&self.fabric, &self.hostmem);
+        self.admin.identify_controller(en, fabric, hostmem)?;
+        self.admin.identify_namespace(en, fabric, hostmem)
     }
 
     /// Steps 3–6 for a streamer instance: queues into the FPGA BAR, IOMMU
@@ -218,7 +98,7 @@ impl SnaccHostDriver {
         en: &mut Engine,
         streamer: &StreamerHandle,
         qid: u16,
-    ) -> Result<(), DriverError> {
+    ) -> Result<(), AdminError> {
         let w = streamer.windows();
         // Ring sizes come from the streamer's configuration — the BAR
         // windows are page-rounded and would overstate the depth.
@@ -262,7 +142,14 @@ impl SnaccHostDriver {
             streamer.install_host_buffers(rd, wr);
         }
 
-        self.create_io_queues(en, qid, w.sq, sq_entries, w.cq, cq_entries)?;
+        self.admin.create_io_queue_pair(
+            en,
+            &self.fabric,
+            &self.hostmem,
+            qid,
+            &SqRing::new(w.sq.base, sq_entries),
+            &CqRing::new(w.cq.base, cq_entries),
+        )?;
 
         // Program the streamer over its control window (real MMIO).
         let sq_db = self.nvme.sq_doorbell_addr(qid);
@@ -301,14 +188,14 @@ impl SnaccHostDriver {
         en: &mut Engine,
         streamer: &StreamerHandle,
         qid: u16,
-    ) -> Result<NamespaceInfo, DriverError> {
+    ) -> Result<NamespaceInfo, AdminError> {
         self.init_controller(en)?;
         let info = self.identify(en)?;
         // Request I/O queues (Set Features, Number of Queues).
         let mut s = Sqe::new(AdminOpcode::SetFeatures as u8, 0);
         s.cdw[0] = 0x07;
         s.cdw[1] = 0x0001_0001;
-        self.run_admin(en, s)?;
+        self.admin.run(en, &self.fabric, &self.hostmem, s)?;
         self.setup_streamer(en, streamer, qid)?;
         Ok(info)
     }

@@ -17,12 +17,12 @@
 //! * [`streamer`] — the NVMe Streamer IP: the four AXI4-Stream user
 //!   interfaces (Sec 4.1), SQ FIFO + CQ reorder buffer exposed to the SSD,
 //!   1 MB command splitting, doorbell rings, data movement between the
-//!   buffer memory and the user PE.
+//!   buffer memory and the user PE. `StreamerHandle::instantiate` adds
+//!   it to a TaPaSCo shell (Sec 4.5).
 //! * [`hostinit`] — the host-side initialisation driver (Sec 4.6): NVMe
-//!   admin bring-up, I/O queue creation pointing *into the FPGA BAR*,
-//!   streamer configuration, IOMMU grants, pinned-buffer allocation.
-//! * [`plugin`] — the TaPaSCo plugin that instantiates the subsystem
-//!   (Sec 4.5).
+//!   admin bring-up over `snacc_nvme::admin`, I/O queue creation pointing
+//!   *into the FPGA BAR*, streamer configuration, IOMMU grants,
+//!   pinned-buffer allocation.
 //! * [`resources`] — per-variant FPGA resource composition (Table 1).
 //! * [`multi`] — the multi-SSD extension (Sec 7).
 
@@ -31,7 +31,6 @@
 pub mod config;
 pub mod hostinit;
 pub mod multi;
-pub mod plugin;
 pub mod prpgen;
 pub mod resources;
 pub mod ring;
@@ -40,5 +39,4 @@ pub mod streamer;
 
 pub use config::{RetirementMode, StreamerConfig, StreamerVariant};
 pub use hostinit::SnaccHostDriver;
-pub use plugin::NvmeSubsystem;
 pub use streamer::{StreamerHandle, UserPorts};

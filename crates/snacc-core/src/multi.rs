@@ -110,13 +110,11 @@ mod tests {
 
     fn mk_streamers(n: usize) -> Vec<StreamerHandle> {
         let fabric = Rc::new(RefCell::new(PcieFabric::new()));
-        let mut en = Engine::new();
         let mut shell = TapascoShell::new(fabric, 0x4_0000_0000);
         (0..n)
             .map(|_| {
                 StreamerHandle::instantiate(
                     &mut shell,
-                    &mut en,
                     StreamerConfig::snacc(StreamerVariant::Uram),
                 )
             })

@@ -347,7 +347,7 @@ impl StreamerHandle {
     /// channels and arms all pumps. The host driver must still configure
     /// doorbell addresses and (for the host-DRAM variant) install pinned
     /// buffers, then enable the IP.
-    pub fn instantiate(shell: &mut TapascoShell, _en: &mut Engine, cfg: StreamerConfig) -> Self {
+    pub fn instantiate(shell: &mut TapascoShell, cfg: StreamerConfig) -> Self {
         let fabric = shell.fabric();
         let node = shell.node();
 
@@ -1731,5 +1731,35 @@ fn resume_stream_out(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
         .unwrap_or(false);
     if waiting {
         stream_out_step(rc, en);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn instantiate(variant: StreamerVariant) -> (TapascoShell, WindowMap) {
+        let fabric = Rc::new(RefCell::new(PcieFabric::new()));
+        let mut shell = TapascoShell::new(fabric, 0x4_0000_0000);
+        let s = StreamerHandle::instantiate(&mut shell, StreamerConfig::snacc(variant));
+        (shell, s.windows())
+    }
+
+    #[test]
+    fn uram_windows_fit_bar0() {
+        let (shell, w) = instantiate(StreamerVariant::Uram);
+        // 8 MB URAM window fits the existing BAR0 map (Sec 4.5).
+        assert!(shell.bar0().contains_span(w.rd_data.base, w.rd_data.size));
+        assert_eq!(w.rd_data.size, 4 << 20);
+        assert_eq!(w.prp.size, 4 << 20);
+    }
+
+    #[test]
+    fn onboard_variant_requires_second_bar() {
+        let (shell, w) = instantiate(StreamerVariant::OnboardDram);
+        // The 64 MB data windows cannot live in the 64 MB BAR0.
+        assert!(!shell.bar0().contains(w.rd_data.base));
+        assert_eq!(w.rd_data.size, 64 << 20);
+        assert_eq!(w.wr_data.size, 64 << 20);
     }
 }

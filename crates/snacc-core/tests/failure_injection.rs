@@ -5,10 +5,11 @@ use snacc_core::config::StreamerVariant;
 use snacc_core::streamer::encode_read_cmd;
 use snacc_fpga::axis::{self, StreamBeat};
 use snacc_mem::AddrRange;
-use snacc_nvme::spec::{IoOpcode, Sqe, Status};
+use snacc_nvme::admin::AdminQueue;
+use snacc_nvme::queue::{CqRing, SqRing};
+use snacc_nvme::spec::{regs, IoOpcode, Sqe, Status};
 use snacc_nvme::NvmeProfile;
 use snacc_pcie::HOST_NODE;
-use snacc_sim::Engine;
 
 const NVME_BAR: u64 = layout::NVME_BAR;
 
@@ -110,51 +111,15 @@ fn device_rejects_misaligned_prp_list_entries() {
         hostmem,
         ..
     } = HostSystem::bring_up(NvmeProfile::samsung_990pro(), 9);
-    // Minimal admin bring-up through raw registers.
-    use snacc_nvme::spec::{cc, regs};
-    let asq = 0x10_0000u64;
-    let acq = 0x11_0000u64;
-    {
-        let mut fab = fabric.borrow_mut();
-        fab.write_u32(&mut en, HOST_NODE, NVME_BAR + regs::AQA, (31 << 16) | 31)
-            .unwrap();
-        fab.write(&mut en, HOST_NODE, NVME_BAR + regs::ASQ, &asq.to_le_bytes())
-            .unwrap();
-        fab.write(&mut en, HOST_NODE, NVME_BAR + regs::ACQ, &acq.to_le_bytes())
-            .unwrap();
-        fab.write_u32(&mut en, HOST_NODE, NVME_BAR + regs::CC, cc::EN)
-            .unwrap();
-    }
-    en.run();
-    // Create an I/O queue pair in host memory.
+    // Admin bring-up, then an I/O queue pair in host memory.
+    let mut admin = AdminQueue::new(&mut hostmem.borrow_mut(), NVME_BAR);
+    admin.enable(&mut en, &fabric);
     let io_sq = 0x20_0000u64;
     let io_cq = 0x21_0000u64;
-    let submit_admin = |en: &mut Engine, sqe: Sqe, slot: u16| {
-        hostmem
-            .borrow_mut()
-            .store_mut()
-            .write(asq + slot as u64 * 64, &sqe.encode());
-        fabric
-            .borrow_mut()
-            .write_u32(
-                en,
-                HOST_NODE,
-                NVME_BAR + regs::sq_tail_doorbell(0),
-                slot as u32 + 1,
-            )
-            .unwrap();
-        en.run();
-    };
-    let mut c = Sqe::new(snacc_nvme::spec::AdminOpcode::CreateIoCq as u8, 0);
-    c.prp1 = io_cq;
-    c.cdw[0] = 1 | (63 << 16);
-    c.cdw[1] = 1;
-    submit_admin(&mut en, c, 0);
-    let mut s = Sqe::new(snacc_nvme::spec::AdminOpcode::CreateIoSq as u8, 1);
-    s.prp1 = io_sq;
-    s.cdw[0] = 1 | (63 << 16);
-    s.cdw[1] = 1 | (1 << 16);
-    submit_admin(&mut en, s, 1);
+    let (sq, cq) = (SqRing::new(io_sq, 64), CqRing::new(io_cq, 64));
+    admin
+        .create_io_queue_pair(&mut en, &fabric, &hostmem, 1, &sq, &cq)
+        .expect("I/O queue pair created");
 
     // A 12 KiB write whose PRP2 (list pointer) is misaligned.
     let mut w = Sqe::io(IoOpcode::Write, 7, 0, 23);

@@ -1,6 +1,6 @@
 //! # snacc-fpga — FPGA platform model (TaPaSCo-style shell)
 //!
-//! SNAcc ships as a plugin to the TaPaSCo open-source toolflow (paper
+//! SNAcc ships as a subsystem of the TaPaSCo open-source toolflow (paper
 //! Sec 2.1 / 4.5). This crate models the platform side:
 //!
 //! * [`axis`] — AXI4-Stream channels: bounded ready/valid byte-beat
@@ -10,9 +10,10 @@
 //!   Alveo U280 device totals; the Table 1 reproduction composes streamer
 //!   variants out of costed sub-blocks.
 //! * [`tapasco`] — the shell: PCIe endpoint, BAR window allocation (one
-//!   64 MB BAR plus an optional second BAR, Sec 4.5), PE registry and
-//!   a plugin mechanism. The host reaches it with plain fabric reads and
-//!   writes; the initialisation driver lives in `snacc-core`.
+//!   64 MB BAR plus an optional second BAR, Sec 4.5), status core and
+//!   on-board DRAM. The host reaches it with plain fabric reads and
+//!   writes; the streamer instantiates itself into it and the
+//!   initialisation driver lives in `snacc-core`.
 //!
 //! The case-study PEs (downscaler, classifier) are modelled inside the
 //! database controller of `snacc-apps`, not as separate stages here.
@@ -23,4 +24,4 @@ pub mod tapasco;
 
 pub use axis::{AxisChannel, StreamBeat};
 pub use resources::{DeviceResources, ResourceUsage};
-pub use tapasco::{ShellPlugin, TapascoShell};
+pub use tapasco::TapascoShell;

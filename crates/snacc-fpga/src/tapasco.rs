@@ -1,25 +1,19 @@
 //! TaPaSCo-style platform shell.
 //!
 //! TaPaSCo (paper Sec 2.1) generates the platform infrastructure around
-//! user PEs — PCIe endpoint, address map, status core — and exposes a
-//! plugin system through which features like SNAcc's NVMe subsystem or
-//! the 100 G Ethernet stack are added to the design. This module models
-//! that composition layer:
-//!
-//! * [`TapascoShell`] — the device side: one 64 MB BAR (Sec 4.5), window
-//!   allocation for subsystems, an optional second BAR for large on-board
-//!   DRAM windows, the status core, PE control windows, and on-board DRAM
-//!   attachment.
-//! * [`ShellPlugin`] — the plugin hook SNAcc integrates through.
+//! user PEs — PCIe endpoint, address map, status core — into which
+//! features like SNAcc's NVMe subsystem are added. [`TapascoShell`]
+//! models the device side: one 64 MB BAR (Sec 4.5), window allocation for
+//! subsystems, an optional second BAR for large on-board DRAM windows,
+//! the status core, and on-board DRAM attachment.
 //!
 //! The host reaches the status core and the DRAM windows with plain
 //! fabric reads and writes.
 
-use crate::resources::ResourceUsage;
 use snacc_mem::{AddrRange, DramConfig, DramController};
 use snacc_pcie::target::{DramTarget, ScratchTarget};
 use snacc_pcie::{MmioTarget, NodeId, PcieFabric, PcieLinkConfig};
-use snacc_sim::{Engine, SimDuration};
+use snacc_sim::SimDuration;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -43,12 +37,6 @@ pub enum ShellError {
     },
 }
 
-struct PeInfo {
-    name: String,
-    ctrl: AddrRange,
-    resources: ResourceUsage,
-}
-
 /// The TaPaSCo platform shell on the FPGA.
 pub struct TapascoShell {
     fabric: Rc<RefCell<PcieFabric>>,
@@ -58,18 +46,7 @@ pub struct TapascoShell {
     bar0_cursor: u64,
     bar2: Option<AddrRange>,
     bar2_cursor: u64,
-    status: Rc<RefCell<ScratchTarget>>,
-    pes: Vec<PeInfo>,
     dram: Option<Rc<RefCell<DramController>>>,
-    plugins: Vec<&'static str>,
-}
-
-/// A toolflow plugin (paper Sec 2.1): contributes hardware to the design.
-pub trait ShellPlugin {
-    /// Plugin name recorded in the design manifest.
-    fn name(&self) -> &'static str;
-    /// Add this plugin's subsystem to the shell.
-    fn integrate(&mut self, shell: &mut TapascoShell, en: &mut Engine);
 }
 
 impl TapascoShell {
@@ -91,11 +68,9 @@ impl TapascoShell {
             s.mem_mut().write_u32(0x08, 0); // PE count
             s.mem_mut().write_u32(0x0C, 300); // design clock MHz
         }
-        fabric.borrow_mut().map_region(
-            node,
-            AddrRange::new(bar0_base, STATUS_WINDOW),
-            status.clone(),
-        );
+        fabric
+            .borrow_mut()
+            .map_region(node, AddrRange::new(bar0_base, STATUS_WINDOW), status);
         TapascoShell {
             fabric,
             node,
@@ -104,10 +79,7 @@ impl TapascoShell {
             bar0_cursor: bar0_base + STATUS_WINDOW,
             bar2: None,
             bar2_cursor: 0,
-            status,
-            pes: Vec::new(),
             dram: None,
-            plugins: Vec::new(),
         }
     }
 
@@ -130,11 +102,6 @@ impl TapascoShell {
     /// BAR0 range.
     pub fn bar0(&self) -> AddrRange {
         self.bar0
-    }
-
-    /// Names of integrated plugins.
-    pub fn plugins(&self) -> &[&'static str] {
-        &self.plugins
     }
 
     /// Allocate an address window for a subsystem, 4 KiB-aligned, from
@@ -200,72 +167,13 @@ impl TapascoShell {
         self.map_target(range, target);
         Ok(range)
     }
-
-    /// Register a user PE: allocates a control window and updates the
-    /// status core. Returns the PE index.
-    pub fn register_pe(
-        &mut self,
-        name: impl Into<String>,
-        kernel_id: u32,
-        resources: ResourceUsage,
-    ) -> Result<usize, ShellError> {
-        let ctrl = self.alloc_window(4096)?;
-        let target = Rc::new(RefCell::new(ScratchTarget::new(
-            format!("pe-ctrl-{kernel_id}"),
-            SimDuration::from_ns(50),
-        )));
-        self.map_target(ctrl, target);
-        self.pes.push(PeInfo {
-            name: name.into(),
-            ctrl,
-            resources,
-        });
-        let n = self.pes.len() as u32;
-        let idx = self.pes.len() - 1;
-        {
-            let mut s = self.status.borrow_mut();
-            s.mem_mut().write_u32(0x08, n);
-            // Status-core PE table: kernel id + ctrl base per slot.
-            let off = 0x100 + idx as u64 * 16;
-            s.mem_mut().write_u32(off, kernel_id);
-            s.mem_mut().write_u64(off + 8, self.pes[idx].ctrl.base);
-        }
-        Ok(idx)
-    }
-
-    /// Number of registered PEs.
-    pub fn pe_count(&self) -> usize {
-        self.pes.len()
-    }
-
-    /// Name of PE `idx`.
-    pub fn pe_name(&self, idx: usize) -> &str {
-        &self.pes[idx].name
-    }
-
-    /// Control window of PE `idx`.
-    pub fn pe_ctrl(&self, idx: usize) -> AddrRange {
-        self.pes[idx].ctrl
-    }
-
-    /// Total declared resource usage of all registered PEs.
-    pub fn pe_resources(&self) -> ResourceUsage {
-        self.pes
-            .iter()
-            .fold(ResourceUsage::default(), |acc, p| acc + p.resources)
-    }
-
-    /// Run a plugin's integration step.
-    pub fn apply_plugin(&mut self, en: &mut Engine, plugin: &mut dyn ShellPlugin) {
-        plugin.integrate(self, en);
-        self.plugins.push(plugin.name());
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use snacc_pcie::HOST_NODE;
+    use snacc_sim::Engine;
 
     const BAR0: u64 = 0x4_0000_0000;
 
@@ -287,20 +195,6 @@ mod tests {
     fn status_core_enumerates() {
         let (mut en, sh) = shell();
         assert_eq!(enumerate(&mut en, &sh), (STATUS_MAGIC, SHELL_VERSION, 0));
-    }
-
-    #[test]
-    fn pe_registration_updates_status() {
-        let (mut en, mut sh) = shell();
-        sh.register_pe("mobilenet", 0x101, ResourceUsage::default())
-            .unwrap();
-        sh.register_pe("resize", 0x102, ResourceUsage::default())
-            .unwrap();
-        assert_eq!(enumerate(&mut en, &sh).2, 2);
-        assert_eq!(sh.pe_count(), 2);
-        assert_eq!(sh.pe_name(1), "resize");
-        // Control windows are distinct.
-        assert!(!sh.pe_ctrl(0).overlaps(&sh.pe_ctrl(1)));
     }
 
     #[test]
@@ -343,21 +237,5 @@ mod tests {
             dram.borrow_mut().store_mut().read_vec(0, 16),
             data[..16].to_vec()
         );
-    }
-
-    #[test]
-    fn plugin_application_recorded() {
-        struct Dummy;
-        impl ShellPlugin for Dummy {
-            fn name(&self) -> &'static str {
-                "dummy"
-            }
-            fn integrate(&mut self, shell: &mut TapascoShell, _en: &mut Engine) {
-                shell.alloc_window(4096).unwrap();
-            }
-        }
-        let (mut en, mut sh) = shell();
-        sh.apply_plugin(&mut en, &mut Dummy);
-        assert_eq!(sh.plugins(), &["dummy"]);
     }
 }

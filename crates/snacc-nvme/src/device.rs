@@ -363,13 +363,8 @@ impl MmioTarget for NvmeBar0 {
                     // flush any deferred completions.
                     if let Some(q) = d.queues.get_mut(&qid) {
                         // The consumer reports its new head; everything up
-                        // to it is acknowledged.
-                        let delta_capable = q.cq_outstanding;
-                        let acked = delta_capable.min(q.cq_outstanding);
-                        let _ = acked;
-                        // We don't track the device-side head separately;
-                        // the consumer acks monotonically, so derive the
-                        // delta from the reported value.
+                        // to it is acknowledged. It acks monotonically, so
+                        // the delta follows from the reported value.
                         let new_head = (v32 as u16) % q.cq_entries;
                         let old = q.cq_head_shadow;
                         let delta = (new_head + q.cq_entries - old) % q.cq_entries;
@@ -1165,47 +1160,43 @@ fn exec_io_inner(rc: &Rc<RefCell<NvmeDevice>>, en: &mut Engine, qid: u16, sqe: S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admin::{AdminError, AdminQueue};
+    use crate::queue::{CqRing, SqRing};
     use crate::spec::AdminOpcode;
     use snacc_mem::HostMemory;
     use snacc_pcie::target::HostMemTarget;
 
-    /// Minimal inline "driver" used by these unit tests: admin queue in
-    /// host memory, raw register pokes, busy-wait via engine draining.
+    /// A controller driven through the shared admin queue, with raw
+    /// register pokes for the I/O queues and busy-waits by draining the
+    /// engine.
     struct TestRig {
         en: Engine,
         fabric: Rc<RefCell<PcieFabric>>,
         hostmem: Rc<RefCell<HostMemory>>,
         dev: NvmeDeviceHandle,
-        asq: u64,
-        acq: u64,
-        admin_tail: u16,
-        admin_seen: u16,
+        admin: AdminQueue,
     }
 
-    const BAR0: u64 = 0x8000_0000;
-    const ASQ_ADDR: u64 = 0x10_0000;
-    const ACQ_ADDR: u64 = 0x11_0000;
-    const QD: u16 = 16;
+    const BAR0: u64 = 0x8_0000_0000;
 
     impl TestRig {
         fn new() -> Self {
             let mut fabric = PcieFabric::new();
             let hostmem = Rc::new(RefCell::new(HostMemory::default()));
-            // Map 2 GiB of host physical address space at 0.
+            // Map 8 GiB of host physical address space at 0 (the admin
+            // queue sits in the pinned pool at 4 GiB).
             let t = Rc::new(RefCell::new(HostMemTarget::new(hostmem.clone(), 0)));
-            fabric.map_region(HOST_NODE, AddrRange::new(0, 2 << 30), t);
+            fabric.map_region(HOST_NODE, AddrRange::new(0, 8 << 30), t);
             let fabric = Rc::new(RefCell::new(fabric));
             let dev =
                 NvmeDeviceHandle::attach(fabric.clone(), BAR0, NvmeProfile::samsung_990pro(), 7);
+            let admin = AdminQueue::new(&mut hostmem.borrow_mut(), BAR0);
             TestRig {
                 en: Engine::new(),
                 fabric,
                 hostmem,
                 dev,
-                asq: ASQ_ADDR,
-                acq: ACQ_ADDR,
-                admin_tail: 0,
-                admin_seen: 0,
+                admin,
             }
         }
 
@@ -1216,53 +1207,38 @@ mod tests {
                 .unwrap();
         }
 
-        fn reg_write64(&mut self, off: u64, v: u64) {
-            self.fabric
-                .borrow_mut()
-                .write(&mut self.en, HOST_NODE, BAR0 + off, &v.to_le_bytes())
-                .unwrap();
-        }
-
         fn enable(&mut self) {
-            self.reg_write32(spec::regs::AQA, ((QD as u32 - 1) << 16) | (QD as u32 - 1));
-            self.reg_write64(spec::regs::ASQ, self.asq);
-            self.reg_write64(spec::regs::ACQ, self.acq);
-            self.reg_write32(spec::regs::CC, spec::cc::EN);
-            self.en.run();
+            self.admin.enable(&mut self.en, &self.fabric);
             assert!(self.dev.with(|d| d.is_ready()));
         }
 
-        fn submit_admin(&mut self, sqe: Sqe) -> Cqe {
-            let slot = self.admin_tail;
-            self.hostmem
-                .borrow_mut()
-                .store_mut()
-                .write(self.asq + slot as u64 * 64, &sqe.encode());
-            self.admin_tail = (self.admin_tail + 1) % QD;
-            let tail = self.admin_tail as u32;
-            self.reg_write32(spec::regs::sq_tail_doorbell(0), tail);
-            self.en.run();
-            let slot = self.admin_seen;
-            self.admin_seen = (self.admin_seen + 1) % QD;
-            let raw = self
-                .hostmem
-                .borrow_mut()
-                .store_mut()
-                .read_vec(self.acq + slot as u64 * 16, 16);
-            Cqe::decode(&raw).expect("CQE decodes")
+        fn submit_admin(&mut self, sqe: Sqe) -> Result<Cqe, AdminError> {
+            self.admin
+                .run(&mut self.en, &self.fabric, &self.hostmem, sqe)
         }
 
         fn create_io_queues(&mut self, qid: u16, sq: u64, cq: u64, entries: u16) {
-            let mut c = Sqe::new(AdminOpcode::CreateIoCq as u8, 100 + qid);
-            c.prp1 = cq;
-            c.cdw[0] = (qid as u32) | (((entries - 1) as u32) << 16);
-            c.cdw[1] = 1; // contiguous
-            assert_eq!(self.submit_admin(c).status, Status::Success);
-            let mut s = Sqe::new(AdminOpcode::CreateIoSq as u8, 200 + qid);
-            s.prp1 = sq;
-            s.cdw[0] = (qid as u32) | (((entries - 1) as u32) << 16);
-            s.cdw[1] = 1 | ((qid as u32) << 16);
-            assert_eq!(self.submit_admin(s).status, Status::Success);
+            let (sq, cq) = (SqRing::new(sq, entries), CqRing::new(cq, entries));
+            self.admin
+                .create_io_queue_pair(&mut self.en, &self.fabric, &self.hostmem, qid, &sq, &cq)
+                .expect("I/O queue pair created");
+        }
+
+        /// Post `sqe` in slot `tail - 1` of the I/O SQ at 0x30_0000 and
+        /// ring qid 1's doorbell with `tail`.
+        fn submit_io(&mut self, sqe: &Sqe, tail: u32) {
+            self.hostmem
+                .borrow_mut()
+                .store_mut()
+                .write(0x30_0000 + (tail as u64 - 1) * 64, &sqe.encode());
+            self.reg_write32(spec::regs::sq_tail_doorbell(1), tail);
+        }
+
+        /// The CQE in slot `slot` of the I/O CQ at 0x31_0000.
+        fn io_cqe(&self, slot: u64) -> Cqe {
+            let at = 0x31_0000 + slot * 16;
+            let raw = self.hostmem.borrow_mut().store_mut().read_vec(at, 16);
+            Cqe::decode(&raw).expect("CQE decodes")
         }
     }
 
@@ -1276,12 +1252,13 @@ mod tests {
     fn identify_controller_returns_data() {
         let mut r = TestRig::new();
         r.enable();
-        let mut s = Sqe::new(AdminOpcode::Identify as u8, 1);
+        let mut s = Sqe::new(AdminOpcode::Identify as u8, 0);
         s.prp1 = 0x20_0000;
         s.cdw[0] = 0x01;
-        let cqe = r.submit_admin(s);
+        let cqe = r.submit_admin(s).expect("identify");
         assert_eq!(cqe.status, Status::Success);
-        assert_eq!(cqe.cid, 1);
+        // The admin queue numbers commands by SQ slot.
+        assert_eq!(cqe.cid, 0);
         assert!(cqe.phase);
         let data = r.hostmem.borrow_mut().store_mut().read_vec(0x20_0000, 64);
         assert_eq!(&data[0..2], &0x144du16.to_le_bytes());
@@ -1294,10 +1271,10 @@ mod tests {
     fn identify_namespace_capacity() {
         let mut r = TestRig::new();
         r.enable();
-        let mut s = Sqe::new(AdminOpcode::Identify as u8, 2);
+        let mut s = Sqe::new(AdminOpcode::Identify as u8, 0);
         s.prp1 = 0x21_0000;
         s.cdw[0] = 0x00;
-        assert_eq!(r.submit_admin(s).status, Status::Success);
+        assert_eq!(r.submit_admin(s).map(|c| c.status), Ok(Status::Success));
         let d = r.hostmem.borrow_mut().store_mut().read_vec(0x21_0000, 8);
         let nsze = u64::from_le_bytes(d.try_into().unwrap());
         assert_eq!(nsze, 2_000_000_000_000 / 512);
@@ -1307,9 +1284,9 @@ mod tests {
     fn invalid_admin_opcode_errors() {
         let mut r = TestRig::new();
         r.enable();
-        let s = Sqe::new(0x7f, 9);
-        let cqe = r.submit_admin(s);
-        assert_eq!(cqe.status, Status::InvalidOpcode);
+        let s = Sqe::new(0x7f, 0);
+        let err = r.submit_admin(s).unwrap_err();
+        assert_eq!(err, AdminError::Failed(Status::InvalidOpcode));
         assert_eq!(r.dev.stats().errors, 1);
     }
 
@@ -1328,22 +1305,9 @@ mod tests {
         let mut w = Sqe::io(IoOpcode::Write, 1, 1000, 15); // 16 blocks
         w.prp1 = 0x40_0000;
         w.prp2 = 0x40_1000;
-        r.hostmem
-            .borrow_mut()
-            .store_mut()
-            .write(0x30_0000, &w.encode());
-        r.fabric
-            .borrow_mut()
-            .write_u32(
-                &mut r.en,
-                HOST_NODE,
-                BAR0 + spec::regs::sq_tail_doorbell(1),
-                1,
-            )
-            .unwrap();
+        r.submit_io(&w, 1);
         r.en.run();
-        let cqe = Cqe::decode(&r.hostmem.borrow_mut().store_mut().read_vec(0x31_0000, 16))
-            .expect("CQE decodes");
+        let cqe = r.io_cqe(0);
         assert_eq!(cqe.status, Status::Success);
         assert_eq!(cqe.sq_id, 1);
 
@@ -1351,27 +1315,9 @@ mod tests {
         let mut rd = Sqe::io(IoOpcode::Read, 2, 1000, 15);
         rd.prp1 = 0x50_0000;
         rd.prp2 = 0x50_1000;
-        r.hostmem
-            .borrow_mut()
-            .store_mut()
-            .write(0x30_0000 + 64, &rd.encode());
-        r.fabric
-            .borrow_mut()
-            .write_u32(
-                &mut r.en,
-                HOST_NODE,
-                BAR0 + spec::regs::sq_tail_doorbell(1),
-                2,
-            )
-            .unwrap();
+        r.submit_io(&rd, 2);
         r.en.run();
-        let cqe2 = Cqe::decode(
-            &r.hostmem
-                .borrow_mut()
-                .store_mut()
-                .read_vec(0x31_0000 + 16, 16),
-        )
-        .expect("CQE decodes");
+        let cqe2 = r.io_cqe(1);
         assert_eq!(cqe2.status, Status::Success);
         let got = r.hostmem.borrow_mut().store_mut().read_vec(0x50_0000, 8192);
         assert_eq!(got, payload);
@@ -1389,22 +1335,9 @@ mod tests {
         let cap_lbas = 2_000_000_000_000 / 512;
         let mut w = Sqe::io(IoOpcode::Write, 5, cap_lbas, 0);
         w.prp1 = 0x40_0000;
-        r.hostmem
-            .borrow_mut()
-            .store_mut()
-            .write(0x30_0000, &w.encode());
-        r.fabric
-            .borrow_mut()
-            .write_u32(
-                &mut r.en,
-                HOST_NODE,
-                BAR0 + spec::regs::sq_tail_doorbell(1),
-                1,
-            )
-            .unwrap();
+        r.submit_io(&w, 1);
         r.en.run();
-        let cqe = Cqe::decode(&r.hostmem.borrow_mut().store_mut().read_vec(0x31_0000, 16))
-            .expect("CQE decodes");
+        let cqe = r.io_cqe(0);
         assert_eq!(cqe.status, Status::LbaOutOfRange);
     }
 
@@ -1414,22 +1347,9 @@ mod tests {
         r.enable();
         r.create_io_queues(1, 0x30_0000, 0x31_0000, 64);
         let f = Sqe::io(IoOpcode::Flush, 7, 0, 0);
-        r.hostmem
-            .borrow_mut()
-            .store_mut()
-            .write(0x30_0000, &f.encode());
-        r.fabric
-            .borrow_mut()
-            .write_u32(
-                &mut r.en,
-                HOST_NODE,
-                BAR0 + spec::regs::sq_tail_doorbell(1),
-                1,
-            )
-            .unwrap();
+        r.submit_io(&f, 1);
         r.en.run();
-        let cqe = Cqe::decode(&r.hostmem.borrow_mut().store_mut().read_vec(0x31_0000, 16))
-            .expect("CQE decodes");
+        let cqe = r.io_cqe(0);
         assert_eq!(cqe.status, Status::Success);
     }
 
@@ -1442,19 +1362,7 @@ mod tests {
         let start = r.en.now();
         let mut w = Sqe::io(IoOpcode::Write, 1, 0, 7); // 4 KiB
         w.prp1 = 0x40_0000;
-        r.hostmem
-            .borrow_mut()
-            .store_mut()
-            .write(0x30_0000, &w.encode());
-        r.fabric
-            .borrow_mut()
-            .write_u32(
-                &mut r.en,
-                HOST_NODE,
-                BAR0 + spec::regs::sq_tail_doorbell(1),
-                1,
-            )
-            .unwrap();
+        r.submit_io(&w, 1);
         let end = r.en.run();
         let us = end.since(start).as_us_f64();
         assert!(us < 9.0, "4 KiB write took {us} µs");
@@ -1469,19 +1377,7 @@ mod tests {
         let start = r.en.now();
         let mut rd = Sqe::io(IoOpcode::Read, 1, 5000, 7);
         rd.prp1 = 0x40_0000;
-        r.hostmem
-            .borrow_mut()
-            .store_mut()
-            .write(0x30_0000, &rd.encode());
-        r.fabric
-            .borrow_mut()
-            .write_u32(
-                &mut r.en,
-                HOST_NODE,
-                BAR0 + spec::regs::sq_tail_doorbell(1),
-                1,
-            )
-            .unwrap();
+        r.submit_io(&rd, 1);
         let end = r.en.run();
         let us = end.since(start).as_us_f64();
         assert!(us > 50.0 && us < 65.0, "cold 4 KiB read took {us} µs");
@@ -1501,19 +1397,7 @@ mod tests {
         let start = r.en.now();
         let mut rd = Sqe::io(IoOpcode::Read, 1, 5000, 7);
         rd.prp1 = 0x40_0000;
-        r.hostmem
-            .borrow_mut()
-            .store_mut()
-            .write(0x30_0000, &rd.encode());
-        r.fabric
-            .borrow_mut()
-            .write_u32(
-                &mut r.en,
-                HOST_NODE,
-                BAR0 + spec::regs::sq_tail_doorbell(1),
-                1,
-            )
-            .unwrap();
+        r.submit_io(&rd, 1);
         let end = r.en.run();
         let us = end.since(start).as_us_f64();
         assert!(us > 26.0 && us < 42.0, "warm 4 KiB read took {us} µs");

@@ -9,6 +9,9 @@
 //!   SNAcc's NVMe Streamer) writes into queue memory.
 //! * [`queue`] — submission/completion ring arithmetic (tails, heads, phase
 //!   tags) shared by the host drivers and the streamer model.
+//! * [`admin`] — the host side of the admin queue: controller enable,
+//!   Identify and I/O queue-pair creation, shared by the SNAcc host
+//!   driver, the SPDK driver and the device tests.
 //! * [`prp`] — PRP walking (device side) and PRP list building (host side),
 //!   including list chaining for > 1 MB + 4 KiB transfers.
 //! * [`nand`] — the storage backend: NAND dies with per-die queueing, a
@@ -25,6 +28,7 @@
 
 #![deny(missing_docs)]
 
+pub mod admin;
 pub mod device;
 pub mod nand;
 pub mod profile;

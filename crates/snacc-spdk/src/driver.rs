@@ -17,9 +17,10 @@
 use crate::cpu::CpuCore;
 use snacc_mem::hostmem::PinnedBuffer;
 use snacc_mem::{AddrRange, HostMemory};
+use snacc_nvme::admin::{AdminError, AdminQueue};
 use snacc_nvme::prp::PrpListBuilder;
 use snacc_nvme::queue::{CqRing, SqRing};
-use snacc_nvme::spec::{self, AdminOpcode, Cqe, IoOpcode, Sqe, Status};
+use snacc_nvme::spec::{self, Cqe, IoOpcode, Sqe, Status};
 use snacc_nvme::NvmeDeviceHandle;
 use snacc_pcie::target::ScratchTarget;
 use snacc_pcie::{PcieFabric, HOST_NODE};
@@ -127,10 +128,8 @@ struct Inner {
     hostmem: Rc<RefCell<HostMemory>>,
     nvme: NvmeDeviceHandle,
     cpu: CpuCore,
-    // Admin.
-    admin_sq: SqRing,
-    admin_cq: CqRing,
-    ident_buf: u64,
+    /// Used once, by [`SpdkNvme::init`].
+    admin: Option<AdminQueue>,
     // I/O queue (qid 1) in host memory.
     io_sq: SqRing,
     io_cq: CqRing,
@@ -187,10 +186,8 @@ pub enum SpdkError {
     QueueFull,
     /// Request exceeds the per-command limit.
     TooLarge,
-    /// Admin phase failed.
-    AdminFailed(Status),
-    /// Controller did not come up.
-    NotReady,
+    /// Controller bring-up failed.
+    Admin(AdminError),
 }
 
 impl SpdkNvme {
@@ -206,11 +203,9 @@ impl SpdkNvme {
         cfg: SpdkConfig,
     ) -> Self {
         let qd = cfg.queue_depth as usize;
-        let (admin_sq, admin_cq, ident, io_sq_base, slabs, list_pages) = {
+        let (admin, io_sq_base, slabs, list_pages) = {
             let mut hm = hostmem.borrow_mut();
-            let asq = hm.alloc_pinned(32 * spec::SQE_BYTES).segments()[0].base;
-            let acq = hm.alloc_pinned(32 * spec::CQE_BYTES).segments()[0].base;
-            let ident = hm.alloc_pinned(4096).segments()[0].base;
+            let admin = AdminQueue::new(&mut hm, nvme.bar0_base());
             let io_sq = hm
                 .alloc_pinned(cfg.io_entries as u64 * spec::SQE_BYTES)
                 .segments()[0]
@@ -221,12 +216,10 @@ impl SpdkNvme {
             let lists: Vec<u64> = (0..qd)
                 .map(|_| hm.alloc_pinned(4096).segments()[0].base)
                 .collect();
-            (asq, acq, ident, io_sq, slabs, lists)
+            (admin, io_sq, slabs, lists)
         };
         let inner = Inner {
-            admin_sq: SqRing::new(admin_sq, 32),
-            admin_cq: CqRing::new(admin_cq, 32),
-            ident_buf: ident,
+            admin: Some(admin),
             io_sq: SqRing::new(io_sq_base, cfg.io_entries),
             io_cq: CqRing::new(0, cfg.io_entries), // base set at init
             cq_mem: None,
@@ -250,89 +243,34 @@ impl SpdkNvme {
         }
     }
 
-    fn reg_write32(&self, en: &mut Engine, off: u64, v: u32) {
+    fn ring_doorbell(&self, en: &mut Engine, off: u64, v: u16) {
         let (fabric, bar) = {
             let i = self.inner.borrow();
             (i.fabric(), i.nvme.bar0_base())
         };
         fabric
             .borrow_mut()
-            .write_u32(en, HOST_NODE, bar + off, v)
+            .write_u32(en, HOST_NODE, bar + off, v as u32)
             .expect("BAR0 reachable");
-    }
-
-    fn reg_write64(&self, en: &mut Engine, off: u64, v: u64) {
-        let (fabric, bar) = {
-            let i = self.inner.borrow();
-            (i.fabric(), i.nvme.bar0_base())
-        };
-        fabric
-            .borrow_mut()
-            .write(en, HOST_NODE, bar + off, &v.to_le_bytes())
-            .expect("BAR0 reachable");
-    }
-
-    fn run_admin(&self, en: &mut Engine, mut sqe: Sqe) -> Result<Cqe, SpdkError> {
-        let tail = {
-            let mut i = self.inner.borrow_mut();
-            sqe.cid = i.admin_sq.tail();
-            let addr = i.admin_sq.tail_addr();
-            i.hostmem
-                .borrow_mut()
-                .store_mut()
-                .write(addr, &sqe.encode());
-            i.admin_sq.advance_tail()
-        };
-        self.reg_write32(en, spec::regs::sq_tail_doorbell(0), tail as u32);
-        en.run();
-        let mut i = self.inner.borrow_mut();
-        let head_addr = i.admin_cq.head_addr();
-        let raw = i.hostmem.borrow_mut().store_mut().read_vec(head_addr, 16);
-        let Ok(cqe) = Cqe::decode(&raw) else {
-            return Err(SpdkError::NotReady);
-        };
-        if cqe.phase != i.admin_cq.expected_phase() {
-            return Err(SpdkError::NotReady);
-        }
-        i.admin_cq.consume();
-        i.admin_sq.update_head(cqe.sq_head);
-        if cqe.status != Status::Success {
-            return Err(SpdkError::AdminFailed(cqe.status));
-        }
-        Ok(cqe)
     }
 
     /// Bring the controller up and create the I/O queue pair. The CQ is a
     /// dedicated pinned host range so the simulated reactor "polls" it
-    /// (write-notification models the poll hit).
+    /// (write-notification models the poll hit). Call once.
     pub fn init(&self, en: &mut Engine, cq_phys_base: u64) -> Result<(), SpdkError> {
-        {
+        let (mut admin, fabric, hostmem, entries_io) = {
             let mut i = self.inner.borrow_mut();
             i.cpu.claim(en.now());
-        }
-        // Admin queue + enable.
-        let (asq, acq, entries) = {
-            let i = self.inner.borrow();
-            (i.admin_sq.base(), i.admin_cq.base(), 32u32)
+            let admin = i.admin.take().expect("SpdkNvme::init runs once");
+            (admin, i.fabric(), i.hostmem.clone(), i.cfg.io_entries)
         };
-        self.reg_write32(en, spec::regs::AQA, ((entries - 1) << 16) | (entries - 1));
-        self.reg_write64(en, spec::regs::ASQ, asq);
-        self.reg_write64(en, spec::regs::ACQ, acq);
-        self.reg_write32(en, spec::regs::CC, spec::cc::EN);
-        en.run();
-
+        admin.enable(en, &fabric);
         // Identify (exercises the admin data path).
-        let ident = self.inner.borrow().ident_buf;
-        let mut s = Sqe::new(AdminOpcode::Identify as u8, 0);
-        s.prp1 = ident;
-        s.cdw[0] = 0x01;
-        self.run_admin(en, s)?;
+        admin
+            .identify_controller(en, &fabric, &hostmem)
+            .map_err(SpdkError::Admin)?;
 
         // Map the CQ as a notifying host range.
-        let (entries_io, fabric) = {
-            let i = self.inner.borrow();
-            (i.cfg.io_entries, i.fabric())
-        };
         let cq_mem = Rc::new(RefCell::new(ScratchTarget::new(
             "spdk-cq",
             SimDuration::from_ns(90),
@@ -354,29 +292,16 @@ impl SpdkNvme {
                     });
                 }));
         }
-        {
+        let (io_sq, io_cq) = {
             let mut i = self.inner.borrow_mut();
             i.cq_mem = Some(cq_mem);
             i.cq_base = cq_phys_base;
             i.io_cq = CqRing::new(cq_phys_base, entries_io);
-        }
-
-        // Create the I/O queue pair.
-        let (sq_base, io_entries) = {
-            let i = self.inner.borrow();
-            (i.io_sq.base(), i.cfg.io_entries)
+            (i.io_sq.clone(), i.io_cq.clone())
         };
-        let mut c = Sqe::new(AdminOpcode::CreateIoCq as u8, 0);
-        c.prp1 = cq_phys_base;
-        c.cdw[0] = 1 | (((io_entries - 1) as u32) << 16);
-        c.cdw[1] = 1;
-        self.run_admin(en, c)?;
-        let mut s = Sqe::new(AdminOpcode::CreateIoSq as u8, 0);
-        s.prp1 = sq_base;
-        s.cdw[0] = 1 | (((io_entries - 1) as u32) << 16);
-        s.cdw[1] = 1 | (1 << 16);
-        self.run_admin(en, s)?;
-        Ok(())
+        admin
+            .create_io_queue_pair(en, &fabric, &hostmem, 1, &io_sq, &io_cq)
+            .map_err(SpdkError::Admin)
     }
 
     /// A non-owning handle to this driver.
@@ -528,7 +453,7 @@ impl SpdkNvme {
         // Ring the doorbell once the CPU finished the submission work.
         let me = self.clone();
         en.schedule_at(submit_done, move |en| {
-            me.reg_write32(en, spec::regs::sq_tail_doorbell(1), tail as u32);
+            me.ring_doorbell(en, spec::regs::sq_tail_doorbell(1), tail);
         });
         Ok(cid)
     }
@@ -606,7 +531,7 @@ impl SpdkNvme {
         if reaped > 0 {
             // CQ head doorbell (posted MMIO).
             let head = self.inner.borrow().io_cq.head();
-            self.reg_write32(en, spec::regs::cq_head_doorbell(1), head as u32);
+            self.ring_doorbell(en, spec::regs::cq_head_doorbell(1), head);
         }
         // Invoke user callbacks with no inner borrow held.
         for info in callbacks {

@@ -19,7 +19,8 @@
 //! * one CPU core runs at 100 % for the duration (Sec 6.3).
 //!
 //! [`cpu::CpuCore`] models the polling core; [`driver::SpdkNvme`] is the
-//! driver itself.
+//! driver itself. Controller bring-up runs over `snacc_nvme::admin`, the
+//! admin queue the SNAcc host driver uses too.
 
 pub mod cpu;
 pub mod driver;

@@ -8,8 +8,6 @@ use std::cell::RefCell;
 use std::collections::HashSet;
 use std::rc::Rc;
 
-const CQ_PHYS: u64 = 0x3_0000_0000; // dedicated notifying host range
-
 struct Rig {
     host: HostSystem,
     spdk: SpdkNvme,
@@ -17,14 +15,7 @@ struct Rig {
 
 fn rig(cfg: SpdkConfig) -> Rig {
     let mut host = HostSystem::bring_up(NvmeProfile::samsung_990pro(), 77);
-    let spdk = SpdkNvme::new(
-        host.fabric.clone(),
-        host.hostmem.clone(),
-        host.nvme.clone(),
-        cfg,
-    );
-    spdk.init(&mut host.en, CQ_PHYS).expect("init");
-    host.en.run();
+    let spdk = host.spdk(cfg);
     Rig { host, spdk }
 }
 
