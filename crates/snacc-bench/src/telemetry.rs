@@ -3,11 +3,11 @@
 //!
 //! [`Telemetry::from_args`] scans the process arguments; `--trace <path>`
 //! installs a fresh [`Tracer`] so every model-crate instrumentation site
-//! starts recording, `--metrics-json <path>` installs a fresh metrics
-//! registry scoped to this run, and `--perf-json <path>` records *wall
-//! clock* performance of the process itself — elapsed seconds, simulation
-//! events executed, peak RSS. [`Telemetry::finish`] writes the exports:
-//! the trace as Chrome `trace_event` JSON (open it in
+//! starts recording, `--metrics-json <path>` snapshots the main thread's
+//! metrics registry, which holds the whole run, and `--perf-json <path>`
+//! records *wall clock* performance of the process itself — elapsed
+//! seconds, simulation events executed, peak RSS. [`Telemetry::finish`]
+//! writes the exports: the trace as Chrome `trace_event` JSON (open it in
 //! <https://ui.perfetto.dev> or `chrome://tracing`), the metrics as a
 //! key-sorted JSON snapshot, and the perf record merged into the given
 //! JSON file keyed by binary name (so several figure binaries can append
@@ -21,13 +21,15 @@
 //!
 //! `--jobs <N>` sizes the sweep worker pool ([`Telemetry::jobs`]): sweep
 //! binaries fan their independent simulation jobs across `N` threads with
-//! byte-identical output (see [`crate::sweep`]). Defaults to 1; forced
-//! back to 1 while any telemetry sink is recording. Like a fault plan,
-//! a `--jobs` that the binary never asks for is an error.
+//! byte-identical output (see [`crate::sweep`]). Defaults to 1. Each job
+//! records in its own registry and tracer, merged into the main thread's
+//! in job order, so the exports and the `--perf-json` event count do not
+//! depend on `N` either. Like a fault plan, a `--jobs` that the binary
+//! never asks for is an error. A flag given twice is an error too.
 
 use serde_json::{Map, Value};
 use snacc_faults::FaultPlan;
-use snacc_trace::{MetricsRegistry, Tracer};
+use snacc_trace::Tracer;
 use std::cell::Cell;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -57,11 +59,12 @@ struct Flags {
 }
 
 /// Parse the telemetry flags (`--flag value` or `--flag=value`). Any
-/// other argument, a flag without a value, an output path whose directory
-/// does not exist, a `--jobs` that is not a positive integer, or a
-/// `--faults` plan that cannot be loaded is an error.
+/// other argument, a flag given twice or without a value, an output path
+/// whose directory does not exist, a `--jobs` that is not a positive
+/// integer, or a `--faults` plan that cannot be loaded is an error.
 fn parse(mut args: impl Iterator<Item = String>) -> Result<Flags, String> {
     let mut f = Flags::default();
+    let mut seen = Vec::new();
     while let Some(a) = args.next() {
         let (flag, inline) = match a.split_once('=') {
             Some((flag, v)) => (flag.to_string(), Some(v.to_string())),
@@ -80,6 +83,9 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<Flags, String> {
                 known.join(", ")
             ));
         }
+        if seen.contains(&flag) {
+            return Err(format!("{flag} given twice"));
+        }
         let v = inline
             .or_else(|| args.next())
             .ok_or_else(|| format!("{flag} needs a value"))?;
@@ -97,6 +103,7 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<Flags, String> {
                 f.jobs = Some(n);
             }
         }
+        seen.push(flag);
     }
     Ok(f)
 }
@@ -168,9 +175,6 @@ impl Telemetry {
         if f.trace_path.is_some() {
             snacc_trace::install(Tracer::new());
         }
-        if f.metrics_path.is_some() {
-            snacc_trace::install_registry(MetricsRegistry::new());
-        }
         Telemetry {
             trace_path: f.trace_path,
             metrics_path: f.metrics_path,
@@ -198,20 +202,13 @@ impl Telemetry {
         Some(plan)
     }
 
-    /// Worker count for the sweep pool (`--jobs N`, default 1). Degrades
-    /// to 1 whenever telemetry is recording: the tracer, the metrics
-    /// registry and the engine's lifetime event counter are all
-    /// thread-local, so a fan-out would record nothing (and make
-    /// `--perf-json` events/RSS incomparable). The sweep output itself is
-    /// byte-identical at any worker count (see `snacc_bench::sweep`). A
-    /// `--jobs` that is never asked for fails [`Telemetry::finish`].
+    /// Worker count for the sweep pool (`--jobs N`, default 1). The sweep
+    /// output and telemetry are byte-identical at any worker count (see
+    /// [`crate::sweep`]). A `--jobs` that is never asked for fails
+    /// [`Telemetry::finish`].
     pub fn jobs(&self) -> usize {
         self.jobs_taken.set(true);
-        if self.trace_path.is_some() || self.metrics_path.is_some() || self.perf_path.is_some() {
-            1
-        } else {
-            self.jobs.unwrap_or(1)
-        }
+        self.jobs.unwrap_or(1)
     }
 
     /// Write the requested export files and stop recording. A file that
@@ -394,6 +391,18 @@ mod tests {
         };
         assert_eq!(t.jobs(), 2);
         assert_eq!(t.write_exports(), Ok(()));
+    }
+
+    #[test]
+    fn repeated_flag_is_an_error() {
+        // The first value must not be dropped silently.
+        let e = err(&["--metrics-json", "a.json", "--metrics-json", "b.json"]);
+        assert_eq!(e, "--metrics-json given twice");
+        assert_eq!(err(&["--jobs", "2", "--jobs=3"]), "--jobs given twice");
+        assert_eq!(
+            err(&["--trace=a", "--jobs", "2", "--trace=a"]),
+            "--trace given twice"
+        );
     }
 
     #[test]

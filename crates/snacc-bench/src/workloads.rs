@@ -147,10 +147,10 @@ pub struct FaultSummary {
 }
 
 impl FaultSummary {
-    /// Snapshot the accounting counters from a faulted system. The
-    /// streamer's metric counters live in the process-wide registry and
-    /// accumulate across systems; take a snapshot at the start of the
-    /// measured window and diff with [`FaultSummary::since`].
+    /// The accounting counters of a faulted system. The streamer's and the
+    /// injectors' counters live in the current metrics registry, so they
+    /// count this system only when it was built in a registry of its own,
+    /// as every sweep job is (see [`crate::sweep`]).
     pub fn from_system(sys: &SnaccSystem) -> FaultSummary {
         let nvme = sys.nvme.fault_stats();
         let pcie = sys.fabric.borrow().fault_stats();
@@ -165,22 +165,6 @@ impl FaultSummary {
             retries: m.retries.get(),
             recovered: m.recovered.get(),
             gave_up: m.gave_up.get(),
-        }
-    }
-
-    /// Field-wise difference against an earlier snapshot of the same
-    /// process (all counters are monotonic).
-    pub fn since(&self, base: &FaultSummary) -> FaultSummary {
-        FaultSummary {
-            nvme_errors: self.nvme_errors - base.nvme_errors,
-            nvme_spikes: self.nvme_spikes - base.nvme_spikes,
-            pcie_timeouts: self.pcie_timeouts - base.pcie_timeouts,
-            pcie_degraded: self.pcie_degraded - base.pcie_degraded,
-            streamer_errors: self.streamer_errors - base.streamer_errors,
-            streamer_timeouts: self.streamer_timeouts - base.streamer_timeouts,
-            retries: self.retries - base.retries,
-            recovered: self.recovered - base.recovered,
-            gave_up: self.gave_up - base.gave_up,
         }
     }
 
@@ -237,7 +221,6 @@ pub fn record_backing_bytes(label: &str, report: &CaseStudyReport) {
 /// as distinct per-GiB values) and the fault accounting of the transfers.
 pub fn snacc_seq_bandwidth(cfg: SystemConfig, dir: Dir, total: u64) -> (Vec<f64>, FaultSummary) {
     let mut sys = SnaccSystem::bring_up(cfg);
-    let fault_base = FaultSummary::from_system(&sys);
     if dir == Dir::Read {
         // Pre-populate media (cold data still hits the channel ceiling).
         sys.nvme.with(|d| d.nand_mut().prewarm(0, total, 0xA5));
@@ -258,7 +241,7 @@ pub fn snacc_seq_bandwidth(cfg: SystemConfig, dir: Dir, total: u64) -> (Vec<f64>
         rates.push(n as f64 / 1e9 / dt);
         off += n;
     }
-    (rates, FaultSummary::from_system(&sys).since(&fault_base))
+    (rates, FaultSummary::from_system(&sys))
 }
 
 /// Random 4 KiB bandwidth through the streamer (Fig 4b): `total` bytes in

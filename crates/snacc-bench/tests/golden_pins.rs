@@ -12,8 +12,9 @@
 //!
 //! The fault campaigns in `campaign_pins!` are pinned the same way, plus
 //! the stderr lines carrying their fault accounting (`faults:`), which is
-//! printed only on stderr: `tests/golden/<bin>_<plan>.faults`. They have
-//! no peak-RSS budget; a lossy fig6 campaign peaks above fig6's.
+//! printed only on stderr: `tests/golden/<bin>_<plan>.faults`. Each has a
+//! peak-RSS budget of its own under its pin name; a lossy fig6 campaign
+//! peaks above fig6's.
 //!
 //! A change that moves results on purpose re-pins in the same commit: run
 //! each binary as [`run`] does and check in its stdout and event count.
@@ -21,14 +22,16 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// Quick-mode peak-RSS budgets, in KiB, one per binary. The budgets of
-/// all but fig6 and fig7 are a few times the measured peak, so a store
-/// that grows with the address space rather than with the bytes written
-/// fails here. fig6 and fig7 peak near 128 MB, set by the sender's cached
-/// class bodies; their 192 MiB budgets fail once the host-staging
-/// configurations keep a copy of each staged extent again (about 1 MB
-/// per frame).
+/// Quick-mode peak-RSS budgets, in KiB, one per binary and one per fault
+/// campaign. The budgets of all but fig6 and fig7 are a few times the
+/// measured peak, so a store that grows with the address space rather
+/// than with the bytes written fails here. fig6 and fig7 peak near
+/// 128 MB, set by the sender's cached class bodies; their 192 MiB budgets
+/// fail once the host-staging configurations keep a copy of each staged
+/// extent again (about 1 MB per frame). Under frame loss NAND keeps more
+/// copies: the lossy fig6 campaign peaked at 196,764 KiB.
 const RSS_BUDGETS_KIB: &[(&str, u64)] = &[
+    ("ext_faults_flaky_ssd", 16 << 10),
     ("ext_faults", 16 << 10),
     ("ext_flowctl", 16 << 10),
     ("ext_gen5", 16 << 10),
@@ -39,6 +42,8 @@ const RSS_BUDGETS_KIB: &[(&str, u64)] = &[
     ("fig4b", 64 << 10),
     ("fig4c", 16 << 10),
     ("fig6", 192 << 10),
+    ("fig6_degraded_pcie", 192 << 10),
+    ("fig6_lossy_link", 256 << 10),
     ("fig7", 192 << 10),
     ("table1", 16 << 10),
 ];
@@ -111,7 +116,8 @@ fn golden(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-/// `out`'s stdout and `events_executed` against the pins of `pin`.
+/// `out`'s stdout, `events_executed` and peak RSS against the pins and
+/// the budget of `pin`.
 fn check_pinned(pin: &str, out: &Output) {
     assert_eq!(
         out.stdout,
@@ -123,20 +129,19 @@ fn check_pinned(pin: &str, out: &Output) {
         pinned_events(pin),
         "{pin} events_executed differs from its golden pin"
     );
-}
-
-fn check(bin: &str, exe: &str) {
-    let out = run(bin, exe, None);
-    check_pinned(bin, &out);
     let &(_, budget) = RSS_BUDGETS_KIB
         .iter()
-        .find(|(b, _)| *b == bin)
-        .unwrap_or_else(|| panic!("{bin} has no peak-RSS budget"));
+        .find(|(b, _)| *b == pin)
+        .unwrap_or_else(|| panic!("{pin} has no peak-RSS budget"));
     let rss = perf_field(&out.perf, "peak_rss_kb");
     assert!(
         rss <= budget,
-        "{bin} quick peak RSS {rss} KiB exceeds its budget of {budget} KiB"
+        "{pin} quick peak RSS {rss} KiB exceeds its budget of {budget} KiB"
     );
+}
+
+fn check(bin: &str, exe: &str) {
+    check_pinned(bin, &run(bin, exe, None));
 }
 
 fn check_campaign(bin: &str, plan: &str, exe: &str) {

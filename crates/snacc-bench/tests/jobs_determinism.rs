@@ -6,14 +6,24 @@
 //! sweep (6 SPDK runs) and `fig7`'s five case-study configurations. The
 //! sweep pool buffers each job's output and flushes in job order (see
 //! `snacc_bench::sweep`), so worker count must not leak into anything
-//! observable. A binary that runs no sweep refuses `--jobs`.
+//! observable. The same holds for telemetry: each job records into its
+//! own tracer and metrics registry, merged in job order, so the
+//! `--trace` and `--metrics-json` files of `ext_qd_sweep` and of an
+//! `ext_faults` campaign, and the `--perf-json` event count, do not
+//! depend on the worker count either. A binary that runs no sweep refuses
+//! `--jobs`.
 
+use std::path::Path;
 use std::process::Command;
 
-fn run(exe: &str, jobs: &str) -> (String, String) {
+/// Stdout and stderr of `exe <args> --jobs <jobs>` in quick mode, run in
+/// `dir`.
+fn run(exe: &str, jobs: &str, args: &[&str], dir: &Path) -> (String, String) {
     let out = Command::new(exe)
+        .args(args)
         .args(["--jobs", jobs])
         .env("SNACC_QUICK", "1")
+        .current_dir(dir)
         .output()
         .unwrap_or_else(|e| panic!("run {exe}: {e}"));
     assert!(out.status.success(), "{exe} --jobs {jobs} failed");
@@ -24,14 +34,47 @@ fn run(exe: &str, jobs: &str) -> (String, String) {
 }
 
 fn check(exe: &str, table_marker: &str) {
-    let (out1, err1) = run(exe, "1");
-    let (out4, err4) = run(exe, "4");
+    let (out1, err1) = run(exe, "1", &[], Path::new("."));
+    let (out4, err4) = run(exe, "4", &[], Path::new("."));
     assert!(
         out1.contains(table_marker),
         "sweep produced no table:\n{out1}"
     );
     assert_eq!(out1, out4, "stdout differs between --jobs 1 and --jobs 4");
     assert_eq!(err1, err4, "stderr differs between --jobs 1 and --jobs 4");
+}
+
+/// Stdout, the `--trace` and `--metrics-json` files and the `--perf-json`
+/// `events_executed` of `exe <args> --jobs <jobs>`, each with its name.
+fn recorded(exe: &str, jobs: &str, args: &[&str]) -> Vec<(&'static str, String)> {
+    let bin = Path::new(exe).file_name().unwrap().to_string_lossy();
+    let dir = std::env::temp_dir().join(format!("snacc-jobs-{bin}-{jobs}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let sinks = "--trace t.json --metrics-json m.json --perf-json p.json".split(' ');
+    let args: Vec<&str> = args.iter().copied().chain(sinks).collect();
+    let (stdout, _) = run(exe, jobs, &args, &dir);
+    let read = |f: &str| std::fs::read_to_string(dir.join(f)).expect("export written");
+    let perf = serde_json::from_str(&read("p.json")).expect("perf json");
+    let events = perf
+        .get(&bin)
+        .and_then(|r| r.get("events_executed")?.as_u64());
+    let out = vec![
+        ("stdout", stdout),
+        ("--trace", read("t.json")),
+        ("--metrics-json", read("m.json")),
+        ("events_executed", events.expect("events").to_string()),
+    ];
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+    out
+}
+
+fn check_recorded(exe: &str, args: &[&str]) {
+    let one = recorded(exe, "1", args);
+    assert!(one[1].1.contains("traceEvents") && one[3].1 != "0");
+    for ((what, a), (_, b)) in one.iter().zip(recorded(exe, "4", args)) {
+        // `assert!`, not `assert_eq!`: the exports are megabytes.
+        assert!(*a == b, "{what} differs between --jobs 1 and --jobs 4");
+    }
 }
 
 #[test]
@@ -59,6 +102,25 @@ fn parallel_qd_sweep_output_is_byte_identical() {
 )]
 fn parallel_case_study_output_is_byte_identical() {
     check(env!("CARGO_BIN_EXE_fig7"), "Fig 7");
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "runs GiB-scale sweeps; use --release (CI does)"
+)]
+fn parallel_qd_sweep_telemetry_is_byte_identical() {
+    check_recorded(env!("CARGO_BIN_EXE_ext_qd_sweep"), &[]);
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "runs GiB-scale sweeps; use --release (CI does)"
+)]
+fn parallel_campaign_telemetry_is_byte_identical() {
+    let plan = concat!(env!("CARGO_MANIFEST_DIR"), "/../../plans/flaky_ssd.toml");
+    check_recorded(env!("CARGO_BIN_EXE_ext_faults"), &["--faults", plan]);
 }
 
 #[test]

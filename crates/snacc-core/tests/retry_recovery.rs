@@ -10,7 +10,10 @@ use snacc_fpga::axis;
 use snacc_nvme::IoFaultConfig;
 use snacc_sim::{Engine, SimDuration};
 
+/// A system in a metrics registry of its own, so its streamer and fault
+/// counters count this system only.
 fn build(variant: StreamerVariant, retry: RetryPolicy) -> SnaccSystem {
+    snacc_trace::install_registry(snacc_trace::MetricsRegistry::new());
     let mut cfg = SystemConfig::snacc(variant);
     cfg.streamer.retry = retry;
     cfg.seed = 3;
@@ -57,27 +60,6 @@ fn read_all(en: &mut Engine, streamer: &StreamerHandle, count: u64, len: u64) ->
     out
 }
 
-/// Baseline deltas: the metric counters are process-wide and accumulate
-/// across systems within a test thread.
-struct MetricBase {
-    errors: u64,
-    retries: u64,
-    recovered: u64,
-    gave_up: u64,
-    timeouts: u64,
-}
-
-fn snap(streamer: &StreamerHandle) -> MetricBase {
-    let m = streamer.metrics();
-    MetricBase {
-        errors: m.errors.get(),
-        retries: m.retries.get(),
-        recovered: m.recovered.get(),
-        gave_up: m.gave_up.get(),
-        timeouts: m.timeouts.get(),
-    }
-}
-
 #[test]
 fn transient_errors_recover_with_exact_data() {
     let mut sys = build(StreamerVariant::Uram, policy(3));
@@ -85,20 +67,12 @@ fn transient_errors_recover_with_exact_data() {
     let (count, len) = (24u64, 128u64 * 1024);
     nvme.with(|d| d.nand_mut().prewarm(0, count * len, 0xC3));
     nvme.install_faults(IoFaultConfig::error_only(0.2, 77));
-    let base = snap(streamer);
     let reads = read_all(en, streamer, count, len);
     let m = streamer.metrics();
     let injected = nvme.fault_stats().errors;
     assert!(injected > 0, "campaign must inject at this rate");
-    assert!(
-        m.recovered.get() - base.recovered > 0,
-        "retries must recover"
-    );
-    assert_eq!(
-        m.gave_up.get() - base.gave_up,
-        0,
-        "budget covers 20% errors"
-    );
+    assert!(m.recovered.get() > 0, "retries must recover");
+    assert_eq!(m.gave_up.get(), 0, "budget covers 20% errors");
     // Recovery is invisible to the consumer: every read delivers its
     // exact media bytes, in issue order.
     for (i, data) in reads.iter().enumerate() {
@@ -118,13 +92,12 @@ fn fault_accounting_is_conserved() {
         let (count, len) = (16u64, 64u64 * 1024);
         nvme.with(|d| d.nand_mut().prewarm(0, count * len, 0x11));
         nvme.install_faults(IoFaultConfig::error_only(0.25, 5));
-        let base = snap(streamer);
         let _ = read_all(en, streamer, count, len);
         let m = streamer.metrics();
         let injected = nvme.fault_stats().errors;
-        let errors = m.errors.get() - base.errors;
-        let retries = m.retries.get() - base.retries;
-        let gave_up = m.gave_up.get() - base.gave_up;
+        let errors = m.errors.get();
+        let retries = m.retries.get();
+        let gave_up = m.gave_up.get();
         assert!(injected > 0, "{variant:?}: campaign must inject");
         assert_eq!(errors, injected, "{variant:?}: every fault surfaces");
         assert_eq!(
@@ -144,14 +117,13 @@ fn exhausted_budget_gives_up_without_wedging() {
     let (en, streamer, nvme) = (&mut sys.en, &sys.streamer, &sys.nvme);
     let (count, len) = (4u64, 64u64 * 1024);
     nvme.install_faults(IoFaultConfig::error_only(1.0, 1));
-    let base = snap(streamer);
     let reads = read_all(en, streamer, count, len);
     let m = streamer.metrics();
-    let gave_up = m.gave_up.get() - base.gave_up;
-    let retries = m.retries.get() - base.retries;
+    let gave_up = m.gave_up.get();
+    let retries = m.retries.get();
     assert!(gave_up > 0, "nothing can survive rate 1.0");
     assert_eq!(retries, 2 * gave_up, "full budget spent before giving up");
-    assert_eq!(m.recovered.get() - base.recovered, 0);
+    assert_eq!(m.recovered.get(), 0);
     for data in &reads {
         assert_eq!(data.len() as u64, len, "stream stays live");
         assert!(data.iter().all(|&b| b == 0), "given-up reads stream zeros");
@@ -165,13 +137,12 @@ fn retries_disabled_fail_fast() {
     let mut sys = build(StreamerVariant::Uram, RetryPolicy::disabled());
     let (en, streamer, nvme) = (&mut sys.en, &sys.streamer, &sys.nvme);
     nvme.install_faults(IoFaultConfig::error_only(0.5, 3));
-    let base = snap(streamer);
     let _ = read_all(en, streamer, 8, 64 * 1024);
     let m = streamer.metrics();
     let injected = nvme.fault_stats().errors;
     assert!(injected > 0);
-    assert_eq!(m.retries.get() - base.retries, 0);
-    assert_eq!(m.gave_up.get() - base.gave_up, injected);
+    assert_eq!(m.retries.get(), 0);
+    assert_eq!(m.gave_up.get(), injected);
 }
 
 #[test]
@@ -193,13 +164,12 @@ fn latency_spikes_trigger_timeout_replay() {
         window: None,
         seed: 21,
     });
-    let base = snap(streamer);
     let reads = read_all(en, streamer, count, len);
     let m = streamer.metrics();
     assert!(nvme.fault_stats().spikes > 0, "campaign must spike");
-    assert!(m.timeouts.get() - base.timeouts > 0, "spikes must time out");
-    assert!(m.recovered.get() - base.recovered > 0, "replays recover");
-    assert_eq!(m.gave_up.get() - base.gave_up, 0);
+    assert!(m.timeouts.get() > 0, "spikes must time out");
+    assert!(m.recovered.get() > 0, "replays recover");
+    assert_eq!(m.gave_up.get(), 0);
     for (i, data) in reads.iter().enumerate() {
         assert_eq!(data.len() as u64, len);
         assert!(data.iter().all(|&b| b == 0x3C), "read {i} intact");

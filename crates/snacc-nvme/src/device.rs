@@ -83,7 +83,8 @@ impl IoFaultConfig {
     }
 }
 
-/// Injected-fault tallies for one device.
+/// Injected-fault tallies (the device's `faults.nvme.*` registry
+/// counters).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IoFaultStats {
     /// Commands forced to complete with the configured error status.
@@ -95,11 +96,9 @@ pub struct IoFaultStats {
 struct IoFaultState {
     cfg: IoFaultConfig,
     rng: SimRng,
-    stats: IoFaultStats,
-    /// Registry counters (`faults.nvme.*`), so `--metrics-json` snapshots
-    /// carry the injected-fault tallies.
-    reg_errors: trace::CounterHandle,
-    reg_spikes: trace::CounterHandle,
+    /// `faults.nvme.*` in the current metrics registry.
+    errors: trace::CounterHandle,
+    spikes: trace::CounterHandle,
 }
 
 impl IoFaultState {
@@ -477,9 +476,8 @@ impl NvmeDeviceHandle {
         self.inner.borrow_mut().faults = Some(IoFaultState {
             cfg,
             rng,
-            stats: IoFaultStats::default(),
-            reg_errors: trace::metric_counter("faults.nvme.cmd_errors"),
-            reg_spikes: trace::metric_counter("faults.nvme.latency_spikes"),
+            errors: trace::metric_counter("faults.nvme.cmd_errors"),
+            spikes: trace::metric_counter("faults.nvme.latency_spikes"),
         });
     }
 
@@ -494,7 +492,10 @@ impl NvmeDeviceHandle {
             .borrow()
             .faults
             .as_ref()
-            .map(|f| f.stats)
+            .map(|f| IoFaultStats {
+                errors: f.errors.get(),
+                spikes: f.spikes.get(),
+            })
             .unwrap_or_default()
     }
 
@@ -812,13 +813,11 @@ fn exec_io(rc: &Rc<RefCell<NvmeDevice>>, en: &mut Engine, qid: u16, sqe: Sqe) {
         match &mut d.faults {
             Some(f) if is_io && f.in_window(now) => {
                 if f.cfg.error_rate > 0.0 && f.rng.gen_bool(f.cfg.error_rate) {
-                    f.stats.errors += 1;
-                    f.reg_errors.inc();
+                    f.errors.inc();
                     Draw::Error(f.cfg.error_status)
                 } else if f.cfg.latency_spike_rate > 0.0 && f.rng.gen_bool(f.cfg.latency_spike_rate)
                 {
-                    f.stats.spikes += 1;
-                    f.reg_spikes.inc();
+                    f.spikes.inc();
                     Draw::Spike(f.cfg.latency_spike)
                 } else {
                     Draw::Clean

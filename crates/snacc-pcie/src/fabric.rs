@@ -139,7 +139,8 @@ impl PcieFaultConfig {
     }
 }
 
-/// Counters kept by the fabric fault injector.
+/// Counters kept by the fabric fault injector (its `faults.pcie.*`
+/// registry counters).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PcieFaultStats {
     /// Non-posted reads aborted with a completion timeout.
@@ -151,10 +152,9 @@ pub struct PcieFaultStats {
 struct PcieFaultState {
     cfg: PcieFaultConfig,
     rng: SimRng,
-    stats: PcieFaultStats,
-    /// Registry counters (`faults.pcie.*`) for metrics snapshots.
-    reg_timeouts: trace::CounterHandle,
-    reg_degraded: trace::CounterHandle,
+    /// `faults.pcie.*` in the current metrics registry.
+    timeouts: trace::CounterHandle,
+    degraded: trace::CounterHandle,
 }
 
 /// Decoded MMIO route: (offset within the window, owning node, target).
@@ -182,10 +182,8 @@ pub struct PcieFabric {
     /// Root-complex forwarding latency for peer-to-peer hops.
     rc_forward: SimDuration,
     /// Payload bytes per *transaction* (counted once, not per link) — the
-    /// paper's Fig 7 "data transfers over the PCIe bus" metric.
-    payload_bytes: u64,
-    /// Registry mirror of `payload_bytes` (`pcie.payload` in metrics
-    /// snapshots).
+    /// paper's Fig 7 "data transfers over the PCIe bus" metric, kept as
+    /// `pcie.payload` in the current metrics registry.
     payload_meter: MeterHandle,
     /// Fault injector, absent in normal operation.
     faults: Option<PcieFaultState>,
@@ -206,7 +204,6 @@ impl PcieFabric {
             map: AddressMap::new(),
             iommu: Iommu::passthrough(),
             rc_forward: SimDuration::from_ns(100),
-            payload_bytes: 0,
             payload_meter: trace::metric_meter("pcie.payload"),
             faults: None,
         }
@@ -217,9 +214,8 @@ impl PcieFabric {
         self.faults = Some(PcieFaultState {
             rng: SimRng::new(cfg.seed),
             cfg,
-            stats: PcieFaultStats::default(),
-            reg_timeouts: trace::metric_counter("faults.pcie.completion_timeouts"),
-            reg_degraded: trace::metric_counter("faults.pcie.degraded_tlps"),
+            timeouts: trace::metric_counter("faults.pcie.completion_timeouts"),
+            degraded: trace::metric_counter("faults.pcie.degraded_tlps"),
         });
     }
 
@@ -230,7 +226,13 @@ impl PcieFabric {
 
     /// Snapshot of the injector's counters (zeros if none installed).
     pub fn fault_stats(&self) -> PcieFaultStats {
-        self.faults.as_ref().map(|f| f.stats).unwrap_or_default()
+        self.faults
+            .as_ref()
+            .map(|f| PcieFaultStats {
+                timeouts: f.timeouts.get(),
+                degraded: f.degraded.get(),
+            })
+            .unwrap_or_default()
     }
 
     /// Draw a completion timeout for an eligible read issued at `start`.
@@ -245,8 +247,7 @@ impl PcieFabric {
         if !in_window || f.cfg.timeout_rate <= 0.0 || !f.rng.gen_bool(f.cfg.timeout_rate) {
             return false;
         }
-        f.stats.timeouts += 1;
-        f.reg_timeouts.inc();
+        f.timeouts.inc();
         if trace::enabled() {
             trace::instant(
                 en,
@@ -271,8 +272,7 @@ impl PcieFabric {
             return t;
         };
         if start >= a && start < b {
-            f.stats.degraded += 1;
-            f.reg_degraded.inc();
+            f.degraded.inc();
             t + f.cfg.degrade_extra
         } else {
             t
@@ -328,9 +328,10 @@ impl PcieFabric {
     /// Payload bytes transferred over the bus, counted once per
     /// transaction — the paper's Fig 7 metric ("data transfers over the
     /// PCIe bus"): a P2P move is one transfer, staging through host
-    /// memory is two.
+    /// memory is two. Read from the `pcie.payload` meter, so it counts
+    /// this fabric only when no other fabric shares its metrics registry.
     pub fn total_payload_bytes(&self) -> u64 {
-        self.payload_bytes
+        self.payload_meter.bytes()
     }
 
     /// Reset all byte meters (e.g. after warm-up).
@@ -339,7 +340,6 @@ impl PcieFabric {
             d.up.reset_meter();
             d.down.reset_meter();
         }
-        self.payload_bytes = 0;
         self.payload_meter.reset();
     }
 
@@ -445,7 +445,6 @@ impl PcieFabric {
         }
         let wire = wire_bytes(len, self.mps_for(requester, target_node));
         let small = len <= CTRL_TLP_BYTES;
-        self.payload_bytes += len;
         self.payload_meter.record(len);
 
         // Request phase: a header-only TLP towards the target (control
@@ -483,7 +482,6 @@ impl PcieFabric {
         let (offset, target_node, target) = self.route(requester, addr, len)?;
         let wire = wire_bytes(len, self.mps_for(requester, target_node));
         let small = len <= CTRL_TLP_BYTES;
-        self.payload_bytes += len;
         self.payload_meter.record(len);
 
         let t = self.hop(start, requester, target_node, wire, small);
@@ -749,13 +747,15 @@ mod tests {
 
     /// The same fabric on every call: host memory and two devices, each
     /// with a scratch window, an enforcing IOMMU (the SSD may not reach the
-    /// FPGA) and seeded timeout and degradation faults.
+    /// FPGA) and seeded timeout and degradation faults. Each fabric counts
+    /// in a metrics registry of its own.
     fn equivalence_rig() -> (
         Engine,
         PcieFabric,
         [NodeId; 3],
         Vec<Rc<RefCell<ScratchTarget>>>,
     ) {
+        trace::install_registry(trace::MetricsRegistry::new());
         let mut fab = PcieFabric::new();
         let fpga = fab.add_device("fpga", PcieLinkConfig::alveo_u280());
         let ssd = fab.add_device("ssd", PcieLinkConfig::nvme_gen4_x4());

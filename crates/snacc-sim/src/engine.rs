@@ -70,6 +70,13 @@ pub fn lifetime_events_executed() -> u64 {
     RETIRED_EVENTS.with(|c| c.get())
 }
 
+/// Count `n` events that engines on another thread executed towards this
+/// thread's lifetime total (a sweep job run on a worker thread reports its
+/// engines' events to the thread that asked for the job).
+pub fn credit_retired_events(n: u64) {
+    RETIRED_EVENTS.with(|c| c.set(c.get() + n));
+}
+
 /// The discrete-event simulation engine: an event queue plus the clock.
 ///
 /// The engine owns no model state itself; models schedule closures that

@@ -48,9 +48,10 @@ pub mod tracer;
 pub use chrome::export_chrome_trace;
 pub use metrics::{
     counter as metric_counter, histogram as metric_histogram, install_registry,
-    meter as metric_meter, registry, CounterHandle, HistogramHandle, MeterHandle, MetricsRegistry,
+    meter as metric_meter, registry, CounterHandle, HistogramHandle, MeterHandle, MetricValues,
+    MetricsRegistry,
 };
 pub use tracer::{
-    begin, counter, enabled, end, end_at, install, instant, instant_at, span_between, uninstall,
-    SpanId, TraceEvent, Tracer,
+    begin, counter, current, enabled, end, end_at, install, instant, instant_at, span_between,
+    uninstall, SpanId, TraceEvent, TraceRecords, Tracer,
 };

@@ -10,7 +10,11 @@
 //! A thread-local *current* registry is created lazily, which lets model
 //! crates register metrics unconditionally — no setup required in tests —
 //! while the bench harness can [`install_registry`] a fresh one per run
-//! and snapshot it at the end.
+//! and snapshot it at the end. Every instance on a thread shares the
+//! current registry by name, so a count belongs to one system only when
+//! that system is built in a registry of its own: the sweep runner gives
+//! each job one and [`absorbs`](MetricsRegistry::absorb) its
+//! [`values`](MetricsRegistry::take_values) into the caller's.
 
 use serde_json::{Map, Value};
 use std::cell::{Cell, RefCell};
@@ -121,6 +125,15 @@ impl HistogramHandle {
     }
 }
 
+/// A registry's values as plain data. Handles are `Rc`s bound to their
+/// thread; this is the form in which a sweep job run on a worker thread
+/// hands its registry back to the caller.
+pub struct MetricValues {
+    counters: Vec<(String, u64)>,
+    meters: Vec<(String, (u64, u64))>,
+    histograms: Vec<(String, Vec<f64>)>,
+}
+
 #[derive(Default)]
 struct RegistryInner {
     counters: BTreeMap<String, CounterHandle>,
@@ -207,6 +220,46 @@ impl MetricsRegistry {
     /// Snapshot as a compact JSON string.
     pub fn snapshot_json(&self) -> String {
         serde_json::to_string_pretty(&self.snapshot())
+    }
+
+    /// Move every metric out, leaving the registry empty.
+    pub fn take_values(&self) -> MetricValues {
+        let inner = std::mem::take(&mut *self.inner.borrow_mut());
+        MetricValues {
+            counters: inner
+                .counters
+                .into_iter()
+                .map(|(k, c)| (k, c.get()))
+                .collect(),
+            meters: inner
+                .meters
+                .into_iter()
+                .map(|(k, m)| (k, m.0.get()))
+                .collect(),
+            histograms: inner
+                .histograms
+                .into_iter()
+                .map(|(k, h)| (k, h.0.take()))
+                .collect(),
+        }
+    }
+
+    /// Add `values` to this registry: counters and meters add, histogram
+    /// samples are appended. Absorbing, in order, the values of registries
+    /// that recorded one after another gives the registry they would have
+    /// filled together (barring meter resets, which stay in their own).
+    pub fn absorb(&self, values: MetricValues) {
+        for (name, n) in values.counters {
+            self.counter(&name).add(n);
+        }
+        for (name, (ops, bytes)) in values.meters {
+            let m = self.meter(&name);
+            let (o, b) = m.0.get();
+            m.0.set((o + ops, b + bytes));
+        }
+        for (name, samples) in values.histograms {
+            self.histogram(&name).0.borrow_mut().extend(samples);
+        }
     }
 }
 
@@ -332,5 +385,30 @@ mod tests {
         // Round-trips through the parser (valid JSON).
         let text = reg.snapshot_json();
         assert!(serde_json::from_str(&text).is_ok());
+    }
+
+    /// Record a counter, a meter and a histogram, scaled by `k`.
+    fn fill(reg: &MetricsRegistry, k: u64) {
+        reg.counter("c").add(k);
+        reg.counter(&format!("only.{k}")).inc();
+        reg.meter("m").record(100 * k);
+        for v in [3.0, 1.0, 2.0] {
+            reg.histogram("h").record(v * k as f64);
+        }
+    }
+
+    #[test]
+    fn absorbed_registries_equal_one_shared_registry() {
+        let shared = MetricsRegistry::new();
+        fill(&shared, 1);
+        fill(&shared, 5);
+        let merged = MetricsRegistry::new();
+        for k in [1, 5] {
+            let job = MetricsRegistry::new();
+            fill(&job, k);
+            merged.absorb(job.take_values());
+            assert_eq!(job.snapshot_json(), MetricsRegistry::new().snapshot_json());
+        }
+        assert_eq!(merged.snapshot_json(), shared.snapshot_json());
     }
 }

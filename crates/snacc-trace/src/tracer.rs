@@ -10,7 +10,10 @@
 //! The tracer is installed into a thread-local slot ([`install`]) because
 //! the whole simulation is single-threaded by design; model code checks
 //! [`enabled`] — a plain `Cell<bool>` read — before doing any argument
-//! formatting, which keeps the disabled path free of allocation.
+//! formatting, which keeps the disabled path free of allocation. A sweep
+//! job records into a tracer of its own, on whatever thread runs it, and
+//! the caller's tracer [`absorbs`](Tracer::absorb) its
+//! [`records`](Tracer::take_records) afterwards.
 
 use snacc_sim::{Engine, SimTime};
 use std::cell::{Cell, RefCell};
@@ -101,6 +104,28 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
+    /// The same event with its sequence and span numbers offset by
+    /// `by_seq` and `by_span`, and its track renumbered through `tracks`.
+    fn shifted(mut self, by_seq: u64, by_span: u64, tracks: &[u32]) -> TraceEvent {
+        let (s, track, id) = match &mut self {
+            TraceEvent::Begin {
+                seq, track, span, ..
+            }
+            | TraceEvent::End {
+                seq, track, span, ..
+            } => (seq, track, Some(span)),
+            TraceEvent::Mark { seq, track, .. } | TraceEvent::Counter { seq, track, .. } => {
+                (seq, track, None)
+            }
+        };
+        *s += by_seq;
+        *track = tracks[*track as usize];
+        if let Some(id) = id {
+            *id += by_span;
+        }
+        self
+    }
+
     /// `(time, record seq)` sort key for export.
     pub(crate) fn key(&self) -> (SimTime, u64) {
         match self {
@@ -124,6 +149,11 @@ pub(crate) struct TracerInner {
     cap: usize,
     pub(crate) dropped: u64,
 }
+
+/// A tracer's records as plain data. A [`Tracer`] is an `Rc` bound to its
+/// thread; this is the form in which a sweep job run on a worker thread
+/// hands its trace back to the caller.
+pub struct TraceRecords(TracerInner);
 
 /// A cloneable handle to one trace buffer. Install it with [`install`],
 /// run the simulation, then export with
@@ -154,16 +184,7 @@ impl Tracer {
     /// deterministic: same run, same events dropped).
     pub fn with_capacity(cap: usize) -> Self {
         Tracer {
-            inner: Rc::new(RefCell::new(TracerInner {
-                events: Vec::new(),
-                open: BTreeMap::new(),
-                next_span: 1,
-                tracks: Vec::new(),
-                track_ids: BTreeMap::new(),
-                seq: 0,
-                cap,
-                dropped: 0,
-            })),
+            inner: Rc::new(RefCell::new(TracerInner::new(cap))),
         }
     }
 
@@ -176,9 +197,52 @@ impl Tracer {
     pub fn events_dropped(&self) -> u64 {
         self.inner.borrow().dropped
     }
+
+    /// The event capacity.
+    pub fn capacity(&self) -> usize {
+        self.inner.borrow().cap
+    }
+
+    /// Move every record out, leaving the tracer empty.
+    pub fn take_records(&self) -> TraceRecords {
+        let mut inner = self.inner.borrow_mut();
+        let cap = inner.cap;
+        TraceRecords(std::mem::replace(&mut *inner, TracerInner::new(cap)))
+    }
+
+    /// Append `records` as if this tracer had recorded them after all it
+    /// holds: their sequence and span numbers continue this tracer's,
+    /// their tracks are matched by name, and this tracer's capacity
+    /// applies. Absorbing, in order, the records of tracers that recorded
+    /// one after another therefore exports the bytes one shared tracer
+    /// would have.
+    pub fn absorb(&self, TraceRecords(records): TraceRecords) {
+        let mut inner = self.inner.borrow_mut();
+        let tracks: Vec<u32> = records.tracks.iter().map(|t| inner.track_id(t)).collect();
+        let (seq, span) = (inner.seq, inner.next_span - 1);
+        for ev in records.events {
+            inner.push(ev.shifted(seq, span, &tracks));
+        }
+        inner.seq += records.seq;
+        inner.next_span += records.next_span - 1;
+        inner.dropped += records.dropped;
+    }
 }
 
 impl TracerInner {
+    fn new(cap: usize) -> Self {
+        TracerInner {
+            events: Vec::new(),
+            open: BTreeMap::new(),
+            next_span: 1,
+            tracks: Vec::new(),
+            track_ids: BTreeMap::new(),
+            seq: 0,
+            cap,
+            dropped: 0,
+        }
+    }
+
     fn track_id(&mut self, track: &str) -> u32 {
         if let Some(&id) = self.track_ids.get(track) {
             return id;
@@ -219,6 +283,11 @@ pub fn install(tracer: Tracer) {
 pub fn uninstall() -> Option<Tracer> {
     ENABLED.with(|e| e.set(false));
     CURRENT.with(|c| c.borrow_mut().take())
+}
+
+/// The thread's active tracer, if any (it keeps recording).
+pub fn current() -> Option<Tracer> {
+    CURRENT.with(|c| c.borrow().clone())
 }
 
 /// Cheap fast-path check: is a tracer installed and recording? Model code
@@ -395,6 +464,53 @@ mod tests {
         assert!(!enabled());
         assert_eq!(tracer.events_recorded(), 3);
         assert_eq!(tracer.events_dropped(), 0);
+    }
+
+    /// Run `run` of a small trace: a span and a counter on track `dev`, a
+    /// span left open, and in run 1 a mark on a second track.
+    fn record(run: u64) {
+        let mut en = Engine::new();
+        let span = begin(&en, "dev", "cmd", &[("run", run)]);
+        let _open = begin(&en, "dev", "open", &[]);
+        en.schedule_in(SimDuration::from_ns(10 + run), move |en| {
+            end(en, span);
+            if run == 1 {
+                instant(en, "late", "mark", &[]);
+            }
+            counter(en, "dev", "depth", run as f64);
+        });
+        en.run();
+    }
+
+    /// Runs 0 and 1 exported from a tracer of capacity `cap`, recorded
+    /// into it directly or, with `merged`, absorbed from a tracer per run.
+    fn export(cap: usize, merged: bool) -> String {
+        let tracer = Tracer::with_capacity(cap);
+        install(tracer.clone());
+        for run in 0..2 {
+            if merged {
+                let caller = uninstall().unwrap();
+                let job = Tracer::with_capacity(caller.capacity());
+                install(job.clone());
+                record(run);
+                uninstall();
+                caller.absorb(job.take_records());
+                install(caller);
+            } else {
+                record(run);
+            }
+        }
+        uninstall();
+        crate::export_chrome_trace(&tracer)
+    }
+
+    #[test]
+    fn absorbed_tracers_export_like_one_shared_tracer() {
+        // At cap 7 the second run's records are dropped part way.
+        for cap in [100, 7] {
+            assert_eq!(export(cap, true), export(cap, false), "cap {cap}");
+        }
+        assert!(export(7, true).contains("snaccDroppedEvents"));
     }
 
     #[test]

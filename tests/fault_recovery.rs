@@ -9,7 +9,9 @@
 
 use proptest::prelude::*;
 use snacc::prelude::*;
-use snacc::trace::{export_chrome_trace, install, uninstall, Tracer};
+use snacc::trace::{
+    export_chrome_trace, install, install_registry, uninstall, MetricsRegistry, Tracer,
+};
 
 const FILL: u8 = 0x77;
 
@@ -22,19 +24,17 @@ struct CampaignOutcome {
     reads: Vec<Vec<u8>>,
 }
 
-/// Bring up a faulted system and drive `count` sequential PE reads of
-/// `len` bytes over pre-warmed media, returning the delta accounting.
+/// Bring up a faulted system in a metrics registry of its own and drive
+/// `count` sequential PE reads of `len` bytes over pre-warmed media,
+/// returning its accounting.
 fn run_campaign(plan: &FaultPlan, count: u64, len: u64) -> CampaignOutcome {
+    install_registry(MetricsRegistry::new());
     let mut sys = SnaccSystem::bring_up(SystemConfig {
         faults: Some(plan.clone()),
         ..SystemConfig::snacc(StreamerVariant::Uram)
     });
     sys.nvme
         .with(|d| d.nand_mut().prewarm(0, count * len, FILL));
-    let m = sys.streamer.metrics();
-    // Metric counters are process-wide; diff against the post-bring-up
-    // snapshot.
-    let (r0, v0, g0) = (m.retries.get(), m.recovered.get(), m.gave_up.get());
     let ports = sys.streamer.ports();
     let mut reads = Vec::new();
     for i in 0..count {
@@ -58,11 +58,12 @@ fn run_campaign(plan: &FaultPlan, count: u64, len: u64) -> CampaignOutcome {
         reads.push(data);
     }
     sys.en.run();
+    let m = sys.streamer.metrics();
     CampaignOutcome {
         injected: sys.nvme.fault_stats().errors,
-        retries: m.retries.get() - r0,
-        recovered: m.recovered.get() - v0,
-        gave_up: m.gave_up.get() - g0,
+        retries: m.retries.get(),
+        recovered: m.recovered.get(),
+        gave_up: m.gave_up.get(),
         reads,
     }
 }
