@@ -469,27 +469,24 @@ impl<S: CaseSink + 'static> DbController<S> {
                 true
             }
             DbState::Resync => {
-                // Discard bytes until the next header magic. Scans the
-                // staging buffer in bulk; this is a fault-recovery path,
-                // not the streaming hot path.
+                // Discard bytes until the next header magic, scanning the
+                // staged segments in place.
                 c.refill(en, 64 << 10);
                 let avail = c.inbuf.len();
                 if avail < 4 {
                     return false;
                 }
-                let chunk = c.take(avail);
-                let magic = IMAGE_MAGIC.to_le_bytes();
-                match chunk.windows(4).position(|w| w == magic) {
+                match c.inbuf.find(&IMAGE_MAGIC.to_le_bytes()) {
                     Some(p) => {
                         c.bytes_skipped += p as u64;
-                        c.inbuf.push_front(chunk.slice(p..avail));
+                        c.inbuf.skip(p);
                         c.state = DbState::Header;
                     }
                     None => {
                         // Keep the last 3 bytes: a magic may straddle
-                        // this chunk and the next refill.
+                        // them and the next refill.
                         c.bytes_skipped += (avail - 3) as u64;
-                        c.inbuf.push_front(chunk.slice(avail - 3..avail));
+                        c.inbuf.skip(avail - 3);
                     }
                 }
                 true

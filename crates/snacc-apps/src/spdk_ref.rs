@@ -241,16 +241,16 @@ impl Inner {
             let now = en.now();
             let t_h2d = fabric
                 .borrow_mut()
-                .write_payload_at(en, now, snacc_pcie::HOST_NODE, gpu_bar, batch)
+                .write(en, now, snacc_pcie::HOST_NODE, gpu_bar, batch)
                 .expect("gpu BAR mapped");
             let rc3 = rc2.clone();
             en.schedule_at(t_h2d.max(en.now()) + kernel, move |en| {
                 // D2H: classifications back, then the sync overhead.
                 let fabric = rc3.borrow().fabric();
-                let mut back = vec![0u8; d2h.max(1) as usize];
-                let t_d2h = fabric
+                let now = en.now();
+                let (_, t_d2h) = fabric
                     .borrow_mut()
-                    .read(en, snacc_pcie::HOST_NODE, gpu_bar, &mut back)
+                    .read(en, now, snacc_pcie::HOST_NODE, gpu_bar, d2h.max(1))
                     .expect("gpu BAR mapped");
                 let rc4 = rc3.clone();
                 en.schedule_at(t_d2h.max(en.now()) + overhead, move |en| {
@@ -373,7 +373,7 @@ impl CaseSink for SpdkSink {
             let now = en.now();
             fabric
                 .borrow_mut()
-                .write_payload_at(en, now, fpga, phys, data.slice(off..off + n))
+                .write(en, now, fpga, phys, data.slice(off..off + n))
                 .expect("staging reachable");
         }
         let mut i = self.inner.borrow_mut();

@@ -12,7 +12,6 @@ use snacc_faults::FaultPlan;
 use snacc_fpga::tapasco::TapascoShell;
 use snacc_mem::{AddrRange, HostMemory};
 use snacc_nvme::{NvmeDeviceHandle, NvmeProfile};
-use snacc_pcie::target::HostMemTarget;
 use snacc_pcie::{Iommu, PcieFabric, HOST_NODE};
 use snacc_sim::Engine;
 use snacc_spdk::{SpdkConfig, SpdkNvme};
@@ -91,8 +90,11 @@ fn host_node(enforce_iommu: bool) -> (Rc<RefCell<PcieFabric>>, Rc<RefCell<HostMe
         fabric.set_iommu(Iommu::new());
     }
     let hostmem = Rc::new(RefCell::new(HostMemory::default()));
-    let t = Rc::new(RefCell::new(HostMemTarget::new(hostmem.clone(), 0)));
-    fabric.map_region(HOST_NODE, AddrRange::new(0, layout::HOST_SPAN), t);
+    fabric.map_region(
+        HOST_NODE,
+        AddrRange::new(0, layout::HOST_SPAN),
+        hostmem.clone(),
+    );
     (Rc::new(RefCell::new(fabric)), hostmem)
 }
 
@@ -246,6 +248,5 @@ mod tests {
     fn host_system_brings_up() {
         let h = HostSystem::bring_up(NvmeProfile::samsung_990pro(), 1);
         assert_eq!(h.nvme.bar0_base(), layout::NVME_BAR);
-        let _ = (h.en, h.fabric, h.hostmem);
     }
 }

@@ -29,7 +29,7 @@ use snacc_nvme::queue::{CqRing, SqRing};
 use snacc_nvme::spec::{self, AdminOpcode, Sqe};
 use snacc_nvme::NvmeDeviceHandle;
 use snacc_pcie::{PcieFabric, HOST_NODE};
-use snacc_sim::Engine;
+use snacc_sim::{Engine, Payload};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -155,26 +155,30 @@ impl SnaccHostDriver {
         let sq_db = self.nvme.sq_doorbell_addr(qid);
         let cq_db = self.nvme.cq_doorbell_addr(qid);
         {
+            let now = en.now();
             let mut fab = self.fabric.borrow_mut();
             fab.write(
                 en,
+                now,
                 HOST_NODE,
                 w.ctrl.base + NvmeStreamer::CTRL_SQ_DB,
-                &sq_db.to_le_bytes(),
+                Payload::from(sq_db.to_le_bytes()),
             )
             .expect("ctrl reachable");
             fab.write(
                 en,
+                now,
                 HOST_NODE,
                 w.ctrl.base + NvmeStreamer::CTRL_CQ_DB,
-                &cq_db.to_le_bytes(),
+                Payload::from(cq_db.to_le_bytes()),
             )
             .expect("ctrl reachable");
             fab.write(
                 en,
+                now,
                 HOST_NODE,
                 w.ctrl.base + NvmeStreamer::CTRL_ENABLE,
-                &1u64.to_le_bytes(),
+                Payload::from(1u64.to_le_bytes()),
             )
             .expect("ctrl reachable");
         }

@@ -17,12 +17,22 @@
 
 use snacc_mem::hostmem::PinnedBuffer;
 use snacc_pcie::MmioTarget;
-use snacc_sim::{Engine, SimDuration, SimTime};
+use snacc_sim::{Engine, Payload, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Page size used throughout.
 const PAGE: u64 = 4096;
+
+/// `len` bytes of little-endian PRP entries, entry `i` being `entry(i)`
+/// (a trailing partial entry keeps its low bytes).
+fn entries(len: usize, mut entry: impl FnMut(u64) -> u64) -> Payload {
+    let mut out = vec![0u8; len];
+    for (i, chunk) in out.chunks_mut(8).enumerate() {
+        chunk.copy_from_slice(&entry(i as u64).to_le_bytes()[..chunk.len()]);
+    }
+    Payload::from_vec(out)
+}
 
 /// The URAM scheme's upper-half window: synthesises PRP entries for the
 /// data window starting at device address `data_dev_base`.
@@ -53,28 +63,20 @@ impl UramPrpWindow {
 }
 
 impl MmioTarget for UramPrpWindow {
-    fn name(&self) -> &str {
-        "uram-prp-window"
-    }
-
     fn read(
         &mut self,
         _en: &mut Engine,
         _arrival: SimTime,
         offset: u64,
-        out: &mut [u8],
-    ) -> SimDuration {
+        len: usize,
+    ) -> (Payload, SimDuration) {
         self.reads_served += 1;
         // Entry k of the synthesised page at `offset` is the device
         // address of data page (offset + k·4096).
         let base_entry = self.data_dev_base + (offset / PAGE) * PAGE;
         let first_index = (offset % PAGE) / 8;
-        for (i, chunk) in out.chunks_mut(8).enumerate() {
-            let entry = base_entry + (first_index + i as u64) * PAGE;
-            let bytes = entry.to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-        self.latency
+        let page = entries(len, |i| base_entry + (first_index + i) * PAGE);
+        (page, self.latency)
     }
 
     fn write(
@@ -82,7 +84,7 @@ impl MmioTarget for UramPrpWindow {
         _en: &mut Engine,
         _arrival: SimTime,
         _offset: u64,
-        _data: &[u8],
+        _data: Payload,
     ) -> SimDuration {
         // The PRP window is read-only; writes are silently dropped, as a
         // BAR decode to a read-only region would be.
@@ -183,27 +185,19 @@ impl RegFilePrpWindow {
 }
 
 impl MmioTarget for RegFilePrpWindow {
-    fn name(&self) -> &str {
-        "regfile-prp-window"
-    }
-
     fn read(
         &mut self,
         _en: &mut Engine,
         _arrival: SimTime,
         offset: u64,
-        out: &mut [u8],
-    ) -> SimDuration {
+        len: usize,
+    ) -> (Payload, SimDuration) {
         self.reads_served += 1;
         let idx = (offset / PAGE) as usize;
         let first_index = (offset % PAGE) / 8;
         let rf = self.regfile.borrow();
-        for (i, chunk) in out.chunks_mut(8).enumerate() {
-            let entry = rf.entry(idx, first_index + i as u64).unwrap_or(0);
-            let bytes = entry.to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-        self.latency
+        let page = entries(len, |i| rf.entry(idx, first_index + i).unwrap_or(0));
+        (page, self.latency)
     }
 
     fn write(
@@ -211,7 +205,7 @@ impl MmioTarget for RegFilePrpWindow {
         _en: &mut Engine,
         _arrival: SimTime,
         _offset: u64,
-        _data: &[u8],
+        _data: Payload,
     ) -> SimDuration {
         self.latency
     }
@@ -227,7 +221,7 @@ mod tests {
     fn read_window(t: &mut dyn MmioTarget, addr: u64) -> [u8; 4096] {
         let mut en = Engine::new();
         let mut page = [0u8; 4096];
-        t.read(&mut en, SimTime::ZERO, addr, &mut page);
+        page.copy_from_slice(&t.read(&mut en, SimTime::ZERO, addr, 4096).0);
         page
     }
 
@@ -262,11 +256,7 @@ mod tests {
         let prp2 = UramPrpWindow::prp2_for(prp_base, region_offset);
         let segs = walk_prps(prp1, prp2, len, |list_addr| {
             assert!(list_addr >= prp_base);
-            let mut en = Engine::new();
-            let mut page = [0u8; 4096];
-            w.borrow_mut()
-                .read(&mut en, SimTime::ZERO, list_addr - prp_base, &mut page);
-            Ok(page)
+            Ok(read_window(&mut *w.borrow_mut(), list_addr - prp_base))
         })
         .unwrap();
         assert_eq!(segs.len(), 256);

@@ -370,12 +370,7 @@ impl StreamerHandle {
                     "snacc-uram",
                     UramConfig::snacc_default(),
                 )));
-                shell.map_target(
-                    data_w,
-                    Rc::new(RefCell::new(snacc_pcie::target::UramTarget::new(
-                        mem.clone(),
-                    ))),
-                );
+                shell.map_target(data_w, mem.clone());
                 shell.map_target(
                     prp_w,
                     Rc::new(RefCell::new(UramPrpWindow::new(data_w.base))),
@@ -693,10 +688,6 @@ impl NvmeStreamer {
         }
     }
 
-    fn shared_ring(&self) -> bool {
-        self.wr_ring.is_none()
-    }
-
     fn ring_mut(&mut self, kind: BufKind) -> &mut RingAllocator {
         match kind {
             BufKind::Read => &mut self.rd_ring,
@@ -864,7 +855,7 @@ fn buf_write(
             for (phys, off, n) in pinned.pieces(offset, data.len()) {
                 t = fabric
                     .borrow_mut()
-                    .write_payload_at(en, t.max(en.now()), node, phys, data.slice(off..off + n))
+                    .write(en, t.max(en.now()), node, phys, data.slice(off..off + n))
                     .expect("host buffer reachable");
             }
             t
@@ -891,7 +882,7 @@ fn buf_read_payload(
             for (phys, _, n) in pinned.pieces(offset, len) {
                 let (chunk, done) = fabric
                     .borrow_mut()
-                    .read_payload_at(en, t.max(en.now()), node, phys, n as u64)
+                    .read(en, t.max(en.now()), node, phys, n as u64)
                     .expect("host buffer reachable");
                 parts.push(chunk);
                 t = done;
@@ -1070,8 +1061,6 @@ fn pump_write_in(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
                 // Shrink the 1 MB reservation to the actual fill.
                 let padded = new_fill.div_ceil(PAGE) * PAGE;
                 let shrunk = if padded < r.len {
-                    let shared = s.shared_ring();
-                    let _ = shared;
                     s.ring_mut(BufKind::Write).shrink_last(r, padded)
                 } else {
                     r

@@ -173,7 +173,7 @@ impl TapascoShell {
 mod tests {
     use super::*;
     use snacc_pcie::HOST_NODE;
-    use snacc_sim::Engine;
+    use snacc_sim::{Engine, Payload, SimTime};
 
     const BAR0: u64 = 0x4_0000_0000;
 
@@ -228,9 +228,12 @@ mod tests {
         let data: Vec<u8> = (0..65536u32).map(|i| (i % 251) as u8).collect();
         let fabric = sh.fabric();
         let mut fab = fabric.borrow_mut();
-        fab.write(&mut en, HOST_NODE, w.base, &data).unwrap();
-        let mut back = vec![0u8; data.len()];
-        fab.read(&mut en, HOST_NODE, w.base, &mut back).unwrap();
+        let payload = Payload::from(&data[..]);
+        fab.write(&mut en, SimTime::ZERO, HOST_NODE, w.base, payload)
+            .unwrap();
+        let (back, _) = fab
+            .read(&mut en, SimTime::ZERO, HOST_NODE, w.base, 65536)
+            .unwrap();
         assert_eq!(back, data);
         // Data really lives in the DRAM model.
         assert_eq!(

@@ -61,6 +61,11 @@ pub const RULES: &[RuleInfo] = &[
         summary: "no .to_vec()/.clone() on payload buffers (`data`/`payload`) in model-crate hot paths — share snacc_sim::Payload windows; in the functional-media layer (snacc-mem, nand.rs) ANY .to_vec()/copy_from_slice() byte materialisation is flagged",
         scope: "all simulation crates (non-test code; tests/examples exempt)",
     },
+    RuleInfo {
+        id: "SL009",
+        summary: "no `let _ = <place>;` (a path, field, tuple of those, or &/&mut of one) — it only silences unused-code lints; delete what it hides",
+        scope: "everywhere (test code included)",
+    },
 ];
 
 /// Functional-media files where the zero-copy discipline is strict: the
@@ -332,6 +337,7 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Violation> {
     sl006(&ctx, &mut out);
     sl007(&ctx, &mut out);
     sl008(&ctx, &mut out);
+    sl009(&ctx, &mut out);
     out
 }
 
@@ -649,6 +655,51 @@ fn sl008(ctx: &FileCtx, out: &mut Vec<Violation>) {
     }
 }
 
+/// A place expression: a path or field chain (`x`, `self.a.0`,
+/// `Enum::Variant`), `&`/`&mut` of one, or a tuple of places. A call, a
+/// macro, an operator or a literal makes it something else.
+fn is_place(expr: &str) -> bool {
+    let b = expr.as_bytes();
+    let call = b
+        .windows(2)
+        .any(|w| (w[0].is_ascii_alphanumeric() || b"_)!".contains(&w[0])) && w[1] == b'(');
+    let mut words = expr
+        .split(|c: char| "(),&".contains(c) || c.is_whitespace())
+        .filter(|w| !w.is_empty() && *w != "mut")
+        .peekable();
+    !call
+        && words.peek().is_some()
+        && words.all(|w| {
+            w.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
+                && w.chars()
+                    .all(|c| c.is_ascii_alphanumeric() || "_.:".contains(c))
+        })
+}
+
+fn sl009(ctx: &FileCtx, out: &mut Vec<Violation>) {
+    for (i, line) in ctx.clean_lines.iter().enumerate() {
+        let Some(at) = line.find("let _ =") else {
+            continue;
+        };
+        // The statement runs to its `;`, possibly over following lines.
+        let mut expr = line[at + "let _ =".len()..].to_string();
+        let mut j = i;
+        while !expr.contains(';') && j + 1 < ctx.clean_lines.len() {
+            j += 1;
+            expr.push(' ');
+            expr.push_str(&ctx.clean_lines[j]);
+        }
+        let Some(end) = expr.find(';') else {
+            continue;
+        };
+        if is_place(&expr[..end]) {
+            let why = "`let _ =` of a place uses nothing; it only hides dead code from the \
+                       unused-code lints — delete the dead binding or field instead";
+            out.push(ctx.violation("SL009", i, why.to_string()));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -775,6 +826,27 @@ fn f(&mut self, engine: &mut Engine) {
         assert!(scan_source("crates/snacc-net/tests/x.rs", src).is_empty());
         let ok = "fn f() { let a = frame_payload.clone(); let b = metadata.to_vec(); }\n";
         assert!(scan_source("crates/snacc-net/src/x.rs", ok).is_empty());
+    }
+
+    #[test]
+    fn sl009_flags_let_underscore_of_places_only() {
+        for src in [
+            "fn f() { let _ = shared; }\n",
+            "fn f() { let _ = &mut buf; }\n",
+            "fn f() { let _ = (g5, PcieGen::Gen5); }\n",
+            "fn f() {\n    let _ = (h.en, h.fabric,\n        &h.hostmem);\n}\n",
+        ] {
+            let v = scan_source("crates/snacc-core/src/x.rs", src);
+            assert_eq!(v.len(), 1, "{src}: {v:?}");
+            assert_eq!(v[0].rule, "SL009");
+        }
+        // Calls, macros, `?` and literals are uses; tests are not exempt.
+        let ok = "fn f() {\n    let _ = f(x);\n    let _ = writeln!(o, \"x\");\n    \
+                  let _ = fabric\n        .borrow_mut()\n        .write_u32(en, db, 1);\n    \
+                  let _ = x?;\n    let _ = 5;\n}\n";
+        assert!(scan_source("crates/snacc-core/src/x.rs", ok).is_empty());
+        let gated = "#[cfg(test)]\nmod tests {\n    fn t() { let _ = i; }\n}\n";
+        assert_eq!(scan_source("crates/snacc-core/src/x.rs", gated).len(), 1);
     }
 
     #[test]

@@ -16,3 +16,11 @@ pub fn drain(rc: &Rc<RefCell<State>>, en: &mut Engine) {
         rc2.borrow_mut().fire(en);
     });
 }
+
+pub fn ring_doorbell(fabric: &RefCell<Fabric>, en: &mut Engine, db: u64, head: u32) {
+    // A dropped result is a use, not a hidden binding.
+    let _ = fabric
+        .borrow_mut()
+        .write_u32(en, db, head);
+    let _ = log_line(head);
+}

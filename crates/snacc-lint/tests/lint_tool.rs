@@ -20,7 +20,7 @@ fn every_rule_fires_on_the_bad_tree() {
     let report = run_check(&fixture("bad_tree"), &[]).expect("scan succeeds");
     let fired: BTreeSet<&str> = report.violations.iter().map(|v| v.rule).collect();
     for id in [
-        "SL001", "SL002", "SL003", "SL004", "SL005", "SL006", "SL007",
+        "SL001", "SL002", "SL003", "SL004", "SL005", "SL006", "SL007", "SL009",
     ] {
         assert!(
             fired.contains(id),

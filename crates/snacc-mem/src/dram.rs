@@ -97,8 +97,8 @@ impl DramController {
     /// Book bus time for an access of `bytes` in direction `dir`, starting
     /// no earlier than `now`. Returns the completion time (when the last
     /// byte is available / absorbed). This is the timing half; the
-    /// functional half is done by [`read`](Self::read) /
-    /// [`write`](Self::write) which call it.
+    /// functional half is done by [`read_payload`](Self::read_payload) /
+    /// [`write_payload`](Self::write_payload) which call it.
     pub fn access(&mut self, now: SimTime, dir: MemDir, bytes: u64) -> SimTime {
         let mut penalty = SimDuration::ZERO;
         if let Some(last) = self.last_dir {
@@ -116,20 +116,8 @@ impl DramController {
         bus_done + self.cfg.access_latency
     }
 
-    /// Timed + functional write.
-    pub fn write(&mut self, now: SimTime, addr: u64, data: &[u8]) -> SimTime {
-        self.store.write(addr, data);
-        self.access(now, MemDir::Write, data.len() as u64)
-    }
-
-    /// Timed + functional read.
-    pub fn read(&mut self, now: SimTime, addr: u64, out: &mut [u8]) -> SimTime {
-        self.store.read(addr, out);
-        self.access(now, MemDir::Read, out.len() as u64)
-    }
-
     /// Timed + functional zero-copy write: the store retains the payload
-    /// window; timing is identical to [`write`](Self::write).
+    /// window (or copies a payload nothing else holds in place).
     pub fn write_payload(&mut self, now: SimTime, addr: u64, data: Payload) -> SimTime {
         let len = data.len() as u64;
         self.store.write_payload(addr, data);
@@ -137,7 +125,7 @@ impl DramController {
     }
 
     /// Timed + functional zero-copy read: returns the stored bytes as a
-    /// payload view; timing is identical to [`read`](Self::read).
+    /// payload view.
     pub fn read_payload(&mut self, now: SimTime, addr: u64, len: usize) -> (Payload, SimTime) {
         let p = self.store.read_payload(addr, len);
         (p, self.access(now, MemDir::Read, len as u64))
@@ -162,9 +150,8 @@ mod tests {
     fn functional_roundtrip() {
         let mut d = DramController::new("dram", DramConfig::ddr4_u280());
         let data: Vec<u8> = (0..100).collect();
-        d.write(SimTime::ZERO, 0x10_0000, &data);
-        let mut out = vec![0u8; 100];
-        d.read(SimTime::ZERO, 0x10_0000, &mut out);
+        d.write_payload(SimTime::ZERO, 0x10_0000, Payload::from(&data[..]));
+        let (out, _) = d.read_payload(SimTime::ZERO, 0x10_0000, 100);
         assert_eq!(out, data);
     }
 

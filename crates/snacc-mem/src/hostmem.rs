@@ -176,41 +176,19 @@ impl HostMemory {
         &mut self.store
     }
 
-    /// Timing-only booking of a read of `bytes` from host memory.
-    pub fn book_read(&mut self, now: SimTime, bytes: u64) -> SimTime {
-        self.read_port.transfer(now, bytes)
-    }
-
-    /// Timing-only booking of a write of `bytes` to host memory.
-    pub fn book_write(&mut self, now: SimTime, bytes: u64) -> SimTime {
-        self.write_port.transfer(now, bytes)
-    }
-
-    /// Timed + functional write.
-    pub fn write(&mut self, now: SimTime, addr: u64, data: &[u8]) -> SimTime {
-        self.store.write(addr, data);
-        self.book_write(now, data.len() as u64)
-    }
-
-    /// Timed + functional read.
-    pub fn read(&mut self, now: SimTime, addr: u64, out: &mut [u8]) -> SimTime {
-        self.store.read(addr, out);
-        self.book_read(now, out.len() as u64)
-    }
-
     /// Timed + functional zero-copy write: the store retains the payload
-    /// window; timing is identical to [`write`](Self::write).
+    /// window (or copies a payload nothing else holds in place).
     pub fn write_payload(&mut self, now: SimTime, addr: u64, data: Payload) -> SimTime {
         let len = data.len() as u64;
         self.store.write_payload(addr, data);
-        self.book_write(now, len)
+        self.write_port.transfer(now, len)
     }
 
     /// Timed + functional zero-copy read: returns the stored bytes as a
-    /// payload view; timing is identical to [`read`](Self::read).
+    /// payload view.
     pub fn read_payload(&mut self, now: SimTime, addr: u64, len: usize) -> (Payload, SimTime) {
         let p = self.store.read_payload(addr, len);
-        (p, self.book_read(now, len as u64))
+        (p, self.read_port.transfer(now, len as u64))
     }
 
     /// Total bytes moved in either direction.
@@ -289,10 +267,9 @@ mod tests {
     #[test]
     fn timed_roundtrip() {
         let mut m = HostMemory::default();
-        let done = m.write(SimTime::ZERO, 0x2000, b"abc");
+        let done = m.write_payload(SimTime::ZERO, 0x2000, Payload::from(b"abc"));
         assert!(done > SimTime::ZERO);
-        let mut out = [0u8; 3];
-        m.read(SimTime::ZERO, 0x2000, &mut out);
-        assert_eq!(&out, b"abc");
+        let (out, _) = m.read_payload(SimTime::ZERO, 0x2000, 3);
+        assert_eq!(out, b"abc"[..]);
     }
 }

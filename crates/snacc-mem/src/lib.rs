@@ -7,8 +7,9 @@
 //!   small MMIO scratch/doorbell/completion regions. Data written through
 //!   the simulated datapaths lands here as retained
 //!   [`snacc_sim::bytes::Payload`] windows (O(segments) metadata, lazy
-//!   synthetic data stays lazy; small byte writes into a uniquely held
-//!   buffer land in place) and can be read back and checksummed.
+//!   synthetic data stays lazy; small writes — bytes, or a payload
+//!   nothing else holds — into a uniquely held buffer land in place) and
+//!   can be read back and checksummed.
 //! * [`addr::AddressMap`] — address decoding used by the PCIe fabric and the
 //!   FPGA platform shell to route accesses to BAR windows.
 //! * [`uram::UramModel`] — on-die UltraRAM: small, low latency, high port

@@ -14,12 +14,14 @@
 //!   join candidates, and the write lands in place in the predecessor's
 //!   or an overwritten segment's slot where it can. Only keys that appear
 //!   or disappear cost another descent.
-//! * **Small byte writes land in place** when one segment covers them and
-//!   the store holds that segment's owned buffer alone: the bytes are
-//!   copied into it with no new buffer, no key change and no coalescer
-//!   (MMIO doorbells, CQEs, SQEs). A window a reader still holds keeps the
-//!   buffer shared, so the write then takes the normal path and no alias
-//!   ever sees bytes change.
+//! * **Small writes land in place** when one segment covers them and the
+//!   store holds that segment's owned buffer alone: the bytes are copied
+//!   into it with no new buffer, no key change and no coalescer (MMIO
+//!   doorbells, CQEs, SQEs). This holds for byte writes and for payloads
+//!   that nothing else holds — the fresh buffer a fabric write carries:
+//!   copying it keeps the layout, and its buffer is freed on return. A
+//!   window a reader still holds keeps the buffer shared, so the write
+//!   then takes the normal path and no alias ever sees bytes change.
 //! * **Reads return zero-copy views** — a read covered by one segment is a
 //!   slice of that segment's backing; gaps come back as lazy zero-fill.
 //!   Only reads spanning multiple backings copy (via [`Payload::concat`]),
@@ -152,27 +154,38 @@ impl SegmentMemory {
     /// owned buffer alone, else into a new backing (prefer
     /// [`write_payload`](Self::write_payload) for large data).
     pub fn write(&mut self, addr: u64, data: &[u8]) {
-        if data.is_empty() {
-            return;
+        if !data.is_empty() && !self.write_in_place(addr, data) {
+            self.write_payload(addr, Payload::from(data));
         }
-        let end = addr + data.len() as u64;
-        if let Some((&s, seg)) = self.segs.range_mut(..=addr).next_back() {
-            if s + seg.len() as u64 >= end && seg.overwrite_unique((addr - s) as usize, data) {
-                self.bytes_written += data.len() as u64;
-                return;
-            }
-        }
-        self.write_payload(addr, Payload::from(data));
     }
 
     /// Write a payload window starting at `addr` — a metadata update, no
     /// byte copying. Overlapped extents of existing segments are trimmed
     /// (zero-copy slices); adjacent windows of the same backing re-join so
-    /// a producer slicing one large buffer leaves one segment.
+    /// a producer slicing one large buffer leaves one segment. A payload
+    /// that nothing else holds lands in place like a byte
+    /// [`write`](Self::write) when it can.
     pub fn write_payload(&mut self, addr: u64, data: Payload) {
+        if data.is_unique() && self.write_in_place(addr, &data) {
+            return;
+        }
         self.bytes_written += data.len() as u64;
         self.insert_segment(addr, data);
         self.maybe_coalesce(addr);
+    }
+
+    /// Copy `data` into the one segment covering `[addr, addr + len)` when
+    /// the store holds that segment's owned buffer alone.
+    fn write_in_place(&mut self, addr: u64, data: &[u8]) -> bool {
+        let end = addr + data.len() as u64;
+        let Some((&s, seg)) = self.segs.range_mut(..=addr).next_back() else {
+            return false;
+        };
+        let done = s + seg.len() as u64 >= end && seg.overwrite_unique((addr - s) as usize, data);
+        if done {
+            self.bytes_written += data.len() as u64;
+        }
+        done
     }
 
     /// Fill `[addr, addr + len)` with `byte` as lazy shared-backing fill
@@ -579,7 +592,9 @@ mod tests {
     fn layout_head_overwrite_keeps_tail() {
         let mut m = SegmentMemory::new();
         m.write(0, &[1u8; 64]);
-        m.write_payload(0, Payload::from_vec(vec![2u8; 16]));
+        // A held payload is retained, not copied into the segment.
+        let head = Payload::from_vec(vec![2u8; 16]);
+        m.write_payload(0, head.clone());
         assert_eq!(layout(&m), [(0, 16), (16, 48)]);
         let mut want = vec![2u8; 16];
         want.extend([1u8; 48]);
@@ -609,7 +624,8 @@ mod tests {
     fn layout_middle_split() {
         let mut m = SegmentMemory::new();
         m.write(0, &[1u8; 64]);
-        m.write_payload(16, Payload::from_vec(vec![2u8; 16]));
+        let middle = Payload::from_vec(vec![2u8; 16]);
+        m.write_payload(16, middle.clone());
         assert_eq!(layout(&m), [(0, 16), (16, 16), (32, 32)]);
         // Writing the cut-out window back re-joins all three pieces.
         let b = backing();
@@ -627,6 +643,23 @@ mod tests {
         assert_eq!(layout(&m), [(0, 64)]);
         let mut want = vec![1u8; 64];
         want[..4].fill(3);
+        want[16..32].fill(2);
+        assert_eq!(m.read_vec(0, 64), want);
+        assert_eq!(m.bytes_written(), 84);
+    }
+
+    #[test]
+    fn unique_payload_overwrite_lands_in_place() {
+        // A CQE or register write reaches a scratch region as a fresh
+        // payload: it must land like a byte write, with no split and no
+        // new key.
+        let mut m = SegmentMemory::new();
+        m.write(0, &[1u8; 64]);
+        m.write_payload(16, Payload::from_vec(vec![2u8; 16]));
+        m.write_payload(0, Payload::from(b"cqe0"));
+        assert_eq!(layout(&m), [(0, 64)]);
+        let mut want = vec![1u8; 64];
+        want[..4].copy_from_slice(b"cqe0");
         want[16..32].fill(2);
         assert_eq!(m.read_vec(0, 64), want);
         assert_eq!(m.bytes_written(), 84);

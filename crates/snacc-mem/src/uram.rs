@@ -8,7 +8,6 @@
 //! paper confirms the 4 MB URAM buffer "poses no limitation on bandwidth
 //! compared to the 64 MB DRAM buffer".
 
-use crate::dram::MemDir;
 use crate::segment::SegmentMemory;
 use snacc_sim::bytes::Payload;
 use snacc_sim::{Bandwidth, SharedLink, SimDuration, SimTime};
@@ -89,32 +88,8 @@ impl UramModel {
         );
     }
 
-    /// Timing-only port booking (functional half handled separately when
-    /// the caller moves bytes itself).
-    pub fn access(&mut self, now: SimTime, dir: MemDir, addr: u64, bytes: u64) -> SimTime {
-        self.check_bounds(addr, bytes);
-        match dir {
-            MemDir::Read => self.read_port.transfer(now, bytes),
-            MemDir::Write => self.write_port.transfer(now, bytes),
-        }
-    }
-
-    /// Timed + functional write.
-    pub fn write(&mut self, now: SimTime, addr: u64, data: &[u8]) -> SimTime {
-        self.check_bounds(addr, data.len() as u64);
-        self.store.write(addr, data);
-        self.write_port.transfer(now, data.len() as u64)
-    }
-
-    /// Timed + functional read.
-    pub fn read(&mut self, now: SimTime, addr: u64, out: &mut [u8]) -> SimTime {
-        self.check_bounds(addr, out.len() as u64);
-        self.store.read(addr, out);
-        self.read_port.transfer(now, out.len() as u64)
-    }
-
     /// Timed + functional zero-copy write: the store retains the payload
-    /// window; timing is identical to [`write`](Self::write).
+    /// window (or copies a payload nothing else holds in place).
     pub fn write_payload(&mut self, now: SimTime, addr: u64, data: Payload) -> SimTime {
         let len = data.len() as u64;
         self.check_bounds(addr, len);
@@ -123,7 +98,7 @@ impl UramModel {
     }
 
     /// Timed + functional zero-copy read: returns the stored bytes as a
-    /// payload view; timing is identical to [`read`](Self::read).
+    /// payload view.
     pub fn read_payload(&mut self, now: SimTime, addr: u64, len: usize) -> (Payload, SimTime) {
         self.check_bounds(addr, len as u64);
         let p = self.store.read_payload(addr, len);
@@ -142,10 +117,9 @@ mod tests {
     #[test]
     fn roundtrip() {
         let mut u = model();
-        u.write(SimTime::ZERO, 4096, b"payload");
-        let mut out = [0u8; 7];
-        u.read(SimTime::ZERO, 4096, &mut out);
-        assert_eq!(&out, b"payload");
+        u.write_payload(SimTime::ZERO, 4096, Payload::from(b"payload"));
+        let (out, _) = u.read_payload(SimTime::ZERO, 4096, 7);
+        assert_eq!(out, b"payload"[..]);
     }
 
     #[test]
@@ -154,11 +128,11 @@ mod tests {
         // each other (separate ports).
         let mut u = model();
         let n = 1 << 20; // 1 MiB
-        let w_done = u.access(SimTime::ZERO, MemDir::Write, 0, n);
-        let r_done = u.access(SimTime::ZERO, MemDir::Read, 0, n);
+        let w_done = u.write_payload(SimTime::ZERO, 0, Payload::fill(0, n));
+        let (_, r_done) = u.read_payload(SimTime::ZERO, 0, n);
         assert_eq!(w_done, r_done);
         // But two reads do serialise.
-        let r2 = u.access(SimTime::ZERO, MemDir::Read, 0, n);
+        let (_, r2) = u.read_payload(SimTime::ZERO, 0, n);
         assert!(r2 > r_done);
     }
 
@@ -166,14 +140,14 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn bounds_enforced() {
         let mut u = model();
-        u.access(SimTime::ZERO, MemDir::Read, (4 << 20) - 10, 11);
+        u.read_payload(SimTime::ZERO, (4 << 20) - 10, 11);
     }
 
     #[test]
     fn bandwidth_is_fabric_rate() {
         let mut u = model();
-        let n: u64 = 192_000; // bytes
-        let done = u.access(SimTime::ZERO, MemDir::Read, 0, n);
+        let n = 192_000; // bytes
+        let (_, done) = u.read_payload(SimTime::ZERO, 0, n);
         // 19.2 GB/s → 10 µs for 192 kB (+13 ns latency).
         let expect_ns = 10_000 + 13;
         assert_eq!(done.as_ns(), expect_ns);
@@ -182,9 +156,8 @@ mod tests {
     #[test]
     fn meters_accumulate() {
         let mut u = model();
-        u.write(SimTime::ZERO, 0, &[0u8; 100]);
-        let mut buf = [0u8; 50];
-        u.read(SimTime::ZERO, 0, &mut buf);
+        u.write_payload(SimTime::ZERO, 0, Payload::from([0u8; 100]));
+        u.read_payload(SimTime::ZERO, 0, 50);
         assert_eq!(u.bytes_written(), 100);
         assert_eq!(u.bytes_read(), 50);
     }

@@ -74,22 +74,26 @@ fn apply(seg: &mut SegmentMemory, flat: &mut Flat, op: [u64; 4]) {
             flat.write(dst, &bytes);
         }
         5 => {
-            // Sub-page byte writes into an owned page: the first lands in
+            // Sub-page writes into an owned page, as bytes or (odd `s`)
+            // as fresh payloads nothing else holds: the first lands in
             // place; the second comes while a reader holds a window of the
             // page, which must keep the bytes it saw.
             let page = addr & !0xfff;
             let fresh: Vec<u8> = (0..4096u64).map(|i| (s ^ i ^ 0xa5) as u8).collect();
             let off = page + s % 4000;
             let n = 1 + (l % 96) as usize;
-            for (at, data) in [(page, fresh), (off, vec![s as u8; n])] {
-                seg.write(at, &data);
+            let write = |seg: &mut SegmentMemory, flat: &mut Flat, at: u64, data: Vec<u8>| {
                 flat.write(at, &data);
-            }
+                match s % 2 {
+                    0 => seg.write(at, &data),
+                    _ => seg.write_payload(at, Payload::from_vec(data)),
+                }
+            };
+            write(seg, flat, page, fresh);
+            write(seg, flat, off, vec![s as u8; n]);
             let held = seg.read_payload(off, n);
             let seen = flat.read_vec(off, n);
-            let later = vec![!s as u8; n];
-            seg.write(off, &later);
-            flat.write(off, &later);
+            write(seg, flat, off, vec![!s as u8; n]);
             assert_eq!(
                 held.as_slice(),
                 &seen[..],

@@ -16,7 +16,7 @@ use crate::queue::{CqRing, SqRing};
 use crate::spec::{self, AdminOpcode, Cqe, Sqe, Status};
 use snacc_mem::{AddrRange, HostMemory};
 use snacc_pcie::{PcieFabric, HOST_NODE};
-use snacc_sim::Engine;
+use snacc_sim::{Engine, Payload};
 use std::cell::RefCell;
 
 /// Admin SQ and CQ depth.
@@ -75,9 +75,10 @@ impl AdminQueue {
     }
 
     fn reg_write(&self, en: &mut Engine, fabric: &RefCell<PcieFabric>, off: u64, bytes: &[u8]) {
+        let now = en.now();
         fabric
             .borrow_mut()
-            .write(en, HOST_NODE, self.bar0 + off, bytes)
+            .write(en, now, HOST_NODE, self.bar0 + off, Payload::from(bytes))
             .expect("BAR0 reachable");
     }
 
@@ -217,7 +218,6 @@ impl AdminQueue {
 mod tests {
     use super::*;
     use crate::{NvmeDeviceHandle, NvmeProfile};
-    use snacc_pcie::target::HostMemTarget;
     use std::rc::Rc;
 
     const BAR0: u64 = 0x8_0000_0000;
@@ -234,8 +234,7 @@ mod tests {
     fn rig() -> Rig {
         let mut fabric = PcieFabric::new();
         let hostmem = Rc::new(RefCell::new(HostMemory::default()));
-        let t = Rc::new(RefCell::new(HostMemTarget::new(hostmem.clone(), 0)));
-        fabric.map_region(HOST_NODE, AddrRange::new(0, 8 << 30), t);
+        fabric.map_region(HOST_NODE, AddrRange::new(0, 8 << 30), hostmem.clone());
         let fabric = Rc::new(RefCell::new(fabric));
         NvmeDeviceHandle::attach(fabric.clone(), BAR0, NvmeProfile::samsung_990pro(), 1);
         let admin = AdminQueue::new(&mut hostmem.borrow_mut(), BAR0);

@@ -274,17 +274,13 @@ struct NvmeBar0 {
 }
 
 impl MmioTarget for NvmeBar0 {
-    fn name(&self) -> &str {
-        "nvme-bar0"
-    }
-
     fn read(
         &mut self,
         _en: &mut Engine,
         _arrival: SimTime,
         offset: u64,
-        out: &mut [u8],
-    ) -> SimDuration {
+        len: usize,
+    ) -> (Payload, SimDuration) {
         let d = self.dev.borrow();
         let value: u64 = match offset {
             spec::regs::CAP => {
@@ -301,11 +297,10 @@ impl MmioTarget for NvmeBar0 {
             spec::regs::ACQ => d.acq,
             _ => 0,
         };
-        let bytes = value.to_le_bytes();
-        let n = out.len().min(8);
-        out[..n].copy_from_slice(&bytes[..n]);
-
-        d.profile.reg_latency
+        let mut out = vec![0u8; len];
+        let n = len.min(8);
+        out[..n].copy_from_slice(&value.to_le_bytes()[..n]);
+        (Payload::from_vec(out), d.profile.reg_latency)
     }
 
     fn write(
@@ -313,7 +308,7 @@ impl MmioTarget for NvmeBar0 {
         en: &mut Engine,
         arrival: SimTime,
         offset: u64,
-        data: &[u8],
+        data: Payload,
     ) -> SimDuration {
         let mut buf = [0u8; 8];
         let n = data.len().min(8);
@@ -521,7 +516,7 @@ impl NvmeDeviceHandle {
 /// Fetch a burst of SQEs and dispatch them; reschedules itself while
 /// entries remain.
 fn pump_queue(rc: Rc<RefCell<NvmeDevice>>, en: &mut Engine, qid: u16) {
-    let (fabric, node, addr, count, entries, base);
+    let (fabric, node, addr, count);
     {
         let mut d = rc.borrow_mut();
         let burst = d.profile.sqe_fetch_burst;
@@ -536,28 +531,29 @@ fn pump_queue(rc: Rc<RefCell<NvmeDevice>>, en: &mut Engine, qid: u16) {
         let till_wrap = q.sq_entries - q.sq_head;
         count = avail.min(till_wrap).min(burst);
         addr = q.sq_base + q.sq_head as u64 * SQE_BYTES;
-        entries = q.sq_entries;
-        base = q.sq_head;
         q.sq_head = (q.sq_head + count) % q.sq_entries;
         fabric = d.fabric();
         node = d.node;
-        let _ = (entries, base);
     }
-    let mut buf = vec![0u8; (count as u64 * SQE_BYTES) as usize];
-    let fetched_at = {
-        let mut fab = fabric.borrow_mut();
-        fab.read(en, node, addr, &mut buf)
-    };
-    match fetched_at {
-        Ok(t) => {
+    let now = en.now();
+    let fetched = fabric
+        .borrow_mut()
+        .read(en, now, node, addr, count as u64 * SQE_BYTES);
+    match fetched {
+        Ok((buf, t)) => {
+            // Decode now rather than in the event: a fetched window held
+            // until the commands run would pin the SQ ring's buffer and
+            // defeat the host's in-place SQE writes. Chunks are exactly 64
+            // bytes, so decode cannot fail; a malformed fetch is dropped,
+            // never a panic.
+            let sqes: Vec<Sqe> = buf
+                .chunks(SQE_BYTES as usize)
+                .filter_map(|b| Sqe::decode(b).ok())
+                .collect();
             let rc2 = rc.clone();
             en.schedule_at(t, move |en| {
-                for i in 0..count as usize {
-                    // Slices are exactly 64 bytes, so decode cannot fail;
-                    // a malformed fetch is dropped, never a panic.
-                    if let Ok(sqe) = Sqe::decode(&buf[i * 64..(i + 1) * 64]) {
-                        exec_command(&rc2, en, qid, sqe);
-                    }
+                for sqe in sqes {
+                    exec_command(&rc2, en, qid, sqe);
                 }
                 {
                     let mut d = rc2.borrow_mut();
@@ -622,14 +618,12 @@ fn complete_now(rc: &Rc<RefCell<NvmeDevice>>, en: &mut Engine, qid: u16, out: Cq
         fabric = d.fabric();
         node = d.node;
     }
-    let bytes = cqe.encode();
-    let arrival = {
-        let mut fab = fabric.borrow_mut();
-        // Completion writes are small posted writes; failure here means the
-        // CQ was unmapped (a fatal host bug) — drop it, consumers will time
-        // out.
-        fab.write(en, node, addr, &bytes)
-    };
+    let now = en.now();
+    // Completion writes are small posted writes; failure here means the CQ
+    // was unmapped (a fatal host bug) — drop it, consumers will time out.
+    let arrival = fabric
+        .borrow_mut()
+        .write(en, now, node, addr, Payload::from(cqe.encode()));
     if let Ok(arrival) = arrival {
         // The command's SQE→CQE span closes when the CQE lands.
         trace::end_at(arrival, out.span);
@@ -702,7 +696,8 @@ fn exec_admin(rc: &Rc<RefCell<NvmeDevice>>, en: &mut Engine, sqe: Sqe) {
                 let d = rc.borrow();
                 (d.fabric(), d.node)
             };
-            let w = fabric.borrow_mut().write(en, node, sqe.prp1, &data);
+            let now = en.now();
+            let w = fabric.borrow_mut().write(en, now, node, sqe.prp1, data);
             match w {
                 Ok(t) => t_done = t,
                 Err(_) => status = Status::DataTransferError,
@@ -778,14 +773,21 @@ fn resolve_prps(
     };
     let mut t_prp = en.now();
     let walk = walk_prps(sqe.prp1, sqe.prp2, byte_len, |list_addr| {
-        let mut page = [0u8; NVME_PAGE as usize];
-        match fabric.borrow_mut().read(en, node, list_addr, &mut page) {
-            Ok(t) => t_prp = t_prp.max(t),
+        let now = en.now();
+        match fabric
+            .borrow_mut()
+            .read(en, now, node, list_addr, NVME_PAGE)
+        {
+            Ok((p, t)) => {
+                t_prp = t_prp.max(t);
+                let mut page = [0u8; NVME_PAGE as usize];
+                page.copy_from_slice(&p);
+                Ok(page)
+            }
             // Abort the walk at the failed fetch — parsing the stale
             // page would issue further bogus reads.
-            Err(_) => return Err(PrpError::FetchFailed(list_addr)),
+            Err(_) => Err(PrpError::FetchFailed(list_addr)),
         }
-        Ok(page)
     });
     match walk {
         Ok(segs) => Ok((segs, t_prp)),
@@ -1012,13 +1014,9 @@ fn exec_io_inner(rc: &Rc<RefCell<NvmeDevice>>, en: &mut Engine, qid: u16, sqe: S
                 for (k, seg) in segs.iter().enumerate() {
                     let chunk = data.slice(off..off + seg.len as usize);
                     let issue = readout_start + spread * (k as u64 + 1) / n_segs.max(1);
-                    let r = fabric.borrow_mut().write_payload_at(
-                        en,
-                        issue.max(now),
-                        node,
-                        seg.addr,
-                        chunk,
-                    );
+                    let r = fabric
+                        .borrow_mut()
+                        .write(en, issue.max(now), node, seg.addr, chunk);
                     match r {
                         Ok(done) => t = t.max(done),
                         Err(_) => {
@@ -1084,13 +1082,10 @@ fn exec_io_inner(rc: &Rc<RefCell<NvmeDevice>>, en: &mut Engine, qid: u16, sqe: S
                         t_issue += stall;
                     }
                 }
-                let r = fabric.borrow_mut().read_payload_at(
-                    en,
-                    t_issue.max(en.now()),
-                    node,
-                    seg.addr,
-                    seg.len,
-                );
+                let r =
+                    fabric
+                        .borrow_mut()
+                        .read(en, t_issue.max(en.now()), node, seg.addr, seg.len);
                 match r {
                     Ok((chunk, done)) => {
                         parts.push(chunk);
@@ -1163,7 +1158,6 @@ mod tests {
     use crate::queue::{CqRing, SqRing};
     use crate::spec::AdminOpcode;
     use snacc_mem::HostMemory;
-    use snacc_pcie::target::HostMemTarget;
 
     /// A controller driven through the shared admin queue, with raw
     /// register pokes for the I/O queues and busy-waits by draining the
@@ -1184,8 +1178,7 @@ mod tests {
             let hostmem = Rc::new(RefCell::new(HostMemory::default()));
             // Map 8 GiB of host physical address space at 0 (the admin
             // queue sits in the pinned pool at 4 GiB).
-            let t = Rc::new(RefCell::new(HostMemTarget::new(hostmem.clone(), 0)));
-            fabric.map_region(HOST_NODE, AddrRange::new(0, 8 << 30), t);
+            fabric.map_region(HOST_NODE, AddrRange::new(0, 8 << 30), hostmem.clone());
             let fabric = Rc::new(RefCell::new(fabric));
             let dev =
                 NvmeDeviceHandle::attach(fabric.clone(), BAR0, NvmeProfile::samsung_990pro(), 7);
@@ -1389,9 +1382,9 @@ mod tests {
         r.enable();
         r.create_io_queues(1, 0x30_0000, 0x31_0000, 64);
         r.dev.with(|d| {
-            let mut buf = vec![7u8; 4096];
-            d.nand_mut().write(SimTime::ZERO, 5000 * 512, &buf, true);
-            let _ = &mut buf;
+            let buf = Payload::from_vec(vec![7u8; 4096]);
+            d.nand_mut()
+                .write_parts(SimTime::ZERO, 5000 * 512, vec![buf], true);
         });
         let start = r.en.now();
         let mut rd = Sqe::io(IoOpcode::Read, 1, 5000, 7);

@@ -262,28 +262,16 @@ impl NandBackend {
         }
     }
 
-    /// Read `out.len()` bytes of media starting at byte address `addr`.
-    /// Returns the time the last byte is available in controller SRAM
-    /// (ready for [`book_readout`](Self::book_readout) and delivery).
-    pub fn read(&mut self, now: SimTime, addr: u64, out: &mut [u8]) -> SimTime {
-        assert!(self.in_bounds(addr, out.len() as u64), "media read OOB");
-        self.media.read(addr, out);
-        self.media_reads += out.len() as u64;
-        self.read_timing(now, addr, out.len() as u64)
-    }
-
-    /// Zero-copy read: return the media bytes as a [`Payload`] view plus
-    /// the media-ready time. Timing is identical to [`read`](Self::read);
-    /// the returned payload shares the stored segments' backings (lazy
-    /// prewarm fill stays lazy end-to-end).
+    /// Read `len` bytes of media starting at byte address `addr` as a
+    /// zero-copy [`Payload`] view, plus the time the last byte is
+    /// available in controller SRAM (ready for
+    /// [`book_readout`](Self::book_readout) and delivery). The payload
+    /// shares the stored segments' backings (lazy prewarm fill stays lazy
+    /// end-to-end).
     pub fn read_payload(&mut self, now: SimTime, addr: u64, len: u64) -> (Payload, SimTime) {
         assert!(self.in_bounds(addr, len), "media read OOB");
         let p = self.media.read_payload(addr, len as usize);
         self.media_reads += len;
-        (p, self.read_timing(now, addr, len))
-    }
-
-    fn read_timing(&mut self, now: SimTime, addr: u64, len: u64) -> SimTime {
         let t0 = self.book_cmd(now);
         // Page-wise: each page read occupies its die for tR, then moves
         // over its NAND channel into controller SRAM.
@@ -303,7 +291,7 @@ impl NandBackend {
             done = done.max(moved);
             cur += n;
         }
-        done
+        (p, done)
     }
 
     /// Book the aggregate controller read-out path for `bytes` starting at
@@ -314,20 +302,12 @@ impl NandBackend {
         self.readout.transfer(now, bytes)
     }
 
-    /// Write `data` at byte address `addr`. Returns the time the write is
-    /// admitted to the DRAM cache (= when the CQE may be posted, volatile
-    /// write cache on). `random_hint` applies the FTL derate for small
-    /// scattered writes.
-    pub fn write(&mut self, now: SimTime, addr: u64, data: &[u8], random_hint: bool) -> SimTime {
-        assert!(self.in_bounds(addr, data.len() as u64), "media write OOB");
-        self.media.write(addr, data);
-        self.write_timing(now, addr, data.len() as u64, random_hint)
-    }
-
-    /// Zero-copy write: retain `parts` (in address order, back-to-back
-    /// from `addr`) as media segments. Timing is identical to
-    /// [`write`](Self::write) of the concatenated bytes; the media keeps
-    /// the payload windows, so lazy synthetic data is never materialised.
+    /// Write `parts` (in address order, back-to-back from `addr`) as media
+    /// segments; the media keeps the payload windows, so lazy synthetic
+    /// data is never materialised. Returns the time the write is admitted
+    /// to the DRAM cache (= when the CQE may be posted, volatile write
+    /// cache on). `random_hint` applies the FTL derate for small scattered
+    /// writes.
     pub fn write_parts(
         &mut self,
         now: SimTime,
@@ -343,10 +323,6 @@ impl NandBackend {
             self.media.write_payload(addr + off, p);
             off += n;
         }
-        self.write_timing(now, addr, len, random_hint)
-    }
-
-    fn write_timing(&mut self, now: SimTime, addr: u64, len: u64, random_hint: bool) -> SimTime {
         self.media_writes += len;
         self.mark_warm(addr, len);
         let t0 = self.book_cmd(now);
@@ -421,9 +397,13 @@ mod tests {
     fn functional_roundtrip() {
         let mut n = NandBackend::new(cfg(), 1);
         let data = vec![0x77u8; 8192];
-        n.write(SimTime::ZERO, 123 * 512, &data, false);
-        let mut out = vec![0u8; 8192];
-        n.read(SimTime::ZERO, 123 * 512, &mut out);
+        n.write_parts(
+            SimTime::ZERO,
+            123 * 512,
+            vec![Payload::from(&data[..])],
+            false,
+        );
+        let (out, _) = n.read_payload(SimTime::ZERO, 123 * 512, 8192);
         assert_eq!(out, data);
     }
 
@@ -433,10 +413,9 @@ mod tests {
         // Read 256 MiB sequentially in 1 MiB commands; each command's
         // read-out is booked at its media-ready time (as the device does).
         let total: u64 = 256 << 20;
-        let mut out = vec![0u8; 1 << 20];
         let mut done = SimTime::ZERO;
         for i in 0..(total >> 20) {
-            let media = n.read(SimTime::ZERO, i << 20, &mut out);
+            let (_, media) = n.read_payload(SimTime::ZERO, i << 20, 1 << 20);
             done = n.book_readout(media, 1 << 20);
         }
         let gbps = total as f64 / 1e9 / done.as_secs_f64();
@@ -451,11 +430,15 @@ mod tests {
         let mut n = NandBackend::new(cfg(), 2);
         // A cold page on die 0 then a warm page on die 1: the second must
         // not wait behind the first (independent dies and channels).
-        n.write(SimTime::ZERO, 16384, &vec![1u8; 4096], true);
-        let mut out = vec![0u8; 4096];
+        n.write_parts(
+            SimTime::ZERO,
+            16384,
+            vec![Payload::from_vec(vec![1u8; 4096])],
+            true,
+        );
         // Cold address in a different 1 MiB warm-block, die and channel.
-        let t_cold = n.read(SimTime::ZERO, 10 << 20, &mut out);
-        let t_warm = n.read(SimTime::ZERO, 16384, &mut out);
+        let (_, t_cold) = n.read_payload(SimTime::ZERO, 10 << 20, 4096);
+        let (_, t_warm) = n.read_payload(SimTime::ZERO, 16384, 4096);
         assert!(
             t_warm < t_cold,
             "warm {t_warm} should beat cold {t_cold} despite later submission"
@@ -465,8 +448,7 @@ mod tests {
     #[test]
     fn cold_read_latency_in_tlc_band() {
         let mut n = NandBackend::new(cfg(), 3);
-        let mut out = vec![0u8; 4096];
-        let done = n.read(SimTime::ZERO, 512 * 99991, &mut out);
+        let (_, done) = n.read_payload(SimTime::ZERO, 512 * 99991, 4096);
         let us = done.as_us_f64();
         assert!(us > 52.0 && us < 59.0, "{us} µs");
     }
@@ -475,10 +457,14 @@ mod tests {
     fn warm_read_latency_in_pslc_band() {
         let mut n = NandBackend::new(cfg(), 3);
         let addr = 512 * 99991;
-        let t = n.write(SimTime::ZERO, addr, &vec![1u8; 4096], true);
+        let t = n.write_parts(
+            SimTime::ZERO,
+            addr,
+            vec![Payload::from_vec(vec![1u8; 4096])],
+            true,
+        );
         assert!(n.is_warm(addr));
-        let mut out = vec![0u8; 4096];
-        let done = n.read(t, addr, &mut out);
+        let (_, done) = n.read_payload(t, addr, 4096);
         let us = done.since(t).as_us_f64();
         assert!(us > 26.0 && us < 33.0, "{us} µs");
     }
@@ -488,12 +474,17 @@ mod tests {
         let mut small = cfg();
         small.pslc_window_bytes = 4 << 20;
         let mut n = NandBackend::new(small, 3);
-        n.write(SimTime::ZERO, 0, &vec![1u8; 4096], true);
+        n.write_parts(
+            SimTime::ZERO,
+            0,
+            vec![Payload::from_vec(vec![1u8; 4096])],
+            true,
+        );
         assert!(n.is_warm(0));
         // Write 8 MB elsewhere: the first block folds out of the window.
-        let chunk = vec![0u8; 1 << 20];
+        let chunk = Payload::from_vec(vec![0u8; 1 << 20]);
         for i in 1..9u64 {
-            n.write(SimTime::ZERO, i << 20, &chunk, false);
+            n.write_parts(SimTime::ZERO, i << 20, vec![chunk.clone()], false);
         }
         assert!(!n.is_warm(0));
         assert!(n.is_warm(8 << 20));
@@ -504,16 +495,20 @@ mod tests {
         let mut n = NandBackend::new(cfg(), 4);
         // Two reads hitting the same die serialise.
         let addr = 0u64; // die 0
-        let mut out = vec![0u8; 4096];
-        let first = n.read(SimTime::ZERO, addr, &mut out);
-        let second = n.read(SimTime::ZERO, addr + 512, &mut out); // same page → same die
+        let (_, first) = n.read_payload(SimTime::ZERO, addr, 4096);
+        let (_, second) = n.read_payload(SimTime::ZERO, addr + 512, 4096); // same page → same die
         assert!(second.as_us_f64() > first.as_us_f64() + 20.0);
     }
 
     #[test]
     fn write_admission_is_fast_when_cache_empty() {
         let mut n = NandBackend::new(cfg(), 5);
-        let done = n.write(SimTime::ZERO, 0, &vec![0u8; 4096], true);
+        let done = n.write_parts(
+            SimTime::ZERO,
+            0,
+            vec![Payload::from_vec(vec![0u8; 4096])],
+            true,
+        );
         assert!(done.as_us_f64() < 5.0, "{}", done.as_us_f64());
     }
 
@@ -522,13 +517,13 @@ mod tests {
         let mut n = NandBackend::new(cfg(), 6);
         // Write 4 GiB; measure per-GiB bandwidth — must alternate between
         // ~6.24 and ~5.90 with no intermediate values.
-        let chunk = vec![0u8; 1 << 20];
+        let chunk = Payload::from_vec(vec![0u8; 1 << 20]);
         let mut rates = Vec::new();
         let mut t_prev = SimTime::ZERO;
         for g in 0..4u64 {
             let mut done = t_prev;
             for i in 0..1024u64 {
-                done = n.write(done, (g * 1024 + i) << 20, &chunk, false);
+                done = n.write_parts(done, (g * 1024 + i) << 20, vec![chunk.clone()], false);
             }
             // Bandwidth limited by cache drain once the cache is full:
             // measure the program engine via flush.
@@ -550,15 +545,15 @@ mod tests {
         let mut small = cfg();
         small.write_cache_bytes = 4 << 20;
         let mut n = NandBackend::new(small, 7);
-        let chunk = vec![0u8; 1 << 20];
+        let chunk = Payload::from_vec(vec![0u8; 1 << 20]);
         // Filling the 4 MB cache is fast; the 5th MB must wait for
         // programming (~1 MB / 6.24 GB/s ≈ 160 µs).
         let mut done = SimTime::ZERO;
         for i in 0..4 {
-            done = n.write(done, i << 20, &chunk, false);
+            done = n.write_parts(done, i << 20, vec![chunk.clone()], false);
         }
         assert!(done.as_us_f64() < 20.0, "{}", done.as_us_f64());
-        let stalled = n.write(done, 4 << 20, &chunk, false);
+        let stalled = n.write_parts(done, 4 << 20, vec![chunk.clone()], false);
         assert!(
             stalled.since(done).as_us_f64() > 100.0,
             "admission should stall on a full cache: {}",
@@ -571,11 +566,11 @@ mod tests {
         // Issue all writes back-to-back (deep queue); sustained rate is the
         // derated program rate once the cache fills.
         let mut n = NandBackend::new(cfg(), 8);
-        let chunk = vec![0u8; 4096];
+        let chunk = Payload::from_vec(vec![0u8; 4096]);
         let count = 64 << 8; // 64 MiB of 4 KiB writes
         let mut done = SimTime::ZERO;
         for i in 0..count {
-            done = done.max(n.write(SimTime::ZERO, i * 4096, &chunk, true));
+            done = done.max(n.write_parts(SimTime::ZERO, i * 4096, vec![chunk.clone()], true));
         }
         let flushed = n.flush(done);
         let gbps = (count * 4096) as f64 / 1e9 / flushed.as_secs_f64();
@@ -587,10 +582,10 @@ mod tests {
     fn lo_state_flag_tracks_blocks() {
         let mut n = NandBackend::new(cfg(), 9);
         assert!(!n.in_lo_state());
-        let chunk = vec![0u8; 1 << 20];
+        let chunk = Payload::from_vec(vec![0u8; 1 << 20]);
         let mut t = SimTime::ZERO;
         for i in 0..1024u64 {
-            t = n.write(t, i << 20, &chunk, false);
+            t = n.write_parts(t, i << 20, vec![chunk.clone()], false);
         }
         // Exactly one state block (1 GiB) programmed → now in lo state.
         assert!(n.in_lo_state());

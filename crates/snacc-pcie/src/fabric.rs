@@ -357,45 +357,12 @@ impl PcieFabric {
         }
     }
 
-    /// A non-posted read: `requester` reads `out.len()` bytes at fabric
-    /// address `addr`. Returns the time the last completion byte reaches
-    /// the requester.
+    /// A non-posted read issued at `start` (≥ now): `requester` reads
+    /// `len` bytes at fabric address `addr`. Returns the bytes, as the
+    /// target hands them out (a zero-copy view of a memory's segment
+    /// store), and the time the last completion byte reaches the
+    /// requester.
     pub fn read(
-        &mut self,
-        en: &mut Engine,
-        requester: NodeId,
-        addr: u64,
-        out: &mut [u8],
-    ) -> Result<SimTime, PcieError> {
-        let now = en.now();
-        let len = out.len() as u64;
-        self.read_txn(en, now, requester, addr, len, |target, en, at, offset| {
-            ((), target.read(en, at, offset, out))
-        })
-        .map(|((), t)| t)
-    }
-
-    /// A posted write: `requester` writes `data` at fabric address `addr`.
-    /// Returns the time the target has absorbed the data.
-    pub fn write(
-        &mut self,
-        en: &mut Engine,
-        requester: NodeId,
-        addr: u64,
-        data: &[u8],
-    ) -> Result<SimTime, PcieError> {
-        let now = en.now();
-        let len = data.len() as u64;
-        self.write_txn(en, now, requester, addr, len, |target, en, at, offset| {
-            target.write(en, at, offset, data)
-        })
-    }
-
-    /// Zero-copy read issued at `start` (≥ now): the target returns the
-    /// bytes as a [`Payload`] view of its segment store instead of filling
-    /// a caller buffer. Otherwise the same transaction as
-    /// [`read`](Self::read).
-    pub fn read_payload_at(
         &mut self,
         en: &mut Engine,
         start: SimTime,
@@ -403,41 +370,6 @@ impl PcieFabric {
         addr: u64,
         len: u64,
     ) -> Result<(Payload, SimTime), PcieError> {
-        self.read_txn(en, start, requester, addr, len, |target, en, at, offset| {
-            target.read_payload(en, at, offset, len as usize)
-        })
-    }
-
-    /// Zero-copy write issued at `start` (≥ now): the target retains the
-    /// [`Payload`] window in its segment store instead of copying from a
-    /// caller buffer. Otherwise the same transaction as
-    /// [`write`](Self::write).
-    pub fn write_payload_at(
-        &mut self,
-        en: &mut Engine,
-        start: SimTime,
-        requester: NodeId,
-        addr: u64,
-        data: Payload,
-    ) -> Result<SimTime, PcieError> {
-        let len = data.len() as u64;
-        self.write_txn(en, start, requester, addr, len, |target, en, at, offset| {
-            target.write_payload(en, at, offset, data)
-        })
-    }
-
-    /// The non-posted read transaction behind every read entry point.
-    /// `access` serves the read at the target, given the request's arrival
-    /// time and its offset within the mapped window.
-    fn read_txn<R>(
-        &mut self,
-        en: &mut Engine,
-        start: SimTime,
-        requester: NodeId,
-        addr: u64,
-        len: u64,
-        access: impl FnOnce(&mut dyn MmioTarget, &mut Engine, SimTime, u64) -> (R, SimDuration),
-    ) -> Result<(R, SimTime), PcieError> {
         debug_assert!(start >= en.now());
         let (offset, target_node, target) = self.route(requester, addr, len)?;
         if self.draw_timeout(en, start, len, addr) {
@@ -450,7 +382,7 @@ impl PcieFabric {
         // Request phase: a header-only TLP towards the target (control
         // traffic: interleaves, never queues behind bulk data).
         let t = self.hop(start, requester, target_node, READ_REQUEST_BYTES, true);
-        let (out, service) = access(&mut *target.borrow_mut(), en, t, offset);
+        let (data, service) = target.borrow_mut().read(en, t, offset, len as usize);
         // Completion phase: the data flows back to the requester.
         let t = self.hop(t + service, target_node, requester, wire, small);
         let done = self.degrade(start, len, t);
@@ -463,29 +395,29 @@ impl PcieFabric {
                 &[("addr", addr), ("len", len)],
             );
         }
-        Ok((out, done))
+        Ok((data, done))
     }
 
-    /// The posted write transaction behind every write entry point.
-    /// `access` absorbs the data at the target, given its arrival time and
-    /// its offset within the mapped window.
-    fn write_txn(
+    /// A posted write issued at `start` (≥ now): `requester` writes `data`
+    /// at fabric address `addr`; the target retains or copies the payload.
+    /// Returns the time the target has absorbed the data.
+    pub fn write(
         &mut self,
         en: &mut Engine,
         start: SimTime,
         requester: NodeId,
         addr: u64,
-        len: u64,
-        access: impl FnOnce(&mut dyn MmioTarget, &mut Engine, SimTime, u64) -> SimDuration,
+        data: Payload,
     ) -> Result<SimTime, PcieError> {
         debug_assert!(start >= en.now());
+        let len = data.len() as u64;
         let (offset, target_node, target) = self.route(requester, addr, len)?;
         let wire = wire_bytes(len, self.mps_for(requester, target_node));
         let small = len <= CTRL_TLP_BYTES;
         self.payload_meter.record(len);
 
         let t = self.hop(start, requester, target_node, wire, small);
-        let service = access(&mut *target.borrow_mut(), en, t, offset);
+        let service = target.borrow_mut().write(en, t, offset, data);
         let done = self.degrade(start, len, t + service);
         if !small && trace::enabled() {
             trace::span_between(
@@ -555,19 +487,22 @@ impl PcieFabric {
         format!("pcie.{}", self.devices[dev.0 - 1].name)
     }
 
-    /// Convenience: 32-bit register read (host driver MMIO).
+    /// Convenience: 32-bit register read issued now (host driver MMIO).
     pub fn read_u32(
         &mut self,
         en: &mut Engine,
         requester: NodeId,
         addr: u64,
     ) -> Result<u32, PcieError> {
+        let now = en.now();
+        let (p, _) = self.read(en, now, requester, addr, 4)?;
         let mut b = [0u8; 4];
-        self.read(en, requester, addr, &mut b)?;
+        b.copy_from_slice(&p);
         Ok(u32::from_le_bytes(b))
     }
 
-    /// Convenience: 32-bit register write (host driver MMIO / doorbells).
+    /// Convenience: 32-bit register write issued now (host driver MMIO /
+    /// doorbells).
     pub fn write_u32(
         &mut self,
         en: &mut Engine,
@@ -575,14 +510,15 @@ impl PcieFabric {
         addr: u64,
         value: u32,
     ) -> Result<SimTime, PcieError> {
-        self.write(en, requester, addr, &value.to_le_bytes())
+        let now = en.now();
+        self.write(en, now, requester, addr, Payload::from(value.to_le_bytes()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{PcieGen, PcieLinkConfig};
+    use crate::config::PcieLinkConfig;
     use crate::target::ScratchTarget;
 
     fn scratch(name: &str) -> Rc<RefCell<ScratchTarget>> {
@@ -599,15 +535,21 @@ mod tests {
         (Engine::new(), fab, fpga, ssd)
     }
 
+    /// `len` bytes of `byte`, as a fresh payload.
+    fn bytes(byte: u8, len: usize) -> Payload {
+        Payload::from_vec(vec![byte; len])
+    }
+
     #[test]
     fn host_to_device_write_read() {
         let (mut en, mut fab, fpga, _) = setup();
         let t = scratch("bar0");
         fab.map_region(fpga, AddrRange::new(0x10_0000, 0x1000), t.clone());
-        fab.write(&mut en, HOST_NODE, 0x10_0010, b"ping").unwrap();
-        let mut out = [0u8; 4];
-        fab.read(&mut en, HOST_NODE, 0x10_0010, &mut out).unwrap();
-        assert_eq!(&out, b"ping");
+        let now = en.now();
+        fab.write(&mut en, now, HOST_NODE, 0x10_0010, Payload::from(b"ping"))
+            .unwrap();
+        let (out, _) = fab.read(&mut en, now, HOST_NODE, 0x10_0010, 4).unwrap();
+        assert_eq!(out, b"ping"[..]);
     }
 
     #[test]
@@ -616,8 +558,9 @@ mod tests {
         let t = scratch("fpga-mem");
         fab.map_region(fpga, AddrRange::new(0x20_0000, 0x1000), t);
         // SSD reads 512 B from FPGA BAR.
-        let mut out = [0u8; 512];
-        let done = fab.read(&mut en, ssd, 0x20_0000, &mut out).unwrap();
+        let (_, done) = fab
+            .read(&mut en, SimTime::ZERO, ssd, 0x20_0000, 512)
+            .unwrap();
         assert!(done > SimTime::ZERO);
         // Both device links saw traffic.
         assert!(fab.link_bytes(ssd) > 0);
@@ -629,8 +572,7 @@ mod tests {
     #[test]
     fn unmapped_access_fails() {
         let (mut en, mut fab, _, _) = setup();
-        let mut out = [0u8; 4];
-        let e = fab.read(&mut en, HOST_NODE, 0xdead_0000, &mut out);
+        let e = fab.read(&mut en, SimTime::ZERO, HOST_NODE, 0xdead_0000, 4);
         assert!(matches!(e, Err(PcieError::Unmapped { .. })));
     }
 
@@ -640,15 +582,26 @@ mod tests {
         fab.set_iommu(Iommu::new());
         let t = scratch("fpga-mem");
         fab.map_region(fpga, AddrRange::new(0x20_0000, 0x1000), t);
-        let mut out = [0u8; 8];
-        let e = fab.read(&mut en, ssd, 0x20_0000, &mut out);
+        let e = fab.read(&mut en, SimTime::ZERO, ssd, 0x20_0000, 8);
+        assert!(matches!(e, Err(PcieError::IommuFault { .. })));
+        let e = fab.write(&mut en, SimTime::ZERO, ssd, 0x20_0000, bytes(1, 8));
         assert!(matches!(e, Err(PcieError::IommuFault { .. })));
         // After a grant it works.
         fab.iommu_mut()
             .grant(ssd, AddrRange::new(0x20_0000, 0x1000));
-        fab.read(&mut en, ssd, 0x20_0000, &mut out).unwrap();
+        fab.write(&mut en, SimTime::ZERO, ssd, 0x20_0000, bytes(1, 8))
+            .unwrap();
+        let (out, _) = fab.read(&mut en, SimTime::ZERO, ssd, 0x20_0000, 8).unwrap();
+        assert_eq!(out, vec![1u8; 8]);
         // Host accesses bypass the IOMMU.
-        fab.write(&mut en, HOST_NODE, 0x20_0000, b"x").unwrap();
+        fab.write(
+            &mut en,
+            SimTime::ZERO,
+            HOST_NODE,
+            0x20_0000,
+            Payload::from(b"x"),
+        )
+        .unwrap();
     }
 
     #[test]
@@ -656,8 +609,7 @@ mod tests {
         let (mut en, mut fab, fpga, _) = setup();
         let t = scratch("fpga-mem");
         fab.map_region(fpga, AddrRange::new(0x0, 0x1000), t);
-        let mut out = [0u8; 4];
-        let e = fab.read(&mut en, fpga, 0x0, &mut out);
+        let e = fab.read(&mut en, SimTime::ZERO, fpga, 0x0, 4);
         assert_eq!(e, Err(PcieError::LocalAccess));
     }
 
@@ -667,9 +619,13 @@ mod tests {
         let (mut en, mut fab, _, ssd) = setup();
         let t = scratch("ssd-buf");
         fab.map_region(ssd, AddrRange::new(0x80_0000, 0x2_0000), t);
-        let buf = vec![0u8; 65536];
-        let t1 = fab.write(&mut en, HOST_NODE, 0x80_0000, &buf).unwrap();
-        let t2 = fab.write(&mut en, HOST_NODE, 0x80_0000, &buf).unwrap();
+        let buf = Payload::fill(0, 65536);
+        let t1 = fab
+            .write(&mut en, SimTime::ZERO, HOST_NODE, 0x80_0000, buf.clone())
+            .unwrap();
+        let t2 = fab
+            .write(&mut en, SimTime::ZERO, HOST_NODE, 0x80_0000, buf)
+            .unwrap();
         let d1 = t1.since(SimTime::ZERO).as_ns();
         let d2 = t2.since(SimTime::ZERO).as_ns();
         // Second transfer takes roughly twice as long end-to-end.
@@ -681,8 +637,14 @@ mod tests {
         let (mut en, mut fab, fpga, _) = setup();
         let t = scratch("bar");
         fab.map_region(fpga, AddrRange::new(0x0, 0x10000), t);
-        let buf = vec![0u8; 4096];
-        fab.write(&mut en, HOST_NODE, 0x0, &buf).unwrap();
+        fab.write(
+            &mut en,
+            SimTime::ZERO,
+            HOST_NODE,
+            0x0,
+            Payload::fill(0, 4096),
+        )
+        .unwrap();
         // 4096 B at MPS 512 → 8 packets → 8 × 24 B headers.
         assert_eq!(fab.link_bytes(fpga), 4096 + 8 * 24);
     }
@@ -709,13 +671,19 @@ mod tests {
         // A doorbell-sized read is never faulted.
         assert!(fab.read_u32(&mut en, HOST_NODE, 0x0).is_ok());
         // A bulk read times out every time at rate 1.0.
-        let mut buf = vec![0u8; 8192];
-        let e = fab.read(&mut en, HOST_NODE, 0x0, &mut buf);
+        let e = fab.read(&mut en, SimTime::ZERO, HOST_NODE, 0x0, 8192);
         assert!(matches!(e, Err(PcieError::CompletionTimeout { .. })));
+        assert_eq!(fab.fault_stats().timeouts, 1);
+        // Posted writes have no completion to lose.
+        fab.write(&mut en, SimTime::ZERO, HOST_NODE, 0x0, bytes(3, 8192))
+            .unwrap();
         assert_eq!(fab.fault_stats().timeouts, 1);
         // Clearing the injector restores normal service.
         fab.clear_faults();
-        fab.read(&mut en, HOST_NODE, 0x0, &mut buf).unwrap();
+        let (out, _) = fab
+            .read(&mut en, SimTime::ZERO, HOST_NODE, 0x0, 8192)
+            .unwrap();
+        assert_eq!(out, vec![3u8; 8192]);
     }
 
     #[test]
@@ -723,11 +691,18 @@ mod tests {
         let (mut en, mut fab, fpga, _) = setup();
         let t = scratch("bar");
         fab.map_region(fpga, AddrRange::new(0x0, 0x10000), t);
-        let buf = vec![0u8; 8192];
-        let clean = fab.write(&mut en, HOST_NODE, 0x0, &buf).unwrap();
+        let buf = bytes(0, 8192);
+        let clean = fab
+            .write(&mut en, SimTime::ZERO, HOST_NODE, 0x0, buf.clone())
+            .unwrap();
+        let (_, clean_read) = fab
+            .read(&mut en, SimTime::ZERO, HOST_NODE, 0x0, 8192)
+            .unwrap();
         let win = (SimTime::ZERO, SimTime::ZERO + SimDuration::from_us(1000));
         fab.install_faults(PcieFaultConfig::degraded(win, SimDuration::from_us(5)));
-        let t1 = fab.write(&mut en, HOST_NODE, 0x0, &buf).unwrap();
+        let t1 = fab
+            .write(&mut en, SimTime::ZERO, HOST_NODE, 0x0, buf)
+            .unwrap();
         // The degraded transfer finishes at least `degrade_extra` after
         // the point the clean repeat would have (the wire time itself is
         // well under 5 µs for 8 KiB on this link).
@@ -736,142 +711,38 @@ mod tests {
             "{t1:?} vs {clean:?}"
         );
         assert_eq!(fab.fault_stats().degraded, 1);
+        // Reads in the window pay it too.
+        let (_, r) = fab
+            .read(&mut en, SimTime::ZERO, HOST_NODE, 0x0, 8192)
+            .unwrap();
+        assert!(
+            r.since(clean_read) >= SimDuration::from_us(5),
+            "{r:?} vs {clean_read:?}"
+        );
+        assert_eq!(fab.fault_stats().degraded, 2);
         // Control-sized traffic is untouched even inside the window.
         fab.write_u32(&mut en, HOST_NODE, 0x0, 1).unwrap();
-        assert_eq!(fab.fault_stats().degraded, 1);
-    }
-
-    /// Window bases of host memory, the FPGA and the SSD.
-    const EQ_BASES: [u64; 3] = [0x1_0000_0000, 0x10_0000_0000, 0x20_0000_0000];
-    const EQ_WINDOW: u64 = 1 << 20;
-
-    /// The same fabric on every call: host memory and two devices, each
-    /// with a scratch window, an enforcing IOMMU (the SSD may not reach the
-    /// FPGA) and seeded timeout and degradation faults. Each fabric counts
-    /// in a metrics registry of its own.
-    fn equivalence_rig() -> (
-        Engine,
-        PcieFabric,
-        [NodeId; 3],
-        Vec<Rc<RefCell<ScratchTarget>>>,
-    ) {
-        trace::install_registry(trace::MetricsRegistry::new());
-        let mut fab = PcieFabric::new();
-        let fpga = fab.add_device("fpga", PcieLinkConfig::alveo_u280());
-        let ssd = fab.add_device("ssd", PcieLinkConfig::nvme_gen4_x4());
-        fab.set_iommu(Iommu::new());
-        let nodes = [HOST_NODE, fpga, ssd];
-        let windows = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &node)| {
-                let t = scratch("win");
-                fab.map_region(node, AddrRange::new(EQ_BASES[i], EQ_WINDOW), t.clone());
-                t
-            })
-            .collect();
-        let iommu = fab.iommu_mut();
-        iommu.grant(fpga, AddrRange::new(EQ_BASES[0], EQ_WINDOW));
-        iommu.grant(fpga, AddrRange::new(EQ_BASES[2], EQ_WINDOW));
-        iommu.grant(ssd, AddrRange::new(EQ_BASES[0], EQ_WINDOW));
-        fab.install_faults(PcieFaultConfig {
-            timeout_rate: 0.25,
-            window: None,
-            degrade_window: Some((SimTime::from_ns(20_000), SimTime::from_ns(60_000))),
-            degrade_extra: SimDuration::from_us(3),
-            seed: 9,
-        });
-        (Engine::new(), fab, nodes, windows)
-    }
-
-    type Outcome = Result<(SimTime, Vec<u8>), PcieError>;
-
-    /// Host→device, device→host and peer-to-peer writes then reads of 8 B
-    /// and 64 KiB, through the byte or the zero-copy entry points.
-    fn equivalence_traffic(zero_copy: bool) -> (PcieFabric, Vec<Outcome>, Vec<Vec<u8>>) {
-        let (mut en, mut fab, nodes, windows) = equivalence_rig();
-        let mut outcomes = Vec::new();
-        for round in 0..3u64 {
-            for (r, &requester) in nodes.iter().enumerate() {
-                for (t, base) in EQ_BASES.iter().enumerate().filter(|&(t, _)| t != r) {
-                    for len in [8usize, 64 << 10] {
-                        let addr = base + round * 0x4_0000 + if len == 8 { 0x2_0000 } else { 0 };
-                        let seed = round * 9 + r as u64 * 3 + t as u64;
-                        let data: Vec<u8> =
-                            (0..len).map(|i| (i as u64 * 31 + seed) as u8).collect();
-                        let now = en.now();
-                        let write = if zero_copy {
-                            let p = Payload::from_vec(data);
-                            fab.write_payload_at(&mut en, now, requester, addr, p)
-                        } else {
-                            fab.write(&mut en, requester, addr, &data)
-                        };
-                        outcomes.push(write.map(|t| (t, Vec::new())));
-                        let read = if zero_copy {
-                            fab.read_payload_at(&mut en, now, requester, addr, len as u64)
-                                .map(|(p, t)| (t, p.as_slice().to_vec()))
-                        } else {
-                            let mut out = vec![0u8; len];
-                            fab.read(&mut en, requester, addr, &mut out)
-                                .map(|t| (t, out))
-                        };
-                        outcomes.push(read);
-                        en.schedule_in(SimDuration::from_us(2), |_| {});
-                        en.run();
-                    }
-                }
-            }
-        }
-        let contents = windows
-            .iter()
-            .map(|w| w.borrow_mut().mem_mut().read_vec(0, EQ_WINDOW as usize))
-            .collect();
-        (fab, outcomes, contents)
-    }
-
-    #[test]
-    fn byte_and_payload_entry_points_are_one_transaction() {
-        let (bytes, byte_outcomes, byte_contents) = equivalence_traffic(false);
-        let (payload, payload_outcomes, payload_contents) = equivalence_traffic(true);
-        assert_eq!(byte_outcomes.len(), 72);
-        for (i, (b, p)) in byte_outcomes.iter().zip(&payload_outcomes).enumerate() {
-            assert_eq!(b, p, "transaction {i}");
-        }
-        for node in [NodeId(1), NodeId(2)] {
-            assert_eq!(bytes.link_bytes(node), payload.link_bytes(node));
-        }
-        assert_eq!(bytes.total_payload_bytes(), payload.total_payload_bytes());
-        assert_eq!(bytes.fault_stats(), payload.fault_stats());
-        assert!(byte_contents == payload_contents, "window contents differ");
-        // Every path the bodies share was taken.
-        let stats = bytes.fault_stats();
-        assert!(stats.timeouts > 0 && stats.degraded > 0, "{stats:?}");
-        assert!(byte_outcomes
-            .iter()
-            .any(|o| matches!(o, Err(PcieError::IommuFault { .. }))));
-        assert!(byte_outcomes.iter().any(|o| o.is_ok()));
+        assert_eq!(fab.fault_stats().degraded, 2);
     }
 
     #[test]
     fn gen5_link_is_faster() {
         let mut fab = PcieFabric::new();
         let g4 = fab.add_device("g4", PcieLinkConfig::nvme_gen4_x4());
-        let g5 = fab.add_device("g5", PcieLinkConfig::nvme_gen5_x4());
         let mut en = Engine::new();
-        let t4 = scratch("t4");
-        let t5 = scratch("t5");
-        fab.map_region(g4, AddrRange::new(0x0, 0x100000), t4);
-        fab.map_region(g5, AddrRange::new(0x100000, 0x100000), t5);
-        let buf = vec![0u8; 1 << 20];
-        let a = fab.write(&mut en, HOST_NODE, 0x0, &buf).unwrap();
-        // Reset time by new engine for clean comparison.
+        fab.map_region(g4, AddrRange::new(0x0, 0x100000), scratch("t4"));
+        let buf = Payload::fill(0, 1 << 20);
+        let a = fab
+            .write(&mut en, SimTime::ZERO, HOST_NODE, 0x0, buf.clone())
+            .unwrap();
+        // A fresh fabric and engine for a clean comparison.
         let mut en2 = Engine::new();
         let mut fab2 = PcieFabric::new();
-        let g5b = fab2.add_device("g5", PcieLinkConfig::nvme_gen5_x4());
-        let t5b = scratch("t5b");
-        fab2.map_region(g5b, AddrRange::new(0x0, 0x100000), t5b);
-        let b = fab2.write(&mut en2, HOST_NODE, 0x0, &buf).unwrap();
+        let g5 = fab2.add_device("g5", PcieLinkConfig::nvme_gen5_x4());
+        fab2.map_region(g5, AddrRange::new(0x0, 0x100000), scratch("t5"));
+        let b = fab2
+            .write(&mut en2, SimTime::ZERO, HOST_NODE, 0x0, buf)
+            .unwrap();
         assert!(b < a, "gen5 {b} should beat gen4 {a}");
-        let _ = (g5, PcieGen::Gen5);
     }
 }

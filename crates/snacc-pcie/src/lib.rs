@@ -14,10 +14,9 @@
 //!   BARs) are registered in one global address map; `read`/`write` route a
 //!   transaction over the involved links, book their bandwidth, apply the
 //!   IOMMU, and functionally move the bytes to/from the registered
-//!   [`target::MmioTarget`]. Reads and writes each have one transaction
-//!   body; the byte (`read`/`write`) and zero-copy
-//!   (`read_payload_at`/`write_payload_at`) entry points differ only in
-//!   how the target serves the access.
+//!   [`target::MmioTarget`]. A transaction carries its bytes as a
+//!   [`snacc_sim::Payload`] both ways: the fabric has one read and one
+//!   write entry point, and `read_u32`/`write_u32` for registers.
 //! * [`iommu::Iommu`] — permission table for device-initiated accesses
 //!   (the paper notes P2P requires IOMMU grants; Sec 4).
 //!

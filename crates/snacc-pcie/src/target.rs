@@ -13,85 +13,45 @@ use snacc_sim::{Engine, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// A memory-mapped region reachable through the PCIe fabric.
+/// A memory-mapped region reachable through the PCIe fabric. Bytes cross
+/// it only as [`Payload`]s: memory-backed targets hand out and retain
+/// zero-copy windows of their segment store, and synthesising targets
+/// (register files, PRP windows) build a fresh payload per read.
 pub trait MmioTarget {
-    /// Target name for traces and error messages.
-    fn name(&self) -> &str;
-
-    /// Serve a read of `out.len()` bytes at `offset` within the region.
-    /// `arrival` is when the request reaches the target; the return value
-    /// is the service latency before the completion data starts back.
+    /// Serve a read of `len` bytes at `offset` within the region.
+    /// `arrival` is when the request reaches the target; the returned
+    /// duration is the service latency before the completion data starts
+    /// back.
     fn read(
         &mut self,
         en: &mut Engine,
         arrival: SimTime,
         offset: u64,
-        out: &mut [u8],
-    ) -> SimDuration;
+        len: usize,
+    ) -> (Payload, SimDuration);
 
     /// Absorb a write of `data` at `offset`. Returns the service latency.
-    fn write(&mut self, en: &mut Engine, arrival: SimTime, offset: u64, data: &[u8])
-        -> SimDuration;
-
-    /// Serve a read of `len` bytes at `offset` as a zero-copy [`Payload`].
-    /// The default materialises through [`read`](Self::read); memory-backed
-    /// targets override it to hand out views of their segment store.
-    fn read_payload(
-        &mut self,
-        en: &mut Engine,
-        arrival: SimTime,
-        offset: u64,
-        len: usize,
-    ) -> (Payload, SimDuration) {
-        let mut buf = vec![0u8; len];
-        let lat = self.read(en, arrival, offset, &mut buf);
-        (Payload::from_vec(buf), lat)
-    }
-
-    /// Absorb a write of a [`Payload`] at `offset`. The default
-    /// materialises through [`write`](Self::write); memory-backed targets
-    /// override it to retain the window without copying.
-    fn write_payload(
+    fn write(
         &mut self,
         en: &mut Engine,
         arrival: SimTime,
         offset: u64,
         data: Payload,
-    ) -> SimDuration {
-        self.write(en, arrival, offset, data.as_slice())
-    }
+    ) -> SimDuration;
 }
 
-/// Host DRAM exposed as a fabric target.
-pub struct HostMemTarget {
-    mem: Rc<RefCell<HostMemory>>,
-    /// Physical base address of the mapped window (offsets are absolute
-    /// host-physical addresses minus this base).
-    base: u64,
-}
-
-impl HostMemTarget {
-    /// Map host memory at physical base `base`.
-    pub fn new(mem: Rc<RefCell<HostMemory>>, base: u64) -> Self {
-        HostMemTarget { mem, base }
-    }
-}
-
-impl MmioTarget for HostMemTarget {
-    fn name(&self) -> &str {
-        "host-dram"
-    }
-
+/// Host DRAM, mapped at host-physical address 0: a window offset is the
+/// absolute address.
+impl MmioTarget for HostMemory {
     fn read(
         &mut self,
         _en: &mut Engine,
         arrival: SimTime,
         offset: u64,
-        out: &mut [u8],
-    ) -> SimDuration {
-        let mut m = self.mem.borrow_mut();
-        let done = m.read(arrival, self.base + offset, out);
-        done.since(arrival)
+        len: usize,
+    ) -> (Payload, SimDuration) {
+        let (p, done) = self.read_payload(arrival, offset, len);
+        (p, done.since(arrival))
     }
 
     fn write(
@@ -99,65 +59,23 @@ impl MmioTarget for HostMemTarget {
         _en: &mut Engine,
         arrival: SimTime,
         offset: u64,
-        data: &[u8],
+        data: Payload,
     ) -> SimDuration {
-        let mut m = self.mem.borrow_mut();
-        let done = m.write(arrival, self.base + offset, data);
-        done.since(arrival)
+        self.write_payload(arrival, offset, data).since(arrival)
     }
+}
 
-    fn read_payload(
+/// A URAM buffer behind an FPGA BAR window based at its address 0.
+impl MmioTarget for UramModel {
+    fn read(
         &mut self,
         _en: &mut Engine,
         arrival: SimTime,
         offset: u64,
         len: usize,
     ) -> (Payload, SimDuration) {
-        let mut m = self.mem.borrow_mut();
-        let (p, done) = m.read_payload(arrival, self.base + offset, len);
+        let (p, done) = self.read_payload(arrival, offset, len);
         (p, done.since(arrival))
-    }
-
-    fn write_payload(
-        &mut self,
-        _en: &mut Engine,
-        arrival: SimTime,
-        offset: u64,
-        data: Payload,
-    ) -> SimDuration {
-        let mut m = self.mem.borrow_mut();
-        let done = m.write_payload(arrival, self.base + offset, data);
-        done.since(arrival)
-    }
-}
-
-/// A URAM buffer exposed through an FPGA BAR window.
-pub struct UramTarget {
-    uram: Rc<RefCell<UramModel>>,
-}
-
-impl UramTarget {
-    /// Wrap a shared URAM model.
-    pub fn new(uram: Rc<RefCell<UramModel>>) -> Self {
-        UramTarget { uram }
-    }
-}
-
-impl MmioTarget for UramTarget {
-    fn name(&self) -> &str {
-        "uram-bar"
-    }
-
-    fn read(
-        &mut self,
-        _en: &mut Engine,
-        arrival: SimTime,
-        offset: u64,
-        out: &mut [u8],
-    ) -> SimDuration {
-        let mut u = self.uram.borrow_mut();
-        let done = u.read(arrival, offset, out);
-        done.since(arrival)
     }
 
     fn write(
@@ -165,35 +83,9 @@ impl MmioTarget for UramTarget {
         _en: &mut Engine,
         arrival: SimTime,
         offset: u64,
-        data: &[u8],
-    ) -> SimDuration {
-        let mut u = self.uram.borrow_mut();
-        let done = u.write(arrival, offset, data);
-        done.since(arrival)
-    }
-
-    fn read_payload(
-        &mut self,
-        _en: &mut Engine,
-        arrival: SimTime,
-        offset: u64,
-        len: usize,
-    ) -> (Payload, SimDuration) {
-        let mut u = self.uram.borrow_mut();
-        let (p, done) = u.read_payload(arrival, offset, len);
-        (p, done.since(arrival))
-    }
-
-    fn write_payload(
-        &mut self,
-        _en: &mut Engine,
-        arrival: SimTime,
-        offset: u64,
         data: Payload,
     ) -> SimDuration {
-        let mut u = self.uram.borrow_mut();
-        let done = u.write_payload(arrival, offset, data);
-        done.since(arrival)
+        self.write_payload(arrival, offset, data).since(arrival)
     }
 }
 
@@ -212,35 +104,7 @@ impl DramTarget {
 }
 
 impl MmioTarget for DramTarget {
-    fn name(&self) -> &str {
-        "onboard-dram-bar"
-    }
-
     fn read(
-        &mut self,
-        _en: &mut Engine,
-        arrival: SimTime,
-        offset: u64,
-        out: &mut [u8],
-    ) -> SimDuration {
-        let mut d = self.dram.borrow_mut();
-        let done = d.read(arrival, self.window_base + offset, out);
-        done.since(arrival)
-    }
-
-    fn write(
-        &mut self,
-        _en: &mut Engine,
-        arrival: SimTime,
-        offset: u64,
-        data: &[u8],
-    ) -> SimDuration {
-        let mut d = self.dram.borrow_mut();
-        let done = d.write(arrival, self.window_base + offset, data);
-        done.since(arrival)
-    }
-
-    fn read_payload(
         &mut self,
         _en: &mut Engine,
         arrival: SimTime,
@@ -252,7 +116,7 @@ impl MmioTarget for DramTarget {
         (p, done.since(arrival))
     }
 
-    fn write_payload(
+    fn write(
         &mut self,
         _en: &mut Engine,
         arrival: SimTime,
@@ -277,6 +141,11 @@ pub type WriteHook = Box<dyn FnMut(&mut Engine, u64, &[u8], SimTime)>;
 /// bytes": NVMe completion queues use it so consumers (the streamer's
 /// reorder buffer, the SPDK reactor) wake without dense polling events;
 /// consumers add their own reaction latency to model polling granularity.
+///
+/// A small write (a CQE, a doorbell, a register) arrives as a fresh
+/// payload that nothing else holds; the segment store copies it in place
+/// when one segment it holds alone covers the span, so a ring rewritten
+/// slot by slot keeps one segment per ring.
 pub struct ScratchTarget {
     name: String,
     mem: SegmentMemory,
@@ -295,6 +164,11 @@ impl ScratchTarget {
         }
     }
 
+    /// The region's name, as given at construction.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
     /// Install (or replace) the write hook.
     pub fn set_hook(&mut self, hook: WriteHook) {
         self.hook = Some(hook);
@@ -307,36 +181,7 @@ impl ScratchTarget {
 }
 
 impl MmioTarget for ScratchTarget {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
     fn read(
-        &mut self,
-        _en: &mut Engine,
-        _arrival: SimTime,
-        offset: u64,
-        out: &mut [u8],
-    ) -> SimDuration {
-        self.mem.read(offset, out);
-        self.latency
-    }
-
-    fn write(
-        &mut self,
-        en: &mut Engine,
-        arrival: SimTime,
-        offset: u64,
-        data: &[u8],
-    ) -> SimDuration {
-        self.mem.write(offset, data);
-        if let Some(hook) = &mut self.hook {
-            hook(en, offset, data, arrival + self.latency);
-        }
-        self.latency
-    }
-
-    fn read_payload(
         &mut self,
         _en: &mut Engine,
         _arrival: SimTime,
@@ -346,7 +191,7 @@ impl MmioTarget for ScratchTarget {
         (self.mem.read_payload(offset, len), self.latency)
     }
 
-    fn write_payload(
+    fn write(
         &mut self,
         en: &mut Engine,
         arrival: SimTime,
@@ -372,15 +217,14 @@ mod tests {
     fn scratch_roundtrip() {
         let mut en = Engine::new();
         let mut t = ScratchTarget::new("regs", SimDuration::from_ns(50));
-        let lat = t.write(&mut en, SimTime::ZERO, 0x10, b"abcd");
+        let lat = t.write(&mut en, SimTime::ZERO, 0x10, Payload::from(b"abcd"));
         assert_eq!(lat, SimDuration::from_ns(50));
-        let mut out = [0u8; 4];
-        t.read(&mut en, SimTime::ZERO, 0x10, &mut out);
-        assert_eq!(&out, b"abcd");
+        let (out, _) = t.read(&mut en, SimTime::ZERO, 0x10, 4);
+        assert_eq!(out, b"abcd"[..]);
     }
 
     #[test]
-    fn scratch_hook_fires_once_per_write_on_both_paths() {
+    fn scratch_hook_fires_once_per_write() {
         let mut en = Engine::new();
         let mut t = ScratchTarget::new("cq", SimDuration::from_ns(60));
         let seen = Rc::new(RefCell::new(Vec::new()));
@@ -390,8 +234,8 @@ mod tests {
         }));
         let arrival = SimTime::ZERO + SimDuration::from_ns(1000);
         let done = arrival + SimDuration::from_ns(60);
-        t.write(&mut en, arrival, 0x10, b"cqe0");
-        t.write_payload(&mut en, arrival, 0x20, Payload::from_vec(b"cqe1".to_vec()));
+        t.write(&mut en, arrival, 0x10, Payload::from(b"cqe0"));
+        t.write(&mut en, arrival, 0x20, Payload::from_vec(b"cqe1".to_vec()));
         assert_eq!(
             *seen.borrow(),
             [
@@ -406,25 +250,20 @@ mod tests {
     fn scratch_payload_writes_stay_lazy() {
         let mut en = Engine::new();
         let mut t = ScratchTarget::new("bar", SimDuration::from_ns(250));
-        t.write_payload(&mut en, SimTime::ZERO, 0, Payload::fill(0xab, 1 << 20));
-        let (p, _) = t.read_payload(&mut en, SimTime::ZERO, 4096, 8);
+        t.write(&mut en, SimTime::ZERO, 0, Payload::fill(0xab, 1 << 20));
+        let (p, _) = t.read(&mut en, SimTime::ZERO, 4096, 8);
         assert_eq!(p, vec![0xab; 8]);
         assert_eq!(t.mem_mut().backing_bytes(), 0);
     }
 
     #[test]
-    fn uram_target_moves_bytes() {
+    fn uram_model_moves_bytes() {
         let mut en = Engine::new();
-        let uram = Rc::new(RefCell::new(UramModel::new(
-            "u",
-            UramConfig::snacc_default(),
-        )));
-        let mut t = UramTarget::new(uram.clone());
-        t.write(&mut en, SimTime::ZERO, 4096, b"hello");
-        let mut out = [0u8; 5];
-        t.read(&mut en, SimTime::ZERO, 4096, &mut out);
-        assert_eq!(&out, b"hello");
-        assert_eq!(uram.borrow().bytes_written(), 5);
+        let mut u = UramModel::new("u", UramConfig::snacc_default());
+        u.write(&mut en, SimTime::ZERO, 4096, Payload::from(b"hello"));
+        let (out, _) = u.read(&mut en, SimTime::ZERO, 4096, 5);
+        assert_eq!(out, b"hello"[..]);
+        assert_eq!(u.bytes_written(), 5);
     }
 
     #[test]
@@ -435,17 +274,16 @@ mod tests {
             DramConfig::ddr4_u280(),
         )));
         let mut t = DramTarget::new(dram.clone(), 0x100_0000);
-        t.write(&mut en, SimTime::ZERO, 0, b"xy");
+        t.write(&mut en, SimTime::ZERO, 0, Payload::from(b"xy"));
         let got = dram.borrow_mut().store_mut().read_vec(0x100_0000, 2);
         assert_eq!(got, b"xy");
     }
 
     #[test]
-    fn hostmem_target_absolute_addresses() {
+    fn hostmem_absolute_addresses() {
         let mut en = Engine::new();
-        let mem = Rc::new(RefCell::new(HostMemory::default()));
-        let mut t = HostMemTarget::new(mem.clone(), 0);
-        t.write(&mut en, SimTime::ZERO, 0x5000, b"zz");
-        assert_eq!(mem.borrow_mut().store_mut().read_vec(0x5000, 2), b"zz");
+        let mut mem = HostMemory::default();
+        mem.write(&mut en, SimTime::ZERO, 0x5000, Payload::from(b"zz"));
+        assert_eq!(mem.store_mut().read_vec(0x5000, 2), b"zz");
     }
 }

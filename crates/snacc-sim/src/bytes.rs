@@ -260,6 +260,17 @@ impl Payload {
         }
     }
 
+    /// True when this handle is the only one on a materialised buffer: no
+    /// clone, slice or store shares its bytes, so copying them out and
+    /// dropping the handle frees the buffer. Lazy pattern and fill windows
+    /// are never unique.
+    pub fn is_unique(&self) -> bool {
+        match &self.repr {
+            Repr::Bytes(b) => Rc::strong_count(b) == 1 && Rc::weak_count(b) == 0,
+            Repr::Pattern(_) | Repr::Fill(_) => false,
+        }
+    }
+
     /// The materialised byte buffer behind this window, as `(identity,
     /// buffer length)`: every window of one buffer reports the same
     /// identity, so callers can count shared buffers once. `None` for
@@ -366,6 +377,70 @@ impl PayloadQueue {
         }
         Payload::concat(&parts)
     }
+
+    /// Drop the front `n` bytes without gathering them (whole segments
+    /// are popped, a straddled one is re-sliced). Panics if fewer than `n`
+    /// bytes are buffered.
+    pub fn skip(&mut self, n: usize) {
+        assert!(
+            n <= self.len,
+            "skip({n}) out of bounds for {} bytes",
+            self.len
+        );
+        self.len -= n;
+        let mut need = n;
+        while need > 0 {
+            let front = self.segs.front_mut().expect("len accounted");
+            if front.len() > need {
+                *front = front.slice(need..front.len());
+                return;
+            }
+            need -= front.len();
+            self.segs.pop_front();
+        }
+    }
+
+    /// Offset of the first occurrence of `needle` in the buffered stream,
+    /// scanning segment by segment: a match straddling segments is found
+    /// through a carry of the previous `needle.len() - 1` bytes, and
+    /// nothing is concatenated.
+    pub fn find(&self, needle: &[u8]) -> Option<usize> {
+        let k = needle.len();
+        if k == 0 {
+            return Some(0);
+        }
+        // The stream's last `k - 1` bytes before the current segment.
+        let mut carry: Vec<u8> = Vec::with_capacity(2 * k);
+        let mut base = 0usize;
+        for seg in &self.segs {
+            let s = seg.as_slice();
+            // Matches that start in the carry and end in this segment.
+            let carry_start = base - carry.len();
+            carry.extend_from_slice(&s[..s.len().min(k - 1)]);
+            if let Some(p) = position_of(&carry, needle) {
+                return Some(carry_start + p);
+            }
+            if let Some(p) = position_of(s, needle) {
+                return Some(base + p);
+            }
+            if s.len() >= k - 1 {
+                carry.clear();
+                carry.extend_from_slice(&s[s.len() - (k - 1)..]);
+            } else {
+                carry.drain(..carry.len().saturating_sub(k - 1));
+            }
+            base += s.len();
+        }
+        None
+    }
+}
+
+/// First index of a non-empty `needle` in `hay`. Testing the first byte
+/// before the whole window keeps the scan from calling a slice compare at
+/// every offset.
+fn position_of(hay: &[u8], needle: &[u8]) -> Option<usize> {
+    hay.windows(needle.len())
+        .position(|w| w[0] == needle[0] && w == needle)
 }
 
 fn same_backing(a: &Repr, b: &Repr) -> bool {
@@ -404,21 +479,26 @@ impl From<Vec<u8>> for Payload {
     }
 }
 
+/// Copies the bytes once, straight into the shared backing.
 impl From<&[u8]> for Payload {
     fn from(b: &[u8]) -> Payload {
-        Payload::from_vec(b.to_vec())
+        Payload {
+            repr: Repr::Bytes(Rc::from(b)),
+            off: 0,
+            len: b.len(),
+        }
     }
 }
 
 impl<const N: usize> From<[u8; N]> for Payload {
     fn from(b: [u8; N]) -> Payload {
-        Payload::from_vec(b.to_vec())
+        Payload::from(&b[..])
     }
 }
 
 impl<const N: usize> From<&[u8; N]> for Payload {
     fn from(b: &[u8; N]) -> Payload {
-        Payload::from_vec(b.to_vec())
+        Payload::from(&b[..])
     }
 }
 
@@ -584,14 +664,17 @@ mod tests {
     #[test]
     fn overwrite_unique_only_touches_unshared_bytes() {
         let mut p = Payload::from_vec(vec![1u8; 16]).slice(4..12);
+        assert!(p.is_unique());
         assert!(p.overwrite_unique(2, &[9, 9]));
         assert_eq!(p, vec![1, 1, 9, 9, 1, 1, 1, 1]);
         // A second handle on the buffer blocks the write.
         let held = p.slice(0..8);
+        assert!(!p.is_unique());
         assert!(!p.overwrite_unique(0, &[7]));
         assert_eq!(held, p);
         assert_eq!(p[0], 1);
         // Lazy windows never materialise to take a write.
+        assert!(!Payload::fill(0, 8).is_unique());
         assert!(!Payload::fill(0, 8).overwrite_unique(0, &[7]));
         assert!(!Payload::pattern(3, 8).overwrite_unique(0, &[7]));
     }
@@ -656,6 +739,42 @@ mod tests {
         let head = q.take(3);
         q.push_front(head);
         assert_eq!(q.take(5).to_vec(), vec![1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn queue_find_catches_a_match_straddling_segments() {
+        // A stream of junk with one magic, cut into segments at every
+        // point around it (and into one-byte segments): `find` must agree
+        // with a flat `windows(4)` scan, and `skip` to it must leave the
+        // magic in front.
+        let magic = [0x53, 0x4e, 0x41, 0x43];
+        let mut flat: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(7)).collect();
+        flat.splice(21..21, magic);
+        let want = flat.windows(4).position(|w| w == magic);
+        assert_eq!(want, Some(21));
+        let cuts: Vec<Vec<usize>> = (18..27)
+            .map(|c| vec![c])
+            .chain([
+                vec![22, 23],
+                vec![10, 22, 24, 30],
+                (1..flat.len()).collect(),
+            ])
+            .collect();
+        for cut in cuts {
+            let mut q = PayloadQueue::new();
+            let mut from = 0;
+            for &c in cut.iter().chain([&flat.len()]) {
+                q.push_back(Payload::from(&flat[from..c]));
+                from = c;
+            }
+            assert_eq!(q.find(&magic), want, "cut at {cut:?}");
+            q.skip(21);
+            assert_eq!(q.len(), flat.len() - 21);
+            assert_eq!(q.take(4).to_vec(), magic, "cut at {cut:?}");
+        }
+        let mut q = PayloadQueue::new();
+        q.push_back(Payload::from(&flat[..23]));
+        assert_eq!(q.find(&magic), None, "a partial magic is no match");
     }
 
     #[test]

@@ -92,11 +92,10 @@ fn ooo_extension_roundtrip() {
         sys.en.run();
     }
     while axis::pop(&ports.wr_resp, &mut sys.en).is_some() {}
-    for (i, &a) in addrs.iter().enumerate() {
+    for &a in &addrs {
         // Last write to a colliding address wins; recompute expectation
         // from the address order.
         let expect = addrs.iter().rposition(|&x| x == a).unwrap() as u8 + 1;
-        let _ = i;
         axis::push(&ports.rd_cmd, &mut sys.en, encode_read_cmd(a, 4096));
         let mut page = Vec::new();
         loop {
