@@ -5,8 +5,14 @@
 //! deterministic images with real pixel structure (smooth gradients plus
 //! a class-dependent pattern) so the downscaler and classifier operate on
 //! meaningful data and classifications are reproducible.
+//!
+//! Every frame of a class carries the same bytes, so each thread keeps one
+//! class-image table: per class the body ([`class_body`]), its content key
+//! and its class, generated (or taken from [`fill_class_table`]) and
+//! classified once, and shared by every configuration the thread runs.
 
-use snacc_sim::SimRng;
+use snacc_sim::{Payload, SimRng};
+use std::cell::OnceCell;
 
 /// The case-study capture format: 2048×1536, 3 bytes/pixel = 9 MiB·0.9…
 /// exactly 9,437,184 B; 16384 frames = 147.0 GB as in the paper.
@@ -94,7 +100,8 @@ pub fn generate_image(fmt: ImageFormat, id: u64) -> (ImageHeader, Vec<u8>) {
     let truth = (id % NUM_CLASSES as u64) as u32;
     let mut px = vec![0u8; fmt.bytes()];
     // Noise is keyed by class so frames of one class are bit-identical —
-    // the wire sender caches one body per class and patches headers.
+    // the class table holds one body per class and the sender patches
+    // headers.
     let mut rng = SimRng::new(truth as u64 ^ 0x1417_beef);
     let w = fmt.width as usize;
     let h = fmt.height as usize;
@@ -194,6 +201,99 @@ pub fn classify(img: &[u8], fmt: ImageFormat) -> u32 {
     (class as u32).min(NUM_CLASSES - 1)
 }
 
+/// Cheap content key of an image (samples it): the class table and the
+/// database controller's memo key images by it. Walks the segments in
+/// place — hashing never concatenates them. The
+/// sample points and hash are identical to running FNV over every
+/// `step`-th byte of the flat image.
+pub(crate) fn content_key(segs: &[Payload], total: usize) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let step = (total / 512).max(1);
+    let mut next = 0usize; // next flat index to sample
+    let mut base = 0usize; // flat index of the current segment's start
+    for seg in segs {
+        let end = base + seg.len();
+        let s = seg.as_slice();
+        while next < end {
+            h ^= s[next - base] as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            next += step;
+        }
+        base = end;
+    }
+    h ^ total as u64
+}
+
+/// One class's entry in the class-image table.
+#[derive(Clone, Debug)]
+pub(crate) struct ClassImage {
+    /// The capture body every frame of the class carries
+    /// (`generate_image(capture, class).1`).
+    pub(crate) body: Payload,
+    /// The body's content key, as the database controller keys a received
+    /// image.
+    pub(crate) key: u64,
+    /// The class the downscaler and classifier PEs assign the body.
+    pub(crate) class: u32,
+}
+
+impl ClassImage {
+    fn new(body: Payload) -> ClassImage {
+        let (cap, cls) = (ImageFormat::capture(), ImageFormat::classify());
+        ClassImage {
+            key: content_key(std::slice::from_ref(&body), body.len()),
+            class: classify(&downscale(&body, cap, cls), cls),
+            body,
+        }
+    }
+}
+
+thread_local! {
+    /// This thread's class-image table, indexed by class; an entry is
+    /// built on the first use of its class. It is per thread because the
+    /// simulation crates stay free of synchronisation; a multi-threaded
+    /// caller shares one set of bodies through [`fill_class_table`].
+    static CLASS_TABLE: [OnceCell<ClassImage>; NUM_CLASSES as usize] =
+        const { [const { OnceCell::new() }; NUM_CLASSES as usize] };
+}
+
+/// The table entry of `class`, built over `body()` unless it is built
+/// already; `None` for a class past [`NUM_CLASSES`].
+fn entry(class: u32, body: impl FnOnce() -> Payload) -> Option<ClassImage> {
+    CLASS_TABLE.with(|t| {
+        let cell = t.get(class as usize)?;
+        Some(cell.get_or_init(|| ClassImage::new(body())).clone())
+    })
+}
+
+/// The table entry of `class`, generating and classifying its image on
+/// this thread's first use of the class. `None` for a class past
+/// [`NUM_CLASSES`].
+pub(crate) fn class_image(class: u32) -> Option<ClassImage> {
+    entry(class, || {
+        Payload::from_vec(generate_image(ImageFormat::capture(), u64::from(class)).1)
+    })
+}
+
+/// The capture body of `class`: every call returns a window of the same
+/// buffer. Panics for a class past [`NUM_CLASSES`].
+pub fn class_body(class: u32) -> Payload {
+    class_image(class)
+        .unwrap_or_else(|| panic!("class {class} out of range"))
+        .body
+}
+
+/// Build this thread's table over bodies that live for the whole process
+/// (`bodies[c]` is class `c`'s capture body, as [`generate_image`] makes
+/// it), so the thread generates none; it still classifies them. Entries
+/// the thread built already are kept: their bytes are the same.
+pub fn fill_class_table(bodies: &[&'static [u8]]) {
+    assert_eq!(bodies.len(), NUM_CLASSES as usize, "one body per class");
+    for (class, &body) in (0..).zip(bodies) {
+        entry(class, || Payload::from_static(body));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,5 +362,48 @@ mod tests {
         // The tiny model needn't be perfect — MobileNet-V1 isn't either —
         // but it must be far above chance (10 classes).
         assert!(correct >= n * 6 / 10, "only {correct}/{n} correct");
+    }
+
+    #[test]
+    fn class_table_body_is_the_generated_image() {
+        // Byte for byte the generator's body, and every call a window of
+        // one buffer.
+        let (_, px) = generate_image(ImageFormat::capture(), 4);
+        let a = class_body(4);
+        assert!(a == px, "class 4 body differs from generate_image");
+        let b = class_body(4);
+        assert!(a.owned_backing().is_some());
+        assert_eq!(a.owned_backing(), b.owned_backing());
+        assert!(class_image(NUM_CLASSES).is_none());
+    }
+
+    #[test]
+    fn class_table_entry_is_what_the_pipeline_computes() {
+        let (cap, cls) = (ImageFormat::capture(), ImageFormat::classify());
+        let e = class_image(6).expect("class 6");
+        assert_eq!(e.class, classify(&downscale(&e.body, cap, cls), cls));
+        // The key of the body received as 8 KiB frames is the table's.
+        let frames: Vec<Payload> = (0..e.body.len())
+            .step_by(8192)
+            .map(|o| e.body.slice(o..e.body.len().min(o + 8192)))
+            .collect();
+        assert_eq!(content_key(&frames, e.body.len()), e.key);
+    }
+
+    #[test]
+    fn filled_table_holds_the_static_bodies() {
+        // Each test runs on a thread of its own, so this table starts
+        // empty: filling it makes every entry a window of the given bytes.
+        let bytes = ImageFormat::capture().bytes();
+        let flat: &'static [u8] = Box::leak(vec![0u8; bytes].into_boxed_slice());
+        fill_class_table(&[flat; NUM_CLASSES as usize]);
+        let e = class_image(2).expect("class 2");
+        assert_eq!(
+            e.body.owned_backing(),
+            Some((flat.as_ptr() as usize, bytes))
+        );
+        assert!(!e.body.is_unique());
+        let (cap, cls) = (ImageFormat::capture(), ImageFormat::classify());
+        assert_eq!(e.class, classify(&downscale(flat, cap, cls), cls));
     }
 }

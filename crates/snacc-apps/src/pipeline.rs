@@ -13,7 +13,8 @@
 //! the GPU reference ([`crate::gpu`]).
 
 use crate::images::{
-    classify, downscale, generate_image, ImageFormat, ImageHeader, HEADER_BYTES, IMAGE_MAGIC,
+    class_body, class_image, classify, content_key, downscale, ImageFormat, ImageHeader,
+    HEADER_BYTES, IMAGE_MAGIC, NUM_CLASSES,
 };
 use snacc_core::streamer::UserPorts;
 use snacc_faults::FaultPlan;
@@ -189,7 +190,8 @@ pub struct DbController<S: CaseSink> {
     /// Images queued at the classifier (bounded FIFO).
     classifier_queue: usize,
     classifier_free_at: SimTime,
-    /// Memoised classification by image-content key.
+    /// Memoised classification by image-content key, for images whose
+    /// content is no class image (damaged by a fault campaign).
     memo: HashMap<u64, u32>,
     /// Packed records awaiting a page flush.
     record_page: Vec<u8>,
@@ -416,12 +418,16 @@ impl<S: CaseSink + 'static> DbController<S> {
                 let tee = std::mem::take(&mut c.tee);
                 let tee_len = std::mem::take(&mut c.tee_len);
                 let key = content_key(&tee, tee_len);
-                let class = match c.memo.get(&key) {
-                    Some(&cl) => cl,
+                // An intact image is its class's table image: same key.
+                let known = class_image(hdr.truth)
+                    .filter(|e| e.key == key)
+                    .map(|e| e.class);
+                let class = match known.or_else(|| c.memo.get(&key).copied()) {
+                    Some(cl) => cl,
                     None => {
-                        // Memo miss (once per distinct image content): the
-                        // downscaler needs contiguous bytes, so materialise
-                        // here — adjacent segments merge zero-copy.
+                        // Memo miss (once per distinct damaged content):
+                        // the downscaler needs contiguous bytes, so
+                        // materialise here.
                         let img = Payload::concat(&tee);
                         let small =
                             downscale(&img, ImageFormat::capture(), ImageFormat::classify());
@@ -504,28 +510,6 @@ impl<S: CaseSink + 'static> DbController<S> {
     }
 }
 
-/// Cheap content key for classification memoisation (samples the image).
-/// Walks the tee's segments in place — hashing never concatenates them.
-/// The sample points and hash are identical to running FNV over every
-/// `step`-th byte of the flat image.
-fn content_key(segs: &[Payload], total: usize) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let step = (total / 512).max(1);
-    let mut next = 0usize; // next flat index to sample
-    let mut base = 0usize; // flat index of the current segment's start
-    for seg in segs {
-        let end = base + seg.len();
-        let s = seg.as_slice();
-        while next < end {
-            h ^= s[next - base] as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            next += step;
-        }
-        base = end;
-    }
-    h ^ total as u64
-}
-
 /// The Ethernet image source: a second FPGA streaming frames at line rate
 /// (paper Sec 6.1: "sent by another FPGA as transmitter in our setup").
 pub struct ImageSender {
@@ -535,11 +519,9 @@ pub struct ImageSender {
     cfg: CaseStudyConfig,
     next_id: u64,
     /// (header bytes, body bytes, position) of the current image. The
-    /// header is per-image; the body is the shared per-class pattern, so
-    /// frames after the first are zero-copy windows of the cache.
+    /// header is per-image; the body is the class table's, so frames after
+    /// the first are zero-copy windows of it.
     current: Option<(Payload, Payload, usize)>,
-    /// Per-class cached image bodies.
-    cache: HashMap<u64, Payload>,
     pub finished_at: Option<SimTime>,
 }
 
@@ -557,7 +539,6 @@ impl ImageSender {
             cfg,
             next_id: 0,
             current: None,
-            cache: HashMap::new(),
             finished_at: None,
         }));
         let s2 = s.clone();
@@ -574,21 +555,18 @@ impl ImageSender {
             .expect("image sender -> MAC: the MAC was dropped")
     }
 
-    fn wire_image(&mut self, id: u64) -> (Payload, Payload) {
-        let class = id % crate::images::NUM_CLASSES as u64;
-        let body = self.cache.entry(class).or_insert_with(|| {
-            let (_, px) = generate_image(ImageFormat::capture(), class);
-            Payload::from_vec(px)
-        });
-        // Header is per-image; body is the cached class pattern. The
-        // generator keys its pattern (and truth) on id % classes, so the
-        // cached body is bit-identical to generate_image(id).
+    fn wire_image(id: u64) -> (Payload, Payload) {
+        let class = (id % NUM_CLASSES as u64) as u32;
+        // Header is per-image; body is the class table's. The generator
+        // keys its pattern (and truth) on id % classes, so the table body
+        // is bit-identical to generate_image(id).
+        let body = class_body(class);
         let hdr = ImageHeader {
             id,
             len: body.len() as u32,
-            truth: class as u32,
+            truth: class,
         };
-        (Payload::from(hdr.encode()), body.clone())
+        (Payload::from(hdr.encode()), body)
     }
 
     /// Push frames while the MAC accepts them.
@@ -605,7 +583,7 @@ impl ImageSender {
                     }
                     let id = s.next_id;
                     s.next_id += 1;
-                    let (hdr, body) = s.wire_image(id);
+                    let (hdr, body) = Self::wire_image(id);
                     s.current = Some((hdr, body, 0));
                 }
                 let (hdr, body, pos) = s.current.clone().expect("current set");
@@ -819,6 +797,7 @@ pub fn run_snacc_case_study(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::images::generate_image;
     use crate::system::{SnaccSystem, SystemConfig};
     use snacc_core::config::StreamerVariant;
 
@@ -880,6 +859,31 @@ mod tests {
             "every injected fault is retried or given up"
         );
         assert!(m.recovered.get() > 0, "retries must recover commands");
+    }
+
+    #[test]
+    fn back_to_back_case_studies_on_one_thread_agree() {
+        // The second run finds the class table the first one built; what
+        // it stores and reports must not change.
+        let run = || {
+            let mut sys = SnaccSystem::bring_up(SystemConfig::snacc(StreamerVariant::Uram));
+            let cfg = CaseStudyConfig {
+                images: 6,
+                ..Default::default()
+            };
+            sys.reset_pcie_meters();
+            let start = sys.en.now();
+            let sink = StreamerSink::new(&mut sys.en, sys.streamer.ports());
+            let (ctl, _link) = run_case_study_front(&mut sys.en, cfg, sink, None);
+            sys.en.run();
+            let elapsed = sys.en.now().since(start);
+            let c = ctl.borrow();
+            let report = c.report(elapsed, sys.pcie_bytes(), &sys.nvme, &sys.hostmem);
+            (c.records.clone(), format!("{report:?}"))
+        };
+        let first = run();
+        assert_eq!(first.0.len(), 6);
+        assert_eq!(run(), first);
     }
 
     #[test]

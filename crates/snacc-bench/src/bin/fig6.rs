@@ -7,7 +7,7 @@ use snacc_apps::pipeline::{run_snacc_case_study, CaseStudyConfig};
 use snacc_apps::spdk_ref::run_spdk_case_study;
 use snacc_apps::system::{SnaccSystem, SystemConfig};
 use snacc_bench::sweep::{self, JobOutput};
-use snacc_bench::workloads::{record_backing_bytes, FaultSummary};
+use snacc_bench::workloads::{record_backing_bytes, share_class_images, FaultSummary};
 use snacc_bench::{print_table, BenchRecord, Telemetry};
 use snacc_core::config::StreamerVariant;
 
@@ -49,6 +49,7 @@ fn main() {
         .map(|(label, job)| {
             let cfg = cfg.clone();
             Box::new(move |log: &mut JobOutput| {
+                share_class_images();
                 let (report, paper) = match job {
                     Cfg::Snacc(v, paper) => {
                         let mut sys = SnaccSystem::bring_up(SystemConfig {

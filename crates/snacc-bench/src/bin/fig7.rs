@@ -8,7 +8,7 @@ use snacc_apps::pipeline::{run_snacc_case_study, CaseStudyConfig};
 use snacc_apps::spdk_ref::run_spdk_case_study;
 use snacc_apps::system::{SnaccSystem, SystemConfig};
 use snacc_bench::sweep::{self, JobOutput};
-use snacc_bench::workloads::record_backing_bytes;
+use snacc_bench::workloads::{record_backing_bytes, share_class_images};
 use snacc_bench::{print_table, BenchRecord, Telemetry};
 use snacc_core::config::StreamerVariant;
 
@@ -54,6 +54,7 @@ fn main() {
         .map(|(label, job, paper_ratio)| {
             let cfg = cfg.clone();
             Box::new(move |log: &mut JobOutput| {
+                share_class_images();
                 let report = match job {
                     Cfg::Snacc(v) => {
                         let mut sys = SnaccSystem::bring_up(SystemConfig::snacc(v));

@@ -9,9 +9,12 @@
 //! observable. The same holds for telemetry: each job records into its
 //! own tracer and metrics registry, merged in job order, so the
 //! `--trace` and `--metrics-json` files of `ext_qd_sweep` and of an
-//! `ext_faults` campaign, and the `--perf-json` event count, do not
-//! depend on the worker count either. A binary that runs no sweep refuses
-//! `--jobs`.
+//! `ext_faults` campaign, the `--metrics-json` file of `fig7`, and the
+//! `--perf-json` event count, do not depend on the worker count either.
+//! fig7's metrics include each configuration's
+//! `mem.*.nand_backing_bytes`, which counts the class bodies its NAND
+//! holds whether its worker's table generated them or shares the
+//! process's one set. A binary that runs no sweep refuses `--jobs`.
 
 use std::path::Path;
 use std::process::Command;
@@ -44,34 +47,42 @@ fn check(exe: &str, table_marker: &str) {
     assert_eq!(err1, err4, "stderr differs between --jobs 1 and --jobs 4");
 }
 
-/// Stdout, the `--trace` and `--metrics-json` files and the `--perf-json`
-/// `events_executed` of `exe <args> --jobs <jobs>`, each with its name.
-fn recorded(exe: &str, jobs: &str, args: &[&str]) -> Vec<(&'static str, String)> {
+/// Stdout, the `--metrics-json` file, the `--perf-json` `events_executed`
+/// and, when `traced`, the `--trace` file of `exe <args> --jobs <jobs>`,
+/// each with its name.
+fn recorded(exe: &str, jobs: &str, args: &[&str], traced: bool) -> Vec<(&'static str, String)> {
     let bin = Path::new(exe).file_name().unwrap().to_string_lossy();
     let dir = std::env::temp_dir().join(format!("snacc-jobs-{bin}-{jobs}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let sinks = "--trace t.json --metrics-json m.json --perf-json p.json".split(' ');
-    let args: Vec<&str> = args.iter().copied().chain(sinks).collect();
+    let trace = if traced { "--trace t.json" } else { "" };
+    let sinks = format!("{trace} --metrics-json m.json --perf-json p.json");
+    let args: Vec<&str> = args
+        .iter()
+        .copied()
+        .chain(sinks.split_whitespace())
+        .collect();
     let (stdout, _) = run(exe, jobs, &args, &dir);
     let read = |f: &str| std::fs::read_to_string(dir.join(f)).expect("export written");
     let perf = serde_json::from_str(&read("p.json")).expect("perf json");
     let events = perf
         .get(&bin)
         .and_then(|r| r.get("events_executed")?.as_u64());
-    let out = vec![
+    let mut out = vec![
         ("stdout", stdout),
-        ("--trace", read("t.json")),
         ("--metrics-json", read("m.json")),
         ("events_executed", events.expect("events").to_string()),
     ];
+    if traced {
+        out.push(("--trace", read("t.json")));
+    }
     std::fs::remove_dir_all(&dir).expect("remove temp dir");
     out
 }
 
-fn check_recorded(exe: &str, args: &[&str]) {
-    let one = recorded(exe, "1", args);
-    assert!(one[1].1.contains("traceEvents") && one[3].1 != "0");
-    for ((what, a), (_, b)) in one.iter().zip(recorded(exe, "4", args)) {
+fn check_recorded(exe: &str, args: &[&str], traced: bool) {
+    let one = recorded(exe, "1", args, traced);
+    assert!(one[2].1 != "0" && (!traced || one[3].1.contains("traceEvents")));
+    for ((what, a), (_, b)) in one.iter().zip(recorded(exe, "4", args, traced)) {
         // `assert!`, not `assert_eq!`: the exports are megabytes.
         assert!(*a == b, "{what} differs between --jobs 1 and --jobs 4");
     }
@@ -110,7 +121,7 @@ fn parallel_case_study_output_is_byte_identical() {
     ignore = "runs GiB-scale sweeps; use --release (CI does)"
 )]
 fn parallel_qd_sweep_telemetry_is_byte_identical() {
-    check_recorded(env!("CARGO_BIN_EXE_ext_qd_sweep"), &[]);
+    check_recorded(env!("CARGO_BIN_EXE_ext_qd_sweep"), &[], true);
 }
 
 #[test]
@@ -120,7 +131,17 @@ fn parallel_qd_sweep_telemetry_is_byte_identical() {
 )]
 fn parallel_campaign_telemetry_is_byte_identical() {
     let plan = concat!(env!("CARGO_MANIFEST_DIR"), "/../../plans/flaky_ssd.toml");
-    check_recorded(env!("CARGO_BIN_EXE_ext_faults"), &["--faults", plan]);
+    check_recorded(env!("CARGO_BIN_EXE_ext_faults"), &["--faults", plan], true);
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "runs GiB-scale sweeps; use --release (CI does)"
+)]
+fn parallel_case_study_telemetry_is_byte_identical() {
+    // Untraced: a quick fig7 `--trace` run peaks near 10 GB of RSS.
+    check_recorded(env!("CARGO_BIN_EXE_fig7"), &[], false);
 }
 
 #[test]

@@ -218,11 +218,9 @@ mod tests {
     use snacc_mem::HostMemory;
     use snacc_nvme::prp::walk_prps;
 
-    fn read_window(t: &mut dyn MmioTarget, addr: u64) -> [u8; 4096] {
+    fn read_window(t: &mut dyn MmioTarget, addr: u64) -> Payload {
         let mut en = Engine::new();
-        let mut page = [0u8; 4096];
-        page.copy_from_slice(&t.read(&mut en, SimTime::ZERO, addr, 4096).0);
-        page
+        t.read(&mut en, SimTime::ZERO, addr, 4096).0
     }
 
     #[test]

@@ -612,47 +612,6 @@ impl StreamerHandle {
             try_issue(&rc, en);
         });
     }
-
-    /// Diagnostic snapshot of internal occupancy (for debugging stalls).
-    pub fn debug_state(&self) -> String {
-        let s = self.inner.borrow();
-        format!(
-            "pending={} rob_len={} rob_inflight={} sq_occ={} rd_ring={}/{} wr_ring={:?} accum={} stream={} xfers={} wr_busy={} issuing={}",
-            s.pending.len(),
-            s.rob.len(),
-            s.rob.inflight_device(),
-            s.sq.occupancy(),
-            s.rd_ring.used(),
-            s.rd_ring.capacity(),
-            s.wr_ring.as_ref().map(|r| (r.used(), r.capacity())),
-            s.accum.is_some(),
-            s.active_stream.is_some(),
-            s.xfers.len(),
-            s.wr_busy,
-            s.issuing,
-        ) + &{
-            let off = s.cq_ring.head_addr() - s.windows.cq.base;
-            let raw = {
-                let mut mem = s.cq_mem.borrow_mut();
-                mem.mem_mut().read_vec(off, 16)
-            };
-            match Cqe::decode(&raw) {
-                Ok(cqe) => format!(
-                    " | cq_head={} cq_phase={} slot_cqe={{cid:{} phase:{} sqhead:{}}}",
-                    s.cq_ring.head(),
-                    s.cq_ring.expected_phase(),
-                    cqe.cid,
-                    cqe.phase,
-                    cqe.sq_head
-                ),
-                Err(e) => format!(
-                    " | cq_head={} cq_phase={} slot_cqe=<{e}>",
-                    s.cq_ring.head(),
-                    s.cq_ring.expected_phase()
-                ),
-            }
-        }
-    }
 }
 
 impl NvmeStreamer {

@@ -124,11 +124,6 @@ impl AxisChannel {
         self.total_bytes
     }
 
-    /// Is at least one complete transfer (ending in TLAST) queued?
-    pub fn has_complete_transfer(&self) -> bool {
-        self.queue.iter().any(|b| b.last)
-    }
-
     /// Install the data-available hook (consumer wake-up).
     pub fn set_data_hook(&mut self, hook: impl FnMut(&mut Engine) + 'static) {
         self.data_hook = Some(Rc::new(RefCell::new(hook)));

@@ -493,24 +493,6 @@ impl NvmeDeviceHandle {
             })
             .unwrap_or_default()
     }
-
-    /// Diagnostic snapshot of queue state (for debugging stalls).
-    pub fn debug_state(&self) -> String {
-        let d = self.inner.borrow();
-        let mut s = format!(
-            "stats={:?} fetch_host={} fetch_p2p={}",
-            d.stats,
-            d.fetch_host.len(),
-            d.fetch_p2p.len()
-        );
-        for (qid, q) in &d.queues {
-            s.push_str(&format!(
-                " | q{qid}: head={} tail={} pumping={}",
-                q.sq_head, q.sq_tail, q.pumping
-            ));
-        }
-        s
-    }
 }
 
 /// Fetch a burst of SQEs and dispatch them; reschedules itself while
@@ -780,9 +762,7 @@ fn resolve_prps(
         {
             Ok((p, t)) => {
                 t_prp = t_prp.max(t);
-                let mut page = [0u8; NVME_PAGE as usize];
-                page.copy_from_slice(&p);
-                Ok(page)
+                Ok(p)
             }
             // Abort the walk at the failed fetch — parsing the stale
             // page would issue further bogus reads.

@@ -14,6 +14,7 @@
 //!   command needs more than 512 entries.
 
 use crate::spec::NVME_PAGE;
+use snacc_sim::Payload;
 
 /// Entries per PRP-list page (4096 / 8).
 pub const ENTRIES_PER_LIST: usize = 512;
@@ -44,8 +45,9 @@ pub enum PrpError {
     /// transfer length — a cyclic or runaway chain. Without this bound a
     /// self-referencing chain entry would walk forever.
     ChainTooLong,
-    /// The memory read fetching a PRP-list page failed (fabric error).
-    /// The walk aborts immediately rather than parsing a garbage page.
+    /// The memory read fetching a PRP-list page failed (fabric error), or
+    /// returned other than one page of bytes. The walk aborts immediately
+    /// rather than parsing a garbage page.
     FetchFailed(u64),
 }
 
@@ -64,14 +66,16 @@ fn le_u64(page: &[u8], off: usize) -> u64 {
 /// Resolve the data-buffer layout of a command.
 ///
 /// `read_list_page(addr)` must return the 4096 bytes of the PRP list page
-/// at `addr` (the device model backs this with a fabric read), or
-/// `Err(PrpError::FetchFailed(addr))` if the read itself failed — the
-/// walk then stops at once instead of interpreting stale bytes.
+/// at `addr` (the device model backs this with a fabric read, and hands
+/// the fetched payload over as it is), or `Err(PrpError::FetchFailed(addr))`
+/// if the read itself failed — the walk then stops at once instead of
+/// interpreting stale bytes. A page of any other length is a failed fetch
+/// too.
 pub fn walk_prps(
     prp1: u64,
     prp2: u64,
     byte_len: u64,
-    mut read_list_page: impl FnMut(u64) -> Result<[u8; NVME_PAGE as usize], PrpError>,
+    mut read_list_page: impl FnMut(u64) -> Result<Payload, PrpError>,
 ) -> Result<Vec<PrpSeg>, PrpError> {
     if byte_len == 0 {
         return Err(PrpError::EmptyTransfer);
@@ -130,6 +134,9 @@ pub fn walk_prps(
         let page_base = list_addr / NVME_PAGE * NVME_PAGE;
         let start_idx = ((list_addr % NVME_PAGE) / 8) as usize;
         let page = read_list_page(page_base)?;
+        if page.len() != NVME_PAGE as usize {
+            return Err(PrpError::FetchFailed(page_base));
+        }
         for idx in start_idx..ENTRIES_PER_LIST {
             let entry = le_u64(&page, idx * 8);
             let pages_left = snacc_sim::ceil_div(remaining, NVME_PAGE);
@@ -249,12 +256,8 @@ mod tests {
     use proptest::prelude::*;
     use snacc_mem::SegmentMemory;
 
-    fn mem_reader(mem: &mut SegmentMemory) -> impl FnMut(u64) -> Result<[u8; 4096], PrpError> + '_ {
-        |addr| {
-            let mut p = [0u8; 4096];
-            mem.read(addr, &mut p);
-            Ok(p)
-        }
+    fn mem_reader(mem: &mut SegmentMemory) -> impl FnMut(u64) -> Result<Payload, PrpError> + '_ {
+        |addr| Ok(mem.read_payload(addr, 4096))
     }
 
     #[test]
@@ -376,6 +379,18 @@ mod tests {
         });
         assert_eq!(r, Err(PrpError::FetchFailed(0xd000)));
         assert_eq!(calls, 1);
+    }
+
+    #[test]
+    fn short_list_page_is_a_failed_fetch() {
+        // A fetch that returns less (or more) than one page is not parsed:
+        // the walk fails at that page instead of reading past its end.
+        for len in [0usize, 8, 4095, 4097] {
+            let r = walk_prps(0x1000, 0xd000, 4 * 4096, |_| {
+                Ok(Payload::from_vec(vec![0x10; len]))
+            });
+            assert_eq!(r, Err(PrpError::FetchFailed(0xd000)), "len {len}");
+        }
     }
 
     #[test]

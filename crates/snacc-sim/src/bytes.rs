@@ -4,7 +4,8 @@
 //! streamer buffer → PCIe → NVMe) used to own a fresh `Vec<u8>`, so a
 //! 4 KiB page was memcpy'd once per layer. [`Payload`] is an immutable,
 //! cheaply-cloneable view into shared bytes: a reference-counted backing
-//! buffer plus an `(offset, len)` window. Cloning, slicing and splitting
+//! buffer (or bytes that outlive the program's threads,
+//! [`Payload::from_static`]) plus an `(offset, len)` window. Cloning, slicing and splitting
 //! are O(1) and allocation-free; the bytes are copied at most once — at
 //! ingress, or never for pattern-generated synthetic data.
 //!
@@ -69,6 +70,8 @@ impl FillSeg {
 #[derive(Clone)]
 enum Repr {
     Bytes(Rc<[u8]>),
+    /// Bytes that outlive every handle: no refcount to keep.
+    Static(&'static [u8]),
     Pattern(Rc<PatternSeg>),
     Fill(Rc<FillSeg>),
 }
@@ -102,6 +105,21 @@ impl Payload {
             repr: Repr::Bytes(Rc::from(v.into_boxed_slice())),
             off: 0,
             len,
+        }
+    }
+
+    /// A window over bytes that live for the whole program, such as an
+    /// image set generated once and shared by every thread. Nothing is
+    /// copied or counted; the window behaves like one over a materialised
+    /// buffer (adjacent windows join zero-copy, [`owned_backing`] reports
+    /// it), except that it is never unique.
+    ///
+    /// [`owned_backing`]: Payload::owned_backing
+    pub fn from_static(bytes: &'static [u8]) -> Payload {
+        Payload {
+            repr: Repr::Static(bytes),
+            off: 0,
+            len: bytes.len(),
         }
     }
 
@@ -155,6 +173,7 @@ impl Payload {
     pub fn as_slice(&self) -> &[u8] {
         match &self.repr {
             Repr::Bytes(b) => &b[self.off..self.off + self.len],
+            Repr::Static(b) => &b[self.off..self.off + self.len],
             Repr::Pattern(p) => &p.bytes()[self.off..self.off + self.len],
             Repr::Fill(s) => &s.bytes()[self.off..self.off + self.len],
         }
@@ -238,7 +257,7 @@ impl Payload {
     /// Copy `data` over the window's bytes starting at `at`, in place, when
     /// the backing is a materialised buffer that no other handle shares
     /// (`Rc::get_mut` succeeds). Returns `false` and changes nothing for
-    /// lazy pattern and fill windows and for shared buffers, so no other
+    /// static, lazy pattern and fill windows and for shared buffers, so no other
     /// window can ever see its bytes change. Panics if the span exceeds
     /// the window.
     pub fn overwrite_unique(&mut self, at: usize, data: &[u8]) -> bool {
@@ -256,28 +275,30 @@ impl Payload {
                 }
                 None => false,
             },
-            Repr::Pattern(_) | Repr::Fill(_) => false,
+            Repr::Static(_) | Repr::Pattern(_) | Repr::Fill(_) => false,
         }
     }
 
     /// True when this handle is the only one on a materialised buffer: no
     /// clone, slice or store shares its bytes, so copying them out and
-    /// dropping the handle frees the buffer. Lazy pattern and fill windows
-    /// are never unique.
+    /// dropping the handle frees the buffer. Static windows and lazy
+    /// pattern and fill windows are never unique.
     pub fn is_unique(&self) -> bool {
         match &self.repr {
             Repr::Bytes(b) => Rc::strong_count(b) == 1 && Rc::weak_count(b) == 0,
-            Repr::Pattern(_) | Repr::Fill(_) => false,
+            Repr::Static(_) | Repr::Pattern(_) | Repr::Fill(_) => false,
         }
     }
 
     /// The materialised byte buffer behind this window, as `(identity,
     /// buffer length)`: every window of one buffer reports the same
-    /// identity, so callers can count shared buffers once. `None` for
-    /// lazy pattern and fill windows.
+    /// identity, so callers can count shared buffers once. Static bytes
+    /// count like a buffer of their own. `None` for lazy pattern and fill
+    /// windows.
     pub fn owned_backing(&self) -> Option<(usize, usize)> {
         match &self.repr {
             Repr::Bytes(b) => Some((Rc::as_ptr(b).cast::<u8>() as usize, b.len())),
+            Repr::Static(b) => Some((b.as_ptr() as usize, b.len())),
             Repr::Pattern(_) | Repr::Fill(_) => None,
         }
     }
@@ -446,6 +467,7 @@ fn position_of(hay: &[u8], needle: &[u8]) -> Option<usize> {
 fn same_backing(a: &Repr, b: &Repr) -> bool {
     match (a, b) {
         (Repr::Bytes(x), Repr::Bytes(y)) => Rc::ptr_eq(x, y),
+        (Repr::Static(x), Repr::Static(y)) => std::ptr::eq(*x, *y),
         (Repr::Pattern(x), Repr::Pattern(y)) => Rc::ptr_eq(x, y),
         (Repr::Fill(x), Repr::Fill(y)) => Rc::ptr_eq(x, y),
         _ => false,

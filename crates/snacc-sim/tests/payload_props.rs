@@ -1,8 +1,9 @@
 //! Property tests: [`Payload`] windowing operations are byte-equivalent
 //! to the corresponding `Vec<u8>` operations, for arbitrary contents and
 //! arbitrary (in-bounds) cut points — including slices of slices, so
-//! offset composition is exercised, and [`PayloadQueue`] against a flat
-//! `VecDeque<u8>` model.
+//! offset composition is exercised, static windows
+//! ([`Payload::from_static`]) against the same flat model, and
+//! [`PayloadQueue`] against a flat `VecDeque<u8>` model.
 
 use proptest::prelude::*;
 use snacc_sim::bytes::pattern_byte;
@@ -102,5 +103,52 @@ proptest! {
                 break;
             }
         }
+    }
+
+    /// Windows over static bytes behave like windows over a `Vec`:
+    /// `as_slice`, slices of slices, splits that re-join zero-copy (by
+    /// `concat` and `try_join`, keeping the backing), and `concat` with
+    /// unrelated parts all match the flat model. They report their bytes
+    /// as an owned backing and are never unique.
+    #[test]
+    fn static_windows_equal_vec_model(
+        v in proptest::collection::vec(any::<u8>(), 0..300),
+        other in proptest::collection::vec(any::<u8>(), 0..64),
+        cuts in proptest::collection::vec(any::<u64>(), 3),
+    ) {
+        let bytes: &'static [u8] = Box::leak(v.clone().into_boxed_slice());
+        let p = Payload::from_static(bytes);
+        prop_assert_eq!(p.as_slice(), &v[..]);
+        prop_assert_eq!(p.owned_backing(), Some((bytes.as_ptr() as usize, v.len())));
+        prop_assert!(!p.is_unique());
+        let n = v.len() as u64;
+        let (a, b) = (cuts[0] % (n + 1), cuts[1] % (n + 1));
+        let (a, b) = (a.min(b) as usize, a.max(b) as usize);
+        let s = p.slice(a..b);
+        prop_assert_eq!(s.as_slice(), &v[a..b]);
+        prop_assert_eq!(s.owned_backing(), p.owned_backing());
+        let m = (b - a) as u64;
+        let c = (cuts[2] % (m + 1)) as usize;
+        let ss = s.slice(c..b - a);
+        prop_assert_eq!(ss.as_slice(), &v[a + c..b]);
+        // Adjacent windows join without copying, in either operation.
+        let (head, tail) = s.split_at(c);
+        let joined = head.try_join(&tail).expect("adjacent static windows");
+        prop_assert_eq!(joined.as_slice(), &v[a..b]);
+        prop_assert_eq!(joined.owned_backing(), p.owned_backing());
+        let merged = Payload::concat(&[head.clone(), tail.clone()]);
+        prop_assert_eq!(merged.as_slice(), &v[a..b]);
+        prop_assert_eq!(merged.owned_backing(), p.owned_backing());
+        if !tail.is_empty() {
+            prop_assert!(tail.try_join(&head).is_none());
+        }
+        // A static window and an unrelated buffer concatenate by copy.
+        let o = Payload::from_vec(other.clone());
+        prop_assert!(s.try_join(&o).is_none());
+        let mixed = Payload::concat(&[s.clone(), o, tail]);
+        let mut flat = v[a..b].to_vec();
+        flat.extend_from_slice(&other);
+        flat.extend_from_slice(&v[a + c..b]);
+        prop_assert_eq!(mixed.as_slice(), &flat[..]);
     }
 }
