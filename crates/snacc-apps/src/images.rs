@@ -108,20 +108,22 @@ pub fn generate_image(fmt: ImageFormat, id: u64) -> (ImageHeader, Vec<u8>) {
     // Class pattern: vertical bands whose period depends on the class.
     // Periods stay resolvable after the 2048→224 downscale.
     let period = 24 + truth as usize * 20;
-    for y in 0..h {
-        let row = y * w * 3;
-        for x in 0..w {
-            let o = row + x * 3;
-            let band = if (x / period).is_multiple_of(2) {
-                200u16
+    let bands: Vec<u16> = (0..w)
+        .map(|x| {
+            if (x / period).is_multiple_of(2) {
+                200
             } else {
-                40u16
-            };
-            let grad = (255 * y / h) as u16;
+                40
+            }
+        })
+        .collect();
+    for (y, row) in px.chunks_exact_mut(w * 3).enumerate() {
+        let grad = (255 * y / h) as u16;
+        for (p, &band) in row.chunks_exact_mut(3).zip(&bands) {
             let noise = (rng.next_u64() & 0x0f) as u16;
-            px[o] = ((band + noise).min(255)) as u8;
-            px[o + 1] = ((grad + noise).min(255)) as u8;
-            px[o + 2] = (((band + grad) / 2 + noise).min(255)) as u8;
+            p[0] = (band + noise).min(255) as u8;
+            p[1] = (grad + noise).min(255) as u8;
+            p[2] = ((band + grad) / 2 + noise).min(255) as u8;
         }
     }
     let hdr = ImageHeader {
@@ -327,6 +329,36 @@ mod tests {
         assert_eq!(h1, h2);
         assert_eq!(p1, p2);
         assert_eq!(h1.truth, 5);
+    }
+
+    #[test]
+    fn class_bodies_match_a_per_pixel_loop() {
+        // The generator's pixel rule written out per pixel: any change in
+        // the bytes of a class body fails here.
+        let fmt = ImageFormat::capture();
+        let (w, h) = (fmt.width as usize, fmt.height as usize);
+        for class in 0..NUM_CLASSES {
+            let mut rng = SimRng::new(class as u64 ^ 0x1417_beef);
+            let period = 24 + class as usize * 20;
+            let mut want = vec![0u8; fmt.bytes()];
+            for y in 0..h {
+                for x in 0..w {
+                    let o = (y * w + x) * 3;
+                    let band: u16 = if (x / period).is_multiple_of(2) {
+                        200
+                    } else {
+                        40
+                    };
+                    let grad = (255 * y / h) as u16;
+                    let noise = (rng.next_u64() & 0x0f) as u16;
+                    want[o] = (band + noise).min(255) as u8;
+                    want[o + 1] = (grad + noise).min(255) as u8;
+                    want[o + 2] = ((band + grad) / 2 + noise).min(255) as u8;
+                }
+            }
+            let (_, got) = generate_image(fmt, class as u64);
+            assert!(got == want, "class {class} body changed");
+        }
     }
 
     #[test]

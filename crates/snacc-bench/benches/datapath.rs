@@ -7,6 +7,10 @@
 //! (Ethernet frames → RX bridge → database controller → streamer), which
 //! moves every image byte across four model layers.
 //!
+//! A fourth group, `segment_store`, times the functional byte store alone
+//! on the page shapes those paths produce. It tracks the store's per-page
+//! cost between changes; end-to-end claims rest on perfbench, not on it.
+//!
 //! Run with `cargo bench -p snacc-bench --bench datapath`; set
 //! `SNACC_QUICK=1` for the CI smoke sizes.
 
@@ -15,6 +19,8 @@ use snacc_apps::pipeline::{run_snacc_case_study, CaseStudyConfig};
 use snacc_apps::system::{SnaccSystem, SystemConfig};
 use snacc_bench::workloads::{self, Dir};
 use snacc_core::config::StreamerVariant;
+use snacc_mem::SegmentMemory;
+use snacc_sim::bytes::Payload;
 
 fn quick() -> bool {
     std::env::var_os("SNACC_QUICK").is_some()
@@ -77,5 +83,57 @@ fn datapath_benches(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, datapath_benches);
+/// 4 KiB pages into one [`SegmentMemory`]: appends that join (one
+/// producer buffer sliced into pages, as a streamer transfer lands), ring
+/// overwrite of a 4 MiB region with such a stream, and random pages
+/// scattered over 1 GiB (each its own backing, so none join).
+fn segment_store_benches(c: &mut Criterion) {
+    const PAGE: usize = 4096;
+    let pages: usize = if quick() { 4096 } else { 65_536 };
+    let stream = Payload::pattern(1, pages * PAGE);
+    let page = |i: usize| stream.slice(i * PAGE..(i + 1) * PAGE);
+    let mut g = c.benchmark_group("segment_store");
+    g.sample_size(10);
+
+    g.bench_function("page_append", |b| {
+        b.iter(|| {
+            let mut m = SegmentMemory::new();
+            for i in 0..pages {
+                m.write_payload((i * PAGE) as u64, page(i));
+            }
+            black_box(m.segment_count())
+        })
+    });
+
+    const RING_PAGES: usize = (4 << 20) / PAGE;
+    let mut ring = SegmentMemory::new();
+    g.bench_function("ring_overwrite_4m", |b| {
+        b.iter(|| {
+            for i in 0..pages {
+                ring.write_payload(((i % RING_PAGES) * PAGE) as u64, page(i));
+            }
+            black_box(ring.segment_count())
+        })
+    });
+
+    const SPACE_PAGES: u64 = (1 << 30) / PAGE as u64;
+    let mut scattered = SegmentMemory::new();
+    let mut x = 0x2545_f491_4f6c_dd1du64;
+    g.bench_function("random_4k_1g", |b| {
+        b.iter(|| {
+            for _ in 0..pages {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let pg = x % SPACE_PAGES;
+                scattered.write_payload(pg * PAGE as u64, Payload::pattern(x, PAGE));
+            }
+            black_box(scattered.segment_count())
+        })
+    });
+
+    g.finish();
+}
+
+criterion_group!(benches, datapath_benches, segment_store_benches);
 criterion_main!(benches);

@@ -33,7 +33,7 @@ use snacc_sim::bytes::Payload;
 use snacc_sim::{Engine, SimDuration, SimTime};
 use snacc_trace::{self as trace, CounterHandle, HistogramHandle};
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
 const PAGE: u64 = 4096;
@@ -206,8 +206,8 @@ struct ReadStream {
 const STREAM_PREFETCH: u32 = 4;
 
 /// Per-write-transfer bookkeeping for response tokens.
-#[derive(Default)]
 struct XferState {
+    id: u64,
     outstanding_segments: u64,
     sealed: bool,
     bytes: u64,
@@ -325,7 +325,9 @@ pub struct NvmeStreamer {
     retry_q: VecDeque<u16>,
     accum: Option<WriteAccum>,
     next_xfer_id: u64,
-    xfers: HashMap<u64, XferState>,
+    /// Open write transfers in id order: opened at the back, closed from
+    /// the front, so the ids are consecutive.
+    xfers: VecDeque<XferState>,
     active_stream: Option<ReadStream>,
     issuing: bool,
     wr_busy: bool,
@@ -491,7 +493,7 @@ impl StreamerHandle {
             retry_q: VecDeque::new(),
             accum: None,
             next_xfer_id: 0,
-            xfers: HashMap::new(),
+            xfers: VecDeque::new(),
             active_stream: None,
             issuing: false,
             wr_busy: false,
@@ -645,6 +647,15 @@ impl NvmeStreamer {
                     .phys_addr(offset)
             }
         }
+    }
+
+    /// The open write transfer `id`: ids in `xfers` are consecutive, so
+    /// its index is its distance from the front.
+    fn xfer_mut(&mut self, id: u64) -> &mut XferState {
+        let first = self.xfers.front().expect("xfer tracked").id;
+        let x = &mut self.xfers[(id - first) as usize];
+        debug_assert_eq!(x.id, id);
+        x
     }
 
     fn ring_mut(&mut self, kind: BufKind) -> &mut RingAllocator {
@@ -925,7 +936,12 @@ fn pump_write_in(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
             assert!(addr % LBA == 0, "write address must be LBA-aligned");
             let xfer_id = s.next_xfer_id;
             s.next_xfer_id += 1;
-            s.xfers.insert(xfer_id, XferState::default());
+            s.xfers.push_back(XferState {
+                id: xfer_id,
+                outstanding_segments: 0,
+                sealed: false,
+                bytes: 0,
+            });
             s.accum = Some(WriteAccum {
                 next_addr: addr,
                 region: None,
@@ -936,7 +952,7 @@ fn pump_write_in(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
                 // Empty write: respond immediately.
                 let xid = xfer_id;
                 s.accum = None;
-                s.xfers.get_mut(&xid).unwrap().sealed = true;
+                s.xfer_mut(xid).sealed = true;
                 drop(s);
                 finish_xfers(rc, en);
                 pump_write_in(rc, en);
@@ -1026,8 +1042,9 @@ fn pump_write_in(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
                 };
                 // Pad the command length to whole LBAs.
                 let cmd_len = new_fill.div_ceil(LBA) * LBA;
-                s.xfers.get_mut(&xfer_id).unwrap().outstanding_segments += 1;
-                s.xfers.get_mut(&xfer_id).unwrap().bytes += new_fill;
+                let x = s.xfer_mut(xfer_id);
+                x.outstanding_segments += 1;
+                x.bytes += new_fill;
                 s.pending.push_back(PendingCmd::Write {
                     nvme_addr,
                     len: cmd_len,
@@ -1035,7 +1052,7 @@ fn pump_write_in(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
                     xfer_id,
                 });
                 if final_now {
-                    s.xfers.get_mut(&xfer_id).unwrap().sealed = true;
+                    s.xfer_mut(xfer_id).sealed = true;
                     s.accum = None;
                 }
                 issue_needed = true;
@@ -1496,8 +1513,7 @@ fn try_retire(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
                         .cmd_latency_us
                         .record(en.now().since(issued_at).as_us_f64());
                     s.ring_mut(BufKind::Write).free_oldest(region);
-                    let x = s.xfers.get_mut(&xfer_id).expect("xfer tracked");
-                    x.outstanding_segments -= 1;
+                    s.xfer_mut(xfer_id).outstanding_segments -= 1;
                 }
                 finish_xfers(rc, en);
                 try_issue(rc, en);
@@ -1540,18 +1556,17 @@ fn try_retire(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
     }
 }
 
-/// Emit response tokens for write transfers whose segments all retired.
+/// Emit response tokens, in transfer order, for the leading write
+/// transfers whose segments all retired. A response never overtakes an
+/// earlier transfer's, so a consumer can match them to its writes by
+/// order.
 fn finish_xfers(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
     loop {
-        let (done_id, bytes) = {
+        let bytes = {
             let s = rc.borrow();
-            match s
-                .xfers
-                .iter()
-                .find(|(_, x)| x.sealed && x.outstanding_segments == 0)
-            {
-                Some((&id, x)) => (id, x.bytes),
-                None => return,
+            match s.xfers.front() {
+                Some(x) if x.sealed && x.outstanding_segments == 0 => x.bytes,
+                _ => return,
             }
         };
         let ch = rc.borrow().ports.wr_resp.clone();
@@ -1560,7 +1575,7 @@ fn finish_xfers(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
             return; // response channel full; its space hook retries
         }
         let mut s = rc.borrow_mut();
-        s.xfers.remove(&done_id);
+        s.xfers.pop_front();
         s.metrics.responses.inc();
     }
 }
@@ -1709,5 +1724,53 @@ mod tests {
         assert!(!shell.bar0().contains(w.rd_data.base));
         assert_eq!(w.rd_data.size, 64 << 20);
         assert_eq!(w.wr_data.size, 64 << 20);
+    }
+
+    #[test]
+    fn write_responses_leave_in_transfer_order() {
+        let fabric = Rc::new(RefCell::new(PcieFabric::new()));
+        let mut shell = TapascoShell::new(fabric, 0x4_0000_0000);
+        let s =
+            StreamerHandle::instantiate(&mut shell, StreamerConfig::snacc(StreamerVariant::Uram));
+        let mut en = Engine::new();
+        let resp = s.ports().wr_resp;
+        let mut queued = 0;
+        while axis::push(&resp, &mut en, StreamBeat::last(vec![0u8; 8])) {
+            queued += 1;
+        }
+        // Two transfers of different lengths finish while the response
+        // channel is full.
+        for (id, bytes) in [(0, 4096u64), (1, 512)] {
+            s.inner.borrow_mut().xfers.push_back(XferState {
+                id,
+                outstanding_segments: 0,
+                sealed: true,
+                bytes,
+            });
+        }
+        finish_xfers(&s.inner, &mut en);
+        for _ in 0..queued {
+            axis::pop(&resp, &mut en).expect("queued token");
+        }
+        let tokens = |en: &mut Engine| -> Vec<u64> {
+            finish_xfers(&s.inner, en);
+            std::iter::from_fn(|| axis::pop(&resp, en))
+                .map(|b| u64::from_le_bytes(b.data[..8].try_into().unwrap()))
+                .collect()
+        };
+        assert_eq!(tokens(&mut en), [4096, 512]);
+        // A finished transfer (an empty write) waits behind an earlier
+        // one that still has a segment in flight.
+        for (id, outstanding_segments, bytes) in [(2, 1, 8192u64), (3, 0, 0)] {
+            s.inner.borrow_mut().xfers.push_back(XferState {
+                id,
+                outstanding_segments,
+                sealed: true,
+                bytes,
+            });
+        }
+        assert_eq!(tokens(&mut en), []);
+        s.inner.borrow_mut().xfer_mut(2).outstanding_segments = 0;
+        assert_eq!(tokens(&mut en), [8192, 0]);
     }
 }

@@ -8,12 +8,21 @@
 //!
 //! * **Writes retain the payload** and copy no bytes. Lazy pattern or fill
 //!   segments stay lazy; a 2 GiB synthetic write pass moves O(segments)
-//!   metadata instead of gigabytes of bytes. A write costs one ordered-map
-//!   descent plus one step per segment it overlaps: a single backward walk
-//!   finds the trimmed head, the covered segments, the split tail and the
-//!   join candidates, and the write lands in place in the predecessor's
-//!   or an overwritten segment's slot where it can. Only keys that appear
-//!   or disappear cost another descent.
+//!   metadata instead of gigabytes of bytes. The map holds each segment's
+//!   slot in a slab of payloads, so map nodes stay small and a cursor
+//!   reaches a payload without a descent.
+//! * **A page appended to a joined segment costs no map walk.** A write
+//!   that joins its predecessor makes that segment the *write cursor*.
+//!   The next write that starts at its end, ends before the next segment
+//!   and continues its backing (a producer landing one buffer page by
+//!   page) grows its slot in place. The next segment's start is known from
+//!   the joining walk or looked up once, on the first such append.
+//! * **Any other write** costs one ordered-map descent plus one step per
+//!   segment it overlaps: a single backward walk finds the trimmed head,
+//!   the covered segments, the split tail and the join candidates, and the
+//!   write lands in place in the predecessor's or an overwritten segment's
+//!   slot where it can. Only keys that appear or disappear cost another
+//!   descent. Every key insert or removal drops both cursors.
 //! * **Small writes land in place** when one segment covers them and the
 //!   store holds that segment's owned buffer alone: the bytes are copied
 //!   into it with no new buffer, no key change and no coalescer (MMIO
@@ -24,6 +33,9 @@
 //!   then takes the normal path and no alias ever sees bytes change.
 //! * **Reads return zero-copy views** — a read covered by one segment is a
 //!   slice of that segment's backing; gaps come back as lazy zero-fill.
+//!   The segment the last covering read or in-place write found is the
+//!   *read cursor*: a read inside it (the next page of a sequential read)
+//!   slices it with no descent.
 //!   Only reads spanning multiple backings copy (via [`Payload::concat`]),
 //!   and [`read_payload_parts`](SegmentMemory::read_payload_parts) avoids
 //!   even that for consumers that can handle a part list.
@@ -41,10 +53,14 @@
 //! ring buffers, descriptor pages, register files and tests.
 
 use snacc_sim::bytes::Payload;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::hostmem::PAGE_4K;
+
+#[cfg(test)]
+mod reference;
 
 /// CoW coalescing window (bytes). Fragmentation is bounded per window.
 pub const COALESCE_WINDOW: u64 = 1 << 20;
@@ -80,12 +96,33 @@ impl Hasher for WindowHasher {
     }
 }
 
+/// The segment the last joining write extended. The next write that starts
+/// at its end, ends before the following segment and continues its backing
+/// grows it in place: the layout the general walk would leave, with no map
+/// walk. Every key insert or removal drops it.
+struct WriteCursor {
+    start: u64,
+    slot: u32,
+    /// Start of the following segment (`u64::MAX` if none): known from the
+    /// joining walk, or looked up once by the first append.
+    next: Option<u64>,
+}
+
 /// A sparse, zero-initialised byte-addressable memory storing zero-copy
 /// payload segments. See the module docs.
 #[derive(Default)]
 pub struct SegmentMemory {
-    /// Non-overlapping segments keyed by start byte address.
-    segs: BTreeMap<u64, Payload>,
+    /// Non-overlapping segments: start byte address → slot in `slab`.
+    segs: BTreeMap<u64, u32>,
+    /// Segment payloads by slot. A removed key's slot holds the empty
+    /// payload and waits in `free` for the next new key.
+    slab: Vec<Payload>,
+    free: Vec<u32>,
+    write_cursor: Option<WriteCursor>,
+    /// `(start, slot)` of the last segment found covering a read or an
+    /// in-place write, tried before the map. Every key insert or removal
+    /// drops it.
+    read_cursor: Option<(u64, u32)>,
     /// Segment starts per coalescing window, keyed by
     /// `start / COALESCE_WINDOW`; windows without a start have no entry.
     /// Every key insert and removal in `segs` goes through `put`/`take`,
@@ -105,9 +142,9 @@ impl SegmentMemory {
     pub fn resident_pages(&self) -> usize {
         let mut pages = 0usize;
         let mut last_counted: Option<u64> = None;
-        for (&start, seg) in &self.segs {
+        for (&start, &slot) in &self.segs {
             let first = start / PAGE_4K;
-            let last = (start + seg.len() as u64 - 1) / PAGE_4K;
+            let last = (start + self.seg(slot).len() as u64 - 1) / PAGE_4K;
             let first = match last_counted {
                 Some(lc) if first <= lc => lc + 1,
                 _ => first,
@@ -128,7 +165,7 @@ impl SegmentMemory {
         let mut seen = HashSet::new();
         self.segs
             .values()
-            .filter_map(Payload::owned_backing)
+            .filter_map(|&slot| self.seg(slot).owned_backing())
             .filter(|&(id, _)| seen.insert(id))
             .map(|(_, len)| len as u64)
             .sum()
@@ -177,11 +214,10 @@ impl SegmentMemory {
     /// Copy `data` into the one segment covering `[addr, addr + len)` when
     /// the store holds that segment's owned buffer alone.
     fn write_in_place(&mut self, addr: u64, data: &[u8]) -> bool {
-        let end = addr + data.len() as u64;
-        let Some((&s, seg)) = self.segs.range_mut(..=addr).next_back() else {
+        let Some((s, slot)) = self.covering_slot(addr, data.len()) else {
             return false;
         };
-        let done = s + seg.len() as u64 >= end && seg.overwrite_unique((addr - s) as usize, data);
+        let done = self.slab[slot as usize].overwrite_unique((addr - s) as usize, data);
         if done {
             self.bytes_written += data.len() as u64;
         }
@@ -288,25 +324,55 @@ impl SegmentMemory {
     /// Drop all contents.
     pub fn clear(&mut self) {
         self.segs.clear();
+        self.slab.clear();
+        self.free.clear();
+        self.write_cursor = None;
+        self.read_cursor = None;
         self.window_starts.clear();
     }
 
-    /// Insert or replace the segment starting at `start`, counting a new
-    /// start in its window.
+    /// The payload in `slot`.
+    fn seg(&self, slot: u32) -> &Payload {
+        &self.slab[slot as usize]
+    }
+
+    /// Insert or replace the segment starting at `start` (one map descent),
+    /// counting a new start in its window.
     fn put(&mut self, start: u64, seg: Payload) {
-        if self.segs.insert(start, seg).is_none() {
-            *self
-                .window_starts
-                .entry(start / COALESCE_WINDOW)
-                .or_insert(0) += 1;
+        self.write_cursor = None;
+        self.read_cursor = None;
+        match self.segs.entry(start) {
+            Entry::Occupied(e) => self.slab[*e.get() as usize] = seg,
+            Entry::Vacant(e) => {
+                let slot = match self.free.pop() {
+                    Some(slot) => {
+                        self.slab[slot as usize] = seg;
+                        slot
+                    }
+                    None => {
+                        self.slab.push(seg);
+                        (self.slab.len() - 1) as u32
+                    }
+                };
+                e.insert(slot);
+                *self
+                    .window_starts
+                    .entry(start / COALESCE_WINDOW)
+                    .or_insert(0) += 1;
+            }
         }
     }
 
-    /// Remove the segment starting at `start`, uncounting its start.
+    /// Remove the segment starting at `start`, dropping its payload and
+    /// uncounting its start.
     fn take(&mut self, start: u64) {
-        if self.segs.remove(&start).is_none() {
+        let Some(slot) = self.segs.remove(&start) else {
             return;
-        }
+        };
+        self.write_cursor = None;
+        self.read_cursor = None;
+        self.slab[slot as usize] = Payload::empty();
+        self.free.push(slot);
         let win = start / COALESCE_WINDOW;
         match self.window_starts.get_mut(&win) {
             Some(n) if *n > 1 => *n -= 1,
@@ -316,12 +382,29 @@ impl SegmentMemory {
         }
     }
 
+    /// `(start, slot)` of the one segment covering `[addr, addr + len)`, if
+    /// there is one: the read cursor when it covers the span, else the
+    /// segment one map descent finds, which becomes the read cursor.
+    fn covering_slot(&mut self, addr: u64, len: usize) -> Option<(u64, u32)> {
+        let end = addr + len as u64;
+        let covers = |slab: &[Payload], (s, slot): (u64, u32)| {
+            s <= addr && s + slab[slot as usize].len() as u64 >= end
+        };
+        if let Some(hit) = self.read_cursor.filter(|&c| covers(&self.slab, c)) {
+            return Some(hit);
+        }
+        let (&s, &slot) = self.segs.range(..=addr).next_back()?;
+        let found = covers(&self.slab, (s, slot)).then_some((s, slot))?;
+        self.read_cursor = Some(found);
+        Some(found)
+    }
+
     /// `[addr, addr + len)` as a zero-copy slice of the one segment that
     /// covers it, if there is one.
-    fn covering(&self, addr: u64, len: usize) -> Option<Payload> {
-        let end = addr + len as u64;
-        let (&s, seg) = self.segs.range(..=addr).next_back()?;
-        (s + seg.len() as u64 >= end).then(|| seg.slice((addr - s) as usize..(end - s) as usize))
+    fn covering(&mut self, addr: u64, len: usize) -> Option<Payload> {
+        let (s, slot) = self.covering_slot(addr, len)?;
+        let from = (addr - s) as usize;
+        Some(self.seg(slot).slice(from..from + len))
     }
 
     /// Gather `[addr, addr + len)` as zero-copy parts: segment slices plus
@@ -334,7 +417,8 @@ impl SegmentMemory {
         let mut parts = Vec::new();
         let mut cur = addr;
         // A segment starting before `addr` may cover the front.
-        if let Some((&s, seg)) = self.segs.range(..addr).next_back() {
+        if let Some((&s, &slot)) = self.segs.range(..addr).next_back() {
+            let seg = self.seg(slot);
             let seg_end = s + seg.len() as u64;
             if seg_end > addr {
                 let from = (addr - s) as usize;
@@ -343,7 +427,7 @@ impl SegmentMemory {
                 cur = seg_end.min(end);
             }
         }
-        for (&s, seg) in self.segs.range(addr..end) {
+        for (&s, &slot) in self.segs.range(addr..end) {
             if cur >= end {
                 break;
             }
@@ -354,6 +438,7 @@ impl SegmentMemory {
                     break;
                 }
             }
+            let seg = self.seg(slot);
             let seg_end = s + seg.len() as u64;
             let to = (seg_end.min(end) - s) as usize;
             parts.push(seg.slice(0..to));
@@ -368,7 +453,7 @@ impl SegmentMemory {
     /// Copy `[addr, addr + out.len())` into `out` without touching the
     /// read counter (shared by `read` and the coalescer). A span inside one
     /// segment copies straight from it and builds no part list.
-    fn read_at(&self, addr: u64, out: &mut [u8]) {
+    fn read_at(&mut self, addr: u64, out: &mut [u8]) {
         let one = self.covering(addr, out.len());
         let many = match one {
             Some(_) => Vec::new(),
@@ -384,84 +469,114 @@ impl SegmentMemory {
         }
     }
 
+    /// Grow the write cursor's segment in place by `data` when `data`
+    /// starts at its end, ends before the following segment and continues
+    /// its backing. The general walk would find that segment as the
+    /// predecessor, nothing overlapped and no successor at `end`, and
+    /// leave exactly this layout.
+    fn append_at_cursor(&mut self, addr: u64, data: &Payload) -> bool {
+        let Some(cur) = &mut self.write_cursor else {
+            return false;
+        };
+        let seg = &self.slab[cur.slot as usize];
+        if cur.start + seg.len() as u64 != addr {
+            return false;
+        }
+        let Some(joined) = seg.try_join(data) else {
+            return false;
+        };
+        let segs = &self.segs;
+        let next = *cur
+            .next
+            .get_or_insert_with(|| segs.range(addr..).next().map_or(u64::MAX, |(&s, _)| s));
+        if addr + data.len() as u64 >= next {
+            return false;
+        }
+        self.slab[cur.slot as usize] = joined;
+        true
+    }
+
     /// Insert `data` at `addr`, trimming any overlapped extents of existing
     /// segments and re-joining with same-backing neighbours. All slicing is
     /// zero-copy.
     ///
-    /// One backward walk from the last segment starting at or before `end`
+    /// An append at the write cursor grows its segment in place. Otherwise
+    /// one backward walk from the last segment starting at or before `end`
     /// visits the successor at `end`, the segments overlapping
     /// `[addr, end)` and the predecessor ending at `addr`. It trims the
-    /// head in place and keeps handles to the predecessor's slot and to
-    /// the slot of a segment starting at `addr`, so the write lands in one
-    /// of them whenever it can. Keys that appear or disappear (a split
-    /// tail, covered segments past `addr`, a successor absorbed by a join,
-    /// a write at a fresh key) cost one more descent each.
+    /// head in place and keeps the slots of the predecessor and of a
+    /// segment starting at `addr`, so the write lands in one of them
+    /// whenever it can. Keys that appear or disappear (a split tail,
+    /// covered segments past `addr`, a successor absorbed by a join, a
+    /// write at a fresh key) cost one more descent each. A write that
+    /// joins its predecessor makes that segment the write cursor.
     fn insert_segment(&mut self, addr: u64, data: Payload) {
-        if data.is_empty() {
+        if data.is_empty() || self.append_at_cursor(addr, &data) {
             return;
         }
         let end = addr + data.len() as u64;
         let mut merged = data;
-        // Overlapped keys to drop, the overlapped extent past `end`
-        // (re-inserted there unless joined), whether the successor at `end`
-        // was absorbed, and `merged` when no existing slot took it.
+        // Overlapped keys to drop, and the overlapped extent past `end`
+        // (re-inserted there unless joined).
         let mut covered: Vec<u64> = Vec::new();
         let mut tail: Option<Payload> = None;
-        let mut take_succ = false;
-        let mut unplaced = None;
-        {
-            let mut succ: Option<&Payload> = None;
-            let mut at_addr: Option<&mut Payload> = None;
-            let mut pred: Option<&mut Payload> = None;
-            for (&s, seg) in self.segs.range_mut(..=end).rev() {
-                if s == end {
-                    succ = Some(seg);
-                    continue;
-                }
-                let seg_end = s + seg.len() as u64;
-                if seg_end <= addr {
-                    if seg_end == addr {
-                        pred = Some(seg);
-                    }
-                    break;
-                }
-                if seg_end > end {
-                    tail = Some(seg.slice((end - s) as usize..seg.len()));
-                }
-                if s < addr {
-                    *seg = seg.slice(0..(addr - s) as usize);
-                    pred = Some(seg);
-                    break;
-                }
-                if s == addr {
-                    at_addr = Some(seg);
-                } else {
-                    covered.push(s);
-                }
+        let mut succ: Option<u32> = None;
+        let mut at_addr: Option<u32> = None;
+        let mut pred: Option<(u64, u32)> = None;
+        for (&s, &slot) in self.segs.range(..=end).rev() {
+            if s == end {
+                succ = Some(slot);
+                continue;
             }
-            // Join with the predecessor, then the successor, when they
-            // continue the same backing buffer (zero-copy window merge).
-            let joined_pred = match pred.as_deref().and_then(|p| p.try_join(&merged)) {
-                Some(j) => {
-                    merged = j;
-                    true
+            let seg = &mut self.slab[slot as usize];
+            let seg_end = s + seg.len() as u64;
+            if seg_end <= addr {
+                if seg_end == addr {
+                    pred = Some((s, slot));
                 }
-                None => false,
-            };
-            if let Some(j) = tail.as_ref().or(succ).and_then(|n| merged.try_join(n)) {
+                break;
+            }
+            if seg_end > end {
+                tail = Some(seg.slice((end - s) as usize..seg.len()));
+            }
+            if s < addr {
+                *seg = seg.slice(0..(addr - s) as usize);
+                pred = Some((s, slot));
+                break;
+            }
+            if s == addr {
+                at_addr = Some(slot);
+            } else {
+                covered.push(s);
+            }
+        }
+        // Join with the predecessor, then the successor, when they
+        // continue the same backing buffer (zero-copy window merge).
+        let joined_pred = match pred.and_then(|(_, p)| self.seg(p).try_join(&merged)) {
+            Some(j) => {
                 merged = j;
-                take_succ = tail.take().is_none();
+                true
             }
-            match (pred, at_addr) {
-                (Some(p), at_addr) if joined_pred => {
-                    *p = merged;
-                    if at_addr.is_some() {
-                        covered.push(addr);
-                    }
+            None => false,
+        };
+        let mut take_succ = false;
+        let next_seg = tail.as_ref().or(succ.map(|k| self.seg(k)));
+        if let Some(j) = next_seg.and_then(|n| merged.try_join(n)) {
+            merged = j;
+            take_succ = tail.take().is_none();
+        }
+        // A segment still starts at `end` unless the join absorbed it.
+        let next_at_end = (tail.is_some() || (succ.is_some() && !take_succ)).then_some(end);
+        let mut unplaced = None;
+        match (pred, at_addr) {
+            (Some((_, p)), at_addr) if joined_pred => {
+                self.slab[p as usize] = merged;
+                if at_addr.is_some() {
+                    covered.push(addr);
                 }
-                (_, Some(slot)) => *slot = merged,
-                _ => unplaced = Some(merged),
             }
+            (_, Some(slot)) => self.slab[slot as usize] = merged,
+            _ => unplaced = Some(merged),
         }
         for s in covered {
             self.take(s);
@@ -474,6 +589,13 @@ impl SegmentMemory {
         }
         if let Some(m) = unplaced {
             self.put(addr, m);
+        }
+        if let Some((start, slot)) = pred.filter(|_| joined_pred) {
+            self.write_cursor = Some(WriteCursor {
+                start,
+                slot,
+                next: next_at_end,
+            });
         }
     }
 
@@ -491,9 +613,9 @@ impl SegmentMemory {
         let win_end = win_start + COALESCE_WINDOW;
         let mut lo = u64::MAX;
         let mut hi = 0u64;
-        for (&s, seg) in self.segs.range(win_start..win_end).take(COALESCE_SEGS + 1) {
+        for (&s, &slot) in self.segs.range(win_start..win_end).take(COALESCE_SEGS + 1) {
             lo = lo.min(s);
-            hi = hi.max((s + seg.len() as u64).min(win_end));
+            hi = hi.max((s + self.seg(slot).len() as u64).min(win_end));
         }
         if lo >= hi {
             return;
@@ -507,11 +629,15 @@ impl SegmentMemory {
 
 #[cfg(test)]
 mod tests {
+    use super::reference::Reference;
     use super::*;
 
     /// The stored layout: `(start, len)` of every segment, in order.
     fn layout(m: &SegmentMemory) -> Vec<(u64, usize)> {
-        m.segs.iter().map(|(&s, seg)| (s, seg.len())).collect()
+        m.segs
+            .iter()
+            .map(|(&s, &slot)| (s, m.seg(slot).len()))
+            .collect()
     }
 
     /// The window-start index recounted from scratch.
@@ -934,5 +1060,253 @@ mod tests {
         m.write_u64(24, 0x0123_4567_89ab_cdef);
         assert_eq!(m.read_u32(16), 0xdead_beef);
         assert_eq!(m.read_u64(24), 0x0123_4567_89ab_cdef);
+    }
+
+    /// The store under test and the cursor-free layout oracle, driven in
+    /// lockstep. Each side gets its own copy of every buffer: a payload
+    /// shared by both would turn unique in one when the other drops its
+    /// window, and send that one down the in-place path.
+    #[derive(Default)]
+    struct Lockstep {
+        m: SegmentMemory,
+        r: Reference,
+        /// Read windows kept alive for a while, one per side.
+        held: Vec<(Payload, Payload)>,
+        ops: usize,
+    }
+
+    /// Two equal buffers, one per side.
+    fn twin(bytes: Vec<u8>) -> (Payload, Payload) {
+        (Payload::from_vec(bytes.clone()), Payload::from_vec(bytes))
+    }
+
+    impl Lockstep {
+        fn check(&mut self) {
+            self.ops += 1;
+            let op = self.ops;
+            assert_eq!(layout(&self.m), self.r.layout(), "layout, op {op}");
+            assert_eq!(
+                self.m.backing_bytes(),
+                self.r.backing_bytes(),
+                "backing bytes, op {op}"
+            );
+            assert_eq!(
+                self.m.resident_pages(),
+                self.r.resident_pages(),
+                "resident pages, op {op}"
+            );
+            assert_index_in_step(&self.m, op);
+        }
+
+        fn write(&mut self, addr: u64, data: &[u8]) {
+            self.m.write(addr, data);
+            self.r.write(addr, data);
+            self.check();
+        }
+
+        fn window(&mut self, addr: u64, b: &(Payload, Payload), from: usize, to: usize) {
+            self.m.write_payload(addr, b.0.slice(from..to));
+            self.r.write_payload(addr, b.1.slice(from..to));
+            self.check();
+        }
+
+        fn unique(&mut self, addr: u64, bytes: Vec<u8>) {
+            let (a, b) = twin(bytes);
+            self.m.write_payload(addr, a);
+            self.r.write_payload(addr, b);
+            self.check();
+        }
+
+        fn pattern(&mut self, addr: u64, seed: u64, len: usize) {
+            self.m.write_payload(addr, Payload::pattern(seed, len));
+            self.r.write_payload(addr, Payload::pattern(seed, len));
+            self.check();
+        }
+
+        fn fill(&mut self, addr: u64, len: u64, byte: u8) {
+            self.m.fill(addr, len, byte);
+            self.r.fill(addr, len, byte);
+            self.check();
+        }
+
+        fn copy_within(&mut self, src: u64, dst: u64, len: usize) {
+            self.m.copy_within(src, dst, len);
+            self.r.copy_within(src, dst, len);
+            self.check();
+        }
+
+        fn clear(&mut self) {
+            self.m.clear();
+            self.r.clear();
+            self.check();
+        }
+
+        fn read(&mut self, addr: u64, len: usize, hold: bool) {
+            let a = self.m.read_payload(addr, len);
+            let b = self.r.read_payload(addr, len);
+            assert_eq!(a, b, "read {addr:#x}+{len}, op {}", self.ops);
+            if hold {
+                if self.held.len() == 8 {
+                    self.held.remove(0);
+                }
+                self.held.push((a, b));
+            }
+            self.check();
+        }
+    }
+
+    /// Seeded random op mix over three coalescing windows: sequential
+    /// appends of shared-backing windows (the write cursor's path), byte
+    /// writes packed into one hot region (so the coalescer fires), random
+    /// shared windows, patterns, unique payloads, fills, `copy_within`,
+    /// held and dropped reads, and the odd `clear`.
+    #[test]
+    fn layout_matches_oracle_under_random_ops() {
+        const BASE: u64 = COALESCE_WINDOW;
+        const SPAN: u64 = 3 * COALESCE_WINDOW;
+        let mut coalesced = 0;
+        for seed in 1..=6u64 {
+            let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let backings: Vec<_> = (0..3u64)
+                .map(|k| twin((0..64u64 << 10).map(|i| (i * 7 + k) as u8).collect()))
+                .collect();
+            let mut l = Lockstep::default();
+            // The append stream: next address, backing and offset.
+            let (mut at, mut bi, mut off) = (BASE, 0usize, 0usize);
+            for step in 0..2500u64 {
+                let anywhere = BASE + next() % SPAN;
+                let before = l.m.segment_count();
+                match next() % 100 {
+                    _ if step % 1000 == 999 => l.clear(),
+                    0..=29 => {
+                        let len = match next() % 3 {
+                            0 => 4096,
+                            1 => 512,
+                            _ => 1 + next() as usize % 600,
+                        };
+                        if off + len > 64 << 10 || next() % 16 == 0 {
+                            at = if next() % 2 == 0 {
+                                anywhere & !(PAGE_4K - 1)
+                            } else {
+                                anywhere
+                            };
+                            bi = next() as usize % backings.len();
+                            off = next() as usize % (32 << 10);
+                        }
+                        l.window(at, &backings[bi], off, off + len);
+                        at += len as u64;
+                        off += len;
+                    }
+                    30..=46 => {
+                        let hot = BASE + COALESCE_WINDOW + next() % (256 << 10);
+                        let len = 1 + next() as usize % 64;
+                        l.write(hot, &vec![step as u8; len]);
+                    }
+                    47..=56 => {
+                        let b = &backings[next() as usize % backings.len()];
+                        let from = next() as usize % (60 << 10);
+                        let len = 1 + next() as usize % 4096;
+                        l.window(anywhere, b, from, from + len);
+                    }
+                    57..=63 => {
+                        let len = if next() % 2 == 0 {
+                            4096
+                        } else {
+                            1 + next() % 2048
+                        };
+                        l.pattern(anywhere & !(PAGE_4K - 1), step, len as usize);
+                    }
+                    64..=71 => {
+                        let len = 1 + next() as usize % 300;
+                        l.unique(anywhere, vec![step as u8 ^ 0x5a; len]);
+                    }
+                    72..=74 => l.fill(anywhere, 1 + next() % (200 << 10), step as u8),
+                    75..=79 => {
+                        let src = BASE + next() % SPAN;
+                        l.copy_within(src, anywhere, 1 + next() as usize % 8192);
+                    }
+                    _ => {
+                        // Reads near the append stream hit the read cursor.
+                        let addr = if next() % 2 == 0 {
+                            at.saturating_sub(next() % 8192)
+                        } else {
+                            anywhere
+                        };
+                        l.read(addr, 1 + next() as usize % 4096, next() % 2 == 0);
+                    }
+                }
+                if l.m.segment_count() + 64 < before && l.m.segment_count() > 0 {
+                    coalesced += 1;
+                }
+            }
+        }
+        assert!(coalesced > 0, "the coalescer never fired");
+    }
+
+    /// A write cursor at `[0, 1536)` with its successor at 8192 already
+    /// looked up (by the third, in-place append).
+    fn cursor_with_known_successor() -> (Lockstep, (Payload, Payload)) {
+        let mut l = Lockstep::default();
+        let b = twin((0u8..=255).cycle().take(16 << 10).collect());
+        l.pattern(8192, 3, 512);
+        l.window(0, &b, 0, 512);
+        l.window(512, &b, 512, 1024);
+        l.window(1024, &b, 1024, 1536);
+        assert_eq!(layout(&l.m), [(0, 1536), (8192, 512)]);
+        (l, b)
+    }
+
+    #[test]
+    fn cursor_dropped_by_a_key_between_it_and_its_successor() {
+        let (mut l, b) = cursor_with_known_successor();
+        l.write(4096, &[9u8; 100]);
+        // A stale cursor would still take [1536, 4608) as an append past
+        // the new segment at 4096.
+        l.window(1536, &b, 1536, 4608);
+        assert_eq!(layout(&l.m), [(0, 4608), (8192, 512)]);
+        l.window(4608, &b, 4608, 5120);
+        assert_eq!(layout(&l.m), [(0, 5120), (8192, 512)]);
+    }
+
+    #[test]
+    fn cursor_follows_a_trim_of_its_segment() {
+        let (mut l, b) = cursor_with_known_successor();
+        // A foreign write inside the cursor segment trims it and splits
+        // off a tail.
+        l.write(1024, &[1u8; 256]);
+        assert_eq!(
+            layout(&l.m),
+            [(0, 1024), (1024, 256), (1280, 256), (8192, 512)]
+        );
+        l.window(1536, &b, 1536, 2048);
+        assert_eq!(
+            layout(&l.m),
+            [(0, 1024), (1024, 256), (1280, 768), (8192, 512)]
+        );
+        // Writing the cut-out window back re-joins all three pieces.
+        l.window(1024, &b, 1024, 1280);
+        assert_eq!(layout(&l.m), [(0, 2048), (8192, 512)]);
+        l.window(2048, &b, 2048, 2560);
+        assert_eq!(layout(&l.m), [(0, 2560), (8192, 512)]);
+        l.read(0, 2560, false);
+    }
+
+    #[test]
+    fn cursor_dropped_when_its_window_coalesces() {
+        let (mut l, b) = cursor_with_known_successor();
+        // Enough distinct starts in window 0 to materialise it.
+        for i in 0..COALESCE_SEGS as u64 {
+            l.write((16 << 10) + i * 128, &[i as u8; 64]);
+        }
+        assert!(l.m.segment_count() < COALESCE_SEGS, "the window coalesced");
+        l.window(1536, &b, 1536, 2048);
+        l.window(2048, &b, 2048, 4096);
+        l.read(0, 4096, false);
     }
 }
