@@ -98,26 +98,27 @@ impl RetryPolicy {
     }
 }
 
+/// Maximum commands in flight (the paper's 64).
+pub const QUEUE_DEPTH: u16 = 64;
+/// Commands are split at this boundary (the paper's 1 MB; Sec 4.2).
+pub const MAX_CMD_BYTES: u64 = 1 << 20;
+/// Chunk size for streaming between buffer memory and the user PE.
+pub const STREAM_CHUNK: u64 = 64 << 10;
+/// Per-command issue pipeline latency (at the 300 MHz shell clock).
+pub const CMD_ISSUE_LATENCY: SimDuration = SimDuration::from_ns(100);
+/// Completion-processing latency per CQE.
+pub const COMPLETION_LATENCY: SimDuration = SimDuration::from_ns(50);
+
 /// Full streamer configuration.
 #[derive(Clone, Debug)]
 pub struct StreamerConfig {
     /// Buffer placement variant.
     pub variant: StreamerVariant,
-    /// Maximum commands in flight (the paper uses 64).
-    pub queue_depth: u16,
-    /// Submission-queue ring entries (≥ queue_depth; larger helps the
+    /// Submission-queue ring entries (≥ [`QUEUE_DEPTH`]; larger helps the
     /// out-of-order extension).
     pub sq_entries: u16,
-    /// Commands are split at this boundary (the paper uses 1 MB; Sec 4.2).
-    pub max_cmd_bytes: u64,
     /// Retirement policy.
     pub retirement: RetirementMode,
-    /// Chunk size for streaming between buffer memory and the user PE.
-    pub stream_chunk: u64,
-    /// Per-command issue pipeline latency (at the 300 MHz shell clock).
-    pub cmd_issue_latency: SimDuration,
-    /// Completion-processing latency per CQE.
-    pub completion_latency: SimDuration,
     /// Retry/timeout policy for transiently failed commands (disabled by
     /// default — fault campaigns opt in).
     pub retry: RetryPolicy,
@@ -128,13 +129,8 @@ impl StreamerConfig {
     pub fn snacc(variant: StreamerVariant) -> Self {
         StreamerConfig {
             variant,
-            queue_depth: 64,
             sq_entries: 64,
-            max_cmd_bytes: 1 << 20,
             retirement: RetirementMode::InOrder,
-            stream_chunk: 64 << 10,
-            cmd_issue_latency: SimDuration::from_ns(100),
-            completion_latency: SimDuration::from_ns(50),
             retry: RetryPolicy::disabled(),
         }
     }
@@ -172,8 +168,11 @@ mod tests {
     #[test]
     fn paper_defaults() {
         let c = StreamerConfig::snacc(StreamerVariant::Uram);
-        assert_eq!(c.queue_depth, 64);
-        assert_eq!(c.max_cmd_bytes, 1 << 20);
+        assert_eq!(QUEUE_DEPTH, 64);
+        assert_eq!(MAX_CMD_BYTES, 1 << 20);
+        assert_eq!(STREAM_CHUNK, 64 << 10);
+        assert_eq!(CMD_ISSUE_LATENCY, SimDuration::from_ns(100));
+        assert_eq!(COMPLETION_LATENCY, SimDuration::from_ns(50));
         assert_eq!(c.retirement, RetirementMode::InOrder);
         assert_eq!(c.read_buffer_bytes(), 4 << 20);
         assert_eq!(c.write_buffer_bytes(), 0);
@@ -192,7 +191,7 @@ mod tests {
     fn ooo_extension_deepens_sq() {
         let c = StreamerConfig::snacc_ooo(StreamerVariant::Uram);
         assert_eq!(c.retirement, RetirementMode::OutOfOrder);
-        assert!(c.sq_entries > c.queue_depth);
+        assert!(c.sq_entries > QUEUE_DEPTH);
     }
 
     #[test]

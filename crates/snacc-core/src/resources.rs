@@ -4,7 +4,7 @@
 //! `snacc_fpga::resources::blocks`; the totals approximate Table 1 of the
 //! paper (the `table1` benchmark prints model vs paper side by side).
 
-use crate::config::{StreamerConfig, StreamerVariant};
+use crate::config::{StreamerConfig, StreamerVariant, QUEUE_DEPTH};
 use snacc_fpga::resources::{blocks, ResourceUsage};
 
 /// Control/status registers + doorbell write master shared by all
@@ -19,7 +19,7 @@ fn control_and_doorbell() -> ResourceUsage {
 
 /// Resource usage of a streamer configuration.
 pub fn streamer_resources(cfg: &StreamerConfig) -> ResourceUsage {
-    let qd = cfg.queue_depth as u64;
+    let qd = QUEUE_DEPTH as u64;
     // Common core: 4 user stream endpoints, queue logic, reorder buffer,
     // splitter, control.
     let mut total = ResourceUsage::default();

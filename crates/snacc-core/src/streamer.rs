@@ -17,17 +17,20 @@
 //! CQEs into its reorder buffer (⑤), and retires commands in order,
 //! streaming read data to the PE and recycling buffer space (⑥).
 
-use crate::config::{StreamerConfig, StreamerVariant};
+use crate::config::{
+    StreamerConfig, StreamerVariant, CMD_ISSUE_LATENCY, COMPLETION_LATENCY, MAX_CMD_BYTES,
+    QUEUE_DEPTH, STREAM_CHUNK,
+};
 use crate::prpgen::{PrpMapping, PrpRegFile, RegFilePrpWindow, UramPrpWindow};
 use crate::ring::{Region, RingAllocator};
 use crate::rob::CommandRob;
 use snacc_fpga::axis::{self, AxisChannel, StreamBeat};
 use snacc_fpga::tapasco::TapascoShell;
 use snacc_mem::hostmem::PinnedBuffer;
-use snacc_mem::{AddrRange, DramController, UramConfig, UramModel};
+use snacc_mem::{AddrRange, UramConfig, UramModel};
 use snacc_nvme::queue::{CqRing, SqRing};
 use snacc_nvme::spec::{self, Cqe, IoOpcode, Sqe};
-use snacc_pcie::target::ScratchTarget;
+use snacc_pcie::target::{MmioTarget, ScratchTarget};
 use snacc_pcie::{NodeId, PcieFabric};
 use snacc_sim::bytes::Payload;
 use snacc_sim::{Engine, SimDuration, SimTime};
@@ -67,115 +70,74 @@ enum BufKind {
     Write,
 }
 
-/// Buffer placement backend.
-enum BufferBackend {
-    Uram {
-        mem: Rc<RefCell<UramModel>>,
-        /// Device-visible base of the 4 MB data window.
-        dev_base: u64,
+/// One buffer pool's memory (Sec 4.3).
+#[derive(Clone)]
+enum Buffer {
+    /// FPGA-local memory (URAM, or an on-board DRAM window): the target
+    /// the fabric maps at device address `base`.
+    Local {
+        mem: Rc<RefCell<dyn MmioTarget>>,
+        base: u64,
     },
-    Dram {
-        mem: Rc<RefCell<DramController>>,
-        rd_local: u64,
-        wr_local: u64,
-        rd_dev: u64,
-        wr_dev: u64,
-    },
-    Host {
-        /// Installed by the host driver (Sec 4.6).
-        rd_buf: Option<PinnedBuffer>,
-        wr_buf: Option<PinnedBuffer>,
-    },
+    /// Pinned host DRAM, reached over the fabric; `None` until the host
+    /// driver installs it (Sec 4.6).
+    Host(Option<PinnedBuffer>),
 }
 
-/// Per-command ROB payload.
-#[derive(Clone, Debug)]
-enum CmdInfo {
-    Read {
-        region: Region,
-        /// NVMe byte address, kept so a retry can rebuild the SQE.
-        nvme_addr: u64,
-        /// Bytes the user asked for in this segment.
-        len: u64,
-        /// This segment ends the user transfer (emit TLAST).
-        last_of_xfer: bool,
-        /// Open trace span (inert when tracing is off).
-        span: trace::SpanId,
-        /// First-issue time, for the retirement-latency histogram.
-        issued_at: SimTime,
-        /// Completed retry attempts (0 = the first issue is in flight).
-        attempts: u32,
-    },
-    Write {
-        region: Region,
-        /// NVMe byte address, kept so a retry can rebuild the SQE.
-        nvme_addr: u64,
-        /// LBA-padded command length, kept so a retry can rebuild the SQE.
-        len: u64,
-        xfer_id: u64,
-        /// Open trace span (inert when tracing is off).
-        span: trace::SpanId,
-        /// First-issue time, for the retirement-latency histogram.
-        issued_at: SimTime,
-        /// Completed retry attempts (0 = the first issue is in flight).
-        attempts: u32,
-    },
-}
-
-impl CmdInfo {
-    fn attempts(&self) -> u32 {
+impl Buffer {
+    /// Device-visible address of buffer offset `offset`.
+    fn dev_addr(&self, offset: u64) -> u64 {
         match self {
-            CmdInfo::Read { attempts, .. } | CmdInfo::Write { attempts, .. } => *attempts,
-        }
-    }
-
-    fn bump_attempts(&mut self) {
-        match self {
-            CmdInfo::Read { attempts, .. } | CmdInfo::Write { attempts, .. } => *attempts += 1,
-        }
-    }
-
-    fn issued_at(&self) -> SimTime {
-        match self {
-            CmdInfo::Read { issued_at, .. } | CmdInfo::Write { issued_at, .. } => *issued_at,
-        }
-    }
-
-    /// `(opcode, nvme_addr, len, kind, region)` for rebuilding the SQE at
-    /// replay time. The buffer region (and, for writes, its data) is
-    /// untouched by the failed attempt, so this is all a retry needs.
-    fn reissue_parts(&self) -> (IoOpcode, u64, u64, BufKind, Region) {
-        match *self {
-            CmdInfo::Read {
-                region,
-                nvme_addr,
-                len,
-                ..
-            } => (IoOpcode::Read, nvme_addr, len, BufKind::Read, region),
-            CmdInfo::Write {
-                region,
-                nvme_addr,
-                len,
-                ..
-            } => (IoOpcode::Write, nvme_addr, len, BufKind::Write, region),
+            Buffer::Local { base, .. } => base + offset,
+            Buffer::Host(pinned) => pinned_of(pinned).phys_addr(offset),
         }
     }
 }
 
-/// A command waiting for a ROB slot / SQ slot / buffer region.
-#[derive(Debug)]
-enum PendingCmd {
-    Read {
-        nvme_addr: u64,
-        len: u64,
-        last_of_xfer: bool,
-    },
-    Write {
-        nvme_addr: u64,
-        len: u64,
-        region: Region,
-        xfer_id: u64,
-    },
+/// The installed pinned host buffer.
+fn pinned_of(pinned: &Option<PinnedBuffer>) -> &PinnedBuffer {
+    pinned.as_ref().expect("host buffers installed")
+}
+
+/// One NVMe command, from the split that queues it to its retirement:
+/// the pending queue and the ROB hold the same record, and a replay
+/// rebuilds its SQE from it (the buffer region, and a write's data, are
+/// untouched by a failed attempt).
+#[derive(Clone, Copy, Debug)]
+struct Cmd {
+    kind: BufKind,
+    /// NVMe byte address.
+    nvme_addr: u64,
+    /// Command bytes: the user's for a read, LBA-padded for a write.
+    len: u64,
+    /// Buffer region (a read allocates its own at issue).
+    region: Region,
+    /// Open trace span (inert when tracing is off).
+    span: trace::SpanId,
+    /// First-issue time, for the retirement-latency histogram.
+    issued_at: SimTime,
+    /// Completed retry attempts (0 = the first issue is in flight).
+    attempts: u32,
+    /// A read segment that ends the user transfer (emit TLAST).
+    last_of_xfer: bool,
+    /// A write segment's transfer.
+    xfer_id: u64,
+}
+
+impl Cmd {
+    fn new(kind: BufKind, nvme_addr: u64, len: u64) -> Self {
+        Cmd {
+            kind,
+            nvme_addr,
+            len,
+            region: Region { offset: 0, len: 0 },
+            span: trace::SpanId::NONE,
+            issued_at: SimTime::ZERO,
+            attempts: 0,
+            last_of_xfer: false,
+            xfer_id: 0,
+        }
+    }
 }
 
 /// Write-stream accumulation state.
@@ -190,13 +152,13 @@ struct WriteAccum {
 /// pipelined (a hardware streamer prefetches ahead of the AXIS output),
 /// so several chunks can be in flight while beats are pushed in order.
 struct ReadStream {
-    region: Region,
-    len: u64,
+    cmd: Cmd,
+    /// The command completed successfully; a given-up read streams zeros.
+    ok: bool,
     /// Bytes whose buffer reads have been issued.
     issued: u64,
     /// Bytes delivered to the PE.
     delivered: u64,
-    last_of_xfer: bool,
     waiting_space: bool,
     /// Outstanding buffer reads.
     inflight: u32,
@@ -289,7 +251,7 @@ pub struct WindowMap {
     pub sq: AddrRange,
     /// CQ window (the SSD writes CQEs here).
     pub cq: AddrRange,
-    /// Data window for reads (0-sized for the host variant).
+    /// Data window for reads (a 1-byte placeholder for the host variant).
     pub rd_data: AddrRange,
     /// Data window for writes (URAM: same as `rd_data`).
     pub wr_data: AddrRange,
@@ -304,10 +266,12 @@ pub struct NvmeStreamer {
     fabric: Weak<RefCell<PcieFabric>>,
     node: NodeId,
     ports: UserPorts,
-    backend: BufferBackend,
+    /// Read and write buffer memory (URAM: one pool, both the same).
+    rd_buf: Buffer,
+    wr_buf: Buffer,
     rd_ring: RingAllocator,
     wr_ring: Option<RingAllocator>,
-    rob: CommandRob<CmdInfo>,
+    rob: CommandRob<Cmd>,
     sq: SqRing,
     sq_mem: Rc<RefCell<ScratchTarget>>,
     cq_mem: Rc<RefCell<ScratchTarget>>,
@@ -319,7 +283,7 @@ pub struct NvmeStreamer {
     /// SSD CQ-head doorbell address.
     ssd_cq_doorbell: u64,
     enabled: bool,
-    pending: VecDeque<PendingCmd>,
+    pending: VecDeque<Cmd>,
     /// Replayed commands whose re-issue found the SQ full; drained when
     /// completions free slots.
     retry_q: VecDeque<u16>,
@@ -361,14 +325,14 @@ impl StreamerHandle {
             .alloc_window(cfg.sq_entries as u64 * spec::CQE_BYTES)
             .expect("cq window");
 
-        // Buffer windows + PRP window, per variant.
-        let (backend, rd_data_w, wr_data_w, prp_w, regfile) = match cfg.variant {
+        // Buffer windows (and URAM's PRP window), per variant.
+        let (rd_buf, wr_buf, data_ws, uram_prp_w) = match cfg.variant {
             StreamerVariant::Uram => {
                 // 8 MB window: 4 MB data + 4 MB PRP upper half (Fig 2).
                 let win = shell.alloc_window(8 << 20).expect("uram window");
                 let data_w = AddrRange::new(win.base, 4 << 20);
                 let prp_w = AddrRange::new(win.base + (4 << 20), 4 << 20);
-                let mem = Rc::new(RefCell::new(UramModel::new(
+                let mem: Rc<RefCell<dyn MmioTarget>> = Rc::new(RefCell::new(UramModel::new(
                     "snacc-uram",
                     UramConfig::snacc_default(),
                 )));
@@ -377,73 +341,54 @@ impl StreamerHandle {
                     prp_w,
                     Rc::new(RefCell::new(UramPrpWindow::new(data_w.base))),
                 );
-                (
-                    BufferBackend::Uram {
-                        mem,
-                        dev_base: data_w.base,
-                    },
-                    data_w,
-                    data_w,
-                    prp_w,
-                    None,
-                )
+                let buf = Buffer::Local {
+                    mem,
+                    base: data_w.base,
+                };
+                (buf.clone(), buf, Some((data_w, data_w)), Some(prp_w))
             }
             StreamerVariant::OnboardDram => {
                 // Two 64 MB DRAM windows need the second BAR (Sec 4.5).
                 let bar2_base = shell.bar0().base + (1 << 30);
                 shell.add_second_bar(bar2_base, 256 << 20);
-                let mem = shell
-                    .dram()
-                    .unwrap_or_else(|| shell.attach_dram(snacc_mem::DramConfig::ddr4_u280()));
-                let rd_w = shell.map_dram_window(0, 64 << 20).expect("rd window");
-                let wr_w = shell
+                if shell.dram().is_none() {
+                    shell.attach_dram(snacc_mem::DramConfig::ddr4_u280());
+                }
+                let (rd_w, rd_mem) = shell.map_dram_window(0, 64 << 20).expect("rd window");
+                let (wr_w, wr_mem) = shell
                     .map_dram_window(64 << 20, 64 << 20)
                     .expect("wr window");
-                let prp_w = shell
-                    .alloc_window(cfg.sq_entries as u64 * PAGE)
-                    .expect("prp window");
-                let rf = PrpRegFile::new(cfg.sq_entries as usize);
-                shell.map_target(
-                    prp_w,
-                    Rc::new(RefCell::new(RegFilePrpWindow::new(rf.clone()))),
-                );
                 (
-                    BufferBackend::Dram {
-                        mem,
-                        rd_local: 0,
-                        wr_local: 64 << 20,
-                        rd_dev: rd_w.base,
-                        wr_dev: wr_w.base,
+                    Buffer::Local {
+                        mem: rd_mem,
+                        base: rd_w.base,
                     },
-                    rd_w,
-                    wr_w,
-                    prp_w,
-                    Some(rf),
+                    Buffer::Local {
+                        mem: wr_mem,
+                        base: wr_w.base,
+                    },
+                    Some((rd_w, wr_w)),
+                    None,
                 )
             }
-            StreamerVariant::HostDram => {
-                let prp_w = shell
+            StreamerVariant::HostDram => (Buffer::Host(None), Buffer::Host(None), None, None),
+        };
+        // The DRAM variants synthesise PRP lists from a per-cid register
+        // file (Sec 4.4).
+        let (prp_w, regfile) = match uram_prp_w {
+            Some(w) => (w, None),
+            None => {
+                let w = shell
                     .alloc_window(cfg.sq_entries as u64 * PAGE)
                     .expect("prp window");
                 let rf = PrpRegFile::new(cfg.sq_entries as usize);
-                shell.map_target(
-                    prp_w,
-                    Rc::new(RefCell::new(RegFilePrpWindow::new(rf.clone()))),
-                );
-                // Data windows live in host memory; zero-sized placeholders.
-                let dummy = AddrRange::new(prp_w.base, 1);
-                (
-                    BufferBackend::Host {
-                        rd_buf: None,
-                        wr_buf: None,
-                    },
-                    dummy,
-                    dummy,
-                    prp_w,
-                    Some(rf),
-                )
+                shell.map_target(w, Rc::new(RefCell::new(RegFilePrpWindow::new(rf.clone()))));
+                (w, Some(rf))
             }
         };
+        // Host buffers live in host memory; placeholder data windows.
+        let placeholder = AddrRange::new(prp_w.base, 1);
+        let (rd_data_w, wr_data_w) = data_ws.unwrap_or((placeholder, placeholder));
 
         let sq_mem = Rc::new(RefCell::new(ScratchTarget::new(
             "snacc-sq-fifo",
@@ -467,8 +412,8 @@ impl StreamerHandle {
 
         let ports = UserPorts {
             rd_cmd: AxisChannel::new("snacc.rd_cmd", 4096),
-            rd_data: AxisChannel::new("snacc.rd_data", 4 * cfg.stream_chunk),
-            wr_in: AxisChannel::new("snacc.wr_in", 4 * cfg.stream_chunk),
+            rd_data: AxisChannel::new("snacc.rd_data", 4 * STREAM_CHUNK),
+            wr_in: AxisChannel::new("snacc.wr_in", 4 * STREAM_CHUNK),
             wr_resp: AxisChannel::new("snacc.wr_resp", 4096),
         };
 
@@ -479,7 +424,7 @@ impl StreamerHandle {
         let streamer = Rc::new(RefCell::new(NvmeStreamer {
             rd_ring: RingAllocator::new(cfg.read_buffer_bytes()),
             wr_ring,
-            rob: CommandRob::new(cfg.queue_depth, cfg.retirement),
+            rob: CommandRob::new(QUEUE_DEPTH, cfg.retirement),
             sq: SqRing::new(sq_w.base, cfg.sq_entries),
             cq_ring: CqRing::new(cq_w.base, cfg.sq_entries),
             sq_mem,
@@ -504,7 +449,8 @@ impl StreamerHandle {
             fabric: Rc::downgrade(&fabric),
             node,
             ports: ports.clone(),
-            backend,
+            rd_buf,
+            wr_buf,
         }));
 
         // Every hook below sits on an object the streamer owns (or the
@@ -517,7 +463,7 @@ impl StreamerHandle {
                 .borrow_mut()
                 .set_hook(Box::new(move |en, _off, _data, arrival| {
                     let rc = upgrade(&me, "CQ window hook");
-                    let t = arrival.max(en.now()) + rc.borrow().cfg.completion_latency;
+                    let t = arrival.max(en.now()) + COMPLETION_LATENCY;
                     en.schedule_at(t, move |en| process_cq(&rc, en));
                 }));
         }
@@ -559,7 +505,7 @@ impl StreamerHandle {
             ports
                 .wr_resp
                 .borrow_mut()
-                .set_space_hook(move |en| try_retire(&upgrade(&me, "wr_resp hook"), en));
+                .set_space_hook(move |en| finish_xfers(&upgrade(&me, "wr_resp hook"), en));
         }
         StreamerHandle { inner: streamer }
     }
@@ -595,24 +541,12 @@ impl StreamerHandle {
     /// Sec 4.3/4.6).
     pub fn install_host_buffers(&self, rd: PinnedBuffer, wr: PinnedBuffer) {
         let mut s = self.inner.borrow_mut();
-        match &mut s.backend {
-            BufferBackend::Host { rd_buf, wr_buf } => {
-                *rd_buf = Some(rd);
-                *wr_buf = Some(wr);
-            }
-            _ => panic!("install_host_buffers on a non-host variant"),
-        }
-    }
-
-    /// Enable the IP (tests; normal path is the control window).
-    pub fn enable(&self, en: &mut Engine) {
-        self.inner.borrow_mut().enabled = true;
-        let rc = self.inner.clone();
-        en.schedule_now(move |en| {
-            accept_read_cmds(&rc, en);
-            pump_write_in(&rc, en);
-            try_issue(&rc, en);
-        });
+        assert!(
+            matches!(s.rd_buf, Buffer::Host(_)),
+            "install_host_buffers on a non-host variant"
+        );
+        s.rd_buf = Buffer::Host(Some(rd));
+        s.wr_buf = Buffer::Host(Some(wr));
     }
 }
 
@@ -630,22 +564,10 @@ impl NvmeStreamer {
             .expect("streamer -> fabric: the fabric was dropped")
     }
 
-    fn page_dev_addr(&self, kind: BufKind, offset: u64) -> u64 {
-        match &self.backend {
-            BufferBackend::Uram { dev_base, .. } => dev_base + offset,
-            BufferBackend::Dram { rd_dev, wr_dev, .. } => match kind {
-                BufKind::Read => rd_dev + offset,
-                BufKind::Write => wr_dev + offset,
-            },
-            BufferBackend::Host { rd_buf, wr_buf } => {
-                let b = match kind {
-                    BufKind::Read => rd_buf,
-                    BufKind::Write => wr_buf,
-                };
-                b.as_ref()
-                    .expect("host buffers installed")
-                    .phys_addr(offset)
-            }
+    fn buf(&self, kind: BufKind) -> &Buffer {
+        match kind {
+            BufKind::Read => &self.rd_buf,
+            BufKind::Write => &self.wr_buf,
         }
     }
 
@@ -665,62 +587,39 @@ impl NvmeStreamer {
         }
     }
 
-    /// ② (shared by first issue and replay re-issue): assign `cid`, set
-    /// up PRPs per variant (Sec 4.4), write the SQE into the SQ FIFO slot
-    /// and advance the tail. The caller must have checked
-    /// `!self.sq.is_full()` and rings the doorbell with the returned tail.
-    fn push_sqe(
-        &mut self,
-        en: &mut Engine,
-        mut sqe: Sqe,
-        cid: u16,
-        kind: BufKind,
-        region: Region,
-        len: u64,
-    ) -> u16 {
-        sqe.cid = cid;
-        // PRPs: on-the-fly schemes (Sec 4.4).
-        let pages = snacc_sim::ceil_div(len, PAGE);
-        sqe.prp1 = self.page_dev_addr(kind, region.offset);
+    /// ② Build `cmd`'s SQE under `cid`, set up its PRPs per variant
+    /// (Sec 4.4), write it into the SQ FIFO slot and advance the tail.
+    /// The caller must have checked `!self.sq.is_full()` and rings the
+    /// doorbell with the returned tail.
+    fn push_sqe(&mut self, en: &Engine, cid: u16, cmd: &Cmd) -> u16 {
+        let op = match cmd.kind {
+            BufKind::Read => IoOpcode::Read,
+            BufKind::Write => IoOpcode::Write,
+        };
+        let mut sqe = Sqe::io(op, cid, cmd.nvme_addr / LBA, (cmd.len / LBA - 1) as u16);
+        let (buf, offset) = (self.buf(cmd.kind), cmd.region.offset);
+        let pages = snacc_sim::ceil_div(cmd.len, PAGE);
+        sqe.prp1 = buf.dev_addr(offset);
         if pages == 2 {
-            sqe.prp2 = self.page_dev_addr(kind, region.offset + PAGE);
+            sqe.prp2 = buf.dev_addr(offset + PAGE);
         } else if pages > 2 {
-            match self.cfg.variant {
-                StreamerVariant::Uram => {
-                    sqe.prp2 = UramPrpWindow::prp2_for(self.windows.prp.base, region.offset);
-                }
-                StreamerVariant::OnboardDram => {
-                    let second = self.page_dev_addr(kind, region.offset + PAGE);
-                    let slots = self.cfg.sq_entries as usize;
-                    self.regfile.as_ref().unwrap().borrow_mut().set(
-                        cid,
-                        PrpMapping::Contig {
-                            second_page: second,
+            sqe.prp2 = match &self.regfile {
+                None => UramPrpWindow::prp2_for(self.windows.prp.base, offset),
+                Some(rf) => {
+                    let mapping = match buf {
+                        Buffer::Local { base, .. } => PrpMapping::Contig {
+                            second_page: base + offset + PAGE,
                         },
-                    );
-                    sqe.prp2 = RegFilePrpWindow::prp2_for(self.windows.prp.base, cid, slots);
-                }
-                StreamerVariant::HostDram => {
-                    let pinned = match (&self.backend, kind) {
-                        (BufferBackend::Host { rd_buf, .. }, BufKind::Read) => {
-                            rd_buf.as_ref().unwrap().clone()
-                        }
-                        (BufferBackend::Host { wr_buf, .. }, BufKind::Write) => {
-                            wr_buf.as_ref().unwrap().clone()
-                        }
-                        _ => unreachable!(),
+                        Buffer::Host(pinned) => PrpMapping::Segmented {
+                            pinned: pinned_of(pinned).clone(),
+                            second_page_index: offset / PAGE + 1,
+                        },
                     };
+                    rf.borrow_mut().set(cid, mapping);
                     let slots = self.cfg.sq_entries as usize;
-                    self.regfile.as_ref().unwrap().borrow_mut().set(
-                        cid,
-                        PrpMapping::Segmented {
-                            pinned,
-                            second_page_index: region.offset / PAGE + 1,
-                        },
-                    );
-                    sqe.prp2 = RegFilePrpWindow::prp2_for(self.windows.prp.base, cid, slots);
+                    RegFilePrpWindow::prp2_for(self.windows.prp.base, cid, slots)
                 }
-            }
+            };
         }
         // Write the SQE into the SQ FIFO (local IP memory).
         let slot_addr = self.sq.tail_addr() - self.windows.sq.base;
@@ -737,6 +636,21 @@ impl NvmeStreamer {
             );
         }
         self.sq.advance_tail()
+    }
+
+    /// ⑥ Retire the ROB head: clear its PRP register-file entry, end its
+    /// span, record its latency and free its buffer region.
+    fn retire_head(&mut self, en: &Engine) -> Cmd {
+        let (cid, _ok, cmd) = self.rob.retire_front();
+        if let Some(rf) = &self.regfile {
+            rf.borrow_mut().clear(cid);
+        }
+        trace::end(en, cmd.span);
+        self.metrics
+            .cmd_latency_us
+            .record(en.now().since(cmd.issued_at).as_us_f64());
+        self.ring_mut(cmd.kind).free_oldest(cmd.region);
+        cmd
     }
 }
 
@@ -772,57 +686,34 @@ fn ctrl_write(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine, off: u64, value: 
     }
 }
 
-/// Where a buffer access lands, resolved with the streamer borrow
-/// released.
-enum BufOp {
-    Uram(Rc<RefCell<UramModel>>),
-    Dram(Rc<RefCell<DramController>>, u64),
-    Host(PinnedBuffer, Rc<RefCell<PcieFabric>>, NodeId),
-}
-
-fn buf_op(rc: &Rc<RefCell<NvmeStreamer>>, kind: BufKind) -> BufOp {
+/// The `kind` buffer plus the fabric path to it, taken out of the
+/// streamer borrow.
+fn buf_access(
+    rc: &Rc<RefCell<NvmeStreamer>>,
+    kind: BufKind,
+) -> (Buffer, Rc<RefCell<PcieFabric>>, NodeId) {
     let s = rc.borrow();
-    match &s.backend {
-        BufferBackend::Uram { mem, .. } => BufOp::Uram(mem.clone()),
-        BufferBackend::Dram {
-            mem,
-            rd_local,
-            wr_local,
-            ..
-        } => {
-            let base = match kind {
-                BufKind::Read => *rd_local,
-                BufKind::Write => *wr_local,
-            };
-            BufOp::Dram(mem.clone(), base)
-        }
-        BufferBackend::Host { rd_buf, wr_buf } => {
-            let b = match kind {
-                BufKind::Read => rd_buf,
-                BufKind::Write => wr_buf,
-            };
-            let pinned = b.as_ref().expect("host buffers installed").clone();
-            BufOp::Host(pinned, s.fabric(), s.node)
-        }
-    }
+    (s.buf(kind).clone(), s.fabric(), s.node)
 }
 
-/// Timed + functional buffer write (local datapath or host DMA). The
-/// backing store retains the payload window zero-copy.
+/// Timed + functional buffer write (local datapath or host DMA) starting
+/// now; returns when it is done. The backing store retains the payload
+/// window zero-copy.
 fn buf_write(
     rc: &Rc<RefCell<NvmeStreamer>>,
     en: &mut Engine,
-    start: SimTime,
     kind: BufKind,
     offset: u64,
     data: Payload,
 ) -> SimTime {
-    match buf_op(rc, kind) {
-        BufOp::Uram(mem) => mem.borrow_mut().write_payload(start, offset, data),
-        BufOp::Dram(mem, base) => mem.borrow_mut().write_payload(start, base + offset, data),
-        BufOp::Host(pinned, fabric, node) => {
+    let start = en.now();
+    match buf_access(rc, kind) {
+        (Buffer::Local { mem, .. }, _, _) => {
+            start + mem.borrow_mut().write(en, start, offset, data)
+        }
+        (Buffer::Host(pinned), fabric, node) => {
             let mut t = start;
-            for (phys, off, n) in pinned.pieces(offset, data.len()) {
+            for (phys, off, n) in pinned_of(&pinned).pieces(offset, data.len()) {
                 t = fabric
                     .borrow_mut()
                     .write(en, t.max(en.now()), node, phys, data.slice(off..off + n))
@@ -833,23 +724,25 @@ fn buf_write(
     }
 }
 
-/// Timed + functional buffer read: returns the buffered bytes as a
-/// zero-copy payload view plus the completion time.
-fn buf_read_payload(
+/// Timed + functional buffer read starting now: returns the buffered
+/// bytes as a zero-copy payload view plus the completion time.
+fn buf_read(
     rc: &Rc<RefCell<NvmeStreamer>>,
     en: &mut Engine,
-    start: SimTime,
     kind: BufKind,
     offset: u64,
     len: usize,
 ) -> (Payload, SimTime) {
-    match buf_op(rc, kind) {
-        BufOp::Uram(mem) => mem.borrow_mut().read_payload(start, offset, len),
-        BufOp::Dram(mem, base) => mem.borrow_mut().read_payload(start, base + offset, len),
-        BufOp::Host(pinned, fabric, node) => {
+    let start = en.now();
+    match buf_access(rc, kind) {
+        (Buffer::Local { mem, .. }, _, _) => {
+            let (data, service) = mem.borrow_mut().read(en, start, offset, len);
+            (data, start + service)
+        }
+        (Buffer::Host(pinned), fabric, node) => {
             let mut t = start;
             let mut parts: Vec<Payload> = Vec::new();
-            for (phys, _, n) in pinned.pieces(offset, len) {
+            for (phys, _, n) in pinned_of(&pinned).pieces(offset, len) {
                 let (chunk, done) = fabric
                     .borrow_mut()
                     .read(en, t.max(en.now()), node, phys, n as u64)
@@ -882,14 +775,12 @@ fn accept_read_cmds(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
         );
         // Split at the 1 MB boundary (Sec 4.2).
         let mut s = rc.borrow_mut();
-        let max = s.cfg.max_cmd_bytes;
         let mut off = 0;
         while off < len {
-            let n = max.min(len - off);
-            s.pending.push_back(PendingCmd::Read {
-                nvme_addr: addr + off,
-                len: n,
+            let n = MAX_CMD_BYTES.min(len - off);
+            s.pending.push_back(Cmd {
                 last_of_xfer: off + n == len,
+                ..Cmd::new(BufKind::Read, addr + off, n)
             });
             off += n;
         }
@@ -968,8 +859,7 @@ fn pump_write_in(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
     let need_alloc = rc.borrow().accum.as_ref().unwrap().region.is_none();
     if need_alloc {
         let mut s = rc.borrow_mut();
-        let max = s.cfg.max_cmd_bytes;
-        let region = s.ring_mut(BufKind::Write).alloc(max);
+        let region = s.ring_mut(BufKind::Write).alloc(MAX_CMD_BYTES);
         match region {
             Some(r) => {
                 s.accum.as_mut().unwrap().region = Some((r, 0));
@@ -1005,14 +895,7 @@ fn pump_write_in(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
 
     rc.borrow_mut().wr_busy = true;
     let chunk_len = chunk.len() as u64;
-    let t_done = buf_write(
-        rc,
-        en,
-        en.now(),
-        BufKind::Write,
-        region.offset + filled,
-        chunk,
-    );
+    let t_done = buf_write(rc, en, BufKind::Write, region.offset + filled, chunk);
     let rc2 = rc.clone();
     en.schedule_at(t_done.max(en.now()), move |en| {
         let mut issue_needed = false;
@@ -1045,11 +928,10 @@ fn pump_write_in(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
                 let x = s.xfer_mut(xfer_id);
                 x.outstanding_segments += 1;
                 x.bytes += new_fill;
-                s.pending.push_back(PendingCmd::Write {
-                    nvme_addr,
-                    len: cmd_len,
+                s.pending.push_back(Cmd {
                     region: shrunk,
                     xfer_id,
+                    ..Cmd::new(BufKind::Write, nvme_addr, cmd_len)
                 });
                 if final_now {
                     s.xfer_mut(xfer_id).sealed = true;
@@ -1065,156 +947,89 @@ fn pump_write_in(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
     });
 }
 
-/// ② — issue pending commands: ROB slot + SQ slot (+ read buffer region),
-/// write the SQE into the SQ FIFO, ring the SSD doorbell.
+/// ② — admit the next pending command: it needs a ROB slot, an SQ slot
+/// and (for a read) a buffer region. One command per issue-pipeline slot.
 fn try_issue(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
-    {
-        let s = rc.borrow();
+    let cid = {
+        let mut s = rc.borrow_mut();
         if !s.enabled || s.issuing || s.ssd_sq_doorbell == 0 {
             return;
         }
-    }
-    // One command per issue-pipeline slot.
-    let issue = {
-        let mut s = rc.borrow_mut();
-        if s.pending.is_empty() || !s.rob.can_issue() || s.sq.is_full() {
-            None
-        } else {
-            // Reads allocate their buffer region at issue time.
-            let front_ok = match s.pending.front().unwrap() {
-                PendingCmd::Read { len, .. } => {
-                    let padded = len.div_ceil(PAGE) * PAGE;
-                    let region = s.rd_ring.alloc(padded);
-                    region.map(Some)
-                }
-                PendingCmd::Write { .. } => Some(None),
+        let Some(&(mut cmd)) = s.pending.front() else {
+            return;
+        };
+        if !s.rob.can_issue() || s.sq.is_full() {
+            return;
+        }
+        // Reads allocate their buffer region at issue time.
+        if cmd.kind == BufKind::Read {
+            let Some(region) = s.rd_ring.alloc(cmd.len.div_ceil(PAGE) * PAGE) else {
+                return;
             };
-            match front_ok {
-                None => None,
-                Some(read_region) => {
-                    let cmd = s.pending.pop_front().unwrap();
-                    Some((cmd, read_region))
-                }
-            }
+            cmd.region = region;
         }
-    };
-    let Some((cmd, read_region)) = issue else {
-        return;
-    };
-
-    // Build the SQE.
-    let (sqe_no_cid, info, kind, region, len) = {
-        let issued_at = en.now();
-        match cmd {
-            PendingCmd::Read {
-                nvme_addr,
-                len,
-                last_of_xfer,
-            } => {
-                let region = read_region.expect("read region allocated");
-                let span = if trace::enabled() {
-                    trace::begin(
-                        en,
-                        &rc.borrow().track,
-                        "cmd.read",
-                        &[("nvme_addr", nvme_addr), ("len", len)],
-                    )
-                } else {
-                    trace::SpanId::NONE
-                };
-                let sqe = Sqe::io(IoOpcode::Read, 0, nvme_addr / LBA, (len / LBA - 1) as u16);
-                (
-                    sqe,
-                    CmdInfo::Read {
-                        region,
-                        nvme_addr,
-                        len,
-                        last_of_xfer,
-                        span,
-                        issued_at,
-                        attempts: 0,
-                    },
-                    BufKind::Read,
-                    region,
-                    len,
-                )
-            }
-            PendingCmd::Write {
-                nvme_addr,
-                len,
-                region,
-                xfer_id,
-            } => {
-                let span = if trace::enabled() {
-                    trace::begin(
-                        en,
-                        &rc.borrow().track,
-                        "cmd.write",
-                        &[("nvme_addr", nvme_addr), ("len", len)],
-                    )
-                } else {
-                    trace::SpanId::NONE
-                };
-                let sqe = Sqe::io(IoOpcode::Write, 0, nvme_addr / LBA, (len / LBA - 1) as u16);
-                (
-                    sqe,
-                    CmdInfo::Write {
-                        region,
-                        nvme_addr,
-                        len,
-                        xfer_id,
-                        span,
-                        issued_at,
-                        attempts: 0,
-                    },
-                    BufKind::Write,
-                    region,
-                    len,
-                )
-            }
+        s.pending.pop_front();
+        cmd.issued_at = en.now();
+        if trace::enabled() {
+            let name = match cmd.kind {
+                BufKind::Read => "cmd.read",
+                BufKind::Write => "cmd.write",
+            };
+            let args = [("nvme_addr", cmd.nvme_addr), ("len", cmd.len)];
+            cmd.span = trace::begin(en, &s.track, name, &args);
         }
-    };
-
-    let (tail, doorbell, fabric, node, delay, cid, timeout) = {
-        let mut s = rc.borrow_mut();
-        let cid = s.rob.issue(info);
-        let tail = s.push_sqe(en, sqe_no_cid, cid, kind, region, len);
         s.metrics.cmds_issued.inc();
-        match kind {
+        match cmd.kind {
             BufKind::Read => s.metrics.read_cmds.inc(),
             BufKind::Write => s.metrics.write_cmds.inc(),
         }
-        s.metrics.doorbells.inc();
         s.issuing = true;
+        s.rob.issue(cmd)
+    };
+    submit(rc, en, cid);
+    // Issue pipeline: next command after the issue latency.
+    let rc2 = rc.clone();
+    en.schedule_in(CMD_ISSUE_LATENCY, move |en| {
+        rc2.borrow_mut().issuing = false;
+        try_issue(&rc2, en);
+    });
+}
+
+/// ② — submit ROB command `cid`, first issue and replay alike: write its
+/// SQE into the SQ FIFO, ring the SSD doorbell (a P2P posted write) and
+/// arm its timeout. The caller has checked that the SQ has a free slot.
+fn submit(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine, cid: u16) {
+    let (tail, doorbell, fabric, node, timeout, attempts) = {
+        let mut s = rc.borrow_mut();
+        let cmd = *s.rob.payload(cid).expect("submitted command is tracked");
+        let tail = s.push_sqe(en, cid, &cmd);
+        s.metrics.doorbells.inc();
+        if trace::enabled() {
+            if cmd.attempts == 0 {
+                trace::instant(en, &s.track, "db.sq", &[("tail", u64::from(tail))]);
+            } else {
+                let args = [
+                    ("cid", u64::from(cid)),
+                    ("attempt", u64::from(cmd.attempts)),
+                ];
+                trace::instant(en, &s.track, "retry.reissue", &args);
+            }
+        }
         (
             tail,
             s.ssd_sq_doorbell,
             s.fabric(),
             s.node,
-            s.cfg.cmd_issue_latency,
-            cid,
             s.cfg.retry.cmd_timeout,
+            cmd.attempts,
         )
     };
-
-    if trace::enabled() {
-        let track = rc.borrow().track.clone();
-        trace::instant(en, &track, "db.sq", &[("tail", u64::from(tail))]);
-    }
-    // Ring the SSD doorbell (P2P posted write).
     let _ = fabric
         .borrow_mut()
         .write_u32(en, node, doorbell, tail as u32);
     if let Some(after) = timeout {
-        arm_cmd_timeout(rc, en, cid, 0, after);
+        arm_cmd_timeout(rc, en, cid, attempts, after);
     }
-
-    // Issue pipeline: next command after the issue latency.
-    let rc2 = rc.clone();
-    en.schedule_in(delay, move |en| {
-        rc2.borrow_mut().issuing = false;
-        try_issue(&rc2, en);
-    });
 }
 
 /// ⑤ — drain new CQEs out of the CQ window memory.
@@ -1293,8 +1108,9 @@ fn process_cq(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
 /// a fresh cid via [`CommandRob::replay`] — it keeps its slot in the
 /// retirement order, so in-order delivery survives — and return
 /// `Some((new_cid, backoff))` for the caller to schedule the re-issue.
-/// Otherwise: give up and retire with the error (reads stream zeros,
-/// writes still answer the PE), counting the loss in `gave_up`.
+/// Otherwise: give up and retire with the error (a read streams zeros
+/// whatever its buffer region holds, a write still answers the PE),
+/// counting the loss in `gave_up`.
 ///
 /// Runs with the streamer borrow held; must not schedule (SL006).
 fn handle_completion(
@@ -1304,12 +1120,12 @@ fn handle_completion(
     status: spec::Status,
 ) -> Option<(u16, SimDuration)> {
     if status == spec::Status::Success {
-        if let Some(info) = s.rob.payload(cid) {
-            if info.attempts() > 0 {
+        if let Some(cmd) = s.rob.payload(cid) {
+            if cmd.attempts > 0 {
                 s.metrics.recovered.inc();
                 s.metrics
                     .retry_latency_us
-                    .record(en.now().since(info.issued_at()).as_us_f64());
+                    .record(en.now().since(cmd.issued_at).as_us_f64());
                 if trace::enabled() {
                     trace::instant(en, &s.track, "retry.recovered", &[("cid", u64::from(cid))]);
                 }
@@ -1321,7 +1137,7 @@ fn handle_completion(
     s.metrics.errors.inc();
     let policy = s.cfg.retry;
     let attempts = match s.rob.payload(cid) {
-        Some(i) => i.attempts(),
+        Some(cmd) => cmd.attempts,
         // Stale cid: a late CQE for a command already replayed or retired.
         None => return None,
     };
@@ -1330,9 +1146,9 @@ fn handle_completion(
             rf.borrow_mut().clear(cid);
         }
         let new_cid = s.rob.replay(cid).expect("payload checked above");
-        let info = s.rob.payload_mut(new_cid).expect("just replayed");
-        info.bump_attempts();
-        let attempt = info.attempts();
+        let cmd = s.rob.payload_mut(new_cid).expect("just replayed");
+        cmd.attempts += 1;
+        let attempt = cmd.attempts;
         s.metrics.retries.inc();
         if trace::enabled() {
             trace::instant(
@@ -1358,50 +1174,23 @@ fn handle_completion(
 }
 
 /// Re-issue a replayed command once its backoff elapsed. The fresh cid
-/// was assigned by [`CommandRob::replay`] at failure time; only the SQE
-/// is rebuilt. Replays bypass the issue pipeline (`issuing`) — the model
-/// gives recovery a dedicated slot, like the replay port of a hardware
-/// ROB — but still need a free SQ slot; if the SQ is full the command
-/// parks in `retry_q` until completions free space.
+/// was assigned by [`CommandRob::replay`] at failure time. Replays bypass
+/// the issue pipeline (`issuing`) — the model gives recovery a dedicated
+/// slot, like the replay port of a hardware ROB — but still need a free
+/// SQ slot; if the SQ is full the command parks in `retry_q` until
+/// completions free space.
 fn reissue_cmd(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine, cid: u16) {
-    let out = {
+    {
         let mut s = rc.borrow_mut();
-        let Some(info) = s.rob.payload(cid) else {
+        if s.rob.payload(cid).is_none() {
             return; // already given up on (e.g. a timeout raced the backoff)
-        };
-        let (op, nvme_addr, len, kind, region) = info.reissue_parts();
-        let attempts = info.attempts();
+        }
         if s.sq.is_full() {
             s.retry_q.push_back(cid);
             return;
         }
-        let sqe = Sqe::io(op, 0, nvme_addr / LBA, (len / LBA - 1) as u16);
-        let tail = s.push_sqe(en, sqe, cid, kind, region, len);
-        s.metrics.doorbells.inc();
-        if trace::enabled() {
-            trace::instant(
-                en,
-                &s.track,
-                "retry.reissue",
-                &[("cid", u64::from(cid)), ("attempt", u64::from(attempts))],
-            );
-        }
-        (
-            tail,
-            s.ssd_sq_doorbell,
-            s.fabric(),
-            s.node,
-            s.cfg.retry.cmd_timeout,
-            attempts,
-        )
-    };
-    let (tail, doorbell, fabric, node, timeout, attempts) = out;
-    let _ = fabric
-        .borrow_mut()
-        .write_u32(en, node, doorbell, tail as u32);
-    if let Some(after) = timeout {
-        arm_cmd_timeout(rc, en, cid, attempts, after);
     }
+    submit(rc, en, cid);
 }
 
 /// Drain parked replays once completions freed SQ slots.
@@ -1437,7 +1226,7 @@ fn arm_cmd_timeout(
     en.schedule_in(after, move |en| {
         let retry = {
             let mut s = rc2.borrow_mut();
-            let live = s.rob.payload(cid).is_some_and(|i| i.attempts() == attempts)
+            let live = s.rob.payload(cid).is_some_and(|c| c.attempts == attempts)
                 && s.rob.is_complete(cid) == Some(false);
             if !live {
                 return;
@@ -1469,84 +1258,33 @@ fn arm_cmd_timeout(
 /// stream their data to the PE before freeing.
 fn try_retire(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
     loop {
-        if rc.borrow().active_stream.is_some() {
+        let mut s = rc.borrow_mut();
+        if s.active_stream.is_some() {
             return; // a read is mid-stream; its completion resumes us
         }
-        enum Next {
-            Write,
-            Read,
-            None,
-        }
-        let next = {
-            let s = rc.borrow();
-            match s.rob.front_ready() {
-                Some((_, _, CmdInfo::Write { .. })) => {
-                    // Need response space before committing (tokens are
-                    // emitted from retirement).
-                    Next::Write
-                }
-                Some((_, _, CmdInfo::Read { .. })) => Next::Read,
-                None => Next::None,
-            }
+        let Some((_, ok, &cmd)) = s.rob.front_ready() else {
+            return;
         };
-        match next {
-            Next::None => return,
-            Next::Write => {
-                {
-                    let mut s = rc.borrow_mut();
-                    let (cid, _ok, info) = s.rob.retire_front();
-                    if let Some(rf) = &s.regfile {
-                        rf.borrow_mut().clear(cid);
-                    }
-                    let CmdInfo::Write {
-                        region,
-                        xfer_id,
-                        span,
-                        issued_at,
-                        ..
-                    } = info
-                    else {
-                        unreachable!()
-                    };
-                    trace::end(en, span);
-                    s.metrics
-                        .cmd_latency_us
-                        .record(en.now().since(issued_at).as_us_f64());
-                    s.ring_mut(BufKind::Write).free_oldest(region);
-                    s.xfer_mut(xfer_id).outstanding_segments -= 1;
-                }
+        match cmd.kind {
+            BufKind::Write => {
+                let cmd = s.retire_head(en);
+                s.xfer_mut(cmd.xfer_id).outstanding_segments -= 1;
+                drop(s);
                 finish_xfers(rc, en);
                 try_issue(rc, en);
                 pump_write_in(rc, en);
             }
-            Next::Read => {
+            BufKind::Read => {
                 // Begin streaming the head read's data (retire when done).
-                {
-                    let mut s = rc.borrow_mut();
-                    let (_cid, _ok, info) = s
-                        .rob
-                        .front_ready()
-                        .map(|(c, o, i)| (c, o, i.clone()))
-                        .expect("front ready");
-                    let CmdInfo::Read {
-                        region,
-                        len,
-                        last_of_xfer,
-                        ..
-                    } = info
-                    else {
-                        unreachable!()
-                    };
-                    s.active_stream = Some(ReadStream {
-                        region,
-                        len,
-                        issued: 0,
-                        delivered: 0,
-                        last_of_xfer,
-                        waiting_space: false,
-                        inflight: 0,
-                    });
-                }
+                s.active_stream = Some(ReadStream {
+                    cmd,
+                    ok,
+                    issued: 0,
+                    delivered: 0,
+                    waiting_space: false,
+                    inflight: 0,
+                });
+                drop(s);
                 stream_out_step(rc, en);
                 if rc.borrow().active_stream.is_some() {
                     return; // still streaming asynchronously
@@ -1559,7 +1297,8 @@ fn try_retire(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
 /// Emit response tokens, in transfer order, for the leading write
 /// transfers whose segments all retired. A response never overtakes an
 /// earlier transfer's, so a consumer can match them to its writes by
-/// order.
+/// order. Also the response channel's space hook: a token it refused
+/// goes out once the consumer drains it.
 fn finish_xfers(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
     loop {
         let bytes = {
@@ -1589,43 +1328,26 @@ fn stream_out_step(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
         enum Next {
             Done,
             Wait,
-            Issue(Region, u64, u64, bool, u64),
+            /// Buffer offset, bytes, TLAST, command succeeded.
+            Issue(u64, u64, bool, bool),
         }
         let next = {
-            let mut s = rc.borrow_mut();
-            let stream_chunk = s.cfg.stream_chunk;
-            let rd_data = s.ports.rd_data.clone();
+            let mut guard = rc.borrow_mut();
+            let s = &mut *guard;
             let Some(st) = &mut s.active_stream else {
                 return;
             };
-            if st.delivered >= st.len {
+            if st.delivered >= st.cmd.len {
                 // Finished: retire the head read, free its buffer.
-                let (cid, _ok, info) = s.rob.retire_front();
-                if let Some(rf) = &s.regfile {
-                    rf.borrow_mut().clear(cid);
-                }
-                let CmdInfo::Read {
-                    region,
-                    span,
-                    issued_at,
-                    ..
-                } = info
-                else {
-                    unreachable!()
-                };
-                trace::end(en, span);
-                s.metrics
-                    .cmd_latency_us
-                    .record(en.now().since(issued_at).as_us_f64());
-                s.rd_ring.free_oldest(region);
+                s.retire_head(en);
                 s.active_stream = None;
                 Next::Done
-            } else if st.issued < st.len && st.inflight < STREAM_PREFETCH {
-                let chunk = stream_chunk.min(st.len - st.issued);
+            } else if st.issued < st.cmd.len && st.inflight < STREAM_PREFETCH {
+                let chunk = STREAM_CHUNK.min(st.cmd.len - st.issued);
                 // Reserve output space for everything in flight plus this
                 // chunk so completed reads can always push their beat.
-                let reserve = (st.inflight as u64 + 1) * stream_chunk;
-                if !rd_data.borrow().has_space(reserve as usize) {
+                let reserve = (st.inflight as u64 + 1) * STREAM_CHUNK;
+                if !s.ports.rd_data.borrow().has_space(reserve as usize) {
                     st.waiting_space = true;
                     Next::Wait
                 } else {
@@ -1633,9 +1355,9 @@ fn stream_out_step(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
                     st.inflight += 1;
                     let pos = st.issued;
                     st.issued += chunk;
-                    let out = Next::Issue(st.region, pos, chunk, st.last_of_xfer, st.len);
+                    let last = st.cmd.last_of_xfer && pos + chunk == st.cmd.len;
                     s.metrics.bytes_to_pe.add(chunk);
-                    out
+                    Next::Issue(st.cmd.region.offset + pos, chunk, last, st.ok)
                 }
             } else {
                 // Pipeline full (or all issued): completions drive progress.
@@ -1650,25 +1372,20 @@ fn stream_out_step(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
                 return;
             }
             Next::Wait => return,
-            Next::Issue(region, pos, chunk, last_of_xfer, total) => {
-                let (data, t) = buf_read_payload(
-                    rc,
-                    en,
-                    en.now(),
-                    BufKind::Read,
-                    region.offset + pos,
-                    chunk as usize,
-                );
-                let is_last_beat = last_of_xfer && pos + chunk == total;
+            Next::Issue(offset, chunk, last, ok) => {
+                let (data, t) = buf_read(rc, en, BufKind::Read, offset, chunk as usize);
+                // A given-up read streams zeros, not whatever its region
+                // last held; the buffer read still paces the stream.
+                let data = if ok {
+                    data
+                } else {
+                    Payload::fill(0, chunk as usize)
+                };
                 let rc2 = rc.clone();
                 en.schedule_at(t.max(en.now()), move |en| {
                     let ch = rc2.borrow().ports.rd_data.clone();
-                    let beat = StreamBeat {
-                        data,
-                        last: is_last_beat,
-                    };
-                    let ok = axis::push(&ch, en, beat);
-                    debug_assert!(ok, "space was reserved at issue");
+                    let pushed = axis::push(&ch, en, StreamBeat { data, last });
+                    debug_assert!(pushed, "space was reserved at issue");
                     {
                         let mut s = rc2.borrow_mut();
                         if let Some(st) = &mut s.active_stream {
@@ -1752,13 +1469,14 @@ mod tests {
         for _ in 0..queued {
             axis::pop(&resp, &mut en).expect("queued token");
         }
-        let tokens = |en: &mut Engine| -> Vec<u64> {
-            finish_xfers(&s.inner, en);
+        let drain = |en: &mut Engine| -> Vec<u64> {
             std::iter::from_fn(|| axis::pop(&resp, en))
                 .map(|b| u64::from_le_bytes(b.data[..8].try_into().unwrap()))
                 .collect()
         };
-        assert_eq!(tokens(&mut en), [4096, 512]);
+        // Draining the full channel wakes the streamer, which sends the
+        // refused tokens on its own.
+        assert_eq!(drain(&mut en), [4096, 512]);
         // A finished transfer (an empty write) waits behind an earlier
         // one that still has a segment in flight.
         for (id, outstanding_segments, bytes) in [(2, 1, 8192u64), (3, 0, 0)] {
@@ -1769,8 +1487,10 @@ mod tests {
                 bytes,
             });
         }
-        assert_eq!(tokens(&mut en), []);
+        finish_xfers(&s.inner, &mut en);
+        assert_eq!(drain(&mut en), []);
         s.inner.borrow_mut().xfer_mut(2).outstanding_segments = 0;
-        assert_eq!(tokens(&mut en), [8192, 0]);
+        finish_xfers(&s.inner, &mut en);
+        assert_eq!(drain(&mut en), [8192, 0]);
     }
 }

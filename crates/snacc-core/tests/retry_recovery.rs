@@ -8,7 +8,8 @@ use snacc_core::config::{RetryPolicy, StreamerVariant};
 use snacc_core::streamer::{encode_read_cmd, StreamerHandle};
 use snacc_fpga::axis;
 use snacc_nvme::IoFaultConfig;
-use snacc_sim::{Engine, SimDuration};
+use snacc_sim::bytes::pattern_byte;
+use snacc_sim::{Engine, Payload, SimDuration};
 
 /// A system in a metrics registry of its own, so its streamer and fault
 /// counters count this system only.
@@ -62,25 +63,35 @@ fn read_all(en: &mut Engine, streamer: &StreamerHandle, count: u64, len: u64) ->
 
 #[test]
 fn transient_errors_recover_with_exact_data() {
-    let mut sys = build(StreamerVariant::Uram, policy(3));
-    let (en, streamer, nvme) = (&mut sys.en, &sys.streamer, &sys.nvme);
-    let (count, len) = (24u64, 128u64 * 1024);
-    nvme.with(|d| d.nand_mut().prewarm(0, count * len, 0xC3));
-    nvme.install_faults(IoFaultConfig::error_only(0.2, 77));
-    let reads = read_all(en, streamer, count, len);
-    let m = streamer.metrics();
-    let injected = nvme.fault_stats().errors;
-    assert!(injected > 0, "campaign must inject at this rate");
-    assert!(m.recovered.get() > 0, "retries must recover");
-    assert_eq!(m.gave_up.get(), 0, "budget covers 20% errors");
-    // Recovery is invisible to the consumer: every read delivers its
-    // exact media bytes, in issue order.
-    for (i, data) in reads.iter().enumerate() {
-        assert_eq!(data.len() as u64, len, "read {i} length");
+    // Distinct media bytes per address: a replay that fetched the wrong
+    // page, or into the wrong buffer page, cannot pass for the right one.
+    const SEED: u64 = 0x5eed;
+    for variant in StreamerVariant::all() {
+        let mut sys = build(variant, policy(3));
+        let (en, streamer, nvme) = (&mut sys.en, &sys.streamer, &sys.nvme);
+        let (count, len) = (24u64, 128u64 * 1024);
+        let media = Payload::pattern(SEED, (count * len) as usize);
+        nvme.with(|d| d.nand_mut().media_mut().write_payload(0, media));
+        nvme.install_faults(IoFaultConfig::error_only(0.2, 77));
+        let reads = read_all(en, streamer, count, len);
+        let m = streamer.metrics();
+        let injected = nvme.fault_stats().errors;
         assert!(
-            data.iter().all(|&b| b == 0xC3),
-            "read {i} must carry media bytes, not zeros"
+            injected > 0,
+            "{variant:?}: campaign must inject at this rate"
         );
+        assert!(m.recovered.get() > 0, "{variant:?}: retries must recover");
+        assert_eq!(m.gave_up.get(), 0, "{variant:?}: budget covers 20% errors");
+        // Recovery is invisible to the consumer: every read delivers its
+        // exact media bytes, in issue order.
+        for (i, data) in reads.iter().enumerate() {
+            assert_eq!(data.len() as u64, len, "{variant:?}: read {i} length");
+            let base = i as u64 * len;
+            assert!(
+                (0..len).all(|j| data[j as usize] == pattern_byte(SEED, base + j)),
+                "{variant:?}: read {i} must carry its media bytes"
+            );
+        }
     }
 }
 
@@ -127,6 +138,29 @@ fn exhausted_budget_gives_up_without_wedging() {
     for data in &reads {
         assert_eq!(data.len() as u64, len, "stream stays live");
         assert!(data.iter().all(|&b| b == 0), "given-up reads stream zeros");
+    }
+}
+
+#[test]
+fn given_up_reads_stream_zeros_over_used_buffers() {
+    // 64 reads of 64 KiB fill the whole 4 MiB URAM ring with media bytes;
+    // the next reads reuse those regions and give up. What they stream
+    // must be zeros, not the region's previous contents.
+    let mut sys = build(StreamerVariant::Uram, policy(1));
+    let (en, streamer, nvme) = (&mut sys.en, &sys.streamer, &sys.nvme);
+    let len = 64u64 * 1024;
+    nvme.with(|d| d.nand_mut().prewarm(0, 64 * len, 0xC3));
+    let warm = read_all(en, streamer, 64, len);
+    assert!(warm.iter().flatten().all(|&b| b == 0xC3));
+    nvme.install_faults(IoFaultConfig::error_only(1.0, 1));
+    let reads = read_all(en, streamer, 8, len);
+    assert_eq!(streamer.metrics().gave_up.get(), 8);
+    for (i, data) in reads.iter().enumerate() {
+        assert_eq!(data.len() as u64, len, "read {i} stream stays live");
+        assert!(
+            data.iter().all(|&b| b == 0),
+            "given-up read {i} streams zeros"
+        );
     }
 }
 

@@ -155,17 +155,19 @@ impl TapascoShell {
         self.dram.clone()
     }
 
-    /// Expose a DRAM window through the BAR for host/peer access.
+    /// Expose a DRAM window through the BAR for host/peer access; returns
+    /// the window and the target mapped there, which on-FPGA logic uses to
+    /// reach the same bytes.
     pub fn map_dram_window(
         &mut self,
         window_base_in_dram: u64,
         size: u64,
-    ) -> Result<AddrRange, ShellError> {
+    ) -> Result<(AddrRange, Rc<RefCell<DramTarget>>), ShellError> {
         let dram = self.dram.clone().expect("attach_dram first");
         let range = self.alloc_window(size)?;
         let target = Rc::new(RefCell::new(DramTarget::new(dram, window_base_in_dram)));
-        self.map_target(range, target);
-        Ok(range)
+        self.map_target(range, target.clone());
+        Ok((range, target))
     }
 }
 
@@ -224,7 +226,7 @@ mod tests {
     fn dram_window_roundtrip_over_fabric() {
         let (mut en, mut sh) = shell();
         let dram = sh.attach_dram(DramConfig::ddr4_u280());
-        let w = sh.map_dram_window(0, 1 << 20).unwrap();
+        let (w, _) = sh.map_dram_window(0, 1 << 20).unwrap();
         let data: Vec<u8> = (0..65536u32).map(|i| (i % 251) as u8).collect();
         let fabric = sh.fabric();
         let mut fab = fabric.borrow_mut();

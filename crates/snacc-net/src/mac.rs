@@ -32,16 +32,12 @@ pub struct MacConfig {
     pub flow_control: bool,
     /// Quanta requested per PAUSE frame.
     pub pause_quanta: u16,
-    /// Probability that a delivered frame is dropped as a CRC error
-    /// (failure injection; 0.0 in normal operation).
-    pub crc_error_rate: f64,
     /// Probability that a delivered data frame vanishes on the wire
     /// (lossy-link fault injection; 0.0 in normal operation).
     pub drop_rate: f64,
     /// Probability that a delivered data frame arrives corrupted and is
-    /// discarded by the FCS check (fault injection; counted separately
-    /// from [`MacConfig::crc_error_rate`] noise so campaigns can tell
-    /// injected corruption from background errors).
+    /// discarded by the FCS check (fault injection; 0.0 in normal
+    /// operation).
     pub corrupt_rate: f64,
 }
 
@@ -58,7 +54,6 @@ impl MacConfig {
             tx_queue_bytes: 256 << 10,
             flow_control: true,
             pause_quanta: 0xffff,
-            crc_error_rate: 0.0,
             drop_rate: 0.0,
             corrupt_rate: 0.0,
         }
@@ -86,8 +81,6 @@ pub struct MacStats {
     pub rx_payload_bytes: u64,
     /// Frames dropped at RX (buffer overrun).
     pub rx_drops: u64,
-    /// Frames dropped as CRC errors (injected).
-    pub crc_drops: u64,
     /// Data frames dropped by the lossy-link fault injector.
     pub injected_drops: u64,
     /// Data frames discarded as injector-corrupted (FCS fail).
@@ -448,20 +441,6 @@ fn deliver(rc: &Rc<RefCell<EthMac>>, en: &mut Engine, frame: EthFrame) {
                 return;
             }
         }
-        // Injected CRC errors drop the frame on arrival.
-        let crc_rate = m.cfg.crc_error_rate;
-        if crc_rate > 0.0 && m.rng.gen_bool(crc_rate) {
-            m.stats.crc_drops += 1;
-            if trace::enabled() {
-                trace::instant(
-                    en,
-                    &format!("net.{}", m.name),
-                    "eth.crc_drop",
-                    &[("bytes", frame.frame_bytes())],
-                );
-            }
-            return;
-        }
         if let Some(quanta) = frame.pause_quanta() {
             m.stats.pauses_received += 1;
             if trace::enabled() {
@@ -678,19 +657,6 @@ mod tests {
         send_pause(&b, &mut en, 0); // resume
         en.run();
         assert!(!a.borrow().is_paused(en.now()));
-    }
-
-    #[test]
-    fn crc_errors_drop_frames() {
-        let mut en = Engine::new();
-        let mut cfg = MacConfig::eth_100g();
-        cfg.crc_error_rate = 1.0;
-        let (a, b) = pair(MacConfig::eth_100g(), cfg);
-        let f = EthFrame::data(MacAddr::from_index(2), MacAddr::from_index(1), vec![0; 100]);
-        send(&a, &mut en, f);
-        en.run();
-        assert_eq!(b.borrow().stats().crc_drops, 1);
-        assert_eq!(b.borrow().stats().rx_frames, 0);
     }
 
     #[test]
