@@ -31,7 +31,8 @@ pub enum PlanError {
     /// The document is not in the supported TOML subset.
     Parse(String),
     /// The document parsed but describes an impossible campaign
-    /// (unknown key, rate outside `[0, 1]`, inverted window, …).
+    /// (unknown key, rate outside `[0, 1]`, inverted window, a time
+    /// outside the simulator's range, …).
     Invalid(String),
 }
 
@@ -135,17 +136,6 @@ fn layer_seed(seed: u64, salt: u64) -> u64 {
 }
 
 impl FaultPlan {
-    /// A plan that injects nothing and retries nothing.
-    pub fn none() -> Self {
-        FaultPlan {
-            seed: 0,
-            retry: RetryPolicy::disabled(),
-            nvme: None,
-            net: None,
-            pcie: None,
-        }
-    }
-
     /// The shipped `plans/flaky_ssd.toml`: transient NVMe command errors
     /// recovered by bounded retry.
     pub fn flaky_ssd() -> Self {
@@ -307,8 +297,8 @@ impl FaultPlan {
 
 fn check_window(name: &str, w: Option<(f64, f64)>) -> Result<(), PlanError> {
     match w {
-        Some((a, b)) if a >= b || a < 0.0 => Err(PlanError::Invalid(format!(
-            "{name} window [{a}, {b}) is empty or negative"
+        Some((a, b)) if a >= b => Err(PlanError::Invalid(format!(
+            "{name} window [{a}, {b}) is empty"
         ))),
         _ => Ok(()),
     }
@@ -363,13 +353,41 @@ fn get_f64(doc: &TomlDoc, section: &str, key: &str, default: f64) -> Result<f64,
     }
 }
 
-fn get_u64(doc: &TomlDoc, section: &str, key: &str, default: u64) -> Result<u64, PlanError> {
-    match doc.get(section, key) {
-        None => Ok(default),
+/// A `*_us` value: finite, at least 0 and short of `SimTime::MAX` once
+/// [`dur_us`] converts it (whole nanoseconds, then picoseconds).
+fn get_us(doc: &TomlDoc, section: &str, key: &str, default: f64) -> Result<f64, PlanError> {
+    let us = get_f64(doc, section, key, default)?;
+    let ns = (us * 1000.0).round();
+    // `!(a && b)` rather than `!a || !b`: NaN fails both comparisons.
+    if !(us >= 0.0 && ns < (u64::MAX / 1000) as f64) {
+        return Err(PlanError::Invalid(format!(
+            "[{section}] {key} = {us} must be finite, at least 0 and below {:e} µs",
+            SimTime::MAX.as_us_f64()
+        )));
+    }
+    Ok(us)
+}
+
+/// A non-negative integer key, at most `max`.
+fn get_u64(
+    doc: &TomlDoc,
+    section: &str,
+    key: &str,
+    default: u64,
+    max: u64,
+) -> Result<u64, PlanError> {
+    let v = match doc.get(section, key) {
+        None => default,
         Some(v) => v.as_u64().ok_or_else(|| {
             PlanError::Invalid(format!("[{section}] {key} must be a non-negative integer"))
-        }),
+        })?,
+    };
+    if v > max {
+        return Err(PlanError::Invalid(format!(
+            "[{section}] {key} = {v} is above its maximum {max}"
+        )));
     }
+    Ok(v)
 }
 
 fn get_window(doc: &TomlDoc, section: &str, prefix: &str) -> Result<Option<(f64, f64)>, PlanError> {
@@ -381,8 +399,8 @@ fn get_window(doc: &TomlDoc, section: &str, prefix: &str) -> Result<Option<(f64,
             "[{section}] {start_key}/{end_key} must be given together"
         ))),
         (Some(_), Some(_)) => Ok(Some((
-            get_f64(doc, section, &start_key, 0.0)?,
-            get_f64(doc, section, &end_key, 0.0)?,
+            get_us(doc, section, &start_key, 0.0)?,
+            get_us(doc, section, &end_key, 0.0)?,
         ))),
     }
 }
@@ -391,19 +409,23 @@ fn parse_retry(doc: &TomlDoc) -> Result<RetryPolicy, PlanError> {
     if !doc.has_section("retry") {
         return Ok(RetryPolicy::disabled());
     }
-    let max_retries = get_u64(doc, "retry", "max_retries", 0)?;
-    if max_retries > 64 {
-        return Err(PlanError::Invalid(format!(
-            "retry.max_retries = {max_retries} is unreasonable (max 64)"
-        )));
-    }
+    let max_retries = get_u64(doc, "retry", "max_retries", 0, 64)?;
     let cmd_timeout = match doc.get("retry", "timeout_us") {
         None => None,
-        Some(_) => Some(dur_us(get_f64(doc, "retry", "timeout_us", 0.0)?)),
+        Some(_) => {
+            let us = get_us(doc, "retry", "timeout_us", 0.0)?;
+            let timeout = dur_us(us);
+            if timeout == SimDuration::ZERO {
+                return Err(PlanError::Invalid(format!(
+                    "[retry] timeout_us = {us} must be above 0 (1 ns at least)"
+                )));
+            }
+            Some(timeout)
+        }
     };
     Ok(RetryPolicy {
         max_retries: max_retries as u32,
-        backoff: dur_us(get_f64(doc, "retry", "backoff_us", 10.0)?),
+        backoff: dur_us(get_us(doc, "retry", "backoff_us", 10.0)?),
         cmd_timeout,
     })
 }
@@ -422,7 +444,7 @@ fn parse_nvme(doc: &TomlDoc) -> Result<Option<NvmeFaultSpec>, PlanError> {
         error_rate: get_f64(doc, "nvme", "error_rate", 0.0)?,
         fatal,
         latency_spike_rate: get_f64(doc, "nvme", "latency_spike_rate", 0.0)?,
-        latency_spike_us: get_f64(doc, "nvme", "latency_spike_us", 100.0)?,
+        latency_spike_us: get_us(doc, "nvme", "latency_spike_us", 100.0)?,
         window_us: get_window(doc, "nvme", "window_")?,
     }))
 }
@@ -431,13 +453,13 @@ fn parse_net(doc: &TomlDoc) -> Result<Option<NetFaultSpec>, PlanError> {
     if !doc.has_section("net") {
         return Ok(None);
     }
-    let count = get_u64(doc, "net", "pause_storm_count", 0)?;
+    let count = get_u64(doc, "net", "pause_storm_count", 0, u32::MAX.into())?;
     let pause_storm = if count > 0 {
         Some(PauseStormSpec {
-            start_us: get_f64(doc, "net", "pause_storm_start_us", 0.0)?,
-            count: count.min(u32::MAX as u64) as u32,
-            interval_us: get_f64(doc, "net", "pause_storm_interval_us", 100.0)?,
-            quanta: get_u64(doc, "net", "pause_storm_quanta", 0xffff)?.min(0xffff) as u16,
+            start_us: get_us(doc, "net", "pause_storm_start_us", 0.0)?,
+            count: count as u32,
+            interval_us: get_us(doc, "net", "pause_storm_interval_us", 100.0)?,
+            quanta: get_u64(doc, "net", "pause_storm_quanta", 0xffff, 0xffff)? as u16,
         })
     } else {
         None
@@ -457,7 +479,7 @@ fn parse_pcie(doc: &TomlDoc) -> Result<Option<PcieFaultSpec>, PlanError> {
         timeout_rate: get_f64(doc, "pcie", "timeout_rate", 0.0)?,
         window_us: get_window(doc, "pcie", "window_")?,
         degrade_us: get_window(doc, "pcie", "degrade_")?,
-        degrade_extra_us: get_f64(doc, "pcie", "degrade_extra_us", 5.0)?,
+        degrade_extra_us: get_us(doc, "pcie", "degrade_extra_us", 5.0)?,
     }))
 }
 
@@ -517,5 +539,64 @@ mod tests {
         assert_eq!(p.retry.cmd_timeout, Some(SimDuration::from_us(500)));
         let off = FaultPlan::parse("seed = 1").unwrap();
         assert!(!off.retry.enabled());
+    }
+
+    /// `text` must be refused as invalid, with `key` named in the error.
+    fn refused(text: &str, key: &str) {
+        match FaultPlan::parse(text) {
+            Err(PlanError::Invalid(e)) => assert!(e.contains(key), "{key} not named in: {e}"),
+            other => panic!("{text:?} must be invalid, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn negative_times_rejected() {
+        refused("seed = 1\n[retry]\ntimeout_us = -5", "timeout_us");
+        refused("seed = 1\n[retry]\nbackoff_us = -1", "backoff_us");
+        refused(
+            "seed = 1\n[net]\npause_storm_count = 3\npause_storm_interval_us = -1",
+            "pause_storm_interval_us",
+        );
+    }
+
+    #[test]
+    fn times_beyond_the_simulated_range_rejected() {
+        refused(
+            "seed = 1\n[nvme]\nlatency_spike_us = 1e14",
+            "latency_spike_us",
+        );
+        refused(
+            "seed = 1\n[pcie]\ndegrade_start_us = 0\ndegrade_end_us = 2e13",
+            "degrade_end_us",
+        );
+        // A time just inside the range still parses.
+        let p = FaultPlan::parse("seed = 1\n[nvme]\nlatency_spike_us = 1.8e13").unwrap();
+        assert_eq!(p.nvme.map(|n| n.latency_spike_us), Some(1.8e13));
+    }
+
+    #[test]
+    fn zero_timeout_rejected() {
+        refused("seed = 1\n[retry]\ntimeout_us = 0", "timeout_us");
+        refused("seed = 1\n[retry]\ntimeout_us = 0.0001", "timeout_us");
+    }
+
+    #[test]
+    fn pause_quanta_above_u16_rejected() {
+        refused(
+            "seed = 1\n[net]\npause_storm_count = 3\npause_storm_quanta = 70000",
+            "pause_storm_quanta",
+        );
+        let p =
+            FaultPlan::parse("seed = 1\n[net]\npause_storm_count = 3\npause_storm_quanta = 65535");
+        let storm = p.unwrap().net.and_then(|n| n.pause_storm);
+        assert_eq!(storm.map(|s| s.quanta), Some(0xffff));
+    }
+
+    #[test]
+    fn pause_count_above_u32_rejected() {
+        refused(
+            "seed = 1\n[net]\npause_storm_count = 4294967296",
+            "pause_storm_count",
+        );
     }
 }

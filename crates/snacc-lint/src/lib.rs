@@ -15,6 +15,9 @@
 //! | SL005 | no raw `u64` picosecond arithmetic outside `snacc-sim` (use `SimTime`/`SimDuration`) |
 //! | SL006 | no `RefCell` borrow guard held across an `Engine::schedule` call |
 //! | SL007 | no `println!`/`eprintln!` in model crates — observability goes through `snacc-trace` |
+//! | SL008 | no payload-buffer copies in model-crate hot paths |
+//! | SL009 | no `let _ = <place>;` hiding dead code |
+//! | SL010 | no `pub fn` whose name appears nowhere else in the workspace's code |
 //!
 //! The analysis is deliberately line/token-level (comments, string
 //! literals, and `#[cfg(test)]` modules are masked before matching): it
@@ -223,26 +226,40 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 /// Run the full check over a workspace tree.
 pub fn run_check(root: &Path, allow: &[AllowEntry]) -> io::Result<Report> {
     let files = collect_rs_files(root)?;
+    let read = |file: &PathBuf| -> io::Result<(String, String)> {
+        let rel = file.strip_prefix(root).unwrap_or(file).to_string_lossy();
+        Ok((rel.replace('\\', "/"), fs::read_to_string(file)?))
+    };
+    let mut sources = files.iter().map(read).collect::<io::Result<Vec<_>>>()?;
+    let mut found: Vec<Violation> = sources
+        .iter()
+        .flat_map(|(rel, source)| scan_source(rel, source))
+        .collect();
+    // The benchmark's calls keep a `pub fn` alive (SL010), but its own
+    // files are not linted.
+    let perfbench = root.join("perfbench/src");
+    if perfbench.is_dir() {
+        let mut bench_files = Vec::new();
+        walk(&perfbench, &mut bench_files)?;
+        bench_files.sort();
+        for file in &bench_files {
+            sources.push(read(file)?);
+        }
+    }
+    found.extend(rules::scan_uncalled(&sources));
+
     let mut used = vec![false; allow.len()];
     let mut report = Report {
         files_scanned: files.len(),
         ..Report::default()
     };
-    for file in &files {
-        let rel = file
-            .strip_prefix(root)
-            .unwrap_or(file)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let source = fs::read_to_string(file)?;
-        for v in scan_source(&rel, &source) {
-            match allow.iter().position(|a| a.matches(&v)) {
-                Some(i) => {
-                    used[i] = true;
-                    report.suppressed.push((v, allow[i].justification.clone()));
-                }
-                None => report.violations.push(v),
+    for v in found {
+        match allow.iter().position(|a| a.matches(&v)) {
+            Some(i) => {
+                used[i] = true;
+                report.suppressed.push((v, allow[i].justification.clone()));
             }
+            None => report.violations.push(v),
         }
     }
     report.unused_allow = allow

@@ -4,9 +4,11 @@
 //! literals are blanked first (so a lint ID mentioned in a doc comment
 //! never fires), and `#[cfg(test)]` regions are masked for the rules
 //! where test code is legitimately exempt (SL004/SL005 — tests may
-//! assert on raw picosecond values and use `expect` freely).
+//! assert on raw picosecond values and use `expect` freely). SL010 looks
+//! across files, so it runs over the whole tree (`scan_uncalled`).
 
 use crate::Violation;
+use std::collections::HashMap;
 
 /// Catalog metadata for one rule.
 #[derive(Clone, Copy, Debug)]
@@ -65,6 +67,11 @@ pub const RULES: &[RuleInfo] = &[
         id: "SL009",
         summary: "no `let _ = <place>;` (a path, field, tuple of those, or &/&mut of one) — it only silences unused-code lints; delete what it hides",
         scope: "everywhere (test code included)",
+    },
+    RuleInfo {
+        id: "SL010",
+        summary: "no uncalled `pub fn` — a public function whose name appears nowhere else in the workspace's code (strings and comments do not count) has no caller; delete it",
+        scope: "definitions under crates/*/src (non-test code); uses anywhere in crates/, src/, tests/, examples/ and perfbench/src",
     },
 ];
 
@@ -700,6 +707,68 @@ fn sl009(ctx: &FileCtx, out: &mut Vec<Violation>) {
     }
 }
 
+/// The function a `pub fn` item (optionally `const`, `async` or
+/// `unsafe`) starting on sanitized `line` defines.
+fn pub_fn_name(line: &str) -> Option<&str> {
+    let mut rest = line.trim_start().strip_prefix("pub ")?.trim_start();
+    for qualifier in ["const ", "async ", "unsafe "] {
+        if let Some(r) = rest.strip_prefix(qualifier) {
+            rest = r.trim_start();
+        }
+    }
+    let rest = rest.strip_prefix("fn ")?.trim_start();
+    let end = rest
+        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .unwrap_or(rest.len());
+    (end > 0).then(|| &rest[..end])
+}
+
+/// SL010 over a whole tree. `files` holds `(workspace-relative path,
+/// source)` for every file whose code counts as a use; the definitions
+/// checked are the non-test `pub fn`s under `crates/*/src`. A name
+/// counts wherever it appears as an identifier, so two functions that
+/// share a name keep each other alive.
+pub(crate) fn scan_uncalled(files: &[(String, String)]) -> Vec<Violation> {
+    let clean: Vec<String> = files.iter().map(|(_, src)| sanitize(src)).collect();
+    let mut uses: HashMap<&str, usize> = HashMap::new();
+    for text in &clean {
+        let words = text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
+        for word in words.filter(|w| w.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')) {
+            *uses.entry(word).or_default() += 1;
+        }
+    }
+    let mut out = Vec::new();
+    for ((rel, src), text) in files.iter().zip(&clean) {
+        let in_crate_src = rel
+            .strip_prefix("crates/")
+            .and_then(|r| r.split_once('/'))
+            .is_some_and(|(_, r)| r.starts_with("src/"));
+        if !in_crate_src {
+            continue;
+        }
+        let lines: Vec<&str> = text.lines().collect();
+        let in_test = test_mask(&lines);
+        for ((i, line), raw) in lines.iter().enumerate().zip(src.lines()) {
+            let Some(name) = pub_fn_name(line) else {
+                continue;
+            };
+            if !in_test[i] && uses.get(name) == Some(&1) {
+                out.push(Violation {
+                    rule: "SL010",
+                    path: rel.clone(),
+                    line: i + 1,
+                    message: format!(
+                        "`pub fn {name}` is named nowhere else in the workspace's code, so \
+                         nothing calls it; delete it"
+                    ),
+                    snippet: raw.trim().to_string(),
+                });
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -847,6 +916,29 @@ fn f(&mut self, engine: &mut Engine) {
         assert!(scan_source("crates/snacc-core/src/x.rs", ok).is_empty());
         let gated = "#[cfg(test)]\nmod tests {\n    fn t() { let _ = i; }\n}\n";
         assert_eq!(scan_source("crates/snacc-core/src/x.rs", gated).len(), 1);
+    }
+
+    #[test]
+    fn sl010_flags_pub_fns_named_nowhere_else() {
+        let file = |rel: &str, src: &str| (rel.to_string(), src.to_string());
+        let files = [
+            file(
+                "crates/snacc-core/src/x.rs",
+                "pub fn used() {}\npub fn unused() {}\npub const fn also_unused() {}\n\
+                 pub(crate) fn scoped() {}\nfn private() {}\npub fn in_perfbench() {}\n\
+                 pub fn only_in_strings() {}\n#[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n",
+            ),
+            file(
+                "tests/t.rs",
+                "fn t() { used(); } // unused\nconst S: &str = \"only_in_strings\";\n",
+            ),
+            file("perfbench/src/main.rs", "fn main() { in_perfbench(); }\n"),
+        ];
+        let v = scan_uncalled(&files);
+        let names: Vec<(&str, usize)> = v.iter().map(|v| (v.rule, v.line)).collect();
+        assert_eq!(names, [("SL010", 2), ("SL010", 3), ("SL010", 7)], "{v:?}");
+        // A `pub fn` outside `crates/*/src` is not checked.
+        assert!(scan_uncalled(&[file("tests/t.rs", "pub fn lone() {}\n")]).is_empty());
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! only to be scanned here.
 
 use std::collections::BTreeSet;
+use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -20,7 +21,7 @@ fn every_rule_fires_on_the_bad_tree() {
     let report = run_check(&fixture("bad_tree"), &[]).expect("scan succeeds");
     let fired: BTreeSet<&str> = report.violations.iter().map(|v| v.rule).collect();
     for id in [
-        "SL001", "SL002", "SL003", "SL004", "SL005", "SL006", "SL007", "SL009",
+        "SL001", "SL002", "SL003", "SL004", "SL005", "SL006", "SL007", "SL009", "SL010",
     ] {
         assert!(
             fired.contains(id),
@@ -49,6 +50,53 @@ fn clean_tree_is_clean() {
         report.violations
     );
     assert_eq!(report.files_scanned, 1);
+}
+
+#[test]
+fn uncalled_pub_fns_fire_and_called_ones_do_not() {
+    let report = run_check(&fixture("bad_tree"), &[]).expect("scan succeeds");
+    let uncalled: Vec<(&str, usize)> = report
+        .violations
+        .iter()
+        .filter(|v| v.rule == "SL010")
+        .map(|v| (v.path.as_str(), v.line))
+        .collect();
+    let at = |line| ("crates/snacc-core/src/uncalled.rs", line);
+    // A name in a comment or a string is no use.
+    assert!(uncalled.contains(&at(5)), "{uncalled:?}");
+    assert!(uncalled.contains(&at(9)), "{uncalled:?}");
+    // `shrink` is called in its own file, so it is alive.
+    assert!(
+        !uncalled.contains(&("crates/snacc-core/src/dead_binding.rs", 4)),
+        "{uncalled:?}"
+    );
+}
+
+#[test]
+fn benchmark_calls_keep_a_pub_fn_alive() {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("sl010_tree");
+    let write = |rel: &str, text: &str| {
+        let path = root.join(rel);
+        fs::create_dir_all(path.parent().expect("has a parent")).expect("mkdir");
+        fs::write(path, text).expect("write fixture");
+    };
+    let uncalled = || {
+        let report = run_check(&root, &[]).expect("scan succeeds");
+        let n = report
+            .violations
+            .iter()
+            .filter(|v| v.rule == "SL010")
+            .count();
+        (n, report.files_scanned)
+    };
+    if root.exists() {
+        fs::remove_dir_all(&root).expect("clear the previous run");
+    }
+    write("crates/snacc-core/src/api.rs", "pub fn only_benched() {}\n");
+    assert_eq!(uncalled(), (1, 1));
+    // `perfbench/src` counts as a use site but is not linted itself.
+    write("perfbench/src/main.rs", "fn main() { only_benched(); }\n");
+    assert_eq!(uncalled(), (0, 1));
 }
 
 #[test]

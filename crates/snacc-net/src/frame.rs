@@ -129,13 +129,16 @@ impl EthFrame {
     }
 
     /// Parse wire bytes. Total (SL004): every input either parses or
-    /// yields a [`FrameError`] — there is no panic path.
-    ///
-    /// This borrowed-slice form copies the payload once (the ingress
-    /// copy); when the wire bytes are already in a shared [`Payload`],
-    /// use [`EthFrame::parse_shared`] for a zero-copy parse.
+    /// yields a [`FrameError`] — there is no panic path. The payload is
+    /// copied once (the ingress copy).
     pub fn parse(b: &[u8]) -> Result<EthFrame, FrameError> {
-        Self::check_wire(b)?;
+        if b.len() < WIRE_HEADER {
+            return Err(FrameError::ShortHeader(b.len()));
+        }
+        let payload_len = b.len() - WIRE_HEADER;
+        if payload_len > MAX_PAYLOAD {
+            return Err(FrameError::Oversize(payload_len));
+        }
         let mut dst = [0u8; 6];
         let mut src = [0u8; 6];
         dst.copy_from_slice(&b[0..6]);
@@ -146,37 +149,6 @@ impl EthFrame {
             ethertype: u16::from_be_bytes([b[12], b[13]]),
             payload: Payload::from(&b[WIRE_HEADER..]),
         })
-    }
-
-    /// Parse wire bytes held in a shared buffer: the returned frame's
-    /// payload is a zero-copy window into `b`. Same totality contract as
-    /// [`EthFrame::parse`].
-    pub fn parse_shared(b: &Payload) -> Result<EthFrame, FrameError> {
-        let bytes = b.as_slice();
-        Self::check_wire(bytes)?;
-        let mut dst = [0u8; 6];
-        let mut src = [0u8; 6];
-        dst.copy_from_slice(&bytes[0..6]);
-        src.copy_from_slice(&bytes[6..12]);
-        let ethertype = u16::from_be_bytes([bytes[12], bytes[13]]);
-        Ok(EthFrame {
-            dst: MacAddr(dst),
-            src: MacAddr(src),
-            ethertype,
-            payload: b.slice(WIRE_HEADER..b.len()),
-        })
-    }
-
-    /// Shared wire-format validation for the parse entry points.
-    fn check_wire(b: &[u8]) -> Result<(), FrameError> {
-        if b.len() < WIRE_HEADER {
-            return Err(FrameError::ShortHeader(b.len()));
-        }
-        let payload_len = b.len() - WIRE_HEADER;
-        if payload_len > MAX_PAYLOAD {
-            return Err(FrameError::Oversize(payload_len));
-        }
-        Ok(())
     }
 }
 

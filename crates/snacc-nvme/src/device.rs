@@ -12,6 +12,9 @@
 //! behaviour the paper inferred with an ILA: "the read accesses employed
 //! by the NVMe controller to retrieve the data to be written do not occur
 //! frequently enough to sustain a higher bandwidth" (Sec 5.2).
+//!
+//! Every command ends in `finish`: admin and I/O, success and error
+//! alike schedule their CQE write through it.
 
 use crate::nand::NandBackend;
 use crate::profile::NvmeProfile;
@@ -28,6 +31,22 @@ use std::rc::{Rc, Weak};
 
 /// BAR0 window size (register file + doorbells).
 pub const BAR0_SIZE: u64 = 0x4000;
+
+/// Latency of a BAR0 register access at the controller.
+const REG_LATENCY: SimDuration = SimDuration::from_ns(80);
+/// I/O queue pairs granted by Set Features (Number of Queues).
+const MAX_IO_QUEUES: u32 = 16;
+/// Maximum entries per queue (CAP.MQES + 1).
+const MAX_QUEUE_ENTRIES: u64 = 1024;
+/// SQEs the controller fetches per burst read.
+const SQE_FETCH_BURST: u16 = 8;
+/// Extra per-fetch issue delay while the program engine is in its slow
+/// state (controller DMA shares resources with NAND folding).
+const FETCH_STALL_LO: SimDuration = SimDuration::from_ns(80);
+/// Fixed per-fetch issue overhead on peer-to-peer fetches (request
+/// scheduling in the controller's P2P path — the paper's observed "read
+/// accesses ... do not occur frequently enough").
+const FETCH_OVERHEAD_P2P: SimDuration = SimDuration::from_ns(42);
 
 /// Aggregate device statistics.
 #[derive(Clone, Copy, Debug, Default)]
@@ -102,11 +121,59 @@ struct IoFaultState {
 }
 
 impl IoFaultState {
-    fn in_window(&self, now: SimTime) -> bool {
-        match self.cfg.window {
-            Some((a, b)) => now >= a && now < b,
-            None => true,
+    /// Draw what to inject into I/O command `cmd` now: nothing (`None`),
+    /// a latency spike that delays it (`Some(Ok(spike))`), or an error
+    /// status it completes with at once (`Some(Err(status))`). An
+    /// injection is marked on the device's trace `track`.
+    fn draw(&mut self, en: &Engine, track: &str, cmd: Cmd) -> Option<Result<SimDuration, Status>> {
+        let now = en.now();
+        if !self.cfg.window.is_none_or(|(a, b)| now >= a && now < b) {
+            return None;
         }
+        let cfg = &self.cfg;
+        let (name, injected) = if cfg.error_rate > 0.0 && self.rng.gen_bool(cfg.error_rate) {
+            self.errors.inc();
+            ("fault.cmd_error", Err(cfg.error_status))
+        } else if cfg.latency_spike_rate > 0.0 && self.rng.gen_bool(cfg.latency_spike_rate) {
+            self.spikes.inc();
+            ("fault.latency_spike", Ok(cfg.latency_spike))
+        } else {
+            return None;
+        };
+        if trace::enabled() {
+            let args = [("qid", cmd.qid as u64), ("cid", cmd.cid as u64)];
+            trace::instant(en, track, name, &args);
+        }
+        Some(injected)
+    }
+}
+
+/// One fetch-credit pool: at most `window` data fetches in flight, each
+/// issued `overhead` after it gets its credit.
+struct FetchPool {
+    window: usize,
+    overhead: SimDuration,
+    /// Completion times of the fetches in flight, oldest first.
+    ring: VecDeque<SimTime>,
+}
+
+impl FetchPool {
+    fn new(window: usize, overhead: SimDuration) -> Self {
+        FetchPool {
+            window,
+            overhead,
+            ring: VecDeque::new(),
+        }
+    }
+
+    /// When a fetch ready at `t` issues: once the oldest fetches in
+    /// flight have freed a credit, plus the pool's overhead.
+    fn issue_at(&mut self, mut t: SimTime) -> SimTime {
+        while self.ring.len() >= self.window {
+            let freed = self.ring.pop_front().expect("non-empty ring");
+            t = t.max(freed);
+        }
+        t + self.overhead
     }
 }
 
@@ -129,14 +196,33 @@ struct QueuePair {
     pumping: bool,
 }
 
-/// A completion in flight towards the CQ: the CQE payload fields plus the
-/// command's trace span, which closes when the CQE write lands.
+/// The command a completion answers.
+#[derive(Clone, Copy)]
+struct Cmd {
+    qid: u16,
+    cid: u16,
+    /// The command's SQE→CQE trace span; it closes when the CQE lands.
+    span: trace::SpanId,
+    /// The CQE's command-specific result dword.
+    result: u32,
+}
+
+impl Cmd {
+    fn new(qid: u16, sqe: &Sqe) -> Self {
+        Cmd {
+            qid,
+            cid: sqe.cid,
+            span: trace::SpanId::NONE,
+            result: 0,
+        }
+    }
+}
+
+/// A completion in flight towards the CQ.
 #[derive(Clone, Copy)]
 struct CqeOut {
-    cid: u16,
+    cmd: Cmd,
     status: Status,
-    result: u32,
-    span: trace::SpanId,
 }
 
 impl QueuePair {
@@ -164,11 +250,14 @@ impl QueuePair {
 /// The controller state. Use through [`NvmeDeviceHandle`].
 pub struct NvmeDevice {
     node: NodeId,
+    /// Trace track of the controller's spans and marks (`nvme.n<node>`).
+    track: String,
     /// Back-edge to the fabric that owns this device (through its BAR0
     /// mapping).
     fabric: Weak<RefCell<PcieFabric>>,
-    profile: NvmeProfile,
     nand: NandBackend,
+    /// Model string reported by Identify.
+    model: &'static str,
     // Registers.
     cc: u32,
     csts: u32,
@@ -179,9 +268,9 @@ pub struct NvmeDevice {
     queues: BTreeMap<u16, QueuePair>,
     /// Pending CQ creations awaiting their SQ (qid → (base, entries)).
     pending_cqs: BTreeMap<u16, (u64, u16)>,
-    // Shared fetch-credit rings (completion times of outstanding reads).
-    fetch_host: VecDeque<SimTime>,
-    fetch_p2p: VecDeque<SimTime>,
+    /// Data-fetch credits towards host memory and towards peer devices.
+    host_fetch: FetchPool,
+    p2p_fetch: FetchPool,
     stats: NvmeStats,
     /// Optional fault injector (None = pristine device).
     faults: Option<IoFaultState>,
@@ -192,25 +281,23 @@ pub struct NvmeDevice {
 }
 
 impl NvmeDevice {
-    fn fabric(&self) -> Rc<RefCell<PcieFabric>> {
-        self.fabric
+    /// The fabric and this device's node on it, to issue transactions.
+    fn port(&self) -> (Rc<RefCell<PcieFabric>>, NodeId) {
+        let fabric = self
+            .fabric
             .upgrade()
-            .expect("nvme device -> fabric: the fabric was dropped")
+            .expect("nvme device -> fabric: the fabric was dropped");
+        (fabric, self.node)
     }
 
-    /// Device statistics snapshot.
-    pub fn stats(&self) -> NvmeStats {
-        self.stats
-    }
-
-    /// The device's fabric node.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// The active profile.
-    pub fn profile(&self) -> &NvmeProfile {
-        &self.profile
+    /// The credit pool a data fetch from host memory (`host`) or from a
+    /// peer device draws on.
+    fn fetch_pool(&mut self, host: bool) -> &mut FetchPool {
+        if host {
+            &mut self.host_fetch
+        } else {
+            &mut self.p2p_fetch
+        }
     }
 
     /// Direct access to the storage backend (pre-population, verification).
@@ -230,7 +317,7 @@ impl NvmeDevice {
                 d[0..2].copy_from_slice(&0x144du16.to_le_bytes()); // VID (Samsung)
                 let sn = b"SNACCSIM0001        ";
                 d[4..4 + sn.len()].copy_from_slice(sn);
-                let mn = self.profile.model.as_bytes();
+                let mn = self.model.as_bytes();
                 let n = mn.len().min(40);
                 d[24..24 + n].copy_from_slice(&mn[..n]);
                 d[64..72].copy_from_slice(b"1.0     "); // FR
@@ -283,12 +370,9 @@ impl MmioTarget for NvmeBar0 {
     ) -> (Payload, SimDuration) {
         let d = self.dev.borrow();
         let value: u64 = match offset {
-            spec::regs::CAP => {
-                // MQES (15:0) = max entries - 1; TO (31:24); DSTRD (35:32)=0;
-                // CSS bit 37 (NVM command set); MPSMIN 0 (4 KiB pages).
-                let mqes = (d.profile.max_queue_entries - 1) as u64;
-                mqes | (0x20 << 24) | (1 << 37)
-            }
+            // MQES (15:0) = max entries - 1; TO (31:24); DSTRD (35:32)=0;
+            // CSS bit 37 (NVM command set); MPSMIN 0 (4 KiB pages).
+            spec::regs::CAP => (MAX_QUEUE_ENTRIES - 1) | (0x20 << 24) | (1 << 37),
             spec::regs::VS => 0x0001_0400, // 1.4
             spec::regs::CC => d.cc as u64,
             spec::regs::CSTS => d.csts as u64,
@@ -300,7 +384,7 @@ impl MmioTarget for NvmeBar0 {
         let mut out = vec![0u8; len];
         let n = len.min(8);
         out[..n].copy_from_slice(&value.to_le_bytes()[..n]);
-        (Payload::from_vec(out), d.profile.reg_latency)
+        (Payload::from_vec(out), REG_LATENCY)
     }
 
     fn write(
@@ -320,7 +404,6 @@ impl MmioTarget for NvmeBar0 {
         let mut pump_q: Option<u16> = None;
         let mut flush_q: Option<u16> = None;
         let mut d = self.dev.borrow_mut();
-        let lat = d.profile.reg_latency;
         match offset {
             spec::regs::CC => {
                 let was_enabled = d.cc & spec::cc::EN != 0;
@@ -383,7 +466,7 @@ impl MmioTarget for NvmeBar0 {
                 flush_pending_cqes(&rc, en, qid);
             });
         }
-        lat
+        REG_LATENCY
     }
 }
 
@@ -396,12 +479,12 @@ impl NvmeDeviceHandle {
         seed: u64,
     ) -> Self {
         let node = fabric.borrow_mut().add_device("nvme-ssd", profile.link);
-        let nand = NandBackend::new(profile.nand.clone(), seed);
         let dev = Rc::new(RefCell::new(NvmeDevice {
             node,
+            track: format!("nvme.n{}", node.0),
             fabric: Rc::downgrade(&fabric),
-            profile,
-            nand,
+            nand: NandBackend::new(profile.nand, seed),
+            model: profile.model,
             cc: 0,
             csts: 0,
             aqa: 0,
@@ -409,8 +492,8 @@ impl NvmeDeviceHandle {
             acq: 0,
             queues: BTreeMap::new(),
             pending_cqs: BTreeMap::new(),
-            fetch_host: VecDeque::new(),
-            fetch_p2p: VecDeque::new(),
+            host_fetch: FetchPool::new(profile.fetch_window_host, SimDuration::ZERO),
+            p2p_fetch: FetchPool::new(profile.fetch_window_p2p, FETCH_OVERHEAD_P2P),
             stats: NvmeStats::default(),
             faults: None,
             ident_ctrl: OnceCell::new(),
@@ -476,11 +559,6 @@ impl NvmeDeviceHandle {
         });
     }
 
-    /// Remove the fault injector (subsequent commands run pristine).
-    pub fn clear_faults(&self) {
-        self.inner.borrow_mut().faults = None;
-    }
-
     /// Tallies of injected faults (zeros when no injector is installed).
     pub fn fault_stats(&self) -> IoFaultStats {
         self.inner
@@ -498,10 +576,8 @@ impl NvmeDeviceHandle {
 /// Fetch a burst of SQEs and dispatch them; reschedules itself while
 /// entries remain.
 fn pump_queue(rc: Rc<RefCell<NvmeDevice>>, en: &mut Engine, qid: u16) {
-    let (fabric, node, addr, count);
-    {
+    let (fabric, node, addr, count) = {
         let mut d = rc.borrow_mut();
-        let burst = d.profile.sqe_fetch_burst;
         let Some(q) = d.queues.get_mut(&qid) else {
             return;
         };
@@ -511,70 +587,63 @@ fn pump_queue(rc: Rc<RefCell<NvmeDevice>>, en: &mut Engine, qid: u16) {
         q.pumping = true;
         let avail = (q.sq_tail + q.sq_entries - q.sq_head) % q.sq_entries;
         let till_wrap = q.sq_entries - q.sq_head;
-        count = avail.min(till_wrap).min(burst);
-        addr = q.sq_base + q.sq_head as u64 * SQE_BYTES;
+        let count = avail.min(till_wrap).min(SQE_FETCH_BURST);
+        let addr = q.sq_base + q.sq_head as u64 * SQE_BYTES;
         q.sq_head = (q.sq_head + count) % q.sq_entries;
-        fabric = d.fabric();
-        node = d.node;
-    }
+        let (fabric, node) = d.port();
+        (fabric, node, addr, count)
+    };
     let now = en.now();
     let fetched = fabric
         .borrow_mut()
         .read(en, now, node, addr, count as u64 * SQE_BYTES);
-    match fetched {
-        Ok((buf, t)) => {
-            // Decode now rather than in the event: a fetched window held
-            // until the commands run would pin the SQ ring's buffer and
-            // defeat the host's in-place SQE writes. Chunks are exactly 64
-            // bytes, so decode cannot fail; a malformed fetch is dropped,
-            // never a panic.
-            let sqes: Vec<Sqe> = buf
-                .chunks(SQE_BYTES as usize)
-                .filter_map(|b| Sqe::decode(b).ok())
-                .collect();
-            let rc2 = rc.clone();
-            en.schedule_at(t, move |en| {
-                for sqe in sqes {
-                    exec_command(&rc2, en, qid, sqe);
-                }
-                {
-                    let mut d = rc2.borrow_mut();
-                    if let Some(q) = d.queues.get_mut(&qid) {
-                        q.pumping = false;
-                    }
-                }
-                pump_queue(rc2, en, qid);
-            });
+    let Ok((buf, t)) = fetched else {
+        // SQ memory unreachable: controller would assert CFS; we just
+        // stop pumping this queue.
+        if let Some(q) = rc.borrow_mut().queues.get_mut(&qid) {
+            q.pumping = false;
         }
-        Err(_) => {
-            // SQ memory unreachable: controller would assert CFS; we just
-            // stop pumping this queue.
-            let mut d = rc.borrow_mut();
-            if let Some(q) = d.queues.get_mut(&qid) {
-                q.pumping = false;
+        return;
+    };
+    // Decode now rather than in the event: a fetched window held until
+    // the commands run would pin the SQ ring's buffer and defeat the
+    // host's in-place SQE writes. Chunks are exactly 64 bytes, so decode
+    // cannot fail; a malformed fetch is dropped, never a panic.
+    let sqes: Vec<Sqe> = buf
+        .chunks(SQE_BYTES as usize)
+        .filter_map(|b| Sqe::decode(b).ok())
+        .collect();
+    en.schedule_at(t, move |en| {
+        for sqe in sqes {
+            if qid == 0 {
+                exec_admin(&rc, en, sqe);
+            } else {
+                exec_io(&rc, en, qid, sqe);
             }
         }
-    }
+        if let Some(q) = rc.borrow_mut().queues.get_mut(&qid) {
+            q.pumping = false;
+        }
+        pump_queue(rc, en, qid);
+    });
 }
 
-/// Write a completion for `(qid, out.cid)` no earlier than `t`. The CQE
-/// write is deferred to an event at `t` so completions book the wire in
-/// true time order — a command that finishes earlier gets its CQE out
-/// earlier, regardless of submission order.
-fn complete(rc: &Rc<RefCell<NvmeDevice>>, en: &mut Engine, t: SimTime, qid: u16, out: CqeOut) {
+/// Complete `cmd` with `status` no earlier than `at`: the one way every
+/// command ends. The CQE write is an event at `at`, so completions book
+/// the wire in true time order — a command that finishes earlier gets its
+/// CQE out earlier, regardless of submission order.
+fn finish(rc: &Rc<RefCell<NvmeDevice>>, en: &mut Engine, cmd: Cmd, at: SimTime, status: Status) {
+    let out = CqeOut { cmd, status };
     let rc2 = rc.clone();
-    en.schedule_at(t.max(en.now()), move |en| {
-        complete_now(&rc2, en, qid, out);
-    });
+    en.schedule_at(at.max(en.now()), move |en| complete_now(&rc2, en, out));
 }
 
 /// Perform the CQE write at the current time, deferring when the CQ ring
 /// has no acknowledged space.
-fn complete_now(rc: &Rc<RefCell<NvmeDevice>>, en: &mut Engine, qid: u16, out: CqeOut) {
-    let (fabric, node, addr, cqe);
-    {
+fn complete_now(rc: &Rc<RefCell<NvmeDevice>>, en: &mut Engine, out: CqeOut) {
+    let (fabric, node, addr, cqe) = {
         let mut d = rc.borrow_mut();
-        let Some(q) = d.queues.get_mut(&qid) else {
+        let Some(q) = d.queues.get_mut(&out.cmd.qid) else {
             return;
         };
         if q.cq_full() {
@@ -582,24 +651,23 @@ fn complete_now(rc: &Rc<RefCell<NvmeDevice>>, en: &mut Engine, qid: u16, out: Cq
             return;
         }
         q.cq_outstanding += 1;
-        let is_err = out.status != Status::Success;
         let (slot, phase) = q.cq.next_slot();
         debug_assert!(slot < q.cq_entries);
-        cqe = Cqe {
-            result: out.result,
+        let cqe = Cqe {
+            result: out.cmd.result,
             sq_head: q.sq_head,
-            sq_id: qid,
-            cid: out.cid,
+            sq_id: out.cmd.qid,
+            cid: out.cmd.cid,
             phase,
             status: out.status,
         };
-        addr = q.cq_base + slot as u64 * spec::CQE_BYTES;
-        if is_err {
+        let addr = q.cq_base + slot as u64 * spec::CQE_BYTES;
+        if out.status != Status::Success {
             d.stats.errors += 1;
         }
-        fabric = d.fabric();
-        node = d.node;
-    }
+        let (fabric, node) = d.port();
+        (fabric, node, addr, cqe)
+    };
     let now = en.now();
     // Completion writes are small posted writes; failure here means the CQ
     // was unmapped (a fatal host bug) — drop it, consumers will time out.
@@ -608,7 +676,7 @@ fn complete_now(rc: &Rc<RefCell<NvmeDevice>>, en: &mut Engine, qid: u16, out: Cq
         .write(en, now, node, addr, Payload::from(cqe.encode()));
     if let Ok(arrival) = arrival {
         // The command's SQE→CQE span closes when the CQE lands.
-        trace::end_at(arrival, out.span);
+        trace::end_at(arrival, out.cmd.span);
         // Pin the event clock to the completion so `Engine::run` covers the
         // full command lifetime even when nobody is hooked on the CQ.
         en.schedule_at(arrival, |_| {});
@@ -628,56 +696,35 @@ fn flush_pending_cqes(rc: &Rc<RefCell<NvmeDevice>>, en: &mut Engine, qid: u16) {
             }
             q.pending_cqes.pop_front()
         };
-        match next {
-            Some(out) => {
-                complete_now(rc, en, qid, out);
-            }
-            None => return,
-        }
-    }
-}
-
-fn exec_command(rc: &Rc<RefCell<NvmeDevice>>, en: &mut Engine, qid: u16, sqe: Sqe) {
-    if qid == 0 {
-        exec_admin(rc, en, sqe);
-    } else {
-        exec_io(rc, en, qid, sqe);
+        let Some(out) = next else {
+            return;
+        };
+        complete_now(rc, en, out);
     }
 }
 
 fn exec_admin(rc: &Rc<RefCell<NvmeDevice>>, en: &mut Engine, sqe: Sqe) {
     use crate::spec::AdminOpcode as A;
-    let now = en.now();
-    let span = if trace::enabled() {
-        let node = rc.borrow().node;
-        trace::begin(
-            en,
-            &format!("nvme.n{}", node.0),
-            "nvme.admin",
-            &[("cid", sqe.cid as u64), ("opc", sqe.opcode as u64)],
-        )
-    } else {
-        trace::SpanId::NONE
-    };
+    let mut cmd = Cmd::new(0, &sqe);
+    if trace::enabled() {
+        let args = [("cid", sqe.cid as u64), ("opc", sqe.opcode as u64)];
+        cmd.span = trace::begin(en, &rc.borrow().track, "nvme.admin", &args);
+    }
     let mut status = Status::Success;
-    let mut result: u32 = 0;
-    let mut t_done = now + SimDuration::from_us(1); // admin processing time
+    // Admin processing time, unless the command moves data.
+    let mut t_done = en.now() + SimDuration::from_us(1);
+    // Queue commands name their queue and its size (0's based) in CDW10.
+    let qid = (sqe.cdw[0] & 0xFFFF) as u16;
+    let entries = ((sqe.cdw[0] >> 16) as u16).wrapping_add(1);
 
     if sqe.opcode == A::Identify as u8 {
-        let cns = sqe.cdw[0] & 0xFF;
-        let (data, ok) = {
-            let d = rc.borrow();
-            match cns {
-                0x01 => (d.identify_controller(), true),
-                0x00 => (d.identify_namespace(), true),
-                _ => (Payload::empty(), false),
-            }
+        let data = match sqe.cdw[0] & 0xFF {
+            0x01 => Some(rc.borrow().identify_controller()),
+            0x00 => Some(rc.borrow().identify_namespace()),
+            _ => None,
         };
-        if ok {
-            let (fabric, node) = {
-                let d = rc.borrow();
-                (d.fabric(), d.node)
-            };
+        if let Some(data) = data {
+            let (fabric, node) = rc.borrow().port();
             let now = en.now();
             let w = fabric.borrow_mut().write(en, now, node, sqe.prp1, data);
             match w {
@@ -688,17 +735,12 @@ fn exec_admin(rc: &Rc<RefCell<NvmeDevice>>, en: &mut Engine, sqe: Sqe) {
             status = Status::InvalidField;
         }
     } else if sqe.opcode == A::CreateIoCq as u8 {
-        let qid = (sqe.cdw[0] & 0xFFFF) as u16;
-        let entries = ((sqe.cdw[0] >> 16) & 0xFFFF) as u16 + 1;
-        let mut d = rc.borrow_mut();
         if qid == 0 || entries < 2 || sqe.prp1 == 0 {
             status = Status::InvalidField;
         } else {
-            d.pending_cqs.insert(qid, (sqe.prp1, entries));
+            rc.borrow_mut().pending_cqs.insert(qid, (sqe.prp1, entries));
         }
     } else if sqe.opcode == A::CreateIoSq as u8 {
-        let qid = (sqe.cdw[0] & 0xFFFF) as u16;
-        let entries = ((sqe.cdw[0] >> 16) & 0xFFFF) as u16 + 1;
         let cqid = ((sqe.cdw[1] >> 16) & 0xFFFF) as u16;
         let mut d = rc.borrow_mut();
         match d.pending_cqs.get(&cqid).copied() {
@@ -709,50 +751,32 @@ fn exec_admin(rc: &Rc<RefCell<NvmeDevice>>, en: &mut Engine, sqe: Sqe) {
             _ => status = Status::InvalidField,
         }
     } else if sqe.opcode == A::DeleteIoSq as u8 {
-        let qid = (sqe.cdw[0] & 0xFFFF) as u16;
         rc.borrow_mut().queues.remove(&qid);
     } else if sqe.opcode == A::DeleteIoCq as u8 {
-        let qid = (sqe.cdw[0] & 0xFFFF) as u16;
         rc.borrow_mut().pending_cqs.remove(&qid);
     } else if sqe.opcode == A::SetFeatures as u8 || sqe.opcode == A::GetFeatures as u8 {
-        let fid = sqe.cdw[0] & 0xFF;
-        if fid == 0x07 {
-            // Number of queues: grant what the profile allows.
-            let d = rc.borrow();
-            let n = (d.profile.max_io_queues - 1) as u32;
-            result = n | (n << 16);
+        if sqe.cdw[0] & 0xFF == 0x07 {
+            // Number of queues: grant what the controller supports.
+            let n = MAX_IO_QUEUES - 1;
+            cmd.result = n | (n << 16);
         }
     } else {
         status = Status::InvalidOpcode;
     }
 
     rc.borrow_mut().stats.admin_cmds += 1;
-    complete(
-        rc,
-        en,
-        t_done,
-        0,
-        CqeOut {
-            cid: sqe.cid,
-            status,
-            result,
-            span,
-        },
-    );
+    finish(rc, en, cmd, t_done, status);
 }
 
 /// Resolve a command's PRPs, fetching list pages over the fabric.
 /// Returns `(segments, time PRP resolution finished)` or an error status.
 fn resolve_prps(
-    rc: &Rc<RefCell<NvmeDevice>>,
+    fabric: &RefCell<PcieFabric>,
+    node: NodeId,
     en: &mut Engine,
     sqe: &Sqe,
     byte_len: u64,
 ) -> Result<(Vec<PrpSeg>, SimTime), Status> {
-    let (fabric, node) = {
-        let d = rc.borrow();
-        (d.fabric(), d.node)
-    };
     let mut t_prp = en.now();
     let walk = walk_prps(sqe.prp1, sqe.prp2, byte_len, |list_addr| {
         let now = en.now();
@@ -782,352 +806,185 @@ fn resolve_prps(
 /// whether this command errors out immediately, is delayed by a latency
 /// spike, or proceeds untouched into [`exec_io_inner`].
 fn exec_io(rc: &Rc<RefCell<NvmeDevice>>, en: &mut Engine, qid: u16, sqe: Sqe) {
-    enum Draw {
-        Clean,
-        Error(Status),
-        Spike(SimDuration),
-    }
-    let draw = {
-        let mut d = rc.borrow_mut();
-        let now = en.now();
-        // Flushes and malformed opcodes are never faulted — only real I/O.
-        let is_io = IoOpcode::from_u8(sqe.opcode).is_some_and(|o| o != IoOpcode::Flush);
+    let cmd = Cmd::new(qid, &sqe);
+    // Flushes and malformed opcodes are never faulted — only real I/O.
+    let is_io = IoOpcode::from_u8(sqe.opcode).is_some_and(|o| o != IoOpcode::Flush);
+    let injected = {
+        let mut guard = rc.borrow_mut();
+        let d = &mut *guard;
         match &mut d.faults {
-            Some(f) if is_io && f.in_window(now) => {
-                if f.cfg.error_rate > 0.0 && f.rng.gen_bool(f.cfg.error_rate) {
-                    f.errors.inc();
-                    Draw::Error(f.cfg.error_status)
-                } else if f.cfg.latency_spike_rate > 0.0 && f.rng.gen_bool(f.cfg.latency_spike_rate)
-                {
-                    f.spikes.inc();
-                    Draw::Spike(f.cfg.latency_spike)
-                } else {
-                    Draw::Clean
-                }
-            }
-            _ => Draw::Clean,
+            Some(f) if is_io => f.draw(en, &d.track, cmd),
+            _ => None,
         }
     };
-    match draw {
-        Draw::Clean => exec_io_inner(rc, en, qid, sqe),
-        Draw::Error(status) => {
-            if trace::enabled() {
-                let node = rc.borrow().node;
-                trace::instant(
-                    en,
-                    &format!("nvme.n{}", node.0),
-                    "fault.cmd_error",
-                    &[("qid", qid as u64), ("cid", sqe.cid as u64)],
-                );
-            }
-            let out = CqeOut {
-                cid: sqe.cid,
-                status,
-                result: 0,
-                span: trace::SpanId::NONE,
-            };
-            // A rejected command still takes a controller turnaround.
-            let t = en.now() + SimDuration::from_us(1);
-            complete(rc, en, t, qid, out);
-        }
-        Draw::Spike(extra) => {
-            if trace::enabled() {
-                let node = rc.borrow().node;
-                trace::instant(
-                    en,
-                    &format!("nvme.n{}", node.0),
-                    "fault.latency_spike",
-                    &[("qid", qid as u64), ("cid", sqe.cid as u64)],
-                );
-            }
+    match injected {
+        None => exec_io_inner(rc, en, cmd, sqe),
+        // A rejected command still takes a controller turnaround.
+        Some(Err(status)) => finish(rc, en, cmd, en.now() + SimDuration::from_us(1), status),
+        Some(Ok(spike)) => {
             let rc2 = rc.clone();
-            en.schedule_in(extra, move |en| exec_io_inner(&rc2, en, qid, sqe));
+            en.schedule_in(spike, move |en| exec_io_inner(&rc2, en, cmd, sqe));
         }
     }
 }
 
-fn exec_io_inner(rc: &Rc<RefCell<NvmeDevice>>, en: &mut Engine, qid: u16, sqe: Sqe) {
+fn exec_io_inner(rc: &Rc<RefCell<NvmeDevice>>, en: &mut Engine, mut cmd: Cmd, sqe: Sqe) {
     let now = en.now();
     let Some(op) = IoOpcode::from_u8(sqe.opcode) else {
-        let out = CqeOut {
-            cid: sqe.cid,
-            status: Status::InvalidOpcode,
-            result: 0,
-            span: trace::SpanId::NONE,
-        };
-        complete(rc, en, now, qid, out);
-        return;
+        return finish(rc, en, cmd, now, Status::InvalidOpcode);
     };
 
     // SQE→CQE lifetime span: opens when execution starts, closes in
     // `complete_now` when the CQE write lands.
-    let span = if trace::enabled() {
-        let node = rc.borrow().node;
+    if trace::enabled() {
         let name = match op {
             IoOpcode::Read => "nvme.read",
             IoOpcode::Write => "nvme.write",
             IoOpcode::Flush => "nvme.flush",
         };
-        trace::begin(
-            en,
-            &format!("nvme.n{}", node.0),
-            name,
-            &[
-                ("qid", qid as u64),
-                ("cid", sqe.cid as u64),
-                ("slba", sqe.slba()),
-                ("len", sqe.byte_len()),
-            ],
-        )
-    } else {
-        trace::SpanId::NONE
-    };
+        let args = [
+            ("qid", cmd.qid as u64),
+            ("cid", cmd.cid as u64),
+            ("slba", sqe.slba()),
+            ("len", sqe.byte_len()),
+        ];
+        cmd.span = trace::begin(en, &rc.borrow().track, name, &args);
+    }
 
     if op == IoOpcode::Flush {
-        let t = {
-            let mut d = rc.borrow_mut();
-            d.nand.flush(now)
-        };
-        let out = CqeOut {
-            cid: sqe.cid,
-            status: Status::Success,
-            result: 0,
-            span,
-        };
-        complete(rc, en, t, qid, out);
-        return;
+        let t = rc.borrow_mut().nand.flush(now);
+        return finish(rc, en, cmd, t, Status::Success);
     }
 
     let byte_addr = sqe.slba() * LBA_BYTES;
     let byte_len = sqe.byte_len();
     let in_bounds = rc.borrow().nand.in_bounds(byte_addr, byte_len);
     if !in_bounds {
-        let out = CqeOut {
-            cid: sqe.cid,
-            status: Status::LbaOutOfRange,
-            result: 0,
-            span,
-        };
-        complete(rc, en, now, qid, out);
-        return;
+        return finish(rc, en, cmd, now, Status::LbaOutOfRange);
     }
 
-    let (segs, t_prp) = match resolve_prps(rc, en, &sqe, byte_len) {
+    let (fabric, node) = rc.borrow().port();
+    let (segs, t_prp) = match resolve_prps(&fabric, node, en, &sqe, byte_len) {
         Ok(x) => x,
-        Err(status) => {
-            let out = CqeOut {
-                cid: sqe.cid,
-                status,
-                result: 0,
-                span,
-            };
-            complete(rc, en, now, qid, out);
-            return;
-        }
-    };
-
-    let (fabric, node) = {
-        let d = rc.borrow();
-        (d.fabric(), d.node)
+        Err(status) => return finish(rc, en, cmd, now, status),
     };
 
     // PRP list pages were fetched over the fabric (SNAcc's on-the-fly
     // PRP synthesis feeds exactly these fetches) — worth its own span.
     if trace::enabled() && t_prp > now {
-        trace::span_between(
-            &format!("nvme.n{}", node.0),
-            "nvme.prp_fetch",
-            now,
-            t_prp,
-            &[("segs", segs.len() as u64)],
-        );
+        let args = [("segs", segs.len() as u64)];
+        trace::span_between(&rc.borrow().track, "nvme.prp_fetch", now, t_prp, &args);
     }
 
-    match op {
-        IoOpcode::Read => {
-            // Media first; delivery is scheduled at media-ready time so
-            // that commands book the return link in *completion* order —
-            // this is what lets fast commands overtake slow ones and
-            // produces genuinely out-of-order CQEs. The media hands back a
-            // zero-copy payload view; lazy fill/pattern segments are never
-            // materialised on this path.
-            let (data, t_media) = {
-                let mut d = rc.borrow_mut();
-                d.nand.read_payload(t_prp, byte_addr, byte_len)
-            };
-            if trace::enabled() {
-                trace::span_between(
-                    &format!("nvme.n{}", node.0),
-                    "nand.read",
-                    t_prp,
-                    t_media,
-                    &[("bytes", byte_len)],
-                );
-            }
-            let rc2 = rc.clone();
-            let cid = sqe.cid;
-            en.schedule_at(t_media.max(en.now()), move |en| {
-                // Aggregate controller read-out cap, booked in completion
-                // order (we are at the command's media-ready event).
-                let t_ready = {
-                    let mut d = rc2.borrow_mut();
-                    d.nand.book_readout(en.now(), byte_len)
-                };
-                // Posted data writes overlap the read-out: segment k is
-                // issued when read-out makes it available. Commands book
-                // in t_media event order and the read-out serialisation
-                // keeps their windows disjoint, so wire bookings stay
-                // time-ordered across commands. Spreading (rather than
-                // batching at read-out end) keeps target-memory
-                // arbitration smooth — critical for the on-board-DRAM
-                // variant where the PE drain shares the DDR4 bus.
-                let spread = {
-                    let d = rc2.borrow();
-                    d.nand.config().channel_bandwidth.time_for(byte_len)
-                };
-                let readout_start = t_ready - spread;
-                let now = en.now();
-                let mut t = t_ready;
-                let mut off = 0usize;
-                let mut failed = false;
-                let n_segs = segs.len() as u64;
-                for (k, seg) in segs.iter().enumerate() {
-                    let chunk = data.slice(off..off + seg.len as usize);
-                    let issue = readout_start + spread * (k as u64 + 1) / n_segs.max(1);
-                    let r = fabric
-                        .borrow_mut()
-                        .write(en, issue.max(now), node, seg.addr, chunk);
-                    match r {
-                        Ok(done) => t = t.max(done),
-                        Err(_) => {
-                            failed = true;
-                            break;
-                        }
-                    }
-                    off += seg.len as usize;
-                }
-                let status = if failed {
-                    Status::DataTransferError
-                } else {
-                    let mut d = rc2.borrow_mut();
-                    d.stats.read_cmds += 1;
-                    d.stats.read_bytes += byte_len;
-                    Status::Success
-                };
-                let out = CqeOut {
-                    cid,
-                    status,
-                    result: 0,
-                    span,
-                };
-                complete(&rc2, en, t, qid, out);
-            });
+    if op == IoOpcode::Read {
+        // Media first; delivery is scheduled at media-ready time so
+        // that commands book the return link in *completion* order —
+        // this is what lets fast commands overtake slow ones and
+        // produces genuinely out-of-order CQEs. The media hands back a
+        // zero-copy payload view; lazy fill/pattern segments are never
+        // materialised on this path.
+        let (data, t_media) = rc
+            .borrow_mut()
+            .nand
+            .read_payload(t_prp, byte_addr, byte_len);
+        if trace::enabled() {
+            let args = [("bytes", byte_len)];
+            trace::span_between(&rc.borrow().track, "nand.read", t_prp, t_media, &args);
         }
-        IoOpcode::Write => {
-            // Credit-windowed data fetch, then cache admission. Fetched
-            // segments stay zero-copy payload windows end-to-end: the
-            // fabric hands back views of the source buffer's segment
-            // store and the media retains them as-is.
-            let mut parts: Vec<snacc_sim::bytes::Payload> = Vec::with_capacity(segs.len());
-            let mut t_issue = t_prp;
-            let mut t_data = t_prp;
-            let mut failed = false;
-            for seg in &segs {
-                // Which credit pool does this segment draw from?
-                let owner = fabric.borrow().owner_of(seg.addr);
-                let is_host = owner == Some(HOST_NODE);
-                {
-                    let mut d = rc.borrow_mut();
-                    let cap = if is_host {
-                        d.profile.fetch_window_host
-                    } else {
-                        d.profile.fetch_window_p2p
-                    };
-                    let stall = d.profile.fetch_stall_lo;
-                    let p2p_overhead = d.profile.fetch_overhead_p2p;
-                    let in_lo = d.nand.in_lo_state();
-                    let ring = if is_host {
-                        &mut d.fetch_host
-                    } else {
-                        &mut d.fetch_p2p
-                    };
-                    while ring.len() >= cap {
-                        let freed = ring.pop_front().expect("non-empty ring");
-                        t_issue = t_issue.max(freed);
-                    }
-                    if !is_host {
-                        t_issue += p2p_overhead;
-                    }
-                    if in_lo {
-                        t_issue += stall;
-                    }
-                }
-                let r =
-                    fabric
-                        .borrow_mut()
-                        .read(en, t_issue.max(en.now()), node, seg.addr, seg.len);
+        let rc2 = rc.clone();
+        en.schedule_at(t_media.max(en.now()), move |en| {
+            // Aggregate controller read-out cap, booked in completion
+            // order (we are at the command's media-ready event).
+            let (t_ready, spread) = {
+                let mut d = rc2.borrow_mut();
+                let spread = d.nand.config().channel_bandwidth.time_for(byte_len);
+                (d.nand.book_readout(en.now(), byte_len), spread)
+            };
+            // Posted data writes overlap the read-out: segment k is
+            // issued when read-out makes it available. Commands book
+            // in t_media event order and the read-out serialisation
+            // keeps their windows disjoint, so wire bookings stay
+            // time-ordered across commands. Spreading (rather than
+            // batching at read-out end) keeps target-memory
+            // arbitration smooth — critical for the on-board-DRAM
+            // variant where the PE drain shares the DDR4 bus.
+            let readout_start = t_ready - spread;
+            let now = en.now();
+            let mut t = t_ready;
+            let mut off = 0usize;
+            let mut status = Status::Success;
+            let n_segs = segs.len() as u64;
+            for (k, seg) in segs.iter().enumerate() {
+                let chunk = data.slice(off..off + seg.len as usize);
+                let issue = readout_start + spread * (k as u64 + 1) / n_segs.max(1);
+                let r = fabric
+                    .borrow_mut()
+                    .write(en, issue.max(now), node, seg.addr, chunk);
                 match r {
-                    Ok((chunk, done)) => {
-                        parts.push(chunk);
-                        t_data = t_data.max(done);
-                        let mut d = rc.borrow_mut();
-                        let ring = if is_host {
-                            &mut d.fetch_host
-                        } else {
-                            &mut d.fetch_p2p
-                        };
-                        ring.push_back(done);
-                    }
+                    Ok(done) => t = t.max(done),
                     Err(_) => {
-                        failed = true;
+                        status = Status::DataTransferError;
                         break;
                     }
                 }
+                off += seg.len as usize;
             }
-            if failed {
-                let out = CqeOut {
-                    cid: sqe.cid,
-                    status: Status::DataTransferError,
-                    result: 0,
-                    span,
-                };
-                complete(rc, en, t_data, qid, out);
-                return;
+            if status == Status::Success {
+                let mut d = rc2.borrow_mut();
+                d.stats.read_cmds += 1;
+                d.stats.read_bytes += byte_len;
             }
-            // Cache admission happens when the data has arrived; the CQE
-            // is posted at admission time (volatile write cache). Both are
-            // event-scheduled so completion writes book the link in true
-            // time order across commands.
-            let random_hint = byte_len <= 16384;
-            let rc2 = rc.clone();
-            let cid = sqe.cid;
-            en.schedule_at(t_data.max(en.now()), move |en| {
-                let t_admit = {
-                    let mut d = rc2.borrow_mut();
-                    let t = d.nand.write_parts(en.now(), byte_addr, parts, random_hint);
-                    d.stats.write_cmds += 1;
-                    d.stats.write_bytes += byte_len;
-                    t
-                };
-                if trace::enabled() {
-                    trace::span_between(
-                        &format!("nvme.n{}", node.0),
-                        "nand.write",
-                        en.now(),
-                        t_admit,
-                        &[("bytes", byte_len)],
-                    );
+            finish(&rc2, en, cmd, t, status);
+        });
+    } else {
+        // Credit-windowed data fetch, then cache admission. Fetched
+        // segments stay zero-copy payload windows end-to-end: the
+        // fabric hands back views of the source buffer's segment
+        // store and the media retains them as-is.
+        let mut parts: Vec<Payload> = Vec::with_capacity(segs.len());
+        let mut t_issue = t_prp;
+        let mut t_data = t_prp;
+        for seg in &segs {
+            // Which credit pool does this segment draw from?
+            let host = fabric.borrow().owner_of(seg.addr) == Some(HOST_NODE);
+            {
+                let mut d = rc.borrow_mut();
+                let in_lo = d.nand.in_lo_state();
+                t_issue = d.fetch_pool(host).issue_at(t_issue);
+                if in_lo {
+                    t_issue += FETCH_STALL_LO;
                 }
-                let out = CqeOut {
-                    cid,
-                    status: Status::Success,
-                    result: 0,
-                    span,
-                };
-                complete(&rc2, en, t_admit, qid, out);
-            });
+            }
+            let r = fabric
+                .borrow_mut()
+                .read(en, t_issue.max(en.now()), node, seg.addr, seg.len);
+            let Ok((chunk, done)) = r else {
+                return finish(rc, en, cmd, t_data, Status::DataTransferError);
+            };
+            parts.push(chunk);
+            t_data = t_data.max(done);
+            rc.borrow_mut().fetch_pool(host).ring.push_back(done);
         }
-        IoOpcode::Flush => unreachable!(),
+        // Cache admission happens when the data has arrived; the CQE
+        // is posted at admission time (volatile write cache). Both are
+        // event-scheduled so completion writes book the link in true
+        // time order across commands.
+        let random_hint = byte_len <= 16384;
+        let rc2 = rc.clone();
+        en.schedule_at(t_data.max(en.now()), move |en| {
+            let t_admit = {
+                let mut d = rc2.borrow_mut();
+                d.stats.write_cmds += 1;
+                d.stats.write_bytes += byte_len;
+                d.nand.write_parts(en.now(), byte_addr, parts, random_hint)
+            };
+            if trace::enabled() {
+                let args = [("bytes", byte_len)];
+                let track = &rc2.borrow().track;
+                trace::span_between(track, "nand.write", en.now(), t_admit, &args);
+            }
+            finish(&rc2, en, cmd, t_admit, Status::Success);
+        });
     }
 }
 
@@ -1384,5 +1241,123 @@ mod tests {
         r.en.run();
         assert!(!r.dev.with(|d| d.is_ready()));
         assert!(r.dev.with(|d| d.queues.is_empty()));
+    }
+
+    /// A page-aligned fabric address nothing is mapped at (between host
+    /// memory and BAR0).
+    const UNMAPPED: u64 = 0x4_0000_0000;
+
+    #[test]
+    fn invalid_io_opcode_completes_with_invalid_opcode() {
+        let mut r = TestRig::new();
+        r.enable();
+        r.create_io_queues(1, 0x30_0000, 0x31_0000, 64);
+        r.submit_io(&Sqe::new(0x7f, 9), 1);
+        r.en.run();
+        let cqe = r.io_cqe(0);
+        assert_eq!((cqe.cid, cqe.status), (9, Status::InvalidOpcode));
+        assert_eq!(r.dev.stats().errors, 1);
+    }
+
+    #[test]
+    fn unmapped_prp_list_page_is_a_transfer_error() {
+        let mut r = TestRig::new();
+        r.enable();
+        r.create_io_queues(1, 0x30_0000, 0x31_0000, 64);
+        // 16 KiB spans four pages, so PRP2 points at a list page.
+        let mut w = Sqe::io(IoOpcode::Write, 3, 0, 31);
+        w.prp1 = 0x40_0000;
+        w.prp2 = UNMAPPED;
+        r.submit_io(&w, 1);
+        r.en.run();
+        assert_eq!(r.io_cqe(0).status, Status::DataTransferError);
+        assert_eq!(r.dev.stats().write_cmds, 0);
+    }
+
+    #[test]
+    fn read_into_unmapped_page_is_a_transfer_error() {
+        let mut r = TestRig::new();
+        r.enable();
+        r.create_io_queues(1, 0x30_0000, 0x31_0000, 64);
+        let mut rd = Sqe::io(IoOpcode::Read, 4, 5000, 7);
+        rd.prp1 = UNMAPPED;
+        r.submit_io(&rd, 1);
+        r.en.run();
+        assert_eq!(r.io_cqe(0).status, Status::DataTransferError);
+        let st = r.dev.stats();
+        assert_eq!((st.read_cmds, st.read_bytes, st.errors), (0, 0, 1));
+    }
+
+    #[test]
+    fn full_cq_defers_completions_until_the_head_doorbell() {
+        let mut r = TestRig::new();
+        r.enable();
+        // Eight SQ slots over a four-slot CQ.
+        let (sq, cq) = (SqRing::new(0x30_0000, 8), CqRing::new(0x31_0000, 4));
+        r.admin
+            .create_io_queue_pair(&mut r.en, &r.fabric, &r.hostmem, 1, &sq, &cq)
+            .expect("I/O queue pair created");
+        for cid in 1..=6u16 {
+            let f = Sqe::io(IoOpcode::Flush, cid, 0, 0);
+            let at = 0x30_0000 + (cid as u64 - 1) * 64;
+            r.hostmem.borrow_mut().store_mut().write(at, &f.encode());
+        }
+        r.reg_write32(spec::regs::sq_tail_doorbell(1), 6);
+        r.en.run();
+        let slots = |r: &TestRig| -> Vec<(u16, bool)> {
+            (0..4)
+                .map(|s| r.io_cqe(s))
+                .map(|c| (c.cid, c.phase))
+                .collect()
+        };
+        // Nothing acknowledged: CIDs 5 and 6 wait for CQ space.
+        assert_eq!(slots(&r), [(1, true), (2, true), (3, true), (4, true)]);
+        // The consumer frees two slots; the deferred CQEs land there in
+        // order, with the phase bit of the ring's second pass.
+        r.reg_write32(spec::regs::cq_head_doorbell(1), 2);
+        r.en.run();
+        assert_eq!(slots(&r), [(5, false), (6, false), (3, true), (4, true)]);
+    }
+
+    /// Run one 4 KiB write on a fresh controller, with `faults` installed
+    /// if given; returns its CQE and the time the run ends (the CQE
+    /// write's arrival).
+    fn lone_write(faults: Option<IoFaultConfig>) -> (Cqe, SimTime) {
+        let mut r = TestRig::new();
+        r.enable();
+        r.create_io_queues(1, 0x30_0000, 0x31_0000, 64);
+        if let Some(cfg) = faults {
+            r.dev.install_faults(cfg);
+        }
+        let mut w = Sqe::io(IoOpcode::Write, 1, 0, 7);
+        w.prp1 = 0x40_0000;
+        r.submit_io(&w, 1);
+        let end = r.en.run();
+        (r.io_cqe(0), end)
+    }
+
+    #[test]
+    fn fatal_injected_error_completes_with_lba_out_of_range() {
+        let cfg = IoFaultConfig {
+            error_status: Status::LbaOutOfRange,
+            ..IoFaultConfig::error_only(1.0, 3)
+        };
+        let (cqe, _) = lone_write(Some(cfg));
+        assert_eq!(cqe.status, Status::LbaOutOfRange);
+    }
+
+    #[test]
+    fn latency_spike_delays_a_lone_cqe_by_the_spike() {
+        let spike = SimDuration::from_us(50);
+        let cfg = IoFaultConfig {
+            latency_spike_rate: 1.0,
+            latency_spike: spike,
+            ..IoFaultConfig::error_only(0.0, 3)
+        };
+        let (clean, clean_end) = lone_write(None);
+        let (spiked, spiked_end) = lone_write(Some(cfg));
+        assert_eq!(clean.status, Status::Success);
+        assert_eq!(spiked.status, Status::Success);
+        assert_eq!(spiked_end, clean_end + spike);
     }
 }

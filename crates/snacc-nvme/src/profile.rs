@@ -10,6 +10,11 @@
 //! * write completions < 9 µs via the volatile write cache (Fig 4c),
 //! * the peer-to-peer fetch-credit limit that caps writes from FPGA
 //!   memory at ≈ 5.6 GB/s (Fig 4a, discussion in Sec 5.2).
+//!
+//! A profile holds only what differs between devices. The controller
+//! knobs no profile varies (register latency, queue limits, SQE fetch
+//! burst, fetch stall and P2P fetch overhead) are constants in
+//! `device.rs`.
 
 use crate::nand::NandConfig;
 use snacc_pcie::PcieLinkConfig;
@@ -22,28 +27,11 @@ pub struct NvmeProfile {
     pub nand: NandConfig,
     /// The device's PCIe link.
     pub link: PcieLinkConfig,
-    /// Data-fetch read-request size (bytes per fabric read).
-    pub fetch_chunk: u64,
     /// Outstanding fetch credits towards host memory.
     pub fetch_window_host: usize,
     /// Outstanding fetch credits towards peer devices (P2P) — the paper's
     /// observed P2P limitation comes from this being small.
     pub fetch_window_p2p: usize,
-    /// Extra per-chunk issue delay while the program engine is in its slow
-    /// state (controller DMA shares resources with NAND folding).
-    pub fetch_stall_lo: SimDuration,
-    /// Fixed per-chunk issue overhead on peer-to-peer fetches (request
-    /// scheduling in the controller's P2P path — the paper's observed
-    /// "read accesses ... do not occur frequently enough").
-    pub fetch_overhead_p2p: SimDuration,
-    /// Maximum number of I/O queue pairs.
-    pub max_io_queues: u16,
-    /// Maximum entries per queue (CAP.MQES + 1).
-    pub max_queue_entries: u16,
-    /// How many SQEs the controller fetches per burst read.
-    pub sqe_fetch_burst: u16,
-    /// Latency of a BAR0 register access at the controller.
-    pub reg_latency: SimDuration,
     /// Model/serial strings reported by Identify.
     pub model: &'static str,
 }
@@ -73,15 +61,8 @@ impl NvmeProfile {
                 capacity_bytes: 2_000_000_000_000,
             },
             link: PcieLinkConfig::nvme_gen4_x4(),
-            fetch_chunk: 4096,
             fetch_window_host: 8,
             fetch_window_p2p: 3,
-            fetch_stall_lo: SimDuration::from_ns(80),
-            fetch_overhead_p2p: SimDuration::from_ns(42),
-            max_io_queues: 16,
-            max_queue_entries: 1024,
-            sqe_fetch_burst: 8,
-            reg_latency: SimDuration::from_ns(80),
             model: "SNAcc-sim 990 PRO 2TB",
         }
     }

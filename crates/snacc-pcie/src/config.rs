@@ -36,22 +36,13 @@ pub struct PcieLinkConfig {
     pub gen: PcieGen,
     /// Lane count (x1/x4/x8/x16).
     pub lanes: u32,
-    /// Maximum TLP payload size in bytes (typically 256 or 512).
-    pub max_payload: u64,
-    /// Maximum read-request size in bytes (typically 512).
-    pub max_read_request: u64,
 }
 
 impl PcieLinkConfig {
-    /// Construct with common defaults (MPS 512, MRRS 512).
+    /// A `gen` link of `lanes` lanes.
     pub fn new(gen: PcieGen, lanes: u32) -> Self {
         assert!(matches!(lanes, 1 | 2 | 4 | 8 | 16), "invalid lane count");
-        PcieLinkConfig {
-            gen,
-            lanes,
-            max_payload: 512,
-            max_read_request: 512,
-        }
+        PcieLinkConfig { gen, lanes }
     }
 
     /// The Alveo U280's host link: Gen3 ×16 (~15.75 GB/s/dir).

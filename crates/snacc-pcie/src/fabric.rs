@@ -162,7 +162,6 @@ type DecodedTarget = (u64, NodeId, Rc<RefCell<dyn MmioTarget>>);
 
 struct DeviceLink {
     name: String,
-    cfg: PcieLinkConfig,
     /// Device → root complex.
     up: SharedLink,
     /// Root complex → device.
@@ -295,12 +294,7 @@ impl PcieFabric {
         let hop = SimDuration::from_ns(200);
         let up = SharedLink::new(format!("{name}.up"), cfg.bandwidth(), hop);
         let down = SharedLink::new(format!("{name}.down"), cfg.bandwidth(), hop);
-        self.devices.push(DeviceLink {
-            name,
-            cfg,
-            up,
-            down,
-        });
+        self.devices.push(DeviceLink { name, up, down });
         NodeId(self.devices.len())
     }
 
@@ -343,20 +337,6 @@ impl PcieFabric {
         self.payload_meter.reset();
     }
 
-    fn mps_for(&self, a: NodeId, b: NodeId) -> u64 {
-        let mut mps = u64::MAX;
-        for n in [a, b] {
-            if n != HOST_NODE {
-                mps = mps.min(self.devices[n.0 - 1].cfg.max_payload);
-            }
-        }
-        if mps == u64::MAX {
-            512
-        } else {
-            mps
-        }
-    }
-
     /// A non-posted read issued at `start` (≥ now): `requester` reads
     /// `len` bytes at fabric address `addr`. Returns the bytes, as the
     /// target hands them out (a zero-copy view of a memory's segment
@@ -375,7 +355,7 @@ impl PcieFabric {
         if self.draw_timeout(en, start, len, addr) {
             return Err(PcieError::CompletionTimeout { requester, addr });
         }
-        let wire = wire_bytes(len, self.mps_for(requester, target_node));
+        let wire = wire_bytes(len);
         let small = len <= CTRL_TLP_BYTES;
         self.payload_meter.record(len);
 
@@ -412,7 +392,7 @@ impl PcieFabric {
         debug_assert!(start >= en.now());
         let len = data.len() as u64;
         let (offset, target_node, target) = self.route(requester, addr, len)?;
-        let wire = wire_bytes(len, self.mps_for(requester, target_node));
+        let wire = wire_bytes(len);
         let small = len <= CTRL_TLP_BYTES;
         self.payload_meter.record(len);
 

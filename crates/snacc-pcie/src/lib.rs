@@ -8,7 +8,9 @@
 //! Design:
 //!
 //! * [`config::PcieLinkConfig`] — per-device link (generation × lanes →
-//!   per-direction bandwidth), maximum payload size, TLP header overhead.
+//!   per-direction bandwidth).
+//! * [`tlp`] — TLP accounting: the maximum payload size (the same on
+//!   every link) and the per-packet header overhead.
 //! * [`fabric::PcieFabric`] — the topology: every device has a full-duplex
 //!   link to the root complex; memory-mapped ranges (host DRAM, device
 //!   BARs) are registered in one global address map; `read`/`write` route a

@@ -2,9 +2,9 @@
 //!
 //! We do not materialise individual TLPs as events (a 147 GB case study
 //! would produce billions); instead transfers are *accounted* at TLP
-//! granularity: a payload of N bytes over a link with max payload size M
-//! costs `N + ceil(N/M) × header` wire bytes. Read requests and completion
-//! headers are charged the same way.
+//! granularity: a payload of N bytes costs `N + ceil(N/MAX_PAYLOAD) ×
+//! header` wire bytes. Read requests and completion headers are charged
+//! the same way.
 
 /// TLP header + framing bytes per packet (3-4 DW header + LCRC + framing).
 pub const TLP_HEADER_BYTES: u64 = 24;
@@ -12,23 +12,17 @@ pub const TLP_HEADER_BYTES: u64 = 24;
 /// A read request TLP is header-only.
 pub const READ_REQUEST_BYTES: u64 = TLP_HEADER_BYTES;
 
+/// Maximum TLP payload size (MPS) in bytes, the same on every link.
+pub const MAX_PAYLOAD: u64 = 512;
+
 /// Wire bytes for a posted write / completion stream of `payload` bytes
-/// chunked at `max_payload`.
-pub fn wire_bytes(payload: u64, max_payload: u64) -> u64 {
+/// chunked at [`MAX_PAYLOAD`].
+pub fn wire_bytes(payload: u64) -> u64 {
     if payload == 0 {
         return TLP_HEADER_BYTES;
     }
-    let packets = snacc_sim::ceil_div(payload, max_payload);
+    let packets = snacc_sim::ceil_div(payload, MAX_PAYLOAD);
     payload + packets * TLP_HEADER_BYTES
-}
-
-/// Number of packets a payload splits into.
-pub fn packet_count(payload: u64, max_payload: u64) -> u64 {
-    if payload == 0 {
-        1
-    } else {
-        snacc_sim::ceil_div(payload, max_payload)
-    }
 }
 
 #[cfg(test)]
@@ -37,27 +31,24 @@ mod tests {
 
     #[test]
     fn header_only_for_empty() {
-        assert_eq!(wire_bytes(0, 512), TLP_HEADER_BYTES);
-        assert_eq!(packet_count(0, 512), 1);
+        assert_eq!(wire_bytes(0), TLP_HEADER_BYTES);
     }
 
     #[test]
     fn single_packet() {
-        assert_eq!(wire_bytes(512, 512), 512 + 24);
-        assert_eq!(packet_count(512, 512), 1);
+        assert_eq!(wire_bytes(512), 512 + 24);
     }
 
     #[test]
     fn multi_packet() {
-        assert_eq!(wire_bytes(4096, 512), 4096 + 8 * 24);
-        assert_eq!(packet_count(4096, 512), 8);
-        assert_eq!(wire_bytes(513, 512), 513 + 2 * 24);
+        assert_eq!(wire_bytes(4096), 4096 + 8 * 24);
+        assert_eq!(wire_bytes(513), 513 + 2 * 24);
     }
 
     #[test]
     fn efficiency_reasonable() {
         // 512 B MPS → ~95.5 % efficiency on bulk data.
-        let eff = 4096.0 / wire_bytes(4096, 512) as f64;
+        let eff = 4096.0 / wire_bytes(4096) as f64;
         assert!(eff > 0.95 && eff < 0.96, "{eff}");
     }
 }
