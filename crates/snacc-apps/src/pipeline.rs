@@ -835,6 +835,24 @@ mod tests {
     }
 
     #[test]
+    fn pause_storm_case_study_completes() {
+        // The storm's default start (0) counts from when the front installs
+        // it, a few microseconds in, so its first PAUSE is not in the past.
+        // It only throttles the link: every image still lands.
+        let plan = FaultPlan::parse("seed = 1\n[net]\npause_storm_count = 3").unwrap();
+        let mut sys = SnaccSystem::bring_up(SystemConfig::snacc(StreamerVariant::Uram));
+        let cfg = CaseStudyConfig {
+            images: 4,
+            ..Default::default()
+        };
+        let sink = StreamerSink::new(&mut sys.en, sys.streamer.ports());
+        let (ctl, [tx, _rx]) = run_case_study_front(&mut sys.en, cfg, sink, Some(&plan));
+        sys.en.run();
+        assert_eq!(ctl.borrow().images_stored, 4);
+        assert!(tx.borrow().stats().pauses_received >= 3);
+    }
+
+    #[test]
     fn flaky_ssd_case_study_recovers() {
         // The shipped flaky-SSD plan: transient NVMe errors under a
         // 3-attempt retry policy. Every injected error is either retried

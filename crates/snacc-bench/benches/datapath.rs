@@ -7,6 +7,10 @@
 //! (Ethernet frames → RX bridge → database controller → streamer), which
 //! moves every image byte across four model layers.
 //!
+//! `datapath/prp_walk_1m` times the device-side PRP walk of one 1 MiB
+//! command alone: PRP1 plus a 255-entry list page, the walk every NVMe
+//! command of the streamer pays.
+//!
 //! A fourth group, `segment_store`, times the functional byte store alone
 //! on the page shapes those paths produce. It tracks the store's per-page
 //! cost between changes; end-to-end claims rest on perfbench, not on it.
@@ -20,6 +24,7 @@ use snacc_apps::system::{SnaccSystem, SystemConfig};
 use snacc_bench::workloads::{self, Dir};
 use snacc_core::config::StreamerVariant;
 use snacc_mem::SegmentMemory;
+use snacc_nvme::prp::walk_prps;
 use snacc_sim::bytes::Payload;
 
 fn quick() -> bool {
@@ -80,13 +85,32 @@ fn datapath_benches(c: &mut Criterion) {
         })
     });
 
+    // 1024 walks per iteration, so ms per iteration reads as about µs per
+    // walk.
+    let pages: Vec<u64> = (0..256u64).map(|i| 0x10_0000 + i * 4096).collect();
+    let mut list = vec![0u8; 4096];
+    for (e, p) in list.chunks_exact_mut(8).zip(&pages[1..]) {
+        e.copy_from_slice(&p.to_le_bytes());
+    }
+    let list = Payload::from_vec(list);
+    g.bench_function("prp_walk_1m", |b| {
+        b.iter(|| {
+            for _ in 0..1024 {
+                let segs = walk_prps(pages[0], 0xA000_0000, 1 << 20, |_| Ok(list.clone()));
+                black_box(segs.map(|s| s.len()).unwrap_or(0));
+            }
+        })
+    });
+
     g.finish();
 }
 
 /// 4 KiB pages into one [`SegmentMemory`]: appends that join (one
 /// producer buffer sliced into pages, as a streamer transfer lands), ring
-/// overwrite of a 4 MiB region with such a stream, and random pages
-/// scattered over 1 GiB (each its own backing, so none join).
+/// overwrite of a 4 MiB region with such a stream, rewrites of a 4 MiB
+/// ring with the windows it already holds (a read landing in a buffer
+/// slot that holds the same NAND window, as `uram_r` does), and random
+/// pages scattered over 1 GiB (each its own backing, so none join).
 fn segment_store_benches(c: &mut Criterion) {
     const PAGE: usize = 4096;
     let pages: usize = if quick() { 4096 } else { 65_536 };
@@ -113,6 +137,23 @@ fn segment_store_benches(c: &mut Criterion) {
                 ring.write_payload(((i % RING_PAGES) * PAGE) as u64, page(i));
             }
             black_box(ring.segment_count())
+        })
+    });
+
+    // Prewarmed like NAND (1 MiB fill chunks of one backing), then each
+    // page written back with the window the ring holds there.
+    let mut held_ring = SegmentMemory::new();
+    held_ring.fill(0, (RING_PAGES * PAGE) as u64, 0xa5);
+    let held: Vec<Payload> = (0..RING_PAGES)
+        .map(|i| held_ring.read_payload((i * PAGE) as u64, PAGE))
+        .collect();
+    g.bench_function("identical_rewrite_4m", |b| {
+        b.iter(|| {
+            for i in 0..pages {
+                let slot = i % RING_PAGES;
+                held_ring.write_payload((slot * PAGE) as u64, held[slot].clone());
+            }
+            black_box(held_ring.segment_count())
         })
     });
 

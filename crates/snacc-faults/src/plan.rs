@@ -75,10 +75,14 @@ pub struct NetFaultSpec {
     pub pause_storm: Option<PauseStormSpec>,
 }
 
-/// A scheduled burst of PAUSE frames from a misbehaving peer.
+/// A scheduled burst of PAUSE frames from a misbehaving peer. Its times
+/// count from the moment [`FaultPlan::apply_mac`] installs it, not from
+/// time zero: the case-study front does that once its link is up, a few
+/// microseconds into the run. The plan refuses a storm whose
+/// `start_us + interval_us × count` lies beyond the simulated range.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PauseStormSpec {
-    /// First PAUSE, microseconds from time zero.
+    /// First PAUSE, microseconds after the storm is installed.
     pub start_us: f64,
     /// Number of PAUSE frames.
     pub count: u32,
@@ -273,21 +277,16 @@ impl FaultPlan {
             .borrow_mut()
             .set_fault_rates(n.drop_rate, n.corrupt_rate);
         if let Some(s) = &n.pause_storm {
-            mac::schedule_pause_storm(
-                mac_rc,
-                en,
-                time_us(s.start_us),
-                s.count,
-                dur_us(s.interval_us),
-                s.quanta,
-            );
+            let (delay, interval) = (dur_us(s.start_us), dur_us(s.interval_us));
+            mac::schedule_pause_storm(mac_rc, en, delay, s.count, interval, s.quanta);
             if trace::enabled() {
-                let end = s.start_us + s.interval_us * s.count as f64;
+                let start = en.now().saturating_add(delay);
+                let span = interval.checked_mul(s.count.into());
                 trace::span_between(
                     "faults",
                     "window.pause_storm",
-                    time_us(s.start_us),
-                    time_us(end),
+                    start,
+                    span.map_or(SimTime::MAX, |d| start.saturating_add(d)),
                     &[("pauses", s.count as u64)],
                 );
             }
@@ -455,12 +454,26 @@ fn parse_net(doc: &TomlDoc) -> Result<Option<NetFaultSpec>, PlanError> {
     }
     let count = get_u64(doc, "net", "pause_storm_count", 0, u32::MAX.into())?;
     let pause_storm = if count > 0 {
-        Some(PauseStormSpec {
+        let storm = PauseStormSpec {
             start_us: get_us(doc, "net", "pause_storm_start_us", 0.0)?,
             count: count as u32,
             interval_us: get_us(doc, "net", "pause_storm_interval_us", 100.0)?,
             quanta: get_u64(doc, "net", "pause_storm_quanta", 0xffff, 0xffff)? as u16,
-        })
+        };
+        // The times `apply_mac` schedules, in the simulator's own units.
+        let end = dur_us(storm.interval_us)
+            .checked_mul(count)
+            .and_then(|span| (SimTime::ZERO + dur_us(storm.start_us)).checked_add(span));
+        if end.is_none() {
+            return Err(PlanError::Invalid(format!(
+                "[net] pause_storm_start_us + pause_storm_interval_us × pause_storm_count = \
+                 {} + {} × {count} µs is beyond the simulated range ({:e} µs)",
+                storm.start_us,
+                storm.interval_us,
+                SimTime::MAX.as_us_f64()
+            )));
+        }
+        Some(storm)
     } else {
         None
     };
@@ -590,6 +603,45 @@ mod tests {
             FaultPlan::parse("seed = 1\n[net]\npause_storm_count = 3\npause_storm_quanta = 65535");
         let storm = p.unwrap().net.and_then(|n| n.pause_storm);
         assert_eq!(storm.map(|s| s.quanta), Some(0xffff));
+    }
+
+    #[test]
+    fn pause_storm_beyond_the_simulated_range_rejected() {
+        // Each value is in range; their product is not (it used to wrap).
+        refused(
+            "seed = 1\n[net]\npause_storm_start_us = 100\npause_storm_interval_us = 1e12\npause_storm_count = 30",
+            "pause_storm_interval_us × pause_storm_count",
+        );
+        // 18 such PAUSEs still fit.
+        let p = FaultPlan::parse(
+            "seed = 1\n[net]\npause_storm_start_us = 100\npause_storm_interval_us = 1e12\npause_storm_count = 18",
+        );
+        assert_eq!(
+            p.unwrap().net.and_then(|n| n.pause_storm).map(|s| s.count),
+            Some(18)
+        );
+    }
+
+    #[test]
+    fn longest_pause_storm_keeps_one_event_pending() {
+        // Installed after time zero, with the default start (0): the first
+        // PAUSE is due now, not in the past. Not run to completion.
+        let p = FaultPlan::parse(&format!(
+            "seed = 1\n[net]\npause_storm_count = {}\npause_storm_interval_us = 1",
+            u32::MAX
+        ))
+        .unwrap();
+        let mut en = Engine::new();
+        en.schedule_at(SimTime::from_ns(9_907), |_| {});
+        en.run();
+        let mac = EthMac::new(
+            "storm",
+            snacc_net::MacAddr::from_index(1),
+            snacc_net::MacConfig::eth_100g(),
+            1,
+        );
+        p.apply_mac(&mut en, &mac);
+        assert_eq!(en.pending(), 1);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The PCIe root complex, the FPGA platform shell, and the NVMe streamer's
 //! BAR windows all decode incoming addresses against a set of
 //! non-overlapping ranges; [`AddressMap`] provides that with O(log n)
-//! lookup.
+//! lookup, and O(1) when the range of the previous hit is hit again.
 
+use std::cell::Cell;
 use std::fmt;
 
 /// A half-open byte-address range `[base, base + size)`.
@@ -68,10 +69,15 @@ impl fmt::Debug for AddrRange {
 
 /// A decode map from address ranges to targets of type `T`.
 ///
-/// Ranges must not overlap; insertion order is irrelevant. Lookup is binary
-/// search over ranges sorted by base.
+/// Ranges must not overlap; insertion order is irrelevant. Lookup tries the
+/// range of the previous hit, then binary-searches the ranges sorted by
+/// base. Ranges do not overlap, so at most one contains an address, and
+/// whichever way finds it returns the same answer.
 pub struct AddressMap<T> {
     entries: Vec<(AddrRange, T)>,
+    /// Index of the last range `decode` found. Only a hint: it is checked
+    /// before use, and `insert` resets it.
+    last_hit: Cell<usize>,
 }
 
 impl<T> Default for AddressMap<T> {
@@ -85,6 +91,7 @@ impl<T> AddressMap<T> {
     pub fn new() -> Self {
         AddressMap {
             entries: Vec::new(),
+            last_hit: Cell::new(0),
         }
     }
 
@@ -109,16 +116,23 @@ impl<T> AddressMap<T> {
         }
         let pos = self.entries.partition_point(|(r, _)| r.base < range.base);
         self.entries.insert(pos, (range, target));
+        self.last_hit.set(0);
     }
 
     /// Find the range containing `addr`, returning the range and target.
     pub fn decode(&self, addr: u64) -> Option<(&AddrRange, &T)> {
+        if let Some((r, t)) = self.entries.get(self.last_hit.get()) {
+            if r.contains(addr) {
+                return Some((r, t));
+            }
+        }
         let idx = self.entries.partition_point(|(r, _)| r.base <= addr);
-        if idx == 0 {
+        let (r, t) = self.entries.get(idx.checked_sub(1)?)?;
+        if !r.contains(addr) {
             return None;
         }
-        let (r, t) = &self.entries[idx - 1];
-        r.contains(addr).then_some((r, t))
+        self.last_hit.set(idx - 1);
+        Some((r, t))
     }
 
     /// Like [`decode`](Self::decode) but requires the whole `[addr, addr+len)`
@@ -137,6 +151,7 @@ impl<T> AddressMap<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn range_basics() {
@@ -183,6 +198,62 @@ mod tests {
         // containment.
         assert!(m.decode_span(0xff0, 0x20).is_none());
         assert!(m.decode_span(0xff0, 0x10).is_some());
+    }
+
+    /// The plain binary search `decode` did before it remembered hits.
+    fn searched<T>(m: &AddressMap<T>, addr: u64) -> Option<AddrRange> {
+        let idx = m.entries.partition_point(|(r, _)| r.base <= addr);
+        let (r, _) = m.entries.get(idx.checked_sub(1)?)?;
+        r.contains(addr).then_some(*r)
+    }
+
+    proptest! {
+        /// `decode` and `decode_span` agree with a plain binary search on
+        /// random maps and addresses: hits, misses between and beyond the
+        /// ranges, spans straddling a boundary, repeated hits on one range,
+        /// and lookups after an `insert` moved the ranges' indices.
+        #[test]
+        fn remembered_hit_matches_binary_search(
+            bases in proptest::collection::vec(any::<[u64; 2]>(), 1..24),
+            probes in proptest::collection::vec(any::<[u64; 3]>(), 1..300),
+        ) {
+            let mut m = AddressMap::new();
+            let mut pending: Vec<(AddrRange, usize)> = Vec::new();
+            for (i, [slot, size]) in bases.into_iter().enumerate() {
+                // Ranges on a 64 KiB grid, so neighbours touch or leave gaps.
+                let r = AddrRange::new((slot % 64) << 16, 1 + size % (80 << 10));
+                let free = m.iter().all(|(e, _)| !e.overlaps(&r))
+                    && pending.iter().all(|(e, _)| !e.overlaps(&r));
+                if free {
+                    // Half the ranges go in up front, half between probes.
+                    if i % 2 == 0 { m.insert(r, i) } else { pending.push((r, i)) }
+                }
+            }
+            let mut prev = 0u64;
+            for [pick, jitter, len] in probes {
+                if pick % 16 == 0 {
+                    if let Some((r, i)) = pending.pop() {
+                        m.insert(r, i);
+                    }
+                }
+                // Mostly near the previous address (the hint's case).
+                let addr = match pick % 4 {
+                    0 => jitter % (66 << 16),
+                    _ => prev.wrapping_add(jitter % 8192).wrapping_sub(4096) % (66 << 16),
+                };
+                prev = addr;
+                let want = searched(&m, addr);
+                prop_assert_eq!(m.decode(addr).map(|(r, _)| *r), want);
+                let len = len % (16 << 10);
+                let want_span = want.filter(|r| r.contains_span(addr, len));
+                prop_assert_eq!(m.decode_span(addr, len).map(|(r, _)| *r), want_span);
+                if let Some(r) = want {
+                    let t = m.decode(addr).map(|(_, t)| *t);
+                    let i = m.iter().find(|(e, _)| **e == r).map(|(_, t)| *t);
+                    prop_assert_eq!(t, i);
+                }
+            }
+        }
     }
 
     #[test]

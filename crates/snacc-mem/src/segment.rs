@@ -17,6 +17,11 @@
 //!   and continues its backing (a producer landing one buffer page by
 //!   page) grows its slot in place. The next segment's start is known from
 //!   the joining walk or looked up once, on the first such append.
+//! * **Writing back a window a segment already holds changes nothing.**
+//!   When the payload is that very window (same backing, offset and
+//!   length) strictly inside one segment, the write is found at the write
+//!   cursor or at the walk's first step and skipped: the walk would leave
+//!   the same layout.
 //! * **Any other write** costs one ordered-map descent plus one step per
 //!   segment it overlaps: a single backward walk finds the trimmed head,
 //!   the covered segments, the split tail and the join candidates, and the
@@ -496,6 +501,14 @@ impl SegmentMemory {
         true
     }
 
+    /// Whether `data` is the window the write cursor's segment already
+    /// holds at `addr`, strictly inside it (see [`holds_inside`]).
+    fn rewrite_at_cursor(&self, addr: u64, data: &Payload) -> bool {
+        self.write_cursor
+            .as_ref()
+            .is_some_and(|cur| holds_inside(cur.start, self.seg(cur.slot), addr, data))
+    }
+
     /// Insert `data` at `addr`, trimming any overlapped extents of existing
     /// segments and re-joining with same-backing neighbours. All slicing is
     /// zero-copy.
@@ -510,8 +523,17 @@ impl SegmentMemory {
     /// covered segments past `addr`, a successor absorbed by a join, a
     /// write at a fresh key) cost one more descent each. A write that
     /// joins its predecessor makes that segment the write cursor.
+    ///
+    /// A rewrite of the very window a segment holds strictly inside it
+    /// changes nothing: the walk would trim that segment, join the write
+    /// to its head and the tail to the write, and leave the same segment
+    /// as the write cursor. It is found at the write cursor or at the
+    /// walk's first step, and only the cursor is set.
     fn insert_segment(&mut self, addr: u64, data: Payload) {
-        if data.is_empty() || self.append_at_cursor(addr, &data) {
+        if data.is_empty()
+            || self.append_at_cursor(addr, &data)
+            || self.rewrite_at_cursor(addr, &data)
+        {
             return;
         }
         let end = addr + data.len() as u64;
@@ -535,6 +557,16 @@ impl SegmentMemory {
                     pred = Some((s, slot));
                 }
                 break;
+            }
+            // Only the first step can find a segment that holds the write
+            // strictly inside: nothing else starts in `(s, end]`.
+            if holds_inside(s, seg, addr, &merged) {
+                self.write_cursor = Some(WriteCursor {
+                    start: s,
+                    slot,
+                    next: None,
+                });
+                return;
             }
             if seg_end > end {
                 tail = Some(seg.slice((end - s) as usize..seg.len()));
@@ -625,6 +657,19 @@ impl SegmentMemory {
         self.read_at(lo, &mut buf);
         self.insert_segment(lo, Payload::from_vec(buf));
     }
+}
+
+/// Whether `data` is exactly the window `seg`, stored at `start`, holds at
+/// `addr`, with bytes of `seg` on both sides of it. Such a write leaves the
+/// layout as it is; one that touches either end of the segment may join a
+/// neighbour and takes the walk.
+fn holds_inside(start: u64, seg: &Payload, addr: u64, data: &Payload) -> bool {
+    let end = addr + data.len() as u64;
+    start < addr
+        && end < start + seg.len() as u64
+        && seg
+            .slice((addr - start) as usize..(end - start) as usize)
+            .same_window(data)
 }
 
 #[cfg(test)]
@@ -1141,6 +1186,35 @@ mod tests {
             self.check();
         }
 
+        /// Write back a window the segment covering `addr` already holds,
+        /// on each side from that side's own segment: strictly inside it
+        /// (`how` 0), from its start (1), up to its end (2) or all of it
+        /// (3). Short segments are rewritten whole.
+        fn rewrite(&mut self, addr: u64, how: u64, cut: u64) {
+            let Some((&s, &slot)) = self.m.segs.range(..=addr).next_back() else {
+                return;
+            };
+            let len = self.m.seg(slot).len();
+            if s + len as u64 <= addr {
+                return;
+            }
+            let cut = cut as usize;
+            let (from, to) = match how % 4 {
+                0 if len >= 3 => {
+                    let from = 1 + cut % (len - 2);
+                    (from, from + 1 + (cut >> 16) % (len - 1 - from))
+                }
+                1 if len >= 2 => (0, 1 + cut % (len - 1)),
+                2 if len >= 2 => (1 + cut % (len - 1), len),
+                _ => (0, len),
+            };
+            let theirs = self.r.segment(s).expect("layouts agree").slice(from..to);
+            self.m
+                .write_payload(s + from as u64, self.m.seg(slot).slice(from..to));
+            self.r.write_payload(s + from as u64, theirs);
+            self.check();
+        }
+
         fn read(&mut self, addr: u64, len: usize, hold: bool) {
             let a = self.m.read_payload(addr, len);
             let b = self.r.read_payload(addr, len);
@@ -1159,7 +1233,10 @@ mod tests {
     /// appends of shared-backing windows (the write cursor's path), byte
     /// writes packed into one hot region (so the coalescer fires), random
     /// shared windows, patterns, unique payloads, fills, `copy_within`,
-    /// held and dropped reads, and the odd `clear`.
+    /// rewrites of windows the store already holds (inside a segment, at
+    /// either end or whole; near the append stream, where the write
+    /// cursor sits, or anywhere), held and dropped reads, and the odd
+    /// `clear`.
     #[test]
     fn layout_matches_oracle_under_random_ops() {
         const BASE: u64 = COALESCE_WINDOW;
@@ -1231,6 +1308,14 @@ mod tests {
                         let src = BASE + next() % SPAN;
                         l.copy_within(src, anywhere, 1 + next() as usize % 8192);
                     }
+                    80..=89 => {
+                        let addr = if next() % 2 == 0 {
+                            at.saturating_sub(1 + next() % 8192)
+                        } else {
+                            anywhere
+                        };
+                        l.rewrite(addr, next(), next());
+                    }
                     _ => {
                         // Reads near the append stream hit the read cursor.
                         let addr = if next() % 2 == 0 {
@@ -1260,6 +1345,50 @@ mod tests {
         l.window(1024, &b, 1024, 1536);
         assert_eq!(layout(&l.m), [(0, 1536), (8192, 512)]);
         (l, b)
+    }
+
+    #[test]
+    fn identical_rewrites_keep_the_layout() {
+        let (mut l, b) = cursor_with_known_successor();
+        // Inside the write cursor's segment: found at the cursor. The
+        // bytes `[6, 14)` still count as written.
+        let written = l.m.bytes_written();
+        l.rewrite(100, 0, 7 << 16 | 5);
+        assert_eq!(layout(&l.m), [(0, 1536), (8192, 512)]);
+        assert_eq!(l.m.write_cursor.as_ref().map(|c| c.start), Some(0));
+        assert_eq!(l.m.bytes_written(), written + 8);
+        // Touching either end, or the whole segment: the walk.
+        for how in 1..=3 {
+            l.rewrite(100, how, 300);
+            assert_eq!(layout(&l.m), [(0, 1536), (8192, 512)]);
+        }
+        // Inside a segment the cursor is not on: found by the walk's first
+        // step, which moves the cursor there.
+        l.window(4096, &b, 4096, 6144);
+        l.write(7000, &[3u8; 8]);
+        assert!(l.m.write_cursor.is_none());
+        l.rewrite(4200, 0, 1 << 16);
+        assert_eq!(l.m.write_cursor.as_ref().map(|c| c.start), Some(4096));
+        assert_eq!(
+            layout(&l.m),
+            [(0, 1536), (4096, 2048), (7000, 8), (8192, 512)]
+        );
+        // The same window of an equal copy is not the same window.
+        let copy = Payload::from_vec(b.0.slice(4200..4300).to_vec());
+        l.m.write_payload(4200, copy.clone());
+        l.r.write_payload(4200, copy);
+        l.check();
+        assert_eq!(
+            layout(&l.m),
+            [
+                (0, 1536),
+                (4096, 104),
+                (4200, 100),
+                (4300, 1844),
+                (7000, 8),
+                (8192, 512)
+            ]
+        );
     }
 
     #[test]

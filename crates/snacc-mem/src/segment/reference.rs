@@ -18,6 +18,11 @@ impl Reference {
         self.segs.iter().map(|(&s, seg)| (s, seg.len())).collect()
     }
 
+    /// The segment stored at `start`, if one starts there.
+    pub fn segment(&self, start: u64) -> Option<&Payload> {
+        self.segs.get(&start)
+    }
+
     pub fn resident_pages(&self) -> usize {
         let mut pages = 0usize;
         let mut last_counted: Option<u64> = None;

@@ -1,6 +1,6 @@
 //! Property tests: [`SegmentMemory`] is byte-equivalent to a flat
 //! zero-initialised byte vector under arbitrary write / read / overwrite /
-//! span / fill / copy sequences — the segment store is a pure
+//! span / fill / copy / identical-rewrite sequences — the segment store is a pure
 //! representation change (zero-copy windows, in-place small writes and
 //! CoW coalescing) and must never alter what a read returns. Also checks
 //! that `resident_pages` is monotone while no `clear` happens (coverage
@@ -39,7 +39,7 @@ fn apply(seg: &mut SegmentMemory, flat: &mut Flat, op: [u64; 4]) {
     let [sel, a, l, s] = op;
     let addr = a % SPACE;
     let len = 1 + l % 5000;
-    match sel % 7 {
+    match sel % 8 {
         0 => {
             // Byte write of deterministic junk.
             let data: Vec<u8> = (0..len).map(|i| (s ^ i) as u8).collect();
@@ -99,6 +99,27 @@ fn apply(seg: &mut SegmentMemory, flat: &mut Flat, op: [u64; 4]) {
                 &seen[..],
                 "a held window saw a later write"
             );
+        }
+        6 => {
+            // Identical rewrites: a window the store hands out, written
+            // back whole, from its start, up to its end and strictly
+            // inside, in an order `s` picks. A window inside one segment
+            // is that segment's own bytes (the store may skip the write);
+            // one crossing segments is a copy. No byte may change.
+            let n = len as usize;
+            let held = seg.read_payload(addr, n);
+            let cut = (s as usize) % (n + 1);
+            let cut2 = cut + (s as usize >> 20) % (n + 1 - cut);
+            let windows = [(0, n), (0, cut), (cut, n), (cut, cut2)];
+            for k in 0..windows.len() {
+                let (from, to) = windows[(k + s as usize) % windows.len()];
+                seg.write_payload(addr + from as u64, held.slice(from..to));
+            }
+            if s % 3 == 0 {
+                // Again, now that the writes above may have left the write
+                // cursor on the segment.
+                seg.write_payload(addr + cut as u64, held.slice(cut..cut2));
+            }
         }
         _ => {
             // Scalar writes.

@@ -292,23 +292,41 @@ fn send_pause(rc: &Rc<RefCell<EthMac>>, en: &mut Engine, quanta: u16) {
     pump_tx(rc, en);
 }
 
-/// Schedule a PAUSE storm from this MAC: `count` PAUSE frames of
-/// `quanta` quanta each, the first at `start`, spaced `interval` apart.
+/// Start a PAUSE storm from this MAC: `count` PAUSE frames of `quanta`
+/// quanta each, the first `delay` from now, then one every `interval`.
 /// Models a misbehaving or badly congested peer that keeps the link
-/// throttled far beyond what its buffers justify (fault injection).
+/// throttled far beyond what its buffers justify (fault injection). One
+/// pending event carries the storm, each PAUSE arming the next, so a long
+/// storm queues nothing up front; a PAUSE that would fall past the end of
+/// simulated time is not sent.
 pub fn schedule_pause_storm(
     rc: &Rc<RefCell<EthMac>>,
     en: &mut Engine,
-    start: SimTime,
+    delay: SimDuration,
     count: u32,
     interval: SimDuration,
     quanta: u16,
 ) {
-    for i in 0..count {
-        let rc2 = rc.clone();
-        en.schedule_at(start + interval * i as u64, move |en| {
-            trace::metric_counter("faults.net.pause_storms").inc();
-            send_pause(&rc2, en, quanta);
+    if let Some(at) = en.now().checked_add(delay).filter(|_| count > 0) {
+        let rc = rc.clone();
+        en.schedule_at(at, move |en| storm_pause(rc, en, count, interval, quanta));
+    }
+}
+
+/// One PAUSE of a storm with `left` PAUSEs to go, this one included.
+fn storm_pause(
+    rc: Rc<RefCell<EthMac>>,
+    en: &mut Engine,
+    left: u32,
+    interval: SimDuration,
+    quanta: u16,
+) {
+    let next = en.now().checked_add(interval).filter(|_| left > 1);
+    trace::metric_counter("faults.net.pause_storms").inc();
+    send_pause(&rc, en, quanta);
+    if let Some(at) = next {
+        en.schedule_at(at, move |en| {
+            storm_pause(rc, en, left - 1, interval, quanta)
         });
     }
 }
@@ -705,7 +723,7 @@ mod tests {
         schedule_pause_storm(
             &b,
             &mut en,
-            SimTime::ZERO,
+            SimDuration::ZERO,
             10,
             SimDuration::from_us(100),
             0xffff,
@@ -721,6 +739,31 @@ mod tests {
         assert!(end.as_us_f64() > 1000.0, "{}", end.as_us_f64());
         assert_eq!(b.borrow().stats().rx_frames, 1);
         assert_eq!(a.borrow().stats().pauses_received, 10);
+    }
+
+    #[test]
+    fn pause_storm_counts_from_now_and_keeps_one_event_pending() {
+        let mut en = Engine::new();
+        let (a, b) = pair(MacConfig::eth_100g(), MacConfig::eth_100g());
+        en.schedule_at(SimTime::ZERO + SimDuration::from_us(10), |_| {});
+        en.run();
+        // Installed at 10 µs with no delay: the first PAUSE goes out now,
+        // not at time zero.
+        let every = SimDuration::from_us(100);
+        schedule_pause_storm(&b, &mut en, SimDuration::ZERO, u32::MAX, every, 1);
+        assert_eq!(en.pending(), 1, "one event carries the whole storm");
+        en.run_until(SimTime::ZERO + SimDuration::from_us(355));
+        assert_eq!(a.borrow().stats().pauses_received, 4);
+        assert_eq!(b.borrow().stats().pauses_sent, 4);
+        // A storm whose next PAUSE would fall past the end of time stops.
+        let mut en = Engine::new();
+        en.schedule_at(SimTime::from_ns(1), |_| {});
+        en.run();
+        let forever = SimDuration::from_ps(u64::MAX);
+        schedule_pause_storm(&b, &mut en, SimDuration::ZERO, 3, forever, 1);
+        en.run();
+        assert_eq!(b.borrow().stats().pauses_sent, 5);
+        assert_eq!(en.pending(), 0);
     }
 
     #[test]

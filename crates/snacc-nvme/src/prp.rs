@@ -19,6 +19,11 @@ use snacc_sim::Payload;
 /// Entries per PRP-list page (4096 / 8).
 pub const ENTRIES_PER_LIST: usize = 512;
 
+/// Most segments [`walk_prps`] reserves room for before walking: a
+/// 256 MiB transfer, the largest a 16-bit block count of 4 KiB blocks
+/// describes.
+const MAX_RESERVED_PAGES: u64 = 1 << 16;
+
 /// One contiguous piece of a command's data buffer (≤ one page).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PrpSeg {
@@ -51,18 +56,6 @@ pub enum PrpError {
     FetchFailed(u64),
 }
 
-/// Total little-endian u64 read; bytes beyond the page read as zero.
-/// The walker only reads in-bounds offsets (idx < 512 over a 4096-byte
-/// page), so the zero fill exists purely to keep the read panic-free
-/// (SL004).
-fn le_u64(page: &[u8], off: usize) -> u64 {
-    let mut v = 0u64;
-    for i in 0..8 {
-        v |= (page.get(off + i).copied().unwrap_or(0) as u64) << (8 * i);
-    }
-    v
-}
-
 /// Resolve the data-buffer layout of a command.
 ///
 /// `read_list_page(addr)` must return the 4096 bytes of the PRP list page
@@ -70,7 +63,8 @@ fn le_u64(page: &[u8], off: usize) -> u64 {
 /// the fetched payload over as it is), or `Err(PrpError::FetchFailed(addr))`
 /// if the read itself failed — the walk then stops at once instead of
 /// interpreting stale bytes. A page of any other length is a failed fetch
-/// too.
+/// too. Each list page is decoded from one borrowed slice, eight bytes per
+/// entry, and the result is sized for the transfer up front.
 pub fn walk_prps(
     prp1: u64,
     prp2: u64,
@@ -85,11 +79,15 @@ pub fn walk_prps(
     }
     let first_off = prp1 % NVME_PAGE;
     let first_len = (NVME_PAGE - first_off).min(byte_len);
-    let mut segs = vec![PrpSeg {
+    let mut remaining = byte_len - first_len;
+    // One segment per page; a malformed length only reserves a bounded
+    // amount before the walk refuses it.
+    let pages = 1 + snacc_sim::ceil_div(remaining, NVME_PAGE).min(MAX_RESERVED_PAGES);
+    let mut segs = Vec::with_capacity(pages as usize);
+    segs.push(PrpSeg {
         addr: prp1,
         len: first_len,
-    }];
-    let mut remaining = byte_len - first_len;
+    });
     if remaining == 0 {
         return Ok(segs);
     }
@@ -137,12 +135,13 @@ pub fn walk_prps(
         if page.len() != NVME_PAGE as usize {
             return Err(PrpError::FetchFailed(page_base));
         }
-        for idx in start_idx..ENTRIES_PER_LIST {
-            let entry = le_u64(&page, idx * 8);
-            let pages_left = snacc_sim::ceil_div(remaining, NVME_PAGE);
-            // If more pages remain than entries in this list, the last
+        // A whole page splits into exactly ENTRIES_PER_LIST entries.
+        let (entries, _) = page.as_slice().as_chunks::<8>();
+        for (idx, raw) in entries.iter().enumerate().skip(start_idx) {
+            let entry = u64::from_le_bytes(*raw);
+            // If more than one page remains at the list's last entry, that
             // entry chains to the next list page.
-            if idx == ENTRIES_PER_LIST - 1 && pages_left > 1 {
+            if idx == ENTRIES_PER_LIST - 1 && remaining > NVME_PAGE {
                 if entry == 0 {
                     return Err(PrpError::NullEntry);
                 }
@@ -403,6 +402,199 @@ mod tests {
         let segs = walk_prps(prp1, prp2, 10000, mem_reader(&mut mem)).unwrap();
         assert_eq!(segs.len(), 3);
         assert_eq!(segs[2].len, 10000 - 8192);
+    }
+
+    /// Byte-wise little-endian read, bytes beyond the page as zero: how
+    /// the walk decoded list entries before it read whole slices.
+    fn le_u64(page: &[u8], off: usize) -> u64 {
+        let mut v = 0u64;
+        for i in 0..8 {
+            v |= (page.get(off + i).copied().unwrap_or(0) as u64) << (8 * i);
+        }
+        v
+    }
+
+    /// The walk as it was before list pages were decoded from one slice,
+    /// kept as the oracle of the parser: entries read byte by byte, the
+    /// result grown from one segment.
+    fn walk_prps_bytewise(
+        prp1: u64,
+        prp2: u64,
+        byte_len: u64,
+        mut read_list_page: impl FnMut(u64) -> Result<Payload, PrpError>,
+    ) -> Result<Vec<PrpSeg>, PrpError> {
+        if byte_len == 0 {
+            return Err(PrpError::EmptyTransfer);
+        }
+        if prp1 == 0 {
+            return Err(PrpError::NullEntry);
+        }
+        let first_len = (NVME_PAGE - prp1 % NVME_PAGE).min(byte_len);
+        let mut segs = vec![PrpSeg {
+            addr: prp1,
+            len: first_len,
+        }];
+        let mut remaining = byte_len - first_len;
+        if remaining == 0 {
+            return Ok(segs);
+        }
+        if remaining <= NVME_PAGE {
+            if prp2 == 0 {
+                return Err(PrpError::NullEntry);
+            }
+            if !prp2.is_multiple_of(NVME_PAGE) {
+                return Err(PrpError::Misaligned(prp2));
+            }
+            segs.push(PrpSeg {
+                addr: prp2,
+                len: remaining,
+            });
+            return Ok(segs);
+        }
+        if prp2 == 0 {
+            return Err(PrpError::NullEntry);
+        }
+        if !prp2.is_multiple_of(8) {
+            return Err(PrpError::Misaligned(prp2));
+        }
+        let mut list_addr = prp2;
+        let max_hops = snacc_sim::ceil_div(
+            snacc_sim::ceil_div(byte_len, NVME_PAGE),
+            (ENTRIES_PER_LIST - 1) as u64,
+        ) + 2;
+        let mut hops = 0u64;
+        'outer: loop {
+            hops += 1;
+            if hops > max_hops {
+                return Err(PrpError::ChainTooLong);
+            }
+            let page_base = list_addr / NVME_PAGE * NVME_PAGE;
+            let start_idx = ((list_addr % NVME_PAGE) / 8) as usize;
+            let page = read_list_page(page_base)?;
+            if page.len() != NVME_PAGE as usize {
+                return Err(PrpError::FetchFailed(page_base));
+            }
+            for idx in start_idx..ENTRIES_PER_LIST {
+                let entry = le_u64(&page, idx * 8);
+                let pages_left = snacc_sim::ceil_div(remaining, NVME_PAGE);
+                if idx == ENTRIES_PER_LIST - 1 && pages_left > 1 {
+                    if entry == 0 {
+                        return Err(PrpError::NullEntry);
+                    }
+                    if !entry.is_multiple_of(8) {
+                        return Err(PrpError::Misaligned(entry));
+                    }
+                    list_addr = entry;
+                    continue 'outer;
+                }
+                if entry == 0 {
+                    return Err(PrpError::NullEntry);
+                }
+                if !entry.is_multiple_of(NVME_PAGE) {
+                    return Err(PrpError::Misaligned(entry));
+                }
+                let take = remaining.min(NVME_PAGE);
+                segs.push(PrpSeg {
+                    addr: entry,
+                    len: take,
+                });
+                remaining -= take;
+                if remaining == 0 {
+                    break 'outer;
+                }
+            }
+        }
+        Ok(segs)
+    }
+
+    /// Four list pages a random PRP chain may point into.
+    const LIST_POOL: u64 = 0xF000_0000;
+
+    /// An xorshift step, for deriving list pages from a seed.
+    fn mix(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    /// The list page at `base` in the random world `seed`: a pure function
+    /// of both, so both walkers read the same bytes. Most pages are whole
+    /// and clean (page-aligned data entries, a last entry chaining into
+    /// the pool); some carry one null or misaligned entry, come back short
+    /// or fail to fetch.
+    fn random_list_page(seed: u64, base: u64) -> Result<Payload, PrpError> {
+        let mut x = (seed ^ base.wrapping_mul(0x9e37_79b9_7f4a_7c15)) | 1;
+        let kind = mix(&mut x) % 16;
+        if kind == 0 {
+            return Err(PrpError::FetchFailed(base));
+        }
+        if kind == 1 {
+            let len = (mix(&mut x) % (2 * NVME_PAGE)) as usize;
+            return Ok(Payload::from_vec(vec![0x10; len]));
+        }
+        let mut page = vec![0u8; NVME_PAGE as usize];
+        for (i, e) in page.chunks_exact_mut(8).enumerate() {
+            let v = if i == ENTRIES_PER_LIST - 1 && !mix(&mut x).is_multiple_of(4) {
+                let offset = if mix(&mut x).is_multiple_of(4) {
+                    mix(&mut x) % 512 * 8
+                } else {
+                    0
+                };
+                LIST_POOL + mix(&mut x) % 4 * NVME_PAGE + offset
+            } else {
+                (1 + mix(&mut x) % (1 << 20)) * NVME_PAGE
+            };
+            e.copy_from_slice(&v.to_le_bytes());
+        }
+        if kind < 8 {
+            let at = (mix(&mut x) % ENTRIES_PER_LIST as u64) as usize * 8;
+            let bad = match mix(&mut x) % 3 {
+                0 => 0,
+                1 => (1 + mix(&mut x) % (1 << 20)) * NVME_PAGE + 8,
+                _ => LIST_POOL + 1,
+            };
+            page[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+        }
+        Ok(Payload::from_vec(page))
+    }
+
+    proptest! {
+        /// The slice parser returns what the byte-wise walk returns, the
+        /// same segments or the same error, on random single pages, PRP2
+        /// pages, lists and chained lists, and on short, failed, null and
+        /// misaligned list pages and entries.
+        #[test]
+        fn slice_parser_matches_bytewise_walk(worlds in proptest::collection::vec(any::<[u64; 4]>(), 32)) {
+            for [seed, p1, p2, len] in worlds {
+                let prp1 = match p1 % 8 {
+                    0 => 0,
+                    1 => (1 + p1 % 4096) * NVME_PAGE + p1 % NVME_PAGE,
+                    _ => (1 + p1 % 4096) * NVME_PAGE,
+                };
+                let prp2 = match p2 % 8 {
+                    0 => 0,
+                    1 => p2 % (1 << 32),
+                    2 => (1 + p2 % 4096) * NVME_PAGE,
+                    3 => LIST_POOL + p2 % 4 * NVME_PAGE + 1,
+                    _ => LIST_POOL + p2 % 4 * NVME_PAGE + p2 % 8 * 64,
+                };
+                // Whole data pages the first list page holds from PRP2 on.
+                let in_list = ENTRIES_PER_LIST as u64 - prp2 % NVME_PAGE / 8;
+                let first_len = NVME_PAGE - prp1 % NVME_PAGE;
+                let byte_len = match len % 5 {
+                    0 => len % (2 * NVME_PAGE + 1),
+                    1 => len % (1 << 20) + 1,
+                    // One page short of, exactly at or one past the point
+                    // where the list's last entry must chain.
+                    2 => first_len + (in_list - 1 + len / 5 % 3) * NVME_PAGE,
+                    _ => len % (4 << 20),
+                };
+                let got = walk_prps(prp1, prp2, byte_len, |a| random_list_page(seed, a));
+                let want = walk_prps_bytewise(prp1, prp2, byte_len, |a| random_list_page(seed, a));
+                prop_assert_eq!(got, want);
+            }
+        }
     }
 
     proptest! {

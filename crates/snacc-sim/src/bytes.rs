@@ -254,6 +254,14 @@ impl Payload {
         }
     }
 
+    /// True when `other` is this very window: the same backing, offset and
+    /// length. Equal bytes from another backing do not count; no byte is
+    /// compared or materialised.
+    #[inline]
+    pub fn same_window(&self, other: &Payload) -> bool {
+        self.off == other.off && self.len == other.len && same_backing(&self.repr, &other.repr)
+    }
+
     /// Copy `data` over the window's bytes starting at `at`, in place, when
     /// the backing is a materialised buffer that no other handle shares
     /// (`Rc::get_mut` succeeds). Returns `false` and changes nothing for
@@ -681,6 +689,23 @@ mod tests {
         let (fa, fb) = f.split_at(10);
         assert_eq!(fa.try_join(&fb).expect("same fill backing"), f);
         assert!(fa.try_join(&Payload::fill(0, 8)).is_none());
+    }
+
+    #[test]
+    fn same_window_is_identity_not_equality() {
+        let p = Payload::from_vec((0u8..64).collect());
+        assert!(p.slice(8..24).same_window(&p.slice(8..24)));
+        // Another offset or length of the same buffer is another window.
+        assert!(!p.slice(8..24).same_window(&p.slice(9..25)));
+        assert!(!p.slice(8..24).same_window(&p.slice(8..23)));
+        // Equal bytes in another buffer are not the same window.
+        assert!(!p.same_window(&Payload::from_vec((0u8..64).collect())));
+        let f = Payload::fill(3, 32);
+        assert!(f.slice(0..8).same_window(&f.slice(0..8)));
+        assert!(!f.slice(0..8).same_window(&Payload::fill(3, 8)));
+        let s = Payload::from_static(b"static bytes");
+        assert!(s.slice(1..4).same_window(&s.slice(1..4)));
+        assert!(!s.same_window(&Payload::pattern(1, s.len())));
     }
 
     #[test]

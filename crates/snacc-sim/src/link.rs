@@ -86,12 +86,19 @@ impl fmt::Display for Bandwidth {
 /// `max(now, free_at)` and returns the time the last byte *arrives*
 /// (occupancy end + latency). Callers schedule their completion events at
 /// the returned time.
+///
+/// The link remembers the last `(bytes, occupancy)` pair it computed: bulk
+/// traffic books the same TLP size over and over, and each
+/// [`Bandwidth::time_for`] costs a float divide and a rounding call. The
+/// bandwidth never changes after construction, so the remembered value is
+/// always the one `time_for` would return.
 pub struct SharedLink {
     name: String,
     bandwidth: Bandwidth,
     latency: SimDuration,
     free_at: SimTime,
     bytes: u64,
+    last_occupancy: (u64, SimDuration),
 }
 
 impl SharedLink {
@@ -103,7 +110,18 @@ impl SharedLink {
             latency,
             free_at: SimTime::ZERO,
             bytes: 0,
+            last_occupancy: (0, SimDuration::ZERO),
         }
+    }
+
+    /// `bandwidth.time_for(bytes)`, recomputed only when `bytes` differs
+    /// from the previous call's.
+    #[inline]
+    fn occupancy(&mut self, bytes: u64) -> SimDuration {
+        if self.last_occupancy.0 != bytes {
+            self.last_occupancy = (bytes, self.bandwidth.time_for(bytes));
+        }
+        self.last_occupancy.1
     }
 
     /// The link's display name (used in traces and bandwidth reports).
@@ -135,7 +153,7 @@ impl SharedLink {
     /// of the last byte.
     pub fn transfer(&mut self, now: SimTime, bytes: u64) -> SimTime {
         let start = now.max(self.free_at);
-        let occupy = self.bandwidth.time_for(bytes);
+        let occupy = self.occupancy(bytes);
         self.free_at = start + occupy;
         self.bytes += bytes;
         self.free_at + self.latency
@@ -149,7 +167,7 @@ impl SharedLink {
     /// megabyte data window add hundreds of microseconds to a 16-byte
     /// completion.
     pub fn transfer_interleaved(&mut self, now: SimTime, bytes: u64) -> SimTime {
-        let occupy = self.bandwidth.time_for(bytes);
+        let occupy = self.occupancy(bytes);
         self.bytes += bytes;
         now + occupy + self.latency
     }
@@ -163,7 +181,7 @@ impl SharedLink {
         overhead: SimDuration,
     ) -> SimTime {
         let start = now.max(self.free_at);
-        let occupy = self.bandwidth.time_for(bytes) + overhead;
+        let occupy = self.occupancy(bytes) + overhead;
         self.free_at = start + occupy;
         self.bytes += bytes;
         self.free_at + self.latency
@@ -178,6 +196,7 @@ impl SharedLink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn bandwidth_conversions() {
@@ -227,5 +246,49 @@ mod tests {
         let a = l.transfer_with_overhead(SimTime::ZERO, 100, SimDuration::from_ns(20));
         assert_eq!(a.as_ns(), 120);
         assert_eq!(l.free_at().as_ns(), 120);
+    }
+
+    proptest! {
+        /// The remembered occupancy never changes a result: random sizes
+        /// (0 and repeats included) booked through all three entry points
+        /// return, and leave `free_at`, exactly what recomputing
+        /// `time_for` on every call gives.
+        #[test]
+        fn remembered_occupancy_matches_time_for(
+            mb_per_s in 100u64..64_000,
+            latency_ns in 0u64..1000,
+            ops in proptest::collection::vec(any::<[u64; 4]>(), 1..200),
+        ) {
+            const SIZES: [u64; 5] = [0, 1, 16, 4096, 4120];
+            let bw = Bandwidth::mb_per_s(mb_per_s as f64);
+            let latency = SimDuration::from_ns(latency_ns);
+            let mut link = SharedLink::new("prop", bw, latency);
+            let mut free_at = SimTime::ZERO;
+            let mut now = SimTime::ZERO;
+            for [kind, pick, odd, step] in ops {
+                let (kind, odd) = (kind % 3, odd % 5000);
+                now += SimDuration::from_ns(step % 200);
+                // Repeats of a few TLP sizes, with arbitrary sizes between.
+                let bytes = SIZES.get((pick % 6) as usize).copied().unwrap_or(odd);
+                let got = match kind {
+                    0 => link.transfer(now, bytes),
+                    1 => link.transfer_interleaved(now, bytes),
+                    _ => link.transfer_with_overhead(now, bytes, SimDuration::from_ns(odd % 64)),
+                };
+                let want = match kind {
+                    0 => {
+                        free_at = now.max(free_at) + bw.time_for(bytes);
+                        free_at + latency
+                    }
+                    1 => now + bw.time_for(bytes) + latency,
+                    _ => {
+                        free_at = now.max(free_at) + bw.time_for(bytes) + SimDuration::from_ns(odd % 64);
+                        free_at + latency
+                    }
+                };
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(link.free_at(), free_at);
+            }
+        }
     }
 }

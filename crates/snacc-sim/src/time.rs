@@ -91,11 +91,23 @@ impl SimTime {
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
     }
+
+    /// Addition of a duration, `None` past [`SimTime::MAX`].
+    #[inline]
+    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
+        self.0.checked_add(d.0).map(SimTime)
+    }
 }
 
 impl SimDuration {
     /// A zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
+
+    /// `self * n`, `None` if it does not fit.
+    #[inline]
+    pub fn checked_mul(self, n: u64) -> Option<SimDuration> {
+        self.0.checked_mul(n).map(SimDuration)
+    }
 
     /// Construct from raw picoseconds.
     #[inline]
@@ -356,5 +368,14 @@ mod tests {
             SimTime::MAX.saturating_add(SimDuration::from_ns(1)),
             SimTime::MAX
         );
+    }
+
+    #[test]
+    fn checked_arithmetic_refuses_overflow() {
+        let ns = SimDuration::from_ns(1);
+        assert_eq!(SimTime::MAX.checked_add(ns), None);
+        assert_eq!(SimTime::ZERO.checked_add(ns), Some(SimTime::from_ns(1)));
+        assert_eq!(ns.checked_mul(3), Some(SimDuration::from_ns(3)));
+        assert_eq!(SimDuration::from_secs(1).checked_mul(u64::MAX), None);
     }
 }
