@@ -40,11 +40,13 @@ pub struct CaseStudyConfig {
     pub classifier_fifo: usize,
     /// SSD byte address of the image table.
     pub image_table: u64,
-    /// SSD byte address of the classification-record table.
-    pub record_table: u64,
-    /// Ethernet frame payload (jumbo frames on the capture link).
-    pub frame_payload: usize,
 }
+
+/// SSD byte address of the classification-record table: the 1 TB mark,
+/// far from the image table.
+pub const RECORD_TABLE: u64 = 1 << 40;
+/// Ethernet frame payload (jumbo frames on the capture link).
+pub const FRAME_PAYLOAD: usize = 8192;
 
 impl Default for CaseStudyConfig {
     fn default() -> Self {
@@ -53,8 +55,6 @@ impl Default for CaseStudyConfig {
             classifier_fps: 3000.0,
             classifier_fifo: 4,
             image_table: 0,
-            record_table: 1 << 40, // 1 TB mark: far from the image table
-            frame_payload: 8192,
         }
     }
 }
@@ -459,7 +459,7 @@ impl<S: CaseSink + 'static> DbController<S> {
             }
             DbState::FlushRecords(page) => {
                 let data = page.take().expect("flush pending");
-                let addr = c.cfg.record_table + c.record_pages_written * 4096;
+                let addr = RECORD_TABLE + c.record_pages_written * 4096;
                 if !c.sink.begin(en, addr, data.len() as u64) {
                     let DbState::FlushRecords(p) = &mut c.state else {
                         unreachable!()
@@ -588,7 +588,7 @@ impl ImageSender {
                 }
                 let (hdr, body, pos) = s.current.clone().expect("current set");
                 let total = hdr.len() + body.len();
-                let n = s.cfg.frame_payload.min(total - pos);
+                let n = FRAME_PAYLOAD.min(total - pos);
                 let hb = hdr.len();
                 // Slice the frame payload out of (header · body) without
                 // materialising the concatenation; only the frame that
@@ -859,7 +859,13 @@ mod tests {
         // or given up — and with 5% error over a short run, recovery
         // should be total.
         let mut sys = SnaccSystem::bring_up(SystemConfig {
-            faults: Some(FaultPlan::flaky_ssd()),
+            faults: Some(
+                FaultPlan::load(concat!(
+                    env!("CARGO_MANIFEST_DIR"),
+                    "/../../plans/flaky_ssd.toml"
+                ))
+                .expect("shipped plan parses"),
+            ),
             ..SystemConfig::snacc(StreamerVariant::Uram)
         });
         let cfg = CaseStudyConfig {

@@ -30,15 +30,14 @@ pub mod layout {
     pub const SPDK_CQ: u64 = 0x9_0000_0000;
 }
 
-/// System construction parameters.
+/// System construction parameters. Every SNAcc system runs behind an
+/// enforcing IOMMU, the paper's setup.
 #[derive(Clone, Debug)]
 pub struct SystemConfig {
-    /// Streamer configuration (variant, depth, retirement policy).
+    /// Streamer configuration (variant, retirement and retry policy).
     pub streamer: StreamerConfig,
     /// SSD profile.
     pub nvme: NvmeProfile,
-    /// Enforcing IOMMU (the paper's setup) or passthrough.
-    pub enforce_iommu: bool,
     /// Simulation seed (tR jitter, workload addresses).
     pub seed: u64,
     /// A fault campaign to run under. Bring-up takes the streamer's retry
@@ -54,7 +53,6 @@ impl SystemConfig {
         SystemConfig {
             streamer: StreamerConfig::snacc(variant),
             nvme: NvmeProfile::samsung_990pro(),
-            enforce_iommu: true,
             seed: 0x5aacc,
             faults: None,
         }
@@ -123,7 +121,7 @@ impl SnaccSystem {
             cfg.streamer.retry = plan.retry;
         }
         let mut en = Engine::new();
-        let (fabric, hostmem) = host_node(cfg.enforce_iommu);
+        let (fabric, hostmem) = host_node(true);
         let mut shell = TapascoShell::new(fabric.clone(), layout::SHELL_BAR);
         let (streamer, nvme) = add_ssd(&mut en, &fabric, &hostmem, &mut shell, &cfg, 0);
         if let Some(plan) = &cfg.faults {

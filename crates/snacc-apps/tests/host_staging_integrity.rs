@@ -8,7 +8,7 @@
 use snacc_apps::gpu::GpuModel;
 use snacc_apps::images::{generate_image, ImageFormat, NUM_CLASSES};
 use snacc_apps::pipeline::{
-    image_slot_bytes, run_case_study_front, CaseSink, CaseStudyConfig, ClassRecord,
+    image_slot_bytes, run_case_study_front, CaseSink, CaseStudyConfig, ClassRecord, RECORD_TABLE,
 };
 use snacc_apps::spdk_ref::{attach_host_staging, finalize};
 use snacc_apps::system::HostSystem;
@@ -53,7 +53,7 @@ fn check_host_staging(gpu: bool) {
     for (i, r) in records.iter().enumerate() {
         page[i * 16..(i + 1) * 16].copy_from_slice(&r.encode());
     }
-    assert!(handle.begin(&mut host.en, cfg.record_table, 4096));
+    assert!(handle.begin(&mut host.en, RECORD_TABLE, 4096));
     assert!(handle.push(&mut host.en, Payload::from_vec(page.clone()), true));
     finalize(&handle, &mut host.en);
     let c = ctl.borrow();
@@ -70,11 +70,9 @@ fn check_host_staging(gpu: bool) {
         });
         assert!(got == want, "image {id} differs on media (gpu: {gpu})");
     }
-    let got = host.nvme.with(|d| {
-        d.nand_mut()
-            .media_mut()
-            .read_vec(cfg.record_table, page.len())
-    });
+    let got = host
+        .nvme
+        .with(|d| d.nand_mut().media_mut().read_vec(RECORD_TABLE, page.len()));
     assert_eq!(got, page, "record page differs on media (gpu: {gpu})");
     for (i, r) in records.iter().enumerate() {
         assert_eq!(ClassRecord::decode(&got[i * 16..(i + 1) * 16]), *r);

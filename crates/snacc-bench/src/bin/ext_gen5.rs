@@ -2,7 +2,7 @@
 //! against a Gen5 ×4 drive with doubled media rates.
 
 use snacc_apps::system::{SnaccSystem, SystemConfig};
-use snacc_bench::workloads::{fill_byte, streamer_read, streamer_write};
+use snacc_bench::workloads::{streamer_read, streamer_write};
 use snacc_bench::{print_table, BenchRecord, Telemetry};
 use snacc_core::config::{StreamerConfig, StreamerVariant};
 use snacc_nvme::NvmeProfile;
@@ -11,15 +11,16 @@ fn run(profile: NvmeProfile, write: bool) -> f64 {
     let cfg = SystemConfig {
         streamer: StreamerConfig::snacc(StreamerVariant::HostDram),
         nvme: profile,
-        enforce_iommu: true,
         seed: 0x6e5,
         faults: None,
     };
     let mut sys = SnaccSystem::bring_up(cfg);
     let total: u64 = 1 << 30;
     if !write {
-        sys.nvme
-            .with(|d| d.nand_mut().prewarm(0, total, fill_byte(7)));
+        sys.nvme.with(|d| {
+            d.nand_mut()
+                .prewarm(0, total, snacc_sim::bytes::pattern_byte(0, 7))
+        });
     }
     let t0 = sys.en.now();
     if write {

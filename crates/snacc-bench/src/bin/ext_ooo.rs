@@ -11,7 +11,6 @@ fn ooo_rand_read(total: u64) -> f64 {
     let cfg = SystemConfig {
         streamer: StreamerConfig::snacc_ooo(StreamerVariant::Uram),
         nvme: NvmeProfile::samsung_990pro(),
-        enforce_iommu: true,
         seed: 0x5aacc,
         faults: None,
     };

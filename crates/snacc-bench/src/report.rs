@@ -1,8 +1,7 @@
 //! Result records and table printing shared by the evaluation binaries.
 
 use serde_json::{Map, Value};
-use std::io::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// One measured value with paper reference for side-by-side reporting.
 #[derive(Clone, Debug)]
@@ -86,21 +85,27 @@ pub fn print_table(title: &str, records: &[BenchRecord]) {
 }
 
 /// Append records to `results/<experiment>.json` (machine-readable feed
-/// for EXPERIMENTS.md).
+/// for EXPERIMENTS.md). A directory or file that cannot be written is
+/// reported on stderr with its path and the OS error; the run goes on.
 pub fn save_json(records: &[BenchRecord]) {
     if records.is_empty() {
         return;
     }
-    let dir = Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
+    match write_json(Path::new("results"), records) {
+        Ok(path) => eprintln!("(saved {})", path.display()),
+        Err(e) => eprintln!("warning: {e}"),
     }
+}
+
+/// Write `records` to `<dir>/<experiment>.json`, creating `dir`. The error
+/// names the path that failed and the OS error.
+fn write_json(dir: &Path, records: &[BenchRecord]) -> Result<PathBuf, String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let path = dir.join(format!("{}.json", records[0].experiment));
     let doc = Value::Array(records.iter().map(BenchRecord::to_json).collect());
-    if let Ok(mut f) = std::fs::File::create(&path) {
-        let _ = writeln!(f, "{}", serde_json::to_string_pretty(&doc));
-        eprintln!("(saved {})", path.display());
-    }
+    let text = format!("{}\n", serde_json::to_string_pretty(&doc));
+    std::fs::write(&path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    Ok(path)
 }
 
 #[cfg(test)]
@@ -112,6 +117,32 @@ mod tests {
         let r = BenchRecord::new("fig4a", "URAM seq-w", 5.6, Some(5.6), "GB/s").with_lo(5.32);
         assert_eq!(r.measured_lo, Some(5.32));
         assert_eq!(r.experiment, "fig4a");
+    }
+
+    #[test]
+    fn unwritable_results_are_reported_with_path_and_os_error() {
+        let records = [BenchRecord::new("x", "a", 1.0, None, "GB/s")];
+        // The message is `<what> <path>: <OS error>`.
+        let names = |e: &str, what: &str, path: &Path| {
+            let rest = e.strip_prefix(&format!("{what} {}: ", path.display()));
+            assert!(rest.is_some_and(|os| !os.is_empty()), "{e}");
+        };
+        let root = std::env::temp_dir().join(format!("snacc-report-{}", std::process::id()));
+        std::fs::create_dir_all(&root).expect("temp dir");
+        // A directory under a regular file cannot be created.
+        let file = root.join("plain");
+        std::fs::write(&file, b"").expect("temp file");
+        let e = write_json(&file.join("results"), &records).unwrap_err();
+        names(&e, "cannot create", &file.join("results"));
+        // A results file that is a directory cannot be written.
+        let dir = root.join("results");
+        std::fs::create_dir_all(dir.join("x.json")).expect("blocking dir");
+        let e = write_json(&dir, &records).unwrap_err();
+        names(&e, "cannot write", &dir.join("x.json"));
+        // A writable directory gets the file.
+        let ok = root.join("ok");
+        assert_eq!(write_json(&ok, &records), Ok(ok.join("x.json")));
+        std::fs::remove_dir_all(&root).expect("clean up");
     }
 
     #[test]

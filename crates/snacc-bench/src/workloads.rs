@@ -59,12 +59,6 @@ pub enum Dir {
     Write,
 }
 
-/// Cheap deterministic payload byte for offset `o`.
-#[inline]
-pub fn fill_byte(o: u64) -> u8 {
-    (o ^ (o >> 7) ^ 0x5a) as u8
-}
-
 /// Drive one write transfer through the streamer ports, streaming
 /// generated data chunk-wise with backpressure. Returns when the response
 /// token arrives.
@@ -78,8 +72,7 @@ pub fn streamer_write(sys: &mut SnaccSystem, addr: u64, len: u64) {
     let mut off = 0u64;
     while off < len {
         let n = chunk.min(len - off);
-        // fill_byte(addr + off + i) == pattern_byte(addr + off, i): the
-        // chunk is a lazily materialised pattern segment, and retried
+        // The chunk is a lazily materialised pattern segment, and retried
         // pushes clone an Rc instead of 64 KiB.
         let beat = StreamBeat {
             data: snacc_sim::Payload::pattern(addr + off, n as usize),
@@ -377,8 +370,8 @@ pub fn spdk_bandwidth(dir: Dir, random: bool, total: u64, qd: u16, seed: u64) ->
     }
     let addrs = std::rc::Rc::new(addrs);
     let a2 = addrs.clone();
-    // fill_byte(i) == pattern_byte(0, i): one shared lazy pattern segment;
-    // per-command submits clone an Rc instead of copying `cmd` bytes.
+    // One shared lazy pattern segment: per-command submits clone an Rc
+    // instead of copying `cmd` bytes.
     let payload = snacc_sim::Payload::pattern(0, cmd as usize);
     let pay2 = payload.clone();
     spdk.set_completion_hook(move |en, _info| {

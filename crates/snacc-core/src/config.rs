@@ -1,5 +1,6 @@
 //! Streamer configuration.
 
+use snacc_mem::URAM_BYTES;
 use snacc_sim::SimDuration;
 
 /// Where the NVMe payload data buffer lives (paper Sec 4.3).
@@ -76,15 +77,6 @@ impl RetryPolicy {
         }
     }
 
-    /// A sensible campaign default: 3 attempts, 10 µs base backoff.
-    pub fn standard() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            backoff: SimDuration::from_us(10),
-            cmd_timeout: None,
-        }
-    }
-
     /// Is any retry behaviour enabled?
     pub fn enabled(&self) -> bool {
         self.max_retries > 0 || self.cmd_timeout.is_some()
@@ -114,9 +106,6 @@ pub const COMPLETION_LATENCY: SimDuration = SimDuration::from_ns(50);
 pub struct StreamerConfig {
     /// Buffer placement variant.
     pub variant: StreamerVariant,
-    /// Submission-queue ring entries (≥ [`QUEUE_DEPTH`]; larger helps the
-    /// out-of-order extension).
-    pub sq_entries: u16,
     /// Retirement policy.
     pub retirement: RetirementMode,
     /// Retry/timeout policy for transiently failed commands (disabled by
@@ -129,7 +118,6 @@ impl StreamerConfig {
     pub fn snacc(variant: StreamerVariant) -> Self {
         StreamerConfig {
             variant,
-            sq_entries: 64,
             retirement: RetirementMode::InOrder,
             retry: RetryPolicy::disabled(),
         }
@@ -139,15 +127,24 @@ impl StreamerConfig {
     pub fn snacc_ooo(variant: StreamerVariant) -> Self {
         StreamerConfig {
             retirement: RetirementMode::OutOfOrder,
-            sq_entries: 256,
             ..Self::snacc(variant)
+        }
+    }
+
+    /// Submission-queue ring entries: [`QUEUE_DEPTH`] in order; the
+    /// out-of-order extension recycles issue slots early and gets a
+    /// deeper ring.
+    pub fn sq_entries(&self) -> u16 {
+        match self.retirement {
+            RetirementMode::InOrder => QUEUE_DEPTH,
+            RetirementMode::OutOfOrder => 256,
         }
     }
 
     /// Data-buffer capacity for reads (shared pool size for URAM).
     pub fn read_buffer_bytes(&self) -> u64 {
         match self.variant {
-            StreamerVariant::Uram => 4 << 20,
+            StreamerVariant::Uram => URAM_BYTES,
             StreamerVariant::OnboardDram | StreamerVariant::HostDram => 64 << 20,
         }
     }
@@ -191,14 +188,18 @@ mod tests {
     fn ooo_extension_deepens_sq() {
         let c = StreamerConfig::snacc_ooo(StreamerVariant::Uram);
         assert_eq!(c.retirement, RetirementMode::OutOfOrder);
-        assert!(c.sq_entries > QUEUE_DEPTH);
+        assert!(c.sq_entries() > QUEUE_DEPTH);
     }
 
     #[test]
     fn retry_policy_defaults_and_backoff() {
         let c = StreamerConfig::snacc(StreamerVariant::Uram);
         assert!(!c.retry.enabled(), "retries must default off");
-        let p = RetryPolicy::standard();
+        let p = RetryPolicy {
+            max_retries: 3,
+            backoff: SimDuration::from_us(10),
+            cmd_timeout: None,
+        };
         assert!(p.enabled());
         assert_eq!(p.backoff_for(1), SimDuration::from_us(10));
         assert_eq!(p.backoff_for(2), SimDuration::from_us(20));

@@ -26,7 +26,7 @@ pub fn streamer_resources(cfg: &StreamerConfig) -> ResourceUsage {
     for _ in 0..4 {
         total += blocks::axis_endpoint();
     }
-    total += blocks::nvme_queue_logic(cfg.sq_entries as u64);
+    total += blocks::nvme_queue_logic(cfg.sq_entries() as u64);
     total += blocks::reorder_buffer(qd);
     total += blocks::splitter();
     total += control_and_doorbell();

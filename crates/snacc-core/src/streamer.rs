@@ -27,7 +27,7 @@ use crate::rob::CommandRob;
 use snacc_fpga::axis::{self, AxisChannel, StreamBeat};
 use snacc_fpga::tapasco::TapascoShell;
 use snacc_mem::hostmem::PinnedBuffer;
-use snacc_mem::{AddrRange, UramConfig, UramModel};
+use snacc_mem::{AddrRange, UramModel, URAM_BYTES};
 use snacc_nvme::queue::{CqRing, SqRing};
 use snacc_nvme::spec::{self, Cqe, IoOpcode, Sqe};
 use snacc_pcie::target::{MmioTarget, ScratchTarget};
@@ -319,23 +319,21 @@ impl StreamerHandle {
 
         let ctrl_w = shell.alloc_window(4096).expect("ctrl window");
         let sq_w = shell
-            .alloc_window(cfg.sq_entries as u64 * spec::SQE_BYTES)
+            .alloc_window(cfg.sq_entries() as u64 * spec::SQE_BYTES)
             .expect("sq window");
         let cq_w = shell
-            .alloc_window(cfg.sq_entries as u64 * spec::CQE_BYTES)
+            .alloc_window(cfg.sq_entries() as u64 * spec::CQE_BYTES)
             .expect("cq window");
 
         // Buffer windows (and URAM's PRP window), per variant.
         let (rd_buf, wr_buf, data_ws, uram_prp_w) = match cfg.variant {
             StreamerVariant::Uram => {
                 // 8 MB window: 4 MB data + 4 MB PRP upper half (Fig 2).
-                let win = shell.alloc_window(8 << 20).expect("uram window");
-                let data_w = AddrRange::new(win.base, 4 << 20);
-                let prp_w = AddrRange::new(win.base + (4 << 20), 4 << 20);
-                let mem: Rc<RefCell<dyn MmioTarget>> = Rc::new(RefCell::new(UramModel::new(
-                    "snacc-uram",
-                    UramConfig::snacc_default(),
-                )));
+                let win = shell.alloc_window(2 * URAM_BYTES).expect("uram window");
+                let data_w = AddrRange::new(win.base, URAM_BYTES);
+                let prp_w = AddrRange::new(win.base + URAM_BYTES, URAM_BYTES);
+                let mem: Rc<RefCell<dyn MmioTarget>> =
+                    Rc::new(RefCell::new(UramModel::new("snacc-uram")));
                 shell.map_target(data_w, mem.clone());
                 shell.map_target(
                     prp_w,
@@ -352,7 +350,7 @@ impl StreamerHandle {
                 let bar2_base = shell.bar0().base + (1 << 30);
                 shell.add_second_bar(bar2_base, 256 << 20);
                 if shell.dram().is_none() {
-                    shell.attach_dram(snacc_mem::DramConfig::ddr4_u280());
+                    shell.attach_dram();
                 }
                 let (rd_w, rd_mem) = shell.map_dram_window(0, 64 << 20).expect("rd window");
                 let (wr_w, wr_mem) = shell
@@ -379,9 +377,9 @@ impl StreamerHandle {
             Some(w) => (w, None),
             None => {
                 let w = shell
-                    .alloc_window(cfg.sq_entries as u64 * PAGE)
+                    .alloc_window(cfg.sq_entries() as u64 * PAGE)
                     .expect("prp window");
-                let rf = PrpRegFile::new(cfg.sq_entries as usize);
+                let rf = PrpRegFile::new(cfg.sq_entries() as usize);
                 shell.map_target(w, Rc::new(RefCell::new(RegFilePrpWindow::new(rf.clone()))));
                 (w, Some(rf))
             }
@@ -425,8 +423,8 @@ impl StreamerHandle {
             rd_ring: RingAllocator::new(cfg.read_buffer_bytes()),
             wr_ring,
             rob: CommandRob::new(QUEUE_DEPTH, cfg.retirement),
-            sq: SqRing::new(sq_w.base, cfg.sq_entries),
-            cq_ring: CqRing::new(cq_w.base, cfg.sq_entries),
+            sq: SqRing::new(sq_w.base, cfg.sq_entries()),
+            cq_ring: CqRing::new(cq_w.base, cfg.sq_entries()),
             sq_mem,
             cq_mem: cq_mem.clone(),
             regfile,
@@ -527,7 +525,7 @@ impl StreamerHandle {
 
     /// Submission-queue ring entries (also the CQ depth).
     pub fn sq_entries(&self) -> u16 {
-        self.inner.borrow().cfg.sq_entries
+        self.inner.borrow().cfg.sq_entries()
     }
 
     /// Telemetry handles (live registry-backed counters — read with
@@ -616,7 +614,7 @@ impl NvmeStreamer {
                         },
                     };
                     rf.borrow_mut().set(cid, mapping);
-                    let slots = self.cfg.sq_entries as usize;
+                    let slots = self.cfg.sq_entries() as usize;
                     RegFilePrpWindow::prp2_for(self.windows.prp.base, cid, slots)
                 }
             };

@@ -146,7 +146,7 @@ fn out_of_bounds_read_reports_lba_range_error() {
         nvme,
         ..
     } = build(StreamerVariant::Uram);
-    let cap = nvme.with(|d| d.nand_mut().capacity_bytes());
+    let cap = snacc_nvme::nand::CAPACITY_BYTES;
     let ports = streamer.ports();
     axis::push(&ports.rd_cmd, &mut en, encode_read_cmd(cap, 4096));
     let mut done = false;

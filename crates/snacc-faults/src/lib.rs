@@ -35,11 +35,9 @@
 //!   absorbed as *graceful degradation* and show up in MAC counters.
 //!
 //! Plans live in files (see `plans/` at the repository root) using a
-//! small TOML subset ([`minitoml`]), or come from the named presets
-//! ([`FaultPlan::flaky_ssd`], [`FaultPlan::lossy_link`],
-//! [`FaultPlan::degraded_pcie`]) which are `include_str!` views of those
-//! same files. The campaign playbook in `EXPERIMENTS.md` walks through
-//! all three.
+//! small TOML subset ([`minitoml`]); [`FaultPlan::load`] reads one. The
+//! campaign playbook in `EXPERIMENTS.md` walks through the three shipped
+//! plans.
 
 #![deny(missing_docs)]
 

@@ -140,24 +140,6 @@ fn layer_seed(seed: u64, salt: u64) -> u64 {
 }
 
 impl FaultPlan {
-    /// The shipped `plans/flaky_ssd.toml`: transient NVMe command errors
-    /// recovered by bounded retry.
-    pub fn flaky_ssd() -> Self {
-        Self::parse(include_str!("../../../plans/flaky_ssd.toml")).expect("shipped plan parses")
-    }
-
-    /// The shipped `plans/lossy_link.toml`: Ethernet frame loss and
-    /// corruption, absorbed as graceful degradation.
-    pub fn lossy_link() -> Self {
-        Self::parse(include_str!("../../../plans/lossy_link.toml")).expect("shipped plan parses")
-    }
-
-    /// The shipped `plans/degraded_pcie.toml`: a link-degradation window
-    /// plus sporadic completion timeouts.
-    pub fn degraded_pcie() -> Self {
-        Self::parse(include_str!("../../../plans/degraded_pcie.toml")).expect("shipped plan parses")
-    }
-
     /// Load a plan from a file.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, PlanError> {
         let text = std::fs::read_to_string(path.as_ref())
@@ -500,14 +482,20 @@ fn parse_pcie(doc: &TomlDoc) -> Result<Option<PcieFaultSpec>, PlanError> {
 mod tests {
     use super::*;
 
+    /// A plan shipped in `plans/` at the repository root.
+    fn shipped(name: &str) -> FaultPlan {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../plans");
+        FaultPlan::load(format!("{dir}/{name}.toml")).expect("shipped plan parses")
+    }
+
     #[test]
-    fn shipped_presets_parse() {
-        let flaky = FaultPlan::flaky_ssd();
+    fn shipped_plans_parse() {
+        let flaky = shipped("flaky_ssd");
         assert!(flaky.nvme.is_some());
         assert!(flaky.retry.enabled());
-        let lossy = FaultPlan::lossy_link();
+        let lossy = shipped("lossy_link");
         assert!(lossy.net.is_some());
-        let degraded = FaultPlan::degraded_pcie();
+        let degraded = shipped("degraded_pcie");
         let p = degraded.pcie.expect("pcie section");
         assert!(p.degrade_us.is_some());
     }

@@ -10,7 +10,7 @@
 //! The host reaches the status core and the DRAM windows with plain
 //! fabric reads and writes.
 
-use snacc_mem::{AddrRange, DramConfig, DramController};
+use snacc_mem::{AddrRange, DramController};
 use snacc_pcie::target::{DramTarget, ScratchTarget};
 use snacc_pcie::{MmioTarget, NodeId, PcieFabric, PcieLinkConfig};
 use snacc_sim::SimDuration;
@@ -143,9 +143,9 @@ impl TapascoShell {
 
     /// Attach the on-board DRAM channel (single controller; Sec 5.2 notes
     /// TaPaSCo's current limit of one).
-    pub fn attach_dram(&mut self, cfg: DramConfig) -> Rc<RefCell<DramController>> {
+    pub fn attach_dram(&mut self) -> Rc<RefCell<DramController>> {
         assert!(self.dram.is_none(), "TaPaSCo supports one DRAM controller");
-        let d = Rc::new(RefCell::new(DramController::new("u280-ddr4", cfg)));
+        let d = Rc::new(RefCell::new(DramController::new("u280-ddr4")));
         self.dram = Some(d.clone());
         d
     }
@@ -225,7 +225,7 @@ mod tests {
     #[test]
     fn dram_window_roundtrip_over_fabric() {
         let (mut en, mut sh) = shell();
-        let dram = sh.attach_dram(DramConfig::ddr4_u280());
+        let dram = sh.attach_dram();
         let (w, _) = sh.map_dram_window(0, 1 << 20).unwrap();
         let data: Vec<u8> = (0..65536u32).map(|i| (i % 251) as u8).collect();
         let fabric = sh.fabric();

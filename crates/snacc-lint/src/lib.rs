@@ -17,7 +17,7 @@
 //! | SL007 | no `println!`/`eprintln!` in model crates — observability goes through `snacc-trace` |
 //! | SL008 | no payload-buffer copies in model-crate hot paths |
 //! | SL009 | no `let _ = <place>;` hiding dead code |
-//! | SL010 | no `pub fn` whose name appears nowhere else in the workspace's code |
+//! | SL010 | no `pub fn` whose name appears nowhere else in the workspace's non-test code |
 //!
 //! The analysis is deliberately line/token-level (comments, string
 //! literals, and `#[cfg(test)]` modules are masked before matching): it

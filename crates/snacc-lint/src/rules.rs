@@ -5,7 +5,8 @@
 //! never fires), and `#[cfg(test)]` regions are masked for the rules
 //! where test code is legitimately exempt (SL004/SL005 — tests may
 //! assert on raw picosecond values and use `expect` freely). SL010 looks
-//! across files, so it runs over the whole tree (`scan_uncalled`).
+//! across files, so it runs over the whole tree (`scan_uncalled`); a call
+//! from test code does not keep a function alive.
 
 use crate::Violation;
 use std::collections::HashMap;
@@ -70,8 +71,8 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "SL010",
-        summary: "no uncalled `pub fn` — a public function whose name appears nowhere else in the workspace's code (strings and comments do not count) has no caller; delete it",
-        scope: "definitions under crates/*/src (non-test code); uses anywhere in crates/, src/, tests/, examples/ and perfbench/src",
+        summary: "no uncalled `pub fn` — a public function whose name appears nowhere else in the workspace's non-test code (strings, comments and test code do not count) has no caller; delete it",
+        scope: "definitions under crates/*/src (non-test code); uses in crates/, src/, examples/ and perfbench/src outside #[cfg(test)] regions and tests/ directories",
     },
 ];
 
@@ -724,21 +725,34 @@ fn pub_fn_name(line: &str) -> Option<&str> {
 }
 
 /// SL010 over a whole tree. `files` holds `(workspace-relative path,
-/// source)` for every file whose code counts as a use; the definitions
-/// checked are the non-test `pub fn`s under `crates/*/src`. A name
-/// counts wherever it appears as an identifier, so two functions that
-/// share a name keep each other alive.
+/// source)` for every file whose code may count as a use; the
+/// definitions checked are the non-test `pub fn`s under `crates/*/src`.
+/// A name counts wherever it appears as an identifier outside test code
+/// (a `#[cfg(test)]` region or a file under a `tests/` directory), so
+/// two functions that share a name keep each other alive, but a
+/// function only tests call is dead.
 pub(crate) fn scan_uncalled(files: &[(String, String)]) -> Vec<Violation> {
     let clean: Vec<String> = files.iter().map(|(_, src)| sanitize(src)).collect();
+    let masks: Vec<Vec<bool>> = clean
+        .iter()
+        .map(|text| test_mask(&text.lines().collect::<Vec<_>>()))
+        .collect();
     let mut uses: HashMap<&str, usize> = HashMap::new();
-    for text in &clean {
-        let words = text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
-        for word in words.filter(|w| w.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')) {
-            *uses.entry(word).or_default() += 1;
+    for (((rel, _), text), in_test) in files.iter().zip(&clean).zip(&masks) {
+        if rel.split('/').any(|dir| dir == "tests") {
+            continue;
+        }
+        for (line, _) in text.lines().zip(in_test).filter(|(_, &t)| !t) {
+            let words = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
+            for word in
+                words.filter(|w| w.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_'))
+            {
+                *uses.entry(word).or_default() += 1;
+            }
         }
     }
     let mut out = Vec::new();
-    for ((rel, src), text) in files.iter().zip(&clean) {
+    for (((rel, src), text), in_test) in files.iter().zip(&clean).zip(&masks) {
         let in_crate_src = rel
             .strip_prefix("crates/")
             .and_then(|r| r.split_once('/'))
@@ -746,9 +760,7 @@ pub(crate) fn scan_uncalled(files: &[(String, String)]) -> Vec<Violation> {
         if !in_crate_src {
             continue;
         }
-        let lines: Vec<&str> = text.lines().collect();
-        let in_test = test_mask(&lines);
-        for ((i, line), raw) in lines.iter().enumerate().zip(src.lines()) {
+        for ((i, line), raw) in text.lines().enumerate().zip(src.lines()) {
             let Some(name) = pub_fn_name(line) else {
                 continue;
             };
@@ -929,14 +941,24 @@ fn f(&mut self, engine: &mut Engine) {
                  pub fn only_in_strings() {}\n#[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n",
             ),
             file(
-                "tests/t.rs",
-                "fn t() { used(); } // unused\nconst S: &str = \"only_in_strings\";\n",
+                "examples/e.rs",
+                "fn main() { used(); } // unused\nconst S: &str = \"only_in_strings\";\n",
             ),
             file("perfbench/src/main.rs", "fn main() { in_perfbench(); }\n"),
+            // Test code is no use: an integration test, a test module.
+            file("tests/t.rs", "fn t() { unused(); tested(); }\n"),
+            file(
+                "crates/snacc-net/src/y.rs",
+                "pub fn tested() {}\n#[cfg(test)]\nmod tests {\n    fn t() { super::tested(); }\n}\n",
+            ),
         ];
         let v = scan_uncalled(&files);
         let names: Vec<(&str, usize)> = v.iter().map(|v| (v.rule, v.line)).collect();
-        assert_eq!(names, [("SL010", 2), ("SL010", 3), ("SL010", 7)], "{v:?}");
+        assert_eq!(
+            names,
+            [("SL010", 2), ("SL010", 3), ("SL010", 7), ("SL010", 1)],
+            "{v:?}"
+        );
         // A `pub fn` outside `crates/*/src` is not checked.
         assert!(scan_uncalled(&[file("tests/t.rs", "pub fn lone() {}\n")]).is_empty());
     }

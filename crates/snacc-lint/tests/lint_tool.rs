@@ -65,6 +65,11 @@ fn uncalled_pub_fns_fire_and_called_ones_do_not() {
     // A name in a comment or a string is no use.
     assert!(uncalled.contains(&at(5)), "{uncalled:?}");
     assert!(uncalled.contains(&at(9)), "{uncalled:?}");
+    // A call from a `#[cfg(test)]` block is no use either.
+    assert!(
+        uncalled.contains(&("crates/snacc-core/src/test_only.rs", 5)),
+        "{uncalled:?}"
+    );
     // `shrink` is called in its own file, so it is alive.
     assert!(
         !uncalled.contains(&("crates/snacc-core/src/dead_binding.rs", 4)),

@@ -21,39 +21,23 @@ pub enum MemDir {
     Write,
 }
 
-/// DRAM channel parameters.
-#[derive(Clone, Debug)]
-pub struct DramConfig {
-    /// Peak data-bus bandwidth.
-    pub bandwidth: Bandwidth,
-    /// Fixed access latency (activate + CAS + controller pipeline).
-    pub access_latency: SimDuration,
-    /// Bus turnaround penalty paid when the access direction flips.
-    pub turnaround: SimDuration,
-    /// Per-burst command overhead.
-    pub burst_overhead: SimDuration,
-    /// Maximum burst size; larger accesses are split into bursts of this
-    /// size (the paper's streamer combines NVMe-controller beats into 4 KiB
-    /// bursts, Sec 4.3).
-    pub burst_bytes: u64,
-}
+// One DDR4-2400 72-bit channel, as on the Alveo U280 shell.
 
-impl DramConfig {
-    /// One DDR4-2400 72-bit channel as found on the Alveo U280 shell.
-    pub fn ddr4_u280() -> Self {
-        DramConfig {
-            bandwidth: Bandwidth::gb_per_s(19.2),
-            access_latency: SimDuration::from_ns(110),
-            turnaround: SimDuration::from_ns(30),
-            burst_overhead: SimDuration::from_ns(5),
-            burst_bytes: 4096,
-        }
-    }
-}
+/// Peak data-bus bandwidth.
+pub const BANDWIDTH: Bandwidth = Bandwidth::gb_per_s(19.2);
+/// Fixed access latency (activate + CAS + controller pipeline).
+pub const ACCESS_LATENCY: SimDuration = SimDuration::from_ns(110);
+/// Bus turnaround penalty paid when the access direction flips.
+pub const TURNAROUND: SimDuration = SimDuration::from_ns(30);
+/// Per-burst command overhead.
+pub const BURST_OVERHEAD: SimDuration = SimDuration::from_ns(5);
+/// Maximum burst size; larger accesses are split into bursts of this size
+/// (the paper's streamer combines NVMe-controller beats into 4 KiB bursts,
+/// Sec 4.3).
+pub const BURST_BYTES: u64 = 4096;
 
 /// A single DRAM channel: functional segment store + half-duplex timing.
 pub struct DramController {
-    cfg: DramConfig,
     store: SegmentMemory,
     bus: SharedLink,
     last_dir: Option<MemDir>,
@@ -61,21 +45,15 @@ pub struct DramController {
 }
 
 impl DramController {
-    /// Create a channel with the given config.
-    pub fn new(name: impl Into<String>, cfg: DramConfig) -> Self {
-        let bus = SharedLink::new(name, cfg.bandwidth, SimDuration::ZERO);
+    /// Create a channel.
+    pub fn new(name: impl Into<String>) -> Self {
+        let bus = SharedLink::new(name, BANDWIDTH, SimDuration::ZERO);
         DramController {
-            cfg,
             store: SegmentMemory::new(),
             bus,
             last_dir: None,
             direction_switches: 0,
         }
-    }
-
-    /// The channel configuration.
-    pub fn config(&self) -> &DramConfig {
-        &self.cfg
     }
 
     /// Number of bus-direction switches incurred.
@@ -103,17 +81,17 @@ impl DramController {
         let mut penalty = SimDuration::ZERO;
         if let Some(last) = self.last_dir {
             if last != dir {
-                penalty += self.cfg.turnaround;
+                penalty += TURNAROUND;
                 self.direction_switches += 1;
             }
         }
         self.last_dir = Some(dir);
         // Split into bursts: each pays command overhead; the data occupies
         // the bus back-to-back.
-        let bursts = snacc_sim::ceil_div(bytes.max(1), self.cfg.burst_bytes);
-        let overhead = penalty + self.cfg.burst_overhead * bursts;
+        let bursts = snacc_sim::ceil_div(bytes.max(1), BURST_BYTES);
+        let overhead = penalty + BURST_OVERHEAD * bursts;
         let bus_done = self.bus.transfer_with_overhead(now, bytes, overhead);
-        bus_done + self.cfg.access_latency
+        bus_done + ACCESS_LATENCY
     }
 
     /// Timed + functional zero-copy write: the store retains the payload
@@ -136,19 +114,18 @@ impl DramController {
 mod tests {
     use super::*;
 
-    fn quick_cfg() -> DramConfig {
-        DramConfig {
-            bandwidth: Bandwidth::gb_per_s(1.0), // 1 B/ns, easy math
-            access_latency: SimDuration::from_ns(100),
-            turnaround: SimDuration::from_ns(50),
-            burst_overhead: SimDuration::from_ns(10),
-            burst_bytes: 1000,
-        }
+    fn dram() -> DramController {
+        DramController::new("dram")
+    }
+
+    /// Completion of a bus that is busy for `busy` from time zero.
+    fn at(busy: SimDuration) -> SimTime {
+        SimTime::ZERO + busy + ACCESS_LATENCY
     }
 
     #[test]
     fn functional_roundtrip() {
-        let mut d = DramController::new("dram", DramConfig::ddr4_u280());
+        let mut d = dram();
         let data: Vec<u8> = (0..100).collect();
         d.write_payload(SimTime::ZERO, 0x10_0000, Payload::from(&data[..]));
         let (out, _) = d.read_payload(SimTime::ZERO, 0x10_0000, 100);
@@ -157,39 +134,42 @@ mod tests {
 
     #[test]
     fn same_direction_no_turnaround() {
-        let mut d = DramController::new("dram", quick_cfg());
-        // Two 1000 B writes: each = 10 ns overhead + 1000 ns data.
-        let t1 = d.access(SimTime::ZERO, MemDir::Write, 1000);
-        assert_eq!(t1.as_ns(), 10 + 1000 + 100);
-        let t2 = d.access(SimTime::ZERO, MemDir::Write, 1000);
-        assert_eq!(t2.as_ns(), 2 * (10 + 1000) + 100);
+        let mut d = dram();
+        // Two one-burst writes: each = burst overhead + data time.
+        let one = BURST_OVERHEAD + BANDWIDTH.time_for(BURST_BYTES);
+        assert_eq!(d.access(SimTime::ZERO, MemDir::Write, BURST_BYTES), at(one));
+        assert_eq!(
+            d.access(SimTime::ZERO, MemDir::Write, BURST_BYTES),
+            at(one * 2)
+        );
         assert_eq!(d.direction_switches(), 0);
     }
 
     #[test]
     fn direction_switch_pays_turnaround() {
-        let mut d = DramController::new("dram", quick_cfg());
-        d.access(SimTime::ZERO, MemDir::Write, 1000); // busy till 1010
-        let t = d.access(SimTime::ZERO, MemDir::Read, 1000);
-        // 1010 + 50 (turnaround) + 10 + 1000 + 100
-        assert_eq!(t.as_ns(), 1010 + 50 + 10 + 1000 + 100);
+        let mut d = dram();
+        let one = BURST_OVERHEAD + BANDWIDTH.time_for(BURST_BYTES);
+        d.access(SimTime::ZERO, MemDir::Write, BURST_BYTES);
+        let t = d.access(SimTime::ZERO, MemDir::Read, BURST_BYTES);
+        assert_eq!(t, at(one * 2 + TURNAROUND));
         assert_eq!(d.direction_switches(), 1);
     }
 
     #[test]
     fn burst_splitting_charges_overhead() {
-        let mut d = DramController::new("dram", quick_cfg());
-        // 2500 B → 3 bursts → 30 ns overhead + 2500 ns data + 100 latency.
-        let t = d.access(SimTime::ZERO, MemDir::Write, 2500);
-        assert_eq!(t.as_ns(), 30 + 2500 + 100);
+        let mut d = dram();
+        // 2.5 bursts → 3 burst overheads.
+        let bytes = BURST_BYTES * 5 / 2;
+        let t = d.access(SimTime::ZERO, MemDir::Write, bytes);
+        assert_eq!(t, at(BURST_OVERHEAD * 3 + BANDWIDTH.time_for(bytes)));
     }
 
     #[test]
     fn interleaved_traffic_loses_bandwidth() {
         // Ping-pong read/write costs turnarounds that same-direction
         // streams do not pay: the interleaved schedule must finish later.
-        let mut a = DramController::new("a", quick_cfg());
-        let mut b = DramController::new("b", quick_cfg());
+        let mut a = dram();
+        let mut b = dram();
         let mut t_a = SimTime::ZERO;
         for i in 0..100 {
             let dir = if i % 2 == 0 {
@@ -209,7 +189,7 @@ mod tests {
 
     #[test]
     fn bus_counts_bytes_of_every_access() {
-        let mut d = DramController::new("dram", quick_cfg());
+        let mut d = dram();
         d.access(SimTime::ZERO, MemDir::Read, 10);
         d.access(SimTime::ZERO, MemDir::Read, 10);
         d.access(SimTime::ZERO, MemDir::Write, 10);

@@ -41,11 +41,6 @@ impl PinnedBuffer {
         &self.segments
     }
 
-    /// True if the buffer is a single contiguous region.
-    pub fn is_contiguous(&self) -> bool {
-        self.segments.len() == 1
-    }
-
     /// Translate a byte offset within the buffer to a physical address.
     /// This is the per-access table walk the host-DRAM streamer performs.
     pub fn phys_addr(&self, offset: u64) -> u64 {
@@ -94,59 +89,31 @@ pub struct HostMemory {
     read_port: SharedLink,
     write_port: SharedLink,
     pin_cursor: u64,
-    pin_base: u64,
-    pin_limit: u64,
 }
 
-/// Host memory subsystem parameters.
-#[derive(Clone, Debug)]
-pub struct HostMemConfig {
-    /// Per-direction sustained bandwidth.
-    pub bandwidth: Bandwidth,
-    /// Access latency.
-    pub latency: SimDuration,
-    /// Base physical address of the pinned-allocation region.
-    pub pinned_base: u64,
-    /// Size of the pinned-allocation region.
-    pub pinned_size: u64,
-}
-
-impl Default for HostMemConfig {
-    fn default() -> Self {
-        HostMemConfig {
-            // One EPYC DDR4 channel pair — far above any PCIe device rate.
-            bandwidth: Bandwidth::gb_per_s(38.4),
-            latency: SimDuration::from_ns(90),
-            pinned_base: 0x1_0000_0000, // 4 GiB mark, away from low memory
-            pinned_size: 1 << 30,       // 1 GiB of pinnable memory
-        }
-    }
-}
+/// Per-direction sustained host-memory bandwidth: one EPYC DDR4 channel
+/// pair, far above any PCIe device rate.
+pub const HOST_BANDWIDTH: Bandwidth = Bandwidth::gb_per_s(38.4);
+/// Host-memory access latency.
+pub const HOST_LATENCY: SimDuration = SimDuration::from_ns(90);
+/// Base physical address of the pinned-allocation region: the 4 GiB mark,
+/// away from low memory.
+pub const PINNED_BASE: u64 = 0x1_0000_0000;
+/// Size of the pinned-allocation region: 1 GiB of pinnable memory.
+pub const PINNED_BYTES: u64 = 1 << 30;
 
 impl Default for HostMemory {
     fn default() -> Self {
-        Self::new(HostMemConfig::default())
+        HostMemory {
+            store: SegmentMemory::new(),
+            read_port: SharedLink::new("hostmem.rd", HOST_BANDWIDTH, HOST_LATENCY),
+            write_port: SharedLink::new("hostmem.wr", HOST_BANDWIDTH, HOST_LATENCY),
+            pin_cursor: PINNED_BASE,
+        }
     }
 }
 
 impl HostMemory {
-    /// Create host memory with the given configuration.
-    pub fn new(cfg: HostMemConfig) -> Self {
-        HostMemory {
-            store: SegmentMemory::new(),
-            read_port: SharedLink::new("hostmem.rd", cfg.bandwidth, cfg.latency),
-            write_port: SharedLink::new("hostmem.wr", cfg.bandwidth, cfg.latency),
-            pin_cursor: cfg.pinned_base,
-            pin_base: cfg.pinned_base,
-            pin_limit: cfg.pinned_base + cfg.pinned_size,
-        }
-    }
-
-    /// Bytes currently pinned.
-    pub fn pinned_bytes(&self) -> u64 {
-        self.pin_cursor - self.pin_base
-    }
-
     /// Allocate a DMA-pinned buffer of `size` bytes. The allocation is
     /// split into ≤ 4 MB physically contiguous, 4 KiB-aligned segments,
     /// mirroring the TaPaSCo kernel driver's allocator.
@@ -154,7 +121,7 @@ impl HostMemory {
         assert!(size > 0, "zero-size pinned allocation");
         let aligned = size.div_ceil(PAGE_4K) * PAGE_4K;
         assert!(
-            self.pin_cursor + aligned <= self.pin_limit,
+            self.pin_cursor + aligned <= PINNED_BASE + PINNED_BYTES,
             "pinned memory exhausted"
         );
         let mut segments = Vec::new();
@@ -205,7 +172,7 @@ mod tests {
     fn small_alloc_is_contiguous() {
         let mut m = HostMemory::default();
         let b = m.alloc_pinned(1 << 20);
-        assert!(b.is_contiguous());
+        assert_eq!(b.segments().len(), 1);
         assert_eq!(b.size(), 1 << 20);
         assert_eq!(b.pages(), 256);
     }
@@ -244,7 +211,7 @@ mod tests {
                 assert!(!sa.overlaps(sb));
             }
         }
-        assert_eq!(m.pinned_bytes(), 12 << 20);
+        assert_eq!(m.pin_cursor - PINNED_BASE, 12 << 20);
     }
 
     #[test]
@@ -257,10 +224,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "exhausted")]
     fn pinned_exhaustion_detected() {
-        let mut m = HostMemory::new(HostMemConfig {
-            pinned_size: 8 << 20,
-            ..Default::default()
-        });
+        let mut m = HostMemory::default();
+        m.alloc_pinned(PINNED_BYTES - (8 << 20));
         m.alloc_pinned(16 << 20);
     }
 

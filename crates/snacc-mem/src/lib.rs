@@ -28,10 +28,10 @@ pub mod segment;
 pub mod uram;
 
 pub use addr::{AddrRange, AddressMap};
-pub use dram::{DramConfig, DramController, MemDir};
+pub use dram::{DramController, MemDir};
 pub use hostmem::{HostMemory, PinnedBuffer};
 pub use segment::SegmentMemory;
-pub use uram::{UramConfig, UramModel};
+pub use uram::{UramModel, URAM_BYTES};
 
 /// FNV-1a checksum over a byte slice — used by integrity tests to compare
 /// data that traversed the full simulated datapath.

@@ -21,7 +21,12 @@
 //!   When the payload is that very window (same backing, offset and
 //!   length) strictly inside one segment, the write is found at the write
 //!   cursor or at the walk's first step and skipped: the walk would leave
-//!   the same layout.
+//!   the same layout. Every write joins its result with both neighbours
+//!   where their windows continue one backing, so no two neighbouring
+//!   segments are ever joinable (the lockstep tests check this after
+//!   every op). A rewrite that touches a segment's start or end is
+//!   therefore a layout no-op as well; the skip still takes only windows
+//!   strictly inside, which keeps the write cursor where appends need it.
 //! * **Any other write** costs one ordered-map descent plus one step per
 //!   segment it overlaps: a single backward walk finds the trimmed head,
 //!   the covered segments, the split tail and the join candidates, and the
@@ -295,13 +300,6 @@ impl SegmentMemory {
         u32::from_le_bytes(b)
     }
 
-    /// Read a little-endian u64.
-    pub fn read_u64(&mut self, addr: u64) -> u64 {
-        let mut b = [0u8; 8];
-        self.read(addr, &mut b);
-        u64::from_le_bytes(b)
-    }
-
     /// Write a little-endian u32.
     pub fn write_u32(&mut self, addr: u64, v: u32) {
         self.write(addr, &v.to_le_bytes());
@@ -310,20 +308,6 @@ impl SegmentMemory {
     /// Write a little-endian u64.
     pub fn write_u64(&mut self, addr: u64, v: u64) {
         self.write(addr, &v.to_le_bytes());
-    }
-
-    /// Copy `len` bytes from `src_addr` to `dst_addr` within this memory —
-    /// zero-copy: the destination shares the source segments' backings.
-    pub fn copy_within(&mut self, src_addr: u64, dst_addr: u64, len: usize) {
-        let parts = self.read_payload_parts(src_addr, len);
-        self.bytes_written += len as u64;
-        let mut off = 0u64;
-        for p in parts {
-            let n = p.len() as u64;
-            self.insert_segment(dst_addr + off, p);
-            off += n;
-        }
-        self.maybe_coalesce(dst_addr);
     }
 
     /// Drop all contents.
@@ -685,6 +669,22 @@ mod tests {
             .collect()
     }
 
+    /// The start of the first of two neighbouring segments that could be
+    /// one: contiguous in address and windows of one backing.
+    fn joinable_neighbours(m: &SegmentMemory) -> Option<u64> {
+        let mut prev: Option<(u64, &Payload)> = None;
+        for (&s, &slot) in &m.segs {
+            let p = m.seg(slot);
+            if let Some((ps, pp)) = prev {
+                if ps + pp.len() as u64 == s && pp.try_join(p).is_some() {
+                    return Some(ps);
+                }
+            }
+            prev = Some((s, p));
+        }
+        None
+    }
+
     /// The window-start index recounted from scratch.
     fn recount_window_starts(m: &SegmentMemory) -> HashMap<u64, u32> {
         let mut counts = HashMap::new();
@@ -908,8 +908,7 @@ mod tests {
                     let from = (next() % (1 << 15)) as usize;
                     m.write_payload(addr, b.slice(from..from + len as usize));
                 }
-                94..=95 => m.fill(addr, len * 64, step as u8),
-                _ => m.copy_within(addr, addr ^ (1 << 12), len as usize * 8),
+                _ => m.fill(addr, len * 64, step as u8),
             }
             // A write of at most 64 bytes removes at most 64 segments by
             // overlap; a bigger drop is the coalescer.
@@ -1090,21 +1089,12 @@ mod tests {
     }
 
     #[test]
-    fn copy_within_shares_backing() {
-        let mut m = SegmentMemory::new();
-        m.write(0, b"hello world");
-        m.copy_within(0, 1 << 20, 11);
-        assert_eq!(m.read_vec(1 << 20, 11), b"hello world");
-        assert_eq!(m.segment_count(), 2);
-    }
-
-    #[test]
     fn scalar_helpers() {
         let mut m = SegmentMemory::new();
         m.write_u32(16, 0xdead_beef);
         m.write_u64(24, 0x0123_4567_89ab_cdef);
         assert_eq!(m.read_u32(16), 0xdead_beef);
-        assert_eq!(m.read_u64(24), 0x0123_4567_89ab_cdef);
+        assert_eq!(m.read_vec(24, 8), 0x0123_4567_89ab_cdef_u64.to_le_bytes());
     }
 
     /// The store under test and the cursor-free layout oracle, driven in
@@ -1141,6 +1131,11 @@ mod tests {
                 "resident pages, op {op}"
             );
             assert_index_in_step(&self.m, op);
+            assert_eq!(
+                joinable_neighbours(&self.m),
+                None,
+                "joinable neighbours, op {op}"
+            );
         }
 
         fn write(&mut self, addr: u64, data: &[u8]) {
@@ -1171,12 +1166,6 @@ mod tests {
         fn fill(&mut self, addr: u64, len: u64, byte: u8) {
             self.m.fill(addr, len, byte);
             self.r.fill(addr, len, byte);
-            self.check();
-        }
-
-        fn copy_within(&mut self, src: u64, dst: u64, len: usize) {
-            self.m.copy_within(src, dst, len);
-            self.r.copy_within(src, dst, len);
             self.check();
         }
 
@@ -1232,7 +1221,7 @@ mod tests {
     /// Seeded random op mix over three coalescing windows: sequential
     /// appends of shared-backing windows (the write cursor's path), byte
     /// writes packed into one hot region (so the coalescer fires), random
-    /// shared windows, patterns, unique payloads, fills, `copy_within`,
+    /// shared windows, patterns, unique payloads, fills,
     /// rewrites of windows the store already holds (inside a segment, at
     /// either end or whole; near the append stream, where the write
     /// cursor sits, or anywhere), held and dropped reads, and the odd
@@ -1304,11 +1293,7 @@ mod tests {
                         l.unique(anywhere, vec![step as u8 ^ 0x5a; len]);
                     }
                     72..=74 => l.fill(anywhere, 1 + next() % (200 << 10), step as u8),
-                    75..=79 => {
-                        let src = BASE + next() % SPAN;
-                        l.copy_within(src, anywhere, 1 + next() as usize % 8192);
-                    }
-                    80..=89 => {
+                    75..=89 => {
                         let addr = if next() % 2 == 0 {
                             at.saturating_sub(1 + next() % 8192)
                         } else {

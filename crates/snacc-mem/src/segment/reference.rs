@@ -102,17 +102,6 @@ impl Reference {
         }
     }
 
-    pub fn copy_within(&mut self, src_addr: u64, dst_addr: u64, len: usize) {
-        let parts = self.gather_parts(src_addr, len);
-        let mut off = 0u64;
-        for p in parts {
-            let n = p.len() as u64;
-            self.insert_segment(dst_addr + off, p);
-            off += n;
-        }
-        self.maybe_coalesce(dst_addr);
-    }
-
     pub fn clear(&mut self) {
         self.segs.clear();
         self.window_starts.clear();

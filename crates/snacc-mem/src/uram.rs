@@ -12,32 +12,17 @@ use crate::segment::SegmentMemory;
 use snacc_sim::bytes::Payload;
 use snacc_sim::{Bandwidth, SharedLink, SimDuration, SimTime};
 
-/// URAM buffer parameters.
-#[derive(Clone, Debug)]
-pub struct UramConfig {
-    /// Buffer capacity in bytes (the paper uses 4 MiB).
-    pub capacity: u64,
-    /// Per-port bandwidth (512-bit datapath at the memory-controller clock).
-    pub port_bandwidth: Bandwidth,
-    /// Access latency (a few fabric cycles).
-    pub access_latency: SimDuration,
-}
-
-impl UramConfig {
-    /// The paper's configuration: 4 MiB at 300 MHz × 512 bit.
-    pub fn snacc_default() -> Self {
-        UramConfig {
-            capacity: 4 << 20,
-            port_bandwidth: Bandwidth::gb_per_s(19.2),
-            access_latency: SimDuration::from_ns(13), // ~4 cycles @300 MHz
-        }
-    }
-}
+/// Buffer capacity in bytes: the paper's 4 MiB.
+pub const URAM_BYTES: u64 = 4 << 20;
+/// Per-port bandwidth: the 512-bit datapath at the 300 MHz
+/// memory-controller clock.
+pub const PORT_BANDWIDTH: Bandwidth = Bandwidth::gb_per_s(19.2);
+/// Access latency: about 4 fabric cycles at 300 MHz.
+pub const ACCESS_LATENCY: SimDuration = SimDuration::from_ns(13);
 
 /// A dual-ported URAM buffer: independent read and write ports over one
 /// functional store.
 pub struct UramModel {
-    cfg: UramConfig,
     store: SegmentMemory,
     read_port: SharedLink,
     write_port: SharedLink,
@@ -45,22 +30,14 @@ pub struct UramModel {
 
 impl UramModel {
     /// Create a URAM buffer.
-    pub fn new(name: &str, cfg: UramConfig) -> Self {
-        let read_port =
-            SharedLink::new(format!("{name}.rd"), cfg.port_bandwidth, cfg.access_latency);
-        let write_port =
-            SharedLink::new(format!("{name}.wr"), cfg.port_bandwidth, cfg.access_latency);
+    pub fn new(name: &str) -> Self {
+        let read_port = SharedLink::new(format!("{name}.rd"), PORT_BANDWIDTH, ACCESS_LATENCY);
+        let write_port = SharedLink::new(format!("{name}.wr"), PORT_BANDWIDTH, ACCESS_LATENCY);
         UramModel {
-            cfg,
             store: SegmentMemory::new(),
             read_port,
             write_port,
         }
-    }
-
-    /// Buffer capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.cfg.capacity
     }
 
     /// Total bytes read out of the buffer.
@@ -80,11 +57,8 @@ impl UramModel {
 
     fn check_bounds(&self, addr: u64, len: u64) {
         assert!(
-            addr + len <= self.cfg.capacity,
-            "URAM access out of bounds: {:#x}+{} > {:#x}",
-            addr,
-            len,
-            self.cfg.capacity
+            addr + len <= URAM_BYTES,
+            "URAM access out of bounds: {addr:#x}+{len} > {URAM_BYTES:#x}"
         );
     }
 
@@ -111,7 +85,7 @@ mod tests {
     use super::*;
 
     fn model() -> UramModel {
-        UramModel::new("uram", UramConfig::snacc_default())
+        UramModel::new("uram")
     }
 
     #[test]
@@ -140,7 +114,7 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn bounds_enforced() {
         let mut u = model();
-        u.read_payload(SimTime::ZERO, (4 << 20) - 10, 11);
+        u.read_payload(SimTime::ZERO, URAM_BYTES - 10, 11);
     }
 
     #[test]

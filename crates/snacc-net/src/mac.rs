@@ -13,59 +13,45 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
-/// MAC configuration.
+/// Line rate: 100 G Ethernet = 12.5 GB/s.
+pub const LINE_RATE: Bandwidth = Bandwidth::gbit_per_s(100.0);
+/// One-way wire + PHY latency.
+pub const WIRE_LATENCY: SimDuration = SimDuration::from_ns(500);
+/// RX buffer capacity in bytes, sized like an FPGA MAC's 256 KiB buffer.
+pub const RX_BUFFER_BYTES: u64 = 256 << 10;
+/// RX occupancy at which a PAUSE is asserted.
+pub const PAUSE_HI_WATERMARK: u64 = 192 << 10;
+/// RX occupancy at which a resume (quanta 0) is sent.
+pub const PAUSE_LO_WATERMARK: u64 = 64 << 10;
+/// TX queue capacity in bytes (full-frame buffering).
+pub const TX_QUEUE_BYTES: u64 = 256 << 10;
+/// Quanta requested per PAUSE frame.
+pub const PAUSE_QUANTA: u16 = 0xffff;
+
+/// MAC configuration: the 100 G MAC above, with or without 802.3x.
 #[derive(Clone, Debug)]
 pub struct MacConfig {
-    /// Line rate (100 G Ethernet = 12.5 GB/s).
-    pub line_rate: Bandwidth,
-    /// One-way wire + PHY latency.
-    pub wire_latency: SimDuration,
-    /// RX buffer capacity in bytes.
-    pub rx_buffer_bytes: u64,
-    /// Occupancy at which a PAUSE is asserted.
-    pub pause_hi_watermark: u64,
-    /// Occupancy at which a resume (quanta 0) is sent.
-    pub pause_lo_watermark: u64,
-    /// TX queue capacity in bytes (full-frame buffering).
-    pub tx_queue_bytes: u64,
     /// Is 802.3x flow control enabled?
     pub flow_control: bool,
-    /// Quanta requested per PAUSE frame.
-    pub pause_quanta: u16,
-    /// Probability that a delivered data frame vanishes on the wire
-    /// (lossy-link fault injection; 0.0 in normal operation).
-    pub drop_rate: f64,
-    /// Probability that a delivered data frame arrives corrupted and is
-    /// discarded by the FCS check (fault injection; 0.0 in normal
-    /// operation).
-    pub corrupt_rate: f64,
 }
 
 impl MacConfig {
-    /// A 100 G MAC with flow control on, sized like an FPGA MAC with a
-    /// 256 KiB RX buffer.
+    /// A 100 G MAC with flow control on.
     pub fn eth_100g() -> Self {
-        MacConfig {
-            line_rate: Bandwidth::gbit_per_s(100.0),
-            wire_latency: SimDuration::from_ns(500),
-            rx_buffer_bytes: 256 << 10,
-            pause_hi_watermark: 192 << 10,
-            pause_lo_watermark: 64 << 10,
-            tx_queue_bytes: 256 << 10,
-            flow_control: true,
-            pause_quanta: 0xffff,
-            drop_rate: 0.0,
-            corrupt_rate: 0.0,
-        }
+        MacConfig { flow_control: true }
     }
 
     /// Same, with flow control disabled (loss demonstration).
     pub fn eth_100g_no_fc() -> Self {
         MacConfig {
             flow_control: false,
-            ..Self::eth_100g()
         }
     }
+}
+
+/// The length of a PAUSE of `quanta` quanta at the line rate.
+fn pause_at_line_rate(quanta: u16) -> SimDuration {
+    pause_duration(quanta, LINE_RATE.bytes_per_sec() * 8.0)
 }
 
 /// MAC statistics.
@@ -116,6 +102,13 @@ pub struct EthMac {
     rx_hook: Option<Hook>,
     tx_space_hook: Option<Hook>,
     rng: SimRng,
+    /// Probability that a delivered data frame vanishes on the wire
+    /// (lossy-link fault injection; 0.0 in normal operation).
+    drop_rate: f64,
+    /// Probability that a delivered data frame arrives corrupted and is
+    /// discarded by the FCS check (fault injection; 0.0 in normal
+    /// operation).
+    corrupt_rate: f64,
     stats: MacStats,
 }
 
@@ -128,7 +121,7 @@ impl EthMac {
         seed: u64,
     ) -> Rc<RefCell<EthMac>> {
         let name = name.into();
-        let wire = SharedLink::new(format!("{name}.wire"), cfg.line_rate, cfg.wire_latency);
+        let wire = SharedLink::new(format!("{name}.wire"), LINE_RATE, WIRE_LATENCY);
         Rc::new(RefCell::new(EthMac {
             name,
             addr,
@@ -148,6 +141,8 @@ impl EthMac {
             rx_hook: None,
             tx_space_hook: None,
             rng: SimRng::new(seed),
+            drop_rate: 0.0,
+            corrupt_rate: 0.0,
             stats: MacStats::default(),
         }))
     }
@@ -169,7 +164,7 @@ impl EthMac {
 
     /// Can the TX queue accept a frame of `payload_len` bytes?
     pub fn tx_has_space(&self, payload_len: usize) -> bool {
-        self.tx_queued_bytes + payload_len as u64 <= self.cfg.tx_queue_bytes
+        self.tx_queued_bytes + payload_len as u64 <= TX_QUEUE_BYTES
     }
 
     /// Size (frame bytes) of the frame at the head of the RX buffer.
@@ -187,17 +182,13 @@ impl EthMac {
         self.rx_queue.front().map(|f| f.src)
     }
 
-    /// Is this MAC currently honouring a received PAUSE?
-    pub fn is_paused(&self, now: SimTime) -> bool {
-        now < self.paused_until
-    }
-
-    /// Set the lossy-link fault-injection rates (see
-    /// [`MacConfig::drop_rate`] / [`MacConfig::corrupt_rate`]). Campaigns
-    /// call this on an already-connected MAC.
+    /// Set the lossy-link fault-injection rates: the probabilities that
+    /// a delivered data frame vanishes on the wire or arrives corrupted
+    /// (both 0.0 in normal operation). Campaigns call this on an
+    /// already-connected MAC.
     pub fn set_fault_rates(&mut self, drop_rate: f64, corrupt_rate: f64) {
-        self.cfg.drop_rate = drop_rate;
-        self.cfg.corrupt_rate = corrupt_rate;
+        self.drop_rate = drop_rate;
+        self.corrupt_rate = corrupt_rate;
     }
 
     /// Install the "frames available at RX" hook.
@@ -224,7 +215,7 @@ pub fn send(rc: &Rc<RefCell<EthMac>>, en: &mut Engine, frame: EthFrame) -> bool 
     {
         let mut m = rc.borrow_mut();
         let cost = frame.frame_bytes();
-        if m.tx_queued_bytes + cost > m.cfg.tx_queue_bytes {
+        if m.tx_queued_bytes + cost > TX_QUEUE_BYTES {
             return false;
         }
         m.tx_queued_bytes += cost;
@@ -241,8 +232,7 @@ pub fn pop_frame(rc: &Rc<RefCell<EthMac>>, en: &mut Engine) -> Option<EthFrame> 
         let mut m = rc.borrow_mut();
         let frame = m.rx_queue.pop_front()?;
         m.rx_buffered_bytes -= frame.frame_bytes();
-        let resume =
-            m.cfg.flow_control && m.congested && m.rx_buffered_bytes <= m.cfg.pause_lo_watermark;
+        let resume = m.cfg.flow_control && m.congested && m.rx_buffered_bytes <= PAUSE_LO_WATERMARK;
         if resume {
             m.congested = false;
         }
@@ -267,7 +257,7 @@ fn send_pause(rc: &Rc<RefCell<EthMac>>, en: &mut Engine, quanta: u16) {
         m.tx_queue.push_front(EthFrame::pause(src, quanta));
         m.stats.pauses_sent += 1;
         m.last_pause_sent = en.now();
-        let dur = pause_duration(m.cfg.pause_quanta, m.cfg.line_rate.bytes_per_sec() * 8.0);
+        let dur = pause_at_line_rate(PAUSE_QUANTA);
         if quanta > 0 && !m.refresh_armed {
             m.refresh_armed = true;
             Some(dur / 2)
@@ -284,8 +274,7 @@ fn send_pause(rc: &Rc<RefCell<EthMac>>, en: &mut Engine, quanta: u16) {
                 m.congested
             };
             if still {
-                let q = rc2.borrow().cfg.pause_quanta;
-                send_pause(&rc2, en, q);
+                send_pause(&rc2, en, PAUSE_QUANTA);
             }
         });
     }
@@ -377,7 +366,7 @@ pub fn pump_tx(rc: &Rc<RefCell<EthMac>>, en: &mut Engine) {
             let (arrival, tx_free, peer, tx_hook) = {
                 let mut m = rc.borrow_mut();
                 let arrival = m.wire.transfer(en.now(), frame.wire_bytes());
-                let tx_free = arrival - m.cfg.wire_latency;
+                let tx_free = arrival - WIRE_LATENCY;
                 if trace::enabled() {
                     let name = if frame.is_pause() {
                         "eth.pause_tx"
@@ -431,7 +420,7 @@ fn deliver(rc: &Rc<RefCell<EthMac>>, en: &mut Engine, frame: EthFrame) {
         // the per-MAC RNG stream — and thus fault-free traces —
         // byte-identical to pre-injection builds.
         if frame.pause_quanta().is_none() {
-            let (drop_rate, corrupt_rate) = (m.cfg.drop_rate, m.cfg.corrupt_rate);
+            let (drop_rate, corrupt_rate) = (m.drop_rate, m.corrupt_rate);
             if drop_rate > 0.0 && m.rng.gen_bool(drop_rate) {
                 m.stats.injected_drops += 1;
                 trace::metric_counter("faults.net.frame_drops").inc();
@@ -470,7 +459,7 @@ fn deliver(rc: &Rc<RefCell<EthMac>>, en: &mut Engine, frame: EthFrame) {
                 );
             }
             if m.cfg.flow_control {
-                let dur = pause_duration(quanta, m.cfg.line_rate.bytes_per_sec() * 8.0);
+                let dur = pause_at_line_rate(quanta);
                 let new_until = en.now() + dur;
                 let shortened = new_until < m.paused_until;
                 m.paused_until = new_until;
@@ -484,7 +473,7 @@ fn deliver(rc: &Rc<RefCell<EthMac>>, en: &mut Engine, frame: EthFrame) {
             RxAction::None
         } else {
             let cost = frame.frame_bytes();
-            if m.rx_buffered_bytes + cost > m.cfg.rx_buffer_bytes {
+            if m.rx_buffered_bytes + cost > RX_BUFFER_BYTES {
                 m.stats.rx_drops += 1;
                 if trace::enabled() {
                     trace::instant(
@@ -508,17 +497,15 @@ fn deliver(rc: &Rc<RefCell<EthMac>>, en: &mut Engine, frame: EthFrame) {
                         &[("bytes", cost), ("occupancy", m.rx_buffered_bytes)],
                     );
                 }
-                if m.cfg.flow_control && m.rx_buffered_bytes >= m.cfg.pause_hi_watermark {
+                if m.cfg.flow_control && m.rx_buffered_bytes >= PAUSE_HI_WATERMARK {
                     // Assert (or refresh) the pause. Refresh is rate-limited
                     // to half the pause duration so a long-stalled sink
                     // cannot let the pause expire.
-                    let refresh_after =
-                        pause_duration(m.cfg.pause_quanta, m.cfg.line_rate.bytes_per_sec() * 8.0)
-                            / 2;
+                    let refresh_after = pause_at_line_rate(PAUSE_QUANTA) / 2;
                     let need = !m.congested || en.now() >= m.last_pause_sent + refresh_after;
                     if need {
                         m.congested = true;
-                        RxAction::NotifyAndPause(m.cfg.pause_quanta)
+                        RxAction::NotifyAndPause(PAUSE_QUANTA)
                     } else {
                         RxAction::Notify
                     }
@@ -641,7 +628,7 @@ mod tests {
             }
         }
         // Run long enough for the slow drain to finish.
-        en.run_until(SimTime::ZERO + SimDuration::from_ms(10));
+        en.run_until(SimTime::ZERO + SimDuration::from_us(10_000));
         let sb = b.borrow().stats();
         assert_eq!(sb.rx_drops, 0, "flow control must prevent loss");
         assert_eq!(sb.rx_frames, total);
@@ -656,7 +643,7 @@ mod tests {
         // b explicitly sends a pause; a must stop transmitting data.
         send_pause(&b, &mut en, 0xffff);
         en.run();
-        assert!(a.borrow().is_paused(en.now()));
+        assert!(en.now() < a.borrow().paused_until);
         // A queued data frame waits ~335 µs (0xffff quanta at 100 G).
         let f = EthFrame::data(MacAddr::from_index(2), MacAddr::from_index(1), vec![0; 512]);
         send(&a, &mut en, f);
@@ -671,26 +658,24 @@ mod tests {
         let (a, b) = pair(MacConfig::eth_100g(), MacConfig::eth_100g());
         send_pause(&b, &mut en, 0xffff);
         en.run();
-        assert!(a.borrow().is_paused(en.now()));
+        assert!(en.now() < a.borrow().paused_until);
         send_pause(&b, &mut en, 0); // resume
         en.run();
-        assert!(!a.borrow().is_paused(en.now()));
+        assert!(en.now() >= a.borrow().paused_until);
     }
 
     #[test]
     fn injected_drops_and_corruption_counted_separately() {
         let mut en = Engine::new();
-        let mut cfg = MacConfig::eth_100g();
-        cfg.drop_rate = 1.0;
-        let (a, b) = pair(MacConfig::eth_100g(), cfg);
+        let (a, b) = pair(MacConfig::eth_100g(), MacConfig::eth_100g());
+        b.borrow_mut().set_fault_rates(1.0, 0.0);
         let f = EthFrame::data(MacAddr::from_index(2), MacAddr::from_index(1), vec![0; 100]);
         send(&a, &mut en, f.clone());
         en.run();
         assert_eq!(b.borrow().stats().injected_drops, 1);
         assert_eq!(b.borrow().stats().rx_frames, 0);
         // Corruption hits its own counter.
-        b.borrow_mut().cfg.drop_rate = 0.0;
-        b.borrow_mut().cfg.corrupt_rate = 1.0;
+        b.borrow_mut().set_fault_rates(0.0, 1.0);
         send(&a, &mut en, f);
         en.run();
         let sb = b.borrow().stats();
@@ -703,14 +688,12 @@ mod tests {
     #[test]
     fn lossy_link_spares_pause_frames() {
         let mut en = Engine::new();
-        let mut cfg = MacConfig::eth_100g();
-        cfg.drop_rate = 1.0;
-        cfg.corrupt_rate = 1.0;
-        let (a, b) = pair(cfg, MacConfig::eth_100g());
+        let (a, b) = pair(MacConfig::eth_100g(), MacConfig::eth_100g());
+        a.borrow_mut().set_fault_rates(1.0, 1.0);
         // A PAUSE from b must survive a's fully lossy injector.
         send_pause(&b, &mut en, 0xffff);
         en.run();
-        assert!(a.borrow().is_paused(en.now()));
+        assert!(en.now() < a.borrow().paused_until);
         assert_eq!(a.borrow().stats().injected_drops, 0);
     }
 

@@ -265,7 +265,7 @@ mod tests {
                 break;
             }
         }
-        en.run_until(SimTime::ZERO + SimDuration::from_ms(50));
+        en.run_until(SimTime::ZERO + SimDuration::from_us(50_000));
         // No drops anywhere.
         assert_eq!(b.borrow().stats().rx_drops, 0);
         assert_eq!(sw.port(0).borrow().stats().rx_drops, 0);

@@ -305,11 +305,6 @@ impl NvmeDevice {
         &mut self.nand
     }
 
-    /// Is the controller ready (CSTS.RDY)?
-    pub fn is_ready(&self) -> bool {
-        self.csts & spec::csts::RDY != 0
-    }
-
     fn identify_controller(&self) -> Payload {
         self.ident_ctrl
             .get_or_init(|| {
@@ -334,7 +329,7 @@ impl NvmeDevice {
         self.ident_ns
             .get_or_init(|| {
                 let mut d = vec![0u8; NVME_PAGE as usize];
-                let nsze = self.nand.capacity_bytes() / LBA_BYTES;
+                let nsze = crate::nand::CAPACITY_BYTES / LBA_BYTES;
                 d[0..8].copy_from_slice(&nsze.to_le_bytes()); // NSZE
                 d[8..16].copy_from_slice(&nsze.to_le_bytes()); // NCAP
                 d[16..24].copy_from_slice(&nsze.to_le_bytes()); // NUSE
@@ -1038,7 +1033,7 @@ mod tests {
 
         fn enable(&mut self) {
             self.admin.enable(&mut self.en, &self.fabric);
-            assert!(self.dev.with(|d| d.is_ready()));
+            assert!(self.dev.with(|d| d.csts & spec::csts::RDY != 0));
         }
 
         fn submit_admin(&mut self, sqe: Sqe) -> Result<Cqe, AdminError> {
@@ -1239,7 +1234,7 @@ mod tests {
         r.create_io_queues(1, 0x30_0000, 0x31_0000, 64);
         r.reg_write32(spec::regs::CC, 0);
         r.en.run();
-        assert!(!r.dev.with(|d| d.is_ready()));
+        assert!(!r.dev.with(|d| d.csts & spec::csts::RDY != 0));
         assert!(r.dev.with(|d| d.queues.is_empty()));
     }
 

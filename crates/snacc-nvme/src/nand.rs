@@ -24,52 +24,55 @@ use snacc_sim::bytes::Payload;
 use snacc_sim::{Bandwidth, SharedLink, SimDuration, SimRng, SimTime};
 use std::collections::{HashMap, VecDeque};
 
-/// NAND / controller backend parameters.
+/// Number of independent NAND dies.
+pub const DIES: usize = 64;
+/// NAND page size (striping and read granularity).
+pub const PAGE_BYTES: u64 = 16384;
+/// Die read latency (tR) bounds for **warm** data (still resident in the
+/// pSLC cache region); jittered uniformly per page read.
+pub const READ_LATENCY_MIN: SimDuration = SimDuration::from_us(20);
+/// Upper warm tR bound.
+pub const READ_LATENCY_MAX: SimDuration = SimDuration::from_us(38);
+/// Die read latency bounds for **cold** data (folded to TLC). Reading
+/// never-written or long-ago-written LBAs pays this — the mechanism
+/// behind the paper's 57 µs SPDK read latency vs 34 µs for SNAcc reading
+/// its freshly written benchmark data (Fig 4c).
+pub const READ_LATENCY_COLD_MIN: SimDuration = SimDuration::from_us(42);
+/// Upper cold tR bound.
+pub const READ_LATENCY_COLD_MAX: SimDuration = SimDuration::from_us(58);
+/// Bytes of the most recent writes considered pSLC-resident (warm).
+pub const PSLC_WINDOW_BYTES: u64 = 100 << 30;
+/// Independent NAND channels (dies are distributed round-robin).
+pub const CHANNELS: usize = 8;
+/// Per-channel transfer bandwidth.
+pub const PER_CHANNEL_BANDWIDTH: Bandwidth = Bandwidth::gb_per_s(1.2);
+/// Per-command controller processing overhead (serialised).
+pub const CMD_OVERHEAD: SimDuration = SimDuration::from_ns(450);
+/// Bytes programmed in one pSLC state before toggling to the other.
+pub const PROGRAM_STATE_BLOCK: u64 = 1 << 30;
+/// Controller DRAM write-cache capacity.
+pub const WRITE_CACHE_BYTES: u64 = 64 << 20;
+/// Latency to admit a write into the DRAM cache: write completions stay
+/// under 9 µs (Fig 4c).
+pub const CACHE_ADMIT_LATENCY: SimDuration = SimDuration::from_us(2);
+/// Program-rate derating for random (4 KiB) writes (FTL mapping cost).
+pub const RANDOM_WRITE_DERATE: f64 = 0.85;
+/// Namespace capacity in bytes (a 2 TB drive).
+pub const CAPACITY_BYTES: u64 = 2_000_000_000_000;
+
+/// The NAND rates a device profile sets (the Gen5 projection raises
+/// them); every other backend parameter is a constant above.
 #[derive(Clone, Debug)]
 pub struct NandConfig {
-    /// Number of independent NAND dies.
-    pub dies: usize,
-    /// NAND page size (striping and read granularity).
-    pub page_bytes: u64,
-    /// Die read latency (tR) bounds for **warm** data (still resident in
-    /// the pSLC cache region); jittered uniformly per page read.
-    pub read_latency_min: SimDuration,
-    /// Upper warm tR bound.
-    pub read_latency_max: SimDuration,
-    /// Die read latency bounds for **cold** data (folded to TLC). Reading
-    /// never-written or long-ago-written LBAs pays this — the mechanism
-    /// behind the paper's 57 µs SPDK read latency vs 34 µs for SNAcc
-    /// reading its freshly written benchmark data (Fig 4c).
-    pub read_latency_cold_min: SimDuration,
-    /// Upper cold tR bound.
-    pub read_latency_cold_max: SimDuration,
-    /// Bytes of the most recent writes considered pSLC-resident (warm).
-    pub pslc_window_bytes: u64,
     /// Aggregate controller read-out bandwidth (the sequential-read
     /// ceiling). Booked by the *delivery* path via
     /// [`NandBackend::book_readout`] so concurrent commands contend in
     /// true completion-time order.
     pub channel_bandwidth: Bandwidth,
-    /// Independent NAND channels (dies are distributed round-robin).
-    pub channels: usize,
-    /// Per-channel transfer bandwidth.
-    pub per_channel_bandwidth: Bandwidth,
-    /// Per-command controller processing overhead (serialised).
-    pub cmd_overhead: SimDuration,
     /// Sustained NAND program rate in the fast cache state.
     pub program_hi: Bandwidth,
     /// Sustained NAND program rate in the slow (folding) state.
     pub program_lo: Bandwidth,
-    /// Bytes programmed in one state before toggling to the other.
-    pub program_state_block: u64,
-    /// Controller DRAM write-cache capacity.
-    pub write_cache_bytes: u64,
-    /// Latency to admit a write into the DRAM cache.
-    pub cache_admit_latency: SimDuration,
-    /// Program-rate derating for random (4 KiB) writes (FTL mapping cost).
-    pub random_write_derate: f64,
-    /// Namespace capacity in bytes.
-    pub capacity_bytes: u64,
 }
 
 /// The two-state pSLC program-rate machine.
@@ -80,18 +83,16 @@ struct ProgramEngine {
     lo: Bandwidth,
     in_lo: bool,
     bytes_into_state: u64,
-    block: u64,
 }
 
 impl ProgramEngine {
-    fn new(hi: Bandwidth, lo: Bandwidth, block: u64) -> Self {
+    fn new(hi: Bandwidth, lo: Bandwidth) -> Self {
         ProgramEngine {
             free_at: SimTime::ZERO,
             hi,
             lo,
             in_lo: false,
             bytes_into_state: 0,
-            block,
         }
     }
 
@@ -101,13 +102,13 @@ impl ProgramEngine {
         let mut cur = t.max(self.free_at);
         let mut remaining = bytes;
         while remaining > 0 {
-            let left_in_state = self.block - self.bytes_into_state;
+            let left_in_state = PROGRAM_STATE_BLOCK - self.bytes_into_state;
             let take = remaining.min(left_in_state);
             let rate = if self.in_lo { self.lo } else { self.hi }.scaled(derate);
             cur += rate.time_for(take);
             self.bytes_into_state += take;
             remaining -= take;
-            if self.bytes_into_state == self.block {
+            if self.bytes_into_state == PROGRAM_STATE_BLOCK {
                 self.in_lo = !self.in_lo;
                 self.bytes_into_state = 0;
             }
@@ -142,19 +143,19 @@ pub struct NandBackend {
 impl NandBackend {
     /// Create a backend with the given config and RNG seed (tR jitter).
     pub fn new(cfg: NandConfig, seed: u64) -> Self {
-        let channels = (0..cfg.channels)
+        let channels = (0..CHANNELS)
             .map(|i| {
                 SharedLink::new(
                     format!("nand.ch{i}"),
-                    cfg.per_channel_bandwidth,
+                    PER_CHANNEL_BANDWIDTH,
                     SimDuration::ZERO,
                 )
             })
             .collect();
         let readout = SharedLink::new("nand.readout", cfg.channel_bandwidth, SimDuration::ZERO);
-        let program = ProgramEngine::new(cfg.program_hi, cfg.program_lo, cfg.program_state_block);
+        let program = ProgramEngine::new(cfg.program_hi, cfg.program_lo);
         NandBackend {
-            die_free: vec![SimTime::ZERO; cfg.dies],
+            die_free: vec![SimTime::ZERO; DIES],
             channels,
             readout,
             cmd_free: SimTime::ZERO,
@@ -184,15 +185,10 @@ impl NandBackend {
         self.program.in_lo
     }
 
-    /// Namespace capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.cfg.capacity_bytes
-    }
-
     /// Is the byte span `[addr, addr+len)` within the namespace?
     pub fn in_bounds(&self, addr: u64, len: u64) -> bool {
         addr.checked_add(len)
-            .map(|end| end <= self.cfg.capacity_bytes)
+            .map(|end| end <= CAPACITY_BYTES)
             .unwrap_or(false)
     }
 
@@ -213,12 +209,12 @@ impl NandBackend {
 
     fn book_cmd(&mut self, now: SimTime) -> SimTime {
         let start = now.max(self.cmd_free);
-        self.cmd_free = start + self.cfg.cmd_overhead;
+        self.cmd_free = start + CMD_OVERHEAD;
         self.cmd_free
     }
 
     fn die_of(&self, byte_addr: u64) -> usize {
-        ((byte_addr / self.cfg.page_bytes) % self.cfg.dies as u64) as usize
+        ((byte_addr / PAGE_BYTES) % DIES as u64) as usize
     }
 
     const WARM_BLOCK: u64 = 1 << 20;
@@ -227,7 +223,7 @@ impl NandBackend {
     pub fn is_warm(&self, addr: u64) -> bool {
         match self.warm_blocks.get(&(addr / Self::WARM_BLOCK)) {
             Some(&seq) => {
-                self.write_seq.saturating_sub(seq) * Self::WARM_BLOCK <= self.cfg.pslc_window_bytes
+                self.write_seq.saturating_sub(seq) * Self::WARM_BLOCK <= PSLC_WINDOW_BYTES
             }
             None => false,
         }
@@ -244,12 +240,9 @@ impl NandBackend {
 
     fn tr_jitter(&mut self, warm: bool) -> SimDuration {
         let (lo, hi) = if warm {
-            (self.cfg.read_latency_min, self.cfg.read_latency_max)
+            (READ_LATENCY_MIN, READ_LATENCY_MAX)
         } else {
-            (
-                self.cfg.read_latency_cold_min,
-                self.cfg.read_latency_cold_max,
-            )
+            (READ_LATENCY_COLD_MIN, READ_LATENCY_COLD_MAX)
         };
         let base = self.rng.gen_duration_between(lo, hi);
         // Occasional long tail: the read collides with a program/erase
@@ -279,14 +272,14 @@ impl NandBackend {
         let mut cur = addr;
         let end = addr + len;
         while cur < end {
-            let page_end = (cur / self.cfg.page_bytes + 1) * self.cfg.page_bytes;
+            let page_end = (cur / PAGE_BYTES + 1) * PAGE_BYTES;
             let n = page_end.min(end) - cur;
             let die = self.die_of(cur);
             let warm = self.is_warm(cur);
             let tr = self.tr_jitter(warm);
             let die_ready = self.die_free[die].max(t0) + tr;
             self.die_free[die] = die_ready;
-            let ch = die % self.cfg.channels;
+            let ch = die % CHANNELS;
             let moved = self.channels[ch].transfer(die_ready, n);
             done = done.max(moved);
             cur += n;
@@ -340,7 +333,7 @@ impl NandBackend {
         // If the cache cannot hold this write, admission waits for enough
         // queued programming to retire.
         let mut t_admit = t0;
-        while self.cache_occupancy + len > self.cfg.write_cache_bytes {
+        while self.cache_occupancy + len > WRITE_CACHE_BYTES {
             let (end, bytes) = self
                 .cache_queue
                 .pop_front()
@@ -350,14 +343,14 @@ impl NandBackend {
         }
 
         let derate = if random_hint {
-            self.cfg.random_write_derate
+            RANDOM_WRITE_DERATE
         } else {
             1.0
         };
         let prog_end = self.program.book(t_admit, len, derate);
         self.cache_queue.push_back((prog_end, len));
         self.cache_occupancy += len;
-        t_admit + self.cfg.cache_admit_latency
+        t_admit + CACHE_ADMIT_LATENCY
     }
 
     /// Flush: returns when all cached data is programmed.
@@ -371,26 +364,7 @@ mod tests {
     use super::*;
 
     fn cfg() -> NandConfig {
-        NandConfig {
-            dies: 32,
-            page_bytes: 16384,
-            read_latency_min: SimDuration::from_us(26),
-            read_latency_max: SimDuration::from_us(30),
-            read_latency_cold_min: SimDuration::from_us(52),
-            read_latency_cold_max: SimDuration::from_us(57),
-            pslc_window_bytes: 100 << 30,
-            channel_bandwidth: Bandwidth::gb_per_s(6.9),
-            channels: 8,
-            per_channel_bandwidth: Bandwidth::gb_per_s(1.2),
-            cmd_overhead: SimDuration::from_ns(500),
-            program_hi: Bandwidth::gb_per_s(6.24),
-            program_lo: Bandwidth::gb_per_s(5.90),
-            program_state_block: 1 << 30,
-            write_cache_bytes: 64 << 20,
-            cache_admit_latency: SimDuration::from_us(2),
-            random_write_derate: 0.85,
-            capacity_bytes: 2_000_000_000_000,
-        }
+        crate::NvmeProfile::samsung_990pro().nand
     }
 
     #[test]
@@ -450,7 +424,7 @@ mod tests {
         let mut n = NandBackend::new(cfg(), 3);
         let (_, done) = n.read_payload(SimTime::ZERO, 512 * 99991, 4096);
         let us = done.as_us_f64();
-        assert!(us > 52.0 && us < 59.0, "{us} µs");
+        assert!(us > 42.0 && us < 62.0, "{us} µs");
     }
 
     #[test]
@@ -466,14 +440,12 @@ mod tests {
         assert!(n.is_warm(addr));
         let (_, done) = n.read_payload(t, addr, 4096);
         let us = done.since(t).as_us_f64();
-        assert!(us > 26.0 && us < 33.0, "{us} µs");
+        assert!(us > 20.0 && us < 42.0, "{us} µs");
     }
 
     #[test]
     fn warmth_expires_beyond_pslc_window() {
-        let mut small = cfg();
-        small.pslc_window_bytes = 4 << 20;
-        let mut n = NandBackend::new(small, 3);
+        let mut n = NandBackend::new(cfg(), 3);
         n.write_parts(
             SimTime::ZERO,
             0,
@@ -481,13 +453,10 @@ mod tests {
             true,
         );
         assert!(n.is_warm(0));
-        // Write 8 MB elsewhere: the first block folds out of the window.
-        let chunk = Payload::from_vec(vec![0u8; 1 << 20]);
-        for i in 1..9u64 {
-            n.write_parts(SimTime::ZERO, i << 20, vec![chunk.clone()], false);
-        }
+        // A window's worth of writes elsewhere folds the first block out.
+        n.prewarm(1 << 20, PSLC_WINDOW_BYTES, 0);
         assert!(!n.is_warm(0));
-        assert!(n.is_warm(8 << 20));
+        assert!(n.is_warm(PSLC_WINDOW_BYTES));
     }
 
     #[test]
@@ -542,18 +511,17 @@ mod tests {
 
     #[test]
     fn cache_full_stalls_admission() {
-        let mut small = cfg();
-        small.write_cache_bytes = 4 << 20;
-        let mut n = NandBackend::new(small, 7);
+        let mut n = NandBackend::new(cfg(), 7);
         let chunk = Payload::from_vec(vec![0u8; 1 << 20]);
-        // Filling the 4 MB cache is fast; the 5th MB must wait for
-        // programming (~1 MB / 6.24 GB/s ≈ 160 µs).
+        // Filling the 64 MiB cache is fast; the next MiB must wait for
+        // programming (~1 MiB / 6.24 GB/s ≈ 168 µs).
         let mut done = SimTime::ZERO;
-        for i in 0..4 {
-            done = n.write_parts(done, i << 20, vec![chunk.clone()], false);
+        let cached = WRITE_CACHE_BYTES >> 20;
+        for i in 0..cached {
+            done = done.max(n.write_parts(SimTime::ZERO, i << 20, vec![chunk.clone()], false));
         }
-        assert!(done.as_us_f64() < 20.0, "{}", done.as_us_f64());
-        let stalled = n.write_parts(done, 4 << 20, vec![chunk.clone()], false);
+        assert!(done.as_us_f64() < 40.0, "{}", done.as_us_f64());
+        let stalled = n.write_parts(SimTime::ZERO, cached << 20, vec![chunk.clone()], false);
         assert!(
             stalled.since(done).as_us_f64() > 100.0,
             "admission should stall on a full cache: {}",
@@ -595,7 +563,7 @@ mod tests {
     fn bounds_checked() {
         let n = NandBackend::new(cfg(), 10);
         assert!(n.in_bounds(0, 4096));
-        assert!(!n.in_bounds(n.capacity_bytes(), 1));
+        assert!(!n.in_bounds(CAPACITY_BYTES, 1));
         assert!(!n.in_bounds(u64::MAX, 2));
     }
 }

@@ -14,11 +14,12 @@
 //! A profile holds only what differs between devices. The controller
 //! knobs no profile varies (register latency, queue limits, SQE fetch
 //! burst, fetch stall and P2P fetch overhead) are constants in
-//! `device.rs`.
+//! `device.rs`; the NAND ones (dies, page size, tR bands, pSLC window,
+//! channels, write cache, capacity) are constants in `nand.rs`.
 
 use crate::nand::NandConfig;
 use snacc_pcie::PcieLinkConfig;
-use snacc_sim::{Bandwidth, SimDuration};
+use snacc_sim::Bandwidth;
 
 /// Full parameter set for an NVMe device instance.
 #[derive(Clone, Debug)]
@@ -41,24 +42,9 @@ impl NvmeProfile {
     pub fn samsung_990pro() -> Self {
         NvmeProfile {
             nand: NandConfig {
-                dies: 64,
-                page_bytes: 16384,
-                read_latency_min: SimDuration::from_us(20),
-                read_latency_max: SimDuration::from_us(38),
-                read_latency_cold_min: SimDuration::from_us(42),
-                read_latency_cold_max: SimDuration::from_us(58),
-                pslc_window_bytes: 100 << 30,
                 channel_bandwidth: Bandwidth::gb_per_s(6.9),
-                channels: 8,
-                per_channel_bandwidth: Bandwidth::gb_per_s(1.2),
-                cmd_overhead: SimDuration::from_ns(450),
                 program_hi: Bandwidth::gb_per_s(6.24),
                 program_lo: Bandwidth::gb_per_s(5.90),
-                program_state_block: 1 << 30,
-                write_cache_bytes: 64 << 20,
-                cache_admit_latency: SimDuration::from_us(2),
-                random_write_derate: 0.85,
-                capacity_bytes: 2_000_000_000_000,
             },
             link: PcieLinkConfig::nvme_gen4_x4(),
             fetch_window_host: 8,
@@ -75,7 +61,6 @@ impl NvmeProfile {
         p.nand.channel_bandwidth = Bandwidth::gb_per_s(13.8);
         p.nand.program_hi = Bandwidth::gb_per_s(11.8);
         p.nand.program_lo = Bandwidth::gb_per_s(10.9);
-        p.nand.dies = 64;
         p.fetch_window_host = 16;
         p.fetch_window_p2p = 8;
         p.model = "SNAcc-sim Gen5 projection";
@@ -92,7 +77,6 @@ mod tests {
         let p = NvmeProfile::samsung_990pro();
         assert!(p.nand.channel_bandwidth.as_gb_per_s() > 6.0);
         assert!(p.fetch_window_p2p < p.fetch_window_host);
-        assert_eq!(p.nand.capacity_bytes, 2_000_000_000_000);
     }
 
     #[test]

@@ -218,11 +218,6 @@ impl PcieFabric {
         });
     }
 
-    /// Remove the fault injector.
-    pub fn clear_faults(&mut self) {
-        self.faults = None;
-    }
-
     /// Snapshot of the injector's counters (zeros if none installed).
     pub fn fault_stats(&self) -> PcieFaultStats {
         self.faults
@@ -311,12 +306,6 @@ impl PcieFabric {
     /// Which node owns the mapping that covers `addr`, if any.
     pub fn owner_of(&self, addr: u64) -> Option<NodeId> {
         self.map.decode(addr).map(|(_, e)| e.node)
-    }
-
-    /// Bytes moved over a device's link (both directions).
-    pub fn link_bytes(&self, node: NodeId) -> u64 {
-        let d = &self.devices[node.0 - 1];
-        d.up.bytes_transferred() + d.down.bytes_transferred()
     }
 
     /// Payload bytes transferred over the bus, counted once per
@@ -532,6 +521,12 @@ mod tests {
         assert_eq!(out, b"ping"[..]);
     }
 
+    /// Bytes moved over a device's link (both directions).
+    fn link_bytes(fab: &PcieFabric, node: NodeId) -> u64 {
+        let d = &fab.devices[node.0 - 1];
+        d.up.bytes_transferred() + d.down.bytes_transferred()
+    }
+
     #[test]
     fn p2p_routes_through_both_links() {
         let (mut en, mut fab, fpga, ssd) = setup();
@@ -543,10 +538,10 @@ mod tests {
             .unwrap();
         assert!(done > SimTime::ZERO);
         // Both device links saw traffic.
-        assert!(fab.link_bytes(ssd) > 0);
-        assert!(fab.link_bytes(fpga) > 0);
+        assert!(link_bytes(&fab, ssd) > 0);
+        assert!(link_bytes(&fab, fpga) > 0);
         // FPGA link carried the completion data upstream.
-        assert!(fab.link_bytes(fpga) >= 512);
+        assert!(link_bytes(&fab, fpga) >= 512);
     }
 
     #[test]
@@ -626,7 +621,7 @@ mod tests {
         )
         .unwrap();
         // 4096 B at MPS 512 → 8 packets → 8 × 24 B headers.
-        assert_eq!(fab.link_bytes(fpga), 4096 + 8 * 24);
+        assert_eq!(link_bytes(&fab, fpga), 4096 + 8 * 24);
     }
 
     #[test]
@@ -659,7 +654,7 @@ mod tests {
             .unwrap();
         assert_eq!(fab.fault_stats().timeouts, 1);
         // Clearing the injector restores normal service.
-        fab.clear_faults();
+        fab.faults = None;
         let (out, _) = fab
             .read(&mut en, SimTime::ZERO, HOST_NODE, 0x0, 8192)
             .unwrap();

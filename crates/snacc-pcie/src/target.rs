@@ -211,7 +211,6 @@ impl MmioTarget for ScratchTarget {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snacc_mem::{DramConfig, UramConfig};
 
     #[test]
     fn scratch_roundtrip() {
@@ -259,7 +258,7 @@ mod tests {
     #[test]
     fn uram_model_moves_bytes() {
         let mut en = Engine::new();
-        let mut u = UramModel::new("u", UramConfig::snacc_default());
+        let mut u = UramModel::new("u");
         u.write(&mut en, SimTime::ZERO, 4096, Payload::from(b"hello"));
         let (out, _) = u.read(&mut en, SimTime::ZERO, 4096, 5);
         assert_eq!(out, b"hello"[..]);
@@ -269,10 +268,7 @@ mod tests {
     #[test]
     fn dram_target_applies_window_base() {
         let mut en = Engine::new();
-        let dram = Rc::new(RefCell::new(DramController::new(
-            "d",
-            DramConfig::ddr4_u280(),
-        )));
+        let dram = Rc::new(RefCell::new(DramController::new("d")));
         let mut t = DramTarget::new(dram.clone(), 0x100_0000);
         t.write(&mut en, SimTime::ZERO, 0, Payload::from(b"xy"));
         let got = dram.borrow_mut().store_mut().read_vec(0x100_0000, 2);

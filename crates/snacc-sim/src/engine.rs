@@ -149,11 +149,6 @@ impl Engine {
         self.queue.len() + self.now_lane.len()
     }
 
-    /// Replace the runaway-simulation event limit.
-    pub fn set_event_limit(&mut self, limit: u64) {
-        self.event_limit = limit;
-    }
-
     /// Schedule `f` to run at absolute time `t` (must not be in the past).
     pub fn schedule_at(&mut self, t: SimTime, f: impl FnOnce(&mut Engine) + 'static) {
         assert!(
@@ -281,18 +276,6 @@ impl Engine {
             }
         }
     }
-
-    /// Run while `cond()` holds and events remain. Returns `true` if the
-    /// queue drained before the condition turned false. Panics if the
-    /// event limit trips.
-    pub fn run_while(&mut self, mut cond: impl FnMut() -> bool) -> bool {
-        while cond() {
-            if !self.step() {
-                return true;
-            }
-        }
-        false
-    }
 }
 
 #[cfg(test)]
@@ -409,23 +392,9 @@ mod tests {
     }
 
     #[test]
-    fn run_while_condition() {
-        let mut en = Engine::new();
-        let count = Rc::new(RefCell::new(0u32));
-        for _ in 0..10 {
-            let c = count.clone();
-            en.schedule_in(SimDuration::from_ns(1), move |_| *c.borrow_mut() += 1);
-        }
-        let c = count.clone();
-        let drained = en.run_while(move || *c.borrow() < 4);
-        assert!(!drained);
-        assert_eq!(*count.borrow(), 4);
-    }
-
-    #[test]
     fn event_limit_trips_with_a_diagnosis() {
         let mut en = Engine::new();
-        en.set_event_limit(100);
+        en.event_limit = 100;
         fn forever(en: &mut Engine) {
             en.schedule_in(SimDuration::from_ns(1), forever);
         }

@@ -18,21 +18,16 @@ pub struct Bandwidth {
 
 impl Bandwidth {
     /// From decimal gigabytes per second (the unit the SNAcc paper reports).
-    pub fn gb_per_s(gb: f64) -> Self {
+    pub const fn gb_per_s(gb: f64) -> Self {
         assert!(gb > 0.0, "bandwidth must be positive");
         Bandwidth {
             bytes_per_sec: gb * 1e9,
         }
     }
 
-    /// From decimal megabytes per second.
-    pub fn mb_per_s(mb: f64) -> Self {
-        Bandwidth::gb_per_s(mb / 1e3)
-    }
-
     /// From a line rate in gigabits per second (network convention),
     /// e.g. `Bandwidth::gbit_per_s(100.0)` = 12.5 GB/s.
-    pub fn gbit_per_s(gbit: f64) -> Self {
+    pub const fn gbit_per_s(gbit: f64) -> Self {
         Bandwidth::gb_per_s(gbit / 8.0)
     }
 
@@ -202,8 +197,6 @@ mod tests {
     fn bandwidth_conversions() {
         let b = Bandwidth::gbit_per_s(100.0);
         assert!((b.as_gb_per_s() - 12.5).abs() < 1e-9);
-        let b = Bandwidth::mb_per_s(500.0);
-        assert!((b.as_gb_per_s() - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -260,7 +253,7 @@ mod tests {
             ops in proptest::collection::vec(any::<[u64; 4]>(), 1..200),
         ) {
             const SIZES: [u64; 5] = [0, 1, 16, 4096, 4120];
-            let bw = Bandwidth::mb_per_s(mb_per_s as f64);
+            let bw = Bandwidth::gb_per_s(mb_per_s as f64 / 1e3);
             let latency = SimDuration::from_ns(latency_ns);
             let mut link = SharedLink::new("prop", bw, latency);
             let mut free_at = SimTime::ZERO;

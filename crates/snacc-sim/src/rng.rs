@@ -18,12 +18,6 @@ impl SimRng {
         SimRng { state: seed }
     }
 
-    /// Derive an independent child generator (e.g. one per component) so
-    /// adding a consumer does not perturb other components' streams.
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::new(self.next_u64() ^ 0x9e37_79b9_7f4a_7c15)
-    }
-
     /// Next raw 64-bit value.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -136,17 +130,6 @@ mod tests {
             seen[r.gen_range(8) as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn fork_independent() {
-        let mut parent = SimRng::new(9);
-        let mut child = parent.fork();
-        // Child stream differs from continued parent stream.
-        let same = (0..64)
-            .filter(|_| parent.next_u64() == child.next_u64())
-            .count();
-        assert_eq!(same, 0);
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! times on fast links (100 G Ethernet moves a byte every 80 ps) be
 //! represented without rounding collapse, while still covering ~213 days of
 //! simulated time before overflow — more than any experiment needs.
+//! Adding to a time or a duration, and scaling a duration, saturate at
+//! the end of that range instead of wrapping: a fault plan may ask for a
+//! latency spike or a backoff close to it, and the events it delays then
+//! happen at [`SimTime::MAX`] rather than in the past.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -127,18 +131,6 @@ impl SimDuration {
         SimDuration(us * PS_PER_US)
     }
 
-    /// Construct from milliseconds.
-    #[inline]
-    pub const fn from_ms(ms: u64) -> Self {
-        SimDuration(ms * PS_PER_MS)
-    }
-
-    /// Construct from whole seconds.
-    #[inline]
-    pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * PS_PER_SEC)
-    }
-
     /// Construct from fractional microseconds (rounds to nearest ps).
     #[inline]
     pub fn from_us_f64(us: f64) -> Self {
@@ -198,14 +190,14 @@ impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
     #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        self.0 = self.0.saturating_add(rhs.0);
     }
 }
 
@@ -229,14 +221,14 @@ impl Add for SimDuration {
     type Output = SimDuration;
     #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0 + rhs.0)
+        SimDuration(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for SimDuration {
     #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        self.0 = self.0.saturating_add(rhs.0);
     }
 }
 
@@ -259,7 +251,7 @@ impl Mul<u64> for SimDuration {
     type Output = SimDuration;
     #[inline]
     fn mul(self, rhs: u64) -> SimDuration {
-        SimDuration(self.0 * rhs)
+        SimDuration(self.0.saturating_mul(rhs))
     }
 }
 
@@ -319,8 +311,6 @@ mod tests {
     fn construction_and_conversion() {
         assert_eq!(SimTime::from_ns(3).as_ps(), 3_000);
         assert_eq!(SimDuration::from_us(2).as_ns(), 2_000);
-        assert_eq!(SimDuration::from_ms(1).as_ps(), PS_PER_MS);
-        assert_eq!(SimDuration::from_secs(1).as_ps(), PS_PER_SEC);
         assert!((SimDuration::from_us(5).as_us_f64() - 5.0).abs() < 1e-12);
     }
 
@@ -358,8 +348,8 @@ mod tests {
         assert_eq!(format!("{}", SimDuration::from_ps(5)), "5ps");
         assert_eq!(format!("{}", SimDuration::from_ns(5)), "5.000ns");
         assert_eq!(format!("{}", SimDuration::from_us(5)), "5.000us");
-        assert_eq!(format!("{}", SimDuration::from_ms(5)), "5.000ms");
-        assert_eq!(format!("{}", SimDuration::from_secs(5)), "5.000s");
+        assert_eq!(format!("{}", SimDuration::from_us(5_000)), "5.000ms");
+        assert_eq!(format!("{}", SimDuration::from_us(5_000_000)), "5.000s");
     }
 
     #[test]
@@ -371,11 +361,30 @@ mod tests {
     }
 
     #[test]
+    fn operators_saturate_at_the_end_of_time() {
+        let long = SimDuration::from_ps(u64::MAX - 5);
+        assert_eq!(SimTime::from_ns(1) + long, SimTime::MAX);
+        let mut t = SimTime::MAX;
+        t += SimDuration::from_ns(1);
+        assert_eq!(t, SimTime::MAX);
+        assert_eq!((long + long).as_ps(), u64::MAX);
+        let mut d = long;
+        d += long;
+        assert_eq!(d.as_ps(), u64::MAX);
+        assert_eq!((long * 3).as_ps(), u64::MAX);
+        // Below the end, nothing changes.
+        assert_eq!(
+            SimTime::from_ns(1) + SimDuration::from_ns(2),
+            SimTime::from_ns(3)
+        );
+    }
+
+    #[test]
     fn checked_arithmetic_refuses_overflow() {
         let ns = SimDuration::from_ns(1);
         assert_eq!(SimTime::MAX.checked_add(ns), None);
         assert_eq!(SimTime::ZERO.checked_add(ns), Some(SimTime::from_ns(1)));
         assert_eq!(ns.checked_mul(3), Some(SimDuration::from_ns(3)));
-        assert_eq!(SimDuration::from_secs(1).checked_mul(u64::MAX), None);
+        assert_eq!(SimDuration::from_us(1).checked_mul(u64::MAX), None);
     }
 }

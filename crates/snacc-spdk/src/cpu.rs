@@ -3,9 +3,9 @@
 //! SPDK's reactor pegs one core at 100 %: it spins polling the completion
 //! queue even when no work arrives (paper Sec 6.3: "one CPU thread
 //! running at 100 % capacity, doing nothing but moving data around").
-//! We track both the *useful* busy time (submission and reap work, which
-//! serialises driver operations) and the polling occupancy (wall time the
-//! core is claimed).
+//! We track when the core is next free of *useful* work (submission and
+//! reap work, which serialises driver operations) and the polling
+//! occupancy (wall time the core is claimed).
 
 use snacc_sim::{SimDuration, SimTime};
 
@@ -14,9 +14,7 @@ use snacc_sim::{SimDuration, SimTime};
 pub struct CpuCore {
     name: String,
     busy_until: SimTime,
-    busy_total: SimDuration,
     claimed_from: Option<SimTime>,
-    claimed_total: SimDuration,
 }
 
 impl CpuCore {
@@ -25,9 +23,7 @@ impl CpuCore {
         CpuCore {
             name: name.into(),
             busy_until: SimTime::ZERO,
-            busy_total: SimDuration::ZERO,
             claimed_from: None,
-            claimed_total: SimDuration::ZERO,
         }
     }
 
@@ -41,13 +37,7 @@ impl CpuCore {
     pub fn book(&mut self, now: SimTime, cost: SimDuration) -> SimTime {
         let start = now.max(self.busy_until);
         self.busy_until = start + cost;
-        self.busy_total += cost;
         self.busy_until
-    }
-
-    /// Total useful (non-spin) work performed.
-    pub fn busy_total(&self) -> SimDuration {
-        self.busy_total
     }
 
     /// Mark the reactor started (core claimed at 100 %).
@@ -57,19 +47,10 @@ impl CpuCore {
         }
     }
 
-    /// Mark the reactor stopped.
-    pub fn release(&mut self, now: SimTime) {
-        if let Some(from) = self.claimed_from.take() {
-            self.claimed_total += now.since(from);
-        }
-    }
-
     /// Wall time the core has been claimed by the reactor so far.
     pub fn claimed_total(&self, now: SimTime) -> SimDuration {
-        match self.claimed_from {
-            Some(from) => self.claimed_total + now.since(from),
-            None => self.claimed_total,
-        }
+        self.claimed_from
+            .map_or(SimDuration::ZERO, |from| now.since(from))
     }
 
     /// Occupancy over `[start, now]`: 1.0 while the reactor polls
@@ -98,7 +79,6 @@ mod tests {
         // An op after an idle gap starts immediately.
         let t3 = c.book(SimTime::from_ns(1000), SimDuration::from_ns(10));
         assert_eq!(t3.as_ns(), 1010);
-        assert_eq!(c.busy_total().as_ns(), 160);
     }
 
     #[test]
@@ -107,10 +87,10 @@ mod tests {
         c.claim(SimTime::ZERO);
         let now = SimTime::from_ns(1_000_000);
         assert!((c.occupancy(SimTime::ZERO, now) - 1.0).abs() < 1e-9);
-        c.release(now);
-        // After release, the claimed window stays fixed.
-        let later = SimTime::from_ns(2_000_000);
-        assert!((c.occupancy(SimTime::ZERO, later) - 0.5).abs() < 1e-9);
+        // Claimed from halfway through the window: half occupied.
+        let mut late = CpuCore::new("core1");
+        late.claim(SimTime::from_ns(500_000));
+        assert!((late.occupancy(SimTime::ZERO, now) - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -118,7 +98,6 @@ mod tests {
         let mut c = CpuCore::new("core0");
         c.claim(SimTime::ZERO);
         c.claim(SimTime::from_ns(500));
-        c.release(SimTime::from_ns(1000));
         assert_eq!(c.claimed_total(SimTime::from_ns(1000)).as_ns(), 1000);
     }
 }

@@ -11,8 +11,7 @@
 //! (Fig 4c). The SSD model reconciles this with its warm/cold read
 //! mechanism (`snacc-nvme::nand`): SNAcc's latency benchmark reads the
 //! data it just wrote (pSLC-resident, ~30 µs tR) while the SPDK figure
-//! matches a cold TLC read (~54 µs tR). `host_path_latency` remains
-//! available as an explicit ablation knob and defaults to zero.
+//! matches a cold TLC read (~54 µs tR).
 
 use crate::cpu::CpuCore;
 use snacc_mem::hostmem::PinnedBuffer;
@@ -39,44 +38,35 @@ pub enum IoKind {
     Write,
 }
 
+/// Per-command transfer limit (split larger requests).
+pub const MAX_CMD_BYTES: u64 = 1 << 20;
+/// CPU cost to build + submit one command.
+pub const SUBMIT_OVERHEAD: SimDuration = SimDuration::from_ns(300);
+/// CPU cost to reap one completion.
+pub const REAP_OVERHEAD: SimDuration = SimDuration::from_ns(200);
+
 /// Driver configuration.
 #[derive(Clone, Debug)]
 pub struct SpdkConfig {
     /// Maximum commands in flight (the paper benchmarks QD 64).
     pub queue_depth: u16,
-    /// I/O queue ring entries.
-    pub io_entries: u16,
-    /// Per-command transfer limit (split larger requests).
-    pub max_cmd_bytes: u64,
-    /// CPU cost to build + submit one command.
-    pub submit_overhead: SimDuration,
-    /// CPU cost to reap one completion.
-    pub reap_overhead: SimDuration,
-    /// Calibrated pipelined host-path latency adder (see module docs).
-    pub host_path_latency: SimDuration,
 }
 
 impl Default for SpdkConfig {
     fn default() -> Self {
-        SpdkConfig {
-            queue_depth: 64,
-            io_entries: 256,
-            max_cmd_bytes: 1 << 20,
-            submit_overhead: SimDuration::from_ns(300),
-            reap_overhead: SimDuration::from_ns(200),
-            host_path_latency: SimDuration::ZERO,
-        }
+        SpdkConfig { queue_depth: 64 }
     }
 }
 
 impl SpdkConfig {
     /// Same driver with a different queue depth (Fig 4b QD sweep).
     pub fn with_queue_depth(qd: u16) -> Self {
-        SpdkConfig {
-            queue_depth: qd,
-            io_entries: (qd * 4).max(64),
-            ..Default::default()
-        }
+        SpdkConfig { queue_depth: qd }
+    }
+
+    /// I/O queue ring entries: four per command slot, at least 64.
+    fn io_entries(&self) -> u16 {
+        (self.queue_depth * 4).max(64)
     }
 }
 
@@ -122,7 +112,6 @@ struct Inflight {
 type CompletionHook = Box<dyn FnMut(&mut Engine, CompletionInfo)>;
 
 struct Inner {
-    cfg: SpdkConfig,
     /// Back-edge to the fabric that maps the driver's CQ range.
     fabric: Weak<RefCell<PcieFabric>>,
     hostmem: Rc<RefCell<HostMemory>>,
@@ -207,12 +196,11 @@ impl SpdkNvme {
             let mut hm = hostmem.borrow_mut();
             let admin = AdminQueue::new(&mut hm, nvme.bar0_base());
             let io_sq = hm
-                .alloc_pinned(cfg.io_entries as u64 * spec::SQE_BYTES)
+                .alloc_pinned(cfg.io_entries() as u64 * spec::SQE_BYTES)
                 .segments()[0]
                 .base;
-            let slabs: Vec<PinnedBuffer> = (0..qd)
-                .map(|_| hm.alloc_pinned(cfg.max_cmd_bytes))
-                .collect();
+            let slabs: Vec<PinnedBuffer> =
+                (0..qd).map(|_| hm.alloc_pinned(MAX_CMD_BYTES)).collect();
             let lists: Vec<u64> = (0..qd)
                 .map(|_| hm.alloc_pinned(4096).segments()[0].base)
                 .collect();
@@ -220,8 +208,8 @@ impl SpdkNvme {
         };
         let inner = Inner {
             admin: Some(admin),
-            io_sq: SqRing::new(io_sq_base, cfg.io_entries),
-            io_cq: CqRing::new(0, cfg.io_entries), // base set at init
+            io_sq: SqRing::new(io_sq_base, cfg.io_entries()),
+            io_cq: CqRing::new(0, cfg.io_entries()), // base set at init
             cq_mem: None,
             cq_base: 0,
             free_slots: (0..qd).rev().collect(),
@@ -233,7 +221,6 @@ impl SpdkNvme {
             reaping: false,
             stats: SpdkStats::default(),
             cpu: CpuCore::new("spdk-reactor"),
-            cfg,
             fabric: Rc::downgrade(&fabric),
             hostmem,
             nvme,
@@ -262,7 +249,7 @@ impl SpdkNvme {
             let mut i = self.inner.borrow_mut();
             i.cpu.claim(en.now());
             let admin = i.admin.take().expect("SpdkNvme::init runs once");
-            (admin, i.fabric(), i.hostmem.clone(), i.cfg.io_entries)
+            (admin, i.fabric(), i.hostmem.clone(), i.io_sq.entries())
         };
         admin.enable(en, &fabric);
         // Identify (exercises the admin data path).
@@ -286,8 +273,7 @@ impl SpdkNvme {
                 .borrow_mut()
                 .set_hook(Box::new(move |en, _off, _data, arrival| {
                     let me = me.upgrade();
-                    let delay = me.inner.borrow().cfg.host_path_latency;
-                    en.schedule_at(arrival.max(en.now()) + delay, move |en| {
+                    en.schedule_at(arrival.max(en.now()), move |en| {
                         me.reap(en);
                     });
                 }));
@@ -333,11 +319,6 @@ impl SpdkNvme {
     /// Occupancy of the reactor core (1.0 while polling).
     pub fn cpu_occupancy(&self, start: SimTime, now: SimTime) -> f64 {
         self.inner.borrow().cpu.occupancy(start, now)
-    }
-
-    /// Useful CPU work consumed so far.
-    pub fn cpu_busy(&self) -> SimDuration {
-        self.inner.borrow().cpu.busy_total()
     }
 
     /// Submit a read of `len` bytes at byte address `addr`. Data lands in
@@ -387,7 +368,7 @@ impl SpdkNvme {
         );
         let (cid, tail, submit_done) = {
             let mut i = self.inner.borrow_mut();
-            if len > i.cfg.max_cmd_bytes {
+            if len > MAX_CMD_BYTES {
                 return Err(SpdkError::TooLarge);
             }
             if i.free_slots.is_empty() || i.io_sq.is_full() {
@@ -436,7 +417,7 @@ impl SpdkNvme {
             // Submission costs CPU time; the doorbell rings when the CPU
             // work retires.
             let now = en.now();
-            let cost = i.cfg.submit_overhead;
+            let cost = SUBMIT_OVERHEAD;
             let done = i.cpu.book(now, cost);
             i.inflight.insert(
                 cid,
@@ -501,7 +482,7 @@ impl SpdkNvme {
             i.io_sq.update_head(cqe.sq_head % entries);
             reaped += 1;
             let now = en.now();
-            let reap_cost = i.cfg.reap_overhead;
+            let reap_cost = REAP_OVERHEAD;
             let done = i.cpu.book(now, reap_cost);
             if let Some(fl) = i.inflight.remove(&cqe.cid) {
                 // Out-of-order slot recycling: any completion frees its
@@ -547,10 +528,5 @@ impl SpdkNvme {
                 }
             }
         }
-    }
-
-    /// Stop the reactor (releases the core).
-    pub fn shutdown(&self, en: &mut Engine) {
-        self.inner.borrow_mut().cpu.release(en.now());
     }
 }

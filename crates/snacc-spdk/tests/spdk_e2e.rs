@@ -229,8 +229,6 @@ fn cpu_core_pegged_while_running() {
         r.spdk.cpu_occupancy(start, now) > 0.99,
         "polling reactor must claim the core"
     );
-    assert!(r.spdk.cpu_busy().as_ns() > 0);
-    r.spdk.shutdown(&mut r.host.en);
 }
 
 #[test]

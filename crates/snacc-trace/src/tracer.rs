@@ -193,11 +193,6 @@ impl Tracer {
         self.inner.borrow().events.len()
     }
 
-    /// Number of events dropped after the buffer filled.
-    pub fn events_dropped(&self) -> u64 {
-        self.inner.borrow().dropped
-    }
-
     /// The event capacity.
     pub fn capacity(&self) -> usize {
         self.inner.borrow().cap
@@ -463,7 +458,7 @@ mod tests {
         uninstall();
         assert!(!enabled());
         assert_eq!(tracer.events_recorded(), 3);
-        assert_eq!(tracer.events_dropped(), 0);
+        assert_eq!(tracer.inner.borrow().dropped, 0);
     }
 
     /// Run `run` of a small trace: a span and a counter on track `dev`, a
@@ -523,6 +518,6 @@ mod tests {
         }
         uninstall();
         assert_eq!(tracer.events_recorded(), 2);
-        assert_eq!(tracer.events_dropped(), 3);
+        assert_eq!(tracer.inner.borrow().dropped, 3);
     }
 }

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example image_pipeline [-- <images>]`
 
 use snacc::apps::images::{generate_image, ImageFormat};
-use snacc::apps::pipeline::{image_slot_bytes, ClassRecord};
+use snacc::apps::pipeline::{image_slot_bytes, ClassRecord, RECORD_TABLE};
 use snacc::prelude::*;
 
 fn main() {
@@ -58,7 +58,7 @@ fn main() {
         let rec_raw = sys.nvme.with(|d| {
             d.nand_mut()
                 .media_mut()
-                .read_vec(cfg.record_table + probe * 16, 16)
+                .read_vec(RECORD_TABLE + probe * 16, 16)
         });
         let rec = ClassRecord::decode(&rec_raw);
         assert_eq!(rec.id, probe);

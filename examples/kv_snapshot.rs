@@ -26,7 +26,6 @@ fn main() {
     let cfg = SystemConfig {
         streamer: StreamerConfig::snacc_ooo(StreamerVariant::Uram),
         nvme: NvmeProfile::samsung_990pro(),
-        enforce_iommu: true,
         seed: 0x6b76,
         faults: None,
     };

@@ -70,7 +70,6 @@ fn ooo_extension_roundtrip() {
     let cfg = SystemConfig {
         streamer: StreamerConfig::snacc_ooo(StreamerVariant::Uram),
         nvme: NvmeProfile::samsung_990pro(),
-        enforce_iommu: true,
         seed: 5,
         faults: None,
     };
