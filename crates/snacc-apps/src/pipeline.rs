@@ -20,14 +20,15 @@ use snacc_core::streamer::UserPorts;
 use snacc_faults::FaultPlan;
 use snacc_fpga::axis::{self, AxisChannel, StreamBeat};
 use snacc_mem::HostMemory;
-use snacc_net::frame::{EthFrame, MacAddr};
+use snacc_net::frame::MacAddr;
 use snacc_net::mac::{self, EthMac, MacConfig};
+use snacc_net::traffic::FrameSender;
 use snacc_nvme::NvmeDeviceHandle;
 use snacc_sim::{Engine, Payload, PayloadQueue, SimDuration, SimTime};
 use snacc_trace as trace;
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::{Rc, Weak};
+use std::rc::Rc;
 
 /// Case-study parameters.
 #[derive(Clone, Debug)]
@@ -195,7 +196,8 @@ pub struct DbController<S: CaseSink> {
     memo: HashMap<u64, u32>,
     /// Packed records awaiting a page flush.
     record_page: Vec<u8>,
-    record_pages_written: u64,
+    /// Record pages flushed to the record table.
+    pub record_pages_written: u64,
     /// Total bytes consumed from the RX stream (diagnostic).
     taken_total: u64,
     /// Header resynchronisations performed (lossy campaigns).
@@ -272,11 +274,6 @@ impl<S: CaseSink + 'static> DbController<S> {
         let wake: WakeHook = Rc::new(RefCell::new(repump("sink wake hook")));
         ctl.borrow_mut().sink.set_wake(wake);
         ctl
-    }
-
-    /// Record pages flushed to the record table.
-    pub fn record_pages_written(&self) -> u64 {
-        self.record_pages_written
     }
 
     /// Transfers handed to the sink.
@@ -512,114 +509,27 @@ impl<S: CaseSink + 'static> DbController<S> {
 
 /// The Ethernet image source: a second FPGA streaming frames at line rate
 /// (paper Sec 6.1: "sent by another FPGA as transmitter in our setup").
-pub struct ImageSender {
-    /// The MAC it is installed on, which owns it through its hook.
-    mac: Weak<RefCell<EthMac>>,
-    dst: MacAddr,
-    cfg: CaseStudyConfig,
-    next_id: u64,
-    /// (header bytes, body bytes, position) of the current image. The
-    /// header is per-image; the body is the class table's, so frames after
-    /// the first are zero-copy windows of it.
-    current: Option<(Payload, Payload, usize)>,
-    pub finished_at: Option<SimTime>,
-}
+pub struct ImageSender;
 
 impl ImageSender {
-    /// Create and start the sender.
-    pub fn start(
-        en: &mut Engine,
-        mac_rc: Rc<RefCell<EthMac>>,
-        dst: MacAddr,
-        cfg: CaseStudyConfig,
-    ) -> Rc<RefCell<ImageSender>> {
-        let s = Rc::new(RefCell::new(ImageSender {
-            mac: Rc::downgrade(&mac_rc),
-            dst,
-            cfg,
-            next_id: 0,
-            current: None,
-            finished_at: None,
-        }));
-        let s2 = s.clone();
-        mac_rc
-            .borrow_mut()
-            .set_tx_space_hook(move |en| ImageSender::kick(&s2, en));
-        ImageSender::kick(&s, en);
-        s
-    }
-
-    fn mac(&self) -> Rc<RefCell<EthMac>> {
-        self.mac
-            .upgrade()
-            .expect("image sender -> MAC: the MAC was dropped")
-    }
-
-    fn wire_image(id: u64) -> (Payload, Payload) {
-        let class = (id % NUM_CLASSES as u64) as u32;
-        // Header is per-image; body is the class table's. The generator
-        // keys its pattern (and truth) on id % classes, so the table body
-        // is bit-identical to generate_image(id).
-        let body = class_body(class);
-        let hdr = ImageHeader {
-            id,
-            len: body.len() as u32,
-            truth: class,
-        };
-        (Payload::from(hdr.encode()), body)
-    }
-
-    /// Push frames while the MAC accepts them.
-    pub fn kick(rc: &Rc<RefCell<ImageSender>>, en: &mut Engine) {
-        loop {
-            let frame = {
-                let mut s = rc.borrow_mut();
-                if s.current.is_none() {
-                    if s.next_id >= s.cfg.images {
-                        if s.finished_at.is_none() {
-                            s.finished_at = Some(en.now());
-                        }
-                        return;
-                    }
-                    let id = s.next_id;
-                    s.next_id += 1;
-                    let (hdr, body) = Self::wire_image(id);
-                    s.current = Some((hdr, body, 0));
-                }
-                let (hdr, body, pos) = s.current.clone().expect("current set");
-                let total = hdr.len() + body.len();
-                let n = FRAME_PAYLOAD.min(total - pos);
-                let hb = hdr.len();
-                // Slice the frame payload out of (header · body) without
-                // materialising the concatenation; only the frame that
-                // straddles the header/body seam copies (n bytes, once per
-                // image).
-                let payload = if pos >= hb {
-                    body.slice(pos - hb..pos - hb + n)
-                } else if pos + n <= hb {
-                    hdr.slice(pos..pos + n)
-                } else {
-                    Payload::concat(&[hdr.slice(pos..hb), body.slice(0..pos + n - hb)])
-                };
-                let src = s.mac().borrow().addr();
-                let f = EthFrame::data(s.dst, src, payload);
-                // Advance tentatively.
-                if pos + n == total {
-                    s.current = None;
-                } else {
-                    s.current = Some((hdr.clone(), body.clone(), pos + n));
-                }
-                (f, hdr, body, pos)
+    /// Send `cfg.images` images from `mac_rc` to `dst`, each a fresh
+    /// header and its class table's body, so frames after the first are
+    /// zero-copy windows of the body.
+    pub fn start(en: &mut Engine, mac_rc: Rc<RefCell<EthMac>>, dst: MacAddr, cfg: CaseStudyConfig) {
+        let mut ids = 0..cfg.images;
+        FrameSender::start(en, &mac_rc, dst, FRAME_PAYLOAD, move || {
+            let id = ids.next()?;
+            let class = (id % NUM_CLASSES as u64) as u32;
+            // The generator keys its pattern (and truth) on id % classes,
+            // so the table body is bit-identical to generate_image(id).
+            let body = class_body(class);
+            let hdr = ImageHeader {
+                id,
+                len: body.len() as u32,
+                truth: class,
             };
-            let (f, hdr, body, pos) = frame;
-            let mac_rc = rc.borrow().mac();
-            if !mac::send(&mac_rc, en, f) {
-                // Refused: roll back.
-                let mut s = rc.borrow_mut();
-                s.current = Some((hdr, body, pos));
-                return;
-            }
-        }
+            Some((Payload::from(hdr.encode()), body))
+        });
     }
 }
 

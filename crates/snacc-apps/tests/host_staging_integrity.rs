@@ -46,7 +46,7 @@ fn check_host_staging(gpu: bool) {
     let records = {
         let c = ctl.borrow();
         assert_eq!(c.images_stored, IMAGES);
-        assert_eq!(c.record_pages_written(), 0);
+        assert_eq!(c.record_pages_written, 0);
         c.records.clone()
     };
     let mut page = vec![0u8; 4096];

@@ -28,11 +28,11 @@ fn run(through_switch: bool, sink_gbps: f64, fc: bool) -> (f64, u64, u64) {
     };
     let total: u64 = 256 << 20;
     let sink = RateSink::attach(b.clone(), Some(Bandwidth::gb_per_s(sink_gbps)));
-    let _sender = StreamSender::start(a.clone(), &mut en, MacAddr::from_index(2), 8192, total);
+    StreamSender::start(a.clone(), &mut en, MacAddr::from_index(2), 8192, total);
     en.run();
     let (received, mismatches, last_at) = {
         let s = sink.borrow();
-        (s.received_bytes(), s.mismatches(), s.last_byte_at())
+        (s.received_bytes, s.mismatches, s.last_byte_at)
     };
     let bw = received as f64 / 1e9 / last_at.as_secs_f64().max(1e-12);
     let drops = b.borrow().stats().rx_drops;

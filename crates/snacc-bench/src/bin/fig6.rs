@@ -2,14 +2,10 @@
 //! five configurations. Default 512 frames (≈ 4.8 GB; steady state well
 //! before that); SNACC_FULL=1 streams the paper's 16384 frames.
 
-use snacc_apps::gpu::{run_gpu_case_study, GpuModel};
-use snacc_apps::pipeline::{run_snacc_case_study, CaseStudyConfig};
-use snacc_apps::spdk_ref::run_spdk_case_study;
-use snacc_apps::system::{SnaccSystem, SystemConfig};
+use snacc_apps::pipeline::CaseStudyConfig;
 use snacc_bench::sweep::{self, JobOutput};
-use snacc_bench::workloads::{record_backing_bytes, share_class_images, FaultSummary};
+use snacc_bench::workloads::{run_case_study, CASE_STUDIES};
 use snacc_bench::{print_table, BenchRecord, Telemetry};
-use snacc_core::config::StreamerVariant;
 
 fn main() {
     let telemetry = Telemetry::from_args();
@@ -23,62 +19,26 @@ fn main() {
         images,
         ..Default::default()
     };
-    enum Cfg {
-        Snacc(StreamerVariant, f64),
-        Spdk(f64),
-        Gpu(f64),
-    }
-    let jobs = vec![
-        (
-            "FPGA (URAM)".to_string(),
-            Cfg::Snacc(StreamerVariant::Uram, 5.6),
-        ),
-        (
-            "FPGA (On-board DRAM)".to_string(),
-            Cfg::Snacc(StreamerVariant::OnboardDram, 4.8),
-        ),
-        (
-            "FPGA (Host DRAM)".to_string(),
-            Cfg::Snacc(StreamerVariant::HostDram, 6.1),
-        ),
-        ("SPDK".to_string(), Cfg::Spdk(6.1)),
-        ("GPU".to_string(), Cfg::Gpu(5.76)),
-    ];
-    let work: Vec<sweep::Job<'_, BenchRecord>> = jobs
+    // Paper bandwidths in GB/s, in `CASE_STUDIES` order.
+    let paper = [5.6, 4.8, 6.1, 6.1, 5.76];
+    let work: Vec<sweep::Job<'_, BenchRecord>> = CASE_STUDIES
         .into_iter()
-        .map(|(label, job)| {
+        .zip(paper)
+        .map(|((label, backend), paper)| {
             let cfg = cfg.clone();
             Box::new(move |log: &mut JobOutput| {
-                share_class_images();
-                let (report, paper) = match job {
-                    Cfg::Snacc(v, paper) => {
-                        let mut sys = SnaccSystem::bring_up(SystemConfig {
-                            faults: plan.cloned(),
-                            ..SystemConfig::snacc(v)
-                        });
-                        let r = run_snacc_case_study(&mut sys, cfg.clone());
-                        if plan.is_some() {
-                            log.eprintln(format!(
-                                "[fig6] {label} faults: {}, resyncs {}, bytes_skipped {}",
-                                FaultSummary::from_system(&sys),
-                                r.resyncs,
-                                r.bytes_skipped
-                            ));
-                        }
-                        (r, paper)
-                    }
-                    Cfg::Spdk(paper) => (run_spdk_case_study(cfg.clone(), 7), paper),
-                    Cfg::Gpu(paper) => (
-                        run_gpu_case_study(cfg.clone(), GpuModel::default(), 7),
-                        paper,
-                    ),
-                };
+                let (report, faults) = run_case_study(label, backend, cfg, plan);
+                if let Some(faults) = faults {
+                    log.eprintln(format!(
+                        "[fig6] {label} faults: {faults}, resyncs {}, bytes_skipped {}",
+                        report.resyncs, report.bytes_skipped
+                    ));
+                }
                 log.println(format!(
                     "{label}: {:.2} GB/s, {:.0} frames/s, accuracy {}/{}",
                     report.bandwidth_gbps, report.fps, report.correct, report.classified
                 ));
-                record_backing_bytes(&label, &report);
-                BenchRecord::new("fig6", &label, report.bandwidth_gbps, Some(paper), "GB/s")
+                BenchRecord::new("fig6", label, report.bandwidth_gbps, Some(paper), "GB/s")
             }) as sweep::Job<'_, BenchRecord>
         })
         .collect();

@@ -1,10 +1,13 @@
 //! Shared workload drivers for the evaluation binaries.
 
+use snacc_apps::gpu::{run_gpu_case_study, GpuModel};
 use snacc_apps::images::{self, generate_image, ImageFormat, NUM_CLASSES};
-use snacc_apps::pipeline::CaseStudyReport;
+use snacc_apps::pipeline::{run_snacc_case_study, CaseStudyConfig, CaseStudyReport};
+use snacc_apps::spdk_ref::run_spdk_case_study;
 use snacc_apps::system::{HostSystem, SnaccSystem, SystemConfig};
 use snacc_core::config::StreamerVariant;
 use snacc_core::streamer::encode_read_cmd;
+use snacc_faults::FaultPlan;
 use snacc_fpga::axis::{self, StreamBeat};
 use snacc_nvme::NvmeProfile;
 use snacc_sim::SimDuration;
@@ -168,6 +171,21 @@ impl FaultSummary {
     pub fn injected_failures(&self) -> u64 {
         self.nvme_errors + self.pcie_timeouts
     }
+
+    /// Whether every failure was retried or given up. Without a command
+    /// timeout each injected failure is one failed completion, so
+    /// `injected == retries + gave_up` (DESIGN §12). A timeout adds
+    /// failures of its own and can overtake an injected one, whose late
+    /// completion the streamer then ignores; so with one, it is the
+    /// failures the streamer saw, timeouts included, that must balance.
+    pub fn accounted(&self, cmd_timeout: bool) -> bool {
+        let failures = if cmd_timeout {
+            self.streamer_errors
+        } else {
+            self.injected_failures()
+        };
+        failures == self.retries + self.gave_up
+    }
 }
 
 impl std::fmt::Display for FaultSummary {
@@ -195,7 +213,7 @@ impl std::fmt::Display for FaultSummary {
 /// case-study job calls this before it runs, so a sweep generates the
 /// ten 9.4 MB bodies once however many workers run it, and no worker
 /// holds a copy of its own.
-pub fn share_class_images() {
+fn share_class_images() {
     static BODIES: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
     let bodies = BODIES.get_or_init(|| {
         (0..u64::from(NUM_CLASSES))
@@ -211,7 +229,7 @@ pub fn share_class_images() {
 /// `mem.<config>.nand_backing_bytes` and `mem.<config>.host_backing_bytes`.
 /// `<config>` is `label` lower-cased, with every run of other characters
 /// folded to `_` ("FPGA (On-board DRAM)" becomes `fpga_on_board_dram`).
-pub fn record_backing_bytes(label: &str, report: &CaseStudyReport) {
+fn record_backing_bytes(label: &str, report: &CaseStudyReport) {
     let config = label
         .to_ascii_lowercase()
         .split(|c: char| !c.is_ascii_alphanumeric())
@@ -224,6 +242,60 @@ pub fn record_backing_bytes(label: &str, report: &CaseStudyReport) {
     ] {
         snacc_trace::metric_counter(&format!("mem.{config}.{store}_backing_bytes")).add(bytes);
     }
+}
+
+/// Where a case-study configuration stores the image stream (Sec 6.1).
+#[derive(Clone, Copy)]
+pub enum CaseStudyBackend {
+    /// SNAcc on the FPGA, buffering in the variant's memory.
+    Fpga(StreamerVariant),
+    /// The SPDK reference: the host moves the data to storage.
+    Spdk,
+    /// The GPU reference: the FPGA is a NIC, the GPU classifies.
+    Gpu,
+}
+
+/// The case study's five configurations, labelled as Fig 6 and Fig 7 are.
+pub const CASE_STUDIES: [(&str, CaseStudyBackend); 5] = [
+    ("FPGA (URAM)", CaseStudyBackend::Fpga(StreamerVariant::Uram)),
+    (
+        "FPGA (On-board DRAM)",
+        CaseStudyBackend::Fpga(StreamerVariant::OnboardDram),
+    ),
+    (
+        "FPGA (Host DRAM)",
+        CaseStudyBackend::Fpga(StreamerVariant::HostDram),
+    ),
+    ("SPDK", CaseStudyBackend::Spdk),
+    ("GPU", CaseStudyBackend::Gpu),
+];
+
+/// Run one case-study configuration as a sweep job: share the class
+/// images with this thread, run `cfg` on `backend` (an FPGA backend under
+/// `plan`'s faults) and record its residency gauges under `label`.
+/// Returns the report, and an FPGA backend's fault accounting when it
+/// ran under a plan.
+pub fn run_case_study(
+    label: &str,
+    backend: CaseStudyBackend,
+    cfg: CaseStudyConfig,
+    plan: Option<&FaultPlan>,
+) -> (CaseStudyReport, Option<FaultSummary>) {
+    share_class_images();
+    let (report, faults) = match backend {
+        CaseStudyBackend::Fpga(v) => {
+            let mut sys = SnaccSystem::bring_up(SystemConfig {
+                faults: plan.cloned(),
+                ..SystemConfig::snacc(v)
+            });
+            let report = run_snacc_case_study(&mut sys, cfg);
+            (report, plan.map(|_| FaultSummary::from_system(&sys)))
+        }
+        CaseStudyBackend::Spdk => (run_spdk_case_study(cfg, 7), None),
+        CaseStudyBackend::Gpu => (run_gpu_case_study(cfg, GpuModel::default(), 7), None),
+    };
+    record_backing_bytes(label, &report);
+    (report, faults)
 }
 
 /// Sequential bandwidth through the streamer (Fig 4a): transfers `total`

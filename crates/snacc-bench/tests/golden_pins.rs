@@ -8,13 +8,14 @@
 //! A refactor that moves a simulated result, or the number of events it
 //! took to get there, fails here. Every binary must also keep the
 //! `peak_rss_kb` it records within its [`RSS_BUDGETS_KIB`] entry, which
-//! guards the zero-copy media and the systems freeing themselves on drop.
+//! guards the zero-copy media and the systems freeing themselves on drop,
+//! and the `wall_seconds` it records within its [`WALL_BUDGETS_S`] entry.
 //!
 //! The fault campaigns in `campaign_pins!` are pinned the same way, plus
 //! the stderr lines carrying their fault accounting (`faults:`), which is
 //! printed only on stderr: `tests/golden/<bin>_<plan>.faults`. Each has a
-//! peak-RSS budget of its own under its pin name; a lossy fig6 campaign
-//! peaks above fig6's.
+//! peak-RSS and a wall-time budget of its own under its pin name; a lossy
+//! fig6 campaign peaks above fig6's.
 //!
 //! A change that moves results on purpose re-pins in the same commit: run
 //! each binary as [`run`] does and check in its stdout and event count.
@@ -52,6 +53,39 @@ const RSS_BUDGETS_KIB: &[(&str, u64)] = &[
     ("table1", 16 << 10),
 ];
 
+/// Quick-mode wall-time budgets, in seconds, one per binary and one per
+/// fault campaign: 3× the slowest of five quick runs, one binary at a
+/// time, on a 2-core VM whose wall times drift by ±25 %, and 0.5 s at
+/// least. ext_flowctl's 1.7 s fails the byte-by-byte stream it used to
+/// build and check (2.8–3.3 s quick).
+const WALL_BUDGETS_S: &[(&str, f64)] = &[
+    ("ext_faults_flaky_ssd", 0.5),
+    ("ext_faults", 0.5),
+    ("ext_flowctl", 1.7),
+    ("ext_gen5", 1.0),
+    ("ext_multi_ssd", 1.0),
+    ("ext_ooo", 1.0),
+    ("ext_qd_sweep", 1.6),
+    ("fig4a", 2.5),
+    ("fig4b", 6.0),
+    ("fig4c", 0.5),
+    ("fig6", 21.0),
+    ("fig6_degraded_pcie", 21.0),
+    ("fig6_jobs5", 15.0),
+    ("fig6_lossy_link", 91.0),
+    ("fig7", 15.0),
+    ("table1", 0.5),
+];
+
+/// The entry of `name` in a budget table.
+fn budget<T: Copy>(table: &[(&str, T)], name: &str) -> T {
+    table
+        .iter()
+        .find(|(b, _)| *b == name)
+        .unwrap_or_else(|| panic!("{name} has no budget"))
+        .1
+}
+
 fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
@@ -64,8 +98,8 @@ fn pinned_events(bin: &str) -> Option<u64> {
         .and_then(|(_, n)| n.trim().parse().ok())
 }
 
-/// The integer `field` of a `--perf-json` record.
-fn perf_field(perf: &str, field: &str) -> u64 {
+/// The number `field` of a `--perf-json` record.
+fn perf_field<T: std::str::FromStr>(perf: &str, field: &str) -> T {
     perf.split(&format!("\"{field}\":"))
         .nth(1)
         .and_then(|s| s.trim_start().split([',', '}']).next())
@@ -82,21 +116,17 @@ struct Output {
 }
 
 /// Run `exe <args>` in quick mode in a fresh directory named after `pin`.
-/// With a `plan`, `plans/<plan>.toml` is copied in and passed as
-/// `--faults`, so the campaign line on stderr names a path that is the
-/// same everywhere.
-fn run(pin: &str, exe: &str, plan: Option<&str>, args: &[&str]) -> Output {
+/// With a `plan`, given as `(file name, TOML)`, the plan is written into
+/// the directory and passed as `--faults`, so the campaign line on stderr
+/// names a path that is the same everywhere.
+fn run(pin: &str, exe: &str, plan: Option<(&str, &str)>, args: &[&str]) -> Output {
     let dir = std::env::temp_dir().join(format!("snacc-golden-{pin}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let mut cmd = Command::new(exe);
     cmd.args(["--perf-json", "perf.json"]).args(args);
-    if let Some(plan) = plan {
-        let file = format!("{plan}.toml");
-        let src = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../../plans")
-            .join(&file);
-        std::fs::copy(&src, dir.join(&file)).unwrap_or_else(|e| panic!("{}: {e}", src.display()));
-        cmd.args(["--faults", &file]);
+    if let Some((file, toml)) = plan {
+        std::fs::write(dir.join(file), toml).expect("write plan");
+        cmd.args(["--faults", file]);
     }
     let out = cmd
         .env("SNACC_QUICK", "1")
@@ -122,8 +152,8 @@ fn golden(name: &str) -> String {
 }
 
 /// `out`'s stdout and `events_executed` against the pins of `pin`, and
-/// its peak RSS against the budget of `budget`.
-fn check_pinned(pin: &str, budget: &str, out: &Output) {
+/// its peak RSS and wall time against the budgets of `name`.
+fn check_pinned(pin: &str, name: &str, out: &Output) {
     assert_eq!(
         out.stdout,
         golden(&format!("{pin}.stdout")),
@@ -134,14 +164,17 @@ fn check_pinned(pin: &str, budget: &str, out: &Output) {
         pinned_events(pin),
         "{pin} events_executed differs from its golden pin"
     );
-    let &(_, kib) = RSS_BUDGETS_KIB
-        .iter()
-        .find(|(b, _)| *b == budget)
-        .unwrap_or_else(|| panic!("{budget} has no peak-RSS budget"));
-    let rss = perf_field(&out.perf, "peak_rss_kb");
+    let rss: u64 = perf_field(&out.perf, "peak_rss_kb");
+    let kib = budget(RSS_BUDGETS_KIB, name);
     assert!(
         rss <= kib,
-        "{budget} quick peak RSS {rss} KiB exceeds its budget of {kib} KiB"
+        "{name} quick peak RSS {rss} KiB exceeds its budget of {kib} KiB"
+    );
+    let wall: f64 = perf_field(&out.perf, "wall_seconds");
+    let secs = budget(WALL_BUDGETS_S, name);
+    assert!(
+        wall <= secs,
+        "{name} quick wall time {wall} s exceeds its budget of {secs} s"
     );
 }
 
@@ -151,7 +184,12 @@ fn check(bin: &str, exe: &str) {
 
 fn check_campaign(bin: &str, plan: &str, exe: &str) {
     let pin = format!("{bin}_{plan}");
-    let out = run(&pin, exe, Some(plan), &[]);
+    let file = format!("{plan}.toml");
+    let src = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../plans")
+        .join(&file);
+    let toml = std::fs::read_to_string(&src).unwrap_or_else(|e| panic!("{}: {e}", src.display()));
+    let out = run(&pin, exe, Some((&file, &toml)), &[]);
     check_pinned(&pin, &pin, &out);
     let faults: String = out
         .stderr
@@ -237,4 +275,23 @@ fn fig6_jobs5() {
         &["--jobs", "5"],
     );
     check_pinned("fig6", "fig6_jobs5", &out);
+}
+
+/// A `[retry] timeout_us` shorter than a healthy command times out every
+/// command and injects nothing; ext_faults must account for that, not panic.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "runs ext_faults in quick mode; use --release (CI does)"
+)]
+fn ext_faults_accounts_for_timeouts() {
+    let plan = Some(("timeout.toml", "seed = 5\n[retry]\ntimeout_us = 123\n"));
+    let out = run(
+        "ext_faults_timeout",
+        env!("CARGO_BIN_EXE_ext_faults"),
+        plan,
+        &[],
+    );
+    let accounting = "seen 512, timeouts 512, retries 0, recovered 0, gave_up 512";
+    assert!(out.stderr.contains(accounting), "{}", out.stderr);
 }

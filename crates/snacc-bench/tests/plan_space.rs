@@ -1,7 +1,8 @@
 //! Property test over the fault-plan space: plans drawn from every key's
 //! accepted range either fail to parse with a `PlanError` or run to the
 //! end on a tiny system, never panicking. Each plan that parses drives an
-//! ext_faults-shaped run (a sequential streamer read under the plan), and
+//! ext_faults-shaped run (a sequential streamer read under the plan) that
+//! must retry or give up every failure it sees, and
 //! a plan with a `[net]` section also drives a 4-image case study over
 //! the faulted capture link, with its storm and its stalls bounded (see
 //! [`bounded_for_case_study`]).
@@ -180,8 +181,10 @@ proptest! {
         };
         // Each run counts its faults in a registry of its own.
         snacc_trace::install_registry(snacc_trace::MetricsRegistry::new());
-        let (rates, _) = snacc_seq_bandwidth(system(&plan), Dir::Read, READ_BYTES);
+        let (rates, faults) = snacc_seq_bandwidth(system(&plan), Dir::Read, READ_BYTES);
         prop_assert_eq!(rates.len(), 1);
+        let cmd_timeout = plan.retry.cmd_timeout.is_some();
+        prop_assert!(faults.accounted(cmd_timeout), "{faults}\n{text}");
         if plan.net.is_some() {
             let mut sys = SnaccSystem::bring_up(system(&bounded_for_case_study(&plan)));
             let cfg = CaseStudyConfig {

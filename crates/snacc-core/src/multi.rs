@@ -30,16 +30,6 @@ impl MultiSsd {
         }
     }
 
-    /// Number of member SSDs.
-    pub fn width(&self) -> usize {
-        self.streamers.len()
-    }
-
-    /// Member streamer `i`.
-    pub fn member(&self, i: usize) -> &StreamerHandle {
-        &self.streamers[i]
-    }
-
     /// Split a logical `(addr, len)` extent into per-member extents under
     /// round-robin striping. Returns `(member, member_addr, len)` pieces
     /// in logical order.

@@ -45,11 +45,6 @@ impl<T> CommandRob<T> {
         }
     }
 
-    /// Retirement policy.
-    pub fn mode(&self) -> RetirementMode {
-        self.mode
-    }
-
     /// May a new command be issued right now?
     ///
     /// * In-order: the window counts every unretired command — this is the
@@ -102,11 +97,6 @@ impl<T> CommandRob<T> {
     /// Is the ROB empty?
     pub fn is_empty(&self) -> bool {
         self.order.is_empty()
-    }
-
-    /// Commands at the device (issued, not yet completed).
-    pub fn inflight_device(&self) -> u16 {
-        self.inflight_device
     }
 
     /// Re-arm an in-flight command for replay under a fresh cid, keeping
@@ -239,7 +229,7 @@ mod tests {
         assert_ne!(b2, b);
         // A late CQE for the old cid is ignored.
         rob.complete(b, false);
-        assert_eq!(rob.inflight_device(), 3);
+        assert_eq!(rob.inflight_device, 3);
         rob.complete(a, true);
         rob.complete(c, true);
         rob.complete(b2, true);
@@ -264,7 +254,7 @@ mod tests {
         let a = rob.issue(());
         rob.complete(a, true);
         rob.complete(a, true);
-        assert_eq!(rob.inflight_device(), 0);
+        assert_eq!(rob.inflight_device, 0);
     }
 
     proptest! {
@@ -316,7 +306,7 @@ mod tests {
                     rob.retire_front();
                     retired += 1;
                 }
-                prop_assert!(rob.inflight_device() <= depth);
+                prop_assert!(rob.inflight_device <= depth);
             }
             prop_assert_eq!(retired, total);
             prop_assert!(rob.is_empty());

@@ -191,7 +191,8 @@ pub struct StreamerMetrics {
     pub bytes_to_pe: CounterHandle,
     /// Payload bytes accepted from the PE.
     pub bytes_from_pe: CounterHandle,
-    /// Commands completed with error status.
+    /// Failed completions of live commands, timeouts included; a late
+    /// completion for a command already replayed or retired is not one.
     pub errors: CounterHandle,
     /// Doorbell writes issued over PCIe.
     pub doorbells: CounterHandle,
@@ -1132,13 +1133,13 @@ fn handle_completion(
         s.rob.complete(cid, true);
         return None;
     }
-    s.metrics.errors.inc();
     let policy = s.cfg.retry;
     let attempts = match s.rob.payload(cid) {
         Some(cmd) => cmd.attempts,
         // Stale cid: a late CQE for a command already replayed or retired.
         None => return None,
     };
+    s.metrics.errors.inc();
     if status.is_transient() && attempts < policy.max_retries {
         if let Some(rf) = &s.regfile {
             rf.borrow_mut().clear(cid);

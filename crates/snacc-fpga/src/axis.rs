@@ -62,8 +62,6 @@ pub struct AxisChannel {
     queued_bytes: u64,
     data_hook: Option<Hook>,
     space_hook: Option<Hook>,
-    total_beats: u64,
-    total_bytes: u64,
     /// A producer was refused for lack of space and no pop has freed
     /// space since — the channel is exerting backpressure. Tracked so the
     /// tracer records stall *transitions* (two events per episode) rather
@@ -82,8 +80,6 @@ impl AxisChannel {
             queued_bytes: 0,
             data_hook: None,
             space_hook: None,
-            total_beats: 0,
-            total_bytes: 0,
             stalled: false,
         }))
     }
@@ -112,16 +108,6 @@ impl AxisChannel {
     /// Is the channel empty?
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
-    }
-
-    /// Total beats ever pushed.
-    pub fn total_beats(&self) -> u64 {
-        self.total_beats
-    }
-
-    /// Total bytes ever pushed.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
     }
 
     /// Install the data-available hook (consumer wake-up).
@@ -158,8 +144,6 @@ pub fn push(rc: &Rc<RefCell<AxisChannel>>, en: &mut Engine, beat: StreamBeat) ->
             return false;
         }
         c.queued_bytes += beat.len() as u64;
-        c.total_beats += 1;
-        c.total_bytes += beat.len() as u64;
         c.queue.push_back(beat);
         c.data_hook.clone()
     };
@@ -254,16 +238,5 @@ mod tests {
         assert_eq!(*data_hits.borrow(), 1);
         pop(&ch, &mut en);
         assert_eq!(*space_hits.borrow(), 1);
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let mut en = Engine::new();
-        let ch = AxisChannel::new("t", 1 << 10);
-        for _ in 0..5 {
-            push(&ch, &mut en, StreamBeat::mid(vec![0; 100]));
-        }
-        assert_eq!(ch.borrow().total_beats(), 5);
-        assert_eq!(ch.borrow().total_bytes(), 500);
     }
 }

@@ -41,7 +41,6 @@ pub enum ShellError {
 pub struct TapascoShell {
     fabric: Rc<RefCell<PcieFabric>>,
     node: NodeId,
-    clock_mhz: u64,
     bar0: AddrRange,
     bar0_cursor: u64,
     bar2: Option<AddrRange>,
@@ -74,7 +73,6 @@ impl TapascoShell {
         TapascoShell {
             fabric,
             node,
-            clock_mhz: 300,
             bar0,
             bar0_cursor: bar0_base + STATUS_WINDOW,
             bar2: None,
@@ -91,12 +89,6 @@ impl TapascoShell {
     /// The shared fabric handle.
     pub fn fabric(&self) -> Rc<RefCell<PcieFabric>> {
         self.fabric.clone()
-    }
-
-    /// Design clock in MHz (the NVMe streamer runs at the 300 MHz memory
-    /// controller clock, Sec 4.5).
-    pub fn clock_mhz(&self) -> u64 {
-        self.clock_mhz
     }
 
     /// BAR0 range.

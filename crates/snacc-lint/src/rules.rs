@@ -724,13 +724,30 @@ fn pub_fn_name(line: &str) -> Option<&str> {
     (end > 0).then(|| &rest[..end])
 }
 
+/// The identifiers on sanitized `line` that may name a function: every
+/// identifier except a field, which is `.name` not followed by a call
+/// (`(`) or turbofish (`::`), and `name:` in a field declaration,
+/// initialiser or pattern. So a field cannot keep alive a `pub fn` of
+/// the same name.
+fn fn_uses(line: &str) -> impl Iterator<Item = &str> {
+    let words = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
+    words.filter(move |w| {
+        // `w` is a subslice of `line`; its offset places its neighbours.
+        let at = w.as_ptr() as usize - line.as_ptr() as usize;
+        let after = line[at + w.len()..].trim_start();
+        let field = (line[..at].ends_with('.') && !after.starts_with(['(', ':']))
+            || (after.starts_with(':') && !after.starts_with("::"));
+        w.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_') && !field
+    })
+}
+
 /// SL010 over a whole tree. `files` holds `(workspace-relative path,
 /// source)` for every file whose code may count as a use; the
 /// definitions checked are the non-test `pub fn`s under `crates/*/src`.
 /// A name counts wherever it appears as an identifier outside test code
-/// (a `#[cfg(test)]` region or a file under a `tests/` directory), so
-/// two functions that share a name keep each other alive, but a
-/// function only tests call is dead.
+/// (a `#[cfg(test)]` region or a file under a `tests/` directory) and
+/// outside field syntax ([`fn_uses`]), so two functions that share a
+/// name keep each other alive, but a function only tests call is dead.
 pub(crate) fn scan_uncalled(files: &[(String, String)]) -> Vec<Violation> {
     let clean: Vec<String> = files.iter().map(|(_, src)| sanitize(src)).collect();
     let masks: Vec<Vec<bool>> = clean
@@ -743,10 +760,7 @@ pub(crate) fn scan_uncalled(files: &[(String, String)]) -> Vec<Violation> {
             continue;
         }
         for (line, _) in text.lines().zip(in_test).filter(|(_, &t)| !t) {
-            let words = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
-            for word in
-                words.filter(|w| w.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_'))
-            {
+            for word in fn_uses(line) {
                 *uses.entry(word).or_default() += 1;
             }
         }
@@ -818,6 +832,16 @@ mod tests {
         assert!(has_ps_suffix_ident("pub fn pause_duration_ps(q: u16)"));
         assert!(!has_ps_suffix_ident("let dur_psec = 5;"));
         assert!(!has_ps_suffix_ident("let duration = 5;"));
+    }
+
+    #[test]
+    fn field_syntax_is_no_use() {
+        let line = "let n = s.len + f.call() + v.iter::<u8>(); S { len: 4u64, f }";
+        let uses: Vec<&str> = fn_uses(line).collect();
+        assert_eq!(
+            uses,
+            ["let", "n", "s", "f", "call", "v", "iter", "u8", "S", "f"]
+        );
     }
 
     #[test]

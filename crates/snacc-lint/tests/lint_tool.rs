@@ -70,6 +70,12 @@ fn uncalled_pub_fns_fire_and_called_ones_do_not() {
         uncalled.contains(&("crates/snacc-core/src/test_only.rs", 5)),
         "{uncalled:?}"
     );
+    // A field of the same name, read, initialised or destructured, is
+    // no use either.
+    assert!(
+        uncalled.contains(&("crates/snacc-core/src/field_shadow.rs", 11)),
+        "{uncalled:?}"
+    );
     // `shrink` is called in its own file, so it is alive.
     assert!(
         !uncalled.contains(&("crates/snacc-core/src/dead_binding.rs", 4)),

@@ -19,8 +19,6 @@ struct SwitchCore {
     ports: Vec<Weak<RefCell<EthMac>>>,
     /// MAC learning table: source address → port index.
     table: HashMap<MacAddr, usize>,
-    forwarded_frames: u64,
-    flooded_frames: u64,
 }
 
 impl SwitchCore {
@@ -33,7 +31,6 @@ impl SwitchCore {
 
 /// An N-port learning switch.
 pub struct EthSwitch {
-    core: Rc<RefCell<SwitchCore>>,
     ports: Vec<Rc<RefCell<EthMac>>>,
 }
 
@@ -55,8 +52,6 @@ impl EthSwitch {
         let core = Rc::new(RefCell::new(SwitchCore {
             ports: ports.iter().map(Rc::downgrade).collect(),
             table: HashMap::new(),
-            forwarded_frames: 0,
-            flooded_frames: 0,
         }));
         // Ingress hook: try to forward whenever frames arrive; egress hook:
         // retry all ingress ports whenever TX space frees up.
@@ -68,7 +63,7 @@ impl EthSwitch {
             p.borrow_mut()
                 .set_tx_space_hook(move |en| forward_all(&c2, en));
         }
-        EthSwitch { core, ports }
+        EthSwitch { ports }
     }
 
     /// Access port `i`'s MAC endpoint (to connect a peer).
@@ -79,16 +74,6 @@ impl EthSwitch {
     /// Number of ports.
     pub fn n_ports(&self) -> usize {
         self.ports.len()
-    }
-
-    /// Frames forwarded to a learned port.
-    pub fn forwarded_frames(&self) -> u64 {
-        self.core.borrow().forwarded_frames
-    }
-
-    /// Frames flooded (unknown destination).
-    pub fn flooded_frames(&self) -> u64 {
-        self.core.borrow().flooded_frames
     }
 }
 
@@ -111,15 +96,14 @@ fn forward_port(core: &Rc<RefCell<SwitchCore>>, en: &mut Engine, i: usize) {
         // Learn the source.
         core.borrow_mut().table.insert(src, i);
 
-        let (egress, flooded): (Vec<usize>, bool) = {
+        let egress: Vec<usize> = {
             let c = core.borrow();
             match c.table.get(&dst) {
-                Some(&p) if p != i => (vec![p], false),
-                Some(_) => {
-                    // Destined back to its own segment: drop (filter).
-                    (vec![], false)
-                }
-                None => ((0..c.ports.len()).filter(|&p| p != i).collect(), true),
+                Some(&p) if p != i => vec![p],
+                // Destined back to its own segment: drop (filter).
+                Some(_) => vec![],
+                // Unknown destination: flood.
+                None => (0..c.ports.len()).filter(|&p| p != i).collect(),
             }
         };
 
@@ -140,14 +124,6 @@ fn forward_port(core: &Rc<RefCell<SwitchCore>>, en: &mut Engine, i: usize) {
         let Some(frame) = mac::pop_frame(&ingress, en) else {
             return;
         };
-        {
-            let mut c = core.borrow_mut();
-            if flooded {
-                c.flooded_frames += 1;
-            } else if !egress.is_empty() {
-                c.forwarded_frames += 1;
-            }
-        }
         let egress_ports: Vec<_> = {
             let c = core.borrow();
             egress.iter().map(|&p| c.port(p)).collect()
@@ -193,8 +169,6 @@ mod tests {
         en.run();
         let got = mac::pop_frame(&b, &mut en).expect("delivered through switch");
         assert_eq!(got.payload, f.payload);
-        // First frame floods (dst unknown), so it counts as flooded.
-        assert_eq!(sw.flooded_frames(), 1);
     }
 
     #[test]
@@ -214,8 +188,8 @@ mod tests {
             EthFrame::data(MacAddr::from_index(1), MacAddr::from_index(2), vec![0; 64]),
         );
         en.run();
-        assert_eq!(sw.flooded_frames(), 1);
         let c_before = c.borrow().stats().rx_frames;
+        assert_eq!(c_before, 1, "b's frame floods to c");
         // Now a → b should be forwarded, not flooded.
         mac::send(
             &a,
@@ -223,7 +197,6 @@ mod tests {
             EthFrame::data(MacAddr::from_index(2), MacAddr::from_index(1), vec![1; 64]),
         );
         en.run();
-        assert_eq!(sw.forwarded_frames(), 1);
         assert_eq!(
             c.borrow().stats().rx_frames,
             c_before,

@@ -1,117 +1,139 @@
-//! Traffic generation and sinking for tests and benchmarks.
+//! Traffic generation and sinking for tests, benchmarks and the case
+//! study.
 //!
-//! The sender emits a deterministic byte stream (each byte is a function
-//! of its stream offset), so the sink can verify **content, order and
-//! completeness** — any loss, reorder or duplication under flow-control
-//! stress shows up as a mismatch, not just a count difference.
+//! [`FrameSender`] carries every traffic source: it cuts the `(header,
+//! body)` messages a source yields into data frames and resends a refused
+//! frame when the TX queue drains. [`StreamSender`] is its
+//! pattern source: the stream's byte at offset `o` is
+//! [`pattern_byte`]`(STREAM_SEED, o)`, so the sink can verify **content,
+//! order and completeness** — any loss, reorder or duplication under
+//! flow-control stress shows up as a mismatch, not just a count
+//! difference.
 
 use crate::frame::{EthFrame, MacAddr};
 use crate::mac::{self, EthMac};
-use snacc_sim::{Bandwidth, Engine, SimTime};
+use snacc_sim::bytes::pattern_byte;
+use snacc_sim::{Bandwidth, Engine, Payload, SimTime};
 use std::cell::RefCell;
 use std::rc::{Rc, Weak};
 
-/// The expected payload byte at stream offset `off`.
-#[inline]
-pub fn pattern_byte(off: u64) -> u8 {
-    (off.wrapping_mul(31) ^ (off >> 8)) as u8
-}
+/// The seed of [`StreamSender`]'s byte stream.
+pub const STREAM_SEED: u64 = 0x5eed;
 
-/// Streams `total_bytes` of patterned data as fixed-size frames.
-pub struct StreamSender {
+/// Sends the messages of a source as data frames of at most
+/// `frame_payload` bytes. Each frame is a window of the message: only the
+/// frame that straddles the header/body seam copies its bytes.
+pub struct FrameSender<F> {
     /// The MAC it is installed on, which owns it through its hook.
     mac: Weak<RefCell<EthMac>>,
     dst: MacAddr,
-    payload_size: usize,
-    total_bytes: u64,
-    sent_bytes: u64,
-    finished_at: Option<SimTime>,
+    frame_payload: usize,
+    /// Yields the next `(header, body)` message, or `None` when done.
+    source: F,
+    /// The message being cut, and how many of its bytes the MAC accepted.
+    current: Option<(Payload, Payload, usize)>,
 }
 
+impl<F: FnMut() -> Option<(Payload, Payload)> + 'static> FrameSender<F> {
+    /// Send `source`'s messages from `mac_rc` to `dst`: as many frames as
+    /// the TX queue takes now, and more on each TX-space hook.
+    pub fn start(
+        en: &mut Engine,
+        mac_rc: &Rc<RefCell<EthMac>>,
+        dst: MacAddr,
+        frame_payload: usize,
+        source: F,
+    ) {
+        assert!(frame_payload > 0, "frames must carry payload");
+        let mut s = FrameSender {
+            mac: Rc::downgrade(mac_rc),
+            dst,
+            frame_payload,
+            source,
+            current: None,
+        };
+        s.kick(en);
+        mac_rc.borrow_mut().set_tx_space_hook(move |en| s.kick(en));
+    }
+
+    /// Push frames while the MAC accepts them. A refused frame stays the
+    /// current position, to go first on the next hook.
+    fn kick(&mut self, en: &mut Engine) {
+        let mac_rc = self
+            .mac
+            .upgrade()
+            .expect("frame sender -> MAC: the MAC was dropped");
+        let src = mac_rc.borrow().addr();
+        loop {
+            let (hdr, body, pos) = match self.current.take() {
+                Some(at) => at,
+                None => match (self.source)() {
+                    Some((hdr, body)) => (hdr, body, 0),
+                    None => return,
+                },
+            };
+            let hb = hdr.len();
+            let total = hb + body.len();
+            let end = total.min(pos + self.frame_payload);
+            let payload = if pos >= hb {
+                body.slice(pos - hb..end - hb)
+            } else if end <= hb {
+                hdr.slice(pos..end)
+            } else {
+                Payload::concat(&[hdr.slice(pos..hb), body.slice(0..end - hb)])
+            };
+            if !mac::send(&mac_rc, en, EthFrame::data(self.dst, src, payload)) {
+                self.current = Some((hdr, body, pos));
+                return;
+            }
+            if end < total {
+                self.current = Some((hdr, body, end));
+            }
+        }
+    }
+}
+
+/// Streams `total_bytes` of the [`STREAM_SEED`] pattern as frames of
+/// `payload_size` bytes. Each frame is a lazy pattern window, so no frame
+/// bytes are built unless a receiver reads them.
+pub struct StreamSender;
+
 impl StreamSender {
-    /// Create and arm a sender on `mac`; it begins transmitting when
-    /// [`kick`](Self::kick) is called and refills on TX-space events.
+    /// Start streaming from `mac_rc` to `dst`.
     pub fn start(
         mac_rc: Rc<RefCell<EthMac>>,
         en: &mut Engine,
         dst: MacAddr,
         payload_size: usize,
         total_bytes: u64,
-    ) -> Rc<RefCell<StreamSender>> {
-        let s = Rc::new(RefCell::new(StreamSender {
-            mac: Rc::downgrade(&mac_rc),
-            dst,
-            payload_size,
-            total_bytes,
-            sent_bytes: 0,
-            finished_at: None,
-        }));
-        let s2 = s.clone();
-        mac_rc
-            .borrow_mut()
-            .set_tx_space_hook(move |en| StreamSender::kick(&s2, en));
-        StreamSender::kick(&s, en);
-        s
-    }
-
-    fn mac(&self) -> Rc<RefCell<EthMac>> {
-        self.mac
-            .upgrade()
-            .expect("stream sender -> MAC: the MAC was dropped")
-    }
-
-    /// Push as many frames as the TX queue accepts right now.
-    pub fn kick(rc: &Rc<RefCell<StreamSender>>, en: &mut Engine) {
-        loop {
-            let frame = {
-                let mut s = rc.borrow_mut();
-                if s.sent_bytes >= s.total_bytes {
-                    if s.finished_at.is_none() {
-                        s.finished_at = Some(en.now());
-                    }
-                    return;
-                }
-                let n = (s.payload_size as u64).min(s.total_bytes - s.sent_bytes) as usize;
-                let mut payload = vec![0u8; n];
-                for (i, b) in payload.iter_mut().enumerate() {
-                    *b = pattern_byte(s.sent_bytes + i as u64);
-                }
-                let src = s.mac().borrow().addr();
-                let f = EthFrame::data(s.dst, src, payload);
-                // Tentatively account; rolled back if refused.
-                s.sent_bytes += n as u64;
-                f
-            };
-            let mac_rc = rc.borrow().mac();
-            let n = frame.payload.len() as u64;
-            if !mac::send(&mac_rc, en, frame) {
-                rc.borrow_mut().sent_bytes -= n;
-                return;
-            }
-        }
-    }
-
-    /// Bytes handed to the MAC so far.
-    pub fn sent_bytes(&self) -> u64 {
-        self.sent_bytes
-    }
-
-    /// When the last byte was queued (None while still sending).
-    pub fn finished_at(&self) -> Option<SimTime> {
-        self.finished_at
+    ) {
+        let mut sent = 0u64;
+        FrameSender::start(en, &mac_rc, dst, payload_size, move || {
+            let n = (payload_size as u64).min(total_bytes - sent);
+            (n > 0).then(|| {
+                let window = Payload::pattern(STREAM_SEED + sent, n as usize);
+                sent += n;
+                (Payload::empty(), window)
+            })
+        });
     }
 }
 
-/// Consumes frames at a bounded rate and verifies the pattern.
+/// Consumes frames at a bounded rate and verifies them against
+/// [`StreamSender`]'s stream.
 pub struct RateSink {
     /// The MAC it is installed on, which owns it through its hook.
     mac: Weak<RefCell<EthMac>>,
     /// None = drain at infinite speed.
     rate: Option<Bandwidth>,
-    received_bytes: u64,
-    mismatches: u64,
+    /// Total payload bytes consumed.
+    pub received_bytes: u64,
+    /// Bytes that differ from the stream at their offset (0 = perfect
+    /// in-order delivery).
+    pub mismatches: u64,
     busy: bool,
-    last_byte_at: SimTime,
+    /// Arrival time of the most recent byte.
+    pub last_byte_at: SimTime,
 }
 
 impl RateSink {
@@ -145,10 +167,16 @@ impl RateSink {
             return;
         };
         let mut s = rc.borrow_mut();
-        for (i, &b) in frame.payload.iter().enumerate() {
-            if b != pattern_byte(s.received_bytes + i as u64) {
-                s.mismatches += 1;
-            }
+        // An intact frame is the stream's window at `received_bytes`; only
+        // a frame shifted by loss, or rebuilt, needs its bytes compared.
+        let at = s.received_bytes;
+        if frame.payload.pattern_origin() != Some(STREAM_SEED + at) {
+            s.mismatches += frame
+                .payload
+                .iter()
+                .zip(at..)
+                .filter(|&(&b, off)| b != pattern_byte(STREAM_SEED, off))
+                .count() as u64;
         }
         s.received_bytes += frame.payload.len() as u64;
         s.last_byte_at = en.now();
@@ -171,21 +199,6 @@ impl RateSink {
             }
         }
     }
-
-    /// Total payload bytes consumed.
-    pub fn received_bytes(&self) -> u64 {
-        self.received_bytes
-    }
-
-    /// Pattern mismatches observed (0 = perfect in-order delivery).
-    pub fn mismatches(&self) -> u64 {
-        self.mismatches
-    }
-
-    /// Arrival time of the most recent byte.
-    pub fn last_byte_at(&self) -> SimTime {
-        self.last_byte_at
-    }
 }
 
 #[cfg(test)]
@@ -194,16 +207,53 @@ mod tests {
     use crate::mac::MacConfig;
 
     #[test]
-    fn pattern_is_deterministic() {
-        assert_eq!(pattern_byte(12345), pattern_byte(12345));
-        // Not constant.
-        assert!(
-            (0..100)
-                .map(pattern_byte)
-                .collect::<std::collections::HashSet<_>>()
-                .len()
-                > 10
-        );
+    fn frame_sender_frames_rebuild_every_message() {
+        const FRAME: usize = 8192;
+        // A capture-sized image is 9.4 MB against a 256 KiB TX queue, so
+        // the sender is refused and resumes about a thousand times per
+        // image. The messages cover a header inside the first frame, a
+        // header longer than a frame, and no header at all.
+        let image = 2048 * 1536 * 3;
+        let msgs = [
+            (
+                Payload::from_vec(vec![0xab; 13]),
+                Payload::pattern(1, image),
+            ),
+            (
+                Payload::pattern(2, 20_000),
+                Payload::from_vec(vec![7; 5000]),
+            ),
+            (Payload::empty(), Payload::pattern(3, image)),
+        ];
+        let mut en = Engine::new();
+        let a = EthMac::new("a", MacAddr::from_index(1), MacConfig::eth_100g(), 1);
+        let b = EthMac::new("b", MacAddr::from_index(2), MacConfig::eth_100g(), 2);
+        mac::connect(&a, &b);
+        let frames = Rc::new(RefCell::new(Vec::new()));
+        let (got, rx) = (frames.clone(), Rc::downgrade(&b));
+        b.borrow_mut().set_rx_hook(move |en| {
+            let rx = rx.upgrade().expect("receiver alive");
+            while let Some(f) = mac::pop_frame(&rx, en) {
+                got.borrow_mut().push(f.payload);
+            }
+        });
+        let mut source = msgs.clone().into_iter();
+        FrameSender::start(&mut en, &a, MacAddr::from_index(2), FRAME, move || {
+            source.next()
+        });
+        en.run();
+        let frames = frames.borrow();
+        assert!(frames.iter().all(|f| !f.is_empty() && f.len() <= FRAME));
+        let mut frames = frames.iter();
+        for (hdr, body) in &msgs {
+            let want = [hdr.as_slice(), body.as_slice()].concat();
+            let mut got = Vec::new();
+            while got.len() < want.len() {
+                got.extend_from_slice(frames.next().expect("frames for every message"));
+            }
+            assert!(got == want, "a message came back changed");
+        }
+        assert!(frames.next().is_none(), "frames beyond the last message");
     }
 
     #[test]
@@ -214,11 +264,11 @@ mod tests {
         mac::connect(&a, &b);
         let total: u64 = 16 << 20;
         let sink = RateSink::attach(b.clone(), None);
-        let _sender = StreamSender::start(a.clone(), &mut en, MacAddr::from_index(2), 4096, total);
+        StreamSender::start(a.clone(), &mut en, MacAddr::from_index(2), 4096, total);
         let end = en.run();
         let s = sink.borrow();
-        assert_eq!(s.received_bytes(), total);
-        assert_eq!(s.mismatches(), 0);
+        assert_eq!(s.received_bytes, total);
+        assert_eq!(s.mismatches, 0);
         // Goodput close to 100 G line rate (≈ 12.37 GB/s after overhead).
         let gbps = total as f64 / 1e9 / end.as_secs_f64();
         assert!(gbps > 11.5 && gbps < 12.5, "{gbps}");
@@ -233,11 +283,11 @@ mod tests {
         let total: u64 = 8 << 20;
         // Sink drains at ~2 GB/s — far below line rate.
         let sink = RateSink::attach(b.clone(), Some(Bandwidth::gb_per_s(2.0)));
-        let _sender = StreamSender::start(a.clone(), &mut en, MacAddr::from_index(2), 4096, total);
+        StreamSender::start(a.clone(), &mut en, MacAddr::from_index(2), 4096, total);
         let end = en.run();
         let s = sink.borrow();
-        assert_eq!(s.received_bytes(), total);
-        assert_eq!(s.mismatches(), 0);
+        assert_eq!(s.received_bytes, total);
+        assert_eq!(s.mismatches, 0);
         assert_eq!(b.borrow().stats().rx_drops, 0);
         let gbps = total as f64 / 1e9 / end.as_secs_f64();
         assert!(gbps < 2.2, "throughput {gbps} must be sink-bound");

@@ -101,7 +101,7 @@ pub const FAULT_MIN_BYTES: u64 = 4096;
 /// * **Link degradation** — every eligible transaction *issued* inside
 ///   the window pays a fixed extra latency. Deterministic: no RNG draw,
 ///   so it perturbs timing without consuming randomness.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct PcieFaultConfig {
     /// Probability that an eligible non-posted read times out.
     pub timeout_rate: f64,
@@ -113,30 +113,6 @@ pub struct PcieFaultConfig {
     pub degrade_extra: SimDuration,
     /// Seed for the timeout draws.
     pub seed: u64,
-}
-
-impl PcieFaultConfig {
-    /// Timeouts only, across the whole run.
-    pub fn timeouts(rate: f64, seed: u64) -> Self {
-        PcieFaultConfig {
-            timeout_rate: rate,
-            window: None,
-            degrade_window: None,
-            degrade_extra: SimDuration::from_ns(0),
-            seed,
-        }
-    }
-
-    /// A degradation window only (no timeouts, no RNG consumption).
-    pub fn degraded(window: (SimTime, SimTime), extra: SimDuration) -> Self {
-        PcieFaultConfig {
-            timeout_rate: 0.0,
-            window: None,
-            degrade_window: Some(window),
-            degrade_extra: extra,
-            seed: 0,
-        }
-    }
 }
 
 /// Counters kept by the fabric fault injector (its `faults.pcie.*`
@@ -642,7 +618,11 @@ mod tests {
         let (mut en, mut fab, fpga, _) = setup();
         let t = scratch("bar");
         fab.map_region(fpga, AddrRange::new(0x0, 0x10000), t);
-        fab.install_faults(PcieFaultConfig::timeouts(1.0, 7));
+        fab.install_faults(PcieFaultConfig {
+            timeout_rate: 1.0,
+            seed: 7,
+            ..Default::default()
+        });
         // A doorbell-sized read is never faulted.
         assert!(fab.read_u32(&mut en, HOST_NODE, 0x0).is_ok());
         // A bulk read times out every time at rate 1.0.
@@ -674,7 +654,11 @@ mod tests {
             .read(&mut en, SimTime::ZERO, HOST_NODE, 0x0, 8192)
             .unwrap();
         let win = (SimTime::ZERO, SimTime::ZERO + SimDuration::from_us(1000));
-        fab.install_faults(PcieFaultConfig::degraded(win, SimDuration::from_us(5)));
+        fab.install_faults(PcieFaultConfig {
+            degrade_window: Some(win),
+            degrade_extra: SimDuration::from_us(5),
+            ..Default::default()
+        });
         let t1 = fab
             .write(&mut en, SimTime::ZERO, HOST_NODE, 0x0, buf)
             .unwrap();

@@ -298,6 +298,17 @@ impl Payload {
         }
     }
 
+    /// Where this window starts in the generator's byte stream when it is
+    /// a lazy pattern window: `seed + offset`, so byte `i` of the window
+    /// is [`pattern_byte`]`(0, origin + i)`. `None` for every other
+    /// backing. O(1); nothing is materialised.
+    pub fn pattern_origin(&self) -> Option<u64> {
+        match &self.repr {
+            Repr::Pattern(p) => Some(p.seed.wrapping_add(self.off as u64)),
+            Repr::Bytes(_) | Repr::Static(_) | Repr::Fill(_) => None,
+        }
+    }
+
     /// The materialised byte buffer behind this window, as `(identity,
     /// buffer length)`: every window of one buffer reports the same
     /// identity, so callers can count shared buffers once. Static bytes

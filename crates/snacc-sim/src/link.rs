@@ -134,11 +134,6 @@ impl SharedLink {
         self.latency
     }
 
-    /// When the link next becomes idle.
-    pub fn free_at(&self) -> SimTime {
-        self.free_at
-    }
-
     /// Total bytes ever moved across this link.
     pub fn bytes_transferred(&self) -> u64 {
         self.bytes
@@ -238,7 +233,7 @@ mod tests {
         let mut l = SharedLink::new("test", Bandwidth::gb_per_s(1.0), SimDuration::ZERO);
         let a = l.transfer_with_overhead(SimTime::ZERO, 100, SimDuration::from_ns(20));
         assert_eq!(a.as_ns(), 120);
-        assert_eq!(l.free_at().as_ns(), 120);
+        assert_eq!(l.free_at.as_ns(), 120);
     }
 
     proptest! {
@@ -280,7 +275,7 @@ mod tests {
                     }
                 };
                 prop_assert_eq!(got, want);
-                prop_assert_eq!(link.free_at(), free_at);
+                prop_assert_eq!(link.free_at, free_at);
             }
         }
     }

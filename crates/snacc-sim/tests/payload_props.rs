@@ -62,20 +62,36 @@ proptest! {
     }
 
     /// Pattern segments materialise to exactly `pattern_byte(seed, i)`,
-    /// and slicing before materialisation equals slicing after.
+    /// and slicing before materialisation equals slicing after. A pattern
+    /// window and every slice of it report `seed + offset` as their
+    /// origin; bytes, fill and static windows of the same bytes report
+    /// none.
     #[test]
     fn pattern_windows_are_pure(
         seed in any::<u64>(),
         len in 0u64..500,
         cut in any::<u64>(),
+        fill in any::<u8>(),
     ) {
         let flat: Vec<u8> = (0..len).map(|i| pattern_byte(seed, i)).collect();
         let p = Payload::pattern(seed, len as usize);
         let mid = (cut % (len + 1)) as usize;
         let (head, tail) = p.split_at(mid);
+        prop_assert_eq!(p.pattern_origin(), Some(seed));
+        prop_assert_eq!(head.pattern_origin(), Some(seed));
+        prop_assert_eq!(tail.pattern_origin(), Some(seed.wrapping_add(mid as u64)));
         prop_assert_eq!(head.as_slice(), &flat[..mid]);
         prop_assert_eq!(tail.as_slice(), &flat[mid..]);
         prop_assert_eq!(p.as_slice(), &flat[..]);
+        let origin = seed.wrapping_add(mid as u64);
+        for (i, &b) in tail.iter().enumerate() {
+            prop_assert_eq!(b, pattern_byte(0, origin.wrapping_add(i as u64)));
+        }
+        let bytes = Payload::from_vec(flat);
+        prop_assert_eq!(bytes.pattern_origin(), None);
+        prop_assert_eq!(bytes.slice(mid..len as usize).pattern_origin(), None);
+        prop_assert_eq!(Payload::fill(fill, len as usize).pattern_origin(), None);
+        prop_assert_eq!(Payload::from_static(b"static").pattern_origin(), None);
     }
 
     /// A [`PayloadQueue`] fed arbitrary segments and drained with

@@ -306,11 +306,6 @@ impl SpdkNvme {
         !i.free_slots.is_empty() && !i.io_sq.is_full()
     }
 
-    /// Commands currently in flight.
-    pub fn inflight(&self) -> usize {
-        self.inner.borrow().inflight.len()
-    }
-
     /// Statistics snapshot.
     pub fn stats(&self) -> SpdkStats {
         self.inner.borrow().stats

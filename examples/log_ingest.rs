@@ -8,8 +8,9 @@
 
 use snacc::net::frame::MacAddr;
 use snacc::net::mac::{self, EthMac, MacConfig};
-use snacc::net::traffic::{pattern_byte, StreamSender};
+use snacc::net::traffic::{StreamSender, STREAM_SEED};
 use snacc::prelude::*;
+use snacc::sim::bytes::pattern_byte;
 
 fn main() {
     let mut sys = SnaccSystem::bring_up(SystemConfig::snacc(StreamerVariant::Uram));
@@ -22,7 +23,7 @@ fn main() {
 
     let total: u64 = 512 << 20; // 512 MiB of log data
     let batch: u64 = 2 << 20; // 2 MiB append batches
-    let _sender = StreamSender::start(tx.clone(), &mut sys.en, MacAddr::from_index(2), 8192, total);
+    StreamSender::start(tx.clone(), &mut sys.en, MacAddr::from_index(2), 8192, total);
 
     // Ingest loop: drain frames into append batches, write each batch as
     // one streamer transfer. Frames stay in the MAC RX buffer (and PAUSE
@@ -88,7 +89,11 @@ fn main() {
         .nvme
         .with(|d| d.nand_mut().media_mut().read_vec(probe_off, 4096));
     for (i, &b) in media.iter().enumerate() {
-        assert_eq!(b, pattern_byte(probe_off + i as u64), "log corrupted");
+        assert_eq!(
+            b,
+            pattern_byte(STREAM_SEED, probe_off + i as u64),
+            "log corrupted"
+        );
     }
     println!("log integrity probe at +{} MiB: ok", probe_off >> 20);
 }

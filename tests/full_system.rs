@@ -185,14 +185,15 @@ fn spdk_and_streamer_agree_on_media_state() {
 fn ethernet_to_storage_is_lossless_under_backpressure() {
     use snacc::net::frame::MacAddr;
     use snacc::net::mac::{self, EthMac, MacConfig};
-    use snacc::net::traffic::{pattern_byte, StreamSender};
+    use snacc::net::traffic::{StreamSender, STREAM_SEED};
+    use snacc::sim::bytes::pattern_byte;
     let mut sys = SnaccSystem::bring_up(SystemConfig::snacc(StreamerVariant::Uram));
     let ports = sys.streamer.ports();
     let tx = EthMac::new("src", MacAddr::from_index(1), MacConfig::eth_100g(), 31);
     let rx = EthMac::new("dst", MacAddr::from_index(2), MacConfig::eth_100g(), 32);
     mac::connect(&tx, &rx);
     let total: u64 = 32 << 20;
-    let _sender = StreamSender::start(tx.clone(), &mut sys.en, MacAddr::from_index(2), 8192, total);
+    StreamSender::start(tx.clone(), &mut sys.en, MacAddr::from_index(2), 8192, total);
     // Forward the byte stream into one big storage append.
     let hdr = StreamBeat::mid(0u64.to_le_bytes().to_vec());
     axis::push(&ports.wr_in, &mut sys.en, hdr);
@@ -224,6 +225,6 @@ fn ethernet_to_storage_is_lossless_under_backpressure() {
         .nvme
         .with(|d| d.nand_mut().media_mut().read_vec(probe, 8192));
     for (i, &b) in media.iter().enumerate() {
-        assert_eq!(b, pattern_byte(probe + i as u64));
+        assert_eq!(b, pattern_byte(STREAM_SEED, probe + i as u64));
     }
 }
