@@ -13,7 +13,7 @@
 //! the GPU reference ([`crate::gpu`]).
 
 use crate::images::{
-    class_body, class_image, classify, content_key, downscale, ImageFormat, ImageHeader,
+    class_body, class_image, classify, content_key, Downscaler, ImageFormat, ImageHeader,
     HEADER_BYTES, IMAGE_MAGIC, NUM_CLASSES,
 };
 use snacc_core::streamer::UserPorts;
@@ -423,12 +423,16 @@ impl<S: CaseSink + 'static> DbController<S> {
                     Some(cl) => cl,
                     None => {
                         // Memo miss (once per distinct damaged content):
-                        // the downscaler needs contiguous bytes, so
-                        // materialise here.
-                        let img = Payload::concat(&tee);
-                        let small =
-                            downscale(&img, ImageFormat::capture(), ImageFormat::classify());
-                        let cl = classify(&small, ImageFormat::classify());
+                        // stream the tee's parts through the downscaler.
+                        // A part of a lazy class body materialises that
+                        // body, once per thread; generating its bytes per
+                        // image instead would cost more than it keeps.
+                        let (cap, cls) = (ImageFormat::capture(), ImageFormat::classify());
+                        let mut small = Downscaler::new(cap, cls);
+                        for part in &tee {
+                            small.feed(part.as_slice());
+                        }
+                        let cl = classify(&small.finish(), cls);
                         c.memo.insert(key, cl);
                         cl
                     }

@@ -3,10 +3,10 @@
 //! DMA, the flush read and the SPDK submit all carry payload windows; what
 //! lands on NAND must be exactly the generated images and the record page,
 //! and the NAND store must hold those bytes as windows of the sender's
-//! cached class bodies rather than as copies.
+//! lazily generated class bodies rather than as copies.
 
 use snacc_apps::gpu::GpuModel;
-use snacc_apps::images::{generate_image, ImageFormat, NUM_CLASSES};
+use snacc_apps::images::{generate_image, ImageFormat};
 use snacc_apps::pipeline::{
     image_slot_bytes, run_case_study_front, CaseSink, CaseStudyConfig, ClassRecord, RECORD_TABLE,
 };
@@ -17,8 +17,8 @@ use snacc_sim::Payload;
 
 const IMAGES: u64 = 4;
 
-/// Materialised NAND bytes allowed per image beyond the cached class
-/// bodies. The capture path copies where the sender's header/body seam
+/// Materialised NAND bytes allowed per image; the class bodies are lazy
+/// and hold none. The capture path copies where the sender's header/body seam
 /// frame meets the body (the seam frame itself, or the controller's
 /// forward chunk around it), and the device copies each 4 KiB page it
 /// fetches across a seam between windows. This run holds 13 pages: 3 per
@@ -80,16 +80,15 @@ fn check_host_staging(gpu: bool) {
     }
 
     // Residency: staged extents spanning several windows reach NAND as
-    // part lists, so the store references the class bodies themselves.
-    // A concatenating path keeps a copy of every such extent instead.
-    let classes = IMAGES.min(NUM_CLASSES as u64);
-    let bodies = classes * fmt.bytes() as u64;
+    // part lists, so the store references the lazy class bodies
+    // themselves and materialises only the seam copies. A concatenating
+    // path keeps a copy of every such extent instead, and a path that
+    // materialises a body holds its 9.4 MB.
     let held = host.nvme.with(|d| d.nand_mut().media_mut().backing_bytes());
     let slack = IMAGES * SLACK_PAGES_PER_IMAGE * 4096;
     assert!(
-        (bodies..=bodies + slack).contains(&held),
-        "NAND holds {held} B in materialised buffers; class bodies are {bodies} B, \
-         allowed slack {slack} B (gpu: {gpu})"
+        held <= slack,
+        "NAND holds {held} B in materialised buffers, allowed {slack} B (gpu: {gpu})"
     );
 }
 

@@ -1,7 +1,6 @@
 //! Shared workload drivers for the evaluation binaries.
 
 use snacc_apps::gpu::{run_gpu_case_study, GpuModel};
-use snacc_apps::images::{self, generate_image, ImageFormat, NUM_CLASSES};
 use snacc_apps::pipeline::{run_snacc_case_study, CaseStudyConfig, CaseStudyReport};
 use snacc_apps::spdk_ref::run_spdk_case_study;
 use snacc_apps::system::{HostSystem, SnaccSystem, SystemConfig};
@@ -12,7 +11,6 @@ use snacc_fpga::axis::{self, StreamBeat};
 use snacc_nvme::NvmeProfile;
 use snacc_sim::SimDuration;
 use snacc_spdk::SpdkConfig;
-use std::sync::OnceLock;
 
 /// Arm the periodic telemetry probe: every 100 µs of simulated time,
 /// sample the streamer's byte counters and the user-channel occupancies
@@ -208,22 +206,6 @@ impl std::fmt::Display for FaultSummary {
     }
 }
 
-/// Give this thread's class-image table the process's one set of class
-/// bodies, generating the set on the first call from any thread. Each
-/// case-study job calls this before it runs, so a sweep generates the
-/// ten 9.4 MB bodies once however many workers run it, and no worker
-/// holds a copy of its own.
-fn share_class_images() {
-    static BODIES: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
-    let bodies = BODIES.get_or_init(|| {
-        (0..u64::from(NUM_CLASSES))
-            .map(|c| generate_image(ImageFormat::capture(), c).1)
-            .collect()
-    });
-    let bodies: Vec<&'static [u8]> = bodies.iter().map(Vec::as_slice).collect();
-    images::fill_class_table(&bodies);
-}
-
 /// Put a finished case-study configuration's residency gauges into the
 /// metrics registry, so `--metrics-json` reports them as
 /// `mem.<config>.nand_backing_bytes` and `mem.<config>.host_backing_bytes`.
@@ -270,9 +252,9 @@ pub const CASE_STUDIES: [(&str, CaseStudyBackend); 5] = [
     ("GPU", CaseStudyBackend::Gpu),
 ];
 
-/// Run one case-study configuration as a sweep job: share the class
-/// images with this thread, run `cfg` on `backend` (an FPGA backend under
-/// `plan`'s faults) and record its residency gauges under `label`.
+/// Run one case-study configuration as a sweep job: run `cfg` on
+/// `backend` (an FPGA backend under `plan`'s faults) and record its
+/// residency gauges under `label`.
 /// Returns the report, and an FPGA backend's fault accounting when it
 /// ran under a plan.
 pub fn run_case_study(
@@ -281,7 +263,6 @@ pub fn run_case_study(
     cfg: CaseStudyConfig,
     plan: Option<&FaultPlan>,
 ) -> (CaseStudyReport, Option<FaultSummary>) {
-    share_class_images();
     let (report, faults) = match backend {
         CaseStudyBackend::Fpga(v) => {
             let mut sys = SnaccSystem::bring_up(SystemConfig {
@@ -549,26 +530,4 @@ pub fn spdk_latency_us(dir: Dir, trials: u32, seed: u64) -> f64 {
         sum += lat.borrow().as_us_f64();
     }
     sum / trials as f64
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sweep_threads_share_one_image_set() {
-        // Two worker threads' tables are windows of the same bodies: the
-        // set is generated once, not once per thread.
-        let backing = || {
-            std::thread::spawn(|| {
-                share_class_images();
-                images::class_body(3).owned_backing()
-            })
-            .join()
-            .expect("worker thread")
-        };
-        let first = backing();
-        assert!(first.is_some());
-        assert_eq!(backing(), first);
-    }
 }

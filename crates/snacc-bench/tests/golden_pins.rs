@@ -24,16 +24,19 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// Quick-mode peak-RSS budgets, in KiB, one per binary and one per fault
-/// campaign. The budgets of all but fig6 and fig7 are a few times the
-/// measured peak, so a store that grows with the address space rather
-/// than with the bytes written fails here. fig6 and fig7 peak near
-/// 105 MB, most of it the ten 9.4 MB class bodies of the process's one
-/// class-image table; their 192 MiB budgets fail once the host-staging
-/// configurations keep a copy of each staged extent again (about 1 MB per
-/// frame). Under frame loss NAND keeps more copies: the lossy fig6
-/// campaign peaked at 196,764 KiB. fig6 as a five-worker sweep
-/// (`fig6_jobs5`) peaked at 602 MB while each worker generated a body set
-/// of its own; its 260 MiB budget fails if that comes back.
+/// campaign. The budgets are a few times the measured peak, so a store
+/// that grows with the address space rather than with the bytes written
+/// fails here. The class bodies are lazily generated, so fig6, fig7 and
+/// the degraded-PCIe campaign peak near 10–13 MB; their 32 MiB budgets
+/// fail if a fault-free run materialises the ten 9.4 MB bodies again
+/// (they peaked near 105 MB while every thread held them), or if the
+/// host-staging configurations keep a copy of each staged extent again
+/// (about 1 MB per frame). fig6 as a five-worker sweep (`fig6_jobs5`)
+/// peaks near 40 MB; its 96 MiB budget fails if each worker holds a body
+/// set of its own again (602 MB once, 133 MB with one shared set). Under
+/// frame loss each thread materialises the bodies of the damaged images'
+/// classes once, and NAND keeps more copies: the lossy fig6 campaign
+/// peaked at 171,332 KiB.
 const RSS_BUDGETS_KIB: &[(&str, u64)] = &[
     ("ext_faults_flaky_ssd", 16 << 10),
     ("ext_faults", 16 << 10),
@@ -45,11 +48,11 @@ const RSS_BUDGETS_KIB: &[(&str, u64)] = &[
     ("fig4a", 64 << 10),
     ("fig4b", 64 << 10),
     ("fig4c", 16 << 10),
-    ("fig6", 192 << 10),
-    ("fig6_degraded_pcie", 192 << 10),
-    ("fig6_jobs5", 260 << 10),
+    ("fig6", 32 << 10),
+    ("fig6_degraded_pcie", 32 << 10),
+    ("fig6_jobs5", 96 << 10),
     ("fig6_lossy_link", 256 << 10),
-    ("fig7", 192 << 10),
+    ("fig7", 32 << 10),
     ("table1", 16 << 10),
 ];
 
@@ -259,9 +262,9 @@ campaign_pins!(
 );
 
 /// fig6 with a worker per configuration prints fig6's pinned stdout and
-/// retires its pinned events. Every worker fills its class-image table
-/// from the process's one set of bodies, so the sweep stays within a
-/// budget of its own (`fig6_jobs5`).
+/// retires its pinned events. Every worker's class-image table holds
+/// lazy bodies only, so the sweep stays within a budget of its own
+/// (`fig6_jobs5`).
 #[test]
 #[cfg_attr(
     debug_assertions,

@@ -12,9 +12,9 @@
 //! `ext_faults` campaign, the `--metrics-json` file of `fig7`, and the
 //! `--perf-json` event count, do not depend on the worker count either.
 //! fig7's metrics include each configuration's
-//! `mem.*.nand_backing_bytes`, which counts the class bodies its NAND
-//! holds whether its worker's table generated them or shares the
-//! process's one set. A binary that runs no sweep refuses `--jobs`.
+//! `mem.*.nand_backing_bytes`: the seam copies its NAND holds, never the
+//! class bodies, which are lazy windows in every worker's table. A binary
+//! that runs no sweep refuses `--jobs`.
 
 use std::path::Path;
 use std::process::Command;

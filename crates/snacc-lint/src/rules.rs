@@ -61,7 +61,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "SL008",
-        summary: "no .to_vec()/.clone() on payload buffers (`data`/`payload`) in model-crate hot paths — share snacc_sim::Payload windows; in the functional-media layer (snacc-mem, nand.rs) ANY .to_vec()/copy_from_slice() byte materialisation is flagged",
+        summary: "no .to_vec()/.clone() on payload buffers (`data`/`payload`) in model-crate hot paths — share snacc_sim::Payload windows; in the functional-media layer (snacc-mem, nand.rs) ANY .to_vec()/copy_from_slice()/.copy_to() byte materialisation is flagged",
         scope: "all simulation crates (non-test code; tests/examples exempt)",
     },
     RuleInfo {
@@ -631,7 +631,7 @@ fn sl008(ctx: &FileCtx, out: &mut Vec<Violation>) {
         }
         if strict {
             // Any materialisation in the functional-media layer.
-            if let Some(op) = [".to_vec(", "copy_from_slice("]
+            if let Some(op) = [".to_vec(", "copy_from_slice(", ".copy_to("]
                 .into_iter()
                 .find(|op| line.contains(op))
             {

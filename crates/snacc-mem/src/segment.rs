@@ -138,8 +138,6 @@ pub struct SegmentMemory {
     /// Every key insert and removal in `segs` goes through `put`/`take`,
     /// which keep this in step.
     window_starts: HashMap<u64, u32, BuildHasherDefault<WindowHasher>>,
-    bytes_written: u64,
-    bytes_read: u64,
 }
 
 impl SegmentMemory {
@@ -186,16 +184,6 @@ impl SegmentMemory {
         self.segs.len()
     }
 
-    /// Total bytes written through the write paths.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written
-    }
-
-    /// Total bytes read through the read paths.
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read
-    }
-
     /// Write `data` starting at byte address `addr`, copying it once: in
     /// place when one segment covers the span and the store holds its
     /// owned buffer alone, else into a new backing (prefer
@@ -216,7 +204,6 @@ impl SegmentMemory {
         if data.is_unique() && self.write_in_place(addr, &data) {
             return;
         }
-        self.bytes_written += data.len() as u64;
         self.insert_segment(addr, data);
         self.maybe_coalesce(addr);
     }
@@ -227,11 +214,7 @@ impl SegmentMemory {
         let Some((s, slot)) = self.covering_slot(addr, data.len()) else {
             return false;
         };
-        let done = self.slab[slot as usize].overwrite_unique((addr - s) as usize, data);
-        if done {
-            self.bytes_written += data.len() as u64;
-        }
-        done
+        self.slab[slot as usize].overwrite_unique((addr - s) as usize, data)
     }
 
     /// Fill `[addr, addr + len)` with `byte` as lazy shared-backing fill
@@ -242,7 +225,6 @@ impl SegmentMemory {
         if len == 0 {
             return;
         }
-        self.bytes_written += len;
         let backing = Payload::fill(byte, FILL_CHUNK.min(len) as usize);
         let mut cur = addr;
         let end = addr + len;
@@ -255,17 +237,29 @@ impl SegmentMemory {
     }
 
     /// Read into `out` starting at byte address `addr`. Unwritten bytes
-    /// come back as zero; untouched extents never allocate.
+    /// come back as zero; untouched extents never allocate, and lazy
+    /// segments copy out without materialising. A span inside one segment
+    /// copies straight from it and builds no part list.
     pub fn read(&mut self, addr: u64, out: &mut [u8]) {
-        self.bytes_read += out.len() as u64;
-        self.read_at(addr, out);
+        let one = self.covering(addr, out.len());
+        let many = match one {
+            Some(_) => Vec::new(),
+            None => self.gather_parts(addr, out.len()),
+        };
+        let mut off = 0usize;
+        for p in one.iter().chain(&many) {
+            let n = p.len();
+            // The copy below is the byte-API boundary: callers handed us a
+            // borrowed output buffer, so the bytes must land there.
+            p.copy_to(&mut out[off..off + n]);
+            off += n;
+        }
     }
 
     /// Read `len` bytes starting at `addr` as one [`Payload`] — zero-copy
     /// when one segment covers the span (or the span is a gap, which comes
     /// back as lazy zero-fill); spans crossing backings copy once.
     pub fn read_payload(&mut self, addr: u64, len: usize) -> Payload {
-        self.bytes_read += len as u64;
         if len == 0 {
             return Payload::empty();
         }
@@ -282,7 +276,6 @@ impl SegmentMemory {
     /// Read `len` bytes starting at `addr` as a list of zero-copy payload
     /// parts (in address order, gaps as lazy zero-fill). Never copies.
     pub fn read_payload_parts(&mut self, addr: u64, len: usize) -> Vec<Payload> {
-        self.bytes_read += len as u64;
         self.gather_parts(addr, len)
     }
 
@@ -437,25 +430,6 @@ impl SegmentMemory {
             parts.push(Payload::fill(0, (end - cur) as usize));
         }
         parts
-    }
-
-    /// Copy `[addr, addr + out.len())` into `out` without touching the
-    /// read counter (shared by `read` and the coalescer). A span inside one
-    /// segment copies straight from it and builds no part list.
-    fn read_at(&mut self, addr: u64, out: &mut [u8]) {
-        let one = self.covering(addr, out.len());
-        let many = match one {
-            Some(_) => Vec::new(),
-            None => self.gather_parts(addr, out.len()),
-        };
-        let mut off = 0usize;
-        for p in one.iter().chain(&many) {
-            let n = p.len();
-            // The copy below is the byte-API boundary: callers handed us a
-            // borrowed output buffer, so the bytes must land there.
-            out[off..off + n].copy_from_slice(p.as_slice());
-            off += n;
-        }
     }
 
     /// Grow the write cursor's segment in place by `data` when `data`
@@ -636,10 +610,8 @@ impl SegmentMemory {
         if lo >= hi {
             return;
         }
-        let len = (hi - lo) as usize;
-        let mut buf = vec![0u8; len];
-        self.read_at(lo, &mut buf);
-        self.insert_segment(lo, Payload::from_vec(buf));
+        let merged = Payload::build((hi - lo) as usize, |buf| self.read(lo, buf));
+        self.insert_segment(lo, merged);
     }
 }
 
@@ -816,7 +788,6 @@ mod tests {
         want[..4].fill(3);
         want[16..32].fill(2);
         assert_eq!(m.read_vec(0, 64), want);
-        assert_eq!(m.bytes_written(), 84);
     }
 
     #[test]
@@ -833,7 +804,6 @@ mod tests {
         want[..4].copy_from_slice(b"cqe0");
         want[16..32].fill(2);
         assert_eq!(m.read_vec(0, 64), want);
-        assert_eq!(m.bytes_written(), 84);
     }
 
     #[test]
@@ -933,7 +903,6 @@ mod tests {
         let data: Vec<u8> = (0..=255).collect();
         m.write(1000, &data);
         assert_eq!(m.read_vec(1000, 256), data);
-        assert_eq!(m.bytes_written(), 256);
     }
 
     #[test]
@@ -1335,13 +1304,10 @@ mod tests {
     #[test]
     fn identical_rewrites_keep_the_layout() {
         let (mut l, b) = cursor_with_known_successor();
-        // Inside the write cursor's segment: found at the cursor. The
-        // bytes `[6, 14)` still count as written.
-        let written = l.m.bytes_written();
+        // Inside the write cursor's segment: found at the cursor.
         l.rewrite(100, 0, 7 << 16 | 5);
         assert_eq!(layout(&l.m), [(0, 1536), (8192, 512)]);
         assert_eq!(l.m.write_cursor.as_ref().map(|c| c.start), Some(0));
-        assert_eq!(l.m.bytes_written(), written + 8);
         // Touching either end, or the whole segment: the walk.
         for how in 1..=3 {
             l.rewrite(100, how, 300);

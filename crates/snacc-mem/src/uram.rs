@@ -40,16 +40,6 @@ impl UramModel {
         }
     }
 
-    /// Total bytes read out of the buffer.
-    pub fn bytes_read(&self) -> u64 {
-        self.read_port.bytes_transferred()
-    }
-
-    /// Total bytes written into the buffer.
-    pub fn bytes_written(&self) -> u64 {
-        self.write_port.bytes_transferred()
-    }
-
     /// Direct functional access (no timing).
     pub fn store_mut(&mut self) -> &mut SegmentMemory {
         &mut self.store
@@ -128,11 +118,11 @@ mod tests {
     }
 
     #[test]
-    fn meters_accumulate() {
+    fn written_bytes_read_back() {
         let mut u = model();
-        u.write_payload(SimTime::ZERO, 0, Payload::from([0u8; 100]));
-        u.read_payload(SimTime::ZERO, 0, 50);
-        assert_eq!(u.bytes_written(), 100);
-        assert_eq!(u.bytes_read(), 50);
+        let data: Vec<u8> = (0..100).collect();
+        u.write_payload(SimTime::ZERO, 0, Payload::from_vec(data.clone()));
+        let (p, _) = u.read_payload(SimTime::ZERO, 25, 50);
+        assert_eq!(p, data[25..75].to_vec());
     }
 }

@@ -262,7 +262,7 @@ mod tests {
         u.write(&mut en, SimTime::ZERO, 4096, Payload::from(b"hello"));
         let (out, _) = u.read(&mut en, SimTime::ZERO, 4096, 5);
         assert_eq!(out, b"hello"[..]);
-        assert_eq!(u.bytes_written(), 5);
+        assert_eq!(u.store_mut().read_vec(4095, 7), b"\0hello\0");
     }
 
     #[test]

@@ -4,13 +4,16 @@
 //! streamer buffer → PCIe → NVMe) used to own a fresh `Vec<u8>`, so a
 //! 4 KiB page was memcpy'd once per layer. [`Payload`] is an immutable,
 //! cheaply-cloneable view into shared bytes: a reference-counted backing
-//! buffer (or bytes that outlive the program's threads,
-//! [`Payload::from_static`]) plus an `(offset, len)` window. Cloning, slicing and splitting
-//! are O(1) and allocation-free; the bytes are copied at most once — at
-//! ingress, or never for pattern-generated synthetic data.
+//! buffer, or a lazy segment whose bytes are a pure function of their
+//! offset ([`Payload::pattern`], [`Payload::fill`],
+//! [`Payload::generated`]), plus an `(offset, len)` window. Cloning,
+//! slicing and splitting are O(1) and allocation-free; the bytes are
+//! copied at most once — at ingress, or never for generated data.
 //!
 //! `Payload` dereferences to `[u8]`, so read sites (`&beat.data[0..8]`,
-//! iteration, `len()`) work unchanged. The type is single-threaded by
+//! iteration, `len()`) work unchanged; that materialises a lazy segment
+//! once, for all sharers. [`Payload::copy_to`] and [`Payload::byte_at`]
+//! read a window without materialising it. The type is single-threaded by
 //! design (`Rc`, not `Arc`): the DES engine and everything it models are
 //! single-threaded, and the workspace lints (SL003) keep atomics out of
 //! simulation crates.
@@ -20,26 +23,71 @@ use std::fmt;
 use std::ops::{Deref, Range};
 use std::rc::Rc;
 
-/// A lazily materialised synthetic segment: bytes are a pure function of
-/// `(seed, offset)`, generated once on first access and shared by every
-/// clone/slice of the segment.
-struct PatternSeg {
-    seed: u64,
+/// A caller's generator: writes a segment's bytes at an offset into a
+/// buffer.
+type GenFn = dyn Fn(usize, &mut [u8]);
+
+/// What a lazy segment's bytes are.
+enum Gen {
+    /// Byte `i` is [`pattern_byte`]`(seed, i)`.
+    Pattern(u64),
+    /// Every byte is this one.
+    Fill(u8),
+    /// A caller's generator, boxed twice so that the pointer is thin: a
+    /// `Gen`, and with it every pattern and fill segment, stays two words.
+    /// The segment store holds one lazy segment per 4 KiB pattern page
+    /// written.
+    Func(Box<Box<GenFn>>),
+}
+
+impl Gen {
+    /// Write the segment's bytes `[off, off + out.len())` into `out`.
+    fn write(&self, off: usize, out: &mut [u8]) {
+        match self {
+            Gen::Pattern(seed) => {
+                for (i, b) in out.iter_mut().enumerate() {
+                    *b = pattern_byte(*seed, (off + i) as u64);
+                }
+            }
+            Gen::Fill(byte) => out.fill(*byte),
+            Gen::Func(f) => f(off, out),
+        }
+    }
+}
+
+/// A lazily materialised segment: its bytes are a pure function of the
+/// offset, generated whole on the first [`Payload::as_slice`] and shared
+/// by every clone and slice of the segment. A copy-out read before that
+/// generates only the bytes it copies.
+struct LazySeg {
+    gen: Gen,
     total_len: usize,
     cache: OnceCell<Box<[u8]>>,
 }
 
-impl PatternSeg {
+impl LazySeg {
     fn bytes(&self) -> &[u8] {
-        self.cache.get_or_init(|| {
-            // Filling a preallocated buffer in place vectorises;
-            // collecting the iterator byte-by-byte does not.
-            let mut v = vec![0u8; self.total_len];
-            for (i, b) in v.iter_mut().enumerate() {
-                *b = pattern_byte(self.seed, i as u64);
+        self.cache.get_or_init(|| match self.gen {
+            // A constant buffer from `vec!`: a zero fill maps fresh zero
+            // pages and touches none of them.
+            Gen::Fill(byte) => vec![byte; self.total_len].into_boxed_slice(),
+            // Others are written into a preallocated buffer: a fill in
+            // place vectorises, collecting byte by byte does not.
+            _ => {
+                let mut v = vec![0u8; self.total_len];
+                self.gen.write(0, &mut v);
+                v.into_boxed_slice()
             }
-            v.into_boxed_slice()
         })
+    }
+
+    /// Copy bytes `[off, off + out.len())` into `out`: from the cache when
+    /// the segment is materialised, else straight from the generator.
+    fn copy_to(&self, off: usize, out: &mut [u8]) {
+        match self.cache.get() {
+            Some(b) => out.copy_from_slice(&b[off..off + out.len()]),
+            None => self.gen.write(off, out),
+        }
     }
 }
 
@@ -52,28 +100,10 @@ pub fn pattern_byte(seed: u64, offset: u64) -> u8 {
     (x ^ (x >> 7) ^ 0x5a) as u8
 }
 
-/// A lazily materialised constant-fill segment: every byte is `byte`,
-/// allocated once on first access and shared by every clone/slice.
-struct FillSeg {
-    byte: u8,
-    total_len: usize,
-    cache: OnceCell<Box<[u8]>>,
-}
-
-impl FillSeg {
-    fn bytes(&self) -> &[u8] {
-        self.cache
-            .get_or_init(|| vec![self.byte; self.total_len].into_boxed_slice())
-    }
-}
-
 #[derive(Clone)]
 enum Repr {
     Bytes(Rc<[u8]>),
-    /// Bytes that outlive every handle: no refcount to keep.
-    Static(&'static [u8]),
-    Pattern(Rc<PatternSeg>),
-    Fill(Rc<FillSeg>),
+    Lazy(Rc<LazySeg>),
 }
 
 /// An immutable, cheaply-cloneable byte buffer: shared backing storage
@@ -98,28 +128,35 @@ impl Payload {
         }
     }
 
-    /// Take ownership of `v` without copying.
+    /// Take `v`'s bytes. They are copied once into a new shared buffer
+    /// (its reference counts live in the same allocation) and `v` is
+    /// freed; a large buffer is better written in place with
+    /// [`Payload::build`].
     pub fn from_vec(v: Vec<u8>) -> Payload {
-        let len = v.len();
+        Payload::from(&v[..])
+    }
+
+    /// A buffer of `len` bytes that `write` fills in place (it receives
+    /// them zeroed): one allocation, and no copy after `write`.
+    pub fn build(len: usize, write: impl FnOnce(&mut [u8])) -> Payload {
+        let mut buf: Rc<[u8]> = std::iter::repeat_n(0, len).collect();
+        write(Rc::get_mut(&mut buf).expect("a fresh buffer has one handle"));
         Payload {
-            repr: Repr::Bytes(Rc::from(v.into_boxed_slice())),
+            repr: Repr::Bytes(buf),
             off: 0,
             len,
         }
     }
 
-    /// A window over bytes that live for the whole program, such as an
-    /// image set generated once and shared by every thread. Nothing is
-    /// copied or counted; the window behaves like one over a materialised
-    /// buffer (adjacent windows join zero-copy, [`owned_backing`] reports
-    /// it), except that it is never unique.
-    ///
-    /// [`owned_backing`]: Payload::owned_backing
-    pub fn from_static(bytes: &'static [u8]) -> Payload {
+    fn lazy(gen: Gen, len: usize) -> Payload {
         Payload {
-            repr: Repr::Static(bytes),
+            repr: Repr::Lazy(Rc::new(LazySeg {
+                gen,
+                total_len: len,
+                cache: OnceCell::new(),
+            })),
             off: 0,
-            len: bytes.len(),
+            len,
         }
     }
 
@@ -127,15 +164,7 @@ impl Payload {
     /// [`pattern_byte`]`(seed, i)`. Nothing is allocated until the bytes
     /// are first read; all clones and slices share one materialisation.
     pub fn pattern(seed: u64, len: usize) -> Payload {
-        Payload {
-            repr: Repr::Pattern(Rc::new(PatternSeg {
-                seed,
-                total_len: len,
-                cache: OnceCell::new(),
-            })),
-            off: 0,
-            len,
-        }
+        Payload::lazy(Gen::Pattern(seed), len)
     }
 
     /// A lazily allocated constant-fill segment of `len` bytes, each equal
@@ -144,15 +173,18 @@ impl Payload {
     /// this for reads of never-written (zero) extents and for prewarmed
     /// fill data, so untouched gigabytes stay metadata-only.
     pub fn fill(byte: u8, len: usize) -> Payload {
-        Payload {
-            repr: Repr::Fill(Rc::new(FillSeg {
-                byte,
-                total_len: len,
-                cache: OnceCell::new(),
-            })),
-            off: 0,
-            len,
-        }
+        Payload::lazy(Gen::Fill(byte), len)
+    }
+
+    /// A lazily generated segment of `len` bytes whose bytes `[off, off +
+    /// out.len())` `gen(off, out)` writes into `out`. `gen` must be pure:
+    /// the same offset always yields the same bytes, whatever the window.
+    /// Nothing is allocated until [`as_slice`](Payload::as_slice)
+    /// materialises the whole segment, once for all clones and slices;
+    /// [`copy_to`](Payload::copy_to) and [`byte_at`](Payload::byte_at)
+    /// generate only the bytes they read.
+    pub fn generated(len: usize, gen: impl Fn(usize, &mut [u8]) + 'static) -> Payload {
+        Payload::lazy(Gen::Func(Box::new(Box::new(gen))), len)
     }
 
     /// Window length in bytes.
@@ -167,15 +199,48 @@ impl Payload {
         self.len == 0
     }
 
-    /// The bytes of this window. Pattern segments materialise (once, for
+    /// The bytes of this window. A lazy segment materialises (once, for
     /// all sharers) on first call.
     #[inline]
     pub fn as_slice(&self) -> &[u8] {
         match &self.repr {
             Repr::Bytes(b) => &b[self.off..self.off + self.len],
-            Repr::Static(b) => &b[self.off..self.off + self.len],
-            Repr::Pattern(p) => &p.bytes()[self.off..self.off + self.len],
-            Repr::Fill(s) => &s.bytes()[self.off..self.off + self.len],
+            Repr::Lazy(l) => &l.bytes()[self.off..self.off + self.len],
+        }
+    }
+
+    /// Copy the window's bytes into `out`, which must be as long as the
+    /// window. A lazy segment that is not materialised yet generates just
+    /// these bytes and stays unmaterialised.
+    pub fn copy_to(&self, out: &mut [u8]) {
+        assert_eq!(
+            out.len(),
+            self.len,
+            "copy_to needs a buffer of the window's length"
+        );
+        self.copy_at(0, out);
+    }
+
+    /// Byte `i` of the window, read like [`copy_to`](Payload::copy_to)
+    /// reads: a lazy segment is not materialised for it. Panics if `i` is
+    /// past the window.
+    pub fn byte_at(&self, i: usize) -> u8 {
+        assert!(
+            i < self.len,
+            "byte {i} out of bounds for payload of {} bytes",
+            self.len
+        );
+        let mut b = [0u8];
+        self.copy_at(i, &mut b);
+        b[0]
+    }
+
+    /// Copy window bytes `[at, at + out.len())` into `out`.
+    fn copy_at(&self, at: usize, out: &mut [u8]) {
+        let from = self.off + at;
+        match &self.repr {
+            Repr::Bytes(b) => out.copy_from_slice(&b[from..from + out.len()]),
+            Repr::Lazy(l) => l.copy_to(from, out),
         }
     }
 
@@ -200,9 +265,10 @@ impl Payload {
         (self.slice(0..mid), self.slice(mid..self.len))
     }
 
-    /// Concatenate parts. Adjacent windows of the same backing buffer are
-    /// merged zero-copy; anything else copies into one fresh buffer (the
-    /// only copying operation on this type besides ingress).
+    /// Concatenate parts. Adjacent windows of the same backing are merged
+    /// zero-copy; anything else is copied once into one fresh buffer (the
+    /// only copying operation on this type besides ingress). Lazy parts
+    /// are copied out without being materialised.
     pub fn concat(parts: &[Payload]) -> Payload {
         match parts {
             [] => Payload::empty(),
@@ -216,19 +282,21 @@ impl Payload {
                     end = p.off + p.len;
                     adj
                 });
+                let total: usize = parts.iter().map(|p| p.len).sum();
                 if contiguous {
-                    let total: usize = parts.iter().map(|p| p.len).sum();
                     return Payload {
                         repr: first.repr.clone(),
                         off: first.off,
                         len: total,
                     };
                 }
-                let mut v = Vec::with_capacity(parts.iter().map(|p| p.len).sum());
-                for p in parts {
-                    v.extend_from_slice(p.as_slice());
-                }
-                Payload::from_vec(v)
+                Payload::build(total, |buf| {
+                    let mut at = 0;
+                    for p in parts {
+                        p.copy_to(&mut buf[at..at + p.len]);
+                        at += p.len;
+                    }
+                })
             }
         }
     }
@@ -265,9 +333,8 @@ impl Payload {
     /// Copy `data` over the window's bytes starting at `at`, in place, when
     /// the backing is a materialised buffer that no other handle shares
     /// (`Rc::get_mut` succeeds). Returns `false` and changes nothing for
-    /// static, lazy pattern and fill windows and for shared buffers, so no other
-    /// window can ever see its bytes change. Panics if the span exceeds
-    /// the window.
+    /// lazy windows and for shared buffers, so no other window can ever
+    /// see its bytes change. Panics if the span exceeds the window.
     pub fn overwrite_unique(&mut self, at: usize, data: &[u8]) -> bool {
         let end = at + data.len();
         assert!(
@@ -283,18 +350,18 @@ impl Payload {
                 }
                 None => false,
             },
-            Repr::Static(_) | Repr::Pattern(_) | Repr::Fill(_) => false,
+            Repr::Lazy(_) => false,
         }
     }
 
     /// True when this handle is the only one on a materialised buffer: no
     /// clone, slice or store shares its bytes, so copying them out and
-    /// dropping the handle frees the buffer. Static windows and lazy
-    /// pattern and fill windows are never unique.
+    /// dropping the handle frees the buffer. Lazy windows are never
+    /// unique.
     pub fn is_unique(&self) -> bool {
         match &self.repr {
             Repr::Bytes(b) => Rc::strong_count(b) == 1 && Rc::weak_count(b) == 0,
-            Repr::Static(_) | Repr::Pattern(_) | Repr::Fill(_) => false,
+            Repr::Lazy(_) => false,
         }
     }
 
@@ -304,21 +371,22 @@ impl Payload {
     /// backing. O(1); nothing is materialised.
     pub fn pattern_origin(&self) -> Option<u64> {
         match &self.repr {
-            Repr::Pattern(p) => Some(p.seed.wrapping_add(self.off as u64)),
-            Repr::Bytes(_) | Repr::Static(_) | Repr::Fill(_) => None,
+            Repr::Lazy(l) => match l.gen {
+                Gen::Pattern(seed) => Some(seed.wrapping_add(self.off as u64)),
+                Gen::Fill(_) | Gen::Func(_) => None,
+            },
+            Repr::Bytes(_) => None,
         }
     }
 
     /// The materialised byte buffer behind this window, as `(identity,
     /// buffer length)`: every window of one buffer reports the same
-    /// identity, so callers can count shared buffers once. Static bytes
-    /// count like a buffer of their own. `None` for lazy pattern and fill
-    /// windows.
+    /// identity, so callers can count shared buffers once. `None` for lazy
+    /// windows, materialised or not.
     pub fn owned_backing(&self) -> Option<(usize, usize)> {
         match &self.repr {
             Repr::Bytes(b) => Some((Rc::as_ptr(b).cast::<u8>() as usize, b.len())),
-            Repr::Static(b) => Some((b.as_ptr() as usize, b.len())),
-            Repr::Pattern(_) | Repr::Fill(_) => None,
+            Repr::Lazy(_) => None,
         }
     }
 }
@@ -475,20 +543,26 @@ impl PayloadQueue {
     }
 }
 
-/// First index of a non-empty `needle` in `hay`. Testing the first byte
-/// before the whole window keeps the scan from calling a slice compare at
-/// every offset.
+/// First index of a non-empty `needle` in `hay`. Blocks of 64 candidate
+/// starts that hold no first byte of `needle` are skipped by a
+/// branch-free test that vectorises; a whole-window compare runs only at
+/// a first-byte hit.
 fn position_of(hay: &[u8], needle: &[u8]) -> Option<usize> {
-    hay.windows(needle.len())
-        .position(|w| w[0] == needle[0] && w == needle)
+    let starts = (hay.len() + 1).checked_sub(needle.len())?;
+    let first = needle[0];
+    (0..starts).step_by(64).find_map(|base| {
+        let block = &hay[base..starts.min(base + 64)];
+        if !block.iter().fold(false, |hit, &b| hit | (b == first)) {
+            return None;
+        }
+        (base..base + block.len()).find(|&i| hay[i] == first && &hay[i..i + needle.len()] == needle)
+    })
 }
 
 fn same_backing(a: &Repr, b: &Repr) -> bool {
     match (a, b) {
         (Repr::Bytes(x), Repr::Bytes(y)) => Rc::ptr_eq(x, y),
-        (Repr::Static(x), Repr::Static(y)) => std::ptr::eq(*x, *y),
-        (Repr::Pattern(x), Repr::Pattern(y)) => Rc::ptr_eq(x, y),
-        (Repr::Fill(x), Repr::Fill(y)) => Rc::ptr_eq(x, y),
+        (Repr::Lazy(x), Repr::Lazy(y)) => Rc::ptr_eq(x, y),
         _ => false,
     }
 }
@@ -571,18 +645,17 @@ impl PartialEq<&[u8]> for Payload {
 impl fmt::Debug for Payload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Don't materialise a lazy segment just to debug-print it.
-        match &self.repr {
-            Repr::Pattern(p) if p.cache.get().is_none() => {
-                return write!(
-                    f,
-                    "Payload::pattern(seed={:#x}, off={}, len={})",
-                    p.seed, self.off, self.len
-                );
+        if let Repr::Lazy(l) = &self.repr {
+            if l.cache.get().is_none() {
+                let (off, len) = (self.off, self.len);
+                return match l.gen {
+                    Gen::Pattern(seed) => {
+                        write!(f, "Payload::pattern(seed={seed:#x}, off={off}, len={len})")
+                    }
+                    Gen::Fill(byte) => write!(f, "Payload::fill(byte={byte:#04x}, len={len})"),
+                    Gen::Func(_) => write!(f, "Payload::generated(off={off}, len={len})"),
+                };
             }
-            Repr::Fill(s) if s.cache.get().is_none() => {
-                return write!(f, "Payload::fill(byte={:#04x}, len={})", s.byte, self.len);
-            }
-            _ => {}
         }
         write!(f, "Payload({} B: {:02x?})", self.len, {
             let s = self.as_slice();
@@ -686,6 +759,43 @@ mod tests {
     }
 
     #[test]
+    fn generated_copies_out_lazily_and_materialises_once() {
+        // Byte `i` is `i * 3`; the generator sees absolute offsets.
+        let p = Payload::generated(300, |off, out| {
+            for (i, b) in out.iter_mut().enumerate() {
+                *b = ((off + i) * 3) as u8;
+            }
+        });
+        let want: Vec<u8> = (0..300).map(|i| (i * 3) as u8).collect();
+        let w = p.slice(100..140);
+        let mut out = [0u8; 40];
+        w.copy_to(&mut out);
+        assert_eq!(out[..], want[100..140]);
+        assert_eq!(w.byte_at(7), want[107]);
+        // Copy-out reads left it lazy.
+        assert!(format!("{w:?}").contains("generated"), "{w:?}");
+        // `as_slice` materialises the whole segment for every window.
+        assert_eq!(w.as_slice(), &want[100..140]);
+        assert!(!format!("{p:?}").contains("generated"), "{p:?}");
+        assert_eq!(p.as_slice(), &want[..]);
+        // Copy-out now reads the cache: the same bytes.
+        p.slice(299..300).copy_to(&mut out[..1]);
+        assert_eq!(out[0], want[299]);
+        assert!(p.owned_backing().is_none() && !p.is_unique());
+    }
+
+    #[test]
+    fn build_writes_one_buffer_in_place() {
+        let p = Payload::build(5, |buf| {
+            assert_eq!(buf, &[0; 5]);
+            buf.copy_from_slice(&[1, 2, 3, 4, 5]);
+        });
+        assert_eq!(p, vec![1, 2, 3, 4, 5]);
+        assert!(p.is_unique());
+        assert_eq!(p.owned_backing().map(|(_, len)| len), Some(5));
+    }
+
+    #[test]
     fn try_join_merges_adjacent_same_backing() {
         let p = Payload::from_vec((0u8..64).collect());
         let (a, b) = p.split_at(17);
@@ -714,9 +824,9 @@ mod tests {
         let f = Payload::fill(3, 32);
         assert!(f.slice(0..8).same_window(&f.slice(0..8)));
         assert!(!f.slice(0..8).same_window(&Payload::fill(3, 8)));
-        let s = Payload::from_static(b"static bytes");
-        assert!(s.slice(1..4).same_window(&s.slice(1..4)));
-        assert!(!s.same_window(&Payload::pattern(1, s.len())));
+        let g = Payload::generated(12, |off, out| out.fill(off as u8));
+        assert!(g.slice(1..4).same_window(&g.slice(1..4)));
+        assert!(!g.same_window(&Payload::pattern(1, g.len())));
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! tiny, fast, and with well-understood statistical quality that is more
 //! than sufficient for workload generation and latency jitter.
 
+/// SplitMix64's state increment: the state after `n` draws is
+/// `seed + n·GAMMA`.
+const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
 /// A seedable SplitMix64 generator.
 #[derive(Clone, Debug)]
 pub struct SimRng {
@@ -21,11 +25,18 @@ impl SimRng {
     /// Next raw 64-bit value.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
+    }
+
+    /// Advance past the next `n` draws in O(1), exactly as `n` calls of
+    /// [`next_u64`](SimRng::next_u64) would: the generator is counter-based.
+    #[inline]
+    pub fn skip(&mut self, n: u64) {
+        self.state = self.state.wrapping_add(n.wrapping_mul(GAMMA));
     }
 
     /// Uniform in `[0, n)` via Lemire's multiply-shift reduction.
@@ -93,6 +104,19 @@ mod tests {
         let mut b = SimRng::new(42);
         for _ in 0..1000 {
             assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn skip_equals_drawing() {
+        for n in [0u64, 1, 2, 63, 1000] {
+            let mut drawn = SimRng::new(0x1417_beef);
+            for _ in 0..n {
+                drawn.next_u64();
+            }
+            let mut skipped = SimRng::new(0x1417_beef);
+            skipped.skip(n);
+            assert_eq!(skipped.next_u64(), drawn.next_u64(), "skip({n})");
         }
     }
 

@@ -1,13 +1,28 @@
 //! Property tests: [`Payload`] windowing operations are byte-equivalent
 //! to the corresponding `Vec<u8>` operations, for arbitrary contents and
 //! arbitrary (in-bounds) cut points — including slices of slices, so
-//! offset composition is exercised, static windows
-//! ([`Payload::from_static`]) against the same flat model, and
+//! offset composition is exercised, generated windows
+//! ([`Payload::generated`]) against the same flat model, and
 //! [`PayloadQueue`] against a flat `VecDeque<u8>` model.
 
 use proptest::prelude::*;
 use snacc_sim::bytes::pattern_byte;
 use snacc_sim::{Payload, PayloadQueue};
+use std::rc::Rc;
+
+/// A generated payload whose bytes are `flat`'s.
+fn generated(flat: &[u8]) -> Payload {
+    let flat: Rc<[u8]> = Rc::from(flat);
+    Payload::generated(flat.len(), move |off, out| {
+        out.copy_from_slice(&flat[off..off + out.len()])
+    })
+}
+
+/// Whether `p`'s segment is still lazy: its debug form names the generator
+/// only until it materialises.
+fn unmaterialised(p: &Payload) -> bool {
+    format!("{p:?}").starts_with("Payload::generated")
+}
 
 proptest! {
     /// `slice(a..b)` equals `&v[a..b]` for any in-bounds range, and a
@@ -64,7 +79,7 @@ proptest! {
     /// Pattern segments materialise to exactly `pattern_byte(seed, i)`,
     /// and slicing before materialisation equals slicing after. A pattern
     /// window and every slice of it report `seed + offset` as their
-    /// origin; bytes, fill and static windows of the same bytes report
+    /// origin; bytes, fill and generated windows of the same bytes report
     /// none.
     #[test]
     fn pattern_windows_are_pure(
@@ -87,11 +102,11 @@ proptest! {
         for (i, &b) in tail.iter().enumerate() {
             prop_assert_eq!(b, pattern_byte(0, origin.wrapping_add(i as u64)));
         }
-        let bytes = Payload::from_vec(flat);
+        let bytes = Payload::from_vec(flat.clone());
         prop_assert_eq!(bytes.pattern_origin(), None);
         prop_assert_eq!(bytes.slice(mid..len as usize).pattern_origin(), None);
         prop_assert_eq!(Payload::fill(fill, len as usize).pattern_origin(), None);
-        prop_assert_eq!(Payload::from_static(b"static").pattern_origin(), None);
+        prop_assert_eq!(generated(&flat).pattern_origin(), None);
     }
 
     /// A [`PayloadQueue`] fed arbitrary segments and drained with
@@ -121,50 +136,80 @@ proptest! {
         }
     }
 
-    /// Windows over static bytes behave like windows over a `Vec`:
-    /// `as_slice`, slices of slices, splits that re-join zero-copy (by
-    /// `concat` and `try_join`, keeping the backing), and `concat` with
-    /// unrelated parts all match the flat model. They report their bytes
-    /// as an owned backing and are never unique.
+    /// Windows of a generated segment behave like windows over a `Vec`.
+    /// Copy-out reads (`copy_to`, `byte_at`), slices of slices, splits
+    /// that re-join zero-copy (by `concat` and `try_join`, keeping the
+    /// window's backing), `concat` with unrelated parts and a
+    /// [`PayloadQueue`] fed its windows all match the flat model without
+    /// materialising the segment. Then `as_slice` materialises it, and
+    /// every read still matches. It reports no owned backing and is never
+    /// unique.
     #[test]
-    fn static_windows_equal_vec_model(
+    fn generated_windows_equal_vec_model(
         v in proptest::collection::vec(any::<u8>(), 0..300),
         other in proptest::collection::vec(any::<u8>(), 0..64),
-        cuts in proptest::collection::vec(any::<u64>(), 3),
+        cuts in proptest::collection::vec(any::<u64>(), 4),
+        takes in proptest::collection::vec(1u64..100, 1..8),
     ) {
-        let bytes: &'static [u8] = Box::leak(v.clone().into_boxed_slice());
-        let p = Payload::from_static(bytes);
-        prop_assert_eq!(p.as_slice(), &v[..]);
-        prop_assert_eq!(p.owned_backing(), Some((bytes.as_ptr() as usize, v.len())));
+        let p = generated(&v);
+        prop_assert_eq!(p.owned_backing(), None);
         prop_assert!(!p.is_unique());
         let n = v.len() as u64;
         let (a, b) = (cuts[0] % (n + 1), cuts[1] % (n + 1));
         let (a, b) = (a.min(b) as usize, a.max(b) as usize);
-        let s = p.slice(a..b);
-        prop_assert_eq!(s.as_slice(), &v[a..b]);
-        prop_assert_eq!(s.owned_backing(), p.owned_backing());
         let m = (b - a) as u64;
         let c = (cuts[2] % (m + 1)) as usize;
+        let s = p.slice(a..b);
         let ss = s.slice(c..b - a);
-        prop_assert_eq!(ss.as_slice(), &v[a + c..b]);
-        // Adjacent windows join without copying, in either operation.
         let (head, tail) = s.split_at(c);
-        let joined = head.try_join(&tail).expect("adjacent static windows");
-        prop_assert_eq!(joined.as_slice(), &v[a..b]);
-        prop_assert_eq!(joined.owned_backing(), p.owned_backing());
-        let merged = Payload::concat(&[head.clone(), tail.clone()]);
-        prop_assert_eq!(merged.as_slice(), &v[a..b]);
-        prop_assert_eq!(merged.owned_backing(), p.owned_backing());
-        if !tail.is_empty() {
-            prop_assert!(tail.try_join(&head).is_none());
-        }
-        // A static window and an unrelated buffer concatenate by copy.
         let o = Payload::from_vec(other.clone());
-        prop_assert!(s.try_join(&o).is_none());
-        let mixed = Payload::concat(&[s.clone(), o, tail]);
         let mut flat = v[a..b].to_vec();
         flat.extend_from_slice(&other);
         flat.extend_from_slice(&v[a + c..b]);
-        prop_assert_eq!(mixed.as_slice(), &flat[..]);
+        // Two passes over the same reads: lazy, then materialised.
+        for lazy in [true, false] {
+            let mut out = vec![0u8; b - a];
+            s.copy_to(&mut out);
+            prop_assert_eq!(&out[..], &v[a..b]);
+            let mut out = vec![0u8; b - a - c];
+            ss.copy_to(&mut out);
+            prop_assert_eq!(&out[..], &v[a + c..b]);
+            if b > a {
+                let i = (cuts[3] % m) as usize;
+                prop_assert_eq!(s.byte_at(i), v[a + i]);
+            }
+            // Adjacent windows join without copying, in either operation.
+            let joined = head.try_join(&tail).expect("adjacent generated windows");
+            prop_assert!(joined.same_window(&s));
+            prop_assert!(Payload::concat(&[head.clone(), tail.clone()]).same_window(&s));
+            if !tail.is_empty() {
+                prop_assert!(tail.try_join(&head).is_none());
+            }
+            // With an unrelated buffer, `concat` copies the parts out.
+            prop_assert!(s.try_join(&o).is_none());
+            let mixed = Payload::concat(&[s.clone(), o.clone(), tail.clone()]);
+            prop_assert_eq!(mixed.as_slice(), &flat[..]);
+            prop_assert!(mixed.owned_backing().is_some());
+            // A queue fed its windows and the unrelated buffer.
+            let mut q = PayloadQueue::new();
+            for part in [&head, &o, &tail] {
+                q.push_back(part.clone());
+            }
+            let mut model = [&v[a..a + c], &other[..], &v[a + c..b]].concat();
+            for &t in &takes {
+                let k = (t as usize).min(q.len());
+                let got = q.take(k);
+                prop_assert_eq!(got.len(), k);
+                let mut out = vec![0u8; k];
+                got.copy_to(&mut out);
+                let want: Vec<u8> = model.drain(..k).collect();
+                prop_assert_eq!(out, want);
+            }
+            prop_assert_eq!(unmaterialised(&p), lazy);
+            // Materialise: every window reads the same bytes after.
+            prop_assert_eq!(ss.as_slice(), &v[a + c..b]);
+            prop_assert_eq!(p.as_slice(), &v[..]);
+            prop_assert!(!unmaterialised(&p) && !p.is_unique());
+        }
     }
 }
