@@ -638,8 +638,8 @@ pub fn run_case_study_front<S: CaseSink + 'static>(
         102,
     );
     mac::connect(&tx, &rx);
-    if let Some(p) = plan {
-        p.apply_mac(en, &rx);
+    if let Some(n) = plan.and_then(|p| p.net) {
+        mac::install_faults(&rx, en, n);
     }
     let rx_ch = AxisChannel::new("rx-stream", 256 << 10);
     RxBridge::install(en, rx.clone(), rx_ch.clone());

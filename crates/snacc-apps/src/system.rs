@@ -125,8 +125,12 @@ impl SnaccSystem {
         let mut shell = TapascoShell::new(fabric.clone(), layout::SHELL_BAR);
         let (streamer, nvme) = add_ssd(&mut en, &fabric, &hostmem, &mut shell, &cfg, 0);
         if let Some(plan) = &cfg.faults {
-            plan.apply_nvme(&nvme);
-            plan.apply_fabric(&mut fabric.borrow_mut());
+            if let Some(n) = &plan.nvme {
+                nvme.install_faults(n.clone());
+            }
+            if let Some(p) = plan.pcie {
+                fabric.borrow_mut().install_faults(p);
+            }
         }
         SnaccSystem {
             en,

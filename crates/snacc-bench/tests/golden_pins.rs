@@ -15,7 +15,8 @@
 //! the stderr lines carrying their fault accounting (`faults:`), which is
 //! printed only on stderr: `tests/golden/<bin>_<plan>.faults`. Each has a
 //! peak-RSS and a wall-time budget of its own under its pin name; a lossy
-//! fig6 campaign peaks above fig6's.
+//! fig6 campaign peaks above fig6's. `fig6_zero_rates` checks that a plan
+//! injecting nothing changes nothing.
 //!
 //! A change that moves results on purpose re-pins in the same commit: run
 //! each binary as [`run`] does and check in its stdout and event count.
@@ -52,6 +53,7 @@ const RSS_BUDGETS_KIB: &[(&str, u64)] = &[
     ("fig6_degraded_pcie", 32 << 10),
     ("fig6_jobs5", 96 << 10),
     ("fig6_lossy_link", 256 << 10),
+    ("fig6_zero_rates", 32 << 10),
     ("fig7", 32 << 10),
     ("table1", 16 << 10),
 ];
@@ -76,6 +78,7 @@ const WALL_BUDGETS_S: &[(&str, f64)] = &[
     ("fig6_degraded_pcie", 21.0),
     ("fig6_jobs5", 15.0),
     ("fig6_lossy_link", 91.0),
+    ("fig6_zero_rates", 21.0),
     ("fig7", 15.0),
     ("table1", 0.5),
 ];
@@ -260,6 +263,39 @@ campaign_pins!(
     fig6 --faults degraded_pcie => fig6_degraded_pcie,
     ext_faults --faults flaky_ssd => ext_faults_flaky_ssd,
 );
+
+/// Injectors whose rates are all 0 draw nothing: quick fig6 under a plan
+/// with `[nvme]`, `[pcie]` and `[net]` sections, every rate 0, no window
+/// and no storm, prints fig6's pinned stdout, retires its pinned events
+/// and accounts no fault, within budgets of its own (`fig6_zero_rates`).
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "runs fig6 in quick mode; use --release (CI does)"
+)]
+fn fig6_zero_rates() {
+    let plan = "seed = 7\n[nvme]\nerror_rate = 0\nlatency_spike_rate = 0\n\
+                [pcie]\ntimeout_rate = 0\n[net]\ndrop_rate = 0\ncorrupt_rate = 0\n";
+    let out = run(
+        "fig6_zero_rates",
+        env!("CARGO_BIN_EXE_fig6"),
+        Some(("zero_rates.toml", plan)),
+        &[],
+    );
+    check_pinned("fig6", "fig6_zero_rates", &out);
+    let accounting: Vec<&str> = out
+        .stderr
+        .lines()
+        .filter_map(|l| l.strip_prefix("[fig6] "))
+        .filter_map(|l| l.split_once("faults:"))
+        .map(|(_, counts)| counts)
+        .collect();
+    assert_eq!(accounting.len(), 3, "{}", out.stderr);
+    for counts in accounting {
+        let mut numbers = counts.split(|c: char| !c.is_ascii_digit());
+        assert!(numbers.all(|n| n.is_empty() || n == "0"), "{counts}");
+    }
+}
 
 /// fig6 with a worker per configuration prints fig6's pinned stdout and
 /// retires its pinned events. Every worker's class-image table holds

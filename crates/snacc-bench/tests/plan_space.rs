@@ -23,12 +23,12 @@ const READ_BYTES: u64 = 8 << 20;
 /// `u32::MAX`, and each PAUSE is an event.
 const STORM_RUN_CAP: u32 = 32;
 
-/// Longest datapath stall a case study runs, in microseconds. The
-/// case-study front keeps its timers running while the sink stalls
-/// (about 26 events per simulated millisecond, measured with NVMe
-/// latency spikes of 1 ms to 1 s), so a stall near the 1.8e13 µs maximum
-/// would cost about 5e11 events.
-const STALL_RUN_CAP_US: f64 = 1e5;
+/// Longest datapath stall a case study runs. The case-study front keeps
+/// its timers running while the sink stalls (about 26 events per
+/// simulated millisecond, measured with NVMe latency spikes of 1 ms to
+/// 1 s), so a stall near the 1.8e13 µs maximum would cost about 5e11
+/// events.
+const STALL_RUN_CAP: SimDuration = SimDuration::from_us(100_000);
 
 /// The largest `*_us` value a plan accepts, just under `SimTime::MAX`.
 const MAX_US: f64 = 1.8e13;
@@ -146,18 +146,16 @@ fn plan_text(d: &mut Draws) -> String {
 /// retry backoff) capped, so that a run costs a bounded number of events.
 fn bounded_for_case_study(plan: &FaultPlan) -> FaultPlan {
     let mut plan = plan.clone();
-    let cap = |us: &mut f64| *us = us.min(STALL_RUN_CAP_US);
     if let Some(storm) = plan.net.as_mut().and_then(|n| n.pause_storm.as_mut()) {
         storm.count = storm.count.min(STORM_RUN_CAP);
     }
     if let Some(n) = plan.nvme.as_mut() {
-        cap(&mut n.latency_spike_us);
+        n.latency_spike = n.latency_spike.min(STALL_RUN_CAP);
     }
     if let Some(p) = plan.pcie.as_mut() {
-        cap(&mut p.degrade_extra_us);
+        p.degrade_extra = p.degrade_extra.min(STALL_RUN_CAP);
     }
-    let max_backoff = SimDuration::from_ns(STALL_RUN_CAP_US as u64 * 1000);
-    plan.retry.backoff = plan.retry.backoff.min(max_backoff);
+    plan.retry.backoff = plan.retry.backoff.min(STALL_RUN_CAP);
     plan
 }
 

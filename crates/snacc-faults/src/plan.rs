@@ -1,27 +1,25 @@
 //! Fault plans: what to break, where, and how hard.
 //!
 //! A [`FaultPlan`] is the single description of a fault campaign. It is
-//! built from a TOML-subset file (see [`FaultPlan::parse`] and the
-//! `plans/` directory at the repository root), or from one of the named
-//! presets, and then *applied* to the individual layer models — the NVMe
-//! device, the PCIe fabric, an Ethernet MAC — by the system bring-up and
-//! the case-study front that carry it. All randomness inside the
+//! parsed from a TOML-subset file (see [`FaultPlan::parse`] and the
+//! `plans/` directory at the repository root) straight into the
+//! injector configs of the layer models — the NVMe device, the PCIe
+//! fabric, an Ethernet MAC — which the system bring-up and the
+//! case-study front install as they are. Plan times are microseconds,
+//! rounded to whole nanoseconds on parsing. All randomness inside the
 //! injectors derives from [`FaultPlan::seed`] through per-layer salts,
 //! so two runs of the same plan on the same workload are event-for-event
 //! identical.
 
 use crate::minitoml::{self, TomlDoc};
 use snacc_core::config::RetryPolicy;
-use snacc_net::mac::{self, EthMac};
+use snacc_net::{MacFaultConfig, PauseStorm};
 use snacc_nvme::spec::Status;
-use snacc_nvme::{IoFaultConfig, NvmeDeviceHandle};
-use snacc_pcie::{PcieFabric, PcieFaultConfig};
-use snacc_sim::{Engine, SimDuration, SimTime};
-use snacc_trace as trace;
-use std::cell::RefCell;
+use snacc_nvme::IoFaultConfig;
+use snacc_pcie::PcieFaultConfig;
+use snacc_sim::{SimDuration, SimTime};
 use std::fmt;
 use std::path::Path;
-use std::rc::Rc;
 
 /// Errors from loading or validating a plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,84 +46,26 @@ impl fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// NVMe-layer faults: command error statuses and latency spikes.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct NvmeFaultSpec {
-    /// Probability that an I/O command completes with an error status.
-    pub error_rate: f64,
-    /// Inject a *fatal* status (LBA Out of Range) instead of the default
-    /// transient Data Transfer Error — retries then give up immediately.
-    pub fatal: bool,
-    /// Probability that an I/O command is delayed by a latency spike.
-    pub latency_spike_rate: f64,
-    /// Spike duration in microseconds.
-    pub latency_spike_us: f64,
-    /// Restrict injection to `[start, end)` microseconds (`None` = all).
-    pub window_us: Option<(f64, f64)>,
-}
-
-/// Ethernet-layer faults: frame loss, corruption, PAUSE storms.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct NetFaultSpec {
-    /// Probability that a delivered data frame is dropped on the wire.
-    pub drop_rate: f64,
-    /// Probability that a delivered data frame is discarded as corrupt.
-    pub corrupt_rate: f64,
-    /// Optional PAUSE storm (see [`PauseStormSpec`]).
-    pub pause_storm: Option<PauseStormSpec>,
-}
-
-/// A scheduled burst of PAUSE frames from a misbehaving peer. Its times
-/// count from the moment [`FaultPlan::apply_mac`] installs it, not from
-/// time zero: the case-study front does that once its link is up, a few
-/// microseconds into the run. The plan refuses a storm whose
-/// `start_us + interval_us × count` lies beyond the simulated range.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PauseStormSpec {
-    /// First PAUSE, microseconds after the storm is installed.
-    pub start_us: f64,
-    /// Number of PAUSE frames.
-    pub count: u32,
-    /// Spacing between PAUSEs in microseconds.
-    pub interval_us: f64,
-    /// Quanta per PAUSE (0xffff = maximum throttle).
-    pub quanta: u16,
-}
-
-/// PCIe-layer faults: completion timeouts and link degradation.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PcieFaultSpec {
-    /// Probability that a bulk non-posted read times out.
-    pub timeout_rate: f64,
-    /// Restrict timeout draws to `[start, end)` microseconds.
-    pub window_us: Option<(f64, f64)>,
-    /// Link-degradation window in microseconds (`None` = off).
-    pub degrade_us: Option<(f64, f64)>,
-    /// Extra latency per degraded transaction, microseconds.
-    pub degrade_extra_us: f64,
-}
-
-/// A complete, validated fault campaign.
+/// A complete, validated fault campaign. Each layer's section is the
+/// config its injector installs, its seed already derived from `seed`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
     /// Master seed; every injector RNG derives from it.
     pub seed: u64,
     /// Streamer retry policy the campaign runs under.
     pub retry: RetryPolicy,
-    /// NVMe-layer faults, if any.
-    pub nvme: Option<NvmeFaultSpec>,
-    /// Ethernet-layer faults, if any.
-    pub net: Option<NetFaultSpec>,
-    /// PCIe-layer faults, if any.
-    pub pcie: Option<PcieFaultSpec>,
+    /// `[nvme]`: command errors and latency spikes, if any.
+    pub nvme: Option<IoFaultConfig>,
+    /// `[net]`: the capture link's frame loss and PAUSE storm, if any.
+    /// Storm times count from when the case-study front installs the
+    /// faults, once its link is up a few microseconds into the run.
+    pub net: Option<MacFaultConfig>,
+    /// `[pcie]`: completion timeouts and link degradation, if any.
+    pub pcie: Option<PcieFaultConfig>,
 }
 
 fn dur_us(us: f64) -> SimDuration {
     SimDuration::from_ns((us * 1000.0).round() as u64)
-}
-
-fn time_us(us: f64) -> SimTime {
-    SimTime::ZERO + dur_us(us)
 }
 
 /// Derive a per-layer RNG seed from the master seed. SplitMix64-style
@@ -161,40 +101,13 @@ impl FaultPlan {
                 ))
             }
         };
-        let plan = FaultPlan {
+        Ok(FaultPlan {
             seed,
             retry: parse_retry(&doc)?,
-            nvme: parse_nvme(&doc)?,
+            nvme: parse_nvme(&doc, seed)?,
             net: parse_net(&doc)?,
-            pcie: parse_pcie(&doc)?,
-        };
-        plan.validate()?;
-        Ok(plan)
-    }
-
-    fn validate(&self) -> Result<(), PlanError> {
-        let check_rate = |name: &str, r: f64| {
-            if (0.0..=1.0).contains(&r) {
-                Ok(())
-            } else {
-                Err(PlanError::Invalid(format!("{name} = {r} outside [0, 1]")))
-            }
-        };
-        if let Some(n) = &self.nvme {
-            check_rate("nvme.error_rate", n.error_rate)?;
-            check_rate("nvme.latency_spike_rate", n.latency_spike_rate)?;
-            check_window("nvme", n.window_us)?;
-        }
-        if let Some(n) = &self.net {
-            check_rate("net.drop_rate", n.drop_rate)?;
-            check_rate("net.corrupt_rate", n.corrupt_rate)?;
-        }
-        if let Some(p) = &self.pcie {
-            check_rate("pcie.timeout_rate", p.timeout_rate)?;
-            check_window("pcie", p.window_us)?;
-            check_window("pcie degrade", p.degrade_us)?;
-        }
-        Ok(())
+            pcie: parse_pcie(&doc, seed)?,
+        })
     }
 
     /// Whether the plan loses data frames on the Ethernet link (a `[net]`
@@ -203,85 +116,6 @@ impl FaultPlan {
     pub fn loses_frames(&self) -> bool {
         self.net
             .is_some_and(|n| n.drop_rate > 0.0 || n.corrupt_rate > 0.0)
-    }
-
-    /// Install the NVMe-layer faults on a device (no-op without a
-    /// `[nvme]` section).
-    pub fn apply_nvme(&self, nvme: &NvmeDeviceHandle) {
-        let Some(n) = &self.nvme else { return };
-        let window = n.window_us.map(|(a, b)| (time_us(a), time_us(b)));
-        nvme.install_faults(IoFaultConfig {
-            error_rate: n.error_rate,
-            error_status: if n.fatal {
-                Status::LbaOutOfRange
-            } else {
-                Status::DataTransferError
-            },
-            latency_spike_rate: n.latency_spike_rate,
-            latency_spike: dur_us(n.latency_spike_us),
-            window,
-            seed: layer_seed(self.seed, 1),
-        });
-        if let (Some((a, b)), true) = (window, trace::enabled()) {
-            trace::span_between("faults", "window.nvme", a, b, &[]);
-        }
-    }
-
-    /// Install the PCIe-layer faults on the fabric (no-op without a
-    /// `[pcie]` section).
-    pub fn apply_fabric(&self, fabric: &mut PcieFabric) {
-        let Some(p) = &self.pcie else { return };
-        let window = p.window_us.map(|(a, b)| (time_us(a), time_us(b)));
-        let degrade_window = p.degrade_us.map(|(a, b)| (time_us(a), time_us(b)));
-        fabric.install_faults(PcieFaultConfig {
-            timeout_rate: p.timeout_rate,
-            window,
-            degrade_window,
-            degrade_extra: dur_us(p.degrade_extra_us),
-            seed: layer_seed(self.seed, 2),
-        });
-        if trace::enabled() {
-            if let Some((a, b)) = window {
-                trace::span_between("faults", "window.pcie_timeouts", a, b, &[]);
-            }
-            if let Some((a, b)) = degrade_window {
-                trace::span_between("faults", "window.pcie_degrade", a, b, &[]);
-            }
-        }
-    }
-
-    /// Install the Ethernet-layer faults on a MAC: loss/corruption rates
-    /// plus the PAUSE storm, if configured (no-op without a `[net]`
-    /// section). The storm is emitted *by* `mac` towards its peer.
-    pub fn apply_mac(&self, en: &mut Engine, mac_rc: &Rc<RefCell<EthMac>>) {
-        let Some(n) = &self.net else { return };
-        mac_rc
-            .borrow_mut()
-            .set_fault_rates(n.drop_rate, n.corrupt_rate);
-        if let Some(s) = &n.pause_storm {
-            let (delay, interval) = (dur_us(s.start_us), dur_us(s.interval_us));
-            mac::schedule_pause_storm(mac_rc, en, delay, s.count, interval, s.quanta);
-            if trace::enabled() {
-                let start = en.now().saturating_add(delay);
-                let span = interval.checked_mul(s.count.into());
-                trace::span_between(
-                    "faults",
-                    "window.pause_storm",
-                    start,
-                    span.map_or(SimTime::MAX, |d| start.saturating_add(d)),
-                    &[("pauses", s.count as u64)],
-                );
-            }
-        }
-    }
-}
-
-fn check_window(name: &str, w: Option<(f64, f64)>) -> Result<(), PlanError> {
-    match w {
-        Some((a, b)) if a >= b => Err(PlanError::Invalid(format!(
-            "{name} window [{a}, {b}) is empty"
-        ))),
-        _ => Ok(()),
     }
 }
 
@@ -334,6 +168,17 @@ fn get_f64(doc: &TomlDoc, section: &str, key: &str, default: f64) -> Result<f64,
     }
 }
 
+/// A probability in `[0, 1]`, 0 when absent.
+fn get_rate(doc: &TomlDoc, section: &str, key: &str) -> Result<f64, PlanError> {
+    let r = get_f64(doc, section, key, 0.0)?;
+    if !(0.0..=1.0).contains(&r) {
+        return Err(PlanError::Invalid(format!(
+            "[{section}] {key} = {r} outside [0, 1]"
+        )));
+    }
+    Ok(r)
+}
+
 /// A `*_us` value: finite, at least 0 and short of `SimTime::MAX` once
 /// [`dur_us`] converts it (whole nanoseconds, then picoseconds).
 fn get_us(doc: &TomlDoc, section: &str, key: &str, default: f64) -> Result<f64, PlanError> {
@@ -371,7 +216,12 @@ fn get_u64(
     Ok(v)
 }
 
-fn get_window(doc: &TomlDoc, section: &str, prefix: &str) -> Result<Option<(f64, f64)>, PlanError> {
+/// A `[start, end)` window given as `<prefix>start_us`/`<prefix>end_us`.
+fn get_window(
+    doc: &TomlDoc,
+    section: &str,
+    prefix: &str,
+) -> Result<Option<(SimTime, SimTime)>, PlanError> {
     let start_key = format!("{prefix}start_us");
     let end_key = format!("{prefix}end_us");
     match (doc.get(section, &start_key), doc.get(section, &end_key)) {
@@ -379,10 +229,16 @@ fn get_window(doc: &TomlDoc, section: &str, prefix: &str) -> Result<Option<(f64,
         (Some(_), None) | (None, Some(_)) => Err(PlanError::Invalid(format!(
             "[{section}] {start_key}/{end_key} must be given together"
         ))),
-        (Some(_), Some(_)) => Ok(Some((
-            get_us(doc, section, &start_key, 0.0)?,
-            get_us(doc, section, &end_key, 0.0)?,
-        ))),
+        (Some(_), Some(_)) => {
+            let a = get_us(doc, section, &start_key, 0.0)?;
+            let b = get_us(doc, section, &end_key, 0.0)?;
+            if a >= b {
+                return Err(PlanError::Invalid(format!(
+                    "[{section}] {start_key}/{end_key} window [{a}, {b}) is empty"
+                )));
+            }
+            Ok(Some((SimTime::ZERO + dur_us(a), SimTime::ZERO + dur_us(b))))
+        }
     }
 }
 
@@ -411,7 +267,7 @@ fn parse_retry(doc: &TomlDoc) -> Result<RetryPolicy, PlanError> {
     })
 }
 
-fn parse_nvme(doc: &TomlDoc) -> Result<Option<NvmeFaultSpec>, PlanError> {
+fn parse_nvme(doc: &TomlDoc, seed: u64) -> Result<Option<IoFaultConfig>, PlanError> {
     if !doc.has_section("nvme") {
         return Ok(None);
     }
@@ -421,60 +277,64 @@ fn parse_nvme(doc: &TomlDoc) -> Result<Option<NvmeFaultSpec>, PlanError> {
             .as_bool()
             .ok_or_else(|| PlanError::Invalid("[nvme] fatal must be a boolean".into()))?,
     };
-    Ok(Some(NvmeFaultSpec {
-        error_rate: get_f64(doc, "nvme", "error_rate", 0.0)?,
-        fatal,
-        latency_spike_rate: get_f64(doc, "nvme", "latency_spike_rate", 0.0)?,
-        latency_spike_us: get_us(doc, "nvme", "latency_spike_us", 100.0)?,
-        window_us: get_window(doc, "nvme", "window_")?,
+    Ok(Some(IoFaultConfig {
+        error_rate: get_rate(doc, "nvme", "error_rate")?,
+        // A fatal status makes retries give up at once.
+        error_status: if fatal {
+            Status::LbaOutOfRange
+        } else {
+            Status::DataTransferError
+        },
+        latency_spike_rate: get_rate(doc, "nvme", "latency_spike_rate")?,
+        latency_spike: dur_us(get_us(doc, "nvme", "latency_spike_us", 100.0)?),
+        window: get_window(doc, "nvme", "window_")?,
+        seed: layer_seed(seed, 1),
     }))
 }
 
-fn parse_net(doc: &TomlDoc) -> Result<Option<NetFaultSpec>, PlanError> {
+/// The storm keys are checked whether or not `pause_storm_count` asks
+/// for a storm, and so is the time of its last PAUSE.
+fn parse_net(doc: &TomlDoc) -> Result<Option<MacFaultConfig>, PlanError> {
     if !doc.has_section("net") {
         return Ok(None);
     }
     let count = get_u64(doc, "net", "pause_storm_count", 0, u32::MAX.into())?;
-    let pause_storm = if count > 0 {
-        let storm = PauseStormSpec {
-            start_us: get_us(doc, "net", "pause_storm_start_us", 0.0)?,
+    let start_us = get_us(doc, "net", "pause_storm_start_us", 0.0)?;
+    let interval_us = get_us(doc, "net", "pause_storm_interval_us", 100.0)?;
+    let quanta = get_u64(doc, "net", "pause_storm_quanta", 0xffff, 0xffff)? as u16;
+    let (delay, interval) = (dur_us(start_us), dur_us(interval_us));
+    let end = interval
+        .checked_mul(count)
+        .and_then(|span| (SimTime::ZERO + delay).checked_add(span));
+    if end.is_none() {
+        return Err(PlanError::Invalid(format!(
+            "[net] pause_storm_start_us + pause_storm_interval_us × pause_storm_count = \
+             {start_us} + {interval_us} × {count} µs is beyond the simulated range ({:e} µs)",
+            SimTime::MAX.as_us_f64()
+        )));
+    }
+    Ok(Some(MacFaultConfig {
+        drop_rate: get_rate(doc, "net", "drop_rate")?,
+        corrupt_rate: get_rate(doc, "net", "corrupt_rate")?,
+        pause_storm: (count > 0).then_some(PauseStorm {
+            delay,
             count: count as u32,
-            interval_us: get_us(doc, "net", "pause_storm_interval_us", 100.0)?,
-            quanta: get_u64(doc, "net", "pause_storm_quanta", 0xffff, 0xffff)? as u16,
-        };
-        // The times `apply_mac` schedules, in the simulator's own units.
-        let end = dur_us(storm.interval_us)
-            .checked_mul(count)
-            .and_then(|span| (SimTime::ZERO + dur_us(storm.start_us)).checked_add(span));
-        if end.is_none() {
-            return Err(PlanError::Invalid(format!(
-                "[net] pause_storm_start_us + pause_storm_interval_us × pause_storm_count = \
-                 {} + {} × {count} µs is beyond the simulated range ({:e} µs)",
-                storm.start_us,
-                storm.interval_us,
-                SimTime::MAX.as_us_f64()
-            )));
-        }
-        Some(storm)
-    } else {
-        None
-    };
-    Ok(Some(NetFaultSpec {
-        drop_rate: get_f64(doc, "net", "drop_rate", 0.0)?,
-        corrupt_rate: get_f64(doc, "net", "corrupt_rate", 0.0)?,
-        pause_storm,
+            interval,
+            quanta,
+        }),
     }))
 }
 
-fn parse_pcie(doc: &TomlDoc) -> Result<Option<PcieFaultSpec>, PlanError> {
+fn parse_pcie(doc: &TomlDoc, seed: u64) -> Result<Option<PcieFaultConfig>, PlanError> {
     if !doc.has_section("pcie") {
         return Ok(None);
     }
-    Ok(Some(PcieFaultSpec {
-        timeout_rate: get_f64(doc, "pcie", "timeout_rate", 0.0)?,
-        window_us: get_window(doc, "pcie", "window_")?,
-        degrade_us: get_window(doc, "pcie", "degrade_")?,
-        degrade_extra_us: get_us(doc, "pcie", "degrade_extra_us", 5.0)?,
+    Ok(Some(PcieFaultConfig {
+        timeout_rate: get_rate(doc, "pcie", "timeout_rate")?,
+        window: get_window(doc, "pcie", "window_")?,
+        degrade_window: get_window(doc, "pcie", "degrade_")?,
+        degrade_extra: dur_us(get_us(doc, "pcie", "degrade_extra_us", 5.0)?),
+        seed: layer_seed(seed, 2),
     }))
 }
 
@@ -488,16 +348,48 @@ mod tests {
         FaultPlan::load(format!("{dir}/{name}.toml")).expect("shipped plan parses")
     }
 
+    fn at_us(us: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_us(us)
+    }
+
+    /// Each section parses to the config its layer installs.
     #[test]
     fn shipped_plans_parse() {
         let flaky = shipped("flaky_ssd");
-        assert!(flaky.nvme.is_some());
         assert!(flaky.retry.enabled());
         let lossy = shipped("lossy_link");
         assert!(lossy.net.is_some());
-        let degraded = shipped("degraded_pcie");
-        let p = degraded.pcie.expect("pcie section");
-        assert!(p.degrade_us.is_some());
+        let pcie = PcieFaultConfig {
+            timeout_rate: 0.25,
+            window: Some((SimTime::ZERO, at_us(10_000))),
+            degrade_window: Some((at_us(1_000), at_us(3_000))),
+            degrade_extra: SimDuration::from_us(5),
+            seed: layer_seed(44, 2),
+        };
+        assert_eq!(shipped("degraded_pcie").pcie, Some(pcie));
+        let nvme = IoFaultConfig {
+            error_rate: 0.05,
+            error_status: Status::DataTransferError,
+            latency_spike_rate: 0.0,
+            latency_spike: SimDuration::from_us(100),
+            window: None,
+            seed: layer_seed(42, 1),
+        };
+        assert_eq!(flaky.nvme, Some(nvme));
+    }
+
+    #[test]
+    fn times_round_to_whole_nanoseconds() {
+        let p = FaultPlan::parse(
+            "seed = 42\n[nvme]\nfatal = true\nlatency_spike_us = 0.0016\n\
+             window_start_us = 2.0004\nwindow_end_us = 7",
+        )
+        .unwrap();
+        let nvme = p.nvme.unwrap();
+        // `fatal` picks the status retries give up on at once.
+        assert_eq!(nvme.error_status, Status::LbaOutOfRange);
+        assert_eq!(nvme.latency_spike, SimDuration::from_ns(2));
+        assert_eq!(nvme.window, Some((SimTime::from_ns(2_000), at_us(7))));
     }
 
     #[test]
@@ -517,6 +409,7 @@ mod tests {
         assert!(matches!(e, PlanError::Invalid(_)), "{e}");
         let e = FaultPlan::parse("seed = 1\n[pcie]\ndegrade_start_us = 9").unwrap_err();
         assert!(matches!(e, PlanError::Invalid(_)), "{e}");
+        refused("seed = 1\n[net]\ncorrupt_rate = -0.1", "corrupt_rate");
     }
 
     #[test]
@@ -572,7 +465,8 @@ mod tests {
         );
         // A time just inside the range still parses.
         let p = FaultPlan::parse("seed = 1\n[nvme]\nlatency_spike_us = 1.8e13").unwrap();
-        assert_eq!(p.nvme.map(|n| n.latency_spike_us), Some(1.8e13));
+        let max = SimDuration::from_ns(18_000_000_000_000_000);
+        assert_eq!(p.nvme.map(|n| n.latency_spike), Some(max));
     }
 
     #[test]
@@ -591,6 +485,24 @@ mod tests {
             FaultPlan::parse("seed = 1\n[net]\npause_storm_count = 3\npause_storm_quanta = 65535");
         let storm = p.unwrap().net.and_then(|n| n.pause_storm);
         assert_eq!(storm.map(|s| s.quanta), Some(0xffff));
+    }
+
+    #[test]
+    fn storm_keys_checked_without_a_count() {
+        refused(
+            "seed = 1\n[net]\npause_storm_quanta = 70000",
+            "pause_storm_quanta",
+        );
+        refused(
+            "seed = 1\n[net]\npause_storm_interval_us = -5",
+            "pause_storm_interval_us",
+        );
+        refused(
+            "seed = 1\n[net]\npause_storm_start_us = 2e13",
+            "pause_storm_start_us",
+        );
+        let p = FaultPlan::parse("seed = 1\n[net]\npause_storm_quanta = 7").unwrap();
+        assert_eq!(p.net.and_then(|n| n.pause_storm), None);
     }
 
     #[test]
@@ -619,16 +531,16 @@ mod tests {
             u32::MAX
         ))
         .unwrap();
-        let mut en = Engine::new();
+        let mut en = snacc_sim::Engine::new();
         en.schedule_at(SimTime::from_ns(9_907), |_| {});
         en.run();
-        let mac = EthMac::new(
+        let mac = snacc_net::EthMac::new(
             "storm",
             snacc_net::MacAddr::from_index(1),
             snacc_net::MacConfig::eth_100g(),
             1,
         );
-        p.apply_mac(&mut en, &mac);
+        snacc_net::mac::install_faults(&mac, &mut en, p.net.unwrap());
         assert_eq!(en.pending(), 1);
     }
 

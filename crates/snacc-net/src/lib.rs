@@ -28,5 +28,5 @@ pub mod switch;
 pub mod traffic;
 
 pub use frame::{EthFrame, MacAddr, PAUSE_ETHERTYPE};
-pub use mac::{EthMac, MacConfig};
+pub use mac::{EthMac, MacConfig, MacFaultConfig, PauseStorm};
 pub use switch::EthSwitch;

@@ -77,6 +77,42 @@ pub struct MacStats {
     pub pauses_received: u64,
 }
 
+/// Lossy-link and PAUSE-storm fault injection for one MAC (installed by
+/// a fault plan — see the `snacc-faults` crate — with [`install_faults`]).
+/// Loss and corruption hit delivered data frames only, so a campaign
+/// cannot silently kill flow control.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct MacFaultConfig {
+    /// Probability that a delivered data frame vanishes on the wire.
+    pub drop_rate: f64,
+    /// Probability that a delivered data frame arrives corrupted and is
+    /// discarded by the FCS check.
+    pub corrupt_rate: f64,
+    /// A PAUSE storm the MAC sends its peer (`None` = none).
+    pub pause_storm: Option<PauseStorm>,
+}
+
+/// A burst of PAUSE frames from a misbehaving or badly congested peer,
+/// keeping the link throttled far beyond what its buffers justify.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct PauseStorm {
+    /// First PAUSE, counted from when the storm is installed.
+    pub delay: SimDuration,
+    /// Number of PAUSE frames.
+    pub count: u32,
+    /// Spacing between PAUSEs.
+    pub interval: SimDuration,
+    /// Quanta per PAUSE (0xffff = maximum throttle).
+    pub quanta: u16,
+}
+
+struct MacFaultState {
+    cfg: MacFaultConfig,
+    /// `faults.net.*` in the current metrics registry.
+    drops: trace::CounterHandle,
+    corruptions: trace::CounterHandle,
+}
+
 type Hook = Rc<RefCell<dyn FnMut(&mut Engine)>>;
 
 /// A full-duplex Ethernet MAC endpoint.
@@ -102,13 +138,8 @@ pub struct EthMac {
     rx_hook: Option<Hook>,
     tx_space_hook: Option<Hook>,
     rng: SimRng,
-    /// Probability that a delivered data frame vanishes on the wire
-    /// (lossy-link fault injection; 0.0 in normal operation).
-    drop_rate: f64,
-    /// Probability that a delivered data frame arrives corrupted and is
-    /// discarded by the FCS check (fault injection; 0.0 in normal
-    /// operation).
-    corrupt_rate: f64,
+    /// Fault injector, absent in normal operation.
+    faults: Option<MacFaultState>,
     stats: MacStats,
 }
 
@@ -141,8 +172,7 @@ impl EthMac {
             rx_hook: None,
             tx_space_hook: None,
             rng: SimRng::new(seed),
-            drop_rate: 0.0,
-            corrupt_rate: 0.0,
+            faults: None,
             stats: MacStats::default(),
         }))
     }
@@ -182,13 +212,21 @@ impl EthMac {
         self.rx_queue.front().map(|f| f.src)
     }
 
-    /// Set the lossy-link fault-injection rates: the probabilities that
-    /// a delivered data frame vanishes on the wire or arrives corrupted
-    /// (both 0.0 in normal operation). Campaigns call this on an
-    /// already-connected MAC.
-    pub fn set_fault_rates(&mut self, drop_rate: f64, corrupt_rate: f64) {
-        self.drop_rate = drop_rate;
-        self.corrupt_rate = corrupt_rate;
+    /// Draw whether an arriving data frame is lost to the fault injector:
+    /// the trace name of the loss, or `None` if the frame gets through.
+    fn draw_loss(&mut self) -> Option<&'static str> {
+        let f = self.faults.as_mut()?;
+        if self.rng.chance(f.cfg.drop_rate) {
+            self.stats.injected_drops += 1;
+            f.drops.inc();
+            Some("eth.fault_drop")
+        } else if self.rng.chance(f.cfg.corrupt_rate) {
+            self.stats.corrupt_drops += 1;
+            f.corruptions.inc();
+            Some("eth.fault_corrupt")
+        } else {
+            None
+        }
     }
 
     /// Install the "frames available at RX" hook.
@@ -281,42 +319,51 @@ fn send_pause(rc: &Rc<RefCell<EthMac>>, en: &mut Engine, quanta: u16) {
     pump_tx(rc, en);
 }
 
-/// Start a PAUSE storm from this MAC: `count` PAUSE frames of `quanta`
-/// quanta each, the first `delay` from now, then one every `interval`.
-/// Models a misbehaving or badly congested peer that keeps the link
-/// throttled far beyond what its buffers justify (fault injection). One
-/// pending event carries the storm, each PAUSE arming the next, so a long
-/// storm queues nothing up front; a PAUSE that would fall past the end of
-/// simulated time is not sent.
-pub fn schedule_pause_storm(
-    rc: &Rc<RefCell<EthMac>>,
-    en: &mut Engine,
-    delay: SimDuration,
-    count: u32,
-    interval: SimDuration,
-    quanta: u16,
-) {
-    if let Some(at) = en.now().checked_add(delay).filter(|_| count > 0) {
-        let rc = rc.clone();
-        en.schedule_at(at, move |en| storm_pause(rc, en, count, interval, quanta));
+/// Install (or replace) the MAC's fault injector, and start its PAUSE
+/// storm, if any, [`PauseStorm::delay`] from now. One pending event
+/// carries the storm, each PAUSE arming the next, so a long storm queues
+/// nothing up front; a PAUSE that would fall past the end of simulated
+/// time is not sent. The storm shows as a `window.pause_storm` trace
+/// span.
+pub fn install_faults(rc: &Rc<RefCell<EthMac>>, en: &mut Engine, cfg: MacFaultConfig) {
+    rc.borrow_mut().faults = Some(MacFaultState {
+        cfg,
+        drops: trace::metric_counter("faults.net.frame_drops"),
+        corruptions: trace::metric_counter("faults.net.frame_corruptions"),
+    });
+    let Some(storm) = cfg.pause_storm else { return };
+    let first = en.now().checked_add(storm.delay);
+    if let Some(at) = first.filter(|_| storm.count > 0) {
+        let (rc, pauses) = (rc.clone(), trace::metric_counter("faults.net.pause_storms"));
+        let left = storm.count;
+        en.schedule_at(at, move |en| storm_pause(rc, en, storm, left, pauses));
+    }
+    if trace::enabled() {
+        let start = en.now().saturating_add(storm.delay);
+        let span = storm.interval.checked_mul(storm.count.into());
+        trace::span_between(
+            "faults",
+            "window.pause_storm",
+            start,
+            span.map_or(SimTime::MAX, |d| start.saturating_add(d)),
+            &[("pauses", storm.count as u64)],
+        );
     }
 }
 
-/// One PAUSE of a storm with `left` PAUSEs to go, this one included.
+/// One PAUSE of `storm` with `left` PAUSEs to go, this one included.
 fn storm_pause(
     rc: Rc<RefCell<EthMac>>,
     en: &mut Engine,
+    storm: PauseStorm,
     left: u32,
-    interval: SimDuration,
-    quanta: u16,
+    pauses: trace::CounterHandle,
 ) {
-    let next = en.now().checked_add(interval).filter(|_| left > 1);
-    trace::metric_counter("faults.net.pause_storms").inc();
-    send_pause(&rc, en, quanta);
+    let next = en.now().checked_add(storm.interval).filter(|_| left > 1);
+    pauses.inc();
+    send_pause(&rc, en, storm.quanta);
     if let Some(at) = next {
-        en.schedule_at(at, move |en| {
-            storm_pause(rc, en, left - 1, interval, quanta)
-        });
+        en.schedule_at(at, move |en| storm_pause(rc, en, storm, left - 1, pauses));
     }
 }
 
@@ -414,36 +461,12 @@ fn deliver(rc: &Rc<RefCell<EthMac>>, en: &mut Engine, frame: EthFrame) {
     let mut return_action_repump = false;
     let action = {
         let mut m = rc.borrow_mut();
-        // Fault injection: lossy-link drops and FCS-detected corruption
-        // apply to data frames only, so a campaign cannot silently kill
-        // flow control. Draws are skipped entirely at rate 0.0, keeping
-        // the per-MAC RNG stream — and thus fault-free traces —
-        // byte-identical to pre-injection builds.
+        // Injected loss and corruption spare PAUSE frames.
         if frame.pause_quanta().is_none() {
-            let (drop_rate, corrupt_rate) = (m.drop_rate, m.corrupt_rate);
-            if drop_rate > 0.0 && m.rng.gen_bool(drop_rate) {
-                m.stats.injected_drops += 1;
-                trace::metric_counter("faults.net.frame_drops").inc();
+            if let Some(name) = m.draw_loss() {
                 if trace::enabled() {
-                    trace::instant(
-                        en,
-                        &format!("net.{}", m.name),
-                        "eth.fault_drop",
-                        &[("bytes", frame.frame_bytes())],
-                    );
-                }
-                return;
-            }
-            if corrupt_rate > 0.0 && m.rng.gen_bool(corrupt_rate) {
-                m.stats.corrupt_drops += 1;
-                trace::metric_counter("faults.net.frame_corruptions").inc();
-                if trace::enabled() {
-                    trace::instant(
-                        en,
-                        &format!("net.{}", m.name),
-                        "eth.fault_corrupt",
-                        &[("bytes", frame.frame_bytes())],
-                    );
+                    let bytes = frame.frame_bytes();
+                    trace::instant(en, &format!("net.{}", m.name), name, &[("bytes", bytes)]);
                 }
                 return;
             }
@@ -668,14 +691,22 @@ mod tests {
     fn injected_drops_and_corruption_counted_separately() {
         let mut en = Engine::new();
         let (a, b) = pair(MacConfig::eth_100g(), MacConfig::eth_100g());
-        b.borrow_mut().set_fault_rates(1.0, 0.0);
+        let drop = MacFaultConfig {
+            drop_rate: 1.0,
+            ..Default::default()
+        };
+        install_faults(&b, &mut en, drop);
         let f = EthFrame::data(MacAddr::from_index(2), MacAddr::from_index(1), vec![0; 100]);
         send(&a, &mut en, f.clone());
         en.run();
         assert_eq!(b.borrow().stats().injected_drops, 1);
         assert_eq!(b.borrow().stats().rx_frames, 0);
         // Corruption hits its own counter.
-        b.borrow_mut().set_fault_rates(0.0, 1.0);
+        let corrupt = MacFaultConfig {
+            corrupt_rate: 1.0,
+            ..Default::default()
+        };
+        install_faults(&b, &mut en, corrupt);
         send(&a, &mut en, f);
         en.run();
         let sb = b.borrow().stats();
@@ -689,12 +720,30 @@ mod tests {
     fn lossy_link_spares_pause_frames() {
         let mut en = Engine::new();
         let (a, b) = pair(MacConfig::eth_100g(), MacConfig::eth_100g());
-        a.borrow_mut().set_fault_rates(1.0, 1.0);
+        let lossy = MacFaultConfig {
+            drop_rate: 1.0,
+            corrupt_rate: 1.0,
+            pause_storm: None,
+        };
+        install_faults(&a, &mut en, lossy);
         // A PAUSE from b must survive a's fully lossy injector.
         send_pause(&b, &mut en, 0xffff);
         en.run();
         assert!(en.now() < a.borrow().paused_until);
         assert_eq!(a.borrow().stats().injected_drops, 0);
+    }
+
+    /// A storm of `count` PAUSEs, the first at once.
+    fn storm(count: u32, interval: SimDuration, quanta: u16) -> MacFaultConfig {
+        MacFaultConfig {
+            pause_storm: Some(PauseStorm {
+                delay: SimDuration::ZERO,
+                count,
+                interval,
+                quanta,
+            }),
+            ..Default::default()
+        }
     }
 
     #[test]
@@ -703,14 +752,7 @@ mod tests {
         let (a, b) = pair(MacConfig::eth_100g(), MacConfig::eth_100g());
         // Ten max-quanta PAUSEs every 100 µs keep a throttled ~1 ms even
         // though b's buffers are empty the whole time.
-        schedule_pause_storm(
-            &b,
-            &mut en,
-            SimDuration::ZERO,
-            10,
-            SimDuration::from_us(100),
-            0xffff,
-        );
+        install_faults(&b, &mut en, storm(10, SimDuration::from_us(100), 0xffff));
         // Queue the data frame mid-storm (50 µs in) so it waits out the
         // full stacked pause window.
         let a2 = a.clone();
@@ -733,7 +775,7 @@ mod tests {
         // Installed at 10 µs with no delay: the first PAUSE goes out now,
         // not at time zero.
         let every = SimDuration::from_us(100);
-        schedule_pause_storm(&b, &mut en, SimDuration::ZERO, u32::MAX, every, 1);
+        install_faults(&b, &mut en, storm(u32::MAX, every, 1));
         assert_eq!(en.pending(), 1, "one event carries the whole storm");
         en.run_until(SimTime::ZERO + SimDuration::from_us(355));
         assert_eq!(a.borrow().stats().pauses_received, 4);
@@ -743,7 +785,7 @@ mod tests {
         en.schedule_at(SimTime::from_ns(1), |_| {});
         en.run();
         let forever = SimDuration::from_ps(u64::MAX);
-        schedule_pause_storm(&b, &mut en, SimDuration::ZERO, 3, forever, 1);
+        install_faults(&b, &mut en, storm(3, forever, 1));
         en.run();
         assert_eq!(b.borrow().stats().pauses_sent, 5);
         assert_eq!(en.pending(), 0);

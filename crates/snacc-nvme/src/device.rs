@@ -69,7 +69,7 @@ pub struct NvmeStats {
 /// see the `snacc-faults` crate). All randomness comes from the seeded
 /// [`SimRng`], drawn in event order, so same-seed runs inject identical
 /// faults at identical simulated times.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct IoFaultConfig {
     /// Probability an I/O command completes immediately with
     /// [`IoFaultConfig::error_status`] instead of executing.
@@ -131,10 +131,10 @@ impl IoFaultState {
             return None;
         }
         let cfg = &self.cfg;
-        let (name, injected) = if cfg.error_rate > 0.0 && self.rng.gen_bool(cfg.error_rate) {
+        let (name, injected) = if self.rng.chance(cfg.error_rate) {
             self.errors.inc();
             ("fault.cmd_error", Err(cfg.error_status))
-        } else if cfg.latency_spike_rate > 0.0 && self.rng.gen_bool(cfg.latency_spike_rate) {
+        } else if self.rng.chance(cfg.latency_spike_rate) {
             self.spikes.inc();
             ("fault.latency_spike", Ok(cfg.latency_spike))
         } else {
@@ -544,7 +544,11 @@ impl NvmeDeviceHandle {
     /// Install (or replace) the I/O fault injector. The injector forks a
     /// private RNG stream from `cfg.seed`; nothing else in the model
     /// consumes it, so enabling faults perturbs only faulted commands.
+    /// An injection window shows as a `window.nvme` trace span.
     pub fn install_faults(&self, cfg: IoFaultConfig) {
+        if let (Some((a, b)), true) = (cfg.window, trace::enabled()) {
+            trace::span_between("faults", "window.nvme", a, b, &[]);
+        }
         let rng = SimRng::new(cfg.seed);
         self.inner.borrow_mut().faults = Some(IoFaultState {
             cfg,

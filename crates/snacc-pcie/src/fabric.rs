@@ -101,7 +101,7 @@ pub const FAULT_MIN_BYTES: u64 = 4096;
 /// * **Link degradation** — every eligible transaction *issued* inside
 ///   the window pays a fixed extra latency. Deterministic: no RNG draw,
 ///   so it perturbs timing without consuming randomness.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PcieFaultConfig {
     /// Probability that an eligible non-posted read times out.
     pub timeout_rate: f64,
@@ -184,8 +184,17 @@ impl PcieFabric {
         }
     }
 
-    /// Install (or replace) the fault injector.
+    /// Install (or replace) the fault injector. Its windows show as
+    /// `window.pcie_timeouts` and `window.pcie_degrade` trace spans.
     pub fn install_faults(&mut self, cfg: PcieFaultConfig) {
+        if trace::enabled() {
+            if let Some((a, b)) = cfg.window {
+                trace::span_between("faults", "window.pcie_timeouts", a, b, &[]);
+            }
+            if let Some((a, b)) = cfg.degrade_window {
+                trace::span_between("faults", "window.pcie_degrade", a, b, &[]);
+            }
+        }
         self.faults = Some(PcieFaultState {
             rng: SimRng::new(cfg.seed),
             cfg,
@@ -214,7 +223,7 @@ impl PcieFabric {
             return false;
         };
         let in_window = f.cfg.window.is_none_or(|(a, b)| start >= a && start < b);
-        if !in_window || f.cfg.timeout_rate <= 0.0 || !f.rng.gen_bool(f.cfg.timeout_rate) {
+        if !in_window || !f.rng.chance(f.cfg.timeout_rate) {
             return false;
         }
         f.timeouts.inc();

@@ -79,6 +79,14 @@ impl SimRng {
         self.gen_f64() < p
     }
 
+    /// A fault injector's Bernoulli trial: [`gen_bool`](SimRng::gen_bool)
+    /// when `p > 0`, and `false` without a draw otherwise, so a rate of 0
+    /// leaves the stream as if the injector were not there.
+    #[inline]
+    pub fn chance(&mut self, p: f64) -> bool {
+        p > 0.0 && self.gen_bool(p)
+    }
+
     /// Fill a byte slice with pseudorandom data (used to build payloads
     /// whose integrity is later checksummed).
     pub fn fill_bytes(&mut self, buf: &mut [u8]) {
@@ -118,6 +126,24 @@ mod tests {
             skipped.skip(n);
             assert_eq!(skipped.next_u64(), drawn.next_u64(), "skip({n})");
         }
+    }
+
+    #[test]
+    fn chance_draws_only_above_zero() {
+        let mut r = SimRng::new(9);
+        for _ in 0..100 {
+            assert!(!r.chance(0.0));
+            assert!(!r.chance(-1.0));
+        }
+        let mut untouched = SimRng::new(9);
+        assert_eq!(r.next_u64(), untouched.next_u64(), "chance(0) drew");
+        let mut by_gen_bool = untouched;
+        for p in [1e-9, 0.01, 0.5, 0.99, 1.0] {
+            for _ in 0..200 {
+                assert_eq!(r.chance(p), by_gen_bool.gen_bool(p), "p = {p}");
+            }
+        }
+        assert_eq!(r.next_u64(), by_gen_bool.next_u64());
     }
 
     #[test]
