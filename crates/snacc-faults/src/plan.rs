@@ -105,7 +105,7 @@ impl FaultPlan {
             seed,
             retry: parse_retry(&doc)?,
             nvme: parse_nvme(&doc, seed)?,
-            net: parse_net(&doc)?,
+            net: parse_net(&doc, seed)?,
             pcie: parse_pcie(&doc, seed)?,
         })
     }
@@ -294,7 +294,7 @@ fn parse_nvme(doc: &TomlDoc, seed: u64) -> Result<Option<IoFaultConfig>, PlanErr
 
 /// The storm keys are checked whether or not `pause_storm_count` asks
 /// for a storm, and so is the time of its last PAUSE.
-fn parse_net(doc: &TomlDoc) -> Result<Option<MacFaultConfig>, PlanError> {
+fn parse_net(doc: &TomlDoc, seed: u64) -> Result<Option<MacFaultConfig>, PlanError> {
     if !doc.has_section("net") {
         return Ok(None);
     }
@@ -322,6 +322,7 @@ fn parse_net(doc: &TomlDoc) -> Result<Option<MacFaultConfig>, PlanError> {
             interval,
             quanta,
         }),
+        seed: layer_seed(seed, 3),
     }))
 }
 
@@ -419,7 +420,15 @@ mod tests {
             Err(PlanError::Invalid(_))
         ));
         assert_ne!(layer_seed(7, 1), layer_seed(7, 2));
+        assert_ne!(layer_seed(7, 2), layer_seed(7, 3));
         assert_ne!(layer_seed(0, 1), layer_seed(1, 1));
+        let net = |seed: u64| {
+            FaultPlan::parse(&format!("seed = {seed}\n[net]"))
+                .unwrap()
+                .net
+        };
+        assert_eq!(net(43).map(|n| n.seed), Some(layer_seed(43, 3)));
+        assert_ne!(net(43), net(99));
     }
 
     #[test]

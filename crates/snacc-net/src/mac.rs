@@ -90,6 +90,8 @@ pub struct MacFaultConfig {
     pub corrupt_rate: f64,
     /// A PAUSE storm the MAC sends its peer (`None` = none).
     pub pause_storm: Option<PauseStorm>,
+    /// Seed for the loss and corruption draws.
+    pub seed: u64,
 }
 
 /// A burst of PAUSE frames from a misbehaving or badly congested peer,
@@ -108,6 +110,7 @@ pub struct PauseStorm {
 
 struct MacFaultState {
     cfg: MacFaultConfig,
+    rng: SimRng,
     /// `faults.net.*` in the current metrics registry.
     drops: trace::CounterHandle,
     corruptions: trace::CounterHandle,
@@ -137,19 +140,21 @@ pub struct EthMac {
     refresh_armed: bool,
     rx_hook: Option<Hook>,
     tx_space_hook: Option<Hook>,
-    rng: SimRng,
     /// Fault injector, absent in normal operation.
     faults: Option<MacFaultState>,
     stats: MacStats,
 }
 
 impl EthMac {
-    /// Create a MAC endpoint (connect with [`connect`]).
+    /// Create a MAC endpoint (connect with [`connect`]). A MAC draws no
+    /// randomness of its own: its fault injector draws from
+    /// [`MacFaultConfig::seed`], so `_seed` is unused; callers still pass
+    /// one.
     pub fn new(
         name: impl Into<String>,
         addr: MacAddr,
         cfg: MacConfig,
-        seed: u64,
+        _seed: u64,
     ) -> Rc<RefCell<EthMac>> {
         let name = name.into();
         let wire = SharedLink::new(format!("{name}.wire"), LINE_RATE, WIRE_LATENCY);
@@ -171,7 +176,6 @@ impl EthMac {
             refresh_armed: false,
             rx_hook: None,
             tx_space_hook: None,
-            rng: SimRng::new(seed),
             faults: None,
             stats: MacStats::default(),
         }))
@@ -216,11 +220,11 @@ impl EthMac {
     /// the trace name of the loss, or `None` if the frame gets through.
     fn draw_loss(&mut self) -> Option<&'static str> {
         let f = self.faults.as_mut()?;
-        if self.rng.chance(f.cfg.drop_rate) {
+        if f.rng.chance(f.cfg.drop_rate) {
             self.stats.injected_drops += 1;
             f.drops.inc();
             Some("eth.fault_drop")
-        } else if self.rng.chance(f.cfg.corrupt_rate) {
+        } else if f.rng.chance(f.cfg.corrupt_rate) {
             self.stats.corrupt_drops += 1;
             f.corruptions.inc();
             Some("eth.fault_corrupt")
@@ -328,6 +332,7 @@ fn send_pause(rc: &Rc<RefCell<EthMac>>, en: &mut Engine, quanta: u16) {
 pub fn install_faults(rc: &Rc<RefCell<EthMac>>, en: &mut Engine, cfg: MacFaultConfig) {
     rc.borrow_mut().faults = Some(MacFaultState {
         cfg,
+        rng: SimRng::new(cfg.seed),
         drops: trace::metric_counter("faults.net.frame_drops"),
         corruptions: trace::metric_counter("faults.net.frame_corruptions"),
     });
@@ -717,13 +722,37 @@ mod tests {
     }
 
     #[test]
+    fn loss_draws_follow_the_config_seed() {
+        // The frames that get through a 50 % lossy link, under `seed`.
+        let survivors = |seed: u64| {
+            let mut en = Engine::new();
+            let (a, b) = pair(MacConfig::eth_100g(), MacConfig::eth_100g());
+            let half = MacFaultConfig {
+                drop_rate: 0.5,
+                seed,
+                ..Default::default()
+            };
+            install_faults(&b, &mut en, half);
+            for i in 0..64u8 {
+                let f = EthFrame::data(MacAddr::from_index(2), MacAddr::from_index(1), vec![i; 64]);
+                assert!(send(&a, &mut en, f));
+            }
+            en.run();
+            std::iter::from_fn(|| pop_frame(&b, &mut en).map(|f| f.payload.byte_at(0)))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(survivors(1), survivors(1));
+        assert_ne!(survivors(1), survivors(2));
+    }
+
+    #[test]
     fn lossy_link_spares_pause_frames() {
         let mut en = Engine::new();
         let (a, b) = pair(MacConfig::eth_100g(), MacConfig::eth_100g());
         let lossy = MacFaultConfig {
             drop_rate: 1.0,
             corrupt_rate: 1.0,
-            pause_storm: None,
+            ..Default::default()
         };
         install_faults(&a, &mut en, lossy);
         // A PAUSE from b must survive a's fully lossy injector.
