@@ -106,8 +106,10 @@ fn datapath_benches(c: &mut Criterion) {
 }
 
 /// 4 KiB pages into one [`SegmentMemory`]: appends that join (one
-/// producer buffer sliced into pages, as a streamer transfer lands), ring
-/// overwrite of a 4 MiB region with such a stream, rewrites of a 4 MiB
+/// producer buffer sliced into pages, as a streamer transfer lands), a
+/// 4 MiB pattern stream made of 64 KiB beats that are each their own
+/// allocation (as the streamer hands beats to NAND; they join by origin),
+/// ring overwrite of a 4 MiB region with a stream, rewrites of a 4 MiB
 /// ring with the windows it already holds (a read landing in a buffer
 /// slot that holds the same NAND window, as `uram_r` does), and random
 /// pages scattered over 1 GiB (each its own backing, so none join).
@@ -124,6 +126,22 @@ fn segment_store_benches(c: &mut Criterion) {
             let mut m = SegmentMemory::new();
             for i in 0..pages {
                 m.write_payload((i * PAGE) as u64, page(i));
+            }
+            black_box(m.segment_count())
+        })
+    });
+
+    const BEAT: usize = 64 << 10;
+    g.bench_function("pattern_stream_4m", |b| {
+        b.iter(|| {
+            let mut m = SegmentMemory::new();
+            let mut beat = Payload::empty();
+            for addr in (0..4 << 20).step_by(PAGE) {
+                let off = addr % BEAT;
+                if off == 0 {
+                    beat = Payload::pattern(addr as u64, BEAT);
+                }
+                m.write_payload(addr as u64, beat.slice(off..off + PAGE));
             }
             black_box(m.segment_count())
         })

@@ -232,12 +232,16 @@ fn get_window(
         (Some(_), Some(_)) => {
             let a = get_us(doc, section, &start_key, 0.0)?;
             let b = get_us(doc, section, &end_key, 0.0)?;
-            if a >= b {
+            // Compared as the whole-ns times the injector sees: a window
+            // that rounds to no nanosecond would inject nothing.
+            let (start, end) = (SimTime::ZERO + dur_us(a), SimTime::ZERO + dur_us(b));
+            if start >= end {
                 return Err(PlanError::Invalid(format!(
-                    "[{section}] {start_key}/{end_key} window [{a}, {b}) is empty"
+                    "[{section}] {start_key}/{end_key} window [{a}, {b}) is empty \
+                     in whole nanoseconds"
                 )));
             }
-            Ok(Some((SimTime::ZERO + dur_us(a), SimTime::ZERO + dur_us(b))))
+            Ok(Some((start, end)))
         }
     }
 }
@@ -391,6 +395,29 @@ mod tests {
         assert_eq!(nvme.error_status, Status::LbaOutOfRange);
         assert_eq!(nvme.latency_spike, SimDuration::from_ns(2));
         assert_eq!(nvme.window, Some((SimTime::from_ns(2_000), at_us(7))));
+    }
+
+    #[test]
+    fn windows_empty_in_whole_nanoseconds_refused() {
+        // Both ends round to the same nanosecond: 0 and 0, then 1 and 1.
+        for (a, b) in [("0", "0.0004"), ("0.0006", "0.0009")] {
+            refused(
+                &format!(
+                    "seed = 1\n[nvme]\nerror_rate = 1\n\
+                     window_start_us = {a}\nwindow_end_us = {b}"
+                ),
+                "window_start_us/window_end_us",
+            );
+        }
+        // One nanosecond apart once rounded: a window of 1 ns.
+        let p = FaultPlan::parse(
+            "seed = 1\n[pcie]\ndegrade_start_us = 0.0004\ndegrade_end_us = 0.0006",
+        )
+        .unwrap();
+        assert_eq!(
+            p.pcie.unwrap().degrade_window,
+            Some((SimTime::ZERO, SimTime::from_ns(1)))
+        );
     }
 
     #[test]

@@ -11,22 +11,32 @@
 //!   metadata instead of gigabytes of bytes. The map holds each segment's
 //!   slot in a slab of payloads, so map nodes stay small and a cursor
 //!   reaches a payload without a descent.
+//! * **Neighbours join by [`Payload::joins`]:** windows of one backing
+//!   that continue each other, or pattern windows whose origins meet,
+//!   whatever allocation each came from, up to [`LAZY_BACKING_MAX`] bytes.
+//!   A pattern stream written beat by beat is stored as one segment per
+//!   1 MiB, not one per beat, and the join grows the segment's own
+//!   pattern in place ([`Payload::try_extend`]) when the store holds it
+//!   alone.
 //! * **A page appended to a joined segment costs no map walk.** A write
 //!   that joins its predecessor makes that segment the *write cursor*.
 //!   The next write that starts at its end, ends before the next segment
-//!   and continues its backing (a producer landing one buffer page by
-//!   page) grows its slot in place. The next segment's start is known from
-//!   the joining walk or looked up once, on the first such append.
+//!   and joins it (a producer landing one buffer or one pattern stream
+//!   page by page) grows its slot in place. The next segment's start is
+//!   known from the joining walk or looked up once, on the first such
+//!   append.
 //! * **Writing back a window a segment already holds changes nothing.**
 //!   When the payload is that very window (same backing, offset and
 //!   length) strictly inside one segment, the write is found at the write
 //!   cursor or at the walk's first step and skipped: the walk would leave
 //!   the same layout. Every write joins its result with both neighbours
-//!   where their windows continue one backing, so no two neighbouring
-//!   segments are ever joinable (the lockstep tests check this after
-//!   every op). A rewrite that touches a segment's start or end is
-//!   therefore a layout no-op as well; the skip still takes only windows
-//!   strictly inside, which keeps the write cursor where appends need it.
+//!   where they join, and a trim that brings a pattern segment under the
+//!   cap offers it to the neighbour on its far side, so no two
+//!   neighbouring segments are ever joinable (the lockstep tests check
+//!   this after every op). A rewrite that touches a segment's start or
+//!   end is therefore a layout no-op as well; the skip still takes only
+//!   windows strictly inside, which keeps the write cursor where appends
+//!   need it.
 //! * **Any other write** costs one ordered-map descent plus one step per
 //!   segment it overlaps: a single backward walk finds the trimmed head,
 //!   the covered segments, the split tail and the join candidates, and the
@@ -62,7 +72,7 @@
 //! The byte-oriented API (`write`/`read`/`read_vec`/scalar helpers) serves
 //! ring buffers, descriptor pages, register files and tests.
 
-use snacc_sim::bytes::Payload;
+use snacc_sim::bytes::{Payload, LAZY_BACKING_MAX};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -80,10 +90,6 @@ pub const COALESCE_WINDOW: u64 = 1 << 20;
 /// window fully tiled by independent page writes (random 4 KiB I/O, ring
 /// slots) stays zero-copy and only sub-page fragments trigger a copy.
 pub const COALESCE_SEGS: usize = (COALESCE_WINDOW / PAGE_4K) as usize;
-
-/// Chunk size for [`SegmentMemory::fill`] backings: bounds how much one
-/// lazy fill segment materialises if a byte of it is ever inspected.
-const FILL_CHUNK: u64 = 1 << 20;
 
 /// Hasher for window numbers: one multiply spreads consecutive windows
 /// over the table (the keys are plain integers, never adversarial).
@@ -196,9 +202,10 @@ impl SegmentMemory {
 
     /// Write a payload window starting at `addr` — a metadata update, no
     /// byte copying. Overlapped extents of existing segments are trimmed
-    /// (zero-copy slices); adjacent windows of the same backing re-join so
-    /// a producer slicing one large buffer leaves one segment. A payload
-    /// that nothing else holds lands in place like a byte
+    /// (zero-copy slices); neighbours that [`Payload::joins`] merges
+    /// re-join, so a producer slicing one large buffer, or one pattern
+    /// stream into beats, leaves one segment (per 1 MiB of pattern). A
+    /// payload that nothing else holds lands in place like a byte
     /// [`write`](Self::write) when it can.
     pub fn write_payload(&mut self, addr: u64, data: Payload) {
         if data.is_unique() && self.write_in_place(addr, &data) {
@@ -219,17 +226,20 @@ impl SegmentMemory {
 
     /// Fill `[addr, addr + len)` with `byte` as lazy shared-backing fill
     /// segments — O(len / 1 MiB) metadata, no allocation until (and unless)
-    /// the bytes are inspected. Chunks are cut at absolute 1 MiB boundaries
-    /// so aligned 1 MiB reads land on exactly one segment.
+    /// the bytes are inspected. Chunks are cut at absolute
+    /// [`LAZY_BACKING_MAX`] (1 MiB) boundaries, so aligned 1 MiB reads land
+    /// on exactly one segment and an inspected chunk materialises no more
+    /// than a joined pattern does.
     pub fn fill(&mut self, addr: u64, len: u64, byte: u8) {
         if len == 0 {
             return;
         }
-        let backing = Payload::fill(byte, FILL_CHUNK.min(len) as usize);
+        let chunk = LAZY_BACKING_MAX as u64;
+        let backing = Payload::fill(byte, chunk.min(len) as usize);
         let mut cur = addr;
         let end = addr + len;
         while cur < end {
-            let chunk_end = ((cur / FILL_CHUNK) + 1) * FILL_CHUNK;
+            let chunk_end = ((cur / chunk) + 1) * chunk;
             let n = chunk_end.min(end) - cur;
             self.insert_segment(cur, backing.slice(0..n as usize));
             cur += n;
@@ -433,21 +443,18 @@ impl SegmentMemory {
     }
 
     /// Grow the write cursor's segment in place by `data` when `data`
-    /// starts at its end, ends before the following segment and continues
-    /// its backing. The general walk would find that segment as the
-    /// predecessor, nothing overlapped and no successor at `end`, and
+    /// starts at its end, ends before the following segment and joins it
+    /// ([`Payload::joins`]). The general walk would find that segment as
+    /// the predecessor, nothing overlapped and no successor at `end`, and
     /// leave exactly this layout.
     fn append_at_cursor(&mut self, addr: u64, data: &Payload) -> bool {
         let Some(cur) = &mut self.write_cursor else {
             return false;
         };
         let seg = &self.slab[cur.slot as usize];
-        if cur.start + seg.len() as u64 != addr {
+        if cur.start + seg.len() as u64 != addr || !seg.joins(data) {
             return false;
         }
-        let Some(joined) = seg.try_join(data) else {
-            return false;
-        };
         let segs = &self.segs;
         let next = *cur
             .next
@@ -455,8 +462,7 @@ impl SegmentMemory {
         if addr + data.len() as u64 >= next {
             return false;
         }
-        self.slab[cur.slot as usize] = joined;
-        true
+        self.slab[cur.slot as usize].try_extend(data)
     }
 
     /// Whether `data` is the window the write cursor's segment already
@@ -468,7 +474,7 @@ impl SegmentMemory {
     }
 
     /// Insert `data` at `addr`, trimming any overlapped extents of existing
-    /// segments and re-joining with same-backing neighbours. All slicing is
+    /// segments and re-joining with the neighbours it joins. All slicing is
     /// zero-copy.
     ///
     /// An append at the write cursor grows its segment in place. Otherwise
@@ -481,6 +487,14 @@ impl SegmentMemory {
     /// covered segments past `addr`, a successor absorbed by a join, a
     /// write at a fresh key) cost one more descent each. A write that
     /// joins its predecessor makes that segment the write cursor.
+    ///
+    /// A trim shortens a segment, and a shorter pattern window may join
+    /// by origin where the whole one passed [`LAZY_BACKING_MAX`]. So where
+    /// a trimmed predecessor or a split tail is a pattern window, and the
+    /// segment now in its place (joined with the write or not) is shorter
+    /// than the one it was cut from, that segment is offered to the one on
+    /// its far side ([`Self::rejoin`]). Other windows join only within
+    /// their backing, which a trim does not change.
     ///
     /// A rewrite of the very window a segment holds strictly inside it
     /// changes nothing: the walk would trim that segment, join the write
@@ -503,6 +517,10 @@ impl SegmentMemory {
         let mut succ: Option<u32> = None;
         let mut at_addr: Option<u32> = None;
         let mut pred: Option<(u64, u32)> = None;
+        // Where a trimmed pattern predecessor starts and a split pattern
+        // tail ends, each with the length of the segment it was cut from.
+        let mut trimmed_pred: Option<(u64, usize)> = None;
+        let mut tail_end: Option<(u64, usize)> = None;
         for (&s, &slot) in self.segs.range(..=end).rev() {
             if s == end {
                 succ = Some(slot);
@@ -526,12 +544,15 @@ impl SegmentMemory {
                 });
                 return;
             }
+            let cut_from = seg.pattern_origin().and(Some(seg.len()));
             if seg_end > end {
                 tail = Some(seg.slice((end - s) as usize..seg.len()));
+                tail_end = cut_from.map(|whole| (seg_end, whole));
             }
             if s < addr {
                 *seg = seg.slice(0..(addr - s) as usize);
                 pred = Some((s, slot));
+                trimmed_pred = cut_from.map(|whole| (s, whole));
                 break;
             }
             if s == addr {
@@ -540,21 +561,30 @@ impl SegmentMemory {
                 covered.push(s);
             }
         }
-        // Join with the predecessor, then the successor, when they
-        // continue the same backing buffer (zero-copy window merge).
-        let joined_pred = match pred.and_then(|(_, p)| self.seg(p).try_join(&merged)) {
-            Some(j) => {
-                merged = j;
-                true
+        // Join with the predecessor, then the successor, when they join
+        // (zero-copy). The predecessor grows in place: it swaps slots with
+        // the write, so the store's handle on it stays its only one.
+        let joined_pred = match pred {
+            Some((_, p)) if self.seg(p).joins(&merged) => {
+                std::mem::swap(&mut self.slab[p as usize], &mut merged);
+                merged.try_extend(&self.slab[p as usize])
             }
-            None => false,
+            _ => false,
         };
         let mut take_succ = false;
         let next_seg = tail.as_ref().or(succ.map(|k| self.seg(k)));
-        if let Some(j) = next_seg.and_then(|n| merged.try_join(n)) {
-            merged = j;
+        if next_seg.is_some_and(|n| merged.try_extend(n)) {
             take_succ = tail.take().is_none();
         }
+        // The lengths of the segments now starting where the predecessor
+        // starts and ending where the tail ends.
+        let left_len = match pred {
+            Some((_, p)) if !joined_pred => self.seg(p).len(),
+            _ => merged.len(),
+        };
+        let right_len = tail.as_ref().map_or(merged.len(), Payload::len);
+        let rejoin_at = [(trimmed_pred, left_len), (tail_end, right_len)]
+            .map(|(cut, now)| cut.filter(|&(_, whole)| now < whole).map(|(at, _)| at));
         // A segment still starts at `end` unless the join absorbed it.
         let next_at_end = (tail.is_some() || (succ.is_some() && !take_succ)).then_some(end);
         let mut unplaced = None;
@@ -586,6 +616,27 @@ impl SegmentMemory {
                 slot,
                 next: next_at_end,
             });
+        }
+        for at in rejoin_at.into_iter().flatten() {
+            self.rejoin(at);
+        }
+    }
+
+    /// Join the segment starting at `at` onto the one ending there, if it
+    /// joins it. The join removes the key at `at`, which drops both
+    /// cursors.
+    fn rejoin(&mut self, at: u64) {
+        let Some(&slot) = self.segs.get(&at) else {
+            return;
+        };
+        let Some((&s, &prev)) = self.segs.range(..at).next_back() else {
+            return;
+        };
+        let (head, next) = (self.seg(prev), self.seg(slot));
+        if s + head.len() as u64 == at && head.joins(next) {
+            let next = std::mem::take(&mut self.slab[slot as usize]);
+            self.slab[prev as usize].try_extend(&next);
+            self.take(at);
         }
     }
 
@@ -642,7 +693,7 @@ mod tests {
     }
 
     /// The start of the first of two neighbouring segments that could be
-    /// one: contiguous in address and windows of one backing.
+    /// one: contiguous in address, and the second joins the first.
     fn joinable_neighbours(m: &SegmentMemory) -> Option<u64> {
         let mut prev: Option<(u64, &Payload)> = None;
         for (&s, &slot) in &m.segs {
@@ -655,6 +706,22 @@ mod tests {
             prev = Some((s, p));
         }
         None
+    }
+
+    /// Neighbouring pattern segments whose origins meet: what stops them
+    /// joining is [`LAZY_BACKING_MAX`].
+    fn capped_neighbours(m: &SegmentMemory) -> usize {
+        let segs: Vec<(u64, &Payload)> = m.segs.iter().map(|(&s, &k)| (s, m.seg(k))).collect();
+        segs.windows(2)
+            .filter(|w| {
+                let ((a, pa), (b, pb)) = (w[0], w[1]);
+                a + pa.len() as u64 == b
+                    && matches!(
+                        (pa.pattern_origin(), pb.pattern_origin()),
+                        (Some(x), Some(y)) if x.wrapping_add(pa.len() as u64) == y
+                    )
+            })
+            .count()
     }
 
     /// The window-start index recounted from scratch.
@@ -937,9 +1004,8 @@ mod tests {
         let p = Payload::pattern(7, 4096);
         m.write_payload(64, p.clone());
         let back = m.read_payload(64, 4096);
-        // The store returned our window, not a copy: a slice of the result
-        // re-joins with the original's tail only if both share one backing.
-        assert!(p.slice(0..2048).try_join(&back.slice(2048..4096)).is_some());
+        // The store returned our window, not a copy.
+        assert!(back.same_window(&p));
         assert_eq!(back, p);
         assert_eq!(m.segment_count(), 1);
     }
@@ -1076,8 +1142,14 @@ mod tests {
         r: Reference,
         /// Read windows kept alive for a while, one per side.
         held: Vec<(Payload, Payload)>,
+        /// The origin-aligned beat [`Lockstep::beat_window`] cuts from:
+        /// its start address and one allocation per side.
+        beat: Option<(u64, Payload, Payload)>,
         ops: usize,
     }
+
+    /// Bytes per origin-aligned beat, as the streamer cuts a transfer.
+    const BEAT: u64 = 64 << 10;
 
     /// Two equal buffers, one per side.
     fn twin(bytes: Vec<u8>) -> (Payload, Payload) {
@@ -1130,6 +1202,26 @@ mod tests {
             self.m.write_payload(addr, Payload::pattern(seed, len));
             self.r.write_payload(addr, Payload::pattern(seed, len));
             self.check();
+        }
+
+        /// A window of the 64 KiB beat `Payload::pattern(beat_start,
+        /// BEAT)` holding `addr`, a new allocation per beat: byte `addr` of
+        /// the store is `pattern_byte(0, addr)` wherever it was written
+        /// from. Cut at the beat's end, so it may be shorter than `len`;
+        /// returns the length written.
+        fn beat_window(&mut self, addr: u64, len: usize) -> usize {
+            let start = addr & !(BEAT - 1);
+            if self.beat.as_ref().is_none_or(|b| b.0 != start) {
+                let pat = || Payload::pattern(start, BEAT as usize);
+                self.beat = Some((start, pat(), pat()));
+            }
+            let (_, a, b) = self.beat.as_ref().expect("set above");
+            let from = (addr - start) as usize;
+            let to = (from + len).min(BEAT as usize);
+            self.m.write_payload(addr, a.slice(from..to));
+            self.r.write_payload(addr, b.slice(from..to));
+            self.check();
+            to - from
         }
 
         fn fill(&mut self, addr: u64, len: u64, byte: u8) {
@@ -1188,18 +1280,22 @@ mod tests {
     }
 
     /// Seeded random op mix over three coalescing windows: sequential
-    /// appends of shared-backing windows (the write cursor's path), byte
-    /// writes packed into one hot region (so the coalescer fires), random
-    /// shared windows, patterns, unique payloads, fills,
-    /// rewrites of windows the store already holds (inside a segment, at
-    /// either end or whole; near the append stream, where the write
-    /// cursor sits, or anywhere), held and dropped reads, and the odd
-    /// `clear`.
+    /// appends of shared-backing windows or of origin-aligned pattern
+    /// beats (the write cursor's path, joins across allocations, in-place
+    /// growth and the [`LAZY_BACKING_MAX`] cap), byte writes packed into
+    /// one hot region (so the coalescer fires), random shared windows,
+    /// patterns, origin-aligned patterns (`Payload::pattern(addr, len)`,
+    /// which join every origin-aligned neighbour), unique payloads,
+    /// fills, rewrites of windows the store already holds (inside a
+    /// segment, at either end or whole; near the append stream, where the
+    /// write cursor sits, or anywhere), held and dropped reads, and the
+    /// odd `clear`.
     #[test]
     fn layout_matches_oracle_under_random_ops() {
         const BASE: u64 = COALESCE_WINDOW;
         const SPAN: u64 = 3 * COALESCE_WINDOW;
         let mut coalesced = 0;
+        let mut capped = 0;
         for seed in 1..=6u64 {
             let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
             let mut next = move || {
@@ -1231,10 +1327,17 @@ mod tests {
                             } else {
                                 anywhere
                             };
-                            bi = next() as usize % backings.len();
+                            // One stream in four is origin-aligned beats.
+                            bi = next() as usize % (backings.len() + 1);
                             off = next() as usize % (32 << 10);
                         }
-                        l.window(at, &backings[bi], off, off + len);
+                        let len = match backings.get(bi) {
+                            Some(b) => {
+                                l.window(at, b, off, off + len);
+                                len
+                            }
+                            None => l.beat_window(at, len),
+                        };
                         at += len as u64;
                         off += len;
                     }
@@ -1249,13 +1352,17 @@ mod tests {
                         let len = 1 + next() as usize % 4096;
                         l.window(anywhere, b, from, from + len);
                     }
-                    57..=63 => {
+                    57..=60 => {
                         let len = if next() % 2 == 0 {
                             4096
                         } else {
                             1 + next() % 2048
                         };
                         l.pattern(anywhere & !(PAGE_4K - 1), step, len as usize);
+                    }
+                    61..=63 => {
+                        let len = 1 + next() as usize % (512 << 10);
+                        l.pattern(anywhere, anywhere, len);
                     }
                     64..=71 => {
                         let len = 1 + next() as usize % 300;
@@ -1283,9 +1390,61 @@ mod tests {
                 if l.m.segment_count() + 64 < before && l.m.segment_count() > 0 {
                     coalesced += 1;
                 }
+                capped += capped_neighbours(&l.m).min(1);
             }
         }
         assert!(coalesced > 0, "the coalescer never fired");
+        assert!(capped > 0, "no join by origin ever met the cap");
+    }
+
+    #[test]
+    fn streamed_pattern_beats_join_into_capped_segments() {
+        // 4 MiB landed page by page from 64 KiB beats, each its own
+        // `Payload::pattern(addr, 64 KiB)`: one segment per 1 MiB.
+        let mut l = Lockstep::default();
+        for addr in (0..4u64 << 20).step_by(PAGE_4K as usize) {
+            l.beat_window(addr, PAGE_4K as usize);
+        }
+        assert_eq!(
+            layout(&l.m),
+            (0..4)
+                .map(|i| (i << 20, LAZY_BACKING_MAX))
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(capped_neighbours(&l.m), 3);
+        assert_eq!(l.m.backing_bytes(), 0, "nothing materialised");
+        l.read((1 << 20) - 100, 200, false);
+        let p = l.m.read_payload(3 << 20, 1 << 20);
+        assert_eq!(p.pattern_origin(), Some(3 << 20));
+    }
+
+    #[test]
+    fn a_trim_under_the_cap_rejoins_across_it() {
+        const K: u64 = 1 << 10;
+        let mut l = Lockstep::default();
+        let origin = |l: &mut Lockstep, addr: u64, len: u64| l.pattern(addr, addr, len as usize);
+        // [0, 512K) and [512K, 1280K) meet by origin but would pass the
+        // cap together. Cutting the second's end brings them under it.
+        origin(&mut l, 0, 512 * K);
+        origin(&mut l, 512 * K, 768 * K);
+        assert_eq!(layout(&l.m), [(0, 512 << 10), (512 * K, 768 << 10)]);
+        l.write(1024 * K, &[1u8; 256 << 10]);
+        assert_eq!(layout(&l.m), [(0, 1 << 20), (1024 * K, 256 << 10)]);
+        // A split tail: [2M, 2M + 768K) and the 512K after it; cutting the
+        // first's head leaves a 512K tail that joins its successor.
+        origin(&mut l, 2048 * K, 768 * K);
+        origin(&mut l, 2816 * K, 512 * K);
+        l.write(2048 * K, &[2u8; 256 << 10]);
+        assert_eq!(
+            layout(&l.m),
+            [
+                (0, 1 << 20),
+                (1024 * K, 256 << 10),
+                (2048 * K, 256 << 10),
+                (2304 * K, 1 << 20)
+            ]
+        );
+        l.read(2300 * K, 8 * K as usize, false);
     }
 
     /// A write cursor at `[0, 1536)` with its successor at 8192 already

@@ -2,9 +2,9 @@
 //! per write and no cursors: the layout oracle for [`super::SegmentMemory`].
 //! Its layout after any op sequence is the layout the store must keep.
 
-use super::{COALESCE_SEGS, COALESCE_WINDOW, FILL_CHUNK};
+use super::{COALESCE_SEGS, COALESCE_WINDOW};
 use crate::hostmem::PAGE_4K;
-use snacc_sim::bytes::Payload;
+use snacc_sim::bytes::{Payload, LAZY_BACKING_MAX};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 #[derive(Default)]
@@ -77,11 +77,12 @@ impl Reference {
         if len == 0 {
             return;
         }
-        let backing = Payload::fill(byte, FILL_CHUNK.min(len) as usize);
+        let chunk = LAZY_BACKING_MAX as u64;
+        let backing = Payload::fill(byte, chunk.min(len) as usize);
         let mut cur = addr;
         let end = addr + len;
         while cur < end {
-            let chunk_end = ((cur / FILL_CHUNK) + 1) * FILL_CHUNK;
+            let chunk_end = ((cur / chunk) + 1) * chunk;
             let n = chunk_end.min(end) - cur;
             self.insert_segment(cur, backing.slice(0..n as usize));
             cur += n;
@@ -173,7 +174,8 @@ impl Reference {
         parts
     }
 
-    /// The single backward walk the store's general write path keeps.
+    /// The single backward walk the store's general write path keeps, then
+    /// a re-join across both ends of every trim.
     fn insert_segment(&mut self, addr: u64, data: Payload) {
         if data.is_empty() {
             return;
@@ -184,6 +186,8 @@ impl Reference {
         let mut tail: Option<Payload> = None;
         let mut take_succ = false;
         let mut unplaced = None;
+        // Where a trimmed predecessor starts and a split tail ends.
+        let mut trimmed = Vec::new();
         {
             let mut succ: Option<&Payload> = None;
             let mut at_addr: Option<&mut Payload> = None;
@@ -202,10 +206,12 @@ impl Reference {
                 }
                 if seg_end > end {
                     tail = Some(seg.slice((end - s) as usize..seg.len()));
+                    trimmed.push(seg_end);
                 }
                 if s < addr {
                     *seg = seg.slice(0..(addr - s) as usize);
                     pred = Some(seg);
+                    trimmed.push(s);
                     break;
                 }
                 if s == addr {
@@ -247,6 +253,24 @@ impl Reference {
         }
         if let Some(m) = unplaced {
             self.put(addr, m);
+        }
+        for &at in trimmed.iter().rev() {
+            self.rejoin(at);
+        }
+    }
+
+    /// Join the segment starting at `at` onto the one ending there, if it
+    /// joins it.
+    fn rejoin(&mut self, at: u64) {
+        let Some(next) = self.segs.get(&at) else {
+            return;
+        };
+        let Some((&s, prev)) = self.segs.range(..at).next_back() else {
+            return;
+        };
+        if let Some(j) = prev.try_join(next).filter(|_| s + prev.len() as u64 == at) {
+            self.segs.insert(s, j);
+            self.take(at);
         }
     }
 

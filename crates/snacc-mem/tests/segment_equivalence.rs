@@ -47,8 +47,11 @@ fn apply(seg: &mut SegmentMemory, flat: &mut Flat, op: [u64; 4]) {
             flat.write(addr, &data);
         }
         1 => {
-            // Zero-copy payload write of a lazy pattern window.
-            let p = Payload::pattern(s, len as usize);
+            // Zero-copy payload write of a lazy pattern window; for even
+            // `s` origin-aligned (byte `addr` is `pattern_byte(0, addr)`),
+            // so it joins every origin-aligned neighbour by origin.
+            let seed = if s % 2 == 0 { addr } else { s };
+            let p = Payload::pattern(seed, len as usize);
             seg.write_payload(addr, p.clone());
             flat.write(addr, p.as_slice());
         }
@@ -123,9 +126,11 @@ fn apply(seg: &mut SegmentMemory, flat: &mut Flat, op: [u64; 4]) {
 }
 
 /// The address of the first of two neighbouring segments that could be
-/// one: contiguous in address and windows of one backing. The parts of a
-/// read over the whole space are the stored segments, in order, with the
-/// gaps between them as zero-fill parts of their own backing.
+/// one: contiguous in address, and the second joins the first
+/// ([`Payload::joins`]: one backing, or pattern origins that meet). The
+/// parts of a read over the whole space are the stored segments, in
+/// order, with the gaps between them as zero-fill parts of their own
+/// backing.
 fn joinable_neighbours(seg: &mut SegmentMemory) -> Option<u64> {
     let parts = seg.read_payload_parts(0, 2 * SPACE as usize);
     let mut at = 0u64;

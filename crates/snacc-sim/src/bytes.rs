@@ -10,6 +10,14 @@
 //! slicing and splitting are O(1) and allocation-free; the bytes are
 //! copied at most once — at ingress, or never for generated data.
 //!
+//! Two windows join without copying ([`Payload::joins`]) when the second
+//! continues the first in one backing, or when both are pattern windows
+//! whose origins meet ([`Payload::pattern_origin`]): a pattern byte
+//! depends only on its origin, so windows cut from separate allocations
+//! of one stream join into one pattern of at most [`LAZY_BACKING_MAX`]
+//! bytes. A producer that builds a stream beat by beat therefore leaves
+//! one segment per 1 MiB in the stores it writes, not one per beat.
+//!
 //! `Payload` dereferences to `[u8]`, so read sites (`&beat.data[0..8]`,
 //! iteration, `len()`) work unchanged; that materialises a lazy segment
 //! once, for all sharers. [`Payload::copy_to`] and [`Payload::byte_at`]
@@ -23,6 +31,11 @@ use std::fmt;
 use std::ops::{Deref, Range};
 use std::rc::Rc;
 
+/// The most bytes a join may put in one lazy pattern backing, and so the
+/// most that one lazy segment built by a join (or by the segment store's
+/// fills) materialises on [`Payload::as_slice`].
+pub const LAZY_BACKING_MAX: usize = 1 << 20;
+
 /// A caller's generator: writes a segment's bytes at an offset into a
 /// buffer.
 type GenFn = dyn Fn(usize, &mut [u8]);
@@ -35,8 +48,8 @@ enum Gen {
     Fill(u8),
     /// A caller's generator, boxed twice so that the pointer is thin: a
     /// `Gen`, and with it every pattern and fill segment, stays two words.
-    /// The segment store holds one lazy segment per 4 KiB pattern page
-    /// written.
+    /// The segment store holds one lazy segment per pattern page that
+    /// joins no neighbour (random 4 KiB writes).
     Func(Box<Box<GenFn>>),
 }
 
@@ -265,31 +278,22 @@ impl Payload {
         (self.slice(0..mid), self.slice(mid..self.len))
     }
 
-    /// Concatenate parts. Adjacent windows of the same backing are merged
-    /// zero-copy; anything else is copied once into one fresh buffer (the
-    /// only copying operation on this type besides ingress). Lazy parts
-    /// are copied out without being materialised.
+    /// Concatenate parts. When each part [`joins`](Payload::joins) the
+    /// ones before it (windows of one backing, or pattern windows whose
+    /// origins meet, within [`LAZY_BACKING_MAX`]), the result is one
+    /// window and no byte is copied; anything else is copied once into one
+    /// fresh buffer (the only copying operation on this type besides
+    /// ingress). Lazy parts are copied out without being materialised.
     pub fn concat(parts: &[Payload]) -> Payload {
         match parts {
             [] => Payload::empty(),
             [one] => one.clone(),
             [first, rest @ ..] => {
-                // Zero-copy when every part continues the previous one in
-                // the same backing buffer.
-                let mut end = first.off + first.len;
-                let contiguous = rest.iter().all(|p| {
-                    let adj = same_backing(&first.repr, &p.repr) && p.off == end;
-                    end = p.off + p.len;
-                    adj
-                });
-                let total: usize = parts.iter().map(|p| p.len).sum();
-                if contiguous {
-                    return Payload {
-                        repr: first.repr.clone(),
-                        off: first.off,
-                        len: total,
-                    };
+                let mut joined = first.clone();
+                if rest.iter().all(|p| joined.try_extend(p)) {
+                    return joined;
                 }
+                let total: usize = parts.iter().map(|p| p.len).sum();
                 Payload::build(total, |buf| {
                     let mut at = 0;
                     for p in parts {
@@ -306,20 +310,76 @@ impl Payload {
         self.as_slice().to_vec()
     }
 
-    /// Zero-copy join: if `next` continues this window in the same backing
-    /// buffer, return the merged window; otherwise `None` (no copying is
-    /// ever performed). The segment store uses this to re-coalesce writes
-    /// that an upstream producer carved out of one large buffer.
+    /// Whether `next` continues this window, so that a join of the two
+    /// copies nothing: either a window of the same backing that starts
+    /// where this one ends, or a pattern window whose origin is this
+    /// pattern window's end (`pattern_origin(self) + self.len() ==
+    /// pattern_origin(next)`, whatever allocations they came from) when
+    /// the joined pattern holds at most [`LAZY_BACKING_MAX`] bytes. The
+    /// one rule behind [`try_join`](Payload::try_join),
+    /// [`try_extend`](Payload::try_extend), [`concat`](Payload::concat)
+    /// and the segment store's joins. O(1); nothing is materialised.
+    pub fn joins(&self, next: &Payload) -> bool {
+        self.continues_backing(next) || self.joins_by_origin(next)
+    }
+
+    fn continues_backing(&self, next: &Payload) -> bool {
+        next.off == self.off + self.len && same_backing(&self.repr, &next.repr)
+    }
+
+    fn joins_by_origin(&self, next: &Payload) -> bool {
+        self.len + next.len <= LAZY_BACKING_MAX
+            && matches!(
+                (self.pattern_origin(), next.pattern_origin()),
+                (Some(a), Some(b)) if a.wrapping_add(self.len as u64) == b
+            )
+    }
+
+    /// Zero-copy join: if `next` [`joins`](Payload::joins) this window,
+    /// return the merged window; otherwise `None` (no copying is ever
+    /// performed). The segment store uses this to re-coalesce writes that
+    /// an upstream producer carved out of one buffer or one pattern
+    /// stream.
     pub fn try_join(&self, next: &Payload) -> Option<Payload> {
-        if same_backing(&self.repr, &next.repr) && next.off == self.off + self.len {
-            Some(Payload {
-                repr: self.repr.clone(),
-                off: self.off,
-                len: self.len + next.len,
-            })
-        } else {
-            None
+        let mut joined = self.clone();
+        joined.try_extend(next).then_some(joined)
+    }
+
+    /// Grow this window by `next` when `next` [`joins`](Payload::joins)
+    /// it, and say whether it did; `false` leaves it as it was. A window
+    /// of the same backing only lengthens the window. A join by origin
+    /// lengthens the pattern backing itself when this handle alone holds
+    /// it (`Rc::get_mut`), it is not materialised and the window ends at
+    /// its end, so a stream appended beat by beat allocates nothing; else
+    /// the window becomes one fresh pattern of the joined bytes. Either
+    /// way no other handle ever sees its window or bytes change.
+    pub fn try_extend(&mut self, next: &Payload) -> bool {
+        if self.continues_backing(next) {
+            self.len += next.len;
+            return true;
         }
+        if !self.joins_by_origin(next) {
+            return false;
+        }
+        let len = self.len + next.len;
+        if let Repr::Lazy(l) = &mut self.repr {
+            if let Some(seg) = Rc::get_mut(l) {
+                let grown = seg.total_len + next.len;
+                if seg.cache.get().is_none()
+                    && self.off + self.len == seg.total_len
+                    && grown <= LAZY_BACKING_MAX
+                {
+                    seg.total_len = grown;
+                    self.len = len;
+                    return true;
+                }
+            }
+        }
+        let origin = self
+            .pattern_origin()
+            .expect("a join by origin is a pattern");
+        *self = Payload::pattern(origin, len);
+        true
     }
 
     /// True when `other` is this very window: the same backing, offset and
@@ -396,9 +456,9 @@ impl Payload {
 /// Replaces `VecDeque<u8>` staging buffers in the models: refilling is an
 /// O(1) segment push instead of a per-byte `extend`, and [`take`] carves
 /// the front `n` bytes out as a `Payload` — zero-copy whenever the bytes
-/// sit in one segment or in adjacent windows of the same backing buffer
-/// (the common case when an upstream producer sliced one large buffer
-/// into frames).
+/// sit in one segment or in segments that [`Payload::joins`] merges (the
+/// common case when an upstream producer sliced one large buffer, or one
+/// pattern stream, into frames).
 ///
 /// [`take`]: PayloadQueue::take
 #[derive(Default)]
@@ -467,7 +527,7 @@ impl PayloadQueue {
         if first_len == n {
             return self.segs.pop_front().expect("len accounted");
         }
-        // Slow path: gather segments; concat merges adjacent windows
+        // Slow path: gather segments; concat merges joinable windows
         // zero-copy and copies otherwise.
         let mut parts = Vec::new();
         let mut need = n;
@@ -647,13 +707,20 @@ impl fmt::Debug for Payload {
         // Don't materialise a lazy segment just to debug-print it.
         if let Repr::Lazy(l) = &self.repr {
             if l.cache.get().is_none() {
-                let (off, len) = (self.off, self.len);
+                let (off, len, total) = (self.off, self.len, l.total_len);
                 return match l.gen {
-                    Gen::Pattern(seed) => {
-                        write!(f, "Payload::pattern(seed={seed:#x}, off={off}, len={len})")
-                    }
-                    Gen::Fill(byte) => write!(f, "Payload::fill(byte={byte:#04x}, len={len})"),
-                    Gen::Func(_) => write!(f, "Payload::generated(off={off}, len={len})"),
+                    Gen::Pattern(seed) => write!(
+                        f,
+                        "Payload::pattern(seed={seed:#x}, off={off}, len={len}, backing={total})"
+                    ),
+                    Gen::Fill(byte) => write!(
+                        f,
+                        "Payload::fill(byte={byte:#04x}, len={len}, backing={total})"
+                    ),
+                    Gen::Func(_) => write!(
+                        f,
+                        "Payload::generated(off={off}, len={len}, backing={total})"
+                    ),
                 };
             }
         }
@@ -810,6 +877,157 @@ mod tests {
         let (fa, fb) = f.split_at(10);
         assert_eq!(fa.try_join(&fb).expect("same fill backing"), f);
         assert!(fa.try_join(&Payload::fill(0, 8)).is_none());
+    }
+
+    /// The lazy backing behind `p`: its length and whether `p` is its
+    /// only handle.
+    fn lazy_backing(p: &Payload) -> (usize, bool) {
+        match &p.repr {
+            Repr::Lazy(l) => (l.total_len, Rc::strong_count(l) == 1),
+            Repr::Bytes(_) => panic!("not lazy: {p:?}"),
+        }
+    }
+
+    #[test]
+    fn pattern_windows_join_by_origin_across_allocations() {
+        // Two allocations of one stream: bytes [100, 400) and [400, 1000)
+        // of the pattern with seed 7, the second cut from a larger one.
+        let a = Payload::pattern(107, 300);
+        let b = Payload::pattern(397, 700).slice(10..610);
+        assert!(a.joins(&b) && !same_backing(&a.repr, &b.repr));
+        let want = Payload::pattern(7, 1000).slice(100..1000);
+        for j in [
+            a.try_join(&b).expect("origins meet"),
+            Payload::concat(&[a.clone(), b.clone()]),
+        ] {
+            assert_eq!(j.pattern_origin(), Some(107));
+            assert_eq!(j.len(), 900);
+            assert_eq!(lazy_backing(&j).0, 900, "one fresh pattern");
+            assert_eq!(j, want);
+        }
+        // The parts are untouched.
+        assert_eq!((a.len(), a.pattern_origin()), (300, Some(107)));
+        assert_eq!(b, Payload::pattern(407, 600));
+    }
+
+    #[test]
+    fn pattern_joins_refuse_gaps_overlaps_order_and_the_cap() {
+        let a = Payload::pattern(0, 4096);
+        let refused = [
+            ("gap", Payload::pattern(4097, 10)),
+            ("overlap", Payload::pattern(4095, 10)),
+            ("other seed", Payload::pattern(4096 + (1 << 40), 10)),
+            (
+                "bytes",
+                Payload::from_vec(Payload::pattern(4096, 10).to_vec()),
+            ),
+            ("fill", Payload::fill(0, 10)),
+        ];
+        for (what, b) in &refused {
+            assert!(!a.joins(b), "{what}");
+            assert!(a.try_join(b).is_none(), "{what}");
+            let mut grown = a.clone();
+            assert!(!grown.try_extend(b), "{what}");
+            assert!(grown.same_window(&a), "{what}: a refused extend changed it");
+            assert!(Payload::concat(&[a.clone(), b.clone()])
+                .owned_backing()
+                .is_some());
+        }
+        // Reversed order: `b` continues `a`, not the other way round.
+        let b = Payload::pattern(4096, 10);
+        assert!(a.joins(&b) && !b.joins(&a));
+        assert!(b.try_join(&a).is_none());
+        // Up to the cap the join is lazy; one byte past it is refused and
+        // `concat` copies. Windows of one backing join past it.
+        let half = LAZY_BACKING_MAX / 2;
+        let (x, y) = (
+            Payload::pattern(0, half),
+            Payload::pattern(half as u64, half),
+        );
+        assert_eq!(
+            x.try_join(&y).map(|j| lazy_backing(&j).0),
+            Some(LAZY_BACKING_MAX)
+        );
+        let y1 = Payload::pattern(half as u64, half + 1);
+        assert!(!x.joins(&y1) && x.try_join(&y1).is_none());
+        let mut q = PayloadQueue::new();
+        q.push_back(x.clone());
+        q.push_back(y1.clone());
+        let copied = q.take(LAZY_BACKING_MAX + 1);
+        assert!(copied.owned_backing().is_some());
+        assert_eq!(copied.byte_at(half + 7), pattern_byte(0, half as u64 + 7));
+        let big = Payload::pattern(0, 2 * LAZY_BACKING_MAX);
+        let (h, t) = big.split_at(LAZY_BACKING_MAX / 3);
+        assert!(h.try_join(&t).expect("one backing").same_window(&big));
+    }
+
+    #[test]
+    fn try_extend_grows_a_sole_pattern_backing_in_place() {
+        let mut p = Payload::pattern(0, 4096);
+        let next = Payload::pattern(4096, 4096);
+        assert!(p.try_extend(&next));
+        assert_eq!(lazy_backing(&p), (8192, true), "grown in place");
+        assert_eq!(p, Payload::pattern(0, 8192));
+        // A window of the same backing only lengthens the window.
+        let whole = Payload::pattern(0, 100);
+        let mut head = whole.slice(0..40);
+        assert!(head.try_extend(&whole.slice(40..70)));
+        assert!(head.same_window(&whole.slice(0..70)));
+        assert_eq!(lazy_backing(&whole).0, 100);
+    }
+
+    #[test]
+    fn try_extend_never_changes_what_another_handle_holds() {
+        let next = Payload::pattern(4096, 4096);
+        // A clone, a slice and a window that stops short of the backing's
+        // end each force a fresh pattern; the old backing stays as it was.
+        let (p, q) = (Payload::pattern(0, 4096), Payload::pattern(0, 4096));
+        let cases = [
+            ("clone", p.clone(), p),
+            ("slice", q.slice(1000..4096), q),
+            (
+                "short window",
+                Payload::pattern(0, 8192).slice(0..4096),
+                Payload::empty(),
+            ),
+        ];
+        for (what, mut grown, held) in cases {
+            let before = (held.len(), held.to_vec(), held.pattern_origin());
+            let origin = grown.pattern_origin();
+            assert!(grown.try_extend(&next), "{what}");
+            assert_eq!(
+                (held.len(), held.to_vec(), held.pattern_origin()),
+                before,
+                "{what}"
+            );
+            if !held.is_empty() {
+                assert_eq!(lazy_backing(&held).0, 4096, "{what}");
+            }
+            assert_eq!(grown.pattern_origin(), origin, "{what}");
+            assert_eq!(lazy_backing(&grown), (grown.len(), true), "{what}: fresh");
+            assert_eq!(
+                grown,
+                Payload::pattern(origin.unwrap(), grown.len()),
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    fn try_extend_never_changes_a_materialised_backing() {
+        let mut p = Payload::pattern(0, 4096);
+        let bytes = p.to_vec();
+        assert!(!format!("{p:?}").contains("pattern"), "materialised");
+        assert!(p.try_extend(&Payload::pattern(4096, 100)));
+        assert!(format!("{p:?}").contains("pattern"), "a fresh lazy pattern");
+        assert_eq!(&p[..4096], &bytes[..]);
+        assert_eq!(p, Payload::pattern(0, 4196));
+        // Past the cap a sole, lazy backing is not grown either.
+        let mut full = Payload::pattern(0, LAZY_BACKING_MAX - 8);
+        assert!(full.try_extend(&Payload::pattern(LAZY_BACKING_MAX as u64 - 8, 8)));
+        assert_eq!(lazy_backing(&full), (LAZY_BACKING_MAX, true));
+        assert!(!full.try_extend(&Payload::pattern(LAZY_BACKING_MAX as u64, 1)));
+        assert_eq!(full.len(), LAZY_BACKING_MAX);
     }
 
     #[test]

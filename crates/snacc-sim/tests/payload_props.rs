@@ -2,11 +2,12 @@
 //! to the corresponding `Vec<u8>` operations, for arbitrary contents and
 //! arbitrary (in-bounds) cut points — including slices of slices, so
 //! offset composition is exercised, generated windows
-//! ([`Payload::generated`]) against the same flat model, and
-//! [`PayloadQueue`] against a flat `VecDeque<u8>` model.
+//! ([`Payload::generated`]) against the same flat model,
+//! [`PayloadQueue`] against a flat `VecDeque<u8>` model, and a pattern
+//! stream cut into separately built windows against the one pattern.
 
 use proptest::prelude::*;
-use snacc_sim::bytes::pattern_byte;
+use snacc_sim::bytes::{pattern_byte, LAZY_BACKING_MAX};
 use snacc_sim::{Payload, PayloadQueue};
 use std::rc::Rc;
 
@@ -22,6 +23,97 @@ fn generated(flat: &[u8]) -> Payload {
 /// only until it materialises.
 fn unmaterialised(p: &Payload) -> bool {
     format!("{p:?}").starts_with("Payload::generated")
+}
+
+/// The length of the lazy backing behind `p`, from its debug form, or
+/// `None` when `p` is a byte buffer or materialised.
+fn lazy_backing_len(p: &Payload) -> Option<usize> {
+    let dbg = format!("{p:?}");
+    let (_, rest) = dbg.split_once("backing=")?;
+    rest.trim_end_matches(')').parse().ok()
+}
+
+/// `p` holds bytes `[at, at + p.len())` of the pattern stream with `seed`:
+/// a lazy window checked by origin and a few bytes, a copy byte by byte.
+fn holds_stream(p: &Payload, seed: u64, at: usize) -> bool {
+    let want = |i: usize| pattern_byte(seed, (at + i) as u64);
+    match p.pattern_origin() {
+        Some(o) => {
+            o == seed.wrapping_add(at as u64)
+                && [0, p.len() / 2, p.len().saturating_sub(1)]
+                    .iter()
+                    .all(|&i| p.is_empty() || p.byte_at(i) == want(i))
+        }
+        None => p.iter().enumerate().all(|(i, &b)| b == want(i)),
+    }
+}
+
+proptest! {
+    /// A pattern stream cut into windows that are each built on their
+    /// own (some cut from a larger allocation) rejoins exactly: a
+    /// `try_join` fold joins until the next window would pass
+    /// [`LAZY_BACKING_MAX`], `concat` is lazy up to it and copies past it,
+    /// and a [`PayloadQueue`] fed the windows hands back the stream. No
+    /// lazy backing a join builds is longer than the cap.
+    #[test]
+    fn separate_pattern_windows_rebuild_the_stream(
+        seed in any::<u64>(),
+        lens in proptest::collection::vec(1usize..=256 << 10, 1..10),
+        pads in proptest::collection::vec(0usize..4096, 10),
+        takes in proptest::collection::vec(1usize..=400 << 10, 1..12),
+    ) {
+        let mut windows = Vec::new();
+        let mut at = 0usize;
+        for (i, &len) in lens.iter().enumerate() {
+            let origin = seed.wrapping_add(at as u64);
+            let w = match pads[i] % 3 {
+                0 => Payload::pattern(origin, len),
+                pad => Payload::pattern(origin.wrapping_sub(pad as u64), len + 2 * pad)
+                    .slice(pad..pad + len),
+            };
+            prop_assert!(lazy_backing_len(&w).is_some_and(|b| b <= LAZY_BACKING_MAX));
+            windows.push(w);
+            at += len;
+        }
+        let total = at;
+        // A `try_join` fold: refused only where the cap would be passed.
+        let mut acc = windows[0].clone();
+        let mut acc_at = 0usize;
+        for w in &windows[1..] {
+            match acc.try_join(w) {
+                Some(j) => {
+                    prop_assert_eq!(j.len(), acc.len() + w.len());
+                    acc = j;
+                }
+                None => {
+                    prop_assert!(acc.len() + w.len() > LAZY_BACKING_MAX);
+                    acc_at += acc.len();
+                    acc = w.clone();
+                }
+            }
+            prop_assert!(holds_stream(&acc, seed, acc_at));
+            prop_assert!(lazy_backing_len(&acc).is_some_and(|b| b <= LAZY_BACKING_MAX));
+        }
+        // `concat`: lazy within the cap, one copy past it.
+        let all = Payload::concat(&windows);
+        prop_assert_eq!(all.len(), total);
+        prop_assert!(holds_stream(&all, seed, 0));
+        prop_assert_eq!(all.pattern_origin().is_some(), total <= LAZY_BACKING_MAX || windows.len() == 1);
+        // A queue fed the windows hands back the stream, take by take.
+        let mut q = PayloadQueue::new();
+        for w in &windows {
+            q.push_back(w.clone());
+        }
+        let mut pos = 0usize;
+        for &t in &takes {
+            let n = t.min(q.len());
+            let got = q.take(n);
+            prop_assert_eq!(got.len(), n);
+            prop_assert!(holds_stream(&got, seed, pos));
+            prop_assert!(lazy_backing_len(&got).is_none_or(|b| b <= LAZY_BACKING_MAX));
+            pos += n;
+        }
+    }
 }
 
 proptest! {
