@@ -16,7 +16,7 @@ use crate::images::{
     class_body, class_image, classify, content_key, Downscaler, ImageFormat, ImageHeader,
     HEADER_BYTES, IMAGE_MAGIC, NUM_CLASSES,
 };
-use snacc_core::streamer::UserPorts;
+use snacc_core::streamer::{encode_write_addr, UserPorts};
 use snacc_faults::FaultPlan;
 use snacc_fpga::axis::{self, AxisChannel, StreamBeat};
 use snacc_mem::HostMemory;
@@ -155,8 +155,7 @@ impl Drop for StreamerSink {
 
 impl CaseSink for StreamerSink {
     fn begin(&mut self, en: &mut Engine, addr: u64, _len: u64) -> bool {
-        let beat = StreamBeat::mid(addr.to_le_bytes().to_vec());
-        axis::push(&self.ports.wr_in, en, beat)
+        axis::push(&self.ports.wr_in, en, encode_write_addr(addr, false))
     }
 
     fn push(&mut self, en: &mut Engine, data: Payload, last: bool) -> bool {

@@ -13,7 +13,7 @@ use snacc_apps::spdk_ref::run_host_case_study;
 use snacc_apps::system::{layout, HostSystem, SnaccSystem, SystemConfig};
 use snacc_core::config::StreamerVariant;
 use snacc_core::streamer::{encode_read_cmd, StreamerHandle};
-use snacc_fpga::axis::{self, AxisChannel, StreamBeat};
+use snacc_fpga::axis::{self, AxisChannel};
 use snacc_mem::HostMemory;
 use snacc_nvme::{NvmeDevice, NvmeDeviceHandle, NvmeProfile};
 use snacc_pcie::PcieFabric;
@@ -78,24 +78,11 @@ impl Probes {
 fn write_and_read(sys: &mut SnaccSystem) {
     let ports = sys.streamer.ports();
     let en = &mut sys.en;
-    assert!(axis::push(
-        &ports.wr_in,
-        en,
-        StreamBeat::mid(0x1000u64.to_le_bytes().to_vec())
-    ));
-    assert!(axis::push(
-        &ports.wr_in,
-        en,
-        StreamBeat::last(Payload::pattern(0x1000, 8192))
-    ));
+    ports.write(en, 0x1000, [Payload::pattern(0x1000, 8192)]);
     en.run();
-    assert!(axis::pop(&ports.wr_resp, en).is_some(), "write response");
-    assert!(axis::push(&ports.rd_cmd, en, encode_read_cmd(0x1000, 8192)));
+    assert!(ports.poll_response(en).is_some(), "write response");
+    let got: usize = ports.read(en, 0x1000, 8192).iter().map(Payload::len).sum();
     en.run();
-    let mut got = 0;
-    while let Some(beat) = axis::pop(&ports.rd_data, en) {
-        got += beat.len();
-    }
     assert_eq!(got, 8192, "read back");
 }
 

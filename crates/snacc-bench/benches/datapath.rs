@@ -60,7 +60,7 @@ fn datapath_benches(c: &mut Criterion) {
     g.bench_function("rand_write_4k", |b| {
         b.iter(|| {
             black_box(workloads::snacc_rand_bandwidth(
-                StreamerVariant::Uram,
+                SystemConfig::snacc(StreamerVariant::Uram),
                 Dir::Write,
                 rand_total,
                 7,

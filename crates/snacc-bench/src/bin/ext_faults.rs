@@ -11,7 +11,7 @@
 use snacc_apps::system::SystemConfig;
 use snacc_bench::sweep::{self, JobOutput};
 use snacc_bench::workloads::{snacc_seq_bandwidth, Dir, FaultSummary};
-use snacc_bench::{print_table, BenchRecord, Telemetry};
+use snacc_bench::{publish, BenchRecord, Telemetry};
 use snacc_core::config::StreamerVariant;
 use snacc_faults::FaultPlan;
 
@@ -82,7 +82,7 @@ fn main() {
     let (records, summaries): (Vec<_>, Vec<_>) =
         sweep::run_jobs(telemetry.jobs(), work).into_iter().unzip();
 
-    print_table(
+    publish(
         "Ext — sequential read bandwidth under NVMe fault injection",
         &records,
     );
@@ -100,6 +100,5 @@ fn main() {
             s.gave_up
         );
     }
-    snacc_bench::report::save_json(&records);
     telemetry.finish();
 }

@@ -1,7 +1,7 @@
 //! Sec 4.7 — Ethernet flow control: a 100 G source against a slow sink,
 //! directly and through a switch. Losslessness and goodput throttling.
 
-use snacc_bench::{print_table, BenchRecord, Telemetry};
+use snacc_bench::{publish, BenchRecord, Telemetry};
 use snacc_net::frame::MacAddr;
 use snacc_net::mac::{self, EthMac, MacConfig};
 use snacc_net::switch::EthSwitch;
@@ -59,7 +59,6 @@ fn main() {
             "frames",
         ));
     }
-    print_table("Sec 4.7 — 802.3x flow control under a slow sink", &records);
-    snacc_bench::report::save_json(&records);
+    publish("Sec 4.7 — 802.3x flow control under a slow sink", &records);
     telemetry.finish();
 }

@@ -3,10 +3,9 @@
 //! striping layer fanning one logical stream across them.
 
 use snacc_apps::system::{SnaccSystem, SystemConfig};
-use snacc_bench::{print_table, BenchRecord, Telemetry};
+use snacc_bench::{publish, BenchRecord, Telemetry};
 use snacc_core::config::StreamerVariant;
 use snacc_core::multi::MultiSsd;
-use snacc_fpga::axis;
 use snacc_sim::Payload;
 
 fn aggregate_write_bw(n_ssds: usize) -> f64 {
@@ -33,7 +32,7 @@ fn aggregate_write_bw(n_ssds: usize) -> f64 {
     // Drain responses.
     for s in &streamers {
         let ports = s.ports();
-        while axis::pop(&ports.wr_resp, en).is_some() {}
+        while ports.poll_response(en).is_some() {}
     }
     let dt = en.now().since(t0).as_secs_f64();
     total as f64 / 1e9 / dt
@@ -53,7 +52,6 @@ fn main() {
             "GB/s",
         ));
     }
-    print_table("Sec 7 extension — multi-SSD write scaling", &records);
-    snacc_bench::report::save_json(&records);
+    publish("Sec 7 extension — multi-SSD write scaling", &records);
     telemetry.finish();
 }

@@ -3,7 +3,7 @@
 
 use snacc_bench::sweep;
 use snacc_bench::workloads::{spdk_bandwidth, Dir};
-use snacc_bench::{print_table, BenchRecord, Telemetry};
+use snacc_bench::{publish, BenchRecord, Telemetry};
 
 fn main() {
     let telemetry = Telemetry::from_args();
@@ -23,7 +23,6 @@ fn main() {
         })
         .collect();
     let records = sweep::run_jobs(telemetry.jobs(), work);
-    print_table("SPDK random 4 KiB read vs submission queue depth", &records);
-    snacc_bench::report::save_json(&records);
+    publish("SPDK random 4 KiB read vs submission queue depth", &records);
     telemetry.finish();
 }

@@ -4,9 +4,8 @@
 
 use snacc_apps::system::SystemConfig;
 use snacc_bench::sweep::{self, JobOutput};
-use snacc_bench::workloads::{snacc_seq_bandwidth, spdk_seq_series, Dir};
-use snacc_bench::{print_table, BenchRecord, Telemetry};
-use snacc_core::config::StreamerVariant;
+use snacc_bench::workloads::{fig4_rows, snacc_seq_bandwidth, spdk_seq_series, Dir};
+use snacc_bench::{publish, BenchRecord, Telemetry};
 
 fn minmax(series: &[f64]) -> (f64, f64) {
     let lo = series.iter().copied().fold(f64::INFINITY, f64::min);
@@ -26,71 +25,22 @@ fn main() {
         3 << 30
     };
 
-    // (label, direction, variant [None = SPDK], paper GB/s, paper-lo GB/s)
-    type Job = (
-        String,
-        Dir,
-        Option<StreamerVariant>,
-        Option<f64>,
-        Option<f64>,
-    );
-    let jobs: Vec<Job> = vec![
-        (
-            "URAM seq-r".into(),
-            Dir::Read,
-            Some(StreamerVariant::Uram),
-            Some(6.9),
-            None,
-        ),
-        (
-            "On-board DRAM seq-r".into(),
-            Dir::Read,
-            Some(StreamerVariant::OnboardDram),
-            Some(6.9),
-            None,
-        ),
-        (
-            "Host DRAM seq-r".into(),
-            Dir::Read,
-            Some(StreamerVariant::HostDram),
-            Some(6.9),
-            None,
-        ),
-        ("SPDK seq-r".into(), Dir::Read, None, Some(6.9), None),
-        (
-            "URAM seq-w".into(),
-            Dir::Write,
-            Some(StreamerVariant::Uram),
-            Some(5.6),
-            Some(5.32),
-        ),
-        (
-            "On-board DRAM seq-w".into(),
-            Dir::Write,
-            Some(StreamerVariant::OnboardDram),
-            Some(4.8),
-            Some(4.6),
-        ),
-        (
-            "Host DRAM seq-w".into(),
-            Dir::Write,
-            Some(StreamerVariant::HostDram),
-            Some(6.24),
-            Some(5.90),
-        ),
-        (
-            "SPDK seq-w".into(),
-            Dir::Write,
-            None,
-            Some(6.24),
-            Some(5.90),
-        ),
+    // Paper GB/s and the write rows' paper lo, in `fig4_rows` order.
+    let paper = [
+        (6.9, None),
+        (6.9, None),
+        (6.9, None),
+        (6.9, None),
+        (5.6, Some(5.32)),
+        (4.8, Some(4.6)),
+        (6.24, Some(5.90)),
+        (6.24, Some(5.90)),
     ];
-
     let plan = telemetry.fault_plan();
-    let work: Vec<sweep::Job<'_, BenchRecord>> = jobs
+    let work: Vec<sweep::Job<'_, BenchRecord>> = fig4_rows(["seq-r", "seq-w"])
         .into_iter()
-        .map(|(label, dir, variant, paper_hi, paper_lo)| {
+        .zip(paper)
+        .map(|((label, dir, variant), (paper_hi, paper_lo))| {
             Box::new(move |log: &mut JobOutput| {
                 log.eprintln(format!("[fig4a] running {label}..."));
                 let mut series = match variant {
@@ -114,7 +64,7 @@ fn main() {
                 }
                 let (lo, hi) = minmax(&series);
                 log.eprintln(format!("[fig4a] {label}: {series:?}"));
-                let mut r = BenchRecord::new("fig4a", &label, hi, paper_hi, "GB/s");
+                let mut r = BenchRecord::new("fig4a", &label, hi, Some(paper_hi), "GB/s");
                 if dir == Dir::Write {
                     r = r.with_lo(lo);
                     if let Some(pl) = paper_lo {
@@ -128,7 +78,6 @@ fn main() {
         .collect();
     let records = sweep::run_jobs(telemetry.jobs(), work);
 
-    print_table("Fig 4a — sequential bandwidth (GB/s)", &records);
-    snacc_bench::report::save_json(&records);
+    publish("Fig 4a — sequential bandwidth (GB/s)", &records);
     telemetry.finish();
 }

@@ -1,10 +1,10 @@
 //! Fig 4b — random 4 KiB bandwidth (1 GB total, SQ depth 64): in-order
 //! SNAcc retirement vs SPDK's out-of-order reaping.
 
+use snacc_apps::system::SystemConfig;
 use snacc_bench::sweep;
-use snacc_bench::workloads::{snacc_rand_bandwidth, spdk_bandwidth, Dir};
-use snacc_bench::{print_table, BenchRecord, Telemetry};
-use snacc_core::config::StreamerVariant;
+use snacc_bench::workloads::{fig4_rows, snacc_rand_bandwidth, spdk_bandwidth};
+use snacc_bench::{publish, BenchRecord, Telemetry};
 
 fn main() {
     let telemetry = Telemetry::from_args();
@@ -13,60 +13,22 @@ fn main() {
     } else {
         1 << 30
     };
-    let jobs: Vec<(String, Dir, Option<StreamerVariant>, Option<f64>)> = vec![
-        (
-            "URAM rand-r".into(),
-            Dir::Read,
-            Some(StreamerVariant::Uram),
-            Some(1.6),
-        ),
-        (
-            "On-board DRAM rand-r".into(),
-            Dir::Read,
-            Some(StreamerVariant::OnboardDram),
-            Some(1.6),
-        ),
-        (
-            "Host DRAM rand-r".into(),
-            Dir::Read,
-            Some(StreamerVariant::HostDram),
-            Some(1.6),
-        ),
-        ("SPDK rand-r".into(), Dir::Read, None, Some(4.5)),
-        (
-            "URAM rand-w".into(),
-            Dir::Write,
-            Some(StreamerVariant::Uram),
-            Some(4.6),
-        ),
-        (
-            "On-board DRAM rand-w".into(),
-            Dir::Write,
-            Some(StreamerVariant::OnboardDram),
-            Some(4.5),
-        ),
-        (
-            "Host DRAM rand-w".into(),
-            Dir::Write,
-            Some(StreamerVariant::HostDram),
-            Some(4.8),
-        ),
-        ("SPDK rand-w".into(), Dir::Write, None, Some(5.25)),
-    ];
-    let work: Vec<sweep::Job<'_, BenchRecord>> = jobs
+    // Paper GB/s, in `fig4_rows` order.
+    let paper = [1.6, 1.6, 1.6, 4.5, 4.6, 4.5, 4.8, 5.25];
+    let work: Vec<sweep::Job<'_, BenchRecord>> = fig4_rows(["rand-r", "rand-w"])
         .into_iter()
-        .map(|(label, dir, variant, paper)| {
+        .zip(paper)
+        .map(|((label, dir, variant), paper)| {
             Box::new(move |_: &mut sweep::JobOutput| {
                 let gbps = match variant {
-                    Some(v) => snacc_rand_bandwidth(v, dir, total, 0xF1B4),
+                    Some(v) => snacc_rand_bandwidth(SystemConfig::snacc(v), dir, total, 0xF1B4),
                     None => spdk_bandwidth(dir, true, total, 64, 0xF1B4),
                 };
-                BenchRecord::new("fig4b", &label, gbps, paper, "GB/s")
+                BenchRecord::new("fig4b", &label, gbps, Some(paper), "GB/s")
             }) as sweep::Job<'_, BenchRecord>
         })
         .collect();
     let records = sweep::run_jobs(telemetry.jobs(), work);
-    print_table("Fig 4b — random 4 KiB bandwidth, QD 64 (GB/s)", &records);
-    snacc_bench::report::save_json(&records);
+    publish("Fig 4b — random 4 KiB bandwidth, QD 64 (GB/s)", &records);
     telemetry.finish();
 }

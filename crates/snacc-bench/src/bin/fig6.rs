@@ -5,7 +5,7 @@
 use snacc_apps::pipeline::CaseStudyConfig;
 use snacc_bench::sweep::{self, JobOutput};
 use snacc_bench::workloads::{run_case_study, CASE_STUDIES};
-use snacc_bench::{print_table, BenchRecord, Telemetry};
+use snacc_bench::{publish, BenchRecord, Telemetry};
 
 fn main() {
     let telemetry = Telemetry::from_args();
@@ -43,10 +43,9 @@ fn main() {
         })
         .collect();
     let records = sweep::run_jobs(telemetry.jobs(), work);
-    print_table(
+    publish(
         "Fig 6 — case-study bandwidth (GB/s; paper: 676 f/s at 6.1)",
         &records,
     );
-    snacc_bench::report::save_json(&records);
     telemetry.finish();
 }

@@ -6,7 +6,7 @@
 use snacc_apps::pipeline::CaseStudyConfig;
 use snacc_bench::sweep::{self, JobOutput};
 use snacc_bench::workloads::{run_case_study, CASE_STUDIES};
-use snacc_bench::{print_table, BenchRecord, Telemetry};
+use snacc_bench::{publish, BenchRecord, Telemetry};
 
 fn main() {
     let telemetry = Telemetry::from_args();
@@ -41,7 +41,6 @@ fn main() {
         })
         .collect();
     let records = sweep::run_jobs(telemetry.jobs(), work);
-    print_table("Fig 7 — PCIe transfer volume per stored byte", &records);
-    snacc_bench::report::save_json(&records);
+    publish("Fig 7 — PCIe transfer volume per stored byte", &records);
     telemetry.finish();
 }

@@ -1,7 +1,7 @@
 //! Table 1 — FPGA resource utilisation of the NVMe Streamer variants:
 //! compositional model vs the paper's synthesis results.
 
-use snacc_bench::{print_table, BenchRecord, Telemetry};
+use snacc_bench::{publish, BenchRecord, Telemetry};
 use snacc_core::config::{StreamerConfig, StreamerVariant};
 use snacc_core::resources::{paper_table1, streamer_resources};
 use snacc_fpga::resources::DeviceResources;
@@ -49,10 +49,9 @@ fn main() {
             (m.dram_bytes + m.host_dram_bytes) >> 20,
         );
     }
-    print_table(
+    publish(
         "Table 1 — NVMe Streamer resource utilisation (model vs paper)",
         &records,
     );
-    snacc_bench::report::save_json(&records);
     telemetry.finish();
 }

@@ -27,5 +27,5 @@ pub mod sweep;
 pub mod telemetry;
 pub mod workloads;
 
-pub use report::{print_table, BenchRecord};
+pub use report::{publish, BenchRecord};
 pub use telemetry::Telemetry;

@@ -61,8 +61,15 @@ impl BenchRecord {
     }
 }
 
+/// Publish an experiment's records: print them as a table with the paper
+/// values on stdout, then save them to `results/<experiment>.json`.
+pub fn publish(title: &str, records: &[BenchRecord]) {
+    print_table(title, records);
+    save_json(records);
+}
+
 /// Print an experiment's records as an aligned table with paper values.
-pub fn print_table(title: &str, records: &[BenchRecord]) {
+fn print_table(title: &str, records: &[BenchRecord]) {
     println!("\n=== {title} ===");
     println!(
         "{:<28} {:>18} {:>12} {:>8}",
@@ -87,7 +94,7 @@ pub fn print_table(title: &str, records: &[BenchRecord]) {
 /// Append records to `results/<experiment>.json` (machine-readable feed
 /// for EXPERIMENTS.md). A directory or file that cannot be written is
 /// reported on stderr with its path and the OS error; the run goes on.
-pub fn save_json(records: &[BenchRecord]) {
+fn save_json(records: &[BenchRecord]) {
     if records.is_empty() {
         return;
     }

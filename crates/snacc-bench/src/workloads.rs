@@ -4,12 +4,12 @@ use snacc_apps::gpu::{run_gpu_case_study, GpuModel};
 use snacc_apps::pipeline::{run_snacc_case_study, CaseStudyConfig, CaseStudyReport};
 use snacc_apps::spdk_ref::run_spdk_case_study;
 use snacc_apps::system::{HostSystem, SnaccSystem, SystemConfig};
-use snacc_core::config::StreamerVariant;
-use snacc_core::streamer::encode_read_cmd;
+use snacc_core::config::{StreamerVariant, STREAM_CHUNK};
+use snacc_core::streamer::{encode_read_cmd, encode_write_addr};
 use snacc_faults::FaultPlan;
 use snacc_fpga::axis::{self, StreamBeat};
 use snacc_nvme::NvmeProfile;
-use snacc_sim::SimDuration;
+use snacc_sim::{Payload, SimDuration};
 use snacc_spdk::SpdkConfig;
 
 /// Arm the periodic telemetry probe: every 100 µs of simulated time,
@@ -60,62 +60,48 @@ pub enum Dir {
     Write,
 }
 
-/// Drive one write transfer through the streamer ports, streaming
-/// generated data chunk-wise with backpressure. Returns when the response
-/// token arrives.
-pub fn streamer_write(sys: &mut SnaccSystem, addr: u64, len: u64) {
-    let ports = sys.streamer.ports();
-    let header = StreamBeat::mid(addr.to_le_bytes().to_vec());
-    while !axis::push(&ports.wr_in, &mut sys.en, header.clone()) {
-        assert!(sys.en.step(), "stalled pushing write header");
-    }
-    let chunk: u64 = 64 << 10;
-    let mut off = 0u64;
-    while off < len {
-        let n = chunk.min(len - off);
-        // The chunk is a lazily materialised pattern segment, and retried
-        // pushes clone an Rc instead of 64 KiB.
-        let beat = StreamBeat {
-            data: snacc_sim::Payload::pattern(addr + off, n as usize),
-            last: off + n == len,
-        };
-        let mut beat = Some(beat);
-        loop {
-            let b = beat.take().expect("beat present");
-            if axis::push(&ports.wr_in, &mut sys.en, b.clone()) {
-                break;
-            }
-            beat = Some(b);
-            assert!(sys.en.step(), "stalled pushing write data");
-        }
-        off += n;
-    }
-    while ports.wr_resp.borrow().is_empty() {
-        assert!(sys.en.step(), "no write response");
-    }
-    let _ = axis::pop(&ports.wr_resp, &mut sys.en);
+/// Fig 4's backends, labelled as Fig 4a–c are: the three streamer
+/// variants, then the SPDK baseline (`None`).
+const FIG4_BACKENDS: [(&str, Option<StreamerVariant>); 4] = [
+    ("URAM", Some(StreamerVariant::Uram)),
+    ("On-board DRAM", Some(StreamerVariant::OnboardDram)),
+    ("Host DRAM", Some(StreamerVariant::HostDram)),
+    ("SPDK", None),
+];
+
+/// Fig 4's eight rows in the figures' order, every backend reading and
+/// then every backend writing; a row's label is the backend's followed by
+/// `suffix[0]` for a read and `suffix[1]` for a write.
+pub fn fig4_rows(suffix: [&str; 2]) -> Vec<(String, Dir, Option<StreamerVariant>)> {
+    [(Dir::Read, suffix[0]), (Dir::Write, suffix[1])]
+        .into_iter()
+        .flat_map(|(dir, suffix)| {
+            FIG4_BACKENDS
+                .into_iter()
+                .map(move |(backend, variant)| (format!("{backend} {suffix}"), dir, variant))
+        })
+        .collect()
 }
 
-/// Drive one read transfer, draining (and discarding) the data stream.
-pub fn streamer_read(sys: &mut SnaccSystem, addr: u64, len: u64) {
+/// One `dir` transfer of `len` bytes at `addr` through the streamer's
+/// user ports: a write streams pattern data in 64 KiB beats, each a lazy
+/// pattern segment of its own, and waits for the response; a read drains
+/// (and discards) its data stream.
+fn transfer(sys: &mut SnaccSystem, dir: Dir, addr: u64, len: u64) {
     let ports = sys.streamer.ports();
-    let cmd = encode_read_cmd(addr, len);
-    while !axis::push(&ports.rd_cmd, &mut sys.en, cmd.clone()) {
-        assert!(sys.en.step(), "stalled pushing read cmd");
-    }
-    let mut got = 0u64;
-    while got < len {
-        match axis::pop(&ports.rd_data, &mut sys.en) {
-            Some(beat) => {
-                got += beat.len() as u64;
-                if beat.last {
-                    break;
-                }
-            }
-            None => assert!(sys.en.step(), "read data stalled"),
+    match dir {
+        Dir::Write => {
+            let beats = (0..len)
+                .step_by(STREAM_CHUNK as usize)
+                .map(|off| Payload::pattern(addr + off, STREAM_CHUNK.min(len - off) as usize));
+            ports.write(&mut sys.en, addr, beats);
+            ports.response(&mut sys.en);
+        }
+        Dir::Read => {
+            ports.push_read(&mut sys.en, addr, len);
+            assert_eq!(ports.receive_with(&mut sys.en, drop), len);
         }
     }
-    assert_eq!(got, len);
 }
 
 /// Fault-campaign accounting gathered after a faulted run: injections at
@@ -296,10 +282,7 @@ pub fn snacc_seq_bandwidth(cfg: SystemConfig, dir: Dir, total: u64) -> (Vec<f64>
         let n = gib.min(total - off);
         arm_streamer_probe(&mut sys);
         let t0 = sys.en.now();
-        match dir {
-            Dir::Write => streamer_write(&mut sys, off, n),
-            Dir::Read => streamer_read(&mut sys, off, n),
-        }
+        transfer(&mut sys, dir, off, n);
         sys.en.run();
         let dt = sys.en.now().since(t0).as_secs_f64();
         rates.push(n as f64 / 1e9 / dt);
@@ -309,9 +292,10 @@ pub fn snacc_seq_bandwidth(cfg: SystemConfig, dir: Dir, total: u64) -> (Vec<f64>
 }
 
 /// Random 4 KiB bandwidth through the streamer (Fig 4b): `total` bytes in
-/// 4 KiB requests at random offsets within a pre-warmed 1 GiB extent.
-pub fn snacc_rand_bandwidth(variant: StreamerVariant, dir: Dir, total: u64, seed: u64) -> f64 {
-    let mut sys = SnaccSystem::bring_up(SystemConfig::snacc(variant));
+/// 4 KiB requests at random offsets within a pre-warmed 1 GiB extent, on a
+/// system brought up from `cfg`.
+pub fn snacc_rand_bandwidth(cfg: SystemConfig, dir: Dir, total: u64, seed: u64) -> f64 {
+    let mut sys = SnaccSystem::bring_up(cfg);
     let span = 1u64 << 30;
     sys.nvme.with(|d| d.nand_mut().prewarm(0, span, 0x3C));
     let mut rng = snacc_sim::SimRng::new(seed);
@@ -344,12 +328,11 @@ pub fn snacc_rand_bandwidth(variant: StreamerVariant, dir: Dir, total: u64, seed
             let mut done = 0u64;
             let mut issued = 0u64;
             // One shared 4 KiB page; per-request clones are Rc bumps.
-            let payload = snacc_sim::Payload::pattern(0, 4096);
+            let payload = Payload::pattern(0, 4096);
             while done < count {
                 if issued < count && ports.wr_in.borrow().has_space(4096 + 8) {
                     let addr = rng.gen_range(span / 4096) * 4096;
-                    let hdr = StreamBeat::mid(addr.to_le_bytes().to_vec());
-                    if axis::push(&ports.wr_in, &mut sys.en, hdr) {
+                    if axis::push(&ports.wr_in, &mut sys.en, encode_write_addr(addr, false)) {
                         let ok = axis::push(
                             &ports.wr_in,
                             &mut sys.en,
@@ -360,7 +343,7 @@ pub fn snacc_rand_bandwidth(variant: StreamerVariant, dir: Dir, total: u64, seed
                         continue;
                     }
                 }
-                if axis::pop(&ports.wr_resp, &mut sys.en).is_some() {
+                if ports.poll_response(&mut sys.en).is_some() {
                     done += 1;
                 } else {
                     assert!(sys.en.step(), "random write stalled");
@@ -386,10 +369,7 @@ pub fn snacc_latency_us(variant: StreamerVariant, dir: Dir, trials: u32, seed: u
         let addr = rng.gen_range(span / 4096) * 4096;
         arm_streamer_probe(&mut sys);
         let t0 = sys.en.now();
-        match dir {
-            Dir::Read => streamer_read(&mut sys, addr, 4096),
-            Dir::Write => streamer_write(&mut sys, addr, 4096),
-        }
+        transfer(&mut sys, dir, addr, 4096);
         sys.en.run();
         sum += sys.en.now().since(t0).as_us_f64();
     }
@@ -425,7 +405,7 @@ pub fn spdk_bandwidth(dir: Dir, random: bool, total: u64, qd: u16, seed: u64) ->
     let a2 = addrs.clone();
     // One shared lazy pattern segment: per-command submits clone an Rc
     // instead of copying `cmd` bytes.
-    let payload = snacc_sim::Payload::pattern(0, cmd as usize);
+    let payload = Payload::pattern(0, cmd as usize);
     let pay2 = payload.clone();
     spdk.set_completion_hook(move |en, _info| {
         let mut i = issued2.borrow_mut();
@@ -472,7 +452,7 @@ pub fn spdk_seq_series(dir: Dir, total: u64, seed: u64) -> Vec<f64> {
     if dir == Dir::Read {
         host.nvme.with(|d| d.nand_mut().prewarm(0, total, 0x22));
     }
-    let payload = snacc_sim::Payload::pattern(0, 1 << 20);
+    let payload = Payload::pattern(0, 1 << 20);
     let mut off = 0u64;
     while off < total {
         let end = (off + gib).min(total);
@@ -516,7 +496,7 @@ pub fn spdk_latency_us(dir: Dir, trials: u32, seed: u64) -> f64 {
         *l2.borrow_mut() = info.completed.since(info.submitted);
     });
     let mut rng = snacc_sim::SimRng::new(seed);
-    let payload = snacc_sim::Payload::pattern(0, 4096);
+    let payload = Payload::pattern(0, 4096);
     let mut sum = 0.0;
     for _ in 0..trials {
         let addr = (40 << 30) + rng.gen_range(1 << 18) * 4096;

@@ -8,8 +8,8 @@
 //! a striping layer that fans a single logical write stream out over the
 //! instances, hiding each SSD's latency behind the others.
 
+use crate::config::STREAM_CHUNK;
 use crate::streamer::StreamerHandle;
-use snacc_fpga::axis::{self, StreamBeat};
 use snacc_sim::{Engine, Payload};
 
 /// A stripe-set over multiple streamers (one per SSD).
@@ -55,35 +55,17 @@ impl MultiSsd {
     }
 
     /// Fan a write of `data` at logical address `addr` across the members
-    /// (one write transfer per stripe piece), respecting each member's
-    /// stream backpressure by stepping the engine while a channel is full.
-    /// Stripe pieces and their beats are zero-copy windows into `data`.
+    /// (one write transfer per stripe piece, in 64 KiB beats), stepping
+    /// the engine while a member's stream refuses a beat. Stripe pieces
+    /// and their beats are zero-copy windows into `data`.
     pub fn write_striped(&self, en: &mut Engine, addr: u64, data: &Payload) {
         let mut logical_off = 0usize;
         for (member, member_addr, take_len) in self.stripe_extent(addr, data.len() as u64) {
-            let ports = self.streamers[member].ports();
-            let header = StreamBeat::mid(member_addr.to_le_bytes().to_vec());
-            while !axis::push(&ports.wr_in, en, header.clone()) {
-                assert!(en.step(), "multi-SSD writer stalled on header");
-            }
-            let payload = data.slice(logical_off..logical_off + take_len as usize);
-            let plen = payload.len();
-            let mut coff = 0usize;
-            while coff < plen {
-                let cend = (coff + (64 << 10)).min(plen);
-                let beat = StreamBeat {
-                    data: payload.slice(coff..cend),
-                    last: cend == plen,
-                };
-                coff = cend;
-                let mut pending = Some(beat);
-                while let Some(b) = pending.take() {
-                    if !axis::push(&ports.wr_in, en, b.clone()) {
-                        pending = Some(b);
-                        assert!(en.step(), "multi-SSD writer stalled on data");
-                    }
-                }
-            }
+            let piece = data.slice(logical_off..logical_off + take_len as usize);
+            let beats = (0..piece.len())
+                .step_by(STREAM_CHUNK as usize)
+                .map(|off| piece.slice(off..(off + STREAM_CHUNK as usize).min(piece.len())));
+            self.streamers[member].ports().write(en, member_addr, beats);
             logical_off += take_len as usize;
         }
     }

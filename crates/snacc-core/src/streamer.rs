@@ -9,6 +9,10 @@
 //! * **write response** (⑥b): one 8-byte token (bytes written) per
 //!   completed write transfer.
 //!
+//! A PE drives them through the methods of [`UserPorts`]; they and the
+//! streamer encode and decode beats with the one codec next to
+//! [`encode_read_cmd`].
+//!
 //! Internally the streamer splits requests at 1 MB (Sec 4.2), allocates
 //! contiguous 4 KiB-aligned buffer regions, writes real SQEs into its SQ
 //! FIFO (a BAR window the SSD fetches from, ②), synthesises PRP lists
@@ -61,6 +65,132 @@ pub fn encode_read_cmd(addr: u64, len: u64) -> StreamBeat {
     d.extend_from_slice(&addr.to_le_bytes());
     d.extend_from_slice(&len.to_le_bytes());
     StreamBeat::last(d)
+}
+
+/// Decode a read command beat into `(address, length)`.
+fn decode_read_cmd(beat: &StreamBeat) -> (u64, u64) {
+    assert!(beat.len() >= 16, "read command beat must be 16 bytes");
+    (le_u64(&beat.data, 0), le_u64(&beat.data, 8))
+}
+
+/// Encode a write address beat; with `last` set it is a whole (empty)
+/// write transfer.
+pub fn encode_write_addr(addr: u64, last: bool) -> StreamBeat {
+    StreamBeat {
+        last,
+        ..StreamBeat::mid(addr.to_le_bytes().to_vec())
+    }
+}
+
+/// Decode a write address beat.
+fn decode_write_addr(beat: &StreamBeat) -> u64 {
+    assert!(beat.len() >= 8, "write header beat must carry the address");
+    le_u64(&beat.data, 0)
+}
+
+/// Encode a write response token.
+fn encode_response(bytes: u64) -> StreamBeat {
+    StreamBeat::last(bytes.to_le_bytes().to_vec())
+}
+
+/// Decode a write response token into the bytes written.
+fn decode_response(beat: &StreamBeat) -> u64 {
+    le_u64(&beat.data, 0)
+}
+
+fn le_u64(data: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes"))
+}
+
+/// The PE side of the Sec 4.1 protocol. Each call steps the engine only
+/// while a channel refuses a beat or has none yet, and panics, naming the
+/// channel, if the engine runs dry first.
+impl UserPorts {
+    /// Stream one write transfer: the address beat, then each payload as
+    /// a beat, TLAST on the last (on the address beat when there are
+    /// none). Does not wait for the response.
+    pub fn write(
+        &self,
+        en: &mut Engine,
+        addr: u64,
+        beats: impl IntoIterator<Item = impl Into<Payload>>,
+    ) {
+        let mut beats = beats.into_iter().map(Into::into).peekable();
+        let header = encode_write_addr(addr, beats.peek().is_none());
+        push_stepping(&self.wr_in, en, header);
+        while let Some(data) = beats.next() {
+            let last = beats.peek().is_none();
+            push_stepping(&self.wr_in, en, StreamBeat { data, last });
+        }
+    }
+
+    /// The next write response, if one is queued: the bytes written.
+    pub fn poll_response(&self, en: &mut Engine) -> Option<u64> {
+        axis::pop(&self.wr_resp, en).map(|token| decode_response(&token))
+    }
+
+    /// Wait for the next write response and return the bytes written.
+    pub fn response(&self, en: &mut Engine) -> u64 {
+        loop {
+            if let Some(bytes) = self.poll_response(en) {
+                return bytes;
+            }
+            step_waiting(&self.wr_resp, en);
+        }
+    }
+
+    /// Push one read command.
+    pub fn push_read(&self, en: &mut Engine, addr: u64, len: u64) {
+        push_stepping(&self.rd_cmd, en, encode_read_cmd(addr, len));
+    }
+
+    /// Hand each beat of the next read transfer, up to TLAST, to `f` as it
+    /// arrives; returns the transfer's bytes.
+    pub fn receive_with(&self, en: &mut Engine, mut f: impl FnMut(Payload)) -> u64 {
+        let mut bytes = 0;
+        loop {
+            match axis::pop(&self.rd_data, en) {
+                Some(beat) => {
+                    bytes += beat.len() as u64;
+                    f(beat.data);
+                    if beat.last {
+                        return bytes;
+                    }
+                }
+                None => step_waiting(&self.rd_data, en),
+            }
+        }
+    }
+
+    /// The next read transfer's beats, up to TLAST, as zero-copy windows.
+    pub fn receive(&self, en: &mut Engine) -> Vec<Payload> {
+        let mut beats = Vec::new();
+        self.receive_with(en, |data| beats.push(data));
+        beats
+    }
+
+    /// Read `len` bytes at `addr`: [`push_read`](Self::push_read), then
+    /// [`receive`](Self::receive).
+    pub fn read(&self, en: &mut Engine, addr: u64, len: u64) -> Vec<Payload> {
+        self.push_read(en, addr, len);
+        self.receive(en)
+    }
+}
+
+/// Push `beat`, stepping the engine while the channel refuses it.
+fn push_stepping(ch: &Rc<RefCell<AxisChannel>>, en: &mut Engine, beat: StreamBeat) {
+    while !axis::push(ch, en, beat.clone()) {
+        step_waiting(ch, en);
+    }
+}
+
+/// Step the engine on behalf of a PE waiting on `ch`.
+fn step_waiting(ch: &Rc<RefCell<AxisChannel>>, en: &mut Engine) {
+    assert!(
+        en.step(),
+        "{}: the engine ran dry while the PE waited on the channel",
+        ch.borrow().name()
+    );
 }
 
 /// Which buffer pool a command draws from.
@@ -764,9 +894,7 @@ fn accept_read_cmds(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
         let Some(beat) = axis::pop(&ch, en) else {
             return;
         };
-        assert!(beat.len() >= 16, "read command beat must be 16 bytes");
-        let addr = u64::from_le_bytes(beat.data[0..8].try_into().unwrap());
-        let len = u64::from_le_bytes(beat.data[8..16].try_into().unwrap());
+        let (addr, len) = decode_read_cmd(&beat);
         assert!(len > 0, "zero-length read");
         assert!(
             addr % LBA == 0 && len % LBA == 0,
@@ -821,9 +949,11 @@ fn pump_write_in(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
     {
         let mut s = rc.borrow_mut();
         if s.accum.is_none() {
-            assert!(beat.len() >= 8, "write header beat must carry the address");
-            let addr = u64::from_le_bytes(beat.data[0..8].try_into().unwrap());
-            assert!(addr % LBA == 0, "write address must be LBA-aligned");
+            let addr = decode_write_addr(&beat);
+            assert!(
+                addr.is_multiple_of(LBA),
+                "write address must be LBA-aligned"
+            );
             let xfer_id = s.next_xfer_id;
             s.next_xfer_id += 1;
             s.xfers.push_back(XferState {
@@ -1308,8 +1438,7 @@ fn finish_xfers(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
             }
         };
         let ch = rc.borrow().ports.wr_resp.clone();
-        let token = StreamBeat::last(bytes.to_le_bytes().to_vec());
-        if !axis::push(&ch, en, token) {
+        if !axis::push(&ch, en, encode_response(bytes)) {
             return; // response channel full; its space hook retries
         }
         let mut s = rc.borrow_mut();
@@ -1416,6 +1545,10 @@ fn resume_stream_out(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hostinit::SnaccHostDriver;
+    use snacc_mem::HostMemory;
+    use snacc_nvme::{NvmeDeviceHandle, NvmeProfile};
+    use snacc_pcie::HOST_NODE;
 
     fn instantiate(variant: StreamerVariant) -> (TapascoShell, WindowMap) {
         let fabric = Rc::new(RefCell::new(PcieFabric::new()));
@@ -1451,7 +1584,7 @@ mod tests {
         let mut en = Engine::new();
         let resp = s.ports().wr_resp;
         let mut queued = 0;
-        while axis::push(&resp, &mut en, StreamBeat::last(vec![0u8; 8])) {
+        while axis::push(&resp, &mut en, encode_response(0)) {
             queued += 1;
         }
         // Two transfers of different lengths finish while the response
@@ -1470,7 +1603,7 @@ mod tests {
         }
         let drain = |en: &mut Engine| -> Vec<u64> {
             std::iter::from_fn(|| axis::pop(&resp, en))
-                .map(|b| u64::from_le_bytes(b.data[..8].try_into().unwrap()))
+                .map(|b| decode_response(&b))
                 .collect()
         };
         // Draining the full channel wakes the streamer, which sends the
@@ -1491,5 +1624,88 @@ mod tests {
         s.inner.borrow_mut().xfer_mut(2).outstanding_segments = 0;
         finish_xfers(&s.inner, &mut en);
         assert_eq!(drain(&mut en), [8192, 0]);
+    }
+
+    /// A URAM streamer on a 990 PRO-class SSD, brought up by the host
+    /// driver (no IOMMU); the shell is returned to keep its targets alive.
+    fn node() -> (Engine, StreamerHandle, NvmeDeviceHandle, TapascoShell) {
+        let fabric = Rc::new(RefCell::new(PcieFabric::new()));
+        let hostmem = Rc::new(RefCell::new(HostMemory::default()));
+        let host = AddrRange::new(0, 8 << 30);
+        fabric
+            .borrow_mut()
+            .map_region(HOST_NODE, host, hostmem.clone());
+        let mut shell = TapascoShell::new(fabric.clone(), 0x4_0000_0000);
+        let s =
+            StreamerHandle::instantiate(&mut shell, StreamerConfig::snacc(StreamerVariant::Uram));
+        let nvme = NvmeDeviceHandle::attach(
+            fabric.clone(),
+            0x8_0000_0000,
+            NvmeProfile::samsung_990pro(),
+            1,
+        );
+        let mut en = Engine::new();
+        SnaccHostDriver::new(fabric, hostmem, nvme.clone())
+            .bring_up(&mut en, &s, 1)
+            .expect("bring-up");
+        (en, s, nvme, shell)
+    }
+
+    #[test]
+    fn write_beyond_wr_in_capacity_lands_every_byte() {
+        let (mut en, s, nvme, _shell) = node();
+        let ports = s.ports();
+        // 80 beats of 8 KiB: 640 KiB against wr_in's 256 KiB.
+        let (addr, beat, total) = (0x10_0000u64, 8192u64, 640u64 << 10);
+        assert!(!ports.wr_in.borrow().has_space(total as usize));
+        let beats = (0..total)
+            .step_by(beat as usize)
+            .map(|off| Payload::pattern(addr + off, beat as usize));
+        ports.write(&mut en, addr, beats);
+        // One transfer: a TLAST before the last beat would have closed it
+        // early and made the next beat an address beat.
+        assert_eq!(ports.response(&mut en), total);
+        en.run();
+        assert_eq!(ports.poll_response(&mut en), None);
+        assert_eq!(s.metrics().responses.get(), 1);
+        let media = nvme.with(|d| d.nand_mut().media_mut().read_vec(addr, total as usize));
+        assert!(Payload::pattern(addr, total as usize) == media);
+    }
+
+    #[test]
+    fn empty_write_is_answered_with_zero_bytes() {
+        let (mut en, s, _nvme, _shell) = node();
+        let ports = s.ports();
+        ports.write(&mut en, 0x2000, std::iter::empty::<Payload>());
+        assert_eq!(ports.response(&mut en), 0);
+        assert_eq!(s.metrics().write_cmds.get(), 0);
+    }
+
+    #[test]
+    fn pipelined_reads_come_back_in_push_order() {
+        const SEED: u64 = 0x0dd5;
+        let (mut en, s, nvme, _shell) = node();
+        let ports = s.ports();
+        nvme.with(|d| {
+            d.nand_mut()
+                .media_mut()
+                .write_payload(0, Payload::pattern(SEED, 4 << 20))
+        });
+        // Lengths from one LBA to past the 1 MiB command split.
+        let reads = [
+            (0x30_0000u64, 4096u64),
+            (0, 512),
+            (0x8000, (1 << 20) + 8192),
+            (0x20_0000, 64 << 10),
+            (0x1000, 12 << 10),
+        ];
+        for &(addr, len) in &reads {
+            ports.push_read(&mut en, addr, len);
+        }
+        for &(addr, len) in &reads {
+            let data = Payload::concat(&ports.receive(&mut en));
+            assert_eq!(data.len() as u64, len, "read at {addr:#x}");
+            assert!(data == Payload::pattern(SEED + addr, len as usize).to_vec());
+        }
     }
 }

@@ -5,11 +5,9 @@
 use snacc_apps::system::{HostSystem, SnaccSystem as System, SystemConfig};
 use snacc_core::config::StreamerVariant;
 use snacc_core::hostinit::SnaccHostDriver;
-use snacc_core::streamer::encode_read_cmd;
-use snacc_fpga::axis::{self, StreamBeat};
 use snacc_mem::fnv1a;
 use snacc_nvme::NvmeProfile;
-use snacc_sim::SimRng;
+use snacc_sim::{Payload, SimRng};
 
 /// The full simulated node: host memory on the fabric, TaPaSCo shell with
 /// the SNAcc plugin, NVMe SSD, enforcing IOMMU, host bring-up.
@@ -33,59 +31,20 @@ fn identify_reports_namespace_geometry() {
     assert_eq!(info.lba_bytes, 512);
 }
 
-/// Feed a write transfer (header + data) through `wr_in`, respecting
-/// backpressure, then run until the response token arrives.
+/// Write `data` through `wr_in` in 8 KiB beats and check the response
+/// token, then run the system idle.
 fn do_write(sys: &mut System, addr: u64, data: &[u8]) {
     let ports = sys.streamer.ports();
-    let header = StreamBeat::mid(addr.to_le_bytes().to_vec());
-    assert!(axis::push(&ports.wr_in, &mut sys.en, header));
-    let chunk = 8192;
-    let mut off = 0;
-    while off < data.len() {
-        let end = (off + chunk).min(data.len());
-        let beat = if end == data.len() {
-            StreamBeat::last(data[off..end].to_vec())
-        } else {
-            StreamBeat::mid(data[off..end].to_vec())
-        };
-        if axis::push(&ports.wr_in, &mut sys.en, beat) {
-            off = end;
-        } else {
-            // Backpressure: let the simulation drain a step.
-            assert!(sys.en.step(), "deadlock while feeding write data");
-        }
-    }
-    // Run until the response token shows up.
-    while ports.wr_resp.borrow().is_empty() {
-        assert!(sys.en.step(), "no write response arrived");
-    }
-    let tok = axis::pop(&ports.wr_resp, &mut sys.en).unwrap();
-    let bytes = u64::from_le_bytes(tok.data[..8].try_into().unwrap());
-    assert_eq!(bytes, data.len() as u64);
+    ports.write(&mut sys.en, addr, data.chunks(8192));
+    assert_eq!(ports.response(&mut sys.en), data.len() as u64);
     sys.en.run();
 }
 
 /// Issue a read and collect the full transfer from `rd_data`.
 fn do_read(sys: &mut System, addr: u64, len: u64) -> Vec<u8> {
-    let ports = sys.streamer.ports();
-    assert!(axis::push(
-        &ports.rd_cmd,
-        &mut sys.en,
-        encode_read_cmd(addr, len)
-    ));
-    let mut out = Vec::with_capacity(len as usize);
-    loop {
-        if let Some(beat) = axis::pop(&ports.rd_data, &mut sys.en) {
-            out.extend_from_slice(&beat.data);
-            if beat.last {
-                break;
-            }
-        } else {
-            assert!(sys.en.step(), "read data never completed");
-        }
-    }
+    let beats = sys.streamer.ports().read(&mut sys.en, addr, len);
     sys.en.run();
-    out
+    Payload::concat(&beats).to_vec()
 }
 
 fn patterned(len: usize, seed: u64) -> Vec<u8> {

@@ -2,14 +2,13 @@
 
 use snacc_apps::system::{layout, HostSystem, SnaccSystem, SystemConfig};
 use snacc_core::config::StreamerVariant;
-use snacc_core::streamer::encode_read_cmd;
-use snacc_fpga::axis::{self, StreamBeat};
 use snacc_mem::AddrRange;
 use snacc_nvme::admin::AdminQueue;
 use snacc_nvme::queue::{CqRing, SqRing};
 use snacc_nvme::spec::{regs, IoOpcode, Sqe, Status};
 use snacc_nvme::NvmeProfile;
 use snacc_pcie::HOST_NODE;
+use snacc_sim::Payload;
 
 const NVME_BAR: u64 = layout::NVME_BAR;
 
@@ -43,15 +42,10 @@ fn iommu_revocation_produces_error_completions() {
             .grant(nvme.node(), AddrRange::new(0x1_0000_0000, 1 << 20));
     }
     let ports = streamer.ports();
-    axis::push(
-        &ports.wr_in,
-        &mut en,
-        StreamBeat::mid(0u64.to_le_bytes().to_vec()),
-    );
-    axis::push(&ports.wr_in, &mut en, StreamBeat::last(vec![1u8; 8192]));
+    ports.write(&mut en, 0, [vec![1u8; 8192]]);
     en.run();
     // Response token still arrives (protocol liveness under errors).
-    assert!(axis::pop(&ports.wr_resp, &mut en).is_some());
+    assert!(ports.poll_response(&mut en).is_some());
     assert!(
         streamer.metrics().errors.get() > 0,
         "error must be surfaced"
@@ -62,8 +56,8 @@ fn iommu_revocation_produces_error_completions() {
 #[test]
 fn read_after_revocation_still_streams() {
     // Read path: the SSD cannot deliver data (posted writes fault), the
-    // CQE carries an error, and the streamer streams buffer contents
-    // (zeros) so the PE protocol never wedges.
+    // CQE carries an error, and the streamer streams zeros for the
+    // given-up read so the PE protocol never wedges.
     let SnaccSystem {
         mut en,
         fabric,
@@ -71,6 +65,8 @@ fn read_after_revocation_still_streams() {
         nvme,
         ..
     } = build(StreamerVariant::Uram);
+    // Media bytes that are not zero, so the zeros below are the streamer's.
+    nvme.with(|d| d.nand_mut().prewarm(0, 8192, 0xC3));
     let w = streamer.windows();
     {
         let mut fab = fabric.borrow_mut();
@@ -79,25 +75,10 @@ fn read_after_revocation_still_streams() {
             fab.iommu_mut().grant(nvme.node(), r);
         }
     }
-    let ports = streamer.ports();
-    axis::push(&ports.rd_cmd, &mut en, encode_read_cmd(0, 8192));
-    let mut got = 0;
-    loop {
-        match axis::pop(&ports.rd_data, &mut en) {
-            Some(b) => {
-                got += b.len();
-                if b.last {
-                    break;
-                }
-            }
-            None => {
-                if !en.step() {
-                    break;
-                }
-            }
-        }
-    }
+    let beats = streamer.ports().read(&mut en, 0, 8192);
+    let got: usize = beats.iter().map(Payload::len).sum();
     assert_eq!(got, 8192, "full (zeroed) stream despite the fault");
+    assert!(beats.iter().all(|b| b.iter().all(|&x| x == 0)));
     assert!(streamer.metrics().errors.get() > 0);
 }
 
@@ -147,19 +128,8 @@ fn out_of_bounds_read_reports_lba_range_error() {
         ..
     } = build(StreamerVariant::Uram);
     let cap = snacc_nvme::nand::CAPACITY_BYTES;
-    let ports = streamer.ports();
-    axis::push(&ports.rd_cmd, &mut en, encode_read_cmd(cap, 4096));
-    let mut done = false;
-    while !done {
-        match axis::pop(&ports.rd_data, &mut en) {
-            Some(b) => done = b.last,
-            None => {
-                if !en.step() {
-                    break;
-                }
-            }
-        }
-    }
+    let beats = streamer.ports().read(&mut en, cap, 4096);
+    let done = beats.iter().map(Payload::len).sum::<usize>() == 4096;
     assert!(done, "stream must terminate even on an OOB command");
     assert!(streamer.metrics().errors.get() > 0);
     assert_eq!(nvme.stats().errors, 1);

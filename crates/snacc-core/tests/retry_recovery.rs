@@ -5,8 +5,7 @@
 
 use snacc_apps::system::{SnaccSystem, SystemConfig};
 use snacc_core::config::{RetryPolicy, StreamerVariant};
-use snacc_core::streamer::{encode_read_cmd, StreamerHandle};
-use snacc_fpga::axis;
+use snacc_core::streamer::StreamerHandle;
 use snacc_nvme::IoFaultConfig;
 use snacc_sim::bytes::pattern_byte;
 use snacc_sim::{Engine, Payload, SimDuration};
@@ -34,29 +33,12 @@ fn policy(max_retries: u32) -> RetryPolicy {
 /// single data stream).
 fn read_all(en: &mut Engine, streamer: &StreamerHandle, count: u64, len: u64) -> Vec<Vec<u8>> {
     let ports = streamer.ports();
-    let mut out = Vec::new();
     for i in 0..count {
-        let cmd = encode_read_cmd(i * len, len);
-        while !axis::push(&ports.rd_cmd, en, cmd.clone()) {
-            assert!(en.step(), "stalled pushing read cmd");
-        }
+        ports.push_read(en, i * len, len);
     }
-    for _ in 0..count {
-        let mut data = Vec::new();
-        loop {
-            match axis::pop(&ports.rd_data, en) {
-                Some(beat) => {
-                    let last = beat.last;
-                    data.extend_from_slice(&beat.data);
-                    if last {
-                        break;
-                    }
-                }
-                None => assert!(en.step(), "read stream stalled"),
-            }
-        }
-        out.push(data);
-    }
+    let out = (0..count)
+        .map(|_| Payload::concat(&ports.receive(en)).to_vec())
+        .collect();
     en.run();
     out
 }

@@ -46,19 +46,12 @@ fn main() {
     let mut written = 0u64;
     for (&k, v) in &table {
         let addr = k * SLOT;
-        let hdr = StreamBeat::mid(addr.to_le_bytes().to_vec());
-        while !axis::push(&ports.wr_in, &mut sys.en, hdr.clone()) {
-            assert!(sys.en.step());
-        }
-        let beat = StreamBeat::last(bucket_bytes(k, v));
-        while !axis::push(&ports.wr_in, &mut sys.en, beat.clone()) {
-            assert!(sys.en.step());
-        }
+        ports.write(&mut sys.en, addr, [bucket_bytes(k, v)]);
         written += 1;
-        while axis::pop(&ports.wr_resp, &mut sys.en).is_some() {}
+        while ports.poll_response(&mut sys.en).is_some() {}
     }
     sys.en.run();
-    while axis::pop(&ports.wr_resp, &mut sys.en).is_some() {}
+    while ports.poll_response(&mut sys.en).is_some() {}
     let snap_dt = sys.en.now().since(t0).as_secs_f64();
     println!(
         "snapshot: {written} buckets ({} MiB) in {:.2} ms simulated ({:.2} GB/s)",
@@ -72,20 +65,7 @@ fn main() {
     let mut checked = 0;
     for _ in 0..512 {
         let k = rng.gen_range(4096);
-        axis::push(&ports.rd_cmd, &mut sys.en, encode_read_cmd(k * SLOT, SLOT));
-        let mut page = Vec::new();
-        loop {
-            match axis::pop(&ports.rd_data, &mut sys.en) {
-                Some(beat) => {
-                    let done = beat.last;
-                    page.extend_from_slice(&beat.data);
-                    if done {
-                        break;
-                    }
-                }
-                None => assert!(sys.en.step()),
-            }
-        }
+        let page = Payload::concat(&ports.read(&mut sys.en, k * SLOT, SLOT));
         let rk = u64::from_le_bytes(page[0..8].try_into().unwrap());
         let rlen = u64::from_le_bytes(page[8..16].try_into().unwrap()) as usize;
         assert_eq!(rk, k);

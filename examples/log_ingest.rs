@@ -26,49 +26,33 @@ fn main() {
     StreamSender::start(tx.clone(), &mut sys.en, MacAddr::from_index(2), 8192, total);
 
     // Ingest loop: drain frames into append batches, write each batch as
-    // one streamer transfer. Frames stay in the MAC RX buffer (and PAUSE
-    // the sender) whenever the streamer applies backpressure.
+    // one streamer transfer, a frame per beat. Frames stay in the MAC RX
+    // buffer (and PAUSE the sender) whenever the streamer applies
+    // backpressure.
     let mut appended: u64 = 0;
     let mut responses: u64 = 0;
-    let mut acc: Vec<u8> = Vec::with_capacity(batch as usize);
     let t0 = sys.en.now();
     while appended < total {
-        // Collect bytes for the current batch.
-        while (acc.len() as u64) < batch {
+        // Collect frames for the current batch.
+        let (mut frames, mut n) = (Vec::new(), 0u64);
+        while n < batch {
             if let Some(f) = mac::pop_frame(&rx, &mut sys.en) {
-                acc.extend_from_slice(&f.payload);
+                n += f.payload.len() as u64;
+                frames.push(f.payload);
             } else if !sys.en.step() {
                 panic!("source dried up early");
             }
         }
-        // Append transfer: header (log tail address) + data.
-        let hdr = StreamBeat::mid(appended.to_le_bytes().to_vec());
-        while !axis::push(&ports.wr_in, &mut sys.en, hdr.clone()) {
-            assert!(sys.en.step());
-        }
-        let take: Vec<u8> = acc.drain(..batch as usize).collect();
-        for chunk in take.chunks(64 << 10) {
-            let last = acc.is_empty() && chunk.len() < (64 << 10)
-                || chunk.as_ptr() as usize + chunk.len() == take.as_ptr() as usize + take.len();
-            while !axis::push(
-                &ports.wr_in,
-                &mut sys.en,
-                StreamBeat {
-                    data: chunk.into(),
-                    last,
-                },
-            ) {
-                assert!(sys.en.step());
-            }
-        }
-        appended += batch;
+        // Append transfer at the log tail.
+        ports.write(&mut sys.en, appended, frames);
+        appended += n;
         // Reap responses opportunistically.
-        while axis::pop(&ports.wr_resp, &mut sys.en).is_some() {
+        while ports.poll_response(&mut sys.en).is_some() {
             responses += 1;
         }
     }
     sys.en.run();
-    while axis::pop(&ports.wr_resp, &mut sys.en).is_some() {
+    while ports.poll_response(&mut sys.en).is_some() {
         responses += 1;
     }
     let dt = sys.en.now().since(t0).as_secs_f64();

@@ -19,48 +19,16 @@ fn main() {
     // Write 1 MiB at byte address 0: header beat carries the address,
     // data beats follow, TLAST closes the transfer (paper Sec 4.1, ①b).
     let payload: Vec<u8> = (0..1 << 20).map(|i| (i * 31 % 251) as u8).collect();
-    axis::push(
-        &ports.wr_in,
-        &mut sys.en,
-        StreamBeat::mid(0u64.to_le_bytes().to_vec()),
-    );
-    for chunk in payload.chunks(64 << 10) {
-        let last =
-            chunk.as_ptr() as usize + chunk.len() == payload.as_ptr() as usize + payload.len();
-        while !axis::push(
-            &ports.wr_in,
-            &mut sys.en,
-            StreamBeat {
-                data: chunk.into(),
-                last,
-            },
-        ) {
-            assert!(sys.en.step());
-        }
-    }
+    ports.write(&mut sys.en, 0, payload.chunks(64 << 10));
+    let written = ports.response(&mut sys.en);
     sys.en.run();
-    let token = axis::pop(&ports.wr_resp, &mut sys.en).expect("write response (⑥b)");
-    let written = u64::from_le_bytes(token.data[..8].try_into().unwrap());
     println!(
         "write response: {written} bytes persisted at t = {}",
         sys.en.now()
     );
 
     // Read it back (①a → ⑥a).
-    axis::push(&ports.rd_cmd, &mut sys.en, encode_read_cmd(0, 1 << 20));
-    let mut back = Vec::new();
-    loop {
-        match axis::pop(&ports.rd_data, &mut sys.en) {
-            Some(beat) => {
-                let done = beat.last;
-                back.extend_from_slice(&beat.data);
-                if done {
-                    break;
-                }
-            }
-            None => assert!(sys.en.step(), "read stalled"),
-        }
-    }
+    let back = Payload::concat(&ports.read(&mut sys.en, 0, 1 << 20));
     assert_eq!(back, payload, "readback must match");
     println!(
         "readback verified: {} bytes, simulated time {}",

@@ -26,18 +26,15 @@
 //! ```
 //! use snacc::apps::system::{SnaccSystem, SystemConfig};
 //! use snacc::core::config::StreamerVariant;
-//! use snacc::fpga::axis::{self, StreamBeat};
 //!
 //! // Bring up host + TaPaSCo shell + SNAcc plugin + SSD.
 //! let mut sys = SnaccSystem::bring_up(SystemConfig::snacc(StreamerVariant::Uram));
 //!
 //! // A user PE writes 8 KiB at byte address 4096: address beat, data
-//! // beat with TLAST, then a response token arrives.
+//! // beat with TLAST, then a response token reports the bytes written.
 //! let ports = sys.streamer.ports();
-//! axis::push(&ports.wr_in, &mut sys.en, StreamBeat::mid(4096u64.to_le_bytes().to_vec()));
-//! axis::push(&ports.wr_in, &mut sys.en, StreamBeat::last(vec![7u8; 8192]));
-//! sys.en.run();
-//! assert!(axis::pop(&ports.wr_resp, &mut sys.en).is_some());
+//! ports.write(&mut sys.en, 4096, [vec![7u8; 8192]]);
+//! assert_eq!(ports.response(&mut sys.en), 8192);
 //!
 //! // The bytes really are on the simulated SSD's media.
 //! let media = sys.nvme.with(|d| d.nand_mut().media_mut().read_vec(4096, 8192));
@@ -64,5 +61,5 @@ pub mod prelude {
     pub use snacc_core::streamer::{encode_read_cmd, StreamerHandle, UserPorts};
     pub use snacc_faults::FaultPlan;
     pub use snacc_fpga::axis::{self, StreamBeat};
-    pub use snacc_sim::{Engine, SimDuration, SimTime};
+    pub use snacc_sim::{Engine, Payload, SimDuration, SimTime};
 }

@@ -36,27 +36,9 @@ fn run_campaign(plan: &FaultPlan, count: u64, len: u64) -> CampaignOutcome {
     sys.nvme
         .with(|d| d.nand_mut().prewarm(0, count * len, FILL));
     let ports = sys.streamer.ports();
-    let mut reads = Vec::new();
-    for i in 0..count {
-        let cmd = encode_read_cmd(i * len, len);
-        while !axis::push(&ports.rd_cmd, &mut sys.en, cmd.clone()) {
-            assert!(sys.en.step(), "stalled pushing read cmd");
-        }
-        let mut data = Vec::new();
-        loop {
-            match axis::pop(&ports.rd_data, &mut sys.en) {
-                Some(beat) => {
-                    let last = beat.last;
-                    data.extend_from_slice(&beat.data);
-                    if last {
-                        break;
-                    }
-                }
-                None => assert!(sys.en.step(), "read stream stalled"),
-            }
-        }
-        reads.push(data);
-    }
+    let reads = (0..count)
+        .map(|i| Payload::concat(&ports.read(&mut sys.en, i * len, len)).to_vec())
+        .collect();
     sys.en.run();
     let m = sys.streamer.metrics();
     CampaignOutcome {

@@ -12,49 +12,15 @@ fn write_and_verify(variant: StreamerVariant, len: usize, addr: u64) {
     let mut rng = SimRng::new(addr ^ len as u64);
     let mut data = vec![0u8; len];
     rng.fill_bytes(&mut data);
-    axis::push(
-        &ports.wr_in,
-        &mut sys.en,
-        StreamBeat::mid(addr.to_le_bytes().to_vec()),
-    );
-    for (i, chunk) in data.chunks(64 << 10).enumerate() {
-        let last = (i + 1) * (64 << 10) >= len;
-        while !axis::push(
-            &ports.wr_in,
-            &mut sys.en,
-            StreamBeat {
-                data: chunk.into(),
-                last,
-            },
-        ) {
-            assert!(sys.en.step());
-        }
-    }
+    ports.write(&mut sys.en, addr, data.chunks(64 << 10));
     sys.en.run();
-    assert!(axis::pop(&ports.wr_resp, &mut sys.en).is_some());
+    assert!(ports.poll_response(&mut sys.en).is_some());
     let media = sys
         .nvme
         .with(|d| d.nand_mut().media_mut().read_vec(addr, len));
     assert_eq!(fnv1a(&media), fnv1a(&data));
     // Read back through the other direction.
-    axis::push(
-        &ports.rd_cmd,
-        &mut sys.en,
-        encode_read_cmd(addr, len as u64),
-    );
-    let mut back = Vec::new();
-    loop {
-        match axis::pop(&ports.rd_data, &mut sys.en) {
-            Some(b) => {
-                let done = b.last;
-                back.extend_from_slice(&b.data);
-                if done {
-                    break;
-                }
-            }
-            None => assert!(sys.en.step()),
-        }
-    }
+    let back = Payload::concat(&ports.read(&mut sys.en, addr, len as u64));
     assert_eq!(fnv1a(&back), fnv1a(&data));
 }
 
@@ -79,36 +45,15 @@ fn ooo_extension_roundtrip() {
     let mut rng = SimRng::new(8);
     let addrs: Vec<u64> = (0..32).map(|_| rng.gen_range(1 << 16) * 4096).collect();
     for (i, &a) in addrs.iter().enumerate() {
-        let payload = vec![i as u8 + 1; 4096];
-        axis::push(
-            &ports.wr_in,
-            &mut sys.en,
-            StreamBeat::mid(a.to_le_bytes().to_vec()),
-        );
-        while !axis::push(&ports.wr_in, &mut sys.en, StreamBeat::last(payload.clone())) {
-            assert!(sys.en.step());
-        }
+        ports.write(&mut sys.en, a, [vec![i as u8 + 1; 4096]]);
         sys.en.run();
     }
-    while axis::pop(&ports.wr_resp, &mut sys.en).is_some() {}
+    while ports.poll_response(&mut sys.en).is_some() {}
     for &a in &addrs {
         // Last write to a colliding address wins; recompute expectation
         // from the address order.
         let expect = addrs.iter().rposition(|&x| x == a).unwrap() as u8 + 1;
-        axis::push(&ports.rd_cmd, &mut sys.en, encode_read_cmd(a, 4096));
-        let mut page = Vec::new();
-        loop {
-            match axis::pop(&ports.rd_data, &mut sys.en) {
-                Some(b) => {
-                    let done = b.last;
-                    page.extend_from_slice(&b.data);
-                    if done {
-                        break;
-                    }
-                }
-                None => assert!(sys.en.step()),
-            }
-        }
+        let page = Payload::concat(&ports.read(&mut sys.en, a, 4096));
         assert!(page.iter().all(|&b| b == expect), "addr {a:#x}");
     }
 }
@@ -137,14 +82,7 @@ fn spdk_and_streamer_agree_on_media_state() {
     let mut sys = SnaccSystem::bring_up(SystemConfig::snacc(StreamerVariant::Uram));
     let ports = sys.streamer.ports();
     let data = vec![0xEEu8; 64 << 10];
-    axis::push(
-        &ports.wr_in,
-        &mut sys.en,
-        StreamBeat::mid(8192u64.to_le_bytes().to_vec()),
-    );
-    while !axis::push(&ports.wr_in, &mut sys.en, StreamBeat::last(data.clone())) {
-        assert!(sys.en.step());
-    }
+    ports.write(&mut sys.en, 8192, [data.clone()]);
     sys.en.run();
 
     let spdk = SpdkNvme::new(
@@ -194,28 +132,22 @@ fn ethernet_to_storage_is_lossless_under_backpressure() {
     mac::connect(&tx, &rx);
     let total: u64 = 32 << 20;
     StreamSender::start(tx.clone(), &mut sys.en, MacAddr::from_index(2), 8192, total);
-    // Forward the byte stream into one big storage append.
-    let hdr = StreamBeat::mid(0u64.to_le_bytes().to_vec());
-    axis::push(&ports.wr_in, &mut sys.en, hdr);
+    // Forward the byte stream into 1 MiB storage appends, a frame per
+    // beat. Frames wait in the MAC, which PAUSEs the sender, while the
+    // streamer refuses beats.
     let mut moved = 0u64;
     while moved < total {
-        if let Some(f) = mac::pop_frame(&rx, &mut sys.en) {
-            let n = f.payload.len() as u64;
-            let last = moved + n >= total;
-            let mut beat = Some(StreamBeat {
-                data: f.payload,
-                last,
-            });
-            while let Some(b) = beat.take() {
-                if !axis::push(&ports.wr_in, &mut sys.en, b.clone()) {
-                    beat = Some(b);
-                    assert!(sys.en.step());
-                }
+        let (mut frames, mut n) = (Vec::new(), 0u64);
+        while n < (1 << 20) {
+            if let Some(f) = mac::pop_frame(&rx, &mut sys.en) {
+                n += f.payload.len() as u64;
+                frames.push(f.payload);
+            } else {
+                assert!(sys.en.step(), "stream stalled");
             }
-            moved += n;
-        } else {
-            assert!(sys.en.step(), "stream stalled");
         }
+        ports.write(&mut sys.en, moved, frames);
+        moved += n;
     }
     sys.en.run();
     assert_eq!(rx.borrow().stats().rx_drops, 0, "flow control must hold");

@@ -6,7 +6,6 @@
 //! simulated end times, and byte-identical exported traces.
 
 use snacc::prelude::*;
-use snacc::sim::Payload;
 use snacc::trace::{
     export_chrome_trace, install, install_registry, uninstall, MetricsRegistry, Tracer,
 };
@@ -26,39 +25,16 @@ fn fig4a_style_run() -> (String, Vec<(&'static str, u64)>, u64) {
     let ports = sys.streamer.ports();
 
     // Write TOTAL bytes in CHUNK beats.
-    axis::push(
-        &ports.wr_in,
-        &mut sys.en,
-        StreamBeat::mid(0u64.to_le_bytes().to_vec()),
-    );
-    let mut off = 0u64;
-    while off < TOTAL {
-        let n = CHUNK.min(TOTAL - off);
-        let beat = StreamBeat {
-            data: Payload::pattern(off, n as usize),
-            last: off + n == TOTAL,
-        };
-        let mut pending = Some(beat);
-        while let Some(b) = pending.take() {
-            if !axis::push(&ports.wr_in, &mut sys.en, b.clone()) {
-                pending = Some(b);
-                assert!(sys.en.step(), "write stalled");
-            }
-        }
-        off += n;
-    }
+    let beats = (0..TOTAL)
+        .step_by(CHUNK as usize)
+        .map(|off| Payload::pattern(off, CHUNK.min(TOTAL - off) as usize));
+    ports.write(&mut sys.en, 0, beats);
     sys.en.run();
-    assert!(axis::pop(&ports.wr_resp, &mut sys.en).is_some());
+    assert!(ports.poll_response(&mut sys.en).is_some());
 
     // Read the extent back, discarding data.
-    axis::push(&ports.rd_cmd, &mut sys.en, encode_read_cmd(0, TOTAL));
-    let mut got = 0u64;
-    while got < TOTAL {
-        match axis::pop(&ports.rd_data, &mut sys.en) {
-            Some(b) => got += b.len() as u64,
-            None => assert!(sys.en.step(), "read stalled"),
-        }
-    }
+    ports.push_read(&mut sys.en, 0, TOTAL);
+    assert_eq!(ports.receive_with(&mut sys.en, drop), TOTAL);
     sys.en.run();
 
     let m = sys.streamer.metrics();

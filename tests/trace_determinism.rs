@@ -12,26 +12,11 @@ fn traced_run() -> String {
     install(Tracer::new());
     let mut sys = SnaccSystem::bring_up(SystemConfig::snacc(StreamerVariant::Uram));
     let ports = sys.streamer.ports();
-    axis::push(
-        &ports.wr_in,
-        &mut sys.en,
-        StreamBeat::mid(0u64.to_le_bytes().to_vec()),
-    );
-    axis::push(
-        &ports.wr_in,
-        &mut sys.en,
-        StreamBeat::last(vec![0x5a; 8192]),
-    );
+    ports.write(&mut sys.en, 0, [vec![0x5a; 8192]]);
     sys.en.run();
-    assert!(axis::pop(&ports.wr_resp, &mut sys.en).is_some());
-    axis::push(&ports.rd_cmd, &mut sys.en, encode_read_cmd(0, 64 << 10));
-    let mut got = 0u64;
-    while got < 64 << 10 {
-        match axis::pop(&ports.rd_data, &mut sys.en) {
-            Some(b) => got += b.len() as u64,
-            None => assert!(sys.en.step(), "read stalled"),
-        }
-    }
+    assert!(ports.poll_response(&mut sys.en).is_some());
+    ports.push_read(&mut sys.en, 0, 64 << 10);
+    assert_eq!(ports.receive_with(&mut sys.en, drop), 64 << 10);
     sys.en.run();
     let tracer = uninstall().expect("tracer was installed");
     export_chrome_trace(&tracer)
