@@ -28,7 +28,7 @@ use snacc_nvme::prp::walk_prps;
 use snacc_sim::bytes::Payload;
 
 fn quick() -> bool {
-    std::env::var_os("SNACC_QUICK").is_some()
+    snacc_bench::size_switch("SNACC_QUICK")
 }
 
 fn datapath_benches(c: &mut Criterion) {
@@ -112,7 +112,10 @@ fn datapath_benches(c: &mut Criterion) {
 /// ring overwrite of a 4 MiB region with a stream, rewrites of a 4 MiB
 /// ring with the windows it already holds (a read landing in a buffer
 /// slot that holds the same NAND window, as `uram_r` does), and random
-/// pages scattered over 1 GiB (each its own backing, so none join).
+/// pages scattered over 1 GiB (each its own backing, so none join). A
+/// last case writes 64-byte slots around a 16 KiB ring, as SQEs land in
+/// an SQ, with an 8-slot burst read after every 8 writes, as the
+/// controller fetches them.
 fn segment_store_benches(c: &mut Criterion) {
     const PAGE: usize = 4096;
     let pages: usize = if quick() { 4096 } else { 65_536 };
@@ -188,6 +191,24 @@ fn segment_store_benches(c: &mut Criterion) {
                 scattered.write_payload(pg * PAGE as u64, Payload::pattern(x, PAGE));
             }
             black_box(scattered.segment_count())
+        })
+    });
+
+    const SLOT: usize = 64;
+    const RING_SLOTS: usize = (16 << 10) / SLOT;
+    let mut sq = SegmentMemory::new();
+    let sqe = [0x5a; SLOT];
+    g.bench_function("ring_slots", |b| {
+        b.iter(|| {
+            for i in 0..8 * pages {
+                let slot = i % RING_SLOTS;
+                sq.write((slot * SLOT) as u64, &sqe);
+                if slot % 8 == 7 {
+                    let burst = sq.read_payload(((slot - 7) * SLOT) as u64, 8 * SLOT);
+                    black_box(burst.byte_at(0));
+                }
+            }
+            black_box(sq.segment_count())
         })
     });
 

@@ -11,7 +11,7 @@
 use snacc_apps::system::SystemConfig;
 use snacc_bench::sweep::{self, JobOutput};
 use snacc_bench::workloads::{snacc_seq_bandwidth, Dir, FaultSummary};
-use snacc_bench::{publish, BenchRecord, Telemetry};
+use snacc_bench::{publish, size_switch, BenchRecord, Telemetry};
 use snacc_core::config::StreamerVariant;
 use snacc_faults::FaultPlan;
 
@@ -39,7 +39,7 @@ fn campaign(
 
 fn main() {
     let telemetry = Telemetry::from_args();
-    let total: u64 = if std::env::var("SNACC_QUICK").is_ok() {
+    let total: u64 = if size_switch("SNACC_QUICK") {
         512 << 20
     } else {
         1 << 30

@@ -3,12 +3,12 @@
 
 use snacc_apps::system::SystemConfig;
 use snacc_bench::workloads::{snacc_rand_bandwidth, Dir};
-use snacc_bench::{publish, BenchRecord, Telemetry};
+use snacc_bench::{publish, size_switch, BenchRecord, Telemetry};
 use snacc_core::config::{StreamerConfig, StreamerVariant};
 
 fn main() {
     let telemetry = Telemetry::from_args();
-    let total: u64 = if std::env::var("SNACC_QUICK").is_ok() {
+    let total: u64 = if size_switch("SNACC_QUICK") {
         128 << 20
     } else {
         512 << 20

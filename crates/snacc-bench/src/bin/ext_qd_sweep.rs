@@ -3,11 +3,11 @@
 
 use snacc_bench::sweep;
 use snacc_bench::workloads::{spdk_bandwidth, Dir};
-use snacc_bench::{publish, BenchRecord, Telemetry};
+use snacc_bench::{publish, size_switch, BenchRecord, Telemetry};
 
 fn main() {
     let telemetry = Telemetry::from_args();
-    let total: u64 = if std::env::var("SNACC_QUICK").is_ok() {
+    let total: u64 = if size_switch("SNACC_QUICK") {
         128 << 20
     } else {
         512 << 20

@@ -5,7 +5,7 @@
 use snacc_apps::system::SystemConfig;
 use snacc_bench::sweep::{self, JobOutput};
 use snacc_bench::workloads::{fig4_rows, snacc_seq_bandwidth, spdk_seq_series, Dir};
-use snacc_bench::{publish, BenchRecord, Telemetry};
+use snacc_bench::{publish, size_switch, BenchRecord, Telemetry};
 
 fn minmax(series: &[f64]) -> (f64, f64) {
     let lo = series.iter().copied().fold(f64::INFINITY, f64::min);
@@ -19,7 +19,7 @@ fn main() {
     // keeping the functional media resident within small-machine RAM;
     // SNACC_QUICK drops to 2 GiB. The first write window is warm-up (the
     // SSD's 64 MB cache absorbs it) and is excluded from the lo/hi pair.
-    let total: u64 = if std::env::var("SNACC_QUICK").is_ok() {
+    let total: u64 = if size_switch("SNACC_QUICK") {
         2 << 30
     } else {
         3 << 30

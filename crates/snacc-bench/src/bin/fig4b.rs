@@ -4,11 +4,11 @@
 use snacc_apps::system::SystemConfig;
 use snacc_bench::sweep;
 use snacc_bench::workloads::{fig4_rows, snacc_rand_bandwidth, spdk_bandwidth};
-use snacc_bench::{publish, BenchRecord, Telemetry};
+use snacc_bench::{publish, size_switch, BenchRecord, Telemetry};
 
 fn main() {
     let telemetry = Telemetry::from_args();
-    let total: u64 = if std::env::var("SNACC_QUICK").is_ok() {
+    let total: u64 = if size_switch("SNACC_QUICK") {
         256 << 20
     } else {
         1 << 30

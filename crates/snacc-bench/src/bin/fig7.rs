@@ -6,11 +6,11 @@
 use snacc_apps::pipeline::CaseStudyConfig;
 use snacc_bench::sweep::{self, JobOutput};
 use snacc_bench::workloads::{run_case_study, CASE_STUDIES};
-use snacc_bench::{publish, BenchRecord, Telemetry};
+use snacc_bench::{publish, size_switch, BenchRecord, Telemetry};
 
 fn main() {
     let telemetry = Telemetry::from_args();
-    let images: u64 = if std::env::var("SNACC_FULL").is_ok() {
+    let images: u64 = if size_switch("SNACC_FULL") {
         16384
     } else {
         384

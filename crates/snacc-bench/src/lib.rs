@@ -29,3 +29,39 @@ pub mod workloads;
 
 pub use report::{publish, BenchRecord};
 pub use telemetry::Telemetry;
+
+/// Whether the size switch `name` (`SNACC_QUICK` or `SNACC_FULL`) is on:
+/// unset is off and `1` is on. Any other value prints `error: …` and exits
+/// with status 2, as a bad flag does.
+pub fn size_switch(name: &str) -> bool {
+    parse_switch(name, std::env::var_os(name)).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
+fn parse_switch(name: &str, value: Option<std::ffi::OsString>) -> Result<bool, String> {
+    match value {
+        None => Ok(false),
+        Some(v) if v == "1" => Ok(true),
+        Some(v) => Err(format!(
+            "{name} must be unset or 1, got `{}`",
+            v.to_string_lossy()
+        )),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_switch;
+
+    #[test]
+    fn a_size_switch_is_unset_or_1() {
+        assert_eq!(parse_switch("SNACC_QUICK", None), Ok(false));
+        assert_eq!(parse_switch("SNACC_QUICK", Some("1".into())), Ok(true));
+        for bad in ["0", "", "true", "yes", " 1"] {
+            let err = parse_switch("SNACC_FULL", Some(bad.into())).unwrap_err();
+            assert_eq!(err, format!("SNACC_FULL must be unset or 1, got `{bad}`"));
+        }
+    }
+}

@@ -43,14 +43,19 @@
 //!   write lands in place in the predecessor's or an overwritten segment's
 //!   slot where it can. Only keys that appear or disappear cost another
 //!   descent. Every key insert or removal drops both cursors.
-//! * **Small writes land in place** when one segment covers them and the
-//!   store holds that segment's owned buffer alone: the bytes are copied
-//!   into it with no new buffer, no key change and no coalescer (MMIO
-//!   doorbells, CQEs, SQEs). This holds for byte writes and for payloads
-//!   that nothing else holds — the fresh buffer a fabric write carries:
-//!   copying it keeps the layout, and its buffer is freed on return. A
-//!   window a reader still holds keeps the buffer shared, so the write
-//!   then takes the normal path and no alias ever sees bytes change.
+//! * **A small write lands in its own page.** A write shorter than 4 KiB
+//!   of bytes nothing else holds — a byte `write`, or a payload that is
+//!   the only handle on its buffer (the fresh buffer a fabric write
+//!   carries) — is copied in place when one segment covers it and the
+//!   store holds that segment's owned buffer alone: no new buffer and no
+//!   key change. Otherwise the page(s) it touches are materialised as one
+//!   owned buffer holding their current bytes with the write applied, so
+//!   every later small write to the page (the next SQE, CQE or doorbell
+//!   of a ring) lands in place, and a burst read of slots inside the page
+//!   is a zero-copy slice. A window a reader still holds keeps the old
+//!   buffer alive, so no alias ever sees bytes change. A window of a
+//!   shared buffer, a pattern or a fill is retained zero-copy, whatever
+//!   its length.
 //! * **Reads return zero-copy views** — a read covered by one segment is a
 //!   slice of that segment's backing; gaps come back as lazy zero-fill.
 //!   The segment the last covering read or in-place write found is the
@@ -59,58 +64,18 @@
 //!   Only reads spanning multiple backings copy (via [`Payload::concat`]),
 //!   and [`read_payload_parts`](SegmentMemory::read_payload_parts) avoids
 //!   even that for consumers that can handle a part list.
-//! * **Copy-on-write coalescing** bounds fragmentation: when more than
-//!   [`COALESCE_SEGS`] segments start inside one 1 MiB window, the window
-//!   is materialised into a single owned segment. This is the only copying
-//!   path in the store. The bound equals the pages per window, so
-//!   page-granular traffic (NVMe pages, streamer ring slots) never copies;
-//!   only sub-page fragmentation does. A per-window count of segment
-//!   starts, kept in step with every key insert and removal, makes the
-//!   check after each write O(1); the window is walked only when it is
-//!   about to be materialised.
 //!
 //! The byte-oriented API (`write`/`read`/`read_vec`/scalar helpers) serves
 //! ring buffers, descriptor pages, register files and tests.
 
 use snacc_sim::bytes::{Payload, LAZY_BACKING_MAX};
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::{BTreeMap, HashSet};
 
 use crate::hostmem::PAGE_4K;
 
 #[cfg(test)]
 mod reference;
-
-/// CoW coalescing window (bytes). Fragmentation is bounded per window.
-pub const COALESCE_WINDOW: u64 = 1 << 20;
-
-/// Maximum segments tolerated inside one window before the window is
-/// materialised into a single owned segment: one per 4 KiB page, so a
-/// window fully tiled by independent page writes (random 4 KiB I/O, ring
-/// slots) stays zero-copy and only sub-page fragments trigger a copy.
-pub const COALESCE_SEGS: usize = (COALESCE_WINDOW / PAGE_4K) as usize;
-
-/// Hasher for window numbers: one multiply spreads consecutive windows
-/// over the table (the keys are plain integers, never adversarial).
-#[derive(Default)]
-struct WindowHasher(u64);
-
-impl Hasher for WindowHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(self.0.rotate_left(8) ^ b as u64);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-}
 
 /// The segment the last joining write extended. The next write that starts
 /// at its end, ends before the following segment and continues its backing
@@ -139,11 +104,6 @@ pub struct SegmentMemory {
     /// in-place write, tried before the map. Every key insert or removal
     /// drops it.
     read_cursor: Option<(u64, u32)>,
-    /// Segment starts per coalescing window, keyed by
-    /// `start / COALESCE_WINDOW`; windows without a start have no entry.
-    /// Every key insert and removal in `segs` goes through `put`/`take`,
-    /// which keep this in step.
-    window_starts: HashMap<u64, u32, BuildHasherDefault<WindowHasher>>,
 }
 
 impl SegmentMemory {
@@ -192,11 +152,12 @@ impl SegmentMemory {
 
     /// Write `data` starting at byte address `addr`, copying it once: in
     /// place when one segment covers the span and the store holds its
-    /// owned buffer alone, else into a new backing (prefer
+    /// owned buffer alone, else into the page(s) it touches when it is
+    /// shorter than a page, else into a new backing (prefer
     /// [`write_payload`](Self::write_payload) for large data).
     pub fn write(&mut self, addr: u64, data: &[u8]) {
-        if !data.is_empty() && !self.write_in_place(addr, data) {
-            self.write_payload(addr, Payload::from(data));
+        if !data.is_empty() && !self.write_owned(addr, data) {
+            self.insert_segment(addr, Payload::from(data));
         }
     }
 
@@ -205,14 +166,28 @@ impl SegmentMemory {
     /// (zero-copy slices); neighbours that [`Payload::joins`] merges
     /// re-join, so a producer slicing one large buffer, or one pattern
     /// stream into beats, leaves one segment (per 1 MiB of pattern). A
-    /// payload that nothing else holds lands in place like a byte
-    /// [`write`](Self::write) when it can.
+    /// payload that nothing else holds is copied like a byte
+    /// [`write`](Self::write) when it lands in place or is shorter than a
+    /// page.
     pub fn write_payload(&mut self, addr: u64, data: Payload) {
-        if data.is_unique() && self.write_in_place(addr, &data) {
-            return;
+        if !data.is_unique() || !self.write_owned(addr, &data) {
+            self.insert_segment(addr, data);
         }
-        self.insert_segment(addr, data);
-        self.maybe_coalesce(addr);
+    }
+
+    /// Copy bytes nothing else holds into the store: in place when one
+    /// segment covers them and the store holds its owned buffer alone,
+    /// else, for a non-empty write shorter than a page, into the page(s)
+    /// it touches. False, with nothing written, for any other write.
+    fn write_owned(&mut self, addr: u64, data: &[u8]) -> bool {
+        if self.write_in_place(addr, data) {
+            return true;
+        }
+        if data.is_empty() || data.len() >= PAGE_4K as usize {
+            return false;
+        }
+        self.write_pages(addr, data);
+        true
     }
 
     /// Copy `data` into the one segment covering `[addr, addr + len)` when
@@ -222,6 +197,21 @@ impl SegmentMemory {
             return false;
         };
         self.slab[slot as usize].overwrite_unique((addr - s) as usize, data)
+    }
+
+    /// Store the 4 KiB page(s) `[addr, addr + len)` touches as one owned
+    /// buffer: their current bytes with `data` applied. Later small writes
+    /// to the page land in place. Kept out of line: page-sized writes
+    /// never come here.
+    #[cold]
+    #[inline(never)]
+    fn write_pages(&mut self, addr: u64, data: &[u8]) {
+        let lo = addr & !(PAGE_4K - 1);
+        let hi = (addr + data.len() as u64).next_multiple_of(PAGE_4K);
+        let mut page = Payload::build((hi - lo) as usize, |buf| self.read(lo, buf));
+        let written = page.overwrite_unique((addr - lo) as usize, data);
+        assert!(written, "a fresh page has one handle");
+        self.insert_segment(lo, page);
     }
 
     /// Fill `[addr, addr + len)` with `byte` as lazy shared-backing fill
@@ -308,11 +298,6 @@ impl SegmentMemory {
         self.write(addr, &v.to_le_bytes());
     }
 
-    /// Write a little-endian u64.
-    pub fn write_u64(&mut self, addr: u64, v: u64) {
-        self.write(addr, &v.to_le_bytes());
-    }
-
     /// Drop all contents.
     pub fn clear(&mut self) {
         self.segs.clear();
@@ -320,7 +305,6 @@ impl SegmentMemory {
         self.free.clear();
         self.write_cursor = None;
         self.read_cursor = None;
-        self.window_starts.clear();
     }
 
     /// The payload in `slot`.
@@ -328,8 +312,7 @@ impl SegmentMemory {
         &self.slab[slot as usize]
     }
 
-    /// Insert or replace the segment starting at `start` (one map descent),
-    /// counting a new start in its window.
+    /// Insert or replace the segment starting at `start` (one map descent).
     fn put(&mut self, start: u64, seg: Payload) {
         self.write_cursor = None;
         self.read_cursor = None;
@@ -347,16 +330,11 @@ impl SegmentMemory {
                     }
                 };
                 e.insert(slot);
-                *self
-                    .window_starts
-                    .entry(start / COALESCE_WINDOW)
-                    .or_insert(0) += 1;
             }
         }
     }
 
-    /// Remove the segment starting at `start`, dropping its payload and
-    /// uncounting its start.
+    /// Remove the segment starting at `start`, dropping its payload.
     fn take(&mut self, start: u64) {
         let Some(slot) = self.segs.remove(&start) else {
             return;
@@ -365,13 +343,6 @@ impl SegmentMemory {
         self.read_cursor = None;
         self.slab[slot as usize] = Payload::empty();
         self.free.push(slot);
-        let win = start / COALESCE_WINDOW;
-        match self.window_starts.get_mut(&win) {
-            Some(n) if *n > 1 => *n -= 1,
-            _ => {
-                self.window_starts.remove(&win);
-            }
-        }
     }
 
     /// `(start, slot)` of the one segment covering `[addr, addr + len)`, if
@@ -639,31 +610,6 @@ impl SegmentMemory {
             self.take(at);
         }
     }
-
-    /// If the 1 MiB window containing `addr` holds more than
-    /// [`COALESCE_SEGS`] segment starts, materialise the extent covered by
-    /// its first `COALESCE_SEGS + 1` segments into one owned segment (the
-    /// store's only copying path).
-    fn maybe_coalesce(&mut self, addr: u64) {
-        let win = addr / COALESCE_WINDOW;
-        match self.window_starts.get(&win) {
-            Some(&n) if n as usize > COALESCE_SEGS => {}
-            _ => return,
-        }
-        let win_start = win * COALESCE_WINDOW;
-        let win_end = win_start + COALESCE_WINDOW;
-        let mut lo = u64::MAX;
-        let mut hi = 0u64;
-        for (&s, &slot) in self.segs.range(win_start..win_end).take(COALESCE_SEGS + 1) {
-            lo = lo.min(s);
-            hi = hi.max((s + self.seg(slot).len() as u64).min(win_end));
-        }
-        if lo >= hi {
-            return;
-        }
-        let merged = Payload::build((hi - lo) as usize, |buf| self.read(lo, buf));
-        self.insert_segment(lo, merged);
-    }
 }
 
 /// Whether `data` is exactly the window `seg`, stored at `start`, holds at
@@ -724,24 +670,6 @@ mod tests {
             .count()
     }
 
-    /// The window-start index recounted from scratch.
-    fn recount_window_starts(m: &SegmentMemory) -> HashMap<u64, u32> {
-        let mut counts = HashMap::new();
-        for &s in m.segs.keys() {
-            *counts.entry(s / COALESCE_WINDOW).or_insert(0) += 1;
-        }
-        counts
-    }
-
-    fn assert_index_in_step(m: &SegmentMemory, step: usize) {
-        let index: HashMap<u64, u32> = m.window_starts.iter().map(|(&w, &n)| (w, n)).collect();
-        assert_eq!(
-            index,
-            recount_window_starts(m),
-            "window index diverged at op {step}"
-        );
-    }
-
     /// A 4 KiB shared backing whose adjacent windows re-join.
     fn backing() -> Payload {
         Payload::from_vec((0u8..=255).cycle().take(4096).collect())
@@ -750,9 +678,10 @@ mod tests {
     #[test]
     fn layout_disjoint_write() {
         let mut m = SegmentMemory::new();
-        m.write(0, &[1u8; 8]);
-        m.write(100, &[2u8; 8]);
-        m.write(50, &[3u8; 8]);
+        let b = backing();
+        m.write_payload(0, b.slice(0..8));
+        m.write_payload(100, b.slice(200..208));
+        m.write_payload(50, b.slice(400..408));
         assert_eq!(layout(&m), [(0, 8), (50, 8), (100, 8)]);
     }
 
@@ -791,9 +720,10 @@ mod tests {
     #[test]
     fn layout_exact_overwrite() {
         let mut m = SegmentMemory::new();
-        m.write(0, &[9u8; 4]);
-        m.write(64, &[1u8; 64]);
-        m.write(64, &[2u8; 64]);
+        let [nines, ones, twos] = [9u8, 1, 2].map(|v| Payload::from_vec(vec![v; 64]));
+        m.write_payload(0, nines.slice(0..4));
+        m.write_payload(64, ones.clone());
+        m.write_payload(64, twos.clone());
         assert_eq!(layout(&m), [(0, 4), (64, 64)]);
         assert_eq!(m.read_vec(64, 64), vec![2u8; 64]);
     }
@@ -801,7 +731,8 @@ mod tests {
     #[test]
     fn layout_head_overwrite_keeps_tail() {
         let mut m = SegmentMemory::new();
-        m.write(0, &[1u8; 64]);
+        let ones = Payload::from_vec(vec![1u8; 64]);
+        m.write_payload(0, ones.clone());
         // A held payload is retained, not copied into the segment.
         let head = Payload::from_vec(vec![2u8; 16]);
         m.write_payload(0, head.clone());
@@ -817,13 +748,14 @@ mod tests {
         // backing of the segment's remaining tail, so one segment is left.
         let mut m = SegmentMemory::new();
         let old = Payload::from_vec(vec![7u8; 1024]);
-        m.write_payload(0, old);
+        m.write_payload(0, old.clone());
         let b = backing();
         m.write_payload(0, b.slice(0..1024));
         m.write_payload(0, b.slice(0..256));
         assert_eq!(layout(&m), [(0, 1024)]);
         // A head from another backing splits it again.
-        m.write(0, &[5u8; 256]);
+        let fives = Payload::from_vec(vec![5u8; 256]);
+        m.write_payload(0, fives.clone());
         assert_eq!(layout(&m), [(0, 256), (256, 768)]);
         m.write_payload(0, b.slice(0..256));
         assert_eq!(layout(&m), [(0, 1024)]);
@@ -833,7 +765,8 @@ mod tests {
     #[test]
     fn layout_middle_split() {
         let mut m = SegmentMemory::new();
-        m.write(0, &[1u8; 64]);
+        let ones = Payload::from_vec(vec![1u8; 64]);
+        m.write_payload(0, ones.clone());
         let middle = Payload::from_vec(vec![2u8; 16]);
         m.write_payload(16, middle.clone());
         assert_eq!(layout(&m), [(0, 16), (16, 16), (32, 32)]);
@@ -850,7 +783,7 @@ mod tests {
         m.write(0, &[1u8; 64]);
         m.write(16, &[2u8; 16]);
         m.write(0, &[3u8; 4]);
-        assert_eq!(layout(&m), [(0, 64)]);
+        assert_eq!(layout(&m), [(0, 4096)], "the first write took its page");
         let mut want = vec![1u8; 64];
         want[..4].fill(3);
         want[16..32].fill(2);
@@ -866,7 +799,7 @@ mod tests {
         m.write(0, &[1u8; 64]);
         m.write_payload(16, Payload::from_vec(vec![2u8; 16]));
         m.write_payload(0, Payload::from(b"cqe0"));
-        assert_eq!(layout(&m), [(0, 64)]);
+        assert_eq!(layout(&m), [(0, 4096)], "the first write took its page");
         let mut want = vec![1u8; 64];
         want[..4].copy_from_slice(b"cqe0");
         want[16..32].fill(2);
@@ -878,10 +811,24 @@ mod tests {
         let mut m = SegmentMemory::new();
         m.write(0, &[1u8; 64]);
         let held = m.read_payload(0, 64);
+        // A byte write copies the page into a new buffer.
         m.write(16, &[2u8; 16]);
         assert_eq!(held, vec![1u8; 64], "a reader's window saw the write");
-        assert_eq!(layout(&m), [(0, 16), (16, 16), (32, 32)]);
-        assert_eq!(m.read_vec(16, 16), vec![2u8; 16]);
+        assert_eq!(layout(&m), [(0, 4096)]);
+        assert_ne!(
+            m.read_payload(0, 64).owned_backing(),
+            held.owned_backing(),
+            "the held buffer was written through"
+        );
+        // A shared window splits it.
+        let threes = Payload::from_vec(vec![3u8; 16]);
+        let held = m.read_payload(0, 64);
+        m.write_payload(16, threes.clone());
+        let mut want = vec![1u8; 64];
+        want[16..32].fill(2);
+        assert_eq!(held, want, "a reader's window saw the write");
+        assert_eq!(layout(&m), [(0, 16), (16, 16), (32, 4064)]);
+        assert_eq!(m.read_vec(16, 16), vec![3u8; 16]);
     }
 
     #[test]
@@ -891,8 +838,9 @@ mod tests {
         m.write_payload(0, Payload::fill(7, 64));
         m.write_payload(64, Payload::pattern(5, 64));
         m.write_payload(128, b.slice(0..64));
-        for base in [0, 64, 128] {
-            m.write(base + 16, &[2u8; 16]);
+        let twos: Vec<Payload> = (0..3).map(|_| Payload::from_vec(vec![2u8; 16])).collect();
+        for (base, two) in [0, 64, 128].into_iter().zip(&twos) {
+            m.write_payload(base + 16, two.clone());
         }
         let mut want = vec![(0, 16), (16, 16), (32, 32)];
         for base in [64, 128] {
@@ -910,51 +858,18 @@ mod tests {
     #[test]
     fn layout_overwrite_covering_several_segments() {
         let mut m = SegmentMemory::new();
-        for i in 0..8u64 {
-            m.write(i * 10, &[i as u8; 10]);
+        let tens: Vec<Payload> = (0..8u8).map(|i| Payload::from_vec(vec![i; 10])).collect();
+        for (i, ten) in tens.iter().enumerate() {
+            m.write_payload(i as u64 * 10, ten.clone());
         }
-        m.write(15, &[0xee; 50]);
+        let (ee, dd) = (
+            Payload::from_vec(vec![0xee; 50]),
+            Payload::from_vec(vec![0xdd; 60]),
+        );
+        m.write_payload(15, ee.clone());
         assert_eq!(layout(&m), [(0, 10), (10, 5), (15, 50), (65, 5), (70, 10)]);
-        m.write(10, &[0xdd; 60]);
+        m.write_payload(10, dd.clone());
         assert_eq!(layout(&m), [(0, 10), (10, 60), (70, 10)]);
-    }
-
-    #[test]
-    fn window_index_matches_recount() {
-        // Small writes packed into three windows (and across their
-        // boundaries) so the copy-on-write coalescer fires, mixed with
-        // every other mutating entry point.
-        let mut m = SegmentMemory::new();
-        let b = Payload::pattern(11, 1 << 16);
-        let mut x = 0x2545_f491_4f6c_dd1du64;
-        let mut next = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let mut coalesced = 0;
-        for step in 0..20_000 {
-            let addr = (1 + next() % 3) * COALESCE_WINDOW + next() % (16 << 10) - (8 << 10);
-            let len = 1 + next() % 64;
-            let before = m.segment_count();
-            match next() % 100 {
-                _ if step % 5000 == 4999 => m.clear(),
-                0..=46 => m.write(addr, &vec![step as u8; len as usize]),
-                47..=93 => {
-                    let from = (next() % (1 << 15)) as usize;
-                    m.write_payload(addr, b.slice(from..from + len as usize));
-                }
-                _ => m.fill(addr, len * 64, step as u8),
-            }
-            // A write of at most 64 bytes removes at most 64 segments by
-            // overlap; a bigger drop is the coalescer.
-            if m.segment_count() + 64 < before && !m.segs.is_empty() {
-                coalesced += 1;
-            }
-            assert_index_in_step(&m, step);
-        }
-        assert!(coalesced > 0, "the coalescer never fired");
     }
 
     #[test]
@@ -1067,7 +982,8 @@ mod tests {
         m.fill(1 << 20, 3 << 20, 0xab);
         assert_eq!(m.read_vec(8192, 8)[0], snacc_sim::bytes::pattern_byte(1, 0));
         assert_eq!(m.backing_bytes(), 4096);
-        m.write(64, &[1u8; 10]);
+        let ten = Payload::from_vec(vec![1u8; 10]);
+        m.write_payload(64, ten.clone());
         assert_eq!(m.backing_bytes(), 4106);
         // Dropping the last window drops the buffer from the count.
         m.write_payload(0, Payload::fill(0, 16));
@@ -1076,29 +992,35 @@ mod tests {
     }
 
     #[test]
-    fn coalesce_bounds_fragmentation() {
+    fn tiny_writes_leave_one_segment_per_page() {
+        // Interleaved tiny writes, some straddling a page boundary: each
+        // touched page ends up in one segment (two neighbouring pages a
+        // straddling write took together share one).
         let mut m = SegmentMemory::new();
-        // Interleave non-adjacent tiny writes from distinct backings.
-        for i in 0..(2 * COALESCE_SEGS as u64) {
-            m.write(i * 128, &[i as u8; 64]);
+        let mut flat = vec![0u8; 1 << 20];
+        let mut pages = HashSet::new();
+        for i in 0..2048u64 {
+            let addr = (i * 7919) % ((1 << 20) - 128);
+            let len = 1 + (i % 96) as usize;
+            let data = vec![i as u8; len];
+            m.write(addr, &data);
+            flat[addr as usize..][..len].copy_from_slice(&data);
+            pages.extend([addr / PAGE_4K, (addr + len as u64 - 1) / PAGE_4K]);
         }
         assert!(
-            m.segment_count() <= COALESCE_SEGS + 2,
-            "coalescing must bound fragmentation: {} segments",
-            m.segment_count()
+            m.segment_count() <= pages.len(),
+            "{} segments for {} pages",
+            m.segment_count(),
+            pages.len()
         );
-        // Contents survive coalescing.
-        for i in 0..(2 * COALESCE_SEGS as u64) {
-            assert_eq!(m.read_vec(i * 128, 64), vec![i as u8; 64]);
-            assert_eq!(m.read_vec(i * 128 + 64, 64), vec![0u8; 64]);
-        }
+        assert_eq!(m.read_vec(0, 1 << 20), flat);
     }
 
     #[test]
-    fn page_granular_ring_writes_never_coalesce() {
+    fn page_granular_ring_writes_stay_lazy() {
         // A 2 MiB ring rewritten page by page in shuffled order, each page
-        // its own lazy pattern: every window holds exactly its 256 pages,
-        // so nothing may be materialised.
+        // its own lazy pattern: one segment per page, and nothing may be
+        // materialised.
         const RING: u64 = 2 << 20;
         let pages = RING / PAGE_4K;
         let mut m = SegmentMemory::new();
@@ -1116,7 +1038,8 @@ mod tests {
                 m.write_payload(pg * PAGE_4K, Payload::pattern(seed, PAGE_4K as usize));
             }
         }
-        assert_eq!(m.segment_count(), 512, "a window was materialised");
+        assert_eq!(m.segment_count(), 512);
+        assert_eq!(m.backing_bytes(), 0, "a page was materialised");
         for pg in 0..pages {
             let want = Payload::pattern(3 * pages + pg, PAGE_4K as usize);
             assert_eq!(m.read_payload(pg * PAGE_4K, PAGE_4K as usize), want);
@@ -1124,12 +1047,42 @@ mod tests {
     }
 
     #[test]
+    fn ring_slots_share_their_page() {
+        // A 16 KiB ring of 64-byte slots (an SQ), first written slot by
+        // slot into unwritten memory: each slot write takes its page, so
+        // the ring is four segments, not 256.
+        const SLOT: usize = 64;
+        const RING: u64 = 16 << 10;
+        let mut m = SegmentMemory::new();
+        for i in 0..RING / SLOT as u64 {
+            m.write(i * SLOT as u64, &[i as u8; SLOT]);
+        }
+        assert_eq!(m.segment_count(), 4);
+        assert_eq!(m.backing_bytes(), RING);
+        // Later slot writes, as bytes or as fresh payloads, land in place.
+        for i in 0..2 * RING / SLOT as u64 {
+            let at = i * SLOT as u64 % RING;
+            match i % 2 {
+                0 => m.write(at, &[!i as u8; SLOT]),
+                _ => m.write_payload(at, Payload::from_vec(vec![!i as u8; SLOT])),
+            }
+        }
+        assert_eq!(m.segment_count(), 4);
+        assert_eq!(m.backing_bytes(), RING);
+        // An 8-slot burst read is a window of the page's own buffer.
+        let at = PAGE_4K + 1024;
+        let burst = m.read_payload(at, 8 * SLOT);
+        let (s, slot) = m.covering_slot(at, 8 * SLOT).expect("one page covers it");
+        assert_eq!(s, PAGE_4K);
+        assert_eq!(burst.owned_backing(), m.seg(slot).owned_backing());
+        assert!(burst.same_window(&m.seg(slot).slice(1024..1024 + 8 * SLOT)));
+    }
+
+    #[test]
     fn scalar_helpers() {
         let mut m = SegmentMemory::new();
         m.write_u32(16, 0xdead_beef);
-        m.write_u64(24, 0x0123_4567_89ab_cdef);
         assert_eq!(m.read_u32(16), 0xdead_beef);
-        assert_eq!(m.read_vec(24, 8), 0x0123_4567_89ab_cdef_u64.to_le_bytes());
     }
 
     /// The store under test and the cursor-free layout oracle, driven in
@@ -1171,7 +1124,6 @@ mod tests {
                 self.r.resident_pages(),
                 "resident pages, op {op}"
             );
-            assert_index_in_step(&self.m, op);
             assert_eq!(
                 joinable_neighbours(&self.m),
                 None,
@@ -1179,10 +1131,19 @@ mod tests {
             );
         }
 
+        /// A byte write; one shorter than a page leaves its span in one
+        /// segment.
         fn write(&mut self, addr: u64, data: &[u8]) {
             self.m.write(addr, data);
             self.r.write(addr, data);
             self.check();
+            if data.len() < PAGE_4K as usize {
+                let op = self.ops;
+                assert!(
+                    self.m.covering_slot(addr, data.len()).is_some(),
+                    "small write split, op {op}"
+                );
+            }
         }
 
         fn window(&mut self, addr: u64, b: &(Payload, Payload), from: usize, to: usize) {
@@ -1279,11 +1240,11 @@ mod tests {
         }
     }
 
-    /// Seeded random op mix over three coalescing windows: sequential
-    /// appends of shared-backing windows or of origin-aligned pattern
-    /// beats (the write cursor's path, joins across allocations, in-place
-    /// growth and the [`LAZY_BACKING_MAX`] cap), byte writes packed into
-    /// one hot region (so the coalescer fires), random shared windows,
+    /// Seeded random op mix over 3 MiB: sequential appends of
+    /// shared-backing windows or of origin-aligned pattern beats (the
+    /// write cursor's path, joins across allocations, in-place growth and
+    /// the [`LAZY_BACKING_MAX`] cap), small byte writes packed into one
+    /// hot region (in place, or taking their page), random shared windows,
     /// patterns, origin-aligned patterns (`Payload::pattern(addr, len)`,
     /// which join every origin-aligned neighbour), unique payloads,
     /// fills, rewrites of windows the store already holds (inside a
@@ -1292,9 +1253,8 @@ mod tests {
     /// odd `clear`.
     #[test]
     fn layout_matches_oracle_under_random_ops() {
-        const BASE: u64 = COALESCE_WINDOW;
-        const SPAN: u64 = 3 * COALESCE_WINDOW;
-        let mut coalesced = 0;
+        const BASE: u64 = 1 << 20;
+        const SPAN: u64 = 3 << 20;
         let mut capped = 0;
         for seed in 1..=6u64 {
             let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
@@ -1312,7 +1272,6 @@ mod tests {
             let (mut at, mut bi, mut off) = (BASE, 0usize, 0usize);
             for step in 0..2500u64 {
                 let anywhere = BASE + next() % SPAN;
-                let before = l.m.segment_count();
                 match next() % 100 {
                     _ if step % 1000 == 999 => l.clear(),
                     0..=29 => {
@@ -1342,7 +1301,7 @@ mod tests {
                         off += len;
                     }
                     30..=46 => {
-                        let hot = BASE + COALESCE_WINDOW + next() % (256 << 10);
+                        let hot = 2 * BASE + next() % (256 << 10);
                         let len = 1 + next() as usize % 64;
                         l.write(hot, &vec![step as u8; len]);
                     }
@@ -1387,13 +1346,9 @@ mod tests {
                         l.read(addr, 1 + next() as usize % 4096, next() % 2 == 0);
                     }
                 }
-                if l.m.segment_count() + 64 < before && l.m.segment_count() > 0 {
-                    coalesced += 1;
-                }
                 capped += capped_neighbours(&l.m).min(1);
             }
         }
-        assert!(coalesced > 0, "the coalescer never fired");
         assert!(capped > 0, "no join by origin ever met the cap");
     }
 
@@ -1475,7 +1430,7 @@ mod tests {
         // Inside a segment the cursor is not on: found by the walk's first
         // step, which moves the cursor there.
         l.window(4096, &b, 4096, 6144);
-        l.write(7000, &[3u8; 8]);
+        l.pattern(7000, 9, 8);
         assert!(l.m.write_cursor.is_none());
         l.rewrite(4200, 0, 1 << 16);
         assert_eq!(l.m.write_cursor.as_ref().map(|c| c.start), Some(4096));
@@ -1504,7 +1459,7 @@ mod tests {
     #[test]
     fn cursor_dropped_by_a_key_between_it_and_its_successor() {
         let (mut l, b) = cursor_with_known_successor();
-        l.write(4096, &[9u8; 100]);
+        l.pattern(4096, 9, 100);
         // A stale cursor would still take [1536, 4608) as an append past
         // the new segment at 4096.
         l.window(1536, &b, 1536, 4608);
@@ -1518,7 +1473,7 @@ mod tests {
         let (mut l, b) = cursor_with_known_successor();
         // A foreign write inside the cursor segment trims it and splits
         // off a tail.
-        l.write(1024, &[1u8; 256]);
+        l.pattern(1024, 9, 256);
         assert_eq!(
             layout(&l.m),
             [(0, 1024), (1024, 256), (1280, 256), (8192, 512)]
@@ -1534,18 +1489,5 @@ mod tests {
         l.window(2048, &b, 2048, 2560);
         assert_eq!(layout(&l.m), [(0, 2560), (8192, 512)]);
         l.read(0, 2560, false);
-    }
-
-    #[test]
-    fn cursor_dropped_when_its_window_coalesces() {
-        let (mut l, b) = cursor_with_known_successor();
-        // Enough distinct starts in window 0 to materialise it.
-        for i in 0..COALESCE_SEGS as u64 {
-            l.write((16 << 10) + i * 128, &[i as u8; 64]);
-        }
-        assert!(l.m.segment_count() < COALESCE_SEGS, "the window coalesced");
-        l.window(1536, &b, 1536, 2048);
-        l.window(2048, &b, 2048, 4096);
-        l.read(0, 4096, false);
     }
 }

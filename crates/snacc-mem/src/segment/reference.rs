@@ -2,15 +2,13 @@
 //! per write and no cursors: the layout oracle for [`super::SegmentMemory`].
 //! Its layout after any op sequence is the layout the store must keep.
 
-use super::{COALESCE_SEGS, COALESCE_WINDOW};
 use crate::hostmem::PAGE_4K;
 use snacc_sim::bytes::{Payload, LAZY_BACKING_MAX};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 #[derive(Default)]
 pub struct Reference {
     segs: BTreeMap<u64, Payload>,
-    window_starts: HashMap<u64, u32>,
 }
 
 impl Reference {
@@ -52,17 +50,40 @@ impl Reference {
     }
 
     pub fn write(&mut self, addr: u64, data: &[u8]) {
-        if !data.is_empty() && !self.write_in_place(addr, data) {
-            self.write_payload(addr, Payload::from(data));
+        if !data.is_empty() && !self.write_owned(addr, data) {
+            self.insert_segment(addr, Payload::from(data));
         }
     }
 
     pub fn write_payload(&mut self, addr: u64, data: Payload) {
-        if data.is_unique() && self.write_in_place(addr, &data) {
-            return;
+        if !(data.is_unique() && self.write_owned(addr, &data)) {
+            self.insert_segment(addr, data);
         }
-        self.insert_segment(addr, data);
-        self.maybe_coalesce(addr);
+    }
+
+    /// Bytes nothing else holds land in place, or, when shorter than a
+    /// page, as a new buffer of the pages they touch: the bytes before
+    /// them, then them, then the bytes after.
+    fn write_owned(&mut self, addr: u64, data: &[u8]) -> bool {
+        if self.write_in_place(addr, data) {
+            return true;
+        }
+        if data.is_empty() || data.len() >= PAGE_4K as usize {
+            return false;
+        }
+        let end = addr + data.len() as u64;
+        let lo = addr / PAGE_4K * PAGE_4K;
+        let hi = end.div_ceil(PAGE_4K) * PAGE_4K;
+        let mut page = Vec::new();
+        for p in self.gather_parts(lo, (addr - lo) as usize) {
+            page.extend_from_slice(p.as_slice());
+        }
+        page.extend_from_slice(data);
+        for p in self.gather_parts(end, (hi - end) as usize) {
+            page.extend_from_slice(p.as_slice());
+        }
+        self.insert_segment(lo, Payload::from_vec(page));
+        true
     }
 
     fn write_in_place(&mut self, addr: u64, data: &[u8]) -> bool {
@@ -105,29 +126,6 @@ impl Reference {
 
     pub fn clear(&mut self) {
         self.segs.clear();
-        self.window_starts.clear();
-    }
-
-    fn put(&mut self, start: u64, seg: Payload) {
-        if self.segs.insert(start, seg).is_none() {
-            *self
-                .window_starts
-                .entry(start / COALESCE_WINDOW)
-                .or_insert(0) += 1;
-        }
-    }
-
-    fn take(&mut self, start: u64) {
-        if self.segs.remove(&start).is_none() {
-            return;
-        }
-        let win = start / COALESCE_WINDOW;
-        match self.window_starts.get_mut(&win) {
-            Some(n) if *n > 1 => *n -= 1,
-            _ => {
-                self.window_starts.remove(&win);
-            }
-        }
     }
 
     fn covering(&self, addr: u64, len: usize) -> Option<Payload> {
@@ -243,16 +241,16 @@ impl Reference {
             }
         }
         for s in covered {
-            self.take(s);
+            self.segs.remove(&s);
         }
         if take_succ {
-            self.take(end);
+            self.segs.remove(&end);
         }
         if let Some(t) = tail {
-            self.put(end, t);
+            self.segs.insert(end, t);
         }
         if let Some(m) = unplaced {
-            self.put(addr, m);
+            self.segs.insert(addr, m);
         }
         for &at in trimmed.iter().rev() {
             self.rejoin(at);
@@ -270,31 +268,7 @@ impl Reference {
         };
         if let Some(j) = prev.try_join(next).filter(|_| s + prev.len() as u64 == at) {
             self.segs.insert(s, j);
-            self.take(at);
+            self.segs.remove(&at);
         }
-    }
-
-    fn maybe_coalesce(&mut self, addr: u64) {
-        let win = addr / COALESCE_WINDOW;
-        match self.window_starts.get(&win) {
-            Some(&n) if n as usize > COALESCE_SEGS => {}
-            _ => return,
-        }
-        let win_start = win * COALESCE_WINDOW;
-        let win_end = win_start + COALESCE_WINDOW;
-        let mut lo = u64::MAX;
-        let mut hi = 0u64;
-        for (&s, seg) in self.segs.range(win_start..win_end).take(COALESCE_SEGS + 1) {
-            lo = lo.min(s);
-            hi = hi.max((s + seg.len() as u64).min(win_end));
-        }
-        if lo >= hi {
-            return;
-        }
-        let mut buf = Vec::with_capacity((hi - lo) as usize);
-        for p in self.gather_parts(lo, (hi - lo) as usize) {
-            buf.extend_from_slice(p.as_slice());
-        }
-        self.insert_segment(lo, Payload::from_vec(buf));
     }
 }

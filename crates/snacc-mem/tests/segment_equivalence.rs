@@ -1,13 +1,13 @@
 //! Property tests: [`SegmentMemory`] is byte-equivalent to a flat
 //! zero-initialised byte vector under arbitrary write / read / overwrite /
 //! span / fill / identical-rewrite sequences — the segment store is a pure
-//! representation change (zero-copy windows, in-place small writes and
-//! CoW coalescing) and must never alter what a read returns. Also checks
+//! representation change (zero-copy windows, small writes in place or in
+//! their own page) and must never alter what a read returns. Also checks
 //! that `resident_pages` is monotone while no `clear` happens (coverage
-//! only ever grows), and that no two neighbouring segments could be one.
+//! only ever grows), that no two neighbouring segments could be one, and
+//! that tiny writes leave at most one segment per page they touch.
 
 use proptest::prelude::*;
-use snacc_mem::segment::COALESCE_SEGS;
 use snacc_mem::SegmentMemory;
 use snacc_sim::bytes::Payload;
 
@@ -73,7 +73,8 @@ fn apply(seg: &mut SegmentMemory, flat: &mut Flat, op: [u64; 4]) {
             // Sub-page writes into an owned page, as bytes or (odd `s`)
             // as fresh payloads nothing else holds: the first lands in
             // place; the second comes while a reader holds a window of the
-            // page, which must keep the bytes it saw.
+            // page, so it copies the page, and the window must keep the
+            // bytes it saw.
             let page = addr & !0xfff;
             let fresh: Vec<u8> = (0..4096u64).map(|i| (s ^ i ^ 0xa5) as u8).collect();
             let off = page + s % 4000;
@@ -119,7 +120,7 @@ fn apply(seg: &mut SegmentMemory, flat: &mut Flat, op: [u64; 4]) {
         }
         _ => {
             // Scalar writes.
-            seg.write_u64(addr, s);
+            seg.write(addr, &s.to_le_bytes());
             flat.write(addr, &s.to_le_bytes());
         }
     }
@@ -183,25 +184,25 @@ proptest! {
         }
     }
 
-    /// Interleaved tiny writes trip CoW coalescing without changing any
-    /// byte; fragmentation stays bounded per window. Two to four times the
-    /// bound in writes, so every case crosses it at least once.
+    /// Interleaved tiny writes, dense inside one 1 MiB window, change no
+    /// byte and leave at most one segment per page they touch.
     #[test]
-    fn coalescing_preserves_bytes(
-        writes in proptest::collection::vec(any::<[u64; 2]>(), 2 * COALESCE_SEGS..4 * COALESCE_SEGS),
+    fn tiny_writes_preserve_bytes_one_segment_per_page(
+        writes in proptest::collection::vec(any::<[u64; 2]>(), 512..1024),
     ) {
         let mut seg = SegmentMemory::new();
         let mut flat = Flat::default();
+        let mut pages = std::collections::HashSet::new();
         for [a, s] in &writes {
-            // Dense tiny writes inside one 1 MiB window.
             let addr = a % (1 << 20);
             let data = [(s & 0xff) as u8; 48];
             seg.write(addr, &data);
             flat.write(addr, &data);
+            pages.extend([addr / 4096, (addr + 47) / 4096]);
         }
         prop_assert!(
-            seg.segment_count() <= COALESCE_SEGS + 2,
-            "window fragmentation unbounded: {} segments", seg.segment_count()
+            seg.segment_count() <= pages.len(),
+            "{} segments for {} pages", seg.segment_count(), pages.len()
         );
         let want = flat.read_vec(0, 1 << 20);
         prop_assert_eq!(seg.read_vec(0, 1 << 20), want);
