@@ -335,8 +335,10 @@ pub fn classify(img: &[u8], fmt: ImageFormat) -> u32 {
     (class as u32).min(NUM_CLASSES - 1)
 }
 
-/// Cheap content key of an image (samples it): the class table and the
-/// database controller's memo key images by it. Walks the segments in
+/// Cheap content key of an image, from about 512 sampled bytes. The
+/// database controller takes a received image whose key equals its class's
+/// table image key as that image, and classifies any other from its own
+/// bytes; damage that misses every sample goes unseen. Walks the segments in
 /// place and reads only the sampled bytes ([`Payload::byte_at`]), so
 /// hashing neither concatenates the segments nor materialises a lazy one.
 /// The sample points and hash are identical to running FNV over every

@@ -27,7 +27,6 @@ use snacc_nvme::NvmeDeviceHandle;
 use snacc_sim::{Engine, Payload, PayloadQueue, SimDuration, SimTime};
 use snacc_trace as trace;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Case-study parameters.
@@ -185,14 +184,9 @@ pub struct DbController<S: CaseSink> {
     /// Image segments accumulated for the classification tee — shared
     /// windows of the stream payloads, not copies.
     tee: Vec<Payload>,
-    /// Total bytes across `tee`.
-    tee_len: usize,
     /// Images queued at the classifier (bounded FIFO).
     classifier_queue: usize,
     classifier_free_at: SimTime,
-    /// Memoised classification by image-content key, for images whose
-    /// content is no class image (damaged by a fault campaign).
-    memo: HashMap<u64, u32>,
     /// Packed records awaiting a page flush.
     record_page: Vec<u8>,
     /// Record pages flushed to the record table.
@@ -238,10 +232,8 @@ impl<S: CaseSink + 'static> DbController<S> {
             inbuf: PayloadQueue::new(),
             state: DbState::Header,
             tee: Vec::new(),
-            tee_len: 0,
             classifier_queue: 0,
             classifier_free_at: SimTime::ZERO,
-            memo: HashMap::new(),
             record_page: Vec::new(),
             record_pages_written: 0,
             taken_total: 0,
@@ -364,7 +356,6 @@ impl<S: CaseSink + 'static> DbController<S> {
                 }
                 let hdr = decoded.expect("validated above");
                 c.tee.clear();
-                c.tee_len = 0;
                 c.state = DbState::Image(hdr, hdr.len as u64, false);
                 true
             }
@@ -399,7 +390,6 @@ impl<S: CaseSink + 'static> DbController<S> {
                     return false;
                 }
                 // Tee: share the segment with the classification path.
-                c.tee_len += chunk.len();
                 c.tee.push(chunk);
                 let DbState::Image(_, remaining, _) = &mut c.state else {
                     unreachable!()
@@ -412,30 +402,24 @@ impl<S: CaseSink + 'static> DbController<S> {
                 c.images_stored += 1;
                 c.classifier_queue += 1;
                 let tee = std::mem::take(&mut c.tee);
-                let tee_len = std::mem::take(&mut c.tee_len);
-                let key = content_key(&tee, tee_len);
+                let key = content_key(&tee, hdr.len as usize);
                 // An intact image is its class's table image: same key.
                 let known = class_image(hdr.truth)
                     .filter(|e| e.key == key)
                     .map(|e| e.class);
-                let class = match known.or_else(|| c.memo.get(&key).copied()) {
-                    Some(cl) => cl,
-                    None => {
-                        // Memo miss (once per distinct damaged content):
-                        // stream the tee's parts through the downscaler.
-                        // A part of a lazy class body materialises that
-                        // body, once per thread; generating its bytes per
-                        // image instead would cost more than it keeps.
-                        let (cap, cls) = (ImageFormat::capture(), ImageFormat::classify());
-                        let mut small = Downscaler::new(cap, cls);
-                        for part in &tee {
-                            small.feed(part.as_slice());
-                        }
-                        let cl = classify(&small.finish(), cls);
-                        c.memo.insert(key, cl);
-                        cl
+                let class = known.unwrap_or_else(|| {
+                    // Damaged content (a fault campaign): stream the tee's
+                    // parts through the downscaler. A part of a lazy class
+                    // body materialises that body, once per thread;
+                    // generating its bytes per image instead would cost
+                    // more than it keeps.
+                    let (cap, cls) = (ImageFormat::capture(), ImageFormat::classify());
+                    let mut small = Downscaler::new(cap, cls);
+                    for part in &tee {
+                        small.feed(part.as_slice());
                     }
-                };
+                    classify(&small.finish(), cls)
+                });
                 drop(tee);
                 // The classifier PE finishes one image per 1/fps.
                 let svc = SimDuration::from_us_f64(1e6 / c.cfg.classifier_fps);

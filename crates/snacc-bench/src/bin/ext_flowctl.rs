@@ -18,7 +18,7 @@ fn run(through_switch: bool, sink_gbps: f64, fc: bool) -> (f64, u64, u64) {
     let a = EthMac::new("src", MacAddr::from_index(1), cfg.clone(), 1);
     let b = EthMac::new("dst", MacAddr::from_index(2), cfg.clone(), 2);
     let _sw = if through_switch {
-        let sw = EthSwitch::new(2, cfg.clone(), 9);
+        let sw = EthSwitch::new(cfg.clone());
         mac::connect(&a, &sw.port(0));
         mac::connect(&b, &sw.port(1));
         Some(sw)

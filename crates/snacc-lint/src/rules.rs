@@ -9,7 +9,7 @@
 //! from test code does not keep a function alive.
 
 use crate::Violation;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Catalog metadata for one rule.
 #[derive(Clone, Copy, Debug)]
@@ -72,7 +72,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "SL010",
         summary: "no uncalled `pub fn` — a public function whose name appears nowhere else in the workspace's non-test code (strings, comments and test code do not count) has no caller; delete it",
-        scope: "definitions under crates/*/src (non-test code); uses in crates/, src/, examples/ and perfbench/src outside #[cfg(test)] regions and tests/ directories",
+        scope: "definitions under crates/*/src (non-test code); uses in crates/, src/, examples/ and perfbench/src outside #[cfg(test)] regions, files a #[cfg(test)] `mod name;` brings in, and tests/ directories",
     },
 ];
 
@@ -741,22 +741,52 @@ fn fn_uses(line: &str) -> impl Iterator<Item = &str> {
     })
 }
 
+/// The module a braceless `mod name;` item on sanitized `line` declares.
+fn mod_decl(line: &str) -> Option<&str> {
+    let (before, name) = line.trim_end().strip_suffix(';')?.rsplit_once("mod ")?;
+    let name = name.trim();
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    (!before.ends_with(is_ident) && !name.is_empty() && name.chars().all(is_ident)).then_some(name)
+}
+
 /// SL010 over a whole tree. `files` holds `(workspace-relative path,
 /// source)` for every file whose code may count as a use; the
 /// definitions checked are the non-test `pub fn`s under `crates/*/src`.
 /// A name counts wherever it appears as an identifier outside test code
-/// (a `#[cfg(test)]` region or a file under a `tests/` directory) and
-/// outside field syntax ([`fn_uses`]), so two functions that share a
-/// name keep each other alive, but a function only tests call is dead.
+/// (a `#[cfg(test)]` region, a file a `#[cfg(test)]` `mod name;` brings
+/// in, or a file under a `tests/` directory) and outside field syntax
+/// ([`fn_uses`]), so two functions that share a name keep each other
+/// alive, but a function only tests call is dead.
 pub(crate) fn scan_uncalled(files: &[(String, String)]) -> Vec<Violation> {
     let clean: Vec<String> = files.iter().map(|(_, src)| sanitize(src)).collect();
     let masks: Vec<Vec<bool>> = clean
         .iter()
         .map(|text| test_mask(&text.lines().collect::<Vec<_>>()))
         .collect();
+    // A `#[cfg(test)]` `mod name;` of `dir/lib.rs`, `dir/main.rs` or
+    // `dir/mod.rs` brings in `dir/name.rs` or `dir/name/mod.rs`; one of
+    // `dir/file.rs` brings in the same under `dir/file/`.
+    let mut test_files = HashSet::new();
+    for ((rel, _), (text, in_test)) in files.iter().zip(clean.iter().zip(&masks)) {
+        let stem = rel.strip_suffix(".rs").unwrap_or(rel);
+        let dir = ["/lib", "/main", "/mod"]
+            .iter()
+            .find_map(|m| stem.strip_suffix(m));
+        let dir = dir.unwrap_or(stem);
+        for name in text
+            .lines()
+            .zip(in_test)
+            .filter(|(_, &t)| t)
+            .filter_map(|(l, _)| mod_decl(l))
+        {
+            test_files.extend([format!("{dir}/{name}.rs"), format!("{dir}/{name}/mod.rs")]);
+        }
+    }
+    let is_test_file =
+        |rel: &String| rel.split('/').any(|dir| dir == "tests") || test_files.contains(rel);
     let mut uses: HashMap<&str, usize> = HashMap::new();
     for (((rel, _), text), in_test) in files.iter().zip(&clean).zip(&masks) {
-        if rel.split('/').any(|dir| dir == "tests") {
+        if is_test_file(rel) {
             continue;
         }
         for (line, _) in text.lines().zip(in_test).filter(|(_, &t)| !t) {
@@ -771,7 +801,7 @@ pub(crate) fn scan_uncalled(files: &[(String, String)]) -> Vec<Violation> {
             .strip_prefix("crates/")
             .and_then(|r| r.split_once('/'))
             .is_some_and(|(_, r)| r.starts_with("src/"));
-        if !in_crate_src {
+        if !in_crate_src || is_test_file(rel) {
             continue;
         }
         for ((i, line), raw) in text.lines().enumerate().zip(src.lines()) {
@@ -985,6 +1015,23 @@ fn f(&mut self, engine: &mut Engine) {
         );
         // A `pub fn` outside `crates/*/src` is not checked.
         assert!(scan_uncalled(&[file("tests/t.rs", "pub fn lone() {}\n")]).is_empty());
+    }
+
+    #[test]
+    fn sl010_counts_a_cfg_test_module_file_as_test_code() {
+        // `joined` is named only by the two test modules' files.
+        let files = [
+            ("seg.rs", "pub fn joined() {}\npub fn shipped() {}\nfn f() { shipped(); }\n#[cfg(test)]\nmod oracle;\n"),
+            ("seg/oracle.rs", "pub fn check() { super::joined(); }\n"),
+            ("lib.rs", "pub mod seg;\n#[cfg(test)] mod support;\n"),
+            ("support/mod.rs", "pub fn helper() { joined(); }\n"),
+        ]
+        .map(|(rel, src)| (format!("crates/snacc-mem/src/{rel}"), src.to_string()));
+        let v = scan_uncalled(&files);
+        let found: Vec<(&str, usize)> = v.iter().map(|v| (v.path.as_str(), v.line)).collect();
+        assert_eq!(found, [("crates/snacc-mem/src/seg.rs", 1)], "{v:?}");
+        assert_eq!(mod_decl("pub(crate) mod oracle;"), Some("oracle"));
+        assert_eq!(mod_decl("mod tests {"), None);
     }
 
     #[test]

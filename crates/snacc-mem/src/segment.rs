@@ -28,15 +28,9 @@
 //! * **Writing back a window a segment already holds changes nothing.**
 //!   When the payload is that very window (same backing, offset and
 //!   length) strictly inside one segment, the write is found at the write
-//!   cursor or at the walk's first step and skipped: the walk would leave
-//!   the same layout. Every write joins its result with both neighbours
-//!   where they join, and a trim that brings a pattern segment under the
-//!   cap offers it to the neighbour on its far side, so no two
-//!   neighbouring segments are ever joinable (the lockstep tests check
-//!   this after every op). A rewrite that touches a segment's start or
-//!   end is therefore a layout no-op as well; the skip still takes only
-//!   windows strictly inside, which keeps the write cursor where appends
-//!   need it.
+//!   cursor or at the walk's first step and skipped: the walk would trim
+//!   that segment and join the write and its tail back onto its head,
+//!   leaving the same layout.
 //! * **Any other write** costs one ordered-map descent plus one step per
 //!   segment it overlaps: a single backward walk finds the trimmed head,
 //!   the covered segments, the split tail and the join candidates, and the
@@ -445,8 +439,8 @@ impl SegmentMemory {
     }
 
     /// Insert `data` at `addr`, trimming any overlapped extents of existing
-    /// segments and re-joining with the neighbours it joins. All slicing is
-    /// zero-copy.
+    /// segments and joining the write with the neighbours it joins. All
+    /// slicing is zero-copy.
     ///
     /// An append at the write cursor grows its segment in place. Otherwise
     /// one backward walk from the last segment starting at or before `end`
@@ -457,15 +451,10 @@ impl SegmentMemory {
     /// whenever it can. Keys that appear or disappear (a split tail,
     /// covered segments past `addr`, a successor absorbed by a join, a
     /// write at a fresh key) cost one more descent each. A write that
-    /// joins its predecessor makes that segment the write cursor.
-    ///
-    /// A trim shortens a segment, and a shorter pattern window may join
-    /// by origin where the whole one passed [`LAZY_BACKING_MAX`]. So where
-    /// a trimmed predecessor or a split tail is a pattern window, and the
-    /// segment now in its place (joined with the write or not) is shorter
-    /// than the one it was cut from, that segment is offered to the one on
-    /// its far side ([`Self::rejoin`]). Other windows join only within
-    /// their backing, which a trim does not change.
+    /// joins its predecessor makes that segment the write cursor. Only the
+    /// write joins: a trimmed head or split tail is not offered to the
+    /// segment on its far side, so a pattern window a trim brings under
+    /// [`LAZY_BACKING_MAX`] stays apart from a neighbour it meets by origin.
     ///
     /// A rewrite of the very window a segment holds strictly inside it
     /// changes nothing: the walk would trim that segment, join the write
@@ -488,10 +477,6 @@ impl SegmentMemory {
         let mut succ: Option<u32> = None;
         let mut at_addr: Option<u32> = None;
         let mut pred: Option<(u64, u32)> = None;
-        // Where a trimmed pattern predecessor starts and a split pattern
-        // tail ends, each with the length of the segment it was cut from.
-        let mut trimmed_pred: Option<(u64, usize)> = None;
-        let mut tail_end: Option<(u64, usize)> = None;
         for (&s, &slot) in self.segs.range(..=end).rev() {
             if s == end {
                 succ = Some(slot);
@@ -515,15 +500,12 @@ impl SegmentMemory {
                 });
                 return;
             }
-            let cut_from = seg.pattern_origin().and(Some(seg.len()));
             if seg_end > end {
                 tail = Some(seg.slice((end - s) as usize..seg.len()));
-                tail_end = cut_from.map(|whole| (seg_end, whole));
             }
             if s < addr {
                 *seg = seg.slice(0..(addr - s) as usize);
                 pred = Some((s, slot));
-                trimmed_pred = cut_from.map(|whole| (s, whole));
                 break;
             }
             if s == addr {
@@ -547,15 +529,6 @@ impl SegmentMemory {
         if next_seg.is_some_and(|n| merged.try_extend(n)) {
             take_succ = tail.take().is_none();
         }
-        // The lengths of the segments now starting where the predecessor
-        // starts and ending where the tail ends.
-        let left_len = match pred {
-            Some((_, p)) if !joined_pred => self.seg(p).len(),
-            _ => merged.len(),
-        };
-        let right_len = tail.as_ref().map_or(merged.len(), Payload::len);
-        let rejoin_at = [(trimmed_pred, left_len), (tail_end, right_len)]
-            .map(|(cut, now)| cut.filter(|&(_, whole)| now < whole).map(|(at, _)| at));
         // A segment still starts at `end` unless the join absorbed it.
         let next_at_end = (tail.is_some() || (succ.is_some() && !take_succ)).then_some(end);
         let mut unplaced = None;
@@ -588,27 +561,6 @@ impl SegmentMemory {
                 next: next_at_end,
             });
         }
-        for at in rejoin_at.into_iter().flatten() {
-            self.rejoin(at);
-        }
-    }
-
-    /// Join the segment starting at `at` onto the one ending there, if it
-    /// joins it. The join removes the key at `at`, which drops both
-    /// cursors.
-    fn rejoin(&mut self, at: u64) {
-        let Some(&slot) = self.segs.get(&at) else {
-            return;
-        };
-        let Some((&s, &prev)) = self.segs.range(..at).next_back() else {
-            return;
-        };
-        let (head, next) = (self.seg(prev), self.seg(slot));
-        if s + head.len() as u64 == at && head.joins(next) {
-            let next = std::mem::take(&mut self.slab[slot as usize]);
-            self.slab[prev as usize].try_extend(&next);
-            self.take(at);
-        }
     }
 }
 
@@ -638,33 +590,36 @@ mod tests {
             .collect()
     }
 
-    /// The start of the first of two neighbouring segments that could be
-    /// one: contiguous in address, and the second joins the first.
-    fn joinable_neighbours(m: &SegmentMemory) -> Option<u64> {
-        let mut prev: Option<(u64, &Payload)> = None;
-        for (&s, &slot) in &m.segs {
-            let p = m.seg(slot);
-            if let Some((ps, pp)) = prev {
-                if ps + pp.len() as u64 == s && pp.try_join(p).is_some() {
-                    return Some(ps);
-                }
-            }
-            prev = Some((s, p));
-        }
-        None
-    }
-
-    /// Neighbouring pattern segments whose origins meet: what stops them
-    /// joining is [`LAZY_BACKING_MAX`].
-    fn capped_neighbours(m: &SegmentMemory) -> usize {
+    /// Segments that touch, as `(start, payload)` pairs in address order.
+    fn neighbours(m: &SegmentMemory) -> Vec<[(u64, &Payload); 2]> {
         let segs: Vec<(u64, &Payload)> = m.segs.iter().map(|(&s, &k)| (s, m.seg(k))).collect();
         segs.windows(2)
-            .filter(|w| {
-                let ((a, pa), (b, pb)) = (w[0], w[1]);
-                a + pa.len() as u64 == b
+            .filter(|w| w[0].0 + w[0].1.len() as u64 == w[1].0)
+            .map(|w| [w[0], w[1]])
+            .collect()
+    }
+
+    /// The start of the first of two neighbouring segments that could be
+    /// one and are not both pattern windows (a trim can leave two that
+    /// meet by origin under [`LAZY_BACKING_MAX`]; nothing joins them).
+    fn joinable_neighbours(m: &SegmentMemory) -> Option<u64> {
+        let pattern = |p: &Payload| p.pattern_origin().is_some();
+        neighbours(m)
+            .into_iter()
+            .find(|[(_, a), (_, b)]| a.joins(b) && !(pattern(a) && pattern(b)))
+            .map(|[(s, _), _]| s)
+    }
+
+    /// Neighbouring pattern segments whose origins meet but that together
+    /// pass [`LAZY_BACKING_MAX`]: the cap is what keeps them apart.
+    fn capped_neighbours(m: &SegmentMemory) -> usize {
+        neighbours(m)
+            .iter()
+            .filter(|[(_, a), (_, b)]| {
+                a.len() + b.len() > LAZY_BACKING_MAX
                     && matches!(
-                        (pa.pattern_origin(), pb.pattern_origin()),
-                        (Some(x), Some(y)) if x.wrapping_add(pa.len() as u64) == y
+                        (a.pattern_origin(), b.pattern_origin()),
+                        (Some(x), Some(y)) if x.wrapping_add(a.len() as u64) == y
                     )
             })
             .count()
@@ -1374,32 +1329,51 @@ mod tests {
     }
 
     #[test]
-    fn a_trim_under_the_cap_rejoins_across_it() {
+    fn a_trim_under_the_cap_leaves_two_segments() {
+        // Pattern windows that meet by origin but pass the cap together
+        // stay two segments when a write cuts one of them under it: a trim
+        // joins nothing. First a trimmed end ([512K, 1280K) cut back to
+        // 512K beside [0, 512K)), then a split tail (cutting the head of
+        // [2M, 2M + 768K) leaves 512K beside the 512K after it).
         const K: u64 = 1 << 10;
         let mut l = Lockstep::default();
-        let origin = |l: &mut Lockstep, addr: u64, len: u64| l.pattern(addr, addr, len as usize);
-        // [0, 512K) and [512K, 1280K) meet by origin but would pass the
-        // cap together. Cutting the second's end brings them under it.
-        origin(&mut l, 0, 512 * K);
-        origin(&mut l, 512 * K, 768 * K);
-        assert_eq!(layout(&l.m), [(0, 512 << 10), (512 * K, 768 << 10)]);
-        l.write(1024 * K, &[1u8; 256 << 10]);
-        assert_eq!(layout(&l.m), [(0, 1 << 20), (1024 * K, 256 << 10)]);
-        // A split tail: [2M, 2M + 768K) and the 512K after it; cutting the
-        // first's head leaves a 512K tail that joins its successor.
-        origin(&mut l, 2048 * K, 768 * K);
-        origin(&mut l, 2816 * K, 512 * K);
-        l.write(2048 * K, &[2u8; 256 << 10]);
-        assert_eq!(
-            layout(&l.m),
-            [
-                (0, 1 << 20),
-                (1024 * K, 256 << 10),
-                (2048 * K, 256 << 10),
-                (2304 * K, 1 << 20)
-            ]
-        );
-        l.read(2300 * K, 8 * K as usize, false);
+        let mut flat = vec![0u8; 3328 << 10];
+        for (at, len, byte) in [
+            (0, 512, None),
+            (512, 768, None),
+            (1024, 256, Some(1)),
+            (2048, 768, None),
+            (2816, 512, None),
+            (2048, 256, Some(2)),
+        ] {
+            let (at, len) = (at * K, (len * K) as usize);
+            let span = &mut flat[at as usize..][..len];
+            match byte {
+                None => {
+                    l.pattern(at, at, len);
+                    Payload::pattern(at, len).copy_to(span);
+                }
+                Some(b) => {
+                    span.fill(b);
+                    l.write(at, span);
+                }
+            }
+        }
+        let want = [
+            (0, 512),
+            (512, 512),
+            (1024, 256),
+            (2048, 256),
+            (2304, 512),
+            (2816, 512),
+        ];
+        assert_eq!(layout(&l.m), want.map(|(s, n)| (s * K, (n * K) as usize)));
+        for at in [0, 2304 * K] {
+            let head = l.m.read_payload(at, 512 << 10);
+            let next = l.m.read_payload(at + 512 * K, 512 << 10);
+            assert!(head.joins(&next), "{at:#x}: the pair meets under the cap");
+        }
+        assert_eq!(l.m.read_vec(0, flat.len()), flat);
     }
 
     /// A write cursor at `[0, 1536)` with its successor at 8192 already

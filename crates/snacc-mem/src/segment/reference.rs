@@ -4,7 +4,7 @@
 
 use crate::hostmem::PAGE_4K;
 use snacc_sim::bytes::{Payload, LAZY_BACKING_MAX};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 #[derive(Default)]
 pub struct Reference {
@@ -21,32 +21,26 @@ impl Reference {
         self.segs.get(&start)
     }
 
+    /// The distinct pages the segments touch: sorted and disjoint, a
+    /// segment shares at most its first page, with the one before it.
     pub fn resident_pages(&self) -> usize {
-        let mut pages = 0usize;
-        let mut last_counted: Option<u64> = None;
-        for (&start, seg) in &self.segs {
-            let first = start / PAGE_4K;
-            let last = (start + seg.len() as u64 - 1) / PAGE_4K;
-            let first = match last_counted {
-                Some(lc) if first <= lc => lc + 1,
-                _ => first,
-            };
-            if first <= last {
-                pages += (last - first + 1) as usize;
-                last_counted = Some(last);
-            }
+        let (mut pages, mut last) = (0, None);
+        for (&s, seg) in &self.segs {
+            let (first, end) = (s / PAGE_4K, (s + seg.len() as u64 - 1) / PAGE_4K);
+            pages += (end - first + 1) as usize - usize::from(last == Some(first));
+            last = Some(end);
         }
         pages
     }
 
+    /// The lengths of the distinct owned buffers the segments hold.
     pub fn backing_bytes(&self) -> u64 {
-        let mut seen = HashSet::new();
-        self.segs
+        let buffers: HashMap<_, _> = self
+            .segs
             .values()
             .filter_map(Payload::owned_backing)
-            .filter(|&(id, _)| seen.insert(id))
-            .map(|(_, len)| len as u64)
-            .sum()
+            .collect();
+        buffers.values().map(|&len| len as u64).sum()
     }
 
     pub fn write(&mut self, addr: u64, data: &[u8]) {
@@ -172,8 +166,7 @@ impl Reference {
         parts
     }
 
-    /// The single backward walk the store's general write path keeps, then
-    /// a re-join across both ends of every trim.
+    /// The single backward walk the store's general write path keeps.
     fn insert_segment(&mut self, addr: u64, data: Payload) {
         if data.is_empty() {
             return;
@@ -184,8 +177,6 @@ impl Reference {
         let mut tail: Option<Payload> = None;
         let mut take_succ = false;
         let mut unplaced = None;
-        // Where a trimmed predecessor starts and a split tail ends.
-        let mut trimmed = Vec::new();
         {
             let mut succ: Option<&Payload> = None;
             let mut at_addr: Option<&mut Payload> = None;
@@ -204,12 +195,10 @@ impl Reference {
                 }
                 if seg_end > end {
                     tail = Some(seg.slice((end - s) as usize..seg.len()));
-                    trimmed.push(seg_end);
                 }
                 if s < addr {
                     *seg = seg.slice(0..(addr - s) as usize);
                     pred = Some(seg);
-                    trimmed.push(s);
                     break;
                 }
                 if s == addr {
@@ -218,15 +207,15 @@ impl Reference {
                     covered.push(s);
                 }
             }
-            let joined_pred = match pred.as_deref().and_then(|p| p.try_join(&merged)) {
-                Some(j) => {
-                    merged = j;
+            let joined_pred = match pred.as_deref() {
+                Some(p) if p.joins(&merged) => {
+                    merged = Payload::concat(&[p.clone(), merged]);
                     true
                 }
-                None => false,
+                _ => false,
             };
-            if let Some(j) = tail.as_ref().or(succ).and_then(|n| merged.try_join(n)) {
-                merged = j;
+            if let Some(n) = tail.as_ref().or(succ).filter(|n| merged.joins(n)) {
+                merged = Payload::concat(&[merged, n.clone()]);
                 take_succ = tail.take().is_none();
             }
             match (pred, at_addr) {
@@ -251,24 +240,6 @@ impl Reference {
         }
         if let Some(m) = unplaced {
             self.segs.insert(addr, m);
-        }
-        for &at in trimmed.iter().rev() {
-            self.rejoin(at);
-        }
-    }
-
-    /// Join the segment starting at `at` onto the one ending there, if it
-    /// joins it.
-    fn rejoin(&mut self, at: u64) {
-        let Some(next) = self.segs.get(&at) else {
-            return;
-        };
-        let Some((&s, prev)) = self.segs.range(..at).next_back() else {
-            return;
-        };
-        if let Some(j) = prev.try_join(next).filter(|_| s + prev.len() as u64 == at) {
-            self.segs.insert(s, j);
-            self.segs.remove(&at);
         }
     }
 }

@@ -4,7 +4,8 @@
 //! representation change (zero-copy windows, small writes in place or in
 //! their own page) and must never alter what a read returns. Also checks
 //! that `resident_pages` is monotone while no `clear` happens (coverage
-//! only ever grows), that no two neighbouring segments could be one, and
+//! only ever grows), that no two neighbouring segments could be one unless
+//! both are pattern windows (a trim can leave two that meet by origin), and
 //! that tiny writes leave at most one segment per page they touch.
 
 use proptest::prelude::*;
@@ -127,17 +128,18 @@ fn apply(seg: &mut SegmentMemory, flat: &mut Flat, op: [u64; 4]) {
 }
 
 /// The address of the first of two neighbouring segments that could be
-/// one: contiguous in address, and the second joins the first
-/// ([`Payload::joins`]: one backing, or pattern origins that meet). The
-/// parts of a read over the whole space are the stored segments, in
-/// order, with the gaps between them as zero-fill parts of their own
-/// backing.
+/// one: contiguous in address, the second joins the first
+/// ([`Payload::joins`]: one backing, or pattern origins that meet), and
+/// not both pattern windows. The parts of a read over the whole space are
+/// the stored segments, in order, with the gaps between them as zero-fill
+/// parts of their own backing.
 fn joinable_neighbours(seg: &mut SegmentMemory) -> Option<u64> {
     let parts = seg.read_payload_parts(0, 2 * SPACE as usize);
+    let pattern = |p: &Payload| p.pattern_origin().is_some();
     let mut at = 0u64;
     for w in parts.windows(2) {
         at += w[0].len() as u64;
-        if w[0].try_join(&w[1]).is_some() {
+        if w[0].joins(&w[1]) && !(pattern(&w[0]) && pattern(&w[1])) {
             return Some(at - w[0].len() as u64);
         }
     }

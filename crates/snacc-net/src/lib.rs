@@ -14,7 +14,8 @@
 //!   bounded RX buffer with high/low watermarks that generate PAUSE /
 //!   resume frames, pause honouring on the TX path, drop counting when
 //!   flow control is disabled.
-//! * [`switch::EthSwitch`] — a store-and-forward switch built out of MACs;
+//! * [`switch::EthSwitch`] — a two-port store-and-forward switch built out
+//!   of two MACs; a full egress TX queue stalls the ingress port, so
 //!   backpressure propagates hop by hop exactly as the standard intends.
 //! * [`traffic`] — byte-stream sender / rate-limited sink used by the
 //!   tests and the case study.

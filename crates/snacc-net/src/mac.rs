@@ -206,16 +206,6 @@ impl EthMac {
         self.rx_queue.front().map(|f| f.frame_bytes())
     }
 
-    /// Destination address of the frame at the head of the RX buffer.
-    pub fn rx_peek_dst(&self) -> Option<MacAddr> {
-        self.rx_queue.front().map(|f| f.dst)
-    }
-
-    /// Source address of the frame at the head of the RX buffer.
-    pub fn rx_peek_src(&self) -> Option<MacAddr> {
-        self.rx_queue.front().map(|f| f.src)
-    }
-
     /// Draw whether an arriving data frame is lost to the fault injector:
     /// the trace name of the loss, or `None` if the frame gets through.
     fn draw_loss(&mut self) -> Option<&'static str> {

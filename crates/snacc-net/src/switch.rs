@@ -1,67 +1,48 @@
 //! Store-and-forward Ethernet switch.
 //!
-//! Built from MAC ports, with MAC learning and flooding. Backpressure is
-//! hop-by-hop exactly as 802.3x intends (paper Sec 4.7: "this protocol
-//! also works with intermediary switches, which will first pause locally
-//! before propagating the pause request further"): when an egress port's
-//! TX queue fills, the switch stops draining the ingress port's RX buffer,
-//! whose high watermark then asserts PAUSE towards the upstream sender.
+//! Two MAC ports bridged back to back: a frame received on one port is
+//! forwarded out of the other. Backpressure is hop-by-hop exactly as 802.3x
+//! intends (paper Sec 4.7: "this protocol also works with intermediary
+//! switches, which will first pause locally before propagating the pause
+//! request further"): while the egress port's TX queue is full, the switch
+//! stops draining the ingress port's RX buffer, whose high watermark then
+//! asserts PAUSE towards the upstream sender.
 
 use crate::frame::MacAddr;
 use crate::mac::{self, EthMac, MacConfig};
 use snacc_sim::Engine;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 
-struct SwitchCore {
-    /// The port MACs own the core through their hooks.
-    ports: Vec<Weak<RefCell<EthMac>>>,
-    /// MAC learning table: source address → port index.
-    table: HashMap<MacAddr, usize>,
-}
-
-impl SwitchCore {
-    fn port(&self, i: usize) -> Rc<RefCell<EthMac>> {
-        self.ports[i]
-            .upgrade()
-            .expect("switch -> port MAC: the switch was dropped")
-    }
-}
-
-/// An N-port learning switch.
+/// A two-port store-and-forward switch.
 pub struct EthSwitch {
-    ports: Vec<Rc<RefCell<EthMac>>>,
+    ports: [Rc<RefCell<EthMac>>; 2],
 }
 
 impl EthSwitch {
-    /// Build a switch with `n_ports` ports using `cfg` per port. Connect
-    /// endpoints to [`port`](Self::port) with [`mac::connect`].
-    pub fn new(n_ports: usize, cfg: MacConfig, seed: u64) -> Self {
-        assert!(n_ports >= 2, "a switch needs at least two ports");
-        let ports: Vec<_> = (0..n_ports)
-            .map(|i| {
-                EthMac::new(
-                    format!("sw.p{i}"),
-                    MacAddr::from_index(0xff00 + i as u64),
-                    cfg.clone(),
-                    seed.wrapping_add(i as u64),
-                )
-            })
-            .collect();
-        let core = Rc::new(RefCell::new(SwitchCore {
-            ports: ports.iter().map(Rc::downgrade).collect(),
-            table: HashMap::new(),
-        }));
-        // Ingress hook: try to forward whenever frames arrive; egress hook:
-        // retry all ingress ports whenever TX space frees up.
+    /// Build a switch whose two ports use `cfg`. Connect endpoints to
+    /// [`port`](Self::port) with [`mac::connect`].
+    pub fn new(cfg: MacConfig) -> Self {
+        let ports = [0, 1].map(|i| {
+            EthMac::new(
+                format!("sw.p{i}"),
+                MacAddr::from_index(0xff00 + i),
+                cfg.clone(),
+                0,
+            )
+        });
+        // The port MACs own the hooks, so the hooks hold the ports weakly.
+        let weak = ports.each_ref().map(Rc::downgrade);
+        // Ingress hook: forward whenever frames arrive; egress hook: retry
+        // both ingress ports whenever TX space frees up.
         for (i, p) in ports.iter().enumerate() {
-            let c1 = core.clone();
-            p.borrow_mut()
-                .set_rx_hook(move |en| forward_port(&c1, en, i));
-            let c2 = core.clone();
-            p.borrow_mut()
-                .set_tx_space_hook(move |en| forward_all(&c2, en));
+            let w = weak.clone();
+            p.borrow_mut().set_rx_hook(move |en| forward(&w, en, i));
+            let w = weak.clone();
+            p.borrow_mut().set_tx_space_hook(move |en| {
+                forward(&w, en, 0);
+                forward(&w, en, 1);
+            });
         }
         EthSwitch { ports }
     }
@@ -70,75 +51,25 @@ impl EthSwitch {
     pub fn port(&self, i: usize) -> Rc<RefCell<EthMac>> {
         self.ports[i].clone()
     }
-
-    /// Number of ports.
-    pub fn n_ports(&self) -> usize {
-        self.ports.len()
-    }
 }
 
-/// Drain as many frames as possible from ingress port `i`.
-fn forward_port(core: &Rc<RefCell<SwitchCore>>, en: &mut Engine, i: usize) {
+/// Forward as many frames as possible from ingress port `i` to the other
+/// port. A frame waits at ingress while the egress TX queue has no room for
+/// it (store-and-forward): that is the local pause.
+fn forward(ports: &[Weak<RefCell<EthMac>>; 2], en: &mut Engine, i: usize) {
+    let [ingress, egress] = [i, 1 - i].map(|k| {
+        ports[k]
+            .upgrade()
+            .expect("switch -> port MAC: the switch was dropped")
+    });
     loop {
-        // Decide the egress set while holding only short borrows.
-        let (ingress, dst, src) = {
-            let c = core.borrow();
-            let p = c.port(i);
-            let (dst, src) = {
-                let pm = p.borrow();
-                match (pm.rx_peek_dst(), pm.rx_peek_src()) {
-                    (Some(d), Some(s)) => (d, s),
-                    _ => return,
-                }
-            };
-            (p, dst, src)
-        };
-        // Learn the source.
-        core.borrow_mut().table.insert(src, i);
-
-        let egress: Vec<usize> = {
-            let c = core.borrow();
-            match c.table.get(&dst) {
-                Some(&p) if p != i => vec![p],
-                // Destined back to its own segment: drop (filter).
-                Some(_) => vec![],
-                // Unknown destination: flood.
-                None => (0..c.ports.len()).filter(|&p| p != i).collect(),
-            }
-        };
-
-        // All egress ports must have space (store-and-forward, no partial
-        // flood) or we stall this ingress port — that is the local pause.
-        let len = ingress
-            .borrow()
-            .rx_peek_bytes()
-            .expect("frame still queued") as usize;
-        let all_fit = {
-            let c = core.borrow();
-            egress.iter().all(|&p| c.port(p).borrow().tx_has_space(len))
-        };
-        if !all_fit {
+        let len = ingress.borrow().rx_peek_bytes();
+        if !len.is_some_and(|n| egress.borrow().tx_has_space(n as usize)) {
             return;
         }
-
-        let Some(frame) = mac::pop_frame(&ingress, en) else {
-            return;
-        };
-        let egress_ports: Vec<_> = {
-            let c = core.borrow();
-            egress.iter().map(|&p| c.port(p)).collect()
-        };
-        for p in egress_ports {
-            let ok = mac::send(&p, en, frame.clone());
-            debug_assert!(ok, "space was checked above");
-        }
-    }
-}
-
-fn forward_all(core: &Rc<RefCell<SwitchCore>>, en: &mut Engine) {
-    let n = core.borrow().ports.len();
-    for i in 0..n {
-        forward_port(core, en, i);
+        let frame = mac::pop_frame(&ingress, en).expect("a frame was peeked");
+        let ok = mac::send(&egress, en, frame);
+        debug_assert!(ok, "space was checked above");
     }
 }
 
@@ -155,54 +86,20 @@ mod tests {
     #[test]
     fn forwards_between_endpoints() {
         let mut en = Engine::new();
-        let sw = EthSwitch::new(2, MacConfig::eth_100g(), 99);
+        let sw = EthSwitch::new(MacConfig::eth_100g());
         let a = endpoint("a", 1, MacConfig::eth_100g());
         let b = endpoint("b", 2, MacConfig::eth_100g());
         mac::connect(&a, &sw.port(0));
         mac::connect(&b, &sw.port(1));
-        let f = EthFrame::data(
-            MacAddr::from_index(2),
-            MacAddr::from_index(1),
-            vec![5; 2000],
-        );
-        mac::send(&a, &mut en, f.clone());
-        en.run();
-        let got = mac::pop_frame(&b, &mut en).expect("delivered through switch");
-        assert_eq!(got.payload, f.payload);
-    }
-
-    #[test]
-    fn learning_avoids_flooding() {
-        let mut en = Engine::new();
-        let sw = EthSwitch::new(3, MacConfig::eth_100g(), 99);
-        let a = endpoint("a", 1, MacConfig::eth_100g());
-        let b = endpoint("b", 2, MacConfig::eth_100g());
-        let c = endpoint("c", 3, MacConfig::eth_100g());
-        mac::connect(&a, &sw.port(0));
-        mac::connect(&b, &sw.port(1));
-        mac::connect(&c, &sw.port(2));
-        // b announces itself (flooded — dst still unknown).
-        mac::send(
-            &b,
-            &mut en,
-            EthFrame::data(MacAddr::from_index(1), MacAddr::from_index(2), vec![0; 64]),
-        );
-        en.run();
-        let c_before = c.borrow().stats().rx_frames;
-        assert_eq!(c_before, 1, "b's frame floods to c");
-        // Now a → b should be forwarded, not flooded.
-        mac::send(
-            &a,
-            &mut en,
-            EthFrame::data(MacAddr::from_index(2), MacAddr::from_index(1), vec![1; 64]),
-        );
-        en.run();
-        assert_eq!(
-            c.borrow().stats().rx_frames,
-            c_before,
-            "c must not see a→b after learning"
-        );
-        assert!(mac::pop_frame(&b, &mut en).is_some());
+        for (from, to, byte) in [(&a, &b, 5u8), (&b, &a, 6)] {
+            let (src, dst) = (from.borrow().addr(), to.borrow().addr());
+            let f = EthFrame::data(dst, src, vec![byte; 2000]);
+            mac::send(from, &mut en, f.clone());
+            en.run();
+            let got = mac::pop_frame(to, &mut en).expect("delivered through switch");
+            assert_eq!(got.payload, f.payload);
+            assert_eq!((got.src, got.dst), (src, dst));
+        }
     }
 
     #[test]
@@ -210,7 +107,7 @@ mod tests {
         // a → switch → b with b never draining: losslessness end to end
         // requires the switch to pause a.
         let mut en = Engine::new();
-        let sw = EthSwitch::new(2, MacConfig::eth_100g(), 99);
+        let sw = EthSwitch::new(MacConfig::eth_100g());
         let a = endpoint("a", 1, MacConfig::eth_100g());
         let b = endpoint("b", 2, MacConfig::eth_100g());
         mac::connect(&a, &sw.port(0));

@@ -316,9 +316,9 @@ impl Payload {
     /// pattern window's end (`pattern_origin(self) + self.len() ==
     /// pattern_origin(next)`, whatever allocations they came from) when
     /// the joined pattern holds at most [`LAZY_BACKING_MAX`] bytes. The
-    /// one rule behind [`try_join`](Payload::try_join),
-    /// [`try_extend`](Payload::try_extend), [`concat`](Payload::concat)
-    /// and the segment store's joins. O(1); nothing is materialised.
+    /// one rule behind [`try_extend`](Payload::try_extend),
+    /// [`concat`](Payload::concat) and the segment store's joins. O(1);
+    /// nothing is materialised.
     pub fn joins(&self, next: &Payload) -> bool {
         self.continues_backing(next) || self.joins_by_origin(next)
     }
@@ -333,16 +333,6 @@ impl Payload {
                 (self.pattern_origin(), next.pattern_origin()),
                 (Some(a), Some(b)) if a.wrapping_add(self.len as u64) == b
             )
-    }
-
-    /// Zero-copy join: if `next` [`joins`](Payload::joins) this window,
-    /// return the merged window; otherwise `None` (no copying is ever
-    /// performed). The segment store uses this to re-coalesce writes that
-    /// an upstream producer carved out of one buffer or one pattern
-    /// stream.
-    pub fn try_join(&self, next: &Payload) -> Option<Payload> {
-        let mut joined = self.clone();
-        joined.try_extend(next).then_some(joined)
     }
 
     /// Grow this window by `next` when `next` [`joins`](Payload::joins)
@@ -863,20 +853,18 @@ mod tests {
     }
 
     #[test]
-    fn try_join_merges_adjacent_same_backing() {
+    fn adjacent_windows_of_one_backing_join() {
         let p = Payload::from_vec((0u8..64).collect());
         let (a, b) = p.split_at(17);
-        let joined = a.try_join(&b).expect("adjacent");
-        assert!(same_backing(&joined.repr, &p.repr));
-        assert_eq!(joined, p);
-        // Non-adjacent or different backing: no join, no copy.
-        assert!(b.try_join(&a).is_none());
-        assert!(a.try_join(&Payload::from_vec(vec![0; 4])).is_none());
+        assert!(a.joins(&b) && Payload::concat(&[a.clone(), b.clone()]).same_window(&p));
+        // Non-adjacent or different backing: no join.
+        assert!(!b.joins(&a));
+        assert!(!a.joins(&Payload::from_vec(vec![0; 4])));
         // Fill segments join only within one shared backing.
         let f = Payload::fill(0, 32);
         let (fa, fb) = f.split_at(10);
-        assert_eq!(fa.try_join(&fb).expect("same fill backing"), f);
-        assert!(fa.try_join(&Payload::fill(0, 8)).is_none());
+        assert!(fa.joins(&fb) && Payload::concat(&[fa.clone(), fb]).same_window(&f));
+        assert!(!fa.joins(&Payload::fill(0, 8)));
     }
 
     /// The lazy backing behind `p`: its length and whether `p` is its
@@ -896,15 +884,11 @@ mod tests {
         let b = Payload::pattern(397, 700).slice(10..610);
         assert!(a.joins(&b) && !same_backing(&a.repr, &b.repr));
         let want = Payload::pattern(7, 1000).slice(100..1000);
-        for j in [
-            a.try_join(&b).expect("origins meet"),
-            Payload::concat(&[a.clone(), b.clone()]),
-        ] {
-            assert_eq!(j.pattern_origin(), Some(107));
-            assert_eq!(j.len(), 900);
-            assert_eq!(lazy_backing(&j).0, 900, "one fresh pattern");
-            assert_eq!(j, want);
-        }
+        let j = Payload::concat(&[a.clone(), b.clone()]);
+        assert_eq!(j.pattern_origin(), Some(107));
+        assert_eq!(j.len(), 900);
+        assert_eq!(lazy_backing(&j).0, 900, "one fresh pattern");
+        assert_eq!(j, want);
         // The parts are untouched.
         assert_eq!((a.len(), a.pattern_origin()), (300, Some(107)));
         assert_eq!(b, Payload::pattern(407, 600));
@@ -925,7 +909,6 @@ mod tests {
         ];
         for (what, b) in &refused {
             assert!(!a.joins(b), "{what}");
-            assert!(a.try_join(b).is_none(), "{what}");
             let mut grown = a.clone();
             assert!(!grown.try_extend(b), "{what}");
             assert!(grown.same_window(&a), "{what}: a refused extend changed it");
@@ -936,7 +919,6 @@ mod tests {
         // Reversed order: `b` continues `a`, not the other way round.
         let b = Payload::pattern(4096, 10);
         assert!(a.joins(&b) && !b.joins(&a));
-        assert!(b.try_join(&a).is_none());
         // Up to the cap the join is lazy; one byte past it is refused and
         // `concat` copies. Windows of one backing join past it.
         let half = LAZY_BACKING_MAX / 2;
@@ -944,12 +926,11 @@ mod tests {
             Payload::pattern(0, half),
             Payload::pattern(half as u64, half),
         );
-        assert_eq!(
-            x.try_join(&y).map(|j| lazy_backing(&j).0),
-            Some(LAZY_BACKING_MAX)
-        );
+        assert!(x.joins(&y));
+        let xy = Payload::concat(&[x.clone(), y]);
+        assert_eq!(lazy_backing(&xy).0, LAZY_BACKING_MAX);
         let y1 = Payload::pattern(half as u64, half + 1);
-        assert!(!x.joins(&y1) && x.try_join(&y1).is_none());
+        assert!(!x.joins(&y1));
         let mut q = PayloadQueue::new();
         q.push_back(x.clone());
         q.push_back(y1.clone());
@@ -958,7 +939,7 @@ mod tests {
         assert_eq!(copied.byte_at(half + 7), pattern_byte(0, half as u64 + 7));
         let big = Payload::pattern(0, 2 * LAZY_BACKING_MAX);
         let (h, t) = big.split_at(LAZY_BACKING_MAX / 3);
-        assert!(h.try_join(&t).expect("one backing").same_window(&big));
+        assert!(Payload::concat(&[h, t]).same_window(&big), "one backing");
     }
 
     #[test]

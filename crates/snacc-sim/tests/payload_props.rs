@@ -51,7 +51,7 @@ fn holds_stream(p: &Payload, seed: u64, at: usize) -> bool {
 proptest! {
     /// A pattern stream cut into windows that are each built on their
     /// own (some cut from a larger allocation) rejoins exactly: a
-    /// `try_join` fold joins until the next window would pass
+    /// `try_extend` fold joins until the next window would pass
     /// [`LAZY_BACKING_MAX`], `concat` is lazy up to it and copies past it,
     /// and a [`PayloadQueue`] fed the windows hands back the stream. No
     /// lazy backing a join builds is longer than the cap.
@@ -76,20 +76,17 @@ proptest! {
             at += len;
         }
         let total = at;
-        // A `try_join` fold: refused only where the cap would be passed.
+        // A `try_extend` fold: refused only where the cap would be passed.
         let mut acc = windows[0].clone();
         let mut acc_at = 0usize;
         for w in &windows[1..] {
-            match acc.try_join(w) {
-                Some(j) => {
-                    prop_assert_eq!(j.len(), acc.len() + w.len());
-                    acc = j;
-                }
-                None => {
-                    prop_assert!(acc.len() + w.len() > LAZY_BACKING_MAX);
-                    acc_at += acc.len();
-                    acc = w.clone();
-                }
+            let before = acc.len();
+            if acc.try_extend(w) {
+                prop_assert_eq!(acc.len(), before + w.len());
+            } else {
+                prop_assert!(before + w.len() > LAZY_BACKING_MAX);
+                acc_at += before;
+                acc = w.clone();
             }
             prop_assert!(holds_stream(&acc, seed, acc_at));
             prop_assert!(lazy_backing_len(&acc).is_some_and(|b| b <= LAZY_BACKING_MAX));
@@ -230,7 +227,7 @@ proptest! {
 
     /// Windows of a generated segment behave like windows over a `Vec`.
     /// Copy-out reads (`copy_to`, `byte_at`), slices of slices, splits
-    /// that re-join zero-copy (by `concat` and `try_join`, keeping the
+    /// that re-join zero-copy (by `concat` and `try_extend`, keeping the
     /// window's backing), `concat` with unrelated parts and a
     /// [`PayloadQueue`] fed its windows all match the flat model without
     /// materialising the segment. Then `as_slice` materialises it, and
@@ -271,14 +268,13 @@ proptest! {
                 prop_assert_eq!(s.byte_at(i), v[a + i]);
             }
             // Adjacent windows join without copying, in either operation.
-            let joined = head.try_join(&tail).expect("adjacent generated windows");
-            prop_assert!(joined.same_window(&s));
+            prop_assert!(head.joins(&tail), "adjacent generated windows");
             prop_assert!(Payload::concat(&[head.clone(), tail.clone()]).same_window(&s));
             if !tail.is_empty() {
-                prop_assert!(tail.try_join(&head).is_none());
+                prop_assert!(!tail.joins(&head));
             }
             // With an unrelated buffer, `concat` copies the parts out.
-            prop_assert!(s.try_join(&o).is_none());
+            prop_assert!(!s.joins(&o));
             let mixed = Payload::concat(&[s.clone(), o.clone(), tail.clone()]);
             prop_assert_eq!(mixed.as_slice(), &flat[..]);
             prop_assert!(mixed.owned_backing().is_some());
